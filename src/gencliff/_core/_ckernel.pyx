@@ -219,22 +219,27 @@ cpdef list flux_contract(Py_ssize_t n, list X, list Y, dict H):
     return out
 
 
-cpdef list sec_dorfman(Py_ssize_t n, list A, list B, H=None):
+cpdef list sec_dorfman(Py_ssize_t n, list A, list B, H=None, da=None,
+                       db=None):
     cdef list out = [None] * (2 * n)
     cdef list hpart
     cdef Py_ssize_t i, j
     cdef dict acc, d
+    if da is None:
+        da = p_diff
+    if db is None:
+        db = p_diff
     for i in range(n):
         acc = {}
         for j in range(n):
             xj = A[j]
             if xj:
-                d = p_diff(<dict>B[i], j)
+                d = db(<dict>B[i], j)
                 if d:
                     acc = p_add(acc, p_mul(<dict>xj, d))
             yj = B[j]
             if yj:
-                d = p_diff(<dict>A[i], j)
+                d = da(<dict>A[i], j)
                 if d:
                     acc = p_sub(acc, p_mul(<dict>yj, d))
         out[i] = acc
@@ -243,20 +248,20 @@ cpdef list sec_dorfman(Py_ssize_t n, list A, list B, H=None):
         for j in range(n):
             xj = A[j]
             if xj:
-                d = p_diff(<dict>B[n + i], j)
+                d = db(<dict>B[n + i], j)
                 if d:
                     acc = p_add(acc, p_mul(<dict>xj, d))
             ej = B[n + j]
             if ej:
-                d = p_diff(<dict>A[j], i)
+                d = da(<dict>A[j], i)
                 if d:
                     acc = p_add(acc, p_mul(<dict>ej, d))
             yj = B[j]
             if yj:
-                d = p_diff(<dict>A[n + i], j)
+                d = da(<dict>A[n + i], j)
                 if d:
                     acc = p_sub(acc, p_mul(<dict>yj, d))
-                d = p_diff(<dict>A[n + j], i)
+                d = da(<dict>A[n + j], i)
                 if d:
                     acc = p_add(acc, p_mul(<dict>yj, d))
         out[n + i] = acc

@@ -233,13 +233,18 @@ def flux_contract(n, X, Y, H):
     return out
 
 
-def sec_dorfman(n, A, B, H=None):
+def sec_dorfman(n, A, B, H=None, da=p_diff, db=p_diff):
     """Dorfman bracket of polynomial sections, optionally H-twisted.
 
     [X+xi, Y+eta] = [X,Y] + L_X eta - iota_Y d xi - iota_Y iota_X H with
       [X,Y]^i      = sum_j X^j dY^i/dx_j - Y^j dX^i/dx_j
       (L_X eta)_i  = sum_j X^j d eta_i/dx_j + eta_j dX^j/dx_i
       (i_Y dxi)_i  = sum_j Y^j (d xi_i/dx_j - d xi_j/dx_i)
+
+    da(p, j) and db(p, j) differentiate a component of A and of B by x_j.
+    The fixed-denominator twistor sweep passes quotient-rule derivatives
+    (and no flux): A and B are then the numerators of P / m^j and Q / m^k,
+    and the result is the numerator of their bracket over m^(j+k+1).
     """
     out = [None] * (2 * n)
     for i in range(n):
@@ -247,12 +252,12 @@ def sec_dorfman(n, A, B, H=None):
         for j in range(n):
             xj = A[j]
             if xj:
-                d = p_diff(B[i], j)
+                d = db(B[i], j)
                 if d:
                     acc = p_add(acc, p_mul(xj, d))
             yj = B[j]
             if yj:
-                d = p_diff(A[i], j)
+                d = da(A[i], j)
                 if d:
                     acc = p_sub(acc, p_mul(yj, d))
         out[i] = acc
@@ -261,20 +266,20 @@ def sec_dorfman(n, A, B, H=None):
         for j in range(n):
             xj = A[j]
             if xj:
-                d = p_diff(B[n + i], j)
+                d = db(B[n + i], j)
                 if d:
                     acc = p_add(acc, p_mul(xj, d))
             ej = B[n + j]
             if ej:
-                d = p_diff(A[j], i)
+                d = da(A[j], i)
                 if d:
                     acc = p_add(acc, p_mul(ej, d))
             yj = B[j]
             if yj:
-                d = p_diff(A[n + i], j)
+                d = da(A[n + i], j)
                 if d:
                     acc = p_sub(acc, p_mul(yj, d))
-                d = p_diff(A[n + j], i)
+                d = da(A[n + j], i)
                 if d:
                     acc = p_add(acc, p_mul(yj, d))
         out[n + i] = acc

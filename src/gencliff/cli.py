@@ -37,9 +37,8 @@ from ._core import BACKEND
 from .scalar import Chart, ExprSyntaxError, Poly, ScalarField, parse_expr
 from .cartan import KForm
 from .courant import (FluxForm, Section, dorfman, dorfman_twisted,
-                      algebroid_differential, frame_sections, monomials_up_to,
-                      pairing)
-from .gcs import EndField
+                      algebroid_differential, frame_sections, pairing)
+from .gcs import EndField, _kernel_generators, generator_labels
 from .clifford import (CliffordTriple, TripleStatus, check_relations,
                        induce, project, theorem_1_1, verify_triple)
 from . import examples as builders
@@ -405,16 +404,8 @@ def suite_axioms(model, cfg):
     from ._core import kernel as K
     chart = model.chart
     n = chart.dim
-    monos = monomials_up_to(chart, cfg.max_degree)
-    gens = []
-    labels = []
-    frames = [f"d{i + 1}" for i in range(n)] + [f"e{i + 1}" for i in range(n)]
-    for a in range(2 * n):
-        for m in monos:
-            sec = [{} for _ in range(2 * n)]
-            sec[a] = dict(m.terms)
-            gens.append(sec)
-            labels.append(frames[a] if str(m) == "1" else f"{m}*{frames[a]}")
+    gens = _kernel_generators(chart, cfg.max_degree)
+    labels = generator_labels(chart, cfg.max_degree)
     fluxes = [None]
     if model.flux is not None and not model.flux.is_zero:
         kf = model.flux.kernel_form()

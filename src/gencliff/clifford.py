@@ -393,13 +393,16 @@ def theorem_1_1(T: CliffordTriple, degree_bound: int = 2,
     Precondition: each generator's own Nijenhuis tensor already verified zero
     (an unverified triple yields an inconclusive report, not a failure).
 
-    The 18 anticommuting-pair families are tensorial and must vanish
-    identically up to the degree bound.  The three commuting diagonal
-    families N(I_i, J_i) are NOT tensorial over the Dorfman bracket: with
-    mode="verify" (default) their outputs are checked exactly against the
-    closed-form Leibniz defect (``concomitant_anomaly``) and classified
-    anomaly_matched; mode="strict" demands literal vanishing, which fails on
-    monomial layers for any constant triple with nondegenerate induced G.
+    For a constant triple, the 12 anticommuting-pair families are tensorial
+    and must vanish identically up to the degree bound.  The 9 commuting
+    families -- the diagonal pairs N(I_i, J_i) and the self-pairs
+    N(I_i, I_i), N(J_i, J_i) -- are checked another way.  The diagonal pairs
+    are NOT tensorial over the Dorfman bracket: with mode="verify" (default)
+    all 9 are checked exactly against the closed-form Leibniz defect
+    (``concomitant_anomaly``, zero for the self-pairs, where W = +-Id) and
+    classified anomaly_matched; mode="strict" demands literal vanishing,
+    which fails on monomial layers for any constant triple with
+    nondegenerate induced G.
 
     Checks the forward direction; the reverse is the containment of the
     generator conditions in the full family, restated in the report note.

@@ -5,9 +5,9 @@ and the algebroid differential.
 A Section is kept both structurally (vector field + 1-form) and flattened
 (length-2n component list); the conversions are explicit and mutually
 inverse.  ``dorfman`` composes the cartan operations (the readable reference
-route); ``dorfman_fast`` goes through the arithmetic kernel on raw polynomial
-data and is what the verification sweeps use.  The two are checked equal in
-the test suite.
+route).  The verification sweeps use the arithmetic kernel's
+``sec_dorfman`` on raw polynomial data instead; the test suite checks the
+two equal.
 """
 
 from __future__ import annotations
@@ -203,18 +203,19 @@ def dorfman(A: Section, B: Section) -> Section:
     return Section(vec, cov)
 
 
-def dorfman_twisted(A: Section, B: Section, H: FluxForm,
+def dorfman_twisted(A: Section, B: Section, H: FluxForm | None,
                     strict: bool = True) -> Section:
-    """H-twisted bracket: dorfman(A, B) - iota_Y iota_X H.
+    """H-twisted bracket: dorfman(A, B) - iota_Y iota_X H; H=None is the
+    zero flux.
 
     With strict=True (the default) a non-closed H is rejected, since the
     twisted bracket only satisfies the Jacobi identity for closed H.
     """
+    if H is None or H.is_zero:
+        return dorfman(A, B)
     if strict and not H.closed:
         raise NonClosedFluxError("flux 3-form is not closed")
     base = dorfman(A, B)
-    if H.is_zero:
-        return base
     contr = interior(B.vec, interior(A.vec, H.H))
     return Section(base.vec, base.cov - contr)
 
@@ -236,22 +237,6 @@ def section_kernel_components(A: Section):
 def section_from_kernel(chart, comps):
     return Section.from_components(
         chart, [ScalarField.from_poly(Poly(chart, t)) for t in comps])
-
-
-def dorfman_fast(A: Section, B: Section, H: FluxForm | None = None) -> Section:
-    """Kernel-backed bracket; falls back to the reference route when any
-    component is a genuine rational function."""
-    if A.chart != B.chart:
-        raise ChartMismatchError("sections on different charts")
-    ka = section_kernel_components(A)
-    kb = section_kernel_components(B)
-    kh = None if H is None or H.is_zero else H.kernel_form()
-    if ka is None or kb is None or (H is not None and not H.is_zero and kh is None):
-        if H is None:
-            return dorfman(A, B)
-        return dorfman_twisted(A, B, H, strict=False)
-    out = K.sec_dorfman(A.chart.dim, ka, kb, kh)
-    return section_from_kernel(A.chart, out)
 
 
 def frame_sections(chart: Chart):

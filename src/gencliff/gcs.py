@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from ._core import kernel as K
 from .scalar import Chart, ChartMismatchError, ScalarField
 from .cartan import KForm
-from .courant import (FluxForm, Section, dorfman, dorfman_twisted,
+from .courant import (FluxForm, Section, dorfman_twisted,
                       frame_sections, monomials_up_to, section_from_kernel)
 
 HALF = (1, 0, 2)
@@ -284,12 +285,6 @@ def is_almost_real(G: EndField) -> bool:
 # ---------------------------------------------------------------------------
 # Nijenhuis-type tensors.
 
-def _bracket(A, B, flux):
-    if flux is None or flux.is_zero:
-        return dorfman(A, B)
-    return dorfman_twisted(A, B, flux, strict=False)
-
-
 def _common_flux(*structs, override=None):
     fluxes = [s.flux for s in structs]
     base = fluxes[0]
@@ -310,9 +305,10 @@ def nijenhuis(J: EndField, A: Section, B: Section,
     flux = _common_flux(J, override=H)
     if A.chart != J.chart or B.chart != J.chart:
         raise ChartMismatchError("sections on wrong chart")
+    br = partial(dorfman_twisted, H=flux, strict=False)
     JA, JB = J.apply(A), J.apply(B)
-    return (_bracket(JA, JB, flux) - J.apply(_bracket(JA, B, flux))
-            - J.apply(_bracket(A, JB, flux)) - _bracket(A, B, flux))
+    return (br(JA, JB) - J.apply(br(JA, B)) - J.apply(br(A, JB))
+            - br(A, B))
 
 
 def concomitant(I: EndField, J: EndField, A: Section, B: Section,
@@ -321,13 +317,14 @@ def concomitant(I: EndField, J: EndField, A: Section, B: Section,
     if I.chart != J.chart:
         raise ChartMismatchError("structures on different charts")
     flux = _common_flux(I, J, override=H)
+    br = partial(dorfman_twisted, H=flux, strict=False)
     IA, IB = I.apply(A), I.apply(B)
     JA, JB = J.apply(A), J.apply(B)
-    out = (_bracket(IA, JB, flux) + _bracket(JA, IB, flux)
-           - I.apply(_bracket(A, JB, flux)) - I.apply(_bracket(JA, B, flux))
-           - J.apply(_bracket(A, IB, flux)) - J.apply(_bracket(IA, B, flux))
-           + I.apply(J.apply(_bracket(A, B, flux)))
-           + J.apply(I.apply(_bracket(A, B, flux))))
+    out = (br(IA, JB) + br(JA, IB)
+           - I.apply(br(A, JB)) - I.apply(br(JA, B))
+           - J.apply(br(A, IB)) - J.apply(br(IA, B))
+           + I.apply(J.apply(br(A, B)))
+           + J.apply(I.apply(br(A, B))))
     return out.scale(ScalarField.constant(I.chart, Fraction(1, 2)))
 
 
@@ -346,9 +343,10 @@ def real_nijenhuis(G: EndField, A: Section, B: Section,
     if not _is_involution(G):
         raise ValueError("structure is not an involution (G^2 != Id)")
     flux = _common_flux(G, override=H)
+    br = partial(dorfman_twisted, H=flux, strict=False)
     GA, GB = G.apply(A), G.apply(B)
-    return (_bracket(GA, GB, flux) - G.apply(_bracket(GA, B, flux))
-            - G.apply(_bracket(A, GB, flux)) + _bracket(A, B, flux))
+    return (br(GA, GB) - G.apply(br(GA, B)) - G.apply(br(A, GB))
+            + br(A, B))
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +449,16 @@ def _eval_kernel(kind, mats, kflux, n, A, B):
     """Tensor evaluation on kernel sections; mats are pre-extracted."""
     dor = K.sec_dorfman
     app = K.mat_apply_const if mats["const"] else K.mat_apply_poly
-    if kind == "nijenhuis":
+    if kind != "concomitant":
+        # N_J ends in - [A,B]; the real N_G ends in + [A,B]
+        last = K.p_sub if kind == "nijenhuis" else K.p_add
         J = mats["J"]
         JA, JB = app(J, A), app(J, B)
         t1 = dor(n, JA, JB, kflux)
         t2 = app(J, dor(n, JA, B, kflux))
         t3 = app(J, dor(n, A, JB, kflux))
         t4 = dor(n, A, B, kflux)
-        return [K.p_sub(K.p_sub(K.p_sub(a, b), c), d)
-                for a, b, c, d in zip(t1, t2, t3, t4)]
-    if kind == "real_nijenhuis":
-        G = mats["J"]
-        GA, GB = app(G, A), app(G, B)
-        t1 = dor(n, GA, GB, kflux)
-        t2 = app(G, dor(n, GA, B, kflux))
-        t3 = app(G, dor(n, A, GB, kflux))
-        t4 = dor(n, A, B, kflux)
-        return [K.p_add(K.p_sub(K.p_sub(a, b), c), d)
+        return [last(K.p_sub(K.p_sub(a, b), c), d)
                 for a, b, c, d in zip(t1, t2, t3, t4)]
     I, J = mats["I"], mats["J"]
     IJ, JI = mats["IJ"], mats["JI"]

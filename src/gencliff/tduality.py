@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalar import Chart, ScalarField
-from .courant import (FluxForm, Section, dorfman_twisted, dorfman,
-                      frame_sections, monomials_up_to)
+from .courant import (FluxForm, Section, dorfman_twisted, frame_sections,
+                      monomials_up_to)
 from .gcs import EndField
 from .clifford import CliffordTriple, check_relations, induce
 from .twistor import rotate_family
@@ -58,13 +58,6 @@ class CourantIso:
         return EndField(self.chart,
                         [[ScalarField.constant(self.chart, v) for v in row]
                          for row in self.matrix], flux)
-
-    def inverse_matrix(self):
-        # orthogonal wrt P: Phi^-1 = P^-1 Phi^T P = [[0,Id],[Id,0]] Phi^T
-        # [[0,Id],[Id,0]]; at desk scale just invert exactly instead
-        E = self.as_endfield()
-        return tuple(tuple(f.constant_value().re for f in row)
-                     for row in E.inverse().entries)
 
     def apply(self, A: Section) -> Section:
         comps = A.to_components()
@@ -112,12 +105,6 @@ def make_torus_duality(chart: Chart, dual_index: int) -> CourantIso:
                       frozenset({dual_index}))
 
 
-def _bracket(A, B, flux):
-    if flux is None or flux.is_zero:
-        return dorfman(A, B)
-    return dorfman_twisted(A, B, flux)
-
-
 @dataclass
 class IntertwineReport:
     ok: bool
@@ -149,8 +136,9 @@ def check_intertwine(phi: CourantIso, degree_bound: int = 2,
     rep = IntertwineReport(True, 0)
     for i, A in enumerate(gens):
         for j, B in enumerate(gens):
-            lhs = phi.apply(_bracket(A, B, phi.source_flux))
-            rhs = _bracket(phi.apply(A), phi.apply(B), phi.target_flux)
+            lhs = phi.apply(dorfman_twisted(A, B, phi.source_flux))
+            rhs = dorfman_twisted(phi.apply(A), phi.apply(B),
+                                  phi.target_flux)
             rep.checks += 1
             if lhs != rhs:
                 rep.ok = False

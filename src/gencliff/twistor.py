@@ -14,13 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from ._core import kernel as K
 from . import polygcd as G
 from .scalar import Chart, GaussianRational, Poly, ScalarField
 from .cartan import KForm
-from .courant import Section, dorfman, monomials_up_to
-from .gcs import EndField, is_almost_gcs
+from .courant import Section, dorfman
+from .gcs import (EndField, _kernel_generators, generator_labels,
+                  is_almost_gcs)
 from .clifford import (CliffordTriple, Projections, check_relations, induce,
                        project)
 
@@ -383,23 +385,12 @@ def check_cross_commutator(a, b, proj: Projections) -> bool:
     return ok
 
 
-def _end_equal(A: EndField, B: EndField) -> bool:
-    return A.entries_equal(B)
-
-
-def _end_diff(E: EndField, w: int) -> EndField:
-    return EndField(E.chart, [[f.diff(w) for f in row] for row in E.entries])
-
-
-def _commutator(A: EndField, B: EndField) -> EndField:
-    return (A @ B) - (B @ A)
-
-
 def _sphere_base(chart) -> _PowerDen:
-    q1 = (Poly.one(chart) + Poly.variable(chart, 0) ** 2
-          + Poly.variable(chart, 1) ** 2).terms
-    q2 = (Poly.one(chart) + Poly.variable(chart, 2) ** 2
-          + Poly.variable(chart, 3) ** 2).terms
+    """Fixed-denominator arithmetic over m = (1+u1^2+v1^2)(1+u2^2+v2^2),
+    the sphere coordinates (u1, v1, u2, v2) being the chart's last four."""
+    s = chart.dim - 4
+    q1, q2 = ((Poly.one(chart) + Poly.variable(chart, s + w) ** 2
+               + Poly.variable(chart, s + w + 1) ** 2).terms for w in (0, 2))
     return _PowerDen(chart, K.p_mul(q1, q2))
 
 
@@ -566,50 +557,32 @@ class _PowerDen:
         self.m = m_terms
         self.dm = [K.p_diff(m_terms, t) for t in range(chart.dim)]
         self._pows = {0: {(0,) * chart.dim: K.C_ONE}, 1: dict(m_terms)}
+        self._diffs = {}
 
     def mpow(self, k):
         if k not in self._pows:
             self._pows[k] = K.p_mul(self.mpow(k - 1), self.m)
         return self._pows[k]
 
-    def scale_int(self, p, c):
-        return K.p_scale(p, (c, 0, 1))
+    def diff(self, k):
+        """The derivative (comp, t) -> numerator of d/dx_t (comp / m^k) over
+        m^(k+1), i.e. m d_t comp - k comp d_t m; one closure per k."""
+        fn = self._diffs.get(k)
+        if fn is None:
+            m, dm, ck = self.m, self.dm, (k, 0, 1)
 
-    def _dnum(self, comp, t, k):
-        """numerator of d/dx_t (comp / m^k) over m^(k+1)."""
-        out = K.p_mul(self.m, K.p_diff(comp, t))
-        if k and comp and self.dm[t]:
-            out = K.p_sub(out, self.scale_int(K.p_mul(comp, self.dm[t]), k))
-        return out
+            def fn(comp, t):
+                out = K.p_mul(m, K.p_diff(comp, t))
+                if k and comp and dm[t]:
+                    out = K.p_sub(out, K.p_scale(K.p_mul(comp, dm[t]), ck))
+                return out
+            self._diffs[k] = fn
+        return fn
 
     def dorfman(self, P, j, Q, k):
         """Bracket of (P, j) and (Q, k): returns (R, j + k + 1)."""
-        n = self.n
-        out = [{} for _ in range(2 * n)]
-        for c in range(n):
-            acc = {}
-            for t in range(n):
-                if P[t]:
-                    acc = K.p_add(acc, K.p_mul(P[t], self._dnum(Q[c], t, k)))
-                if Q[t]:
-                    acc = K.p_sub(acc, K.p_mul(Q[t], self._dnum(P[c], t, j)))
-            out[c] = acc
-        for c in range(n):
-            acc = {}
-            for t in range(n):
-                if P[t]:
-                    acc = K.p_add(acc, K.p_mul(P[t],
-                                               self._dnum(Q[n + c], t, k)))
-                if Q[n + t]:
-                    acc = K.p_add(acc, K.p_mul(Q[n + t],
-                                               self._dnum(P[t], c, j)))
-                if Q[t]:
-                    acc = K.p_sub(acc, K.p_mul(Q[t],
-                                               self._dnum(P[n + c], t, j)))
-                    acc = K.p_add(acc, K.p_mul(Q[t],
-                                               self._dnum(P[n + t], c, j)))
-            out[n + c] = acc
-        return out, j + k + 1
+        return (K.sec_dorfman(self.n, P, Q, None, self.diff(j), self.diff(k)),
+                j + k + 1)
 
     def apply(self, Mrows, e, P, j):
         out = []
@@ -698,8 +671,8 @@ class _PowerDen:
 
     def mat_diff(self, A, ka, t):
         """Entrywise d/dx_t of A/m^ka, over m^(ka+1)."""
-        return [[self._dnum(e, t, ka) if e else {} for e in row]
-                for row in A], ka + 1
+        d = self.diff(ka)
+        return [[d(e, t) if e else {} for e in row] for row in A], ka + 1
 
     @staticmethod
     def mat_is_zero(A):
@@ -764,174 +737,58 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int = 0,
                 samples=None, max_witnesses: int = 10) -> TwistorReport:
     """Integrability of the twistor structure on the product chart.
 
-    Symbolic mode evaluates the Nijenhuis tensor of Ihat (+) J_sphere on all
-    pairs from frame x (degree <= degree_bound monomials) with exact
-    rational-function arithmetic (fixed-denominator fast path); with
-    ``samples`` a list of TwistorPoints, the sweep instead runs at each
-    rational sphere point (graceful fallback for larger charts).  Also
-    verifies the mixed-bracket identity [alpha, v] = L_{rho(alpha)} v on
-    representative sphere/M pairs.
+    The Nijenhuis tensor of Ihat (+) J_sphere is evaluated on all pairs from
+    frame x (degree <= degree_bound monomials) as exact numerators over a
+    power of the sphere base m (fixed-denominator fast path).  Symbolic mode
+    tests each numerator for zero; with ``samples`` a list of TwistorPoints
+    the same numerator is evaluated exactly at (0, ..., 0, Re zeta1,
+    Im zeta1, Re zeta2, Im zeta2) for each point, where m >= 1, so a check
+    fails at a point iff the tensor is nonzero there.  Witnesses are capped
+    at max_witnesses per point.  Also verifies the mixed-bracket identity
+    [alpha, v] = L_{rho(alpha)} v on representative sphere/M pairs.
     """
     if T.flux is not None and not T.flux.is_zero:
         return TwistorReport("inconclusive",
                              note="twistor sweep implemented for zero flux")
     E = twistor_structure(T)
     Z = E.chart
-    N = Z.dim
-    rep = TwistorReport("pass")
+    n = T.chart.dim
+    rep = TwistorReport("pass", mode="sampled" if samples else "symbolic")
+    base = _sphere_base(Z)
+    Mrows = _twistor_kernel_matrix(E, base)
+    labels = generator_labels(Z, degree_bound)
+    gens = _kernel_generators(Z, degree_bound)
+    # (witness prefix, point or None for the symbolic zero test, note)
     if samples:
-        rep.mode = "sampled"
-        for p in samples:
-            bad = _sampled_nijenhuis(E, T, p, degree_bound, max_witnesses)
-            rep.nijenhuis_checks += bad[0]
-            if bad[1]:
-                rep.status = "fail"
-                rep.witnesses += [(f"{p}",) + w for w in bad[1]]
+        points = [((f"{p}",), (0,) * n + (p.zeta1.re, p.zeta1.im,
+                                          p.zeta2.re, p.zeta2.im),
+                   "nonzero at point") for p in samples]
     else:
-        q1 = _sphere_q(Z, T.chart.dim, 0)
-        q2 = _sphere_q(Z, T.chart.dim, 2)
-        base = _PowerDen(Z, K.p_mul(q1, q2))
-        Mrows = _twistor_kernel_matrix(E, base)
-        monos = monomials_up_to(Z, degree_bound)
-        from .gcs import generator_labels
-        labels = generator_labels(Z, degree_bound)
-        gens = []
-        for a in range(2 * N):
-            for m in monos:
-                sec = [{} for _ in range(2 * N)]
-                sec[a] = dict(m.terms)
-                gens.append(sec)
-        for i, A in enumerate(gens):
-            for j, B in enumerate(gens):
-                out = _nijenhuis_powerden(base, Mrows, A, 0, B, 0)
-                rep.nijenhuis_checks += 1
-                if not K.sec_is_zero(out):
-                    rep.status = "fail"
-                    rep.witnesses.append((labels[i], labels[j], "nonzero"))
-                    if len(rep.witnesses) >= max_witnesses:
-                        return rep
+        points = [((), None, "nonzero")]
+    found = [[] for _ in points]
+    for i, j in product(range(len(gens)), repeat=2):
+        out = _nijenhuis_powerden(base, Mrows, gens[i], 0, gens[j], 0)
+        for (prefix, pt, note), wit in zip(points, found):
+            if len(wit) >= max_witnesses:
+                continue
+            rep.nijenhuis_checks += 1
+            if pt is None:
+                bad = not K.sec_is_zero(out)
+            else:
+                bad = any(not Poly(Z, p).evaluate(pt).is_zero
+                          for p in out if p)
+            if bad:
+                wit.append(prefix + (labels[i], labels[j], note))
+        if all(len(wit) >= max_witnesses for wit in found):
+            break
+    rep.witnesses = [w for wit in found for w in wit]
+    if rep.witnesses:
+        rep.status = "fail"
     rep.mixed_ok = _mixed_bracket_checks(E, T)
     if not rep.mixed_ok:
         rep.status = "fail"
         rep.witnesses.append(("mixed", "bracket", "Lemma-4.4 identity failed"))
     return rep
-
-
-def _sphere_q(Z, n, which):
-    u = Poly.variable(Z, n + which)
-    v = Poly.variable(Z, n + which + 1)
-    return (Poly.one(Z) + u * u + v * v).terms
-
-
-class _Jet:
-    """First-order jet (value, gradient) of a function at a point; exact
-    Gaussian-rational arithmetic.  The Nijenhuis expression only ever
-    differentiates its section arguments once, so first-order jets of the
-    structure entries determine its value at the point."""
-
-    __slots__ = ("v", "d")
-
-    def __init__(self, v, d):
-        self.v = v
-        self.d = d
-
-    @classmethod
-    def constant(cls, v, dim):
-        return cls(v, (GaussianRational(0),) * dim)
-
-    def __add__(self, o):
-        return _Jet(self.v + o.v, tuple(a + b for a, b in zip(self.d, o.d)))
-
-    def __sub__(self, o):
-        return _Jet(self.v - o.v, tuple(a - b for a, b in zip(self.d, o.d)))
-
-    def __mul__(self, o):
-        return _Jet(self.v * o.v,
-                    tuple(self.v * b + a * o.v for a, b in zip(self.d, o.d)))
-
-    def __neg__(self):
-        return _Jet(-self.v, tuple(-a for a in self.d))
-
-
-def _field_jet(f: ScalarField, point) -> _Jet:
-    dim = f.chart.dim
-    v = f.evaluate(point)
-    d = tuple(f.diff(t).evaluate(point) for t in range(dim))
-    return _Jet(v, d)
-
-
-def _jet_dorfman(n, A, B):
-    """Value (not jet) of the Dorfman bracket at the point, from jets."""
-    zero = GaussianRational(0)
-    out = [zero] * (2 * n)
-    for c in range(n):
-        acc = zero
-        for t in range(n):
-            acc = acc + A[t].v * B[c].d[t] - B[t].v * A[c].d[t]
-        out[c] = acc
-    for c in range(n):
-        acc = zero
-        for t in range(n):
-            acc = acc + A[t].v * B[n + c].d[t] + B[n + t].v * A[t].d[c] \
-                - B[t].v * A[n + c].d[t] + B[t].v * A[n + t].d[c]
-        out[n + c] = acc
-    return out
-
-
-def _sampled_nijenhuis(E: EndField, T: CliffordTriple, p: TwistorPoint,
-                       degree_bound: int, max_witnesses: int):
-    """Evaluate the Nijenhuis check of the twistor structure at a rational
-    sphere point via first-order jets (sound pointwise evaluation of the same
-    identity the symbolic sweep decides)."""
-    Z = E.chart
-    n = T.chart.dim
-    N = Z.dim
-    point = tuple([GaussianRational(0)] * n
-                  + [p.zeta1.re, p.zeta1.im, p.zeta2.re, p.zeta2.im])
-    Ej = [[_field_jet(f, point) for f in row] for row in E.entries]
-    Ev = [[e.v for e in row] for row in Ej]
-    zero = GaussianRational(0)
-
-    def apply_jet(A):
-        out = []
-        for row in Ej:
-            acc = _Jet.constant(zero, N)
-            for e, a in zip(row, A):
-                acc = acc + e * a
-            out.append(acc)
-        return out
-
-    def apply_val(vec):
-        return [sum((e * a for e, a in zip(row, vec)), zero) for row in Ev]
-
-    monos = monomials_up_to(Z, degree_bound)
-    from .gcs import generator_labels
-    labels = generator_labels(Z, degree_bound)
-    gens = []
-    for a in range(2 * N):
-        for m in monos:
-            mj = _field_jet(ScalarField.from_poly(m), point)
-            sec = [_Jet.constant(zero, N) for _ in range(2 * N)]
-            sec[a] = mj
-            gens.append(sec)
-    checks = 0
-    witnesses = []
-    Egens = [apply_jet(A) for A in gens]
-    for i, A in enumerate(gens):
-        EA = Egens[i]
-        for j, B in enumerate(gens):
-            EB = Egens[j]
-            t1 = _jet_dorfman(N, EA, EB)
-            t2 = apply_val(_jet_dorfman(N, EA, B))
-            t3 = apply_val(_jet_dorfman(N, A, EB))
-            t4 = _jet_dorfman(N, A, B)
-            checks += 1
-            if any(not (a - b - c - d).is_zero
-                   for a, b, c, d in zip(t1, t2, t3, t4)):
-                witnesses.append((labels[i], labels[j], "nonzero at point"))
-                if len(witnesses) >= max_witnesses:
-                    return checks, witnesses
-    return checks, witnesses
 
 
 def _mixed_bracket_checks(E: EndField, T: CliffordTriple) -> bool:

@@ -74,6 +74,26 @@ class TestBackendEquivalence:
                 assert _ckernel.sec_dorfman(3, A, B, flux) == \
                     pykernel.sec_dorfman(3, A, B, flux)
 
+    def test_dorfman_quotient_rule_identical(self):
+        # the fixed-denominator twistor sweep passes d/dx_t (comp / m^k)
+        # numerators over m^(k+1) as the derivatives of A and of B
+        rng = random.Random(81)
+        m = {(0, 0, 0): (1, 0, 1), (2, 0, 0): (1, 0, 1), (0, 1, 1): (3, 0, 1)}
+        dm = [pykernel.p_diff(m, t) for t in range(3)]
+
+        def quotient_rule(k):
+            def d(comp, t):
+                return pykernel.p_sub(
+                    pykernel.p_mul(m, pykernel.p_diff(comp, t)),
+                    pykernel.p_scale(pykernel.p_mul(comp, dm[t]), (k, 0, 1)))
+            return d
+
+        for _ in range(60):
+            A, B = rnd_ksection(rng), rnd_ksection(rng)
+            da, db = quotient_rule(1), quotient_rule(2)
+            assert _ckernel.sec_dorfman(3, A, B, None, da, db) == \
+                pykernel.sec_dorfman(3, A, B, None, da, db)
+
     def test_matrix_apply_identical(self):
         rng = random.Random(79)
         for _ in range(60):

@@ -1,20 +1,22 @@
 """Spin(3) rotation family, connection identities, the twistor structure."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from gencliff.scalar import GaussianRational, ScalarField
+from gencliff import twistor
+from gencliff.scalar import GaussianRational, Poly, ScalarField
 from gencliff.courant import Section, dorfman
 from gencliff.gcs import bind_nijenhuis, is_almost_gcs, vanishes
 from gencliff.clifford import induce, project, theorem_1_1, verify_triple
 from gencliff.examples import hyperkahler_r4
-from gencliff.twistor import (TwistorPoint, check_cross_commutator,
-                              check_dI_commutator, check_flatness,
-                              connection_data, rot_T, rot_field,
-                              rotate_family, sample_points, sphere_chart,
-                              sphere_gcs, stereo_field, stereo_vec,
-                              theorem_1_3, twistor_structure)
+from gencliff.twistor import (TwistorPoint, _sphere_base,
+                              check_cross_commutator, check_dI_commutator,
+                              check_flatness, connection_data, rot_T,
+                              rot_field, rotate_family, sample_points,
+                              sphere_chart, sphere_gcs, stereo_field,
+                              stereo_vec, theorem_1_3, twistor_structure)
 
 GR = GaussianRational
 I = GR(0, 1)
@@ -182,6 +184,37 @@ class TestSphereGcs:
         assert out2 == want2
 
 
+class TestFixedDenominatorBracket:
+    def test_matches_reference_bracket(self):
+        # the kernel bracket with quotient-rule derivatives, on numerators
+        # of P / m^j and Q / m^k, against the Cartan-calculus route on the
+        # same rational sections
+        S4 = sphere_chart()
+        base = _sphere_base(S4)
+        rng = random.Random(5)
+
+        def numerators():
+            P = [{} for _ in range(8)]
+            for a in rng.sample(range(8), 3):
+                m = tuple(int(t == rng.randrange(5)) for t in range(4))
+                P[a] = {m: (rng.choice((-2, -1, 1, 3)), rng.choice((0, 1)),
+                            1)}
+            return P
+
+        def section(P, j):
+            den = Poly(S4, base.mpow(j))
+            return Section.from_components(
+                S4, [ScalarField(Poly(S4, p), den) for p in P])
+
+        for j in range(3):
+            for k in range(3):
+                P, Q = numerators(), numerators()
+                R, e = base.dorfman(P, j, Q, k)
+                assert e == j + k + 1
+                assert section(R, e) == dorfman(section(P, j),
+                                                 section(Q, k))
+
+
 class TestTwistorStructure:
     def test_block_at_origin_is_J1(self):
         T = verified_triple()
@@ -232,6 +265,18 @@ class TestTheorem13:
         assert rep.status == "pass"
         assert rep.mode == "sampled"
         assert rep.nijenhuis_checks == 2 * 256
+
+    @pytest.mark.parametrize("samples", [None, sample_points(2, seed=11)])
+    def test_opposite_orientation_fails(self, monkeypatch, samples):
+        # negative control: with J_zeta d_u = +d_v the +i eigenbundle is not
+        # involutive (see sphere_gcs), in both modes
+        right = twistor.sphere_gcs
+        monkeypatch.setattr(twistor, "sphere_gcs",
+                            lambda chart=None: -right(chart))
+        rep = theorem_1_3(verified_triple(), degree_bound=0, samples=samples)
+        assert rep.status == "fail"
+        assert len(rep.witnesses) == 10 * (len(samples) if samples else 1)
+        assert all(w[-1].startswith("nonzero") for w in rep.witnesses)
 
     def test_mixed_bracket_identities_direct(self):
         # Lemma-4.4 style: [alpha, v] = L_{rho(alpha)} v for a sphere vector
