@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernel against the pure-Python twin on the three
+"""Benchmark the compiled kernel against the pure-Python twin on the
 workloads that dominate the verification suites: sparse polynomial products,
-Dorfman bracket sweeps, and a Nijenhuis vanishing pass.
+Dorfman bracket sweeps, a Nijenhuis vanishing pass, and products of constant
+8 x 8 EndFields (``gcs.mat_mul`` runs those on the kernel's term dicts).
 
 Run from the repository root after building the extension in place:
 
@@ -12,11 +13,16 @@ Run from the repository root after building the extension in place:
 import random
 import sys
 import time
+from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from gencliff import gcs
 from gencliff._core import pykernel
+from gencliff.gcs import EndField
+from gencliff.scalar import GaussianRational, ScalarField, standard_chart
 
 try:
     from gencliff._core import _ckernel
@@ -47,7 +53,33 @@ def make_sections(rng, count, n=4):
     return out
 
 
-def bench(kernel, polys, sections, n=4):
+def make_endfields(rng, count, n=4):
+    """Constant 2n x 2n EndFields, about half the entries zero."""
+    chart = standard_chart(n)
+    size = 2 * n
+    out = []
+    for _ in range(count):
+        rows = [[ScalarField.constant(chart, GaussianRational(
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                    Fraction(rng.randint(-1, 1), 2)))
+                 if rng.random() < 0.5 else ScalarField.zero(chart)
+                 for _ in range(size)] for _ in range(size)]
+        out.append(EndField(chart, rows))
+    return out
+
+
+@contextmanager
+def gcs_kernel(kernel):
+    """Run EndField products on the given kernel backend."""
+    saved = gcs.K
+    gcs.K = kernel
+    try:
+        yield
+    finally:
+        gcs.K = saved
+
+
+def bench(kernel, polys, sections, ends, n=4):
     t0 = time.perf_counter()
     acc = {}
     for i in range(len(polys) - 1):
@@ -77,13 +109,20 @@ def bench(kernel, polys, sections, n=4):
             res = kernel.sec_sub(kernel.sec_sub(kernel.sec_sub(t1, t2), t3), t4)
             kernel.sec_is_zero(res)
     t_nij = time.perf_counter() - t0
-    return t_poly, t_dorf, t_nij
+
+    t0 = time.perf_counter()
+    with gcs_kernel(kernel):
+        for i in range(len(ends) - 1):
+            ends[i] @ ends[i + 1]
+    t_end = time.perf_counter() - t0
+    return t_poly, t_dorf, t_nij, t_end
 
 
 def main():
     rng = random.Random(20240817)
     polys = make_polys(rng, 400)
     sections = make_sections(rng, 60)
+    ends = make_endfields(rng, 200)
     rows = []
     results = {}
     for name, kernel in (("python", pykernel), ("c", _ckernel)):
@@ -91,12 +130,13 @@ def main():
             print("compiled kernel not built; run "
                   "`python setup.py build_ext --inplace` first")
             continue
-        tp, td, tn = bench(kernel, polys, sections)
-        results[name] = (tp, td, tn)
-        rows.append((name, tp, td, tn))
-    print(f"{'kernel':<8} {'poly-mul':>10} {'dorfman':>10} {'nijenhuis':>10}")
-    for name, tp, td, tn in rows:
-        print(f"{name:<8} {tp:>9.3f}s {td:>9.3f}s {tn:>9.3f}s")
+        times = bench(kernel, polys, sections, ends)
+        results[name] = times
+        rows.append((name,) + times)
+    print(f"{'kernel':<8} {'poly-mul':>10} {'dorfman':>10} {'nijenhuis':>10} "
+          f"{'end-matmul':>10}")
+    for name, *times in rows:
+        print(f"{name:<8} " + " ".join(f"{t:>9.3f}s" for t in times))
     if "python" in results and "c" in results:
         speedups = [p / c if c else float("inf")
                     for p, c in zip(results["python"], results["c"])]

@@ -177,6 +177,12 @@ def _relations_gate(model):
     return rel
 
 
+def _twistor_dim_gate(T):
+    if T.chart.dim != tw.CHART_DIM:
+        return ("inconclusive", [tw.DIM_LIMIT], 0)
+    return None
+
+
 def suite_relations(model, cfg):
     gate = _need_triple(model)
     if gate:
@@ -288,6 +294,9 @@ def suite_twistor(model, cfg):
     if not all(E.is_constant for E in T.generators):
         return ("inconclusive",
                 ["twistor suite needs a constant-coefficient triple"], 0)
+    gate = _twistor_dim_gate(T)
+    if gate:
+        return gate
     wit = []
     checks = 0
     try:
@@ -323,6 +332,9 @@ def suite_flatness(model, cfg):
     if not all(E.is_constant for E in T.generators):
         return ("inconclusive",
                 ["flatness suite needs a constant-coefficient triple"], 0)
+    gate = _twistor_dim_gate(T)
+    if gate:
+        return gate
     conn = tw.connection_data(T)
     ok = tw.check_flatness(conn)
     return ("pass" if ok else "fail",
@@ -344,12 +356,10 @@ def suite_theorem13(model, cfg):
     if not all(E.is_constant for E in T.generators):
         return ("inconclusive",
                 ["theorem13 suite needs a constant-coefficient triple"], 0)
-    # symbolic sweep for desk-scale charts; rational-point sampling is the
-    # graceful fallback for larger ones (and samples=0 forces symbolic)
-    samples = None
-    if cfg.samples > 0 and model.chart.dim > 4:
-        samples = tw.sample_points(cfg.samples, seed=cfg.seed)
-    rep = tw.theorem_1_3(T, degree_bound=0, samples=samples)
+    gate = _twistor_dim_gate(T)
+    if gate:
+        return gate
+    rep = tw.theorem_1_3(T, degree_bound=0)
     wit = [" ".join(w) for w in rep.witnesses]
     return (rep.status, wit[:10], rep.nijenhuis_checks + 1)
 

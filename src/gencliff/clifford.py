@@ -68,9 +68,14 @@ class TripleStatus:
 
 class CliffordTriple:
     """Three anticommuting almost generalized complex structures sharing a
-    chart and a flux, with a verification status record."""
+    chart and a flux, with a verification status record.
 
-    __slots__ = ("chart", "I1", "I2", "I3", "flux", "status")
+    ``induce`` and ``project`` cache their results on the triple; a triple
+    made by ``with_status`` starts with an empty cache.
+    """
+
+    __slots__ = ("chart", "I1", "I2", "I3", "flux", "status", "_induced",
+                 "_projections")
 
     def __init__(self, I1: EndField, I2: EndField, I3: EndField,
                  flux: FluxForm | None = None,
@@ -89,6 +94,8 @@ class CliffordTriple:
         self.I3 = I3.with_flux(flux) if I3.flux is None and flux is not None else I3
         self.flux = flux
         self.status = status or TripleStatus()
+        self._induced = None
+        self._projections = None
 
     @property
     def generators(self):
@@ -154,9 +161,18 @@ class InducedStructures:
 def induce(T: CliffordTriple) -> InducedStructures:
     """Build the induced structures and verify the full multiplication table:
     I_i I_j = -d_ij + e_ijk J_k,  J_i J_j = -d_ij + e_ijk J_k,
-    I_i J_j = J_i I_j = -d_ij G + e_ijk I_k,  G^2 = Id."""
+    I_i J_j = J_i I_j = -d_ij G + e_ijk I_k,  G^2 = Id.
+
+    The result is cached on T, so later calls return the same object; the
+    relations guard runs on every call."""
     if not T.status.relations_ok:
         raise ValueError("relations not verified; run verify_triple first")
+    if T._induced is None:
+        T._induced = _induce(T)
+    return T._induced
+
+
+def _induce(T: CliffordTriple) -> InducedStructures:
     chart = T.chart
     I = (None,) + T.generators
     half = ScalarField.constant(chart, Fraction(1, 2))
@@ -211,9 +227,20 @@ class Projections:
 def project(ind: InducedStructures, T: CliffordTriple) -> Projections:
     """Split into the two commuting quaternionic sectors and verify:
     (G+-)^2 = G+-, I_i+- I_j+- = -d_ij G+- + e_ijk I_k+-, and every mixed
-    +- product vanishes."""
+    +- product vanishes.
+
+    When ind is T's own cached ``induce(T)`` the result is cached on T as
+    well; the table guard runs on every call."""
     if not ind.table_ok:
         raise ValueError("induced multiplication table not verified")
+    if ind is not T._induced:
+        return _project(ind, T)
+    if T._projections is None:
+        T._projections = _project(ind, T)
+    return T._projections
+
+
+def _project(ind: InducedStructures, T: CliffordTriple) -> Projections:
     chart = T.chart
     half = ScalarField.constant(chart, Fraction(1, 2))
     ident = EndField.identity(chart)
@@ -437,12 +464,3 @@ def theorem_1_1(T: CliffordTriple, degree_bound: int = 2,
                  + ", ".join(anomaly_families))
     return SuiteReport("theorem_1_1", "pass" if ok else "fail", reports, note)
 
-
-def conjugate_triple(T: CliffordTriple, Q: EndField,
-                     flux: FluxForm | None = None) -> CliffordTriple:
-    """Q I_i Q^-1 for an invertible constant Q; used by naturality tests and
-    the T-duality layer."""
-    Qinv = Q.inverse()
-    gens = [EndField(T.chart, (Q @ E @ Qinv).entries, flux)
-            for E in T.generators]
-    return CliffordTriple(gens[0], gens[1], gens[2], flux)

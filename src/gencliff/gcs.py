@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 
 from ._core import kernel as K
-from .scalar import Chart, ChartMismatchError, ScalarField
+from .scalar import Chart, ChartMismatchError, Poly, ScalarField
 from .cartan import KForm
 from .courant import (FluxForm, Section, dorfman_twisted,
                       frame_sections, monomials_up_to, section_from_kernel)
@@ -36,6 +36,15 @@ def _zero_matrix(chart, size):
 
 
 def mat_mul(A, B):
+    """Product of two square ScalarField matrices.
+
+    When every entry of both operands is a polynomial (denominator one) the
+    product runs on the kernel's term dicts; otherwise each entry goes
+    through ScalarField arithmetic, whose GCD normalization rational entries
+    need.
+    """
+    if _is_polynomial_matrix(A) and _is_polynomial_matrix(B):
+        return _mat_mul_kernel(A, B)
     size = len(A)
     zero = ScalarField.zero(A[0][0].chart)
     out = []
@@ -54,6 +63,35 @@ def mat_mul(A, B):
                 t = a * b
                 acc = t if acc is None else acc + t
             row.append(acc if acc is not None else zero)
+        out.append(row)
+    return out
+
+
+def _is_polynomial_matrix(M):
+    return all(f.is_polynomial for row in M for f in row)
+
+
+def _mat_mul_kernel(A, B):
+    """mat_mul for polynomial operands: numerators multiplied with K.p_mul
+    and summed with K.p_add, each result entry wrapped once."""
+    chart = A[0][0].chart
+    zero = ScalarField.zero(chart)
+    one = zero.den
+    size = len(A)
+    Bn = [[f.num.terms for f in row] for row in B]
+    out = []
+    for Ai in A:
+        nonzero = [(k, f.num.terms) for k, f in enumerate(Ai) if f.num.terms]
+        row = []
+        for j in range(size):
+            acc = None
+            for k, a in nonzero:
+                b = Bn[k][j]
+                if b:
+                    t = K.p_mul(a, b)
+                    acc = t if acc is None else K.p_add(acc, t)
+            row.append(ScalarField._unchecked(Poly(chart, acc), one)
+                       if acc else zero)
         out.append(row)
     return out
 
@@ -200,7 +238,7 @@ class EndField:
 
     @property
     def is_polynomial(self):
-        return all(f.is_polynomial for row in self.entries for f in row)
+        return _is_polynomial_matrix(self.entries)
 
     def entries_equal(self, other):
         return self.chart == other.chart and self.entries == other.entries

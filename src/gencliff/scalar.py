@@ -45,7 +45,7 @@ class ExprSyntaxError(ValueError):
 class Chart:
     """An n-dimensional coordinate chart: just the coordinate names."""
 
-    __slots__ = ("names", "dim", "_index")
+    __slots__ = ("names", "dim", "_index", "_zero")
 
     def __init__(self, names):
         names = tuple(names)
@@ -59,6 +59,7 @@ class Chart:
         self.names = names
         self.dim = len(names)
         self._index = {nm: i for i, nm in enumerate(names)}
+        self._zero = (0,) * self.dim        # exponent of the constant monomial
 
     def index(self, name):
         try:
@@ -221,7 +222,7 @@ class Poly:
 
     @classmethod
     def one(cls, chart):
-        return cls(chart, {(0,) * chart.dim: K.C_ONE})
+        return cls(chart, {chart._zero: K.C_ONE})
 
     @classmethod
     def constant(cls, chart, value):
@@ -419,7 +420,9 @@ class ScalarField:
 
     @property
     def is_polynomial(self):
-        return self.den.terms == Poly.one(self.chart).terms
+        """True iff the denominator is 1 (a dict lookup; allocates nothing)."""
+        t = self.den.terms
+        return len(t) == 1 and t.get(self.chart._zero) == K.C_ONE
 
     @property
     def is_constant(self):

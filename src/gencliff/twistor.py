@@ -132,6 +132,11 @@ rot_S = rot_T   # the second sphere factor uses the identical formula
 
 SPHERE_COORDS = ("u1", "v1", "u2", "v2")
 
+# connection_data carries the constant M-endomorphisms over the sphere chart,
+# where an EndField is 8 x 8, so the layer needs a 4-dimensional M chart.
+CHART_DIM = 4
+DIM_LIMIT = "twistor layer implemented only for 4-dimensional charts"
+
 
 def sphere_chart() -> Chart:
     """(u1, v1, u2, v2) with zeta_s = u_s + i v_s."""
@@ -303,6 +308,8 @@ def connection_data(T: CliffordTriple) -> ConnectionData:
         raise ValueError("triple relations not verified")
     if not all(E.is_constant for E in T.generators):
         raise ValueError("connection data needs a constant-coefficient triple")
+    if T.chart.dim != CHART_DIM:
+        raise ValueError(f"{DIM_LIMIT} (chart has dimension {T.chart.dim})")
     S4 = sphere_chart()
     ind = induce(T)
     proj = project(ind, T)

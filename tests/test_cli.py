@@ -119,6 +119,20 @@ class TestVerifyRuns:
         assert code == 0
 
 
+class TestTwistorChartLimit:
+    def test_product_flip_twistor_suites_inconclusive(self):
+        proc = run_cli(["verify", "--builtin", "product_flip", "--suite",
+                        "theorem13,twistor,flatness", "--max-degree", "0",
+                        "--samples", "1"])
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["status"] == "pass"
+        for res in report["suites"]:
+            assert res["status"] == "inconclusive"
+            assert res["witnesses"] == [
+                "twistor layer implemented only for 4-dimensional charts"]
+
+
 class TestExitCodes:
     def test_usage_error(self):
         proc = run_cli(["verify", "--suite", "nope", "--builtin",

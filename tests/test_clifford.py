@@ -7,7 +7,7 @@ from gencliff.scalar import GaussianRational, ScalarField, standard_chart
 from gencliff.courant import Section
 from gencliff.gcs import EndField
 from gencliff.clifford import (CliffordTriple, check_relations,
-                               concomitant_anomaly, conjugate_triple, induce,
+                               concomitant_anomaly, induce,
                                levi_civita, project, theorem_1_1,
                                verify_triple)
 from gencliff.examples import hyperkahler_r4, product_flip
@@ -77,6 +77,43 @@ class TestInduce:
         raw = CliffordTriple(T.I1, T.I2, T.I3)
         with pytest.raises(ValueError):
             induce(raw)
+
+
+class TestAlgebraCache:
+    def test_induce_and_project_cached_on_triple(self):
+        T = verify_triple(hyperkahler_r4(), 0)
+        ind = induce(T)
+        assert induce(T) is ind
+        proj = project(ind, T)
+        assert project(induce(T), T) is proj
+
+    def test_with_status_copy_starts_empty_and_keeps_guards(self):
+        from gencliff.clifford import TripleStatus
+        T = verify_triple(hyperkahler_r4(), 0)
+        ind = induce(T)
+        raw = T.with_status(TripleStatus())
+        with pytest.raises(ValueError):
+            induce(raw)
+        again = T.with_status(T.status)
+        assert induce(again) is not ind
+        assert induce(again).J1.entries_equal(ind.J1)
+
+    def test_project_guard_runs_with_a_filled_cache(self):
+        import dataclasses
+        T = verify_triple(hyperkahler_r4(), 0)
+        project(induce(T), T)
+        bad = dataclasses.replace(induce(T), table_ok=False)
+        with pytest.raises(ValueError):
+            project(bad, T)
+
+    def test_project_of_foreign_induced_not_cached(self):
+        T = verify_triple(hyperkahler_r4(), 0)
+        U = verify_triple(hyperkahler_r4(), 0)
+        own = project(induce(T), T)
+        other = project(induce(U), T)
+        assert other is not own
+        assert project(induce(T), T) is own
+        assert other.Gp.entries_equal(own.Gp)
 
 
 class TestProject:
@@ -156,6 +193,13 @@ class TestTheorem11:
         assert got == want
         # the witness itself: N(I1, J1)(x4 d1, d1) = e4
         assert got == Section.frame(R4, 7)
+
+
+def conjugate_triple(T, Q):
+    """Q I_i Q^-1 for an invertible constant Q."""
+    Qinv = Q.inverse()
+    gens = [EndField(T.chart, (Q @ E @ Qinv).entries) for E in T.generators]
+    return CliffordTriple(*gens)
 
 
 class TestConjugation:

@@ -13,8 +13,9 @@ from gencliff.gcs import (EndField, FluxMismatchError, bind_concomitant,
                           bind_nijenhuis, bind_real_nijenhuis, concomitant,
                           eigen_sections, bfield_transform, form_to_matrix,
                           generalized_metric, is_almost_gcs, is_almost_real,
-                          is_orthogonal, lemma_identities, mat_inv, nijenhuis,
-                          real_nijenhuis, tensoriality_probe, vanishes)
+                          is_orthogonal, lemma_identities, mat_inv, mat_mul,
+                          nijenhuis, real_nijenhuis, tensoriality_probe,
+                          vanishes)
 from gencliff.examples import QUAT_I, diag_type, hyperkahler_r4
 from tests.test_scalar import rnd_field
 
@@ -48,6 +49,67 @@ def diag_r2():
 def rnd_section(rng, chart):
     return Section.from_components(
         chart, [rnd_field(rng, chart) for _ in range(2 * chart.dim)])
+
+
+def oracle_mat_mul(A, B):
+    """Entrywise ScalarField sum of products, written independently."""
+    size = len(A)
+    chart = A[0][0].chart
+    return [[sum((A[i][k] * B[k][j] for k in range(size)),
+                 ScalarField.zero(chart)) for j in range(size)]
+            for i in range(size)]
+
+
+def rnd_matrix(rng, chart):
+    """Random 2n x 2n polynomial matrix with about a third zero entries."""
+    size = 2 * chart.dim
+    return [[ScalarField.zero(chart) if rng.random() < 0.35
+             else rnd_field(rng, chart) for _ in range(size)]
+            for _ in range(size)]
+
+
+class TestMatMul:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_kernel_route_matches_oracle(self, n, monkeypatch):
+        import gencliff.gcs as gcs
+        calls = []
+        route = gcs._mat_mul_kernel
+        monkeypatch.setattr(gcs, "_mat_mul_kernel",
+                            lambda A, B: calls.append(1) or route(A, B))
+        chart = standard_chart(n)
+        rng = random.Random(40 + n)
+        for _ in range(6):
+            A, B = rnd_matrix(rng, chart), rnd_matrix(rng, chart)
+            got = mat_mul(A, B)
+            assert got == oracle_mat_mul(A, B)
+            assert all(f.is_polynomial for row in got for f in row)
+        assert len(calls) == 6
+        # cancellation down to an exact zero entry
+        one = ScalarField.one(chart)
+        zero = ScalarField.zero(chart)
+        size = 2 * n
+        A = [[one] * size for _ in range(size)]
+        B = [[zero] * size for _ in range(size)]
+        B[0][0], B[1][0] = one, -one
+        got = mat_mul(A, B)
+        assert got == oracle_mat_mul(A, B)
+        assert all(f.is_zero for row in got for f in row)
+
+    def test_rational_operand_takes_scalar_route(self, monkeypatch):
+        import gencliff.gcs as gcs
+
+        def refuse(A, B):
+            raise AssertionError("rational operand on the kernel route")
+
+        monkeypatch.setattr(gcs, "_mat_mul_kernel", refuse)
+        chart = standard_chart(2)
+        rng = random.Random(7)
+        A, B = rnd_matrix(rng, chart), rnd_matrix(rng, chart)
+        x1 = Poly.variable(chart, 0)
+        B[1][2] = ScalarField(x1, x1 + 1)
+        assert not B[1][2].is_polynomial
+        for L, R in ((A, B), (B, A)):
+            assert mat_mul(L, R) == oracle_mat_mul(L, R)
 
 
 class TestStructurePredicates:

@@ -126,6 +126,12 @@ class TestConnection:
         assert check_dI_commutator(conn)
         assert check_flatness(conn)
 
+    def test_chart_dimension_limit_named(self):
+        from gencliff.examples import product_flip
+        T = verify_triple(product_flip(), 0)
+        with pytest.raises(ValueError, match="4-dimensional charts"):
+            connection_data(T)
+
     def test_plus_sector_has_no_second_factor_dependence(self):
         # the c-dependent half of Ihat is constant along (u2, v2)
         T = verified_triple()
