@@ -242,9 +242,10 @@ def sec_dorfman(n, A, B, H=None, da=p_diff, db=p_diff):
       (i_Y dxi)_i  = sum_j Y^j (d xi_i/dx_j - d xi_j/dx_i)
 
     da(p, j) and db(p, j) differentiate a component of A and of B by x_j.
-    The fixed-denominator twistor sweep passes quotient-rule derivatives
-    (and no flux): A and B are then the numerators of P / m^j and Q / m^k,
-    and the result is the numerator of their bracket over m^(j+k+1).
+    The fixed-denominator sweeps of gcs pass quotient-rule derivatives: A
+    and B are then the numerators of P / m^j and Q / m^k, H holds the flux
+    numerators over m, and the result is the numerator of the bracket over
+    m^(j+k+1).
     """
     out = [None] * (2 * n)
     for i in range(n):

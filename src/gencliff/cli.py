@@ -85,13 +85,30 @@ class RunConfig:
 
 def _parse_matrix(rows, chart, name):
     size = 2 * chart.dim
-    if len(rows) != size or any(len(r) != size for r in rows):
+    if not isinstance(rows, list) or len(rows) != size or \
+            any(not isinstance(r, list) or len(r) != size for r in rows):
         raise InputError(f"{name} must be a {size}x{size} matrix of "
                          "expression strings")
     out = []
     for row in rows:
         out.append([parse_expr(str(e), chart) for e in row])
     return out
+
+
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object")
+    return value
+
+
+def _integer(value, what):
+    """A JSON integer, or a string holding one, as an int."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"{what} must be an integer, got {value!r}")
 
 
 def load_model(path=None, builtin=None, text=None) -> Model:
@@ -111,19 +128,29 @@ def load_model(path=None, builtin=None, text=None) -> Model:
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not valid JSON: line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from None
+    _object(doc, "the input document")
     if builtin is not None:
         doc["builtin"] = builtin
     triple = None
     chart = None
     if doc.get("builtin"):
+        if not isinstance(doc["builtin"], str):
+            raise InputError("builtin must be a name")
         triple = builders.build_named(doc["builtin"])
         chart = triple.chart
     if doc.get("chart"):
-        spec = doc["chart"]
+        spec = _object(doc["chart"], "chart")
         coords = spec.get("coords")
         if coords is None:
-            coords = [f"x{i + 1}" for i in range(int(spec["dim"]))]
-        declared = Chart(tuple(coords))
+            coords = [f"x{i + 1}"
+                      for i in range(_integer(spec["dim"], "chart.dim"))]
+        if not isinstance(coords, list) or \
+                not all(isinstance(c, str) for c in coords):
+            raise InputError("chart.coords must be a list of names")
+        try:
+            declared = Chart(tuple(coords))
+        except ValueError as exc:
+            raise InputError(f"bad chart: {exc}") from None
         if chart is None:
             chart = declared
         elif declared != chart:
@@ -133,8 +160,13 @@ def load_model(path=None, builtin=None, text=None) -> Model:
     flux = None
     if doc.get("flux"):
         coeffs = {}
+        if not isinstance(doc["flux"], list):
+            raise InputError("flux must be a list of terms")
         for item in doc["flux"]:
-            idx = tuple(int(i) - 1 for i in item["indices"])
+            indices = _object(item, "flux term")["indices"]
+            if not isinstance(indices, list):
+                raise InputError(f"bad flux indices {indices!r}")
+            idx = tuple(_integer(i, "flux index") - 1 for i in indices)
             if len(idx) != 3 or any(not 0 <= i < chart.dim for i in idx):
                 raise InputError(f"bad flux indices {item['indices']}")
             f = parse_expr(str(item["coeff"]), chart)
@@ -142,7 +174,7 @@ def load_model(path=None, builtin=None, text=None) -> Model:
             coeffs = (KForm(chart, 3, coeffs) + form).coeffs
         flux = FluxForm(KForm(chart, 3, coeffs))
     if doc.get("triple") and triple is None:
-        spec = doc["triple"]
+        spec = _object(doc["triple"], "triple")
         mats = []
         for name in ("I1", "I2", "I3"):
             if name not in spec:
@@ -156,7 +188,8 @@ def load_model(path=None, builtin=None, text=None) -> Model:
                                 triple.I3.with_flux(flux), flux)
     dual_index = None
     if doc.get("tduality"):
-        dual_index = int(doc["tduality"].get("dual_index", 1)) - 1
+        dual_index = _integer(_object(doc["tduality"], "tduality").get(
+            "dual_index", 1), "tduality.dual_index") - 1
         if not 0 <= dual_index < chart.dim:
             raise InputError("tduality.dual_index out of range")
     return Model(chart, triple, flux, dual_index, digest, doc.get("builtin"))
@@ -171,10 +204,17 @@ def _need_triple(model):
     return None
 
 
-def _relations_gate(model):
-    """Shared prerequisite: returns witnesses if relations fail."""
+def _relations_prerequisite(model):
+    """(T, None) with T the model's triple carrying its checked relations,
+    or (None, result) when there is no triple or a relation fails."""
+    gate = _need_triple(model)
+    if gate:
+        return None, gate
     rel = check_relations(model.triple)
-    return rel
+    if not rel.ok:
+        return None, ("fail", [f"relations prerequisite: {n}"
+                               for n in rel.failures], len(rel.checks))
+    return model.triple.with_status(TripleStatus(rel, ())), None
 
 
 def _twistor_dim_gate(T):
@@ -187,20 +227,15 @@ def suite_relations(model, cfg):
     gate = _need_triple(model)
     if gate:
         return gate
-    rel = _relations_gate(model)
+    rel = check_relations(model.triple)
     wit = [f"failed: {name}" for name in rel.failures]
     return ("pass" if rel.ok else "fail", wit, len(rel.checks))
 
 
 def suite_induced(model, cfg):
-    gate = _need_triple(model)
+    T, gate = _relations_prerequisite(model)
     if gate:
         return gate
-    rel = _relations_gate(model)
-    if not rel.ok:
-        return ("fail", [f"relations prerequisite: {n}" for n in rel.failures],
-                len(rel.checks))
-    T = model.triple.with_status(TripleStatus(rel, ()))
     ind = induce(T)
     checks = 1
     if not ind.table_ok:
@@ -213,14 +248,10 @@ def suite_induced(model, cfg):
 
 
 def suite_theorem11(model, cfg):
-    gate = _need_triple(model)
+    T, gate = _relations_prerequisite(model)
     if gate:
         return gate
-    rel = _relations_gate(model)
-    if not rel.ok:
-        return ("fail", [f"relations prerequisite: {n}" for n in rel.failures],
-                len(rel.checks))
-    T = verify_triple(model.triple, cfg.max_degree)
+    T = verify_triple(T, cfg.max_degree)
     wit = []
     checks = 0
     for repn in T.status.integrability:
@@ -239,14 +270,9 @@ def suite_theorem11(model, cfg):
 
 
 def suite_rotations(model, cfg):
-    gate = _need_triple(model)
+    T, gate = _relations_prerequisite(model)
     if gate:
         return gate
-    rel = _relations_gate(model)
-    if not rel.ok:
-        return ("fail", [f"relations prerequisite: {n}" for n in rel.failures],
-                len(rel.checks))
-    T = model.triple.with_status(TripleStatus(rel, ()))
     wit = []
     checks = 0
     # rotation-matrix layer: 25 seeded points including 0, 1, i
@@ -283,14 +309,9 @@ def suite_rotations(model, cfg):
 
 
 def suite_twistor(model, cfg):
-    gate = _need_triple(model)
+    T, gate = _relations_prerequisite(model)
     if gate:
         return gate
-    rel = _relations_gate(model)
-    if not rel.ok:
-        return ("fail", [f"relations prerequisite: {n}" for n in rel.failures],
-                len(rel.checks))
-    T = model.triple.with_status(TripleStatus(rel, ()))
     if not all(E.is_constant for E in T.generators):
         return ("inconclusive",
                 ["twistor suite needs a constant-coefficient triple"], 0)
@@ -321,14 +342,9 @@ def suite_twistor(model, cfg):
 
 
 def suite_flatness(model, cfg):
-    gate = _need_triple(model)
+    T, gate = _relations_prerequisite(model)
     if gate:
         return gate
-    rel = _relations_gate(model)
-    if not rel.ok:
-        return ("fail", [f"relations prerequisite: {n}" for n in rel.failures],
-                len(rel.checks))
-    T = model.triple.with_status(TripleStatus(rel, ()))
     if not all(E.is_constant for E in T.generators):
         return ("inconclusive",
                 ["flatness suite needs a constant-coefficient triple"], 0)
@@ -342,14 +358,10 @@ def suite_flatness(model, cfg):
 
 
 def suite_theorem13(model, cfg):
-    gate = _need_triple(model)
+    T, gate = _relations_prerequisite(model)
     if gate:
         return gate
-    rel = _relations_gate(model)
-    if not rel.ok:
-        return ("fail", [f"relations prerequisite: {n}" for n in rel.failures],
-                len(rel.checks))
-    T = verify_triple(model.triple, min(1, cfg.max_degree))
+    T = verify_triple(T, min(1, cfg.max_degree))
     if not T.status.integrable:
         return ("fail", ["generator integrability prerequisite failed"],
                 sum(r.sample_count for r in T.status.integrability))
@@ -365,14 +377,9 @@ def suite_theorem13(model, cfg):
 
 
 def suite_tduality(model, cfg):
-    gate = _need_triple(model)
+    T, gate = _relations_prerequisite(model)
     if gate:
         return gate
-    rel = _relations_gate(model)
-    if not rel.ok:
-        return ("fail", [f"relations prerequisite: {n}" for n in rel.failures],
-                len(rel.checks))
-    T = model.triple.with_status(TripleStatus(rel, ()))
     k = model.dual_index if model.dual_index is not None else 0
     if not (T.flux is None or T.flux.is_zero):
         return ("inconclusive",

@@ -116,7 +116,6 @@ def check_relations(T: CliffordTriple) -> RelationsReport:
     gens = T.generators
     checks = []
     minus2 = EndField.identity(chart).scale(ScalarField.constant(chart, -2))
-    zero_ok = lambda E: all(f.is_zero for row in E.entries for f in row)
     for i in range(3):
         for j in range(i, 3):
             anti = (gens[i] @ gens[j]) + (gens[j] @ gens[i])
@@ -125,7 +124,7 @@ def check_relations(T: CliffordTriple) -> RelationsReport:
                 checks.append(RelationCheck(f"I{i+1}^2 = -Id", ok))
             else:
                 checks.append(RelationCheck(
-                    f"I{i+1} I{j+1} + I{j+1} I{i+1} = 0", zero_ok(anti)))
+                    f"I{i+1} I{j+1} + I{j+1} I{i+1} = 0", anti.is_zero))
     for i, E in enumerate(gens):
         checks.append(RelationCheck(f"I{i+1} orthogonal", is_orthogonal(E)))
     checks = tuple(checks)
@@ -250,7 +249,6 @@ def _project(ind: InducedStructures, T: CliffordTriple) -> Projections:
     J = (None,) + ind.J
     Ip = tuple((J[i] + I[i]).scale(half) for i in (1, 2, 3))
     Im = tuple((J[i] - I[i]).scale(half) for i in (1, 2, 3))
-    zero_ok = lambda E: all(f.is_zero for row in E.entries for f in row)
 
     ok = (Gp @ Gp).entries_equal(Gp) and (Gm @ Gm).entries_equal(Gm)
     ok = ok and (Gp + Gm).entries_equal(ident)
@@ -268,12 +266,12 @@ def _project(ind: InducedStructures, T: CliffordTriple) -> Projections:
                     want = t if want is None else want + t
                 ok = ok and (fam[i - 1] @ fam[j - 1]).entries_equal(want)
     for i in (1, 2, 3):
-        ok = ok and zero_ok(Gp @ Im[i - 1]) and zero_ok(Gm @ Ip[i - 1])
-        ok = ok and zero_ok(Ip[i - 1] @ Gm) and zero_ok(Im[i - 1] @ Gp)
+        ok = ok and (Gp @ Im[i - 1]).is_zero and (Gm @ Ip[i - 1]).is_zero
+        ok = ok and (Ip[i - 1] @ Gm).is_zero and (Im[i - 1] @ Gp).is_zero
         for j in (1, 2, 3):
-            ok = ok and zero_ok(Ip[i - 1] @ Im[j - 1])
-            ok = ok and zero_ok(Im[i - 1] @ Ip[j - 1])
-    ok = ok and zero_ok(Gp @ Gm) and zero_ok(Gm @ Gp)
+            ok = ok and (Ip[i - 1] @ Im[j - 1]).is_zero
+            ok = ok and (Im[i - 1] @ Ip[j - 1]).is_zero
+    ok = ok and (Gp @ Gm).is_zero and (Gm @ Gp).is_zero
     return Projections(Gp, Gm, Ip, Im, ok)
 
 
@@ -359,58 +357,36 @@ def _commuting_family_report(I: EndField, J: EndField, name: str,
     must vanish on frame pairs and equal the closed-form defect on monomial
     pairs.  vanished=True here means 'matched the oracle everywhere'."""
     from ._core import kernel as K
-    from .courant import monomials_up_to, section_from_kernel
-    from .gcs import _eval_kernel, _kernel_flux, _kernel_mats, generator_labels
-    tensor = bind_concomitant(I, J, name, flux)
+    from .courant import monomials_up_to
+    from .gcs import _residuals, _sparse_rows, _tensor_report
     chart = I.chart
     n = chart.dim
     W = I @ J
-    Wk = W.kernel_const()
-    monos = monomials_up_to(chart, degree_bound)
-    labels = generator_labels(chart, degree_bound)
-    rep = TensorReport(name, True, degree_bound, 0)
-    gens = [(a, m) for a in range(2 * n) for m in monos]
-    mats = _kernel_mats(tensor)
-    kflux = _kernel_flux(tensor.flux)
+    Wk = _sparse_rows([[f.num.terms for f in row] for row in W.entries], True)
+    # per generator m * e_a: (a, m, dm as a pure-covector section, W dm)
+    gens = []
+    for a in range(2 * n):
+        for m in monomials_up_to(chart, degree_bound):
+            dm = [{}] * n + [K.p_diff(m.terms, t) for t in range(n)]
+            gens.append((a, m.terms, dm, K.mat_apply_const(Wk, dm)))
     # <e_a, e_b> = 1/2 iff the frames pair off; <e_a, W e_b> = W_{(a+n)%2n, b}/2
-    zero_n = (0,) * n
-
-    def tri(f):
-        return f.num.terms.get(zero_n, K.C_ZERO)
-
     half = (1, 0, 2)
-    for i, (a, m) in enumerate(gens):
-        A = [{} for _ in range(2 * n)]
-        A[a] = dict(m.terms)
-        # dm as a pure-covector kernel section
-        dm = [{} for _ in range(2 * n)]
-        for t in range(n):
-            d = K.p_diff(m.terms, t)
-            if d:
-                dm[n + t] = d
-        W_dm = K.mat_apply_const(Wk, dm)
-        for j, (b, mp) in enumerate(gens):
-            B = [{} for _ in range(2 * n)]
-            B[b] = dict(mp.terms)
-            got = _eval_kernel("concomitant", mats, kflux, n, A, B)
-            c1 = half if (a + n) % (2 * n) == b else K.C_ZERO
-            c2 = K.c_mul(half, tri(W.entries[(a + n) % (2 * n)][b]))
-            want = []
-            for c in range(2 * n):
-                t1 = K.p_scale(W_dm[c], c1)
-                t2 = K.p_scale(dm[c], c2)
-                want.append(K.p_scale(K.p_mul(mp.terms, K.p_sub(t1, t2)),
-                                      (2, 0, 1)))
-            rep.sample_count += 1
-            diff = K.sec_sub(got, want)
-            if not K.sec_is_zero(diff):
-                rep.vanished = False
-                rep.witnesses.append(
-                    (labels[i], labels[j],
-                     str(section_from_kernel(chart, diff))))
-                if len(rep.witnesses) >= max_witnesses:
-                    return rep
-    return rep
+
+    def defect(i, j):
+        a, _, dm, W_dm = gens[i]
+        b, mp, _, _ = gens[j]
+        c1 = half if (a + n) % (2 * n) == b else K.C_ZERO
+        c2 = K.c_mul(half, W.entries[(a + n) % (2 * n)][b].num.terms.get(
+            chart._zero, K.C_ZERO))
+        return [K.p_scale(K.p_mul(mp, K.p_sub(K.p_scale(wd, c1),
+                                              K.p_scale(d, c2))), (2, 0, 1))
+                for wd, d in zip(W_dm, dm)]
+
+    base, pairs = _residuals(bind_concomitant(I, J, name, flux), degree_bound)
+    return _tensor_report(
+        name, degree_bound, base,
+        ((i, j, K.sec_sub(got, base.lift(defect(i, j), 0, 3)))
+         for i, j, got in pairs), max_witnesses)
 
 
 def theorem_1_1(T: CliffordTriple, degree_bound: int = 2,

@@ -9,6 +9,14 @@ decided on frame sections multiplied by monomials up to a degree bound: frame
 evaluation would suffice if the expression is tensorial, and the monomial
 layer detects non-tensorial anomalies instead of silently trusting
 tensoriality.
+
+Every sweep -- ``vanishes``, the commuting-family check of Theorem 1.1 and
+the twistor sweep of Theorem 1.3 -- runs the one kernel evaluator
+``_eval_kernel`` over a fixed-denominator base (``_PowerDen``): sections are
+numerators over powers of one polynomial m, the LCM of the denominators of
+the structures and the flux, and m = 1 for polynomial input.  The
+ScalarField formulas ``nijenhuis``, ``concomitant`` and ``real_nijenhuis``
+are the independent reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from fractions import Fraction
 from functools import partial
 
 from ._core import kernel as K
+from . import polygcd as G
 from .scalar import Chart, ChartMismatchError, Poly, ScalarField
 from .cartan import KForm
 from .courant import (FluxForm, Section, dorfman_twisted,
@@ -72,26 +81,33 @@ def _is_polynomial_matrix(M):
 
 
 def _mat_mul_kernel(A, B):
-    """mat_mul for polynomial operands: numerators multiplied with K.p_mul
-    and summed with K.p_add, each result entry wrapped once."""
+    """mat_mul for polynomial operands: the numerators multiplied by
+    _mat_mul_terms, each result entry wrapped once."""
     chart = A[0][0].chart
     zero = ScalarField.zero(chart)
     one = zero.den
-    size = len(A)
-    Bn = [[f.num.terms for f in row] for row in B]
+    prod = _mat_mul_terms([[f.num.terms for f in row] for row in A],
+                          [[f.num.terms for f in row] for row in B])
+    return [[ScalarField._unchecked(Poly(chart, p), one) if p else zero
+             for p in row] for row in prod]
+
+
+def _mat_mul_terms(A, B):
+    """Product of square matrices of kernel term dicts ({} for zero),
+    multiplied with K.p_mul and summed with K.p_add."""
+    size = len(B)
     out = []
     for Ai in A:
-        nonzero = [(k, f.num.terms) for k, f in enumerate(Ai) if f.num.terms]
+        nonzero = [(k, a) for k, a in enumerate(Ai) if a]
         row = []
         for j in range(size):
             acc = None
             for k, a in nonzero:
-                b = Bn[k][j]
+                b = B[k][j]
                 if b:
                     t = K.p_mul(a, b)
                     acc = t if acc is None else K.p_add(acc, t)
-            row.append(ScalarField._unchecked(Poly(chart, acc), one)
-                       if acc else zero)
+            row.append(acc or {})
         out.append(row)
     return out
 
@@ -123,7 +139,7 @@ def mat_inv(A, chart):
 class EndField:
     """2n x 2n endomorphism field with optional flux."""
 
-    __slots__ = ("chart", "entries", "flux", "_kconst", "_kpoly")
+    __slots__ = ("chart", "entries", "flux")
 
     def __init__(self, chart: Chart, entries, flux: FluxForm | None = None):
         size = 2 * chart.dim
@@ -139,8 +155,6 @@ class EndField:
         self.chart = chart
         self.entries = entries
         self.flux = flux
-        self._kconst = -1
-        self._kpoly = -1
 
     @classmethod
     def identity(cls, chart, flux=None):
@@ -240,6 +254,10 @@ class EndField:
     def is_polynomial(self):
         return _is_polynomial_matrix(self.entries)
 
+    @property
+    def is_zero(self):
+        return all(f.is_zero for row in self.entries for f in row)
+
     def entries_equal(self, other):
         return self.chart == other.chart and self.entries == other.entries
 
@@ -250,36 +268,6 @@ class EndField:
 
     def __hash__(self):
         return hash((self.chart, self.entries))
-
-    def kernel_const(self):
-        """Rows of (col, coeff-triple) if constant, else None (cached)."""
-        if self._kconst == -1:
-            if not self.is_constant:
-                self._kconst = None
-            else:
-                zero = (0,) * self.chart.dim
-                rows = []
-                for row in self.entries:
-                    r = []
-                    for j, f in enumerate(row):
-                        if not f.is_zero:
-                            r.append((j, f.num.terms[zero]))
-                    rows.append(r)
-                self._kconst = rows
-        return self._kconst
-
-    def kernel_poly(self):
-        """Rows of (col, poly-terms) if polynomial, else None (cached)."""
-        if self._kpoly == -1:
-            if not self.is_polynomial:
-                self._kpoly = None
-            else:
-                rows = []
-                for row in self.entries:
-                    rows.append([(j, f.num.terms) for j, f in enumerate(row)
-                                 if not f.is_zero])
-                self._kpoly = rows
-        return self._kpoly
 
     def __repr__(self):
         return f"EndField({self.size}x{self.size} on {self.chart!r})"
@@ -477,61 +465,250 @@ def _kernel_generators(chart, degree_bound):
     return out
 
 
-def _kernel_flux(flux):
-    if flux is None or flux.is_zero:
-        return None
-    return flux.kernel_form()
+class _PowerDen:
+    """Sections P / m^k over one fixed base polynomial m, kept as numerator
+    term dicts; the caller tracks the exponents k.
+
+    Zero testing needs only the numerators, so no GCD is taken once m is
+    chosen.  The unit base m = 1 (``unit``) serves polynomial input: its
+    derivative is plain K.p_diff and lifting returns its argument.
+    """
+
+    def __init__(self, chart, m_terms=None):
+        one = {chart._zero: K.C_ONE}
+        self.chart = chart
+        self.n = chart.dim
+        self.unit = m_terms is None
+        self.m = one if self.unit else m_terms
+        self.dm = [K.p_diff(self.m, t) for t in range(chart.dim)]
+        self._pows = {0: one, 1: dict(self.m)}
+        self._diffs = {}
+
+    @classmethod
+    def lcm(cls, chart, fields):
+        """The base over the LCM of the denominators of the ScalarFields;
+        the unit base, with no GCD taken, when all of them are polynomial."""
+        m = None
+        for den in dict.fromkeys(f.den for f in fields if not f.is_polynomial):
+            d = den.terms
+            if m is None:
+                m = d
+            elif G.p_divexact(m, d) is None:
+                m = K.p_mul(m, G.p_divexact(d, G.p_gcd(m, d)))
+        return cls(chart, m)
+
+    def mpow(self, k):
+        if k not in self._pows:
+            self._pows[k] = K.p_mul(self.mpow(k - 1), self.m)
+        return self._pows[k]
+
+    def diff(self, k):
+        """The derivative (comp, t) -> numerator of d/dx_t (comp / m^k) over
+        m^(k+1), i.e. m d_t comp - k comp d_t m; one closure per k."""
+        if self.unit:
+            return K.p_diff
+        fn = self._diffs.get(k)
+        if fn is None:
+            m, dm, ck = self.m, self.dm, (k, 0, 1)
+
+            def fn(comp, t):
+                out = K.p_mul(m, K.p_diff(comp, t))
+                if k and comp and dm[t]:
+                    out = K.p_sub(out, K.p_scale(K.p_mul(comp, dm[t]), ck))
+                return out
+            self._diffs[k] = fn
+        return fn
+
+    def dorfman(self, P, j, Q, k):
+        """Bracket of (P, j) and (Q, k): returns (R, j + k + 1)."""
+        return (K.sec_dorfman(self.n, P, Q, None, self.diff(j), self.diff(k)),
+                j + k + 1)
+
+    def lift(self, P, j, target):
+        if j == target or self.unit:
+            return P
+        f = self.mpow(target - j)
+        return [K.p_mul(p, f) if p else {} for p in P]
+
+    def numerator(self, f, k=1):
+        """Numerator of the ScalarField f over m^k."""
+        if self.unit or f.is_zero:
+            return f.num.terms
+        mult = G.p_divexact(self.mpow(k), f.den.terms)
+        if mult is None:
+            raise ValueError("denominator does not divide the base power")
+        return K.p_mul(f.num.terms, mult)
+
+    def numerators(self, E: EndField, k=1):
+        """Dense rows of the numerators of E's entries over m^k."""
+        return [[self.numerator(f, k) for f in row] for row in E.entries]
+
+    def section(self, P, k):
+        """The Section with numerators P over m^k."""
+        if self.unit:
+            return section_from_kernel(self.chart, P)
+        den = Poly(self.chart, self.mpow(k))
+        return Section.from_components(
+            self.chart, [ScalarField(Poly(self.chart, p), den) for p in P])
+
+    # --- dense matrices of numerators over a common power of m.
+
+    def mat_from_endfield(self, E: EndField):
+        """(rows, k) with rows[i][j] the numerator of E_ij over m^k, k the
+        least exponent every denominator divides."""
+        k = 0
+        for row in E.entries:
+            for f in row:
+                if f.is_zero:
+                    continue
+                ke = 0
+                while G.p_divexact(self.mpow(ke), f.den.terms) is None:
+                    ke += 1
+                    if ke > 8:
+                        raise ValueError(
+                            "denominator is not a power of the base")
+                k = max(k, ke)
+        return self.numerators(E, k), k
+
+    def mat_lift(self, A, ka, target):
+        if ka == target:
+            return A
+        f = self.mpow(target - ka)
+        return [[K.p_mul(e, f) if e else {} for e in row] for row in A]
+
+    def mat_sub(self, A, ka, B, kb):
+        top = max(ka, kb)
+        A = self.mat_lift(A, ka, top)
+        B = self.mat_lift(B, kb, top)
+        return [[K.p_sub(a, b) for a, b in zip(r1, r2)]
+                for r1, r2 in zip(A, B)], top
+
+    def mat_add(self, A, ka, B, kb):
+        top = max(ka, kb)
+        A = self.mat_lift(A, ka, top)
+        B = self.mat_lift(B, kb, top)
+        return [[K.p_add(a, b) for a, b in zip(r1, r2)]
+                for r1, r2 in zip(A, B)], top
+
+    def mat_scale(self, A, c):
+        return [[K.p_scale(e, c) if e else {} for e in row] for row in A]
+
+    def mat_diff(self, A, ka, t):
+        """Entrywise d/dx_t of A/m^ka, over m^(ka+1)."""
+        d = self.diff(ka)
+        return [[d(e, t) if e else {} for e in row] for row in A], ka + 1
+
+    @staticmethod
+    def mat_is_zero(A):
+        return all(not e for row in A for e in row)
+
+    def mat_commutator(self, A, ka, B, kb):
+        return self.mat_sub(_mat_mul_terms(A, B), ka + kb,
+                            _mat_mul_terms(B, A), ka + kb)
+
+
+def _sparse_rows(M, const):
+    """Kernel matrix layout of a dense matrix of term dicts: rows of
+    (col, coefficient) pairs when const, else of (col, polynomial) pairs."""
+    if const:
+        return [[(j, next(iter(p.values()))) for j, p in enumerate(row) if p]
+                for row in M]
+    return [[(j, p) for j, p in enumerate(row) if p] for row in M]
+
+
+def _kernel_setup(tensor: BoundTensor):
+    """(mats, kflux) for _eval_kernel: the base with its derivatives of
+    sections over m^0 and m^1, the structures as numerators over m^1 in
+    kernel matrix layout (constant coefficients when the base is the unit
+    and every structure is constant), and the flux coefficients as
+    numerators over m^1 (None for zero flux)."""
+    structs = tensor.structures
+    flux = {} if tensor.flux is None else tensor.flux.H.coeffs
+    base = _PowerDen.lcm(tensor.chart,
+                         [f for s in structs for row in s.entries for f in row]
+                         + list(flux.values()))
+    const = base.unit and all(s.is_constant for s in structs)
+    nums = [base.numerators(s) for s in structs]
+    mats = {"base": base, "diff": (base.diff(0), base.diff(1)),
+            "J": _sparse_rows(nums[-1], const),
+            "app": K.mat_apply_const if const else K.mat_apply_poly}
+    if tensor.kind == "concomitant":
+        I, J = nums
+        mats["I"] = _sparse_rows(I, const)
+        mats["IJ"] = _sparse_rows(_mat_mul_terms(I, J), const)
+        mats["JI"] = _sparse_rows(_mat_mul_terms(J, I), const)
+    kflux = {idx: base.numerator(f) for idx, f in flux.items()}
+    return mats, kflux or None
 
 
 def _eval_kernel(kind, mats, kflux, n, A, B):
-    """Tensor evaluation on kernel sections; mats are pre-extracted."""
-    dor = K.sec_dorfman
-    app = K.mat_apply_const if mats["const"] else K.mat_apply_poly
+    """Numerators over m^3 of the tensor on the sections A, B (numerators
+    over m^0); the structures and the flux are numerators over m^1.
+
+    A bracket of P / m^j and Q / m^k is the numerator over m^(j+k+1), and
+    applying a structure adds 1 to the exponent.  So every term lands on
+    m^3, except [A, B] of N_J and N_G, which is lifted from m^1 by m^2.
+    """
+    dor, app = K.sec_dorfman, mats["app"]
+    d0, d1 = mats["diff"]
     if kind != "concomitant":
         # N_J ends in - [A,B]; the real N_G ends in + [A,B]
         last = K.p_sub if kind == "nijenhuis" else K.p_add
         J = mats["J"]
         JA, JB = app(J, A), app(J, B)
-        t1 = dor(n, JA, JB, kflux)
-        t2 = app(J, dor(n, JA, B, kflux))
-        t3 = app(J, dor(n, A, JB, kflux))
-        t4 = dor(n, A, B, kflux)
+        t1 = dor(n, JA, JB, kflux, d1, d1)
+        t2 = app(J, dor(n, JA, B, kflux, d1, d0))
+        t3 = app(J, dor(n, A, JB, kflux, d0, d1))
+        t4 = mats["base"].lift(dor(n, A, B, kflux, d0, d0), 1, 3)
         return [last(K.p_sub(K.p_sub(a, b), c), d)
                 for a, b, c, d in zip(t1, t2, t3, t4)]
     I, J = mats["I"], mats["J"]
     IJ, JI = mats["IJ"], mats["JI"]
     IA, IB = app(I, A), app(I, B)
     JA, JB = app(J, A), app(J, B)
-    t1 = K.sec_add(dor(n, IA, JB, kflux), dor(n, JA, IB, kflux))
-    t2 = app(I, K.sec_add(dor(n, A, JB, kflux), dor(n, JA, B, kflux)))
-    t3 = app(J, K.sec_add(dor(n, A, IB, kflux), dor(n, IA, B, kflux)))
-    ab = dor(n, A, B, kflux)
+    t1 = K.sec_add(dor(n, IA, JB, kflux, d1, d1),
+                   dor(n, JA, IB, kflux, d1, d1))
+    t2 = app(I, K.sec_add(dor(n, A, JB, kflux, d0, d1),
+                          dor(n, JA, B, kflux, d1, d0)))
+    t3 = app(J, K.sec_add(dor(n, A, IB, kflux, d0, d1),
+                          dor(n, IA, B, kflux, d1, d0)))
+    ab = dor(n, A, B, kflux, d0, d0)
     t4 = K.sec_add(app(IJ, ab), app(JI, ab))
     out = K.sec_add(K.sec_sub(K.sec_sub(t1, t2), t3), t4)
     return [K.p_scale(p, HALF) for p in out]
 
 
-def _kernel_mats(tensor: BoundTensor):
-    """Kernel matrices for the bound structures, or None for the generic path."""
-    structs = tensor.structures
-    if all(s.is_constant for s in structs):
-        const = True
-        get = lambda s: s.kernel_const()
-    elif all(s.is_polynomial for s in structs):
-        const = False
-        get = lambda s: s.kernel_poly()
-    else:
-        return None
-    if tensor.flux is not None and not tensor.flux.is_zero \
-            and tensor.flux.kernel_form() is None:
-        return None
-    mats = {"const": const, "J": get(structs[-1])}
-    if tensor.kind == "concomitant":
-        I, J = structs
-        mats["I"] = get(I)
-        mats["IJ"] = get(I @ J)
-        mats["JI"] = get(J @ I)
-    return mats
+def _residuals(tensor: BoundTensor, degree_bound: int):
+    """The sweep every Nijenhuis-type check shares: (base, pairs), where
+    pairs yields (i, j, P) for each ordered pair of generators in the order
+    of generator_labels, P the numerators of the tensor over m^3."""
+    if degree_bound < 0:
+        raise ValueError("degree_bound must be >= 0")
+    mats, kflux = _kernel_setup(tensor)
+    n = tensor.chart.dim
+    gens = _kernel_generators(tensor.chart, degree_bound)
+
+    def pairs():
+        for i, A in enumerate(gens):
+            for j, B in enumerate(gens):
+                yield i, j, _eval_kernel(tensor.kind, mats, kflux, n, A, B)
+    return mats["base"], pairs()
+
+
+def _tensor_report(name, degree_bound, base, pairs, max_witnesses):
+    """Collect (i, j, numerators over m^3) into a TensorReport: vanished iff
+    every numerator is zero, with the first max_witnesses nonzero pairs."""
+    labels = generator_labels(base.chart, degree_bound)
+    report = TensorReport(name, True, degree_bound, 0)
+    for i, j, out in pairs:
+        report.sample_count += 1
+        if not K.sec_is_zero(out):
+            report.vanished = False
+            report.witnesses.append(
+                (labels[i], labels[j], str(base.section(out, 3))))
+            if len(report.witnesses) >= max_witnesses:
+                break
+    return report
 
 
 def vanishes(tensor: BoundTensor, degree_bound: int = 2,
@@ -542,39 +719,9 @@ def vanishes(tensor: BoundTensor, degree_bound: int = 2,
     vanished is True iff every output is exactly zero; otherwise the first
     max_witnesses witnesses (in the fixed generator order) are reported.
     """
-    if degree_bound < 0:
-        raise ValueError("degree_bound must be >= 0")
-    chart = tensor.chart
-    n = chart.dim
-    labels = generator_labels(chart, degree_bound)
-    report = TensorReport(tensor.name, True, degree_bound, 0)
-    mats = _kernel_mats(tensor)
-    if mats is not None:
-        kflux = _kernel_flux(tensor.flux)
-        gens = _kernel_generators(chart, degree_bound)
-        for i, A in enumerate(gens):
-            for j, B in enumerate(gens):
-                out = _eval_kernel(tensor.kind, mats, kflux, n, A, B)
-                report.sample_count += 1
-                if not K.sec_is_zero(out):
-                    report.vanished = False
-                    report.witnesses.append(
-                        (labels[i], labels[j],
-                         str(section_from_kernel(chart, out))))
-                    if len(report.witnesses) >= max_witnesses:
-                        return report
-        return report
-    gens = generator_sections(chart, degree_bound)
-    for i, A in enumerate(gens):
-        for j, B in enumerate(gens):
-            out = tensor.evaluate(A, B)
-            report.sample_count += 1
-            if not out.is_zero:
-                report.vanished = False
-                report.witnesses.append((labels[i], labels[j], str(out)))
-                if len(report.witnesses) >= max_witnesses:
-                    return report
-    return report
+    base, pairs = _residuals(tensor, degree_bound)
+    return _tensor_report(tensor.name, degree_bound, base, pairs,
+                          max_witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -598,21 +745,10 @@ def generalized_metric(g, b, chart: Chart | None = None) -> EndField:
             if b[i][j] != -b[j][i]:
                 raise ValueError("b must be antisymmetric")
     ginv = mat_inv(g, chart)
-
-    def nmul(A, B):
-        return [[_dot(A, B, i, j, chart) for j in range(n)] for i in range(n)]
-
-    def _dot(A, B, i, j, chart):
-        acc = ScalarField.zero(chart)
-        for k in range(n):
-            if not A[i][k].is_zero and not B[k][j].is_zero:
-                acc = acc + A[i][k] * B[k][j]
-        return acc
-
-    bginv = nmul(b, ginv)
-    ginvb = nmul(ginv, b)
-    gminus = [[g[i][j] - _dot(bginv, b, i, j, chart) for j in range(n)]
-              for i in range(n)]
+    bginv = mat_mul(b, ginv)
+    ginvb = mat_mul(ginv, b)
+    gminus = [[a - c for a, c in zip(r1, r2)]
+              for r1, r2 in zip(g, mat_mul(bginv, b))]
     G = EndField.from_blocks(chart,
                              [[-x for x in row] for row in ginvb],
                              ginv, gminus, bginv)
@@ -692,8 +828,7 @@ def lemma_identities(I: EndField, J: EndField, A: Section, B: Section):
     minus_id = EndField.identity(chart).scale(ScalarField.constant(chart, -1))
     if not (I @ I).entries_equal(minus_id):
         raise ValueError("I^2 = -Id required")
-    anti = (I @ J) + (J @ I)
-    if not all(f.is_zero for row in anti.entries for f in row):
+    if not ((I @ J) + (J @ I)).is_zero:
         raise ValueError("I J + J I = 0 required")
     flux = _common_flux(I, J)
     IJ = I @ J

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .scalar import Chart, ScalarField
 from .courant import (FluxForm, Section, dorfman_twisted, frame_sections,
                       monomials_up_to)
-from .gcs import EndField
+from .gcs import EndField, _flux_eq
 from .clifford import CliffordTriple, check_relations, induce
 from .twistor import rotate_family
 
@@ -155,7 +155,7 @@ def conjugate(phi: CourantIso, E: EndField) -> EndField:
     E must carry the source flux and be constant along the dualized
     coordinates.
     """
-    if not _flux_match(E.flux, phi.source_flux):
+    if not _flux_eq(E.flux, phi.source_flux):
         raise ValueError("structure flux does not match the source flux")
     if not phi.is_invariant_end(E):
         raise NonInvariantSectionError(
@@ -164,14 +164,6 @@ def conjugate(phi: CourantIso, E: EndField) -> EndField:
     Pinv = P.inverse()
     out = P @ E @ Pinv
     return EndField(phi.chart, out.entries, phi.target_flux)
-
-
-def _flux_match(a, b):
-    az = a is None or a.is_zero
-    bz = b is None or b.is_zero
-    if az or bz:
-        return az and bz
-    return a == b
 
 
 def conjugate_triple(phi: CourantIso, T: CliffordTriple) -> CliffordTriple:

@@ -5,6 +5,12 @@ rotated triples K_i(zeta1, zeta2), the connection form and its flatness, and
 the block twistor structure on the product chart with its integrability
 sweep.
 
+All sphere dependence enters through denominators dividing powers of
+m = (1+u1^2+v1^2)(1+u2^2+v2^2).  The connection identities are decided on
+numerators over powers of m (``gcs._PowerDen``), and the integrability sweep
+of Theorem 1.3 is the Nijenhuis evaluator of ``gcs``, which finds m as the
+LCM of the twistor structure's denominators.
+
 Only the finite stereographic chart of each sphere is implemented; zeta =
 infinity is outside every formula here (sampling uses rational points, so it
 never comes up).
@@ -14,15 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from ._core import kernel as K
-from . import polygcd as G
 from .scalar import Chart, GaussianRational, Poly, ScalarField
 from .cartan import KForm
 from .courant import Section, dorfman
-from .gcs import (EndField, _kernel_generators, generator_labels,
-                  is_almost_gcs)
+from .gcs import (EndField, _PowerDen, _residuals, bind_nijenhuis,
+                  generator_labels, is_almost_gcs)
 from .clifford import (CliffordTriple, Projections, check_relations, induce,
                        project)
 
@@ -179,13 +183,19 @@ def rot_field(chart, iu, iv):
 # ---------------------------------------------------------------------------
 # Rotated family at a point.
 
-def _scale_sum(mats, coeffs):
+def _combine(coeffs, mats):
+    """sum_l coeffs[l] * mats[l] for number or ScalarField coefficients,
+    skipping zero numbers; the zero EndField when every number is zero."""
     acc = None
-    for M, c in zip(mats, coeffs):
-        if c == 0:
-            continue
-        t = M.scale(ScalarField.constant(M.chart, c))
+    for c, M in zip(coeffs, mats):
+        if not isinstance(c, ScalarField):
+            if c == 0:
+                continue
+            c = ScalarField.constant(M.chart, c)
+        t = M.scale(c)
         acc = t if acc is None else acc + t
+    if acc is None:
+        return mats[0].scale(ScalarField.zero(mats[0].chart))
     return acc
 
 
@@ -208,19 +218,16 @@ def rotate_family(T: CliffordTriple, p: TwistorPoint,
     s = rot_S(p.zeta2)
     Ks = []
     for i in range(3):
-        plus = _scale_sum(proj.Ip, t[i])
-        minus = _scale_sum(proj.Im, s[i])
-        Ks.append(plus + minus if minus is not None else plus)
+        Ks.append(_combine(t[i], proj.Ip) + _combine(s[i], proj.Im))
     if cross_check:
         I = T.generators
         prods = (I[1] @ I[2], I[2] @ I[0], I[0] @ I[1])
         half = ScalarField.constant(T.chart, Fraction(1, 2))
         for i in range(3):
-            tsum = _scale_sum([(I[l] + prods[l]).scale(half) for l in range(3)],
-                              t[i])
-            ssum = _scale_sum([(prods[l] - I[l]).scale(half) for l in range(3)],
-                              s[i])
-            alt = tsum + ssum if ssum is not None else tsum
+            alt = (_combine(t[i], [(I[l] + prods[l]).scale(half)
+                                   for l in range(3)])
+                   + _combine(s[i], [(prods[l] - I[l]).scale(half)
+                                     for l in range(3)]))
             if not Ks[i].entries_equal(alt):
                 raise AssertionError(
                     "rotation construction paths disagree at K%d" % (i + 1))
@@ -332,18 +339,18 @@ def connection_data(T: CliffordTriple) -> ConnectionData:
     om2 = _form_vector_cross(d, dd)
     # unit-vector identity omega x c = dc, componentwise per coordinate
     for w in range(4):
-        if _cross_fields(om1[w], c) != tuple(dc[w]):
+        if _cross(om1[w], c) != tuple(dc[w]):
             raise AssertionError("omega_{zeta1} x c != dc")
-        if _cross_fields(om2[w], d) != tuple(dd[w]):
+        if _cross(om2[w], d) != tuple(dd[w]):
             raise AssertionError("omega_{zeta2} x d != dd")
     omega1 = tuple(KForm(S4, 1, {(w,): om1[w][i] for w in range(4)
                                  if not om1[w][i].is_zero}) for i in range(3))
     omega2 = tuple(KForm(S4, 1, {(w,): om2[w][i] for w in range(4)
                                  if not om2[w][i].is_zero}) for i in range(3))
-    Ihat = _dot_end(c, Ip) + _dot_end(d, Im)
+    Ihat = _combine(c, Ip) + _combine(d, Im)
     Omega = {}
     for w in range(4):
-        Omega[w] = _dot_end(om1[w], Ip) + _dot_end(om2[w], Im)
+        Omega[w] = _combine(om1[w], Ip) + _combine(om2[w], Im)
     i_unit = ScalarField.constant(S4, GaussianRational(0, 1))
     quarter = ScalarField.constant(S4, Fraction(1, 4))
     A1 = (Omega[0] + Omega[1].scale(i_unit)).scale(quarter)
@@ -352,44 +359,21 @@ def connection_data(T: CliffordTriple) -> ConnectionData:
                           Ip, Im)
 
 
-def _cross_fields(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def _dot_end(vec3, mats):
-    acc = None
-    for x, M in zip(vec3, mats):
-        t = M.scale(x)
-        acc = t if acc is None else acc + t
-    return acc
-
-
 def check_cross_commutator(a, b, proj: Projections) -> bool:
     """[a.I+, b.I+] = 2 (a x b).I+ (same for the minus sector) and
     [a.I+, b.I-] = 0, as exact matrix identities."""
-    chart = proj.Ip[0].chart
     a = tuple(Fraction(x) for x in a)
     b = tuple(Fraction(x) for x in b)
-
-    def dot(vec, fam):
-        acc = None
-        for x, M in zip(vec, fam):
-            t = M.scale(ScalarField.constant(chart, x))
-            acc = t if acc is None else acc + t
-        return acc
-
+    two = ScalarField.constant(proj.Ip[0].chart, 2)
     ab = _cross(a, b)
     ok = True
     for fam in (proj.Ip, proj.Im):
-        lhs = (dot(a, fam) @ dot(b, fam)) - (dot(b, fam) @ dot(a, fam))
-        rhs = dot(ab, fam).scale(ScalarField.constant(chart, 2))
-        ok = ok and lhs.entries_equal(rhs)
-    mixed = (dot(a, proj.Ip) @ dot(b, proj.Im)) - \
-        (dot(b, proj.Im) @ dot(a, proj.Ip))
-    ok = ok and all(f.is_zero for row in mixed.entries for f in row)
-    return ok
+        lhs = (_combine(a, fam) @ _combine(b, fam)) - \
+            (_combine(b, fam) @ _combine(a, fam))
+        ok = ok and lhs.entries_equal(_combine(ab, fam).scale(two))
+    mixed = (_combine(a, proj.Ip) @ _combine(b, proj.Im)) - \
+        (_combine(b, proj.Im) @ _combine(a, proj.Ip))
+    return ok and mixed.is_zero
 
 
 def _sphere_base(chart) -> _PowerDen:
@@ -550,182 +534,6 @@ def twistor_structure(T: CliffordTriple) -> EndField:
     return EndField(Z, rows, T.flux)
 
 
-# --- fixed-denominator sections: numerator vector over powers of m = q1 q2.
-
-class _PowerDen:
-    """Arithmetic for sections P / m^k with a fixed base polynomial m.
-
-    Zero testing needs only the numerators, so no GCDs are ever taken; this
-    is what makes the symbolic twistor integrability sweep cheap.
-    """
-
-    def __init__(self, chart, m_terms):
-        self.n = chart.dim
-        self.m = m_terms
-        self.dm = [K.p_diff(m_terms, t) for t in range(chart.dim)]
-        self._pows = {0: {(0,) * chart.dim: K.C_ONE}, 1: dict(m_terms)}
-        self._diffs = {}
-
-    def mpow(self, k):
-        if k not in self._pows:
-            self._pows[k] = K.p_mul(self.mpow(k - 1), self.m)
-        return self._pows[k]
-
-    def diff(self, k):
-        """The derivative (comp, t) -> numerator of d/dx_t (comp / m^k) over
-        m^(k+1), i.e. m d_t comp - k comp d_t m; one closure per k."""
-        fn = self._diffs.get(k)
-        if fn is None:
-            m, dm, ck = self.m, self.dm, (k, 0, 1)
-
-            def fn(comp, t):
-                out = K.p_mul(m, K.p_diff(comp, t))
-                if k and comp and dm[t]:
-                    out = K.p_sub(out, K.p_scale(K.p_mul(comp, dm[t]), ck))
-                return out
-            self._diffs[k] = fn
-        return fn
-
-    def dorfman(self, P, j, Q, k):
-        """Bracket of (P, j) and (Q, k): returns (R, j + k + 1)."""
-        return (K.sec_dorfman(self.n, P, Q, None, self.diff(j), self.diff(k)),
-                j + k + 1)
-
-    def apply(self, Mrows, e, P, j):
-        out = []
-        for row in Mrows:
-            acc = {}
-            for col, pe in row:
-                if P[col]:
-                    acc = K.p_add(acc, K.p_mul(pe, P[col]))
-            out.append(acc)
-        return out, e + j
-
-    def lift(self, P, j, target):
-        if j == target:
-            return P
-        f = self.mpow(target - j)
-        return [K.p_mul(p, f) if p else {} for p in P]
-
-    # --- dense matrices of numerators over a common power of m.
-
-    def mat_from_endfield(self, E: EndField):
-        """(rows, k) with rows[i][j] the numerator of E_ij over m^k."""
-        k = 0
-        for row in E.entries:
-            for f in row:
-                if f.is_zero:
-                    continue
-                ke = 0
-                while G.p_divexact(self.mpow(ke), f.den.terms) is None:
-                    ke += 1
-                    if ke > 8:
-                        raise ValueError("denominator is not a power of the base")
-                k = max(k, ke)
-        rows = []
-        for row in E.entries:
-            r = []
-            for f in row:
-                if f.is_zero:
-                    r.append({})
-                else:
-                    mult = G.p_divexact(self.mpow(k), f.den.terms)
-                    r.append(K.p_mul(f.num.terms, mult))
-            rows.append(r)
-        return rows, k
-
-    def mat_mul(self, A, ka, B, kb):
-        size = len(A)
-        out = []
-        for i in range(size):
-            row = []
-            Ai = A[i]
-            for j in range(size):
-                acc = {}
-                for t in range(size):
-                    a = Ai[t]
-                    if not a:
-                        continue
-                    b = B[t][j]
-                    if b:
-                        acc = K.p_add(acc, K.p_mul(a, b))
-                row.append(acc)
-            out.append(row)
-        return out, ka + kb
-
-    def mat_lift(self, A, ka, target):
-        if ka == target:
-            return A
-        f = self.mpow(target - ka)
-        return [[K.p_mul(e, f) if e else {} for e in row] for row in A]
-
-    def mat_sub(self, A, ka, B, kb):
-        top = max(ka, kb)
-        A = self.mat_lift(A, ka, top)
-        B = self.mat_lift(B, kb, top)
-        return [[K.p_sub(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(A, B)], top
-
-    def mat_add(self, A, ka, B, kb):
-        top = max(ka, kb)
-        A = self.mat_lift(A, ka, top)
-        B = self.mat_lift(B, kb, top)
-        return [[K.p_add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(A, B)], top
-
-    def mat_scale(self, A, c):
-        return [[K.p_scale(e, c) if e else {} for e in row] for row in A]
-
-    def mat_diff(self, A, ka, t):
-        """Entrywise d/dx_t of A/m^ka, over m^(ka+1)."""
-        d = self.diff(ka)
-        return [[d(e, t) if e else {} for e in row] for row in A], ka + 1
-
-    @staticmethod
-    def mat_is_zero(A):
-        return all(not e for row in A for e in row)
-
-    def mat_commutator(self, A, ka, B, kb):
-        AB, k1 = self.mat_mul(A, ka, B, kb)
-        BA, k2 = self.mat_mul(B, kb, A, ka)
-        return self.mat_sub(AB, k1, BA, k2)
-
-
-def _twistor_kernel_matrix(E: EndField, base: _PowerDen):
-    """E as (rows of (col, poly numerator), exponent 1) over base m."""
-    rows = []
-    for row in E.entries:
-        r = []
-        for j, f in enumerate(row):
-            if f.is_zero:
-                continue
-            mult = G.p_divexact(base.m, f.den.terms)
-            if mult is None:
-                raise ValueError("entry denominator does not divide the base")
-            r.append((j, K.p_mul(f.num.terms, mult)))
-        rows.append(r)
-    return rows
-
-
-def _nijenhuis_powerden(base: _PowerDen, Mrows, A, ja, B, jb):
-    """Numerators of N(E)(A, B) for E = Mrows / m over the fixed base."""
-    EA = base.apply(Mrows, 1, A, ja)
-    EB = base.apply(Mrows, 1, B, jb)
-    t1, e1 = base.dorfman(EA[0], EA[1], EB[0], EB[1])
-    br2 = base.dorfman(EA[0], EA[1], B, jb)
-    t2, e2 = base.apply(Mrows, 1, br2[0], br2[1])
-    br3 = base.dorfman(A, ja, EB[0], EB[1])
-    t3, e3 = base.apply(Mrows, 1, br3[0], br3[1])
-    t4, e4 = base.dorfman(A, ja, B, jb)
-    top = max(e1, e2, e3, e4)
-    t1 = base.lift(t1, e1, top)
-    t2 = base.lift(t2, e2, top)
-    t3 = base.lift(t3, e3, top)
-    t4 = base.lift(t4, e4, top)
-    return [K.p_sub(K.p_sub(K.p_sub(a, b), c), d)
-            for a, b, c, d in zip(t1, t2, t3, t4)]
-
-
 @dataclass
 class TwistorReport:
     status: str
@@ -745,10 +553,11 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int = 0,
     """Integrability of the twistor structure on the product chart.
 
     The Nijenhuis tensor of Ihat (+) J_sphere is evaluated on all pairs from
-    frame x (degree <= degree_bound monomials) as exact numerators over a
-    power of the sphere base m (fixed-denominator fast path).  Symbolic mode
-    tests each numerator for zero; with ``samples`` a list of TwistorPoints
-    the same numerator is evaluated exactly at (0, ..., 0, Re zeta1,
+    frame x (degree <= degree_bound monomials) by the sweep of
+    ``gcs.vanishes``, as exact numerators over a power of the sphere base m
+    (the LCM of the structure's denominators).  Symbolic mode tests each
+    numerator for zero; with ``samples`` a list of TwistorPoints the same
+    numerator is evaluated exactly at (0, ..., 0, Re zeta1,
     Im zeta1, Re zeta2, Im zeta2) for each point, where m >= 1, so a check
     fails at a point iff the tensor is nonzero there.  Witnesses are capped
     at max_witnesses per point.  Also verifies the mixed-bracket identity
@@ -761,10 +570,8 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int = 0,
     Z = E.chart
     n = T.chart.dim
     rep = TwistorReport("pass", mode="sampled" if samples else "symbolic")
-    base = _sphere_base(Z)
-    Mrows = _twistor_kernel_matrix(E, base)
     labels = generator_labels(Z, degree_bound)
-    gens = _kernel_generators(Z, degree_bound)
+    _, pairs = _residuals(bind_nijenhuis(E), degree_bound)
     # (witness prefix, point or None for the symbolic zero test, note)
     if samples:
         points = [((f"{p}",), (0,) * n + (p.zeta1.re, p.zeta1.im,
@@ -773,8 +580,7 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int = 0,
     else:
         points = [((), None, "nonzero")]
     found = [[] for _ in points]
-    for i, j in product(range(len(gens)), repeat=2):
-        out = _nijenhuis_powerden(base, Mrows, gens[i], 0, gens[j], 0)
+    for i, j, out in pairs:
         for (prefix, pt, note), wit in zip(points, found):
             if len(wit) >= max_witnesses:
                 continue

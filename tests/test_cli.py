@@ -169,6 +169,37 @@ class TestExitCodes:
                                                          "induced"]
 
 
+MALFORMED_DOCUMENTS = {
+    "top-level-array": [],
+    "builtin-not-name": {"builtin": [1]},
+    "dual-index-not-integer": {"chart": {"dim": 4},
+                               "tduality": {"dual_index": "x"}},
+    "dim-not-integer": {"chart": {"dim": 2.5}},
+    "dim-not-a-number": {"chart": {"dim": "four"}},
+    "flux-index-not-integer": {"chart": {"dim": 3},
+                               "flux": [{"indices": [1, 2, 3.5],
+                                         "coeff": "1"}]},
+    "chart-not-object": {"chart": [4]},
+    "flux-not-list": {"chart": {"dim": 3}, "flux": {"indices": [1, 2, 3]}},
+    "tduality-not-object": {"chart": {"dim": 4}, "tduality": 2},
+    "zero-dim": {"chart": {"dim": 0}},
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("doc", list(MALFORMED_DOCUMENTS.values()),
+                             ids=list(MALFORMED_DOCUMENTS))
+    def test_input_error_and_exit_2(self, doc, tmp_path):
+        with pytest.raises(InputError):
+            load_model(text=json.dumps(doc))
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        proc = run_cli(["verify", "--input", str(p), "--suite", "relations"])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+
 class TestReportShape:
     def _schema(self):
         return json.loads((REPO / "docs" / "report_schema.json").read_text())

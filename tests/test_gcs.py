@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gencliff.scalar import Poly, ScalarField, standard_chart
+from gencliff.scalar import Poly, ScalarField, parse_expr, standard_chart
 from gencliff.cartan import KForm, exterior_d
 from gencliff.courant import FluxForm, Section, frame_sections, pairing
 from gencliff.gcs import (EndField, FluxMismatchError, bind_concomitant,
@@ -15,7 +15,7 @@ from gencliff.gcs import (EndField, FluxMismatchError, bind_concomitant,
                           generalized_metric, is_almost_gcs, is_almost_real,
                           is_orthogonal, lemma_identities, mat_inv, mat_mul,
                           nijenhuis, real_nijenhuis, tensoriality_probe,
-                          vanishes)
+                          vanishes, generator_labels, generator_sections)
 from gencliff.examples import QUAT_I, diag_type, hyperkahler_r4
 from tests.test_scalar import rnd_field
 
@@ -292,6 +292,50 @@ class TestVanishes:
         a = vanishes(bind_real_nijenhuis(metric_r2()), 1, max_witnesses=5)
         b = vanishes(bind_real_nijenhuis(metric_r2()), 1, max_witnesses=5)
         assert a.witnesses == b.witnesses and a.sample_count == b.sample_count
+
+
+def rational_tensors():
+    """Bound tensors on R^3 with rational structures or a rational flux:
+    N_G of a metric with g^-1 rational, a concomitant of that metric with a
+    constant one, and N_J of a polynomial metric; all twisted by the closed
+    flux dx1^dx2^dx3 / (1 + x2^2)."""
+    R3 = standard_chart(3)
+    zero = ScalarField.zero(R3)
+
+    def metric(g1, g2, b12):
+        g = [[parse_expr(g1, R3), zero, zero],
+             [zero, parse_expr(g2, R3), zero],
+             [zero, zero, ScalarField.one(R3)]]
+        b12 = parse_expr(b12, R3)
+        return generalized_metric(g, [[zero, b12, zero], [-b12, zero, zero],
+                                      [zero, zero, zero]])
+
+    H = FluxForm(KForm(R3, 3, {(0, 1, 2): parse_expr("1/(1+x2^2)", R3)}))
+    G = metric("1+x1^2", "1", "x3")
+    return [bind_real_nijenhuis(G, "N_G", H),
+            bind_concomitant(G, metric("1", "2", "1"), "N(G,G')", H),
+            bind_nijenhuis(metric("1", "1", "x1"), "N(E,E)", H)]
+
+
+class TestRationalVanishes:
+    @pytest.mark.parametrize("tensor", rational_tensors(),
+                             ids=lambda t: t.name)
+    def test_matches_reference_on_every_pair(self, tensor):
+        # the kernel sweep over the LCM base against the ScalarField
+        # formulas, witness by witness, at degree 1
+        chart = tensor.chart
+        labels = generator_labels(chart, 1)
+        gens = generator_sections(chart, 1)
+        want = []
+        for i, A in enumerate(gens):
+            for j, B in enumerate(gens):
+                out = tensor.evaluate(A, B)
+                if not out.is_zero:
+                    want.append((labels[i], labels[j], str(out)))
+        rep = vanishes(tensor, 1, max_witnesses=len(gens) ** 2)
+        assert rep.sample_count == len(gens) ** 2
+        assert want and rep.witnesses == want
+        assert not rep.vanished
 
 
 class TestGeneralizedMetric:

@@ -150,6 +150,8 @@ class TestConnection:
         assert check_cross_commutator((1, 0, 0), (0, 1, 0), proj)
         assert check_cross_commutator((1, 2, 3), (1, 2, 3), proj)
         assert check_cross_commutator((2, 0, 5), (0, 1, 0), proj)
+        # a zero vector combines to the zero endomorphism
+        assert check_cross_commutator((0, 0, 0), (1, 2, 3), proj)
         # [I1+, I2+] = 2 I3+ directly
         lhs = (proj.Ip[0] @ proj.Ip[1]) - (proj.Ip[1] @ proj.Ip[0])
         rhs = proj.Ip[2].scale(ScalarField.constant(proj.Ip[0].chart, 2))
@@ -283,6 +285,24 @@ class TestTheorem13:
         assert rep.status == "fail"
         assert len(rep.witnesses) == 10 * (len(samples) if samples else 1)
         assert all(w[-1].startswith("nonzero") for w in rep.witnesses)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_vanishes_sweeps_the_twistor_structure(self, monkeypatch, flip):
+        # the twistor structure is one more input of gcs.vanishes: 256
+        # frame pairs that pass, and with the opposite orientation the
+        # witnesses of theorem_1_3's symbolic sweep
+        if flip:
+            right = twistor.sphere_gcs
+            monkeypatch.setattr(twistor, "sphere_gcs",
+                                lambda chart=None: -right(chart))
+        T = verified_triple()
+        rep = vanishes(bind_nijenhuis(twistor_structure(T)), 0)
+        assert rep.vanished is not flip
+        if flip:
+            assert [w[:2] for w in rep.witnesses] == \
+                [w[:2] for w in theorem_1_3(T, degree_bound=0).witnesses]
+        else:
+            assert rep.sample_count == 256
 
     def test_mixed_bracket_identities_direct(self):
         # Lemma-4.4 style: [alpha, v] = L_{rho(alpha)} v for a sphere vector
