@@ -113,27 +113,37 @@ cpdef dict p_scale(dict p, tuple c):
 
 
 cpdef dict p_mul(dict p, dict q):
+    # term products summed unnormalized per output monomial; one c_make per
+    # output term (see pykernel.p_mul)
+    cdef dict acc = {}
     cdef dict out = {}
     cdef Py_ssize_t i, n
     if not p or not q:
         return out
     for m1, c1 in p.items():
+        a1, b1, d1 = <tuple>c1
         for m2, c2 in q.items():
+            a2, b2, d2 = <tuple>c2
             n = len(<tuple>m1)
             mm = [0] * n
             for i in range(n):
                 mm[i] = (<tuple>m1)[i] + (<tuple>m2)[i]
             m = tuple(mm)
-            c = c_mul(c1, c2)
-            x = out.get(m)
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+            d = d1 * d2
+            x = acc.get(m)
             if x is None:
-                out[m] = c
+                acc[m] = (a, b, d)
+            elif (<tuple>x)[2] == d:
+                acc[m] = ((<tuple>x)[0] + a, (<tuple>x)[1] + b, d)
             else:
-                s = c_add(x, c)
-                if s[0] == 0 and s[1] == 0:
-                    del out[m]
-                else:
-                    out[m] = s
+                xa, xb, xd = <tuple>x
+                acc[m] = (xa * d + a * xd, xb * d + b * xd, xd * d)
+    for m, x in acc.items():
+        a, b, d = <tuple>x
+        if a or b:
+            out[m] = c_make(a, b, d)
     return out
 
 
@@ -219,51 +229,59 @@ cpdef list flux_contract(Py_ssize_t n, list X, list Y, dict H):
     return out
 
 
-cpdef list sec_dorfman(Py_ssize_t n, list A, list B, H=None, da=None,
-                       db=None):
+cpdef list sec_jacobian(Py_ssize_t n, list A, diff=None):
+    if diff is None:
+        diff = p_diff
+    return [[diff(a, t) for t in range(n)] if a else None for a in A]
+
+
+cpdef list sec_dorfman(Py_ssize_t n, list A, list B, H=None, dA=None,
+                       dB=None):
     cdef list out = [None] * (2 * n)
-    cdef list hpart
+    cdef list hpart, jA, jB
     cdef Py_ssize_t i, j
     cdef dict acc, d
-    if da is None:
-        da = p_diff
-    if db is None:
-        db = p_diff
+    jA = sec_jacobian(n, A) if dA is None else <list>dA
+    jB = sec_jacobian(n, B) if dB is None else <list>dB
     for i in range(n):
         acc = {}
+        dAi, dBi = jA[i], jB[i]
         for j in range(n):
             xj = A[j]
-            if xj:
-                d = db(<dict>B[i], j)
+            if xj and dBi is not None:
+                d = (<list>dBi)[j]
                 if d:
                     acc = p_add(acc, p_mul(<dict>xj, d))
             yj = B[j]
-            if yj:
-                d = da(<dict>A[i], j)
+            if yj and dAi is not None:
+                d = (<list>dAi)[j]
                 if d:
                     acc = p_sub(acc, p_mul(<dict>yj, d))
         out[i] = acc
     for i in range(n):
         acc = {}
+        dBni, dAni = jB[n + i], jA[n + i]
         for j in range(n):
             xj = A[j]
-            if xj:
-                d = db(<dict>B[n + i], j)
+            if xj and dBni is not None:
+                d = (<list>dBni)[j]
                 if d:
                     acc = p_add(acc, p_mul(<dict>xj, d))
             ej = B[n + j]
-            if ej:
-                d = da(<dict>A[j], i)
+            if ej and jA[j] is not None:
+                d = (<list>jA[j])[i]
                 if d:
                     acc = p_add(acc, p_mul(<dict>ej, d))
             yj = B[j]
             if yj:
-                d = da(<dict>A[n + i], j)
-                if d:
-                    acc = p_sub(acc, p_mul(<dict>yj, d))
-                d = da(<dict>A[n + j], i)
-                if d:
-                    acc = p_add(acc, p_mul(<dict>yj, d))
+                if dAni is not None:
+                    d = (<list>dAni)[j]
+                    if d:
+                        acc = p_sub(acc, p_mul(<dict>yj, d))
+                if jA[n + j] is not None:
+                    d = (<list>jA[n + j])[i]
+                    if d:
+                        acc = p_add(acc, p_mul(<dict>yj, d))
         out[n + i] = acc
     if H:
         hpart = flux_contract(n, A, B, <dict>H)
@@ -273,9 +291,10 @@ cpdef list sec_dorfman(Py_ssize_t n, list A, list B, H=None, da=None,
     return out
 
 
-cpdef list sec_jacobi_residual(Py_ssize_t n, list A, list B, list C, H,
-                               list AB, list AC, list BC):
-    cdef list t1 = sec_dorfman(n, A, BC, H)
-    cdef list t2 = sec_dorfman(n, AB, C, H)
-    cdef list t3 = sec_dorfman(n, B, AC, H)
+cpdef list sec_jacobi_residual(Py_ssize_t n, tuple A, tuple B, tuple C, H,
+                               tuple AB, tuple AC, tuple BC):
+    # every operand is a (section, Jacobian) pair
+    cdef list t1 = sec_dorfman(n, A[0], BC[0], H, A[1], BC[1])
+    cdef list t2 = sec_dorfman(n, AB[0], C[0], H, AB[1], C[1])
+    cdef list t3 = sec_dorfman(n, B[0], AC[0], H, B[1], AC[1])
     return [p_sub(p_sub(a, b), c) for a, b, c in zip(t1, t2, t3)]

@@ -19,10 +19,15 @@ Data layout (shared by both kernels, never mix layouts between them):
                (column, coefficient) pairs, polynomial matrices as lists of
                (column, polynomial) pairs.  Zero entries are omitted.
 
+  jacobian     list of 2n entries, one per section component: None for a zero
+               component, else the list of its n partial derivatives (the
+               derivative by x_t at index t).
+
 All functions are pure: inputs are never mutated.
 """
 
 from math import gcd
+from operator import add
 
 C_ZERO = (0, 0, 1)
 C_ONE = (1, 0, 1)
@@ -132,22 +137,34 @@ def p_scale(p, c):
 
 
 def p_mul(p, q):
+    """Product of two polynomials.
+
+    The term products of each output monomial are summed as unnormalized
+    triples (numerators added directly over a shared denominator) and each
+    output coefficient is normalized once, so one gcd is taken per output
+    term rather than per term product.
+    """
     if not p or not q:
         return {}
-    out = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-            c = c_mul(c1, c2)
-            x = out.get(m)
+    acc = {}
+    for m1, (a1, b1, d1) in p.items():
+        for m2, (a2, b2, d2) in q.items():
+            m = tuple(map(add, m1, m2))
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+            d = d1 * d2
+            x = acc.get(m)
             if x is None:
-                out[m] = c
+                acc[m] = (a, b, d)
+            elif x[2] == d:
+                acc[m] = (x[0] + a, x[1] + b, d)
             else:
-                s = c_add(x, c)
-                if s[0] == 0 and s[1] == 0:
-                    del out[m]
-                else:
-                    out[m] = s
+                xa, xb, xd = x
+                acc[m] = (xa * d + a * xd, xb * d + b * xd, xd * d)
+    out = {}
+    for m, (a, b, d) in acc.items():
+        if a or b:
+            out[m] = c_make(a, b, d)
     return out
 
 
@@ -233,7 +250,19 @@ def flux_contract(n, X, Y, H):
     return out
 
 
-def sec_dorfman(n, A, B, H=None, da=p_diff, db=p_diff):
+def sec_jacobian(n, A, diff=p_diff):
+    """Jacobian of a section: entry c is None when A[c] is zero, else the
+    list [diff(A[c], t) for t in range(n)].
+
+    diff defaults to plain partials; the fixed-denominator sweeps of gcs
+    pass quotient-rule derivatives (numerators of d/dx_t (A[c] / m^k) over
+    m^(k+1)).  Sweeps build each operand's Jacobian once and reuse it for
+    every bracket the operand enters.
+    """
+    return [[diff(a, t) for t in range(n)] if a else None for a in A]
+
+
+def sec_dorfman(n, A, B, H=None, dA=None, dB=None):
     """Dorfman bracket of polynomial sections, optionally H-twisted.
 
     [X+xi, Y+eta] = [X,Y] + L_X eta - iota_Y d xi - iota_Y iota_X H with
@@ -241,48 +270,56 @@ def sec_dorfman(n, A, B, H=None, da=p_diff, db=p_diff):
       (L_X eta)_i  = sum_j X^j d eta_i/dx_j + eta_j dX^j/dx_i
       (i_Y dxi)_i  = sum_j Y^j (d xi_i/dx_j - d xi_j/dx_i)
 
-    da(p, j) and db(p, j) differentiate a component of A and of B by x_j.
-    The fixed-denominator sweeps of gcs pass quotient-rule derivatives: A
-    and B are then the numerators of P / m^j and Q / m^k, H holds the flux
-    numerators over m, and the result is the numerator of the bracket over
-    m^(j+k+1).
+    dA and dB are the Jacobians of A and of B (``sec_jacobian``); None means
+    plain partials.  The fixed-denominator sweeps of gcs pass quotient-rule
+    Jacobians: A and B are then the numerators of P / m^j and Q / m^k, H
+    holds the flux numerators over m, and the result is the numerator of
+    the bracket over m^(j+k+1).
     """
+    if dA is None:
+        dA = sec_jacobian(n, A)
+    if dB is None:
+        dB = sec_jacobian(n, B)
     out = [None] * (2 * n)
     for i in range(n):
         acc = {}
+        dAi, dBi = dA[i], dB[i]
         for j in range(n):
             xj = A[j]
-            if xj:
-                d = db(B[i], j)
+            if xj and dBi is not None:
+                d = dBi[j]
                 if d:
                     acc = p_add(acc, p_mul(xj, d))
             yj = B[j]
-            if yj:
-                d = da(A[i], j)
+            if yj and dAi is not None:
+                d = dAi[j]
                 if d:
                     acc = p_sub(acc, p_mul(yj, d))
         out[i] = acc
     for i in range(n):
         acc = {}
+        dBni, dAni = dB[n + i], dA[n + i]
         for j in range(n):
             xj = A[j]
-            if xj:
-                d = db(B[n + i], j)
+            if xj and dBni is not None:
+                d = dBni[j]
                 if d:
                     acc = p_add(acc, p_mul(xj, d))
             ej = B[n + j]
-            if ej:
-                d = da(A[j], i)
+            if ej and dA[j] is not None:
+                d = dA[j][i]
                 if d:
                     acc = p_add(acc, p_mul(ej, d))
             yj = B[j]
             if yj:
-                d = da(A[n + i], j)
-                if d:
-                    acc = p_sub(acc, p_mul(yj, d))
-                d = da(A[n + j], i)
-                if d:
-                    acc = p_add(acc, p_mul(yj, d))
+                if dAni is not None:
+                    d = dAni[j]
+                    if d:
+                        acc = p_sub(acc, p_mul(yj, d))
+                if dA[n + j] is not None:
+                    d = dA[n + j][i]
+                    if d:
+                        acc = p_add(acc, p_mul(yj, d))
         out[n + i] = acc
     if H:
         hpart = flux_contract(n, A, B, H)
@@ -293,8 +330,13 @@ def sec_dorfman(n, A, B, H=None, da=p_diff, db=p_diff):
 
 
 def sec_jacobi_residual(n, A, B, C, H, AB, AC, BC):
-    """[A,[B,C]] - [[A,B],C] - [B,[A,C]] given the cached inner brackets."""
-    t1 = sec_dorfman(n, A, BC, H)
-    t2 = sec_dorfman(n, AB, C, H)
-    t3 = sec_dorfman(n, B, AC, H)
+    """[A,[B,C]] - [[A,B],C] - [B,[A,C]] given the cached inner brackets.
+
+    Every operand is a (section, Jacobian) pair, so no derivative is taken
+    here: the sweep builds each generator's and each cached bracket's
+    Jacobian once.
+    """
+    t1 = sec_dorfman(n, A[0], BC[0], H, A[1], BC[1])
+    t2 = sec_dorfman(n, AB[0], C[0], H, AB[1], C[1])
+    t3 = sec_dorfman(n, B[0], AC[0], H, B[1], AC[1])
     return [p_sub(p_sub(a, b), c) for a, b, c in zip(t1, t2, t3)]

@@ -432,17 +432,22 @@ def suite_axioms(model, cfg):
         fluxes.append(kf)
     wit = []
     checks = 0
+    # (section, Jacobian) operands: every derivative is taken once, for each
+    # generator and for each cached pair bracket, not once per triple
+    ops = [(A, K.sec_jacobian(n, A)) for A in gens]
     for kflux in fluxes:
         tag = "untwisted" if kflux is None else "twisted"
-        npairs = len(gens)
-        pair = [[None] * npairs for _ in range(npairs)]
-        for i, A in enumerate(gens):
-            for j, B in enumerate(gens):
-                pair[i][j] = K.sec_dorfman(n, A, B, kflux)
-        for i, A in enumerate(gens):
-            for j, B in enumerate(gens):
+        pair = []
+        for A, dA in ops:
+            row = []
+            for B, dB in ops:
+                AB = K.sec_dorfman(n, A, B, kflux, dA, dB)
+                row.append((AB, K.sec_jacobian(n, AB)))
+            pair.append(row)
+        for i, A in enumerate(ops):
+            for j, B in enumerate(ops):
                 AB = pair[i][j]
-                for l, C in enumerate(gens):
+                for l, C in enumerate(ops):
                     res = K.sec_jacobi_residual(n, A, B, C, kflux, AB,
                                                 pair[i][l], pair[j][l])
                     checks += 1

@@ -512,17 +512,22 @@ class _PowerDen:
             m, dm, ck = self.m, self.dm, (k, 0, 1)
 
             def fn(comp, t):
-                out = K.p_mul(m, K.p_diff(comp, t))
+                dc = K.p_diff(comp, t)
+                out = K.p_mul(m, dc) if dc else {}
                 if k and comp and dm[t]:
                     out = K.p_sub(out, K.p_scale(K.p_mul(comp, dm[t]), ck))
                 return out
             self._diffs[k] = fn
         return fn
 
+    def jacobian(self, P, k):
+        """Jacobian of the section P / m^k: numerators over m^(k+1)."""
+        return K.sec_jacobian(self.n, P, self.diff(k))
+
     def dorfman(self, P, j, Q, k):
         """Bracket of (P, j) and (Q, k): returns (R, j + k + 1)."""
-        return (K.sec_dorfman(self.n, P, Q, None, self.diff(j), self.diff(k)),
-                j + k + 1)
+        return (K.sec_dorfman(self.n, P, Q, None, self.jacobian(P, j),
+                              self.jacobian(Q, k)), j + k + 1)
 
     def lift(self, P, j, target):
         if j == target or self.unit:
@@ -617,11 +622,10 @@ def _sparse_rows(M, const):
 
 
 def _kernel_setup(tensor: BoundTensor):
-    """(mats, kflux) for _eval_kernel: the base with its derivatives of
-    sections over m^0 and m^1, the structures as numerators over m^1 in
-    kernel matrix layout (constant coefficients when the base is the unit
-    and every structure is constant), and the flux coefficients as
-    numerators over m^1 (None for zero flux)."""
+    """(mats, kflux) for _eval_kernel: the base, the structures as
+    numerators over m^1 in kernel matrix layout (constant coefficients when
+    the base is the unit and every structure is constant), and the flux
+    coefficients as numerators over m^1 (None for zero flux)."""
     structs = tensor.structures
     flux = {} if tensor.flux is None else tensor.flux.H.coeffs
     base = _PowerDen.lcm(tensor.chart,
@@ -629,8 +633,7 @@ def _kernel_setup(tensor: BoundTensor):
                          + list(flux.values()))
     const = base.unit and all(s.is_constant for s in structs)
     nums = [base.numerators(s) for s in structs]
-    mats = {"base": base, "diff": (base.diff(0), base.diff(1)),
-            "J": _sparse_rows(nums[-1], const),
+    mats = {"base": base, "J": _sparse_rows(nums[-1], const),
             "app": K.mat_apply_const if const else K.mat_apply_poly}
     if tensor.kind == "concomitant":
         I, J = nums
@@ -641,38 +644,49 @@ def _kernel_setup(tensor: BoundTensor):
     return mats, kflux or None
 
 
+def _operand(kind, mats, A):
+    """Everything _eval_kernel needs of one generator A (numerators over
+    m^0), built once per generator and not once per pair: (section,
+    Jacobian) for A over m^0, then for J A and, for a concomitant, I A over
+    m^1."""
+    base, app = mats["base"], mats["app"]
+    out = [(A, base.jacobian(A, 0))]
+    for s in ("J", "I") if kind == "concomitant" else ("J",):
+        SA = app(mats[s], A)
+        out.append((SA, base.jacobian(SA, 1)))
+    return out
+
+
 def _eval_kernel(kind, mats, kflux, n, A, B):
-    """Numerators over m^3 of the tensor on the sections A, B (numerators
-    over m^0); the structures and the flux are numerators over m^1.
+    """Numerators over m^3 of the tensor on two generators, given as their
+    ``_operand``s; the structures and the flux are numerators over m^1.
 
     A bracket of P / m^j and Q / m^k is the numerator over m^(j+k+1), and
     applying a structure adds 1 to the exponent.  So every term lands on
     m^3, except [A, B] of N_J and N_G, which is lifted from m^1 by m^2.
     """
-    dor, app = K.sec_dorfman, mats["app"]
-    d0, d1 = mats["diff"]
+    app = mats["app"]
+
+    def dor(P, Q):
+        return K.sec_dorfman(n, P[0], Q[0], kflux, P[1], Q[1])
     if kind != "concomitant":
         # N_J ends in - [A,B]; the real N_G ends in + [A,B]
         last = K.p_sub if kind == "nijenhuis" else K.p_add
         J = mats["J"]
-        JA, JB = app(J, A), app(J, B)
-        t1 = dor(n, JA, JB, kflux, d1, d1)
-        t2 = app(J, dor(n, JA, B, kflux, d1, d0))
-        t3 = app(J, dor(n, A, JB, kflux, d0, d1))
-        t4 = mats["base"].lift(dor(n, A, B, kflux, d0, d0), 1, 3)
-        return [last(K.p_sub(K.p_sub(a, b), c), d)
-                for a, b, c, d in zip(t1, t2, t3, t4)]
+        (a, ja), (b, jb) = A, B
+        t1 = dor(ja, jb)
+        t2 = app(J, dor(ja, b))
+        t3 = app(J, dor(a, jb))
+        t4 = mats["base"].lift(dor(a, b), 1, 3)
+        return [last(K.p_sub(K.p_sub(x, y), z), w)
+                for x, y, z, w in zip(t1, t2, t3, t4)]
     I, J = mats["I"], mats["J"]
     IJ, JI = mats["IJ"], mats["JI"]
-    IA, IB = app(I, A), app(I, B)
-    JA, JB = app(J, A), app(J, B)
-    t1 = K.sec_add(dor(n, IA, JB, kflux, d1, d1),
-                   dor(n, JA, IB, kflux, d1, d1))
-    t2 = app(I, K.sec_add(dor(n, A, JB, kflux, d0, d1),
-                          dor(n, JA, B, kflux, d1, d0)))
-    t3 = app(J, K.sec_add(dor(n, A, IB, kflux, d0, d1),
-                          dor(n, IA, B, kflux, d1, d0)))
-    ab = dor(n, A, B, kflux, d0, d0)
+    (a, ja, ia), (b, jb, ib) = A, B
+    t1 = K.sec_add(dor(ia, jb), dor(ja, ib))
+    t2 = app(I, K.sec_add(dor(a, jb), dor(ja, b)))
+    t3 = app(J, K.sec_add(dor(a, ib), dor(ia, b)))
+    ab = dor(a, b)
     t4 = K.sec_add(app(IJ, ab), app(JI, ab))
     out = K.sec_add(K.sec_sub(K.sec_sub(t1, t2), t3), t4)
     return [K.p_scale(p, HALF) for p in out]
@@ -681,17 +695,21 @@ def _eval_kernel(kind, mats, kflux, n, A, B):
 def _residuals(tensor: BoundTensor, degree_bound: int):
     """The sweep every Nijenhuis-type check shares: (base, pairs), where
     pairs yields (i, j, P) for each ordered pair of generators in the order
-    of generator_labels, P the numerators of the tensor over m^3."""
+    of generator_labels, P the numerators of the tensor over m^3.  Each
+    generator's structure images and Jacobians are built once, up front, so
+    a pair only brackets them and applies structures to the brackets."""
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
     mats, kflux = _kernel_setup(tensor)
     n = tensor.chart.dim
-    gens = _kernel_generators(tensor.chart, degree_bound)
+    kind = tensor.kind
+    ops = [_operand(kind, mats, A)
+           for A in _kernel_generators(tensor.chart, degree_bound)]
 
     def pairs():
-        for i, A in enumerate(gens):
-            for j, B in enumerate(gens):
-                yield i, j, _eval_kernel(tensor.kind, mats, kflux, n, A, B)
+        for i, A in enumerate(ops):
+            for j, B in enumerate(ops):
+                yield i, j, _eval_kernel(kind, mats, kflux, n, A, B)
     return mats["base"], pairs()
 
 

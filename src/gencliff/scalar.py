@@ -671,10 +671,25 @@ def _poly_str(p):
 
 
 class _Parser:
+    """Recursive-descent parser of the expression grammar.
+
+    Two input limits keep every document within bounded work; a breach is
+    an ExprSyntaxError, like any other malformed expression:
+
+      MAX_DEPTH     nesting depth of parentheses.  Each level costs four
+                    stack frames, so the bound stays well below the
+                    interpreter's recursion limit.
+      MAX_EXPONENT  largest exponent e in b^e; the power is e products.
+    """
+
+    MAX_DEPTH = 100
+    MAX_EXPONENT = 64
+
     def __init__(self, text, chart):
         self.text = text
         self.chart = chart
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg):
         raise ExprSyntaxError(msg, self.pos)
@@ -733,7 +748,12 @@ class _Parser:
     def factor(self):
         b = self.base()
         if self.take("^"):
+            start = self.pos
             e = self.uint()
+            if e > self.MAX_EXPONENT:
+                self.pos = start
+                self.error(f"exponent {e} exceeds the limit "
+                           f"{self.MAX_EXPONENT}")
             out = ScalarField.one(self.chart)
             for _ in range(e):
                 out = out * b
@@ -747,15 +767,24 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error("expected an unsigned integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:      # more digits than int() converts
+            self.pos = start
+            self.error("integer literal too long")
 
     def base(self):
         ch = self.peek()
         if ch == "(":
+            if self.depth >= self.MAX_DEPTH:
+                self.error(f"parentheses nested deeper than "
+                           f"{self.MAX_DEPTH}")
             self.pos += 1
+            self.depth += 1
             f = self.expr()
             if not self.take(")"):
                 self.error("expected ')'")
+            self.depth -= 1
             return f
         if ch.isdigit():
             return ScalarField.constant(self.chart, self.uint())

@@ -10,7 +10,8 @@ import pytest
 
 from gencliff.cli import (InputError, RunConfig, bracket_eval,
                           load_model, parse_section, run)
-from gencliff.scalar import standard_chart
+from gencliff.scalar import (ExprSyntaxError, _Parser, parse_expr,
+                             standard_chart)
 from gencliff.examples import hyperkahler_r4
 
 REPO = Path(__file__).resolve().parent.parent
@@ -186,18 +187,52 @@ MALFORMED_DOCUMENTS = {
 }
 
 
+# Expressions past the parser's input limits (scalar._Parser.MAX_DEPTH and
+# MAX_EXPONENT, and the digits int() converts): a RecursionError traceback,
+# an 11 s parse and a ValueError traceback before.
+EXPRESSION_LIMIT_DOCUMENTS = {
+    "nested-parentheses": {"chart": {"dim": 3},
+                           "flux": [{"indices": [1, 2, 3],
+                                     "coeff": "(" * 3000 + "x1" + ")" * 3000}]},
+    "huge-exponent": {"chart": {"dim": 3},
+                      "flux": [{"indices": [1, 2, 3], "coeff": "x1^3000000"}]},
+    "long-integer-literal": {"chart": {"dim": 3},
+                             "flux": [{"indices": [1, 2, 3],
+                                       "coeff": "1" * 5000}]},
+}
+
+
 class TestMalformedInput:
-    @pytest.mark.parametrize("doc", list(MALFORMED_DOCUMENTS.values()),
-                             ids=list(MALFORMED_DOCUMENTS))
-    def test_input_error_and_exit_2(self, doc, tmp_path):
-        with pytest.raises(InputError):
-            load_model(text=json.dumps(doc))
+    @staticmethod
+    def _exits_2(doc, tmp_path):
         p = tmp_path / "doc.json"
         p.write_text(json.dumps(doc))
         proc = run_cli(["verify", "--input", str(p), "--suite", "relations"])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("doc", list(MALFORMED_DOCUMENTS.values()),
+                             ids=list(MALFORMED_DOCUMENTS))
+    def test_input_error_and_exit_2(self, doc, tmp_path):
+        with pytest.raises(InputError):
+            load_model(text=json.dumps(doc))
+        self._exits_2(doc, tmp_path)
+
+    @pytest.mark.parametrize("doc", list(EXPRESSION_LIMIT_DOCUMENTS.values()),
+                             ids=list(EXPRESSION_LIMIT_DOCUMENTS))
+    def test_expression_limit_and_exit_2(self, doc, tmp_path):
+        with pytest.raises(ExprSyntaxError, match="limit|deeper|too long"):
+            load_model(text=json.dumps(doc))
+        self._exits_2(doc, tmp_path)
+
+    def test_limits_admit_the_boundary(self):
+        depth, exp = _Parser.MAX_DEPTH, _Parser.MAX_EXPONENT
+        R3 = standard_chart(3)
+        nested = "(" * depth + "x1" + ")" * depth
+        assert parse_expr(nested, R3) == parse_expr("x1", R3)
+        assert parse_expr(f"x1^{exp}", R3).num.terms == {(exp, 0, 0):
+                                                         (1, 0, 1)}
 
 
 class TestReportShape:

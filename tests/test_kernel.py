@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from gencliff._core import BACKEND, pykernel
+from gencliff._core import BACKEND, kernel, pykernel
 
 try:
     from gencliff._core import _ckernel
 except ImportError:
     _ckernel = None
 
-from gencliff.scalar import standard_chart
+from gencliff.gcs import _PowerDen
+from gencliff.scalar import Poly, ScalarField, standard_chart
 from gencliff.courant import (Section, dorfman, section_from_kernel,
                               section_kernel_components)
 from tests.test_scalar import rnd_field
@@ -31,6 +32,21 @@ def rnd_kpoly(rng, nvars=3, terms=4):
 
 def rnd_ksection(rng, n=3):
     return [rnd_kpoly(rng, n, rng.randint(0, 3)) for _ in range(2 * n)]
+
+
+# a base polynomial m on R^3 and the quotient rule d/dx_t (comp / m^k) =
+# (m d_t comp - k comp d_t m) / m^(k+1), written here independently of gcs
+QR_BASE = {(0, 0, 0): (1, 0, 1), (2, 0, 0): (1, 0, 1), (0, 1, 1): (3, 0, 1)}
+
+
+def quotient_rule(k):
+    dm = [pykernel.p_diff(QR_BASE, t) for t in range(3)]
+
+    def d(comp, t):
+        return pykernel.p_sub(
+            pykernel.p_mul(QR_BASE, pykernel.p_diff(comp, t)),
+            pykernel.p_scale(pykernel.p_mul(comp, dm[t]), (k, 0, 1)))
+    return d
 
 
 class TestCoefficients:
@@ -75,24 +91,30 @@ class TestBackendEquivalence:
                     pykernel.sec_dorfman(3, A, B, flux)
 
     def test_dorfman_quotient_rule_identical(self):
-        # the fixed-denominator twistor sweep passes d/dx_t (comp / m^k)
-        # numerators over m^(k+1) as the derivatives of A and of B
+        # the fixed-denominator sweeps pass Jacobians of d/dx_t (comp / m^k)
+        # numerators over m^(k+1), built once per operand by sec_jacobian
         rng = random.Random(81)
-        m = {(0, 0, 0): (1, 0, 1), (2, 0, 0): (1, 0, 1), (0, 1, 1): (3, 0, 1)}
-        dm = [pykernel.p_diff(m, t) for t in range(3)]
-
-        def quotient_rule(k):
-            def d(comp, t):
-                return pykernel.p_sub(
-                    pykernel.p_mul(m, pykernel.p_diff(comp, t)),
-                    pykernel.p_scale(pykernel.p_mul(comp, dm[t]), (k, 0, 1)))
-            return d
-
         for _ in range(60):
             A, B = rnd_ksection(rng), rnd_ksection(rng)
-            da, db = quotient_rule(1), quotient_rule(2)
-            assert _ckernel.sec_dorfman(3, A, B, None, da, db) == \
-                pykernel.sec_dorfman(3, A, B, None, da, db)
+            dA = pykernel.sec_jacobian(3, A, quotient_rule(1))
+            dB = pykernel.sec_jacobian(3, B, quotient_rule(2))
+            assert _ckernel.sec_jacobian(3, A, quotient_rule(1)) == dA
+            assert _ckernel.sec_dorfman(3, A, B, None, dA, dB) == \
+                pykernel.sec_dorfman(3, A, B, None, dA, dB)
+
+    def test_jacobi_residual_identical(self):
+        # operands are (section, Jacobian) pairs, as cli.suite_axioms builds
+        rng = random.Random(82)
+        H = {(0, 1, 2): {(1, 0, 0): (2, 0, 3)}}
+
+        def op(sec):
+            return (sec, pykernel.sec_jacobian(3, sec))
+        for _ in range(20):
+            A, B, C = (op(rnd_ksection(rng)) for _ in range(3))
+            AB, AC, BC = (op(pykernel.sec_dorfman(3, X[0], Y[0], H))
+                          for X, Y in ((A, B), (A, C), (B, C)))
+            assert _ckernel.sec_jacobi_residual(3, A, B, C, H, AB, AC, BC) \
+                == pykernel.sec_jacobi_residual(3, A, B, C, H, AB, AC, BC)
 
     def test_matrix_apply_identical(self):
         rng = random.Random(79)
@@ -108,12 +130,48 @@ class TestBackendEquivalence:
                 pykernel.mat_apply_poly(Mp, A)
 
 
+class TestJacobian:
+    def test_zero_components_give_none(self):
+        rng = random.Random(83)
+        for _ in range(50):
+            A = rnd_ksection(rng)
+            jac = kernel.sec_jacobian(3, A)
+            for comp, row in zip(A, jac):
+                if not comp:
+                    assert row is None
+                else:
+                    assert row == [kernel.p_diff(comp, t) for t in range(3)]
+
+    def test_quotient_rule_matches_power_den(self):
+        # _PowerDen.diff(k) against the local quotient rule, and both
+        # against the ScalarField derivative of P / m^k
+        R3 = standard_chart(3)
+        base = _PowerDen(R3, QR_BASE)
+        rng = random.Random(84)
+        for k in range(3):
+            den = Poly(R3, base.mpow(k))
+            up = Poly(R3, base.mpow(k + 1))
+            for _ in range(10):
+                P = rnd_ksection(rng)
+                jac = kernel.sec_jacobian(3, P, base.diff(k))
+                assert jac == kernel.sec_jacobian(3, P, quotient_rule(k))
+            for _ in range(2):
+                # the ScalarField route normalizes by GCD: a few sections
+                P = rnd_ksection(rng)
+                jac = kernel.sec_jacobian(3, P, base.diff(k))
+                for comp, row in zip(P, jac):
+                    if row is None:
+                        continue
+                    f = ScalarField(Poly(R3, comp), den)
+                    for t in range(3):
+                        assert f.diff(t) == ScalarField(Poly(R3, row[t]), up)
+
+
 class TestKernelVsCalculus:
     def test_bracket_agrees_with_composed_route(self):
         # the kernel bracket formula against lie/interior/exterior composition
         rng = random.Random(80)
         R3 = standard_chart(3)
-        from gencliff._core import kernel
         for _ in range(40):
             A = Section.from_components(
                 R3, [rnd_field(rng, R3) for _ in range(6)])
@@ -123,6 +181,10 @@ class TestKernelVsCalculus:
             kb = section_kernel_components(B)
             out = section_from_kernel(R3, kernel.sec_dorfman(3, ka, kb, None))
             assert out == dorfman(A, B)
+            # precomputed Jacobians give the same bracket as plain partials
+            assert kernel.sec_dorfman(
+                3, ka, kb, None, kernel.sec_jacobian(3, ka),
+                kernel.sec_jacobian(3, kb)) == section_kernel_components(out)
 
 
 def test_backend_reported():
