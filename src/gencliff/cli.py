@@ -251,7 +251,7 @@ def suite_theorem11(model, cfg):
     T, gate = _relations_prerequisite(model)
     if gate:
         return gate
-    T = verify_triple(T, cfg.max_degree)
+    T = verify_triple(T)
     wit = []
     checks = 0
     for repn in T.status.integrability:
@@ -260,7 +260,7 @@ def suite_theorem11(model, cfg):
             wit.append(f"{repn.name} at ({w[0]}, {w[1]}) -> {w[2]}")
     if not T.status.integrable:
         return ("fail", wit[:10], checks)
-    srep = theorem_1_1(T, cfg.max_degree)
+    srep = theorem_1_1(T)
     for fam in srep.families:
         checks += fam.sample_count
         for w in fam.witnesses:
@@ -285,7 +285,6 @@ def suite_rotations(model, cfg):
         checks += 2
     # rotated family at the configured number of points
     ind = induce(T)
-    deg = min(1, cfg.max_degree)
     for p in tw.sample_points(max(1, cfg.samples), seed=cfg.seed):
         checks += 1
         try:
@@ -297,11 +296,11 @@ def suite_rotations(model, cfg):
             if not all(R.generators[i].entries_equal(ind.J[i])
                        for i in range(3)):
                 wit.append("K(0,0) differs from the induced triple")
-        Rv = verify_triple(R, deg)
+        Rv = verify_triple(R)
         if not Rv.status.integrable:
             wit.append(f"rotated triple not integrable at {p}")
             continue
-        srep = theorem_1_1(Rv, deg)
+        srep = theorem_1_1(Rv)
         checks += sum(f.sample_count for f in srep.families)
         if srep.status != "pass":
             wit.append(f"theorem_1_1 suite failed for rotation at {p}")
@@ -361,7 +360,7 @@ def suite_theorem13(model, cfg):
     T, gate = _relations_prerequisite(model)
     if gate:
         return gate
-    T = verify_triple(T, min(1, cfg.max_degree))
+    T = verify_triple(T)
     if not T.status.integrable:
         return ("fail", ["generator integrability prerequisite failed"],
                 sum(r.sample_count for r in T.status.integrability))
@@ -398,7 +397,7 @@ def suite_tduality(model, cfg):
         wit += [f"intertwine at ({w[0]}, {w[1]}) -> {w[2]}"
                 for w in irep.witnesses]
     points = tw.sample_points(max(5, min(cfg.samples, 8)), seed=cfg.seed)
-    prep = td.props_5_2_to_5_4(phi, T, points, min(1, cfg.max_degree))
+    prep = td.props_5_2_to_5_4(phi, T, points)
     checks += len(prep.checks)
     if not prep.ok:
         wit += [f"failed: {name}" for name in prep.witnesses()]
@@ -633,7 +632,12 @@ def build_parser():
                                      f"({', '.join(sorted(builders.BUILTIN_TRIPLES))})")
     v.add_argument("--suite", default="relations",
                    help="comma-separated suite list, or 'all'")
-    v.add_argument("--max-degree", type=int, default=2)
+    v.add_argument("--max-degree", type=int, default=2,
+                   help="monomial degree bound of the axioms and T-duality "
+                        "intertwine sweeps; the Nijenhuis-type suites "
+                        "(theorem11, rotations, the theorem13 and tduality "
+                        "integrability prerequisites) use the symbol "
+                        "certificate, which holds for all sections")
     v.add_argument("--samples", type=int, default=10)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--output", help="report file (atomic write); stdout if "

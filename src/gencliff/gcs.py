@@ -4,13 +4,24 @@ their vanishing sweeps.
 
 An EndField is a 2n x 2n matrix of ScalarFields acting on sections, carrying
 the flux against which its integrability is judged (mixing structures with
-different fluxes in one concomitant is an error).  Vanishing of a tensor is
-decided on frame sections multiplied by monomials up to a degree bound: frame
-evaluation would suffice if the expression is tensorial, and the monomial
-layer detects non-tensorial anomalies instead of silently trusting
-tensoriality.
+different fluxes in one concomitant is an error).
 
-Every sweep -- ``vanishes``, the commuting-family check of Theorem 1.1 and
+Vanishing of a tensor is decided for all smooth sections by a Leibniz-symbol
+certificate.  Every Nijenhuis-type tensor here is first order in each
+argument and has no df.dg term: both Leibniz rules of the Dorfman bracket,
+[fA,B] = f[A,B] - (rho(B)f)A + 2<A,B>Df and [A,gB] = g[A,B] + (rho(A)g)B,
+are first order, and the H-twist is C-infinity-bilinear.  So
+
+    N(f e_a, g e_b) = fg N0 + g sum_k d_k f P_k + f sum_k d_k g Q_k,
+
+and N0, P_k and Q_k are read exactly from the generator pairs (e_a, e_b),
+(x_k e_a, e_b) and (e_a, x_k e_b), the pairs of total monomial degree <= 1.
+If the tensor vanishes there, it vanishes on every section; the argument
+holds over a rational base too.  An integer degree bound instead sweeps all
+pairs of frame sections times monomials up to that degree, as an opt-in
+cross-check.
+
+Every check -- ``vanishes``, the commuting-family check of Theorem 1.1 and
 the twistor sweep of Theorem 1.3 -- runs the one kernel evaluator
 ``_eval_kernel`` over a fixed-denominator base (``_PowerDen``): sections are
 numerators over powers of one polynomial m, the LCM of the denominators of
@@ -83,13 +94,24 @@ def _is_polynomial_matrix(M):
 def _mat_mul_kernel(A, B):
     """mat_mul for polynomial operands: the numerators multiplied by
     _mat_mul_terms, each result entry wrapped once."""
-    chart = A[0][0].chart
-    zero = ScalarField.zero(chart)
-    one = zero.den
     prod = _mat_mul_terms([[f.num.terms for f in row] for row in A],
                           [[f.num.terms for f in row] for row in B])
+    return _wrap_terms(A[0][0].chart, prod)
+
+
+def _wrap_terms(chart, rows):
+    """The polynomial ScalarField matrix of a matrix of kernel term dicts."""
+    zero = ScalarField.zero(chart)
+    one = zero.den
     return [[ScalarField._unchecked(Poly(chart, p), one) if p else zero
-             for p in row] for row in prod]
+             for p in row] for row in rows]
+
+
+def _entrywise_terms(op, A, B):
+    """op (K.p_add or K.p_sub) on the numerators of two polynomial
+    ScalarField matrices, entry by entry."""
+    return [[op(a.num.terms, b.num.terms) for a, b in zip(r1, r2)]
+            for r1, r2 in zip(A, B)]
 
 
 def _mat_mul_terms(A, B):
@@ -193,8 +215,20 @@ class EndField:
         if self.chart != other.chart:
             raise ChartMismatchError("endomorphisms on different charts")
 
+    def _from_terms(self, rows):
+        """An EndField with self's chart and flux and the polynomial entries
+        given as kernel term dicts."""
+        return EndField(self.chart, _wrap_terms(self.chart, rows), self.flux)
+
+    # +, - and scaling by a constant run on the kernel's term dicts when
+    # every entry is a polynomial, as mat_mul does, and through ScalarField
+    # arithmetic (which normalizes rational entries) otherwise.
+
     def __add__(self, other):
         self._check(other)
+        if self.is_polynomial and other.is_polynomial:
+            return self._from_terms(
+                _entrywise_terms(K.p_add, self.entries, other.entries))
         return EndField(self.chart,
                         [[a + b for a, b in zip(r1, r2)]
                          for r1, r2 in zip(self.entries, other.entries)],
@@ -202,6 +236,9 @@ class EndField:
 
     def __sub__(self, other):
         self._check(other)
+        if self.is_polynomial and other.is_polynomial:
+            return self._from_terms(
+                _entrywise_terms(K.p_sub, self.entries, other.entries))
         return EndField(self.chart,
                         [[a - b for a, b in zip(r1, r2)]
                          for r1, r2 in zip(self.entries, other.entries)],
@@ -212,6 +249,10 @@ class EndField:
                         self.flux)
 
     def scale(self, c):
+        if c.is_constant and self.is_polynomial:
+            k = c.num.terms.get(self.chart._zero, K.C_ZERO)
+            return self._from_terms([[K.p_scale(a.num.terms, k) for a in r]
+                                     for r in self.entries])
         return EndField(self.chart, [[a * c for a in r] for r in self.entries],
                         self.flux)
 
@@ -421,11 +462,16 @@ def bind_real_nijenhuis(G: EndField, name: str = "N_G",
 
 @dataclass
 class TensorReport:
+    """Outcome of one tensor check.  method is "symbol_certificate"
+    (degree_bound None: decided for all smooth sections) or "sweep" (all
+    generator pairs up to the integer degree_bound)."""
+
     name: str
     vanished: bool
-    degree_bound: int
+    degree_bound: int | None
     sample_count: int
     witnesses: list = field(default_factory=list)
+    method: str = "sweep"
 
 
 def generator_labels(chart, degree_bound):
@@ -692,32 +738,48 @@ def _eval_kernel(kind, mats, kflux, n, A, B):
     return [K.p_scale(p, HALF) for p in out]
 
 
-def _residuals(tensor: BoundTensor, degree_bound: int):
-    """The sweep every Nijenhuis-type check shares: (base, pairs), where
-    pairs yields (i, j, P) for each ordered pair of generators in the order
-    of generator_labels, P the numerators of the tensor over m^3.  Each
-    generator's structure images and Jacobians are built once, up front, so
-    a pair only brackets them and applies structures to the brackets."""
+def generator_degree(degree_bound):
+    """Monomial degree of the generators a check runs over: the integer
+    degree bound of a sweep, or 1 for the symbol certificate (None)."""
+    if degree_bound is None:
+        return 1
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
+    return degree_bound
+
+
+def _residuals(tensor: BoundTensor, degree_bound: int | None):
+    """The pairs every Nijenhuis-type check shares: (base, pairs), where
+    pairs yields (i, j, P) for ordered pairs of generators in the order of
+    generator_labels(chart, generator_degree(degree_bound)), P the
+    numerators of the tensor over m^3.  A sweep yields every pair; the
+    symbol certificate (degree_bound None) only the pairs of total monomial
+    degree <= 1.  Each generator's structure images and Jacobians are built
+    once, up front, so a pair only brackets them and applies structures to
+    the brackets."""
+    gens = _kernel_generators(tensor.chart, generator_degree(degree_bound))
     mats, kflux = _kernel_setup(tensor)
     n = tensor.chart.dim
     kind = tensor.kind
-    ops = [_operand(kind, mats, A)
-           for A in _kernel_generators(tensor.chart, degree_bound)]
+    ops = [_operand(kind, mats, A) for A in gens]
+    # a generator's monomial is linear iff its exponents are not all zero
+    linear = [degree_bound is None and any(any(m) for p in A for m in p)
+              for A in gens]
 
     def pairs():
         for i, A in enumerate(ops):
             for j, B in enumerate(ops):
-                yield i, j, _eval_kernel(kind, mats, kflux, n, A, B)
+                if not (linear[i] and linear[j]):
+                    yield i, j, _eval_kernel(kind, mats, kflux, n, A, B)
     return mats["base"], pairs()
 
 
 def _tensor_report(name, degree_bound, base, pairs, max_witnesses):
     """Collect (i, j, numerators over m^3) into a TensorReport: vanished iff
     every numerator is zero, with the first max_witnesses nonzero pairs."""
-    labels = generator_labels(base.chart, degree_bound)
-    report = TensorReport(name, True, degree_bound, 0)
+    labels = generator_labels(base.chart, generator_degree(degree_bound))
+    report = TensorReport(name, True, degree_bound, 0, method=(
+        "symbol_certificate" if degree_bound is None else "sweep"))
     for i, j, out in pairs:
         report.sample_count += 1
         if not K.sec_is_zero(out):
@@ -729,9 +791,15 @@ def _tensor_report(name, degree_bound, base, pairs, max_witnesses):
     return report
 
 
-def vanishes(tensor: BoundTensor, degree_bound: int = 2,
+def vanishes(tensor: BoundTensor, degree_bound: int | None = None,
              max_witnesses: int = 10) -> TensorReport:
-    """Evaluate the bound tensor on all pairs (m*e_a, m'*e_b) of frame
+    """Decide whether the bound tensor vanishes.
+
+    With degree_bound None (the default) this is the symbol certificate: the
+    tensor is evaluated on the 2n * 2n * (1 + 2n) pairs (e_a, e_b),
+    (x_k e_a, e_b) and (e_a, x_k e_b), and vanished=True means it vanishes
+    for all smooth sections (see the module docstring).  With an integer
+    degree_bound it is evaluated on all pairs (m*e_a, m'*e_b) of frame
     sections times monomials of degree <= degree_bound.
 
     vanished is True iff every output is exactly zero; otherwise the first

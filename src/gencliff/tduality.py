@@ -200,9 +200,10 @@ class TDualityReport:
 
 
 def props_5_2_to_5_4(phi: CourantIso, T: CliffordTriple, points,
-                     degree_bound: int = 1) -> TDualityReport:
+                     degree_bound: int | None = None) -> TDualityReport:
     """(a) the conjugated triple is again a (twisted) Clifford triple
-    (relations + integrability at the degree bound); (b) induce commutes with
+    (relations + integrability by ``verify_triple``: the symbol certificate,
+    or a sweep for an integer degree_bound); (b) induce commutes with
     conjugation, including G~ = Phi G Phi^-1; (c, d) the rotated family
     commutes with conjugation at every supplied twistor point."""
     from .clifford import verify_triple

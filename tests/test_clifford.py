@@ -195,6 +195,67 @@ class TestTheorem11:
         assert got == Section.frame(R4, 7)
 
 
+def nonclosed_bfield_triple():
+    """hyperkahler_r4 transformed by B = x1 dx2^dx3 with the flux dB
+    dropped: the Clifford relations hold, integrability does not."""
+    from gencliff.cartan import KForm
+    from gencliff.gcs import bfield_transform
+    B = KForm.basis(R4, (1, 2)).scale(ScalarField.variable(R4, 0))
+    return CliffordTriple(*[EndField(R4, bfield_transform(E, B).entries)
+                            for E in hyperkahler_r4().generators])
+
+
+def certificate_pair(witness):
+    """True iff a witness's generator pair has total monomial degree <= 1
+    (a generator label carries a '*' iff its monomial is not 1)."""
+    return not ("*" in witness[0] and "*" in witness[1])
+
+
+class TestSymbolCertificate:
+    """The Leibniz-symbol certificate (degree_bound None) against the
+    degree-1 sweep it replaces on the fast path."""
+
+    CERT_PAIRS = 8 * 8 * (1 + 2 * 4)
+
+    def test_verdicts_agree_with_degree_one_sweep(self):
+        cert = verify_triple(hyperkahler_r4())
+        sweep = verify_triple(hyperkahler_r4(), 1)
+        reports = list(zip(cert.status.integrability,
+                           sweep.status.integrability))
+        for mode in ("verify", "strict"):
+            c = theorem_1_1(cert, mode=mode)
+            s = theorem_1_1(sweep, 1, mode=mode)
+            assert c.status == s.status
+            assert "Leibniz-symbol certificate" in c.note
+            assert "sweep" in s.note
+            reports += list(zip(c.families, s.families))
+        assert len(reports) == 3 + 2 * 21
+        for c, s in reports:
+            assert c.name == s.name
+            assert c.vanished == s.vanished, c.name
+            assert c.method == "symbol_certificate" and s.method == "sweep"
+            if c.vanished:      # a failing family stops at 10 witnesses
+                assert c.sample_count == self.CERT_PAIRS
+                assert s.sample_count == (8 * 5) ** 2
+        # the non-tensorial commuting families are seen by the certificate
+        assert {c.name for c, _ in reports if not c.vanished} == \
+            {"N(I1,J1)", "N(I2,J2)", "N(I3,J3)"}
+
+    def test_witnesses_are_the_sweep_restricted_to_certificate_pairs(self):
+        from gencliff.gcs import bind_nijenhuis, vanishes
+        T = nonclosed_bfield_triple()
+        assert check_relations(T).ok
+        every = (8 * 5) ** 2
+        for i, E in enumerate(T.generators):
+            tensor = bind_nijenhuis(E, f"N(I{i + 1},I{i + 1})")
+            cert = vanishes(tensor, max_witnesses=every)
+            sweep = vanishes(tensor, 1, max_witnesses=every)
+            assert not cert.vanished and cert.witnesses
+            assert cert.sample_count == self.CERT_PAIRS
+            assert cert.witnesses == [w for w in sweep.witnesses
+                                      if certificate_pair(w)]
+
+
 def conjugate_triple(T, Q):
     """Q I_i Q^-1 for an invertible constant Q."""
     Qinv = Q.inverse()

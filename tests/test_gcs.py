@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from gencliff.scalar import Poly, ScalarField, parse_expr, standard_chart
+from gencliff.scalar import (GaussianRational, Poly, ScalarField, parse_expr,
+                             standard_chart)
 from gencliff.cartan import KForm, exterior_d
 from gencliff.courant import FluxForm, Section, frame_sections, pairing
 from gencliff.gcs import (EndField, FluxMismatchError, bind_concomitant,
@@ -336,6 +337,146 @@ class TestRationalVanishes:
         assert rep.sample_count == len(gens) ** 2
         assert want and rep.witnesses == want
         assert not rep.vanished
+
+
+def nonclosed_bfield_nijenhuis():
+    """N_J of I1 of hyperkahler_r4 transformed by B = x1 dx2^dx3, bound
+    without the flux dB: a polynomial tensor that does not vanish."""
+    B = KForm.basis(R4, (1, 2)).scale(ScalarField.variable(R4, 0))
+    E = EndField(R4, bfield_transform(hyperkahler_r4().I1, B).entries)
+    return bind_nijenhuis(E, "N(I1,I1)")
+
+
+class TestSymbolCertificate:
+    """The certificate's premise, checked on tensors that do not vanish:
+    N(f e_a, g e_b) = fg N0 + g sum_k d_k f P_k + f sum_k d_k g Q_k with
+    N0, P_k and Q_k read from the certificate pairs (e_a, e_b),
+    (x_k e_a, e_b) and (e_a, x_k e_b).  A bracket with a df.dg term, or
+    with a second derivative of f or g, breaks it."""
+
+    @staticmethod
+    def symbol(tensor):
+        """{(a, b): (N0, [P_k], [Q_k])} from the kernel's certificate pairs."""
+        from gencliff.courant import monomials_up_to
+        from gencliff.gcs import _residuals
+        chart = tensor.chart
+        n = chart.dim
+        monos = monomials_up_to(chart, 1)
+        # the variable index of each monomial; None for 1
+        var = [next((k for k, e in enumerate(next(iter(m.terms))) if e), None)
+               for m in monos]
+        base, pairs = _residuals(tensor, None)
+        got = {}
+        for i, j, P in pairs:
+            (a, mi), (b, mj) = divmod(i, len(monos)), divmod(j, len(monos))
+            got[a, var[mi], b, var[mj]] = base.section(P, 3)
+        assert len(got) == (2 * n) ** 2 * (1 + 2 * n)
+        x = [ScalarField.variable(chart, k) for k in range(n)]
+        out = {}
+        for a in range(2 * n):
+            for b in range(2 * n):
+                N0 = got[a, None, b, None]
+                out[a, b] = (N0,
+                             [got[a, k, b, None] - N0.scale(x[k])
+                              for k in range(n)],
+                             [got[a, None, b, k] - N0.scale(x[k])
+                              for k in range(n)])
+        return out
+
+    @staticmethod
+    def rnd_poly(rng, chart):
+        """A seeded polynomial of degree 3 with at most six terms."""
+        from gencliff.courant import monomials_up_to
+        monos = monomials_up_to(chart, 3)
+        terms = {next(iter(m.terms)): Fraction(rng.choice((-1, 1))
+                                                * rng.randint(1, 5),
+                                                rng.randint(1, 4))
+                 for m in [monos[-1]] + rng.sample(monos, 5)}
+        return ScalarField.from_poly(Poly.from_coeffs(chart, terms))
+
+    # (tensor, the parts of its symbol that are nonzero somewhere): N_J is
+    # tensorial, N_G of this metric is not in its first slot; the second
+    # slot's Leibniz terms cancel in every Nijenhuis-type tensor
+    @pytest.mark.parametrize("tensor, parts", [
+        (nonclosed_bfield_nijenhuis(), {"N0"}),
+        (rational_tensors()[0], {"N0", "P"})], ids=["N_J", "N_G"])
+    def test_symbol_predicts_every_section_pair(self, tensor, parts):
+        chart = tensor.chart
+        n = chart.dim
+        symbol = self.symbol(tensor)
+        nonzero = {name for N0, P, Q in symbol.values()
+                   for name, secs in (("N0", [N0]), ("P", P), ("Q", Q))
+                   if any(not s.is_zero for s in secs)}
+        assert nonzero == parts
+        rng = random.Random(61 + n)
+        for (a, b), (N0, P, Q) in symbol.items():
+            f, g = self.rnd_poly(rng, chart), self.rnd_poly(rng, chart)
+            want = N0.scale(f * g)
+            for k in range(n):
+                want = (want + P[k].scale(g * f.diff(k))
+                        + Q[k].scale(f * g.diff(k)))
+            got = tensor.evaluate(Section.frame(chart, a).scale(f),
+                                  Section.frame(chart, b).scale(g))
+            assert got == want, (a, b)
+
+
+class TestEndFieldArithmetic:
+    """+, - and scaling by a constant take the kernel route on polynomial
+    entries and must equal the ScalarField route entry for entry."""
+
+    @staticmethod
+    def rotated_triple():
+        from gencliff.clifford import TripleStatus, check_relations
+        from gencliff.twistor import rotate_family, sample_points
+        T = hyperkahler_r4()
+        T = T.with_status(TripleStatus(check_relations(T), ()))
+        return rotate_family(T, sample_points(4, seed=3)[3])
+
+    def test_kernel_route_equals_scalar_route(self, monkeypatch):
+        import gencliff.gcs as gcs
+        K1, K2, K3 = self.rotated_triple().generators
+        B = KForm.basis(R4, (0, 1)).scale(ScalarField.variable(R4, 2))
+        P = bfield_transform(K3, B).with_flux(None)     # polynomial entries
+        assert K1.is_constant and P.is_polynomial and not P.is_constant
+        consts = [ScalarField.constant(R4, c) for c in
+                  (0, 1, -1, Fraction(-3, 7), GaussianRational(2, -5))]
+        calls = []
+        route = gcs._wrap_terms
+        monkeypatch.setattr(gcs, "_wrap_terms",
+                            lambda c, rows: calls.append(1) or route(c, rows))
+        for X, Y in ((K1, K2), (K2, K1), (K1, P), (P, K3), (K1, K1)):
+            pairs = zip(X.entries, Y.entries)
+            assert (X + Y).entries == tuple(
+                tuple(a + b for a, b in zip(r, s)) for r, s in pairs)
+            pairs = zip(X.entries, Y.entries)
+            assert (X - Y).entries == tuple(
+                tuple(a - b for a, b in zip(r, s)) for r, s in pairs)
+        for X in (K1, P):
+            for c in consts:
+                assert X.scale(c).entries == tuple(
+                    tuple(a * c for a in r) for r in X.entries)
+        assert (K1 - K1).is_zero
+        assert len(calls) == 5 * 2 + 2 * len(consts) + 1
+
+    def test_rational_entries_take_scalar_route(self, monkeypatch):
+        import gencliff.gcs as gcs
+
+        def refuse(chart, rows):
+            raise AssertionError("rational entry on the kernel route")
+
+        K1 = self.rotated_triple().I1
+        x1 = Poly.variable(R4, 0)
+        rows = [list(r) for r in K1.entries]
+        rows[0][1] = ScalarField(x1, x1 + 1)
+        Q = EndField(R4, rows)
+        half = ScalarField.constant(R4, Fraction(1, 2))
+        monkeypatch.setattr(gcs, "_wrap_terms", refuse)
+        assert (Q + K1).entries[0][1] == rows[0][1] + K1.entries[0][1]
+        assert (K1 - Q).entries[0][1] == K1.entries[0][1] - rows[0][1]
+        assert Q.scale(half).entries[0][1] == rows[0][1] * half
+        # a non-constant factor also takes the ScalarField route
+        assert K1.scale(ScalarField.from_poly(x1)).entries[0][0] == \
+            K1.entries[0][0] * ScalarField.from_poly(x1)
 
 
 class TestGeneralizedMetric:
