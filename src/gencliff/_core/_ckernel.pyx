@@ -113,8 +113,9 @@ cpdef dict p_scale(dict p, tuple c):
 
 
 cpdef dict p_mul(dict p, dict q):
-    # term products summed unnormalized per output monomial; one c_make per
-    # output term (see pykernel.p_mul)
+    # term products summed unnormalized per output monomial, mixed
+    # denominators merged over their LCM; one c_make per output term (see
+    # pykernel.p_mul)
     cdef dict acc = {}
     cdef dict out = {}
     cdef Py_ssize_t i, n
@@ -139,7 +140,9 @@ cpdef dict p_mul(dict p, dict q):
                 acc[m] = ((<tuple>x)[0] + a, (<tuple>x)[1] + b, d)
             else:
                 xa, xb, xd = <tuple>x
-                acc[m] = (xa * d + a * xd, xb * d + b * xd, xd * d)
+                g = gcd(xd, d)
+                u, v = d // g, xd // g
+                acc[m] = (xa * u + a * v, xb * u + b * v, xd * u)
     for m, x in acc.items():
         a, b, d = <tuple>x
         if a or b:

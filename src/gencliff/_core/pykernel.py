@@ -142,7 +142,9 @@ def p_mul(p, q):
     The term products of each output monomial are summed as unnormalized
     triples (numerators added directly over a shared denominator) and each
     output coefficient is normalized once, so one gcd is taken per output
-    term rather than per term product.
+    term rather than per term product.  Partial sums over different
+    denominators merge over their LCM, so a sum's denominator stays the LCM
+    of its term products' denominators instead of growing as their product.
     """
     if not p or not q:
         return {}
@@ -160,7 +162,9 @@ def p_mul(p, q):
                 acc[m] = (x[0] + a, x[1] + b, d)
             else:
                 xa, xb, xd = x
-                acc[m] = (xa * d + a * xd, xb * d + b * xd, xd * d)
+                g = gcd(xd, d)
+                u, v = d // g, xd // g
+                acc[m] = (xa * u + a * v, xb * u + b * v, xd * u)
     out = {}
     for m, (a, b, d) in acc.items():
         if a or b:

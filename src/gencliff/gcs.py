@@ -17,9 +17,13 @@ are first order, and the H-twist is C-infinity-bilinear.  So
 and N0, P_k and Q_k are read exactly from the generator pairs (e_a, e_b),
 (x_k e_a, e_b) and (e_a, x_k e_b), the pairs of total monomial degree <= 1.
 If the tensor vanishes there, it vanishes on every section; the argument
-holds over a rational base too.  An integer degree bound instead sweeps all
-pairs of frame sections times monomials up to that degree, as an opt-in
-cross-check.
+holds over a rational base too.  The second slot's Leibniz terms
+(rho(A)g)B cancel in pairs in every concomitant, and in N_J or N_G exactly
+when J^2 = -Id or G^2 = Id, which is checked on the structure's numerators.
+Then Q_k = 0 and the pairs (e_a, x_k e_b) are dropped: 2n * 2n * (1 + n)
+pairs per tensor (320 at n = 4) instead of 2n * 2n * (1 + 2n) (576).  An
+integer degree bound instead sweeps all pairs of frame sections times
+monomials up to that degree, as an opt-in cross-check.
 
 Every check -- ``vanishes``, the commuting-family check of Theorem 1.1 and
 the twistor sweep of Theorem 1.3 -- runs the one kernel evaluator
@@ -668,10 +672,11 @@ def _sparse_rows(M, const):
 
 
 def _kernel_setup(tensor: BoundTensor):
-    """(mats, kflux) for _eval_kernel: the base, the structures as
+    """(mats, kflux, nums) for _eval_kernel: the base, the structures as
     numerators over m^1 in kernel matrix layout (constant coefficients when
-    the base is the unit and every structure is constant), and the flux
-    coefficients as numerators over m^1 (None for zero flux)."""
+    the base is the unit and every structure is constant), the flux
+    coefficients as numerators over m^1 (None for zero flux), and the
+    structures' dense numerator rows over m^1."""
     structs = tensor.structures
     flux = {} if tensor.flux is None else tensor.flux.H.coeffs
     base = _PowerDen.lcm(tensor.chart,
@@ -687,7 +692,28 @@ def _kernel_setup(tensor: BoundTensor):
         mats["IJ"] = _sparse_rows(_mat_mul_terms(I, J), const)
         mats["JI"] = _sparse_rows(_mat_mul_terms(J, I), const)
     kflux = {idx: base.numerator(f) for idx, f in flux.items()}
-    return mats, kflux or None
+    return mats, kflux or None, nums
+
+
+def _second_slot_tensorial(kind, base, nums):
+    """True iff the tensor is C-infinity-linear in its second slot, so that
+    Q_k = 0.  From [A, gB] = g[A,B] + (rho(A)g)B and the C-infinity-bilinear
+    H-twist:
+
+        N(I,J)(A, gB) = g N(I,J)(A,B)           (the six rho(.)g terms cancel)
+        N_J(A, gB)    = g N_J(A,B) - (rho(A)g)(J^2 + 1)B
+        N_G(A, gB)    = g N_G(A,B) - (rho(A)g)(G^2 - 1)B
+
+    so a concomitant always is, N_J iff J^2 = -Id and N_G iff G^2 = Id,
+    decided exactly on the numerators over m^1: S S = -+m^2 Id."""
+    if kind == "concomitant":
+        return True
+    S, = nums
+    m2 = base.mpow(2)
+    diag = m2 if kind == "real_nijenhuis" else K.p_neg(m2)
+    return all(e == (diag if i == j else {})
+               for i, row in enumerate(_mat_mul_terms(S, S))
+               for j, e in enumerate(row))
 
 
 def _operand(kind, mats, A):
@@ -752,24 +778,29 @@ def _residuals(tensor: BoundTensor, degree_bound: int | None):
     """The pairs every Nijenhuis-type check shares: (base, pairs), where
     pairs yields (i, j, P) for ordered pairs of generators in the order of
     generator_labels(chart, generator_degree(degree_bound)), P the
-    numerators of the tensor over m^3.  A sweep yields every pair; the
-    symbol certificate (degree_bound None) only the pairs of total monomial
-    degree <= 1.  Each generator's structure images and Jacobians are built
-    once, up front, so a pair only brackets them and applies structures to
-    the brackets."""
+    numerators of the tensor over m^3.  A sweep yields every pair.  The
+    symbol certificate (degree_bound None) yields the pairs (e_a, e_b) and
+    (x_k e_a, e_b), which read N0 and P_k, and also the pairs (e_a, x_k e_b),
+    which read Q_k, unless _second_slot_tensorial proves Q_k = 0.  Each
+    generator's structure images and Jacobians are built once, up front, so
+    a pair only brackets them and applies structures to the brackets."""
     gens = _kernel_generators(tensor.chart, generator_degree(degree_bound))
-    mats, kflux = _kernel_setup(tensor)
+    mats, kflux, nums = _kernel_setup(tensor)
     n = tensor.chart.dim
     kind = tensor.kind
     ops = [_operand(kind, mats, A) for A in gens]
     # a generator's monomial is linear iff its exponents are not all zero
     linear = [degree_bound is None and any(any(m) for p in A for m in p)
               for A in gens]
+    q_free = degree_bound is None and _second_slot_tensorial(
+        kind, mats["base"], nums)
 
+    # a sweep keeps every pair; the certificate keeps (e_a, e_b) and
+    # (x_k e_a, e_b), and (e_a, x_k e_b) too unless Q_k = 0 is proven
     def pairs():
         for i, A in enumerate(ops):
             for j, B in enumerate(ops):
-                if not (linear[i] and linear[j]):
+                if not linear[j] or not (q_free or linear[i]):
                     yield i, j, _eval_kernel(kind, mats, kflux, n, A, B)
     return mats["base"], pairs()
 
@@ -796,11 +827,14 @@ def vanishes(tensor: BoundTensor, degree_bound: int | None = None,
     """Decide whether the bound tensor vanishes.
 
     With degree_bound None (the default) this is the symbol certificate: the
-    tensor is evaluated on the 2n * 2n * (1 + 2n) pairs (e_a, e_b),
-    (x_k e_a, e_b) and (e_a, x_k e_b), and vanished=True means it vanishes
-    for all smooth sections (see the module docstring).  With an integer
-    degree_bound it is evaluated on all pairs (m*e_a, m'*e_b) of frame
-    sections times monomials of degree <= degree_bound.
+    tensor is evaluated on the pairs (e_a, e_b), (x_k e_a, e_b) and
+    (e_a, x_k e_b), and vanished=True means it vanishes for all smooth
+    sections (see the module docstring).  The pairs (e_a, x_k e_b) only read
+    Q_k and are skipped when Q_k = 0 is proven: always for a concomitant,
+    and for N_J or N_G when J^2 = -Id or G^2 = Id holds exactly.  That is
+    2n * 2n * (1 + n) pairs, against 2n * 2n * (1 + 2n) otherwise.  With an
+    integer degree_bound it is evaluated on all pairs (m*e_a, m'*e_b) of
+    frame sections times monomials of degree <= degree_bound.
 
     vanished is True iff every output is exactly zero; otherwise the first
     max_witnesses witnesses (in the fixed generator order) are reported.

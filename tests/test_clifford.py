@@ -206,16 +206,18 @@ def nonclosed_bfield_triple():
 
 
 def certificate_pair(witness):
-    """True iff a witness's generator pair has total monomial degree <= 1
-    (a generator label carries a '*' iff its monomial is not 1)."""
-    return not ("*" in witness[0] and "*" in witness[1])
+    """True iff a witness's generator pair is (e_a, e_b) or (x_k e_a, e_b),
+    the certificate's pairs when Q_k = 0 is proven (a generator label
+    carries a '*' iff its monomial is not 1)."""
+    return "*" not in witness[1]
 
 
 class TestSymbolCertificate:
     """The Leibniz-symbol certificate (degree_bound None) against the
     degree-1 sweep it replaces on the fast path."""
 
-    CERT_PAIRS = 8 * 8 * (1 + 2 * 4)
+    # every tensor here is Q-free: a concomitant, or N_J with J^2 = -Id
+    CERT_PAIRS = 8 * 8 * (1 + 4)
 
     def test_verdicts_agree_with_degree_one_sweep(self):
         cert = verify_triple(hyperkahler_r4())

@@ -318,12 +318,19 @@ def rational_tensors():
             bind_nijenhuis(metric("1", "1", "x1"), "N(E,E)", H)]
 
 
+def rational_tensor(name):
+    """The tensor of rational_tensors() with that name."""
+    return next(t for t in rational_tensors() if t.name == name)
+
+
 class TestRationalVanishes:
-    @pytest.mark.parametrize("tensor", rational_tensors(),
-                             ids=lambda t: t.name)
-    def test_matches_reference_on_every_pair(self, tensor):
+    # built inside the test, so that a defect in EndField arithmetic fails
+    # these tests rather than the collection of the module
+    @pytest.mark.parametrize("name", ["N_G", "N(G,G')", "N(E,E)"])
+    def test_matches_reference_on_every_pair(self, name):
         # the kernel sweep over the LCM base against the ScalarField
         # formulas, witness by witness, at degree 1
+        tensor = rational_tensor(name)
         chart = tensor.chart
         labels = generator_labels(chart, 1)
         gens = generator_sections(chart, 1)
@@ -347,41 +354,88 @@ def nonclosed_bfield_nijenhuis():
     return bind_nijenhuis(E, "N(I1,I1)")
 
 
+def random_concomitant():
+    """N(I,J) of two seeded random polynomial structures on R^3 of degree
+    <= 1 that do not commute, are not orthogonal and square to neither Id
+    nor -Id."""
+    from tests.test_scalar import rnd_poly
+    R3 = standard_chart(3)
+    rng = random.Random(29)
+
+    def rnd_structure():
+        return EndField(R3, [[ScalarField.from_poly(
+            rnd_poly(rng, R3, deg=1, terms=2)) if rng.random() < 0.4
+            else ScalarField.zero(R3) for _ in range(6)] for _ in range(6)])
+    I, J = rnd_structure(), rnd_structure()
+    assert not (I @ J).entries_equal(J @ I)
+    for S in (I, J):
+        assert not (is_orthogonal(S) or (S @ S).is_constant)
+    return bind_concomitant(I, J, "N(I,J)")
+
+
+def scaled_nijenhuis():
+    """N_J of J = 2 I1 of hyperkahler_r4: J^2 = -4 Id, so the second slot's
+    Leibniz term -(rho(A)g)(J^2 + 1)B = 3 (rho(A)g)B survives."""
+    J = hyperkahler_r4().I1.scale(ScalarField.constant(R4, 2))
+    return bind_nijenhuis(J, "N(2I1,2I1)")
+
+
 class TestSymbolCertificate:
     """The certificate's premise, checked on tensors that do not vanish:
     N(f e_a, g e_b) = fg N0 + g sum_k d_k f P_k + f sum_k d_k g Q_k with
-    N0, P_k and Q_k read from the certificate pairs (e_a, e_b),
-    (x_k e_a, e_b) and (e_a, x_k e_b).  A bracket with a df.dg term, or
-    with a second derivative of f or g, breaks it."""
+    N0, P_k and Q_k read from the pairs (e_a, e_b), (x_k e_a, e_b) and
+    (e_a, x_k e_b).  A bracket with a df.dg term, with a second derivative
+    of f or g, or with a wrong (rho(A)g)B term in its second slot breaks
+    it."""
+
+    # id: (tensor builder, the parts of its symbol that are nonzero
+    # somewhere).  N_J and the concomitant are tensorial in the first slot,
+    # N_G of this metric and N_J of 2 I1 are not; Q_k = 0 is proven for all
+    # but N_J of 2 I1, whose J^2 = -4 Id
+    CASES = {"N_J": (nonclosed_bfield_nijenhuis, {"N0"}),
+             "N_G": (lambda: rational_tensor("N_G"), {"N0", "P"}),
+             "N(I,J)": (random_concomitant, {"N0", "P"}),
+             "N(2I1,2I1)": (scaled_nijenhuis, {"P", "Q"})}
 
     @staticmethod
-    def symbol(tensor):
-        """{(a, b): (N0, [P_k], [Q_k])} from the kernel's certificate pairs."""
+    def pairs(tensor, degree_bound):
+        """(base, {(a, k, b, l): numerators over m^3}) over the pairs
+        _residuals yields, k and l the variable index of the monomials (None
+        for 1)."""
         from gencliff.courant import monomials_up_to
         from gencliff.gcs import _residuals
-        chart = tensor.chart
-        n = chart.dim
-        monos = monomials_up_to(chart, 1)
-        # the variable index of each monomial; None for 1
         var = [next((k for k, e in enumerate(next(iter(m.terms))) if e), None)
-               for m in monos]
-        base, pairs = _residuals(tensor, None)
+               for m in monomials_up_to(tensor.chart, 1)]
+        base, pairs = _residuals(tensor, degree_bound)
         got = {}
         for i, j, P in pairs:
-            (a, mi), (b, mj) = divmod(i, len(monos)), divmod(j, len(monos))
-            got[a, var[mi], b, var[mj]] = base.section(P, 3)
-        assert len(got) == (2 * n) ** 2 * (1 + 2 * n)
+            (a, mi), (b, mj) = divmod(i, len(var)), divmod(j, len(var))
+            got[a, var[mi], b, var[mj]] = P
+        return base, got
+
+    @classmethod
+    def symbol(cls, tensor):
+        """({(a, b): (N0, [P_k], [Q_k])}, the number of certificate pairs).
+        N0 and P_k are read from the certificate's pairs, Q_k from the pairs
+        (e_a, x_k e_b) of the degree-1 sweep, which the certificate skips
+        when it proves Q_k = 0."""
+        chart = tensor.chart
+        n = chart.dim
+        base, cert = cls.pairs(tensor, None)
+        _, sweep = cls.pairs(tensor, 1)
+        assert all(sweep[key] == P for key, P in cert.items())
         x = [ScalarField.variable(chart, k) for k in range(n)]
         out = {}
         for a in range(2 * n):
             for b in range(2 * n):
-                N0 = got[a, None, b, None]
-                out[a, b] = (N0,
-                             [got[a, k, b, None] - N0.scale(x[k])
-                              for k in range(n)],
-                             [got[a, None, b, k] - N0.scale(x[k])
-                              for k in range(n)])
-        return out
+                N0 = base.section(cert[a, None, b, None], 3)
+                out[a, b] = (
+                    N0,
+                    [base.section(cert[a, k, b, None], 3) - N0.scale(x[k])
+                     for k in range(n)],
+                    [base.section(sweep[a, None, b, k], 3) - N0.scale(x[k])
+                     for k in range(n)])
+        return out, len(cert)
 
     @staticmethod
     def rnd_poly(rng, chart):
@@ -394,20 +448,21 @@ class TestSymbolCertificate:
                  for m in [monos[-1]] + rng.sample(monos, 5)}
         return ScalarField.from_poly(Poly.from_coeffs(chart, terms))
 
-    # (tensor, the parts of its symbol that are nonzero somewhere): N_J is
-    # tensorial, N_G of this metric is not in its first slot; the second
-    # slot's Leibniz terms cancel in every Nijenhuis-type tensor
-    @pytest.mark.parametrize("tensor, parts", [
-        (nonclosed_bfield_nijenhuis(), {"N0"}),
-        (rational_tensors()[0], {"N0", "P"})], ids=["N_J", "N_G"])
-    def test_symbol_predicts_every_section_pair(self, tensor, parts):
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_symbol_predicts_every_section_pair(self, case):
+        build, parts = self.CASES[case]
+        tensor = build()
         chart = tensor.chart
         n = chart.dim
-        symbol = self.symbol(tensor)
+        symbol, count = self.symbol(tensor)
         nonzero = {name for N0, P, Q in symbol.values()
                    for name, secs in (("N0", [N0]), ("P", P), ("Q", Q))
                    if any(not s.is_zero for s in secs)}
         assert nonzero == parts
+        # (e_a, e_b) and (x_k e_a, e_b), plus (e_a, x_k e_b) unless Q = 0
+        # is proven: 320 and 576 pairs at n = 4
+        per_pair = 1 + n if "Q" not in parts else 1 + 2 * n
+        assert count == (2 * n) ** 2 * per_pair
         rng = random.Random(61 + n)
         for (a, b), (N0, P, Q) in symbol.items():
             f, g = self.rnd_poly(rng, chart), self.rnd_poly(rng, chart)
@@ -418,6 +473,27 @@ class TestSymbolCertificate:
             got = tensor.evaluate(Section.frame(chart, a).scale(f),
                                   Section.frame(chart, b).scale(g))
             assert got == want, (a, b)
+
+    def test_q_is_the_second_slot_leibniz_term(self):
+        # N_J(A, gB) = g N_J(A, B) - (rho(A)g)(J^2 + 1)B with J^2 = -4 Id:
+        # Q_k at (e_a, e_b) is 3 e_b when e_a = d/dx_k, else 0
+        symbol, _ = self.symbol(scaled_nijenhuis())
+        for (a, b), (_, _, Q) in symbol.items():
+            for k, q in enumerate(Q):
+                want = Section.frame(R4, b).scale(ScalarField.constant(R4, 3))
+                assert q == (want if a == k else Section.zero(R4)), (a, b, k)
+
+    def test_q_nonzero_keeps_every_pair_and_the_sweep_verdict(self):
+        tensor = scaled_nijenhuis()
+        every = (8 * 5) ** 2
+        cert = vanishes(tensor, max_witnesses=every)
+        sweep = vanishes(tensor, 1, max_witnesses=every)
+        assert not cert.vanished and not sweep.vanished
+        assert cert.sample_count == 8 * 8 * (1 + 2 * 4)
+        assert cert.witnesses == [w for w in sweep.witnesses
+                                  if not ("*" in w[0] and "*" in w[1])]
+        # a witness on a pair (e_a, x_k e_b), which only Q_k makes nonzero
+        assert any("*" in w[1] and "*" not in w[0] for w in cert.witnesses)
 
 
 class TestEndFieldArithmetic:

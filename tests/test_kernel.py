@@ -2,6 +2,7 @@
 bracket against the composed exterior-calculus route."""
 
 import random
+from math import lcm
 
 import pytest
 
@@ -64,6 +65,37 @@ class TestCoefficients:
             assert pykernel.c_mul(x, pykernel.c_inv(x)) == pykernel.C_ONE
             assert pykernel.c_add(x, pykernel.c_neg(x)) == pykernel.C_ZERO
             assert pykernel.c_mul(x, y) == pykernel.c_mul(y, x)
+
+
+class TestPolyMulDenominators:
+    def test_mixed_denominators_merge_over_their_lcm(self, monkeypatch):
+        # each operand's coefficient denominators are pairwise coprime
+        # primes, so term products landing on one monomial share factors;
+        # the denominator p_mul hands to c_make must divide their LCM, which
+        # cross-multiplying the partial sums exceeds
+        rng = random.Random(5)
+        primes = (2, 3, 5, 7, 11, 13)
+        monos = [(i, j) for i in range(3) for j in range(3)]
+
+        def operand():
+            return {m: (rng.choice((-1, 1)), rng.randint(-9, 9), d)
+                    for m, d in zip(rng.sample(monos, len(primes)), primes)}
+        p, q = operand(), operand()
+        lcms, prods = {}, {}
+        for m1, (_, _, d1) in p.items():
+            for m2, (_, _, d2) in q.items():
+                m = (m1[0] + m2[0], m1[1] + m2[1])
+                lcms[m] = lcm(lcms.get(m, 1), d1 * d2)
+                prods[m] = prods.get(m, 1) * d1 * d2
+        assert any(lcms[m] < prods[m] for m in lcms)
+        make = pykernel.c_make
+        want = pykernel.p_mul(p, q)
+        monkeypatch.setattr(pykernel, "c_make", lambda a, b, d: (a, b, d))
+        handed = pykernel.p_mul(p, q)
+        assert handed.keys() == want.keys()
+        for m, (a, b, d) in handed.items():
+            assert lcms[m] % d == 0, (m, d, lcms[m])
+            assert make(a, b, d) == want[m]
 
 
 @pytest.mark.skipif(_ckernel is None, reason="compiled kernel not built")
