@@ -62,41 +62,46 @@ cpdef tuple c_inv(tuple x):
     return c_make(a * d, -b * d, n)
 
 
-cpdef dict p_add(dict p, dict q):
-    cdef dict out
-    if not p:
-        return dict(q)
-    if not q:
-        return dict(p)
-    out = dict(p)
+cdef _p_iadd(dict acc, dict q):
+    # acc += q in place; acc is a dict the caller owns (see pykernel._p_iadd)
+    if not acc:
+        acc.update(q)
+        return
     for m, c in q.items():
-        x = out.get(m)
+        x = acc.get(m)
         if x is None:
-            out[m] = c
+            acc[m] = c
         else:
-            s = c_add(x, c)
+            s = c_add(<tuple>x, <tuple>c)
             if s[0] == 0 and s[1] == 0:
-                del out[m]
+                del acc[m]
             else:
-                out[m] = s
+                acc[m] = s
+
+
+cdef _p_isub(dict acc, dict q):
+    for m, c in q.items():
+        x = acc.get(m)
+        if x is None:
+            acc[m] = (-c[0], -c[1], c[2])
+        else:
+            s = c_sub(<tuple>x, <tuple>c)
+            if s[0] == 0 and s[1] == 0:
+                del acc[m]
+            else:
+                acc[m] = s
+
+
+cpdef dict p_add(dict p, dict q):
+    cdef dict out = dict(p)
+    _p_iadd(out, q)
     return out
 
 
 cpdef dict p_sub(dict p, dict q):
-    cdef dict out
-    if not q:
-        return dict(p)
-    out = dict(p)
-    for m, c in q.items():
-        x = out.get(m)
-        if x is None:
-            out[m] = (-c[0], -c[1], c[2])
-        else:
-            s = c_sub(x, c)
-            if s[0] == 0 and s[1] == 0:
-                del out[m]
-            else:
-                out[m] = s
+    cdef dict out = dict(p)
+    if q:
+        _p_isub(out, q)
     return out
 
 
@@ -193,7 +198,7 @@ cpdef list mat_apply_const(list M, list A):
         for j, c in <list>row:
             aj = A[j]
             if aj:
-                acc = p_add(acc, p_scale(<dict>aj, <tuple>c))
+                _p_iadd(acc, p_scale(<dict>aj, <tuple>c))
         out.append(acc)
     return out
 
@@ -206,7 +211,7 @@ cpdef list mat_apply_poly(list M, list A):
         for j, pe in <list>row:
             aj = A[j]
             if aj:
-                acc = p_add(acc, p_mul(<dict>pe, <dict>aj))
+                _p_iadd(acc, p_mul(<dict>pe, <dict>aj))
         out.append(acc)
     return out
 
@@ -222,13 +227,13 @@ cpdef list flux_contract(Py_ssize_t n, list X, list Y, dict H):
         yi, yj, yk = Y[i], Y[j], Y[k]
         t = p_sub(p_mul(<dict>xi, <dict>yj), p_mul(<dict>xj, <dict>yi))
         if t:
-            out[k] = p_add(<dict>out[k], p_mul(<dict>h, t))
+            _p_iadd(<dict>out[k], p_mul(<dict>h, t))
         t = p_sub(p_mul(<dict>xk, <dict>yi), p_mul(<dict>xi, <dict>yk))
         if t:
-            out[j] = p_add(<dict>out[j], p_mul(<dict>h, t))
+            _p_iadd(<dict>out[j], p_mul(<dict>h, t))
         t = p_sub(p_mul(<dict>xj, <dict>yk), p_mul(<dict>xk, <dict>yj))
         if t:
-            out[i] = p_add(<dict>out[i], p_mul(<dict>h, t))
+            _p_iadd(<dict>out[i], p_mul(<dict>h, t))
     return out
 
 
@@ -254,12 +259,12 @@ cpdef list sec_dorfman(Py_ssize_t n, list A, list B, H=None, dA=None,
             if xj and dBi is not None:
                 d = (<list>dBi)[j]
                 if d:
-                    acc = p_add(acc, p_mul(<dict>xj, d))
+                    _p_iadd(acc, p_mul(<dict>xj, d))
             yj = B[j]
             if yj and dAi is not None:
                 d = (<list>dAi)[j]
                 if d:
-                    acc = p_sub(acc, p_mul(<dict>yj, d))
+                    _p_isub(acc, p_mul(<dict>yj, d))
         out[i] = acc
     for i in range(n):
         acc = {}
@@ -269,28 +274,28 @@ cpdef list sec_dorfman(Py_ssize_t n, list A, list B, H=None, dA=None,
             if xj and dBni is not None:
                 d = (<list>dBni)[j]
                 if d:
-                    acc = p_add(acc, p_mul(<dict>xj, d))
+                    _p_iadd(acc, p_mul(<dict>xj, d))
             ej = B[n + j]
             if ej and jA[j] is not None:
                 d = (<list>jA[j])[i]
                 if d:
-                    acc = p_add(acc, p_mul(<dict>ej, d))
+                    _p_iadd(acc, p_mul(<dict>ej, d))
             yj = B[j]
             if yj:
                 if dAni is not None:
                     d = (<list>dAni)[j]
                     if d:
-                        acc = p_sub(acc, p_mul(<dict>yj, d))
+                        _p_isub(acc, p_mul(<dict>yj, d))
                 if jA[n + j] is not None:
                     d = (<list>jA[n + j])[i]
                     if d:
-                        acc = p_add(acc, p_mul(<dict>yj, d))
+                        _p_iadd(acc, p_mul(<dict>yj, d))
         out[n + i] = acc
     if H:
         hpart = flux_contract(n, A, B, <dict>H)
         for i in range(n):
             if hpart[i]:
-                out[n + i] = p_sub(<dict>out[n + i], <dict>hpart[i])
+                _p_isub(<dict>out[n + i], <dict>hpart[i])
     return out
 
 
@@ -300,4 +305,9 @@ cpdef list sec_jacobi_residual(Py_ssize_t n, tuple A, tuple B, tuple C, H,
     cdef list t1 = sec_dorfman(n, A[0], BC[0], H, A[1], BC[1])
     cdef list t2 = sec_dorfman(n, AB[0], C[0], H, AB[1], C[1])
     cdef list t3 = sec_dorfman(n, B[0], AC[0], H, B[1], AC[1])
-    return [p_sub(p_sub(a, b), c) for a, b, c in zip(t1, t2, t3)]
+    for a, b, c in zip(t1, t2, t3):
+        if b:
+            _p_isub(<dict>a, <dict>b)
+        if c:
+            _p_isub(<dict>a, <dict>c)
+    return t1

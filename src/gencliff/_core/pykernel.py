@@ -23,7 +23,8 @@ Data layout (shared by both kernels, never mix layouts between them):
                component, else the list of its n partial derivatives (the
                derivative by x_t at index t).
 
-All functions are pure: inputs are never mutated.
+All public functions are pure: inputs are never mutated, and no output
+shares a dict with an input.
 """
 
 from math import gcd
@@ -88,39 +89,50 @@ def c_inv(x):
     return c_make(a * d, -b * d, n)
 
 
-def p_add(p, q):
-    if not p:
-        return dict(q)
-    if not q:
-        return dict(p)
-    out = dict(p)
+def _p_iadd(acc, q):
+    """acc += q in place.  acc must be a dict the caller owns (never a
+    kernel function's input); q is not changed.  The accumulating loops
+    below sum into one such dict instead of copying the running sum once
+    per term."""
+    if not acc:
+        acc.update(q)
+        return
     for m, c in q.items():
-        x = out.get(m)
+        x = acc.get(m)
         if x is None:
-            out[m] = c
+            acc[m] = c
         else:
             s = c_add(x, c)
             if s[0] == 0 and s[1] == 0:
-                del out[m]
+                del acc[m]
             else:
-                out[m] = s
+                acc[m] = s
+
+
+def _p_isub(acc, q):
+    """acc -= q in place, on the same terms as _p_iadd."""
+    for m, c in q.items():
+        x = acc.get(m)
+        if x is None:
+            acc[m] = (-c[0], -c[1], c[2])
+        else:
+            s = c_sub(x, c)
+            if s[0] == 0 and s[1] == 0:
+                del acc[m]
+            else:
+                acc[m] = s
+
+
+def p_add(p, q):
+    out = dict(p)
+    _p_iadd(out, q)
     return out
 
 
 def p_sub(p, q):
-    if not q:
-        return dict(p)
     out = dict(p)
-    for m, c in q.items():
-        x = out.get(m)
-        if x is None:
-            out[m] = (-c[0], -c[1], c[2])
-        else:
-            s = c_sub(x, c)
-            if s[0] == 0 and s[1] == 0:
-                del out[m]
-            else:
-                out[m] = s
+    if q:
+        _p_isub(out, q)
     return out
 
 
@@ -216,7 +228,7 @@ def mat_apply_const(M, A):
         for j, c in row:
             aj = A[j]
             if aj:
-                acc = p_add(acc, p_scale(aj, c))
+                _p_iadd(acc, p_scale(aj, c))
         out.append(acc)
     return out
 
@@ -229,7 +241,7 @@ def mat_apply_poly(M, A):
         for j, pe in row:
             aj = A[j]
             if aj:
-                acc = p_add(acc, p_mul(pe, aj))
+                _p_iadd(acc, p_mul(pe, aj))
         out.append(acc)
     return out
 
@@ -244,13 +256,13 @@ def flux_contract(n, X, Y, H):
         # of dx^i: h*(X^j Y^k - X^k Y^j)
         t = p_sub(p_mul(xi, yj), p_mul(xj, yi))
         if t:
-            out[k] = p_add(out[k], p_mul(h, t))
+            _p_iadd(out[k], p_mul(h, t))
         t = p_sub(p_mul(xk, yi), p_mul(xi, yk))
         if t:
-            out[j] = p_add(out[j], p_mul(h, t))
+            _p_iadd(out[j], p_mul(h, t))
         t = p_sub(p_mul(xj, yk), p_mul(xk, yj))
         if t:
-            out[i] = p_add(out[i], p_mul(h, t))
+            _p_iadd(out[i], p_mul(h, t))
     return out
 
 
@@ -293,12 +305,12 @@ def sec_dorfman(n, A, B, H=None, dA=None, dB=None):
             if xj and dBi is not None:
                 d = dBi[j]
                 if d:
-                    acc = p_add(acc, p_mul(xj, d))
+                    _p_iadd(acc, p_mul(xj, d))
             yj = B[j]
             if yj and dAi is not None:
                 d = dAi[j]
                 if d:
-                    acc = p_sub(acc, p_mul(yj, d))
+                    _p_isub(acc, p_mul(yj, d))
         out[i] = acc
     for i in range(n):
         acc = {}
@@ -308,28 +320,28 @@ def sec_dorfman(n, A, B, H=None, dA=None, dB=None):
             if xj and dBni is not None:
                 d = dBni[j]
                 if d:
-                    acc = p_add(acc, p_mul(xj, d))
+                    _p_iadd(acc, p_mul(xj, d))
             ej = B[n + j]
             if ej and dA[j] is not None:
                 d = dA[j][i]
                 if d:
-                    acc = p_add(acc, p_mul(ej, d))
+                    _p_iadd(acc, p_mul(ej, d))
             yj = B[j]
             if yj:
                 if dAni is not None:
                     d = dAni[j]
                     if d:
-                        acc = p_sub(acc, p_mul(yj, d))
+                        _p_isub(acc, p_mul(yj, d))
                 if dA[n + j] is not None:
                     d = dA[n + j][i]
                     if d:
-                        acc = p_add(acc, p_mul(yj, d))
+                        _p_iadd(acc, p_mul(yj, d))
         out[n + i] = acc
     if H:
         hpart = flux_contract(n, A, B, H)
         for i in range(n):
             if hpart[i]:
-                out[n + i] = p_sub(out[n + i], hpart[i])
+                _p_isub(out[n + i], hpart[i])
     return out
 
 
@@ -343,4 +355,9 @@ def sec_jacobi_residual(n, A, B, C, H, AB, AC, BC):
     t1 = sec_dorfman(n, A[0], BC[0], H, A[1], BC[1])
     t2 = sec_dorfman(n, AB[0], C[0], H, AB[1], C[1])
     t3 = sec_dorfman(n, B[0], AC[0], H, B[1], AC[1])
-    return [p_sub(p_sub(a, b), c) for a, b, c in zip(t1, t2, t3)]
+    for a, b, c in zip(t1, t2, t3):
+        if b:
+            _p_isub(a, b)
+        if c:
+            _p_isub(a, c)
+    return t1

@@ -370,7 +370,7 @@ def suite_theorem13(model, cfg):
     gate = _twistor_dim_gate(T)
     if gate:
         return gate
-    rep = tw.theorem_1_3(T, degree_bound=0)
+    rep = tw.theorem_1_3(T)
     wit = [" ".join(w) for w in rep.witnesses]
     return (rep.status, wit[:10], rep.nijenhuis_checks + 1)
 

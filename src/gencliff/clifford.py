@@ -14,7 +14,7 @@ from fractions import Fraction
 from .scalar import ChartMismatchError, ScalarField
 from .courant import FluxForm
 from .gcs import (EndField, TensorReport, bind_concomitant,
-                  bind_nijenhuis, generator_degree, is_orthogonal, vanishes)
+                  bind_nijenhuis, is_orthogonal, vanishes)
 
 _EPS_TABLE = {
     (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
@@ -137,10 +137,12 @@ def verify_triple(T: CliffordTriple,
     symbol certificate by default, a sweep for an integer degree_bound);
     returns a new triple carrying the verification status.
 
-    The certificate evaluates each N(Ii,Ii) on 2n * 2n * (1 + n) pairs (320
-    at n = 4) when Ii^2 = -Id holds exactly, and on 2n * 2n * (1 + 2n) (576)
-    otherwise, since only then does the second slot's Leibniz term
-    (rho(A)g)(Ii^2 + 1)B vanish."""
+    The certificate evaluates each N(Ii,Ii) on the 2n(2n - 1)/2 frame pairs
+    a < b (28 at n = 4) when Ii^2 = -Id holds exactly and Ii is
+    skew-adjoint for the pairing, which make N(Ii,Ii) C-infinity-bilinear
+    and skew.  With Ii^2 = -Id alone it takes 2n * 2n * (1 + n) pairs (320),
+    and 2n * 2n * (1 + 2n) (576) otherwise, since only then does the second
+    slot's Leibniz term (rho(A)g)(Ii^2 + 1)B vanish."""
     rel = check_relations(T)
     reports = tuple(
         vanishes(bind_nijenhuis(E, f"N(I{i+1},I{i+1})", T.flux), degree_bound)
@@ -368,7 +370,9 @@ def _commuting_family_report(I: EndField, J: EndField, name: str,
     term, like N itself, so the symbol certificate (degree_bound None)
     decides it for all smooth sections.  defect(i, j) only multiplies by
     the second generator's monomial, so the residual keeps N's Q_k = 0 and
-    the certificate's 2n * 2n * (1 + n) pairs."""
+    the certificate's 2n * 2n * (1 + n) pairs.  When IJ + JI is a constant
+    multiple of Id (the self-pairs N(I,I)) the anomaly is zero and N itself
+    is C-infinity-bilinear and skew, so the frame pairs a < b decide it."""
     from ._core import kernel as K
     from .courant import monomials_up_to
     from .gcs import _residuals, _sparse_rows, _tensor_report
@@ -376,10 +380,12 @@ def _commuting_family_report(I: EndField, J: EndField, name: str,
     n = chart.dim
     W = I @ J
     Wk = _sparse_rows([[f.num.terms for f in row] for row in W.entries], True)
+    base, degree, pairs = _residuals(bind_concomitant(I, J, name, flux),
+                                     degree_bound)
     # per generator m * e_a: (a, m, dm as a pure-covector section, W dm)
     gens = []
     for a in range(2 * n):
-        for m in monomials_up_to(chart, generator_degree(degree_bound)):
+        for m in monomials_up_to(chart, degree):
             dm = [{}] * n + [K.p_diff(m.terms, t) for t in range(n)]
             gens.append((a, m.terms, dm, K.mat_apply_const(Wk, dm)))
     # <e_a, e_b> = 1/2 iff the frames pair off; <e_a, W e_b> = W_{(a+n)%2n, b}/2
@@ -395,9 +401,8 @@ def _commuting_family_report(I: EndField, J: EndField, name: str,
                                               K.p_scale(d, c2))), (2, 0, 1))
                 for wd, d in zip(W_dm, dm)]
 
-    base, pairs = _residuals(bind_concomitant(I, J, name, flux), degree_bound)
     return _tensor_report(
-        name, degree_bound, base,
+        name, degree_bound, base, degree,
         ((i, j, K.sec_sub(got, base.lift(defect(i, j), 0, 3)))
          for i, j, got in pairs), max_witnesses)
 
@@ -414,8 +419,11 @@ def theorem_1_1(T: CliffordTriple, degree_bound: int | None = None,
     all smooth sections; an integer degree_bound sweeps all generator pairs
     up to that monomial degree instead, as a cross-check.  The report note
     names the method.  Every family is a concomitant, whose second slot's
-    Leibniz terms cancel, so the certificate takes 2n * 2n * (1 + n) pairs
-    per family (320 at n = 4).
+    Leibniz terms cancel.  For orthogonal I, J with IJ + JI a constant
+    multiple of Id -- the 12 anticommuting families and the 6 self-pairs --
+    the family is C-infinity-bilinear and skew, and the certificate takes
+    the 2n(2n - 1)/2 frame pairs a < b (28 at n = 4); the 3 diagonal pairs
+    N(I_i, J_i), where IJ + JI = 2 I_i J_i, take 2n * 2n * (1 + n) (320).
 
     For a constant triple, the 12 anticommuting-pair families are tensorial
     and must vanish identically.  The 9 commuting families -- the diagonal

@@ -17,16 +17,23 @@ are first order, and the H-twist is C-infinity-bilinear.  So
 and N0, P_k and Q_k are read exactly from the generator pairs (e_a, e_b),
 (x_k e_a, e_b) and (e_a, x_k e_b), the pairs of total monomial degree <= 1.
 If the tensor vanishes there, it vanishes on every section; the argument
-holds over a rational base too.  The second slot's Leibniz terms
+holds over a rational base too.  The structures can prove more, exactly on
+their numerators (``_tensoriality``).  The second slot's Leibniz terms
 (rho(A)g)B cancel in pairs in every concomitant, and in N_J or N_G exactly
-when J^2 = -Id or G^2 = Id, which is checked on the structure's numerators.
-Then Q_k = 0 and the pairs (e_a, x_k e_b) are dropped: 2n * 2n * (1 + n)
-pairs per tensor (320 at n = 4) instead of 2n * 2n * (1 + 2n) (576).  An
-integer degree bound instead sweeps all pairs of frame sections times
-monomials up to that degree, as an opt-in cross-check.
+when J^2 = -Id or G^2 = Id; then Q_k = 0 and the pairs (e_a, x_k e_b) are
+dropped: 2n * 2n * (1 + n) pairs per tensor (320 at n = 4) instead of
+2n * 2n * (1 + 2n) (576).  When moreover J is skew-adjoint for the pairing
+(N_J), or I and J are and IJ + JI is a constant multiple of Id (N(I,J)),
+the first slot's Leibniz terms cancel too and N(A,B) = -N(B,A) (Gualtieri,
+arXiv:math/0401221): the tensor is C-infinity-bilinear and skew, so the
+frame pairs (e_a, e_b) with a < b decide it, 2n(2n - 1)/2 pairs (28 at
+n = 4, 120 for the twistor structure).  N_G never is: its first slot keeps
+4<A,B>Df - 4<A,GB> G Df.  An integer degree bound instead sweeps all pairs
+of frame sections times monomials up to that degree, as an opt-in
+cross-check.
 
 Every check -- ``vanishes``, the commuting-family check of Theorem 1.1 and
-the twistor sweep of Theorem 1.3 -- runs the one kernel evaluator
+the twistor certificate of Theorem 1.3 -- runs the one kernel evaluator
 ``_eval_kernel`` over a fixed-denominator base (``_PowerDen``): sections are
 numerators over powers of one polynomial m, the LCM of the denominators of
 the structures and the flux, and m = 1 for polynomial input.  The
@@ -672,11 +679,13 @@ def _sparse_rows(M, const):
 
 
 def _kernel_setup(tensor: BoundTensor):
-    """(mats, kflux, nums) for _eval_kernel: the base, the structures as
-    numerators over m^1 in kernel matrix layout (constant coefficients when
-    the base is the unit and every structure is constant), the flux
-    coefficients as numerators over m^1 (None for zero flux), and the
-    structures' dense numerator rows over m^1."""
+    """(mats, kflux, nums, square) for _eval_kernel and _tensoriality: the
+    base, the structures as numerators over m^1 in kernel matrix layout
+    (constant coefficients when the base is the unit and every structure is
+    constant), the flux coefficients as numerators over m^1 (None for zero
+    flux), the structures' dense numerator rows over m^1, and the dense
+    numerators over m^2 of S S for one structure S, of I J + J I for a
+    concomitant N(I, J)."""
     structs = tensor.structures
     flux = {} if tensor.flux is None else tensor.flux.H.coeffs
     base = _PowerDen.lcm(tensor.chart,
@@ -688,32 +697,81 @@ def _kernel_setup(tensor: BoundTensor):
             "app": K.mat_apply_const if const else K.mat_apply_poly}
     if tensor.kind == "concomitant":
         I, J = nums
+        IJ, JI = _mat_mul_terms(I, J), _mat_mul_terms(J, I)
         mats["I"] = _sparse_rows(I, const)
-        mats["IJ"] = _sparse_rows(_mat_mul_terms(I, J), const)
-        mats["JI"] = _sparse_rows(_mat_mul_terms(J, I), const)
+        mats["IJ"] = _sparse_rows(IJ, const)
+        mats["JI"] = _sparse_rows(JI, const)
+        square = [[K.p_add(a, b) for a, b in zip(r1, r2)]
+                  for r1, r2 in zip(IJ, JI)]
+    else:
+        square = _mat_mul_terms(nums[0], nums[0])
     kflux = {idx: base.numerator(f) for idx, f in flux.items()}
-    return mats, kflux or None, nums
+    return mats, kflux or None, nums, square
 
 
-def _second_slot_tensorial(kind, base, nums):
-    """True iff the tensor is C-infinity-linear in its second slot, so that
-    Q_k = 0.  From [A, gB] = g[A,B] + (rho(A)g)B and the C-infinity-bilinear
+def _identity_multiple(M, m2):
+    """The constant c with M = c m2 Id (M and m2 numerators over one power
+    of the base), or None when M is not a constant multiple of m2 Id."""
+    mono, lead = next(iter(m2.items()))
+    c = K.c_mul(M[0][0].get(mono, K.C_ZERO), K.c_inv(lead))
+    diag = K.p_scale(m2, c)
+    if all(e == (diag if i == j else {})
+           for i, row in enumerate(M) for j, e in enumerate(row)):
+        return c
+    return None
+
+
+def _skew_adjoint(S):
+    """<SA, B> + <A, SB> = 0 for the pairing <A, B> = A^T P B, P_ij = 1/2
+    iff j = i + n mod 2n: S^T P + P S = 0, entrywise
+    S[(i+n)%2n][j] + S[(j+n)%2n][i] = 0.  Exact on numerators."""
+    size = len(S)
+    n = size // 2
+    return all(not K.p_add(S[(i + n) % size][j], S[(j + n) % size][i])
+               for i in range(size) for j in range(i, size))
+
+
+def _tensoriality(kind, base, nums, square):
+    """What the structures prove about the tensor's Leibniz symbol, decided
+    exactly on their numerators over m^1 (square over m^2, from
+    _kernel_setup): "skew" when the tensor is C-infinity-bilinear and skew,
+    "second_slot" when only Q_k = 0 is proven, None otherwise.
+
+    From [A, gB] = g[A,B] + (rho(A)g)B, [fA, B] = f[A,B] - (rho(B)f)A
+    + 2<A,B>Df, [A,B] + [B,A] = 2D<A,B> and the C-infinity-bilinear, skew
     H-twist:
 
-        N(I,J)(A, gB) = g N(I,J)(A,B)           (the six rho(.)g terms cancel)
         N_J(A, gB)    = g N_J(A,B) - (rho(A)g)(J^2 + 1)B
         N_G(A, gB)    = g N_G(A,B) - (rho(A)g)(G^2 - 1)B
+        N(I,J)(A, gB) = g N(I,J)(A,B)          (the six rho(.)g terms cancel)
 
-    so a concomitant always is, N_J iff J^2 = -Id and N_G iff G^2 = Id,
-    decided exactly on the numerators over m^1: S S = -+m^2 Id."""
-    if kind == "concomitant":
-        return True
-    S, = nums
+    so Q_k = 0 for a concomitant always, for N_J iff J^2 = -Id and for N_G
+    iff G^2 = Id.  In the first slot and under the swap of the slots:
+
+    - N_J, with J^2 = -Id and J skew-adjoint (so <JA,JB> = <A,B>): the
+      (rho(B)f) terms carry J^2 + 1 and the Df terms carry <JA,JB> - <A,B>
+      and <JA,B> + <A,JB>, so P_k = 0; N_J(A,B) + N_J(B,A) is
+      2D(<JA,JB> - <A,B>) - 2J D(<JA,B> + <A,JB>) = 0.
+    - N(I,J), with I and J skew-adjoint and IJ + JI = lambda Id: the
+      (rho(.)f) terms cancel for any I, J and the Df terms leave
+      (<IA,JB> + <JA,IB> + lambda <A,B>) Df = 0, so P_k = 0; the symmetric
+      part N(A,B) + N(B,A) = -<A,B> D lambda vanishes iff lambda is
+      constant.
+    - N_G never: its Df terms leave 4<A,B>Df - 4<A,GB> G Df.
+
+    A C-infinity-bilinear skew tensor vanishes iff it vanishes on the frame
+    pairs (e_a, e_b) with a < b."""
     m2 = base.mpow(2)
-    diag = m2 if kind == "real_nijenhuis" else K.p_neg(m2)
-    return all(e == (diag if i == j else {})
-               for i, row in enumerate(_mat_mul_terms(S, S))
-               for j, e in enumerate(row))
+    c = _identity_multiple(square, m2)
+    if kind == "real_nijenhuis":
+        return "second_slot" if c == K.C_ONE else None
+    if kind == "nijenhuis":
+        if c != K.c_neg(K.C_ONE):
+            return None
+        return "skew" if _skew_adjoint(nums[0]) else "second_slot"
+    if c is not None and all(_skew_adjoint(S) for S in nums):
+        return "skew"
+    return "second_slot"
 
 
 def _operand(kind, mats, A):
@@ -775,40 +833,52 @@ def generator_degree(degree_bound):
 
 
 def _residuals(tensor: BoundTensor, degree_bound: int | None):
-    """The pairs every Nijenhuis-type check shares: (base, pairs), where
-    pairs yields (i, j, P) for ordered pairs of generators in the order of
-    generator_labels(chart, generator_degree(degree_bound)), P the
-    numerators of the tensor over m^3.  A sweep yields every pair.  The
-    symbol certificate (degree_bound None) yields the pairs (e_a, e_b) and
-    (x_k e_a, e_b), which read N0 and P_k, and also the pairs (e_a, x_k e_b),
-    which read Q_k, unless _second_slot_tensorial proves Q_k = 0.  Each
+    """The pairs every Nijenhuis-type check shares: (base, degree, pairs),
+    where pairs yields (i, j, P) for ordered pairs of generators in the order
+    of generator_labels(chart, degree), P the numerators of the tensor over
+    m^3.  A sweep takes the generators of monomial degree <= degree_bound
+    and yields every pair.  The symbol certificate (degree_bound None) asks
+    _tensoriality what the structures prove: when the tensor is
+    C-infinity-bilinear and skew it takes the frame generators (degree 0)
+    and yields the pairs a < b; otherwise it takes degree 1 and yields
+    (e_a, e_b) and (x_k e_a, e_b), which read N0 and P_k, and also
+    (e_a, x_k e_b), which read Q_k, unless Q_k = 0 is proven.  Each
     generator's structure images and Jacobians are built once, up front, so
     a pair only brackets them and applies structures to the brackets."""
-    gens = _kernel_generators(tensor.chart, generator_degree(degree_bound))
-    mats, kflux, nums = _kernel_setup(tensor)
-    n = tensor.chart.dim
+    mats, kflux, nums, square = _kernel_setup(tensor)
     kind = tensor.kind
+    proven = (None if degree_bound is not None else
+              _tensoriality(kind, mats["base"], nums, square))
+    degree = 0 if proven == "skew" else generator_degree(degree_bound)
+    gens = _kernel_generators(tensor.chart, degree)
+    n = tensor.chart.dim
     ops = [_operand(kind, mats, A) for A in gens]
     # a generator's monomial is linear iff its exponents are not all zero
     linear = [degree_bound is None and any(any(m) for p in A for m in p)
               for A in gens]
-    q_free = degree_bound is None and _second_slot_tensorial(
-        kind, mats["base"], nums)
 
-    # a sweep keeps every pair; the certificate keeps (e_a, e_b) and
-    # (x_k e_a, e_b), and (e_a, x_k e_b) too unless Q_k = 0 is proven
+    # a sweep keeps every pair; a skew certificate the frame pairs a < b;
+    # otherwise the certificate keeps (e_a, e_b) and (x_k e_a, e_b), and
+    # (e_a, x_k e_b) too unless Q_k = 0 is proven
+    def keep(i, j):
+        if proven == "skew":
+            return i < j
+        return not linear[j] or not (proven or linear[i])
+
     def pairs():
         for i, A in enumerate(ops):
             for j, B in enumerate(ops):
-                if not linear[j] or not (q_free or linear[i]):
+                if keep(i, j):
                     yield i, j, _eval_kernel(kind, mats, kflux, n, A, B)
-    return mats["base"], pairs()
+    return mats["base"], degree, pairs()
 
 
-def _tensor_report(name, degree_bound, base, pairs, max_witnesses):
+def _tensor_report(name, degree_bound, base, degree, pairs, max_witnesses):
     """Collect (i, j, numerators over m^3) into a TensorReport: vanished iff
-    every numerator is zero, with the first max_witnesses nonzero pairs."""
-    labels = generator_labels(base.chart, generator_degree(degree_bound))
+    every numerator is zero, with the first max_witnesses nonzero pairs,
+    labelled from the generators of monomial degree <= degree that
+    _residuals evaluated."""
+    labels = generator_labels(base.chart, degree)
     report = TensorReport(name, True, degree_bound, 0, method=(
         "symbol_certificate" if degree_bound is None else "sweep"))
     for i, j, out in pairs:
@@ -826,21 +896,25 @@ def vanishes(tensor: BoundTensor, degree_bound: int | None = None,
              max_witnesses: int = 10) -> TensorReport:
     """Decide whether the bound tensor vanishes.
 
-    With degree_bound None (the default) this is the symbol certificate: the
-    tensor is evaluated on the pairs (e_a, e_b), (x_k e_a, e_b) and
-    (e_a, x_k e_b), and vanished=True means it vanishes for all smooth
-    sections (see the module docstring).  The pairs (e_a, x_k e_b) only read
-    Q_k and are skipped when Q_k = 0 is proven: always for a concomitant,
-    and for N_J or N_G when J^2 = -Id or G^2 = Id holds exactly.  That is
-    2n * 2n * (1 + n) pairs, against 2n * 2n * (1 + 2n) otherwise.  With an
-    integer degree_bound it is evaluated on all pairs (m*e_a, m'*e_b) of
+    With degree_bound None (the default) this is the symbol certificate, and
+    vanished=True means the tensor vanishes for all smooth sections (see the
+    module docstring).  When the structures prove the tensor
+    C-infinity-bilinear and skew -- N_J with J^2 = -Id and J skew-adjoint,
+    or N(I,J) with I, J skew-adjoint and IJ + JI a constant multiple of Id
+    -- it is evaluated on the frame pairs (e_a, e_b) with a < b:
+    2n(2n - 1)/2 pairs (28 at n = 4).  Otherwise it is evaluated on the
+    pairs (e_a, e_b), (x_k e_a, e_b) and (e_a, x_k e_b); the last only read
+    Q_k and are skipped when Q_k = 0 is proven (always for a concomitant,
+    for N_J or N_G when J^2 = -Id or G^2 = Id holds exactly).  That is
+    2n * 2n * (1 + n) pairs (320), against 2n * 2n * (1 + 2n) (576).  With
+    an integer degree_bound it is evaluated on all pairs (m*e_a, m'*e_b) of
     frame sections times monomials of degree <= degree_bound.
 
     vanished is True iff every output is exactly zero; otherwise the first
     max_witnesses witnesses (in the fixed generator order) are reported.
     """
-    base, pairs = _residuals(tensor, degree_bound)
-    return _tensor_report(tensor.name, degree_bound, base, pairs,
+    base, degree, pairs = _residuals(tensor, degree_bound)
+    return _tensor_report(tensor.name, degree_bound, base, degree, pairs,
                           max_witnesses)
 
 

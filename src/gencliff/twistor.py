@@ -3,13 +3,15 @@ structure: stereographic vectors and rotation matrices (exact at Gaussian
 rational points and symbolically over the 4-coordinate sphere chart), the
 rotated triples K_i(zeta1, zeta2), the connection form and its flatness, and
 the block twistor structure on the product chart with its integrability
-sweep.
+certificate.
 
 All sphere dependence enters through denominators dividing powers of
 m = (1+u1^2+v1^2)(1+u2^2+v2^2).  The connection identities are decided on
-numerators over powers of m (``gcs._PowerDen``), and the integrability sweep
-of Theorem 1.3 is the Nijenhuis evaluator of ``gcs``, which finds m as the
-LCM of the twistor structure's denominators.
+numerators over powers of m (``gcs._PowerDen``), and the integrability check
+of Theorem 1.3 runs the Nijenhuis evaluator of ``gcs``, which finds m as the
+LCM of the twistor structure's denominators; that structure is orthogonal
+and squares to -Id, so its Nijenhuis tensor is decided on the frame pairs
+alone.
 
 Only the finite stereographic chart of each sphere is implemented; zeta =
 infinity is outside every formula here (sampling uses rational points, so it
@@ -548,20 +550,27 @@ class TwistorReport:
             self.witnesses = []
 
 
-def theorem_1_3(T: CliffordTriple, degree_bound: int = 0,
+def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
                 samples=None, max_witnesses: int = 10) -> TwistorReport:
     """Integrability of the twistor structure on the product chart.
 
-    The Nijenhuis tensor of Ihat (+) J_sphere is evaluated on all pairs from
-    frame x (degree <= degree_bound monomials) by the sweep of
-    ``gcs.vanishes``, as exact numerators over a power of the sphere base m
-    (the LCM of the structure's denominators).  Symbolic mode tests each
-    numerator for zero; with ``samples`` a list of TwistorPoints the same
-    numerator is evaluated exactly at (0, ..., 0, Re zeta1,
-    Im zeta1, Re zeta2, Im zeta2) for each point, where m >= 1, so a check
-    fails at a point iff the tensor is nonzero there.  Witnesses are capped
-    at max_witnesses per point.  Also verifies the mixed-bracket identity
-    [alpha, v] = L_{rho(alpha)} v on representative sphere/M pairs.
+    The Nijenhuis tensor of Ihat (+) J_sphere is evaluated by
+    ``gcs.vanishes``'s evaluator, as exact numerators over a power of the
+    sphere base m (the LCM of the structure's denominators).  With
+    degree_bound None (the default) this is the symbol certificate: the
+    structure squares to -Id and is skew-adjoint for the pairing (both
+    checked exactly on its numerators), so its Nijenhuis tensor is
+    C-infinity-bilinear and skew, and the frame pairs (e_a, e_b) with a < b
+    -- 120 on the 8-coordinate product chart -- decide it for all smooth
+    sections.  An integer degree_bound sweeps all pairs from frame x
+    (degree <= degree_bound monomials) instead, as a cross-check.  Symbolic
+    mode tests each numerator for zero; with ``samples`` a list of
+    TwistorPoints the same numerator is evaluated exactly at (0, ..., 0,
+    Re zeta1, Im zeta1, Re zeta2, Im zeta2) for each point, where m >= 1,
+    so a check fails at a point iff the tensor is nonzero there.  Witnesses
+    are capped at max_witnesses per point.  Also verifies the mixed-bracket
+    identity [alpha, v] = L_{rho(alpha)} v on representative sphere/M
+    pairs.
     """
     if T.flux is not None and not T.flux.is_zero:
         return TwistorReport("inconclusive",
@@ -570,8 +579,8 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int = 0,
     Z = E.chart
     n = T.chart.dim
     rep = TwistorReport("pass", mode="sampled" if samples else "symbolic")
-    labels = generator_labels(Z, degree_bound)
-    _, pairs = _residuals(bind_nijenhuis(E), degree_bound)
+    _, degree, pairs = _residuals(bind_nijenhuis(E), degree_bound)
+    labels = generator_labels(Z, degree)
     # (witness prefix, point or None for the symbolic zero test, note)
     if samples:
         points = [((f"{p}",), (0,) * n + (p.zeta1.re, p.zeta1.im,

@@ -205,19 +205,30 @@ def nonclosed_bfield_triple():
                             for E in hyperkahler_r4().generators])
 
 
+FRAMES = ["d1", "d2", "d3", "d4", "e1", "e2", "e3", "e4"]
+
+
 def certificate_pair(witness):
-    """True iff a witness's generator pair is (e_a, e_b) or (x_k e_a, e_b),
-    the certificate's pairs when Q_k = 0 is proven (a generator label
-    carries a '*' iff its monomial is not 1)."""
-    return "*" not in witness[1]
+    """True iff a witness's generator pair is a frame pair (e_a, e_b) with
+    a < b, the certificate's pairs when the tensor is proven
+    C-infinity-bilinear and skew (a generator label carries a '*' iff its
+    monomial is not 1)."""
+    a, b = witness[:2]
+    return a in FRAMES and b in FRAMES and FRAMES.index(a) < FRAMES.index(b)
 
 
 class TestSymbolCertificate:
     """The Leibniz-symbol certificate (degree_bound None) against the
     degree-1 sweep it replaces on the fast path."""
 
-    # every tensor here is Q-free: a concomitant, or N_J with J^2 = -Id
+    # N_J with Ii^2 = -Id and Ii orthogonal, and every family with
+    # IJ + JI = c Id for a constant c, are C-infinity-bilinear and skew:
+    # the 2n(2n - 1)/2 frame pairs a < b.  The diagonal pairs N(Ii,Ji),
+    # with IJ + JI = 2 Ii Ji, keep (e_a, e_b) and (x_k e_a, e_b):
+    # 2n * 2n * (1 + n) pairs
+    SKEW_PAIRS = 8 * 7 // 2
     CERT_PAIRS = 8 * 8 * (1 + 4)
+    DIAGONAL = {"N(I1,J1)", "N(I2,J2)", "N(I3,J3)"}
 
     def test_verdicts_agree_with_degree_one_sweep(self):
         cert = verify_triple(hyperkahler_r4())
@@ -237,11 +248,13 @@ class TestSymbolCertificate:
             assert c.vanished == s.vanished, c.name
             assert c.method == "symbol_certificate" and s.method == "sweep"
             if c.vanished:      # a failing family stops at 10 witnesses
-                assert c.sample_count == self.CERT_PAIRS
+                assert c.sample_count == (
+                    self.CERT_PAIRS if c.name in self.DIAGONAL
+                    else self.SKEW_PAIRS), c.name
                 assert s.sample_count == (8 * 5) ** 2
         # the non-tensorial commuting families are seen by the certificate
         assert {c.name for c, _ in reports if not c.vanished} == \
-            {"N(I1,J1)", "N(I2,J2)", "N(I3,J3)"}
+            self.DIAGONAL
 
     def test_witnesses_are_the_sweep_restricted_to_certificate_pairs(self):
         from gencliff.gcs import bind_nijenhuis, vanishes
@@ -253,7 +266,7 @@ class TestSymbolCertificate:
             cert = vanishes(tensor, max_witnesses=every)
             sweep = vanishes(tensor, 1, max_witnesses=every)
             assert not cert.vanished and cert.witnesses
-            assert cert.sample_count == self.CERT_PAIRS
+            assert cert.sample_count == self.SKEW_PAIRS
             assert cert.witnesses == [w for w in sweep.witnesses
                                       if certificate_pair(w)]
 

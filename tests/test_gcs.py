@@ -389,13 +389,14 @@ class TestSymbolCertificate:
     it."""
 
     # id: (tensor builder, the parts of its symbol that are nonzero
-    # somewhere).  N_J and the concomitant are tensorial in the first slot,
-    # N_G of this metric and N_J of 2 I1 are not; Q_k = 0 is proven for all
-    # but N_J of 2 I1, whose J^2 = -4 Id
-    CASES = {"N_J": (nonclosed_bfield_nijenhuis, {"N0"}),
-             "N_G": (lambda: rational_tensor("N_G"), {"N0", "P"}),
-             "N(I,J)": (random_concomitant, {"N0", "P"}),
-             "N(2I1,2I1)": (scaled_nijenhuis, {"P", "Q"})}
+    # somewhere, what _tensoriality proves).  N_J is C-infinity-bilinear and
+    # skew; the concomitant and N_G of this metric have Q_k = 0 but not
+    # P_k = 0; N_J of 2 I1 (J^2 = -4 Id) has neither
+    CASES = {"N_J": (nonclosed_bfield_nijenhuis, {"N0"}, "skew"),
+             "N_G": (lambda: rational_tensor("N_G"), {"N0", "P"},
+                     "second_slot"),
+             "N(I,J)": (random_concomitant, {"N0", "P"}, "second_slot"),
+             "N(2I1,2I1)": (scaled_nijenhuis, {"P", "Q"}, None)}
 
     @staticmethod
     def pairs(tensor, degree_bound):
@@ -404,9 +405,9 @@ class TestSymbolCertificate:
         for 1)."""
         from gencliff.courant import monomials_up_to
         from gencliff.gcs import _residuals
+        base, degree, pairs = _residuals(tensor, degree_bound)
         var = [next((k for k, e in enumerate(next(iter(m.terms))) if e), None)
-               for m in monomials_up_to(tensor.chart, 1)]
-        base, pairs = _residuals(tensor, degree_bound)
+               for m in monomials_up_to(tensor.chart, degree)]
         got = {}
         for i, j, P in pairs:
             (a, mi), (b, mj) = divmod(i, len(var)), divmod(j, len(var))
@@ -415,27 +416,44 @@ class TestSymbolCertificate:
 
     @classmethod
     def symbol(cls, tensor):
-        """({(a, b): (N0, [P_k], [Q_k])}, the number of certificate pairs).
-        N0 and P_k are read from the certificate's pairs, Q_k from the pairs
-        (e_a, x_k e_b) of the degree-1 sweep, which the certificate skips
-        when it proves Q_k = 0."""
+        """({(a, b): (N0, [P_k], [Q_k])}, the keys of the certificate's
+        pairs).  The symbol is read from the pairs (e_a, e_b), (x_k e_a, e_b)
+        and (e_a, x_k e_b) of the degree-1 sweep; every pair the certificate
+        evaluates must give the sweep's numerators."""
         chart = tensor.chart
         n = chart.dim
-        base, cert = cls.pairs(tensor, None)
-        _, sweep = cls.pairs(tensor, 1)
+        base, sweep = cls.pairs(tensor, 1)
+        _, cert = cls.pairs(tensor, None)
         assert all(sweep[key] == P for key, P in cert.items())
         x = [ScalarField.variable(chart, k) for k in range(n)]
         out = {}
         for a in range(2 * n):
             for b in range(2 * n):
-                N0 = base.section(cert[a, None, b, None], 3)
+                N0 = base.section(sweep[a, None, b, None], 3)
                 out[a, b] = (
                     N0,
-                    [base.section(cert[a, k, b, None], 3) - N0.scale(x[k])
+                    [base.section(sweep[a, k, b, None], 3) - N0.scale(x[k])
                      for k in range(n)],
                     [base.section(sweep[a, None, b, k], 3) - N0.scale(x[k])
                      for k in range(n)])
-        return out, len(cert)
+        return out, set(cert)
+
+    @staticmethod
+    def certificate_keys(n, proven):
+        """The pairs the certificate evaluates: the frame pairs a < b when
+        the tensor is proven bilinear and skew; else (e_a, e_b) and
+        (x_k e_a, e_b), plus (e_a, x_k e_b) unless Q_k = 0 is proven: 28,
+        320 and 576 pairs at n = 4."""
+        frames = range(2 * n)
+        if proven == "skew":
+            return {(a, None, b, None) for a in frames for b in frames
+                    if a < b}
+        keys = {(a, k, b, None) for a in frames for b in frames
+                for k in [None, *range(n)]}
+        if proven is None:
+            keys |= {(a, None, b, k) for a in frames for b in frames
+                     for k in range(n)}
+        return keys
 
     @staticmethod
     def rnd_poly(rng, chart):
@@ -450,19 +468,23 @@ class TestSymbolCertificate:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_symbol_predicts_every_section_pair(self, case):
-        build, parts = self.CASES[case]
+        from gencliff.gcs import _kernel_setup, _tensoriality
+        build, parts, proven = self.CASES[case]
         tensor = build()
         chart = tensor.chart
         n = chart.dim
-        symbol, count = self.symbol(tensor)
+        mats, _, nums, square = _kernel_setup(tensor)
+        assert _tensoriality(tensor.kind, mats["base"], nums, square) == \
+            proven
+        symbol, keys = self.symbol(tensor)
         nonzero = {name for N0, P, Q in symbol.values()
                    for name, secs in (("N0", [N0]), ("P", P), ("Q", Q))
                    if any(not s.is_zero for s in secs)}
         assert nonzero == parts
-        # (e_a, e_b) and (x_k e_a, e_b), plus (e_a, x_k e_b) unless Q = 0
-        # is proven: 320 and 576 pairs at n = 4
-        per_pair = 1 + n if "Q" not in parts else 1 + 2 * n
-        assert count == (2 * n) ** 2 * per_pair
+        assert keys == self.certificate_keys(n, proven)
+        if proven == "skew":
+            assert all(N0 == -symbol[b, a][0]
+                       for (a, b), (N0, _, _) in symbol.items())
         rng = random.Random(61 + n)
         for (a, b), (N0, P, Q) in symbol.items():
             f, g = self.rnd_poly(rng, chart), self.rnd_poly(rng, chart)
@@ -494,6 +516,117 @@ class TestSymbolCertificate:
                                   if not ("*" in w[0] and "*" in w[1])]
         # a witness on a pair (e_a, x_k e_b), which only Q_k makes nonzero
         assert any("*" in w[1] and "*" not in w[0] for w in cert.witnesses)
+
+
+def gate_triple(case):
+    """hyperkahler_r4 transformed by B = x1 dx2^dx3 and bound without the
+    flux dB ("nonclosed"), or with the closed flux x4 dx1^dx2^dx4 instead
+    ("flux"): Clifford relations hold, integrability does not.  Returned
+    with its relations checked, so that induce accepts it."""
+    from gencliff.clifford import (CliffordTriple, TripleStatus,
+                                   check_relations)
+    B = KForm.basis(R4, (1, 2)).scale(ScalarField.variable(R4, 0))
+    H = None if case == "nonclosed" else FluxForm(
+        KForm(R4, 3, {(0, 1, 3): ScalarField.variable(R4, 3)}))
+    T = CliffordTriple(*[EndField(R4, bfield_transform(E, B).entries, H)
+                         for E in hyperkahler_r4().generators], H)
+    return T.with_status(TripleStatus(check_relations(T), ()))
+
+
+def gate_tensors(case):
+    """N_{I1}, N(I1,I2), N(I1,I1) and N(I1,J2) of gate_triple(case)."""
+    from gencliff.clifford import induce
+    T = gate_triple(case)
+    I1, I2, J2 = T.I1, T.I2, induce(T).J2
+    return [bind_nijenhuis(I1, "N_I1", T.flux),
+            bind_concomitant(I1, I2, "N(I1,I2)", T.flux),
+            bind_concomitant(I1, I1, "N(I1,I1)", T.flux),
+            bind_concomitant(I1, J2, "N(I1,J2)", T.flux)]
+
+
+def gate_refused():
+    """Tensors _tensoriality must not prove bilinear and skew, by name:
+    N_J of 2 I1 (J^2 = -4 Id), N_J of a J with J^2 = -Id that is not
+    orthogonal, N(I1, x1 I1) (I J + J I = -2 x1 Id, a non-constant
+    multiple), the commuting N(I1,J1) (I J + J I = -2 G) and N_G of the
+    induced G."""
+    from gencliff.clifford import (TripleStatus, check_relations, induce)
+    T = hyperkahler_r4()
+    T = T.with_status(TripleStatus(check_relations(T), ()))
+    ind = induce(T)
+    one, zero = ScalarField.one(R4), ScalarField.zero(R4)
+    # Q = Id + the shear d2 -> d1 + d2 of the vector block alone
+    Q = EndField(R4, [[one if i == j or (i, j) == (0, 1) else zero
+                       for j in range(8)] for i in range(8)])
+    sheared = Q @ T.I1 @ Q.inverse()
+    x1 = ScalarField.variable(R4, 0)
+    return {"N(2I1,2I1)": scaled_nijenhuis(),
+            "N_sheared": bind_nijenhuis(sheared, "N_sheared"),
+            "N(I1,x1I1)": bind_concomitant(T.I1, T.I1.scale(x1),
+                                           "N(I1,x1I1)"),
+            "N(I1,J1)": bind_concomitant(T.I1, ind.J1, "N(I1,J1)"),
+            "N_G": bind_real_nijenhuis(ind.G, "N_G")}
+
+
+class TestTensorialityGate:
+    """The frame-pair certificate rests on _tensoriality's claim that the
+    tensor is C-infinity-bilinear and skew.  Where it makes the claim, the
+    degree-1 sweep must bear it out on every pair; where it must not, the
+    certificate must keep the pairs the symbol needs and agree with the
+    sweep on them."""
+
+    @pytest.mark.parametrize("case", ["nonclosed", "flux"])
+    def test_bilinear_and_skew_on_every_sweep_pair(self, case):
+        from gencliff._core import kernel as K
+        from gencliff.gcs import _kernel_setup, _tensoriality
+        x = [{tuple(int(t == k) for t in range(4)): K.C_ONE}
+             for k in range(4)]
+        nonzero = 0
+        for tensor in gate_tensors(case):
+            mats, _, nums, square = _kernel_setup(tensor)
+            assert _tensoriality(tensor.kind, mats["base"], nums,
+                                 square) == "skew", tensor.name
+            _, got = TestSymbolCertificate.pairs(tensor, 1)
+            assert len(got) == (8 * 5) ** 2
+            for (a, k, b, l), P in got.items():
+                # N(A, B) + N(B, A) = 0
+                assert K.sec_is_zero(K.sec_add(P, got[b, l, a, k])), \
+                    (tensor.name, a, k, b, l)
+                # N(x_k e_a, B) = x_k N(e_a, B)
+                if k is not None:
+                    want = [K.p_mul(p, x[k]) for p in got[a, None, b, l]]
+                    assert P == want, (tensor.name, a, k, b, l)
+                nonzero += not K.sec_is_zero(P)
+        assert nonzero      # the identities are not checked on zeros alone
+
+    @pytest.mark.parametrize("name", ["N(2I1,2I1)", "N_sheared",
+                                      "N(I1,x1I1)", "N(I1,J1)", "N_G"])
+    def test_refused_keeps_the_sweep_verdict_and_witnesses(self, name):
+        from gencliff.gcs import _kernel_setup, _tensoriality
+        tensor = gate_refused()[name]
+        mats, _, nums, square = _kernel_setup(tensor)
+        proven = _tensoriality(tensor.kind, mats["base"], nums, square)
+        assert proven != "skew"
+        every = (8 * 5) ** 2
+        cert = vanishes(tensor, max_witnesses=every)
+        sweep = vanishes(tensor, 1, max_witnesses=every)
+        keys = TestSymbolCertificate.certificate_keys(4, proven)
+        assert cert.sample_count == len(keys)
+
+        def evaluated(w):
+            # (e_a, e_b) and (x_k e_a, e_b), and (e_a, x_k e_b) unless
+            # Q_k = 0 is proven; a label carries '*' iff its monomial is
+            # not 1
+            return "*" not in w[1] or (proven is None and "*" not in w[0])
+        assert not sweep.vanished
+        assert cert.vanished == sweep.vanished
+        assert cert.witnesses == [w for w in sweep.witnesses if evaluated(w)]
+        if name == "N(I1,x1I1)":
+            # P_k = 0 here, but N(A,B) + N(B,A) = -<A,B> D(-2 x1) is not
+            from gencliff._core import kernel as K
+            _, got = TestSymbolCertificate.pairs(tensor, 1)
+            assert any(not K.sec_is_zero(K.sec_add(P, got[b, l, a, k]))
+                       for (a, k, b, l), P in got.items())
 
 
 class TestEndFieldArithmetic:

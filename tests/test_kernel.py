@@ -1,6 +1,7 @@
 """Kernel backends: pure-Python vs compiled equivalence, and the kernel
 bracket against the composed exterior-calculus route."""
 
+import copy
 import random
 from math import lcm
 
@@ -160,6 +161,47 @@ class TestBackendEquivalence:
             Mp = [[(rng.randrange(6), rnd_kpoly(rng))] for _ in range(6)]
             assert _ckernel.mat_apply_poly(Mp, A) == \
                 pykernel.mat_apply_poly(Mp, A)
+
+
+BACKENDS = [pykernel] + ([_ckernel] if _ckernel is not None else [])
+
+
+class TestInputsUnchanged:
+    """The accumulating kernels sum into dicts they own: no input changes,
+    and no output dict is an input dict, so clearing every output leaves
+    the inputs as they were."""
+
+    @pytest.mark.parametrize("K", BACKENDS,
+                             ids=lambda K: K.__name__.rsplit(".", 1)[-1])
+    def test_accumulators_leave_inputs_unchanged(self, K):
+        rng = random.Random(85)
+        H = {(0, 1, 2): rnd_kpoly(rng)}
+        for _ in range(40):
+            A, B, C = (rnd_ksection(rng) for _ in range(3))
+            dA, dB, dC = (K.sec_jacobian(3, X) for X in (A, B, C))
+            AB, AC, BC = ((S, K.sec_jacobian(3, S)) for S in (
+                K.sec_dorfman(3, X, Y, H) for X, Y in ((A, B), (A, C),
+                                                         (B, C))))
+            Mc = [[(j, pykernel.c_make(rng.randint(-3, 3) or 1, 0, 1))
+                   for j in rng.sample(range(6), 3)] for _ in range(6)]
+            Mp = [[(j, rnd_kpoly(rng)) for j in rng.sample(range(6), 3)]
+                  for _ in range(6)]
+            p, q = rnd_kpoly(rng), rnd_kpoly(rng)
+            inputs = (A, B, C, dA, dB, dC, AB, AC, BC, H, Mc, Mp, p, q)
+            before = copy.deepcopy(inputs)
+            outs = [K.sec_dorfman(3, A, B, H, dA, dB),
+                    K.sec_dorfman(3, A, B, H),
+                    K.mat_apply_const(Mc, A), K.mat_apply_poly(Mp, B),
+                    K.flux_contract(3, A, B, H),
+                    K.sec_jacobi_residual(3, (A, dA), (B, dB), (C, dC), H,
+                                          AB, AC, BC),
+                    [K.p_add(p, q), K.p_sub(p, q), K.p_add({}, q),
+                     K.p_sub(p, {})]]
+            assert inputs == before
+            for out in outs:
+                for d in out:
+                    d.clear()
+            assert inputs == before
 
 
 class TestJacobian:

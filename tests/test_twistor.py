@@ -8,7 +8,8 @@ import pytest
 from gencliff import twistor
 from gencliff.scalar import GaussianRational, Poly, ScalarField
 from gencliff.courant import Section, dorfman
-from gencliff.gcs import bind_nijenhuis, is_almost_gcs, vanishes
+from gencliff.gcs import (bind_nijenhuis, generator_labels, is_almost_gcs,
+                          vanishes)
 from gencliff.clifford import induce, project, theorem_1_1, verify_triple
 from gencliff.examples import hyperkahler_r4
 from gencliff.twistor import (TwistorPoint, _sphere_base,
@@ -257,8 +258,48 @@ class TestTwistorStructure:
             twistor_structure(Tb)
 
 
+def hk4b_triple():
+    """hyperkahler_r4 transformed by a constant B-field with six nonzero
+    entries: closed, so the triple stays integrable with zero flux."""
+    from gencliff.cartan import KForm
+    from gencliff.clifford import CliffordTriple
+    from gencliff.gcs import EndField, bfield_transform
+    chart = hyperkahler_r4().chart
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    coeffs = (Fraction(-3, 7), Fraction(5, 2), Fraction(11, 13),
+              Fraction(-2, 3), Fraction(17, 5), Fraction(-19, 23))
+    B = KForm(chart, 2, {p: ScalarField.constant(chart, c)
+                         for p, c in zip(pairs, coeffs)})
+    return verify_triple(CliffordTriple(*[
+        EndField(chart, bfield_transform(E, B).entries)
+        for E in hyperkahler_r4().generators]))
+
+
+def flip_orientation(monkeypatch):
+    """J_zeta d_u = +d_v on both spheres: the +i eigenbundle of the twistor
+    structure is then not involutive (see sphere_gcs)."""
+    right = twistor.sphere_gcs
+    monkeypatch.setattr(twistor, "sphere_gcs",
+                        lambda chart=None: -right(chart))
+
+
 class TestTheorem13:
+    # the twistor structure is orthogonal with square -Id, so its Nijenhuis
+    # tensor is C-infinity-bilinear and skew: the 16 * 15 / 2 frame pairs
+    # a < b of the product chart decide it
+    CERT_PAIRS = 16 * 15 // 2
+
+    @pytest.mark.parametrize("build", [verified_triple, hk4b_triple],
+                             ids=["hyperkahler_r4", "hk4b"])
+    def test_symbolic_certificate(self, build):
+        rep = theorem_1_3(build())
+        assert rep.status == "pass"
+        assert rep.nijenhuis_checks == self.CERT_PAIRS
+        assert rep.mixed_ok
+        assert rep.mode == "symbolic"
+
     def test_symbolic_sweep(self):
+        # the opt-in cross-check: every ordered frame pair
         T = verified_triple()
         rep = theorem_1_3(T, degree_bound=0)
         assert rep.status == "pass"
@@ -268,41 +309,47 @@ class TestTheorem13:
 
     def test_sampled_mode(self):
         T = verified_triple()
-        rep = theorem_1_3(T, degree_bound=0,
-                          samples=sample_points(2, seed=11))
+        rep = theorem_1_3(T, samples=sample_points(2, seed=11))
         assert rep.status == "pass"
         assert rep.mode == "sampled"
-        assert rep.nijenhuis_checks == 2 * 256
+        assert rep.nijenhuis_checks == 2 * self.CERT_PAIRS
 
     @pytest.mark.parametrize("samples", [None, sample_points(2, seed=11)])
     def test_opposite_orientation_fails(self, monkeypatch, samples):
-        # negative control: with J_zeta d_u = +d_v the +i eigenbundle is not
-        # involutive (see sphere_gcs), in both modes
-        right = twistor.sphere_gcs
-        monkeypatch.setattr(twistor, "sphere_gcs",
-                            lambda chart=None: -right(chart))
-        rep = theorem_1_3(verified_triple(), degree_bound=0, samples=samples)
+        # negative control, in both modes: the certificate fails, with the
+        # witnesses of the degree-0 sweep on the pairs a < b
+        flip_orientation(monkeypatch)
+        T = verified_triple()
+        rep = theorem_1_3(T, samples=samples)
         assert rep.status == "fail"
         assert len(rep.witnesses) == 10 * (len(samples) if samples else 1)
         assert all(w[-1].startswith("nonzero") for w in rep.witnesses)
+        every = 16 * 16
+        cert = theorem_1_3(T, samples=samples, max_witnesses=every)
+        sweep = theorem_1_3(T, 0, samples=samples, max_witnesses=every)
+        assert cert.nijenhuis_checks == \
+            self.CERT_PAIRS * (len(samples) if samples else 1)
+        # a witness is (..., label_a, label_b, note)
+        frames = generator_labels(twistor_structure(T).chart, 0)
+        assert cert.witnesses == [
+            w for w in sweep.witnesses
+            if frames.index(w[-3]) < frames.index(w[-2])]
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_vanishes_sweeps_the_twistor_structure(self, monkeypatch, flip):
-        # the twistor structure is one more input of gcs.vanishes: 256
+        # the twistor structure is one more input of gcs.vanishes: 120
         # frame pairs that pass, and with the opposite orientation the
-        # witnesses of theorem_1_3's symbolic sweep
+        # witnesses of theorem_1_3's symbolic certificate
         if flip:
-            right = twistor.sphere_gcs
-            monkeypatch.setattr(twistor, "sphere_gcs",
-                                lambda chart=None: -right(chart))
+            flip_orientation(monkeypatch)
         T = verified_triple()
-        rep = vanishes(bind_nijenhuis(twistor_structure(T)), 0)
+        rep = vanishes(bind_nijenhuis(twistor_structure(T)))
         assert rep.vanished is not flip
         if flip:
             assert [w[:2] for w in rep.witnesses] == \
-                [w[:2] for w in theorem_1_3(T, degree_bound=0).witnesses]
+                [w[:2] for w in theorem_1_3(T).witnesses]
         else:
-            assert rep.sample_count == 256
+            assert rep.sample_count == self.CERT_PAIRS
 
     def test_mixed_bracket_identities_direct(self):
         # Lemma-4.4 style: [alpha, v] = L_{rho(alpha)} v for a sphere vector
