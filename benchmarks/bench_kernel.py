@@ -1,36 +1,31 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernel against the pure-Python twin on the
-workloads that dominate the verification suites: sparse polynomial products,
-polynomial products of the twistor sweep's shape (16-term by 30-term
-numerators in 8 variables, the dominant ``p_mul`` of ``theorem_1_3``),
-Dorfman bracket sweeps, a Nijenhuis vanishing pass (each operand's image and
-Jacobians built once, as in ``gcs._residuals``), and products of constant
-8 x 8 EndFields (``gcs.mat_mul`` runs those on the kernel's term dicts).
+"""Benchmark the arithmetic kernel on the workloads that dominate the
+verification suites: sparse polynomial products, polynomial products of the
+twistor sweep's shape (16-term by 30-term numerators in 8 variables, the
+dominant ``p_mul`` of ``theorem_1_3``), Dorfman bracket sweeps, a Nijenhuis
+vanishing pass (each operand's image and Jacobians built once, as in
+``gcs._residuals``), products of constant 8 x 8 EndFields (``gcs.mat_mul``
+runs those on the kernel's term dicts), and ScalarField sums and products of
+rational functions whose distinct denominators share a factor, which
+normalize through ``scalar._gcd_fast`` and the PRS ``polygcd.p_gcd``.
 
-Run from the repository root after building the extension in place:
+Run from the repository root:
 
-    python setup.py build_ext --inplace
     python benchmarks/bench_kernel.py
 """
 
 import random
 import sys
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gencliff import gcs
-from gencliff._core import pykernel
+from gencliff._core import kernel as K
 from gencliff.gcs import EndField
-from gencliff.scalar import GaussianRational, ScalarField, standard_chart
-
-try:
-    from gencliff._core import _ckernel
-except ImportError:
-    _ckernel = None
+from gencliff.scalar import (GaussianRational, Poly, ScalarField,
+                             standard_chart)
 
 
 def make_polys(rng, count, nvars=4, terms=6, deg=3):
@@ -39,7 +34,7 @@ def make_polys(rng, count, nvars=4, terms=6, deg=3):
         p = {}
         for _ in range(terms):
             m = tuple(rng.randint(0, deg) for _ in range(nvars))
-            p[m] = pykernel.c_make(rng.randint(-9, 9) or 1,
+            p[m] = K.c_make(rng.randint(-9, 9) or 1,
                                    rng.randint(-9, 9), rng.randint(1, 9))
         out.append(p)
     return out
@@ -53,7 +48,7 @@ def make_twistor_pairs(rng, count, nvars=8):
         while len(p) < terms:
             m = tuple(rng.randint(0, 2) if rng.random() < 0.4 else 0
                       for _ in range(nvars))
-            p[m] = pykernel.c_make(rng.randint(-6, 6) or 1, 0,
+            p[m] = K.c_make(rng.randint(-6, 6) or 1, 0,
                                    2 if rng.random() < 0.1 else 1)
         return p
     return [(poly(16), poly(30)) for _ in range(count)]
@@ -85,35 +80,44 @@ def make_endfields(rng, count, n=4):
     return out
 
 
-@contextmanager
-def gcs_kernel(kernel):
-    """Run EndField products on the given kernel backend."""
-    saved = gcs.K
-    gcs.K = kernel
-    try:
-        yield
-    finally:
-        gcs.K = saved
+def make_rationals(rng, count, n=3):
+    """P_i / (L_i L_(i+1)) for linear L_i = 1 + x1 + (i+2) x2 - x3 and
+    random quadratic P_i: neighbours share exactly the factor L_(i+1), so
+    neither denominator divides the other and normalization runs the PRS."""
+    chart = standard_chart(n)
+
+    def linear(i):
+        return {(0,) * n: (1, 0, 1), (1, 0, 0): (1, 0, 1),
+                (0, 1, 0): (i + 2, 0, 1), (0, 0, 1): (-1, 0, 1)}
+    out = []
+    for i in range(count):
+        num = {}
+        for _ in range(4):
+            m = tuple(rng.randint(0, 2) for _ in range(n))
+            num[m] = K.c_make(rng.randint(-9, 9) or 1, 0, rng.randint(1, 5))
+        den = K.p_mul(linear(i), linear(i + 1))
+        out.append(ScalarField(Poly(chart, num), Poly(chart, den)))
+    return out
 
 
-def bench(kernel, polys, twistor_pairs, sections, ends, n=4):
+def bench(polys, twistor_pairs, sections, ends, rationals, n=4):
     t0 = time.perf_counter()
     acc = {}
     for i in range(len(polys) - 1):
-        acc = kernel.p_add(acc, kernel.p_mul(polys[i], polys[i + 1]))
+        acc = K.p_add(acc, K.p_mul(polys[i], polys[i + 1]))
     t_poly = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     for p, q in twistor_pairs:
-        kernel.p_mul(p, q)
+        K.p_mul(p, q)
     t_twistor = time.perf_counter() - t0
 
     H = {(0, 1, 2): {(0,) * n: (1, 0, 1)}}
     t0 = time.perf_counter()
-    jacs = [kernel.sec_jacobian(n, A) for A in sections]
+    jacs = [K.sec_jacobian(n, A) for A in sections]
     for A, dA in zip(sections, jacs):
         for B, dB in zip(sections, jacs):
-            kernel.sec_dorfman(n, A, B, H, dA, dB)
+            K.sec_dorfman(n, A, B, H, dA, dB)
     t_dorf = time.perf_counter() - t0
 
     # mini Nijenhuis pass with a constant endomorphism (frame rotation)
@@ -123,53 +127,42 @@ def bench(kernel, polys, twistor_pairs, sections, ends, n=4):
     t0 = time.perf_counter()
     ops = []
     for A in sections:
-        MA = kernel.mat_apply_const(M, A)
-        ops.append((A, kernel.sec_jacobian(n, A),
-                    MA, kernel.sec_jacobian(n, MA)))
+        MA = K.mat_apply_const(M, A)
+        ops.append((A, K.sec_jacobian(n, A), MA, K.sec_jacobian(n, MA)))
     for A, dA, MA, dMA in ops:
         for B, dB, MB, dMB in ops:
-            t1 = kernel.sec_dorfman(n, MA, MB, None, dMA, dMB)
-            t2 = kernel.mat_apply_const(
-                M, kernel.sec_dorfman(n, MA, B, None, dMA, dB))
-            t3 = kernel.mat_apply_const(
-                M, kernel.sec_dorfman(n, A, MB, None, dA, dMB))
-            t4 = kernel.sec_dorfman(n, A, B, None, dA, dB)
-            res = kernel.sec_sub(kernel.sec_sub(kernel.sec_sub(t1, t2), t3), t4)
-            kernel.sec_is_zero(res)
+            t1 = K.sec_dorfman(n, MA, MB, None, dMA, dMB)
+            t2 = K.mat_apply_const(
+                M, K.sec_dorfman(n, MA, B, None, dMA, dB))
+            t3 = K.mat_apply_const(
+                M, K.sec_dorfman(n, A, MB, None, dA, dMB))
+            t4 = K.sec_dorfman(n, A, B, None, dA, dB)
+            res = K.sec_sub(K.sec_sub(K.sec_sub(t1, t2), t3), t4)
+            K.sec_is_zero(res)
     t_nij = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    with gcs_kernel(kernel):
-        for i in range(len(ends) - 1):
-            ends[i] @ ends[i + 1]
+    for i in range(len(ends) - 1):
+        ends[i] @ ends[i + 1]
     t_end = time.perf_counter() - t0
-    return t_poly, t_twistor, t_dorf, t_nij, t_end
+
+    t0 = time.perf_counter()
+    for f, g in zip(rationals, rationals[1:]):
+        f + g
+        f * g
+    t_rat = time.perf_counter() - t0
+    return t_poly, t_twistor, t_dorf, t_nij, t_end, t_rat
 
 
 def main():
     rng = random.Random(20240817)
-    polys = make_polys(rng, 400)
-    twistor_pairs = make_twistor_pairs(rng, 200)
-    sections = make_sections(rng, 60)
-    ends = make_endfields(rng, 200)
-    rows = []
-    results = {}
-    for name, kernel in (("python", pykernel), ("c", _ckernel)):
-        if kernel is None:
-            print("compiled kernel not built; run "
-                  "`python setup.py build_ext --inplace` first")
-            continue
-        times = bench(kernel, polys, twistor_pairs, sections, ends)
-        results[name] = times
-        rows.append((name,) + times)
-    print(f"{'kernel':<8} {'poly-mul':>10} {'p_mul-16x30':>10} "
-          f"{'dorfman':>10} {'nijenhuis':>10} {'end-matmul':>10}")
-    for name, *times in rows:
-        print(f"{name:<8} " + " ".join(f"{t:>9.3f}s" for t in times))
-    if "python" in results and "c" in results:
-        speedups = [p / c if c else float("inf")
-                    for p, c in zip(results["python"], results["c"])]
-        print(f"{'speedup':<8} " + " ".join(f"{s:>9.1f}x" for s in speedups))
+    times = bench(make_polys(rng, 400), make_twistor_pairs(rng, 200),
+                  make_sections(rng, 60), make_endfields(rng, 200),
+                  make_rationals(rng, 40))
+    print(" ".join(f"{h:>12}" for h in (
+        "poly-mul", "p_mul-16x30", "dorfman", "nijenhuis", "end-matmul",
+        "rational")))
+    print(" ".join(f"{t:>11.3f}s" for t in times))
 
 
 if __name__ == "__main__":

@@ -1,25 +1,12 @@
-"""Kernel backend selection.
+"""The arithmetic kernel.
 
-The compiled kernel (``_ckernel``, built from ``_ckernel.pyx``) is preferred;
-the pure-Python twin (``pykernel``) is the fallback.  Set the environment
-variable ``GENCLIFF_PURE_KERNEL=1`` to force the pure backend (used by the
-benchmark and by tests that compare the two).
+``pykernel`` is the only kernel; ``kernel`` and ``BACKEND`` name it for the
+modules that call it and for the report's ``tool.kernel`` field.
 """
-
-import os
 
 from . import pykernel
 
-if os.environ.get("GENCLIFF_PURE_KERNEL"):
-    kernel = pykernel
-    BACKEND = "python"
-else:
-    try:
-        from . import _ckernel as kernel  # type: ignore[attr-defined]
-
-        BACKEND = "c"
-    except ImportError:
-        kernel = pykernel
-        BACKEND = "python"
+kernel = pykernel
+BACKEND = "python"
 
 __all__ = ["kernel", "pykernel", "BACKEND"]

@@ -1,10 +1,7 @@
-"""Pure-Python arithmetic kernel.
+"""Pure-Python arithmetic kernel: the exact polynomial, section and bracket
+arithmetic under every verification sweep.
 
-This module is the reference implementation of the hot kernels; the Cython
-twin (``_ckernel.pyx``) compiles the same code with typed loop variables.
-``gencliff._core`` picks whichever is available at import time.
-
-Data layout (shared by both kernels, never mix layouts between them):
+Data layout:
 
   coefficient  (a, b, d)   the Gaussian rational (a + b*i)/d with d > 0 and
                            gcd(a, b, d) = 1; exact arbitrary-precision ints.
@@ -209,15 +206,20 @@ def sec_sub(A, B):
     return [p_sub(a, b) for a, b in zip(A, B)]
 
 
-def sec_neg(A):
-    return [p_neg(a) for a in A]
-
-
 def sec_is_zero(A):
     for a in A:
         if a:
             return False
     return True
+
+
+def sec_pairing_differential(n, A):
+    """D<A,A> = (0, df) for f = <A,A> = sum_k A[k] A[n+k]."""
+    f = {}
+    for k in range(n):
+        if A[k] and A[n + k]:
+            _p_iadd(f, p_mul(A[k], A[n + k]))
+    return [{} for _ in range(n)] + [p_diff(f, t) for t in range(n)]
 
 
 def mat_apply_const(M, A):

@@ -61,11 +61,6 @@ class FluxMismatchError(ValueError):
     pass
 
 
-def _zero_matrix(chart, size):
-    z = ScalarField.zero(chart)
-    return [[z] * size for _ in range(size)]
-
-
 def mat_mul(A, B):
     """Product of two square ScalarField matrices.
 
@@ -271,9 +266,6 @@ class EndField:
         self._check(other)
         return EndField(self.chart, mat_mul(self.entries, other.entries),
                         self.flux)
-
-    def transpose(self):
-        return EndField(self.chart, tuple(zip(*self.entries)), self.flux)
 
     def inverse(self):
         return EndField(self.chart, mat_inv(self.entries, self.chart),

@@ -28,10 +28,6 @@ def grlex_key(m):
     return (sum(m), m)
 
 
-def p_is_zero(p):
-    return not p
-
-
 def p_leading(p):
     """(monomial, coeff) of the graded-lex leading term."""
     m = max(p, key=grlex_key)
