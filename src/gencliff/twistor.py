@@ -138,7 +138,7 @@ rot_S = rot_T   # the second sphere factor uses the identical formula
 
 SPHERE_COORDS = ("u1", "v1", "u2", "v2")
 
-# connection_data carries the constant M-endomorphisms over the sphere chart,
+# _ihat carries the constant M-endomorphisms over the sphere chart,
 # where an EndField is 8 x 8, so the layer needs a 4-dimensional M chart.
 CHART_DIM = 4
 DIM_LIMIT = "twistor layer implemented only for 4-dimensional charts"
@@ -309,14 +309,15 @@ def _form_vector_cross(c, dc):
     return out
 
 
-def connection_data(T: CliffordTriple) -> ConnectionData:
-    """Assemble c, d, omega, Ihat, Omega and V01 over the sphere chart and
-    verify the unit-vector identities c.c = 1, c.dc = 0 and omega x c = dc
-    as exact rational-function identities."""
+def _ihat(T: CliffordTriple, what: str):
+    """The guards of the twistor layer, then c, d (with |c|^2 = |d|^2 = 1
+    checked exactly), the sector generators Ip, Im over the sphere chart and
+    Ihat = c.I+ + d.I-.  ``what`` names the caller in the error for a
+    non-constant triple."""
     if not T.status.relations_ok:
         raise ValueError("triple relations not verified")
     if not all(E.is_constant for E in T.generators):
-        raise ValueError("connection data needs a constant-coefficient triple")
+        raise ValueError(f"{what} needs a constant-coefficient triple")
     if T.chart.dim != CHART_DIM:
         raise ValueError(f"{DIM_LIMIT} (chart has dimension {T.chart.dim})")
     S4 = sphere_chart()
@@ -331,6 +332,15 @@ def connection_data(T: CliffordTriple) -> ConnectionData:
         raise AssertionError("|c|^2 != 1")
     if sum((x * x for x in d), ScalarField.zero(S4)) != one:
         raise AssertionError("|d|^2 != 1")
+    return c, d, Ip, Im, _combine(c, Ip) + _combine(d, Im)
+
+
+def connection_data(T: CliffordTriple) -> ConnectionData:
+    """Assemble c, d, omega, Ihat, Omega and V01 over the sphere chart and
+    verify the unit-vector identities c.c = 1, c.dc = 0 and omega x c = dc
+    as exact rational-function identities."""
+    c, d, Ip, Im, Ihat = _ihat(T, "connection data")
+    S4 = Ihat.chart
     dc = [tuple(x.diff(w) for x in c) for w in range(4)]
     dd = [tuple(x.diff(w) for x in d) for w in range(4)]
     zero = ScalarField.zero(S4)
@@ -349,7 +359,6 @@ def connection_data(T: CliffordTriple) -> ConnectionData:
                                  if not om1[w][i].is_zero}) for i in range(3))
     omega2 = tuple(KForm(S4, 1, {(w,): om2[w][i] for w in range(4)
                                  if not om2[w][i].is_zero}) for i in range(3))
-    Ihat = _combine(c, Ip) + _combine(d, Im)
     Omega = {}
     for w in range(4):
         Omega[w] = _combine(om1[w], Ip) + _combine(om2[w], Im)
@@ -502,16 +511,12 @@ def twistor_structure(T: CliffordTriple) -> EndField:
     """Ihat(zeta1, zeta2) (+) J_sphere over the product chart
     (x..., u1, v1, u2, v2); requires a constant-coefficient triple so that
     all sphere dependence comes through c and d."""
-    if not T.status.relations_ok:
-        raise ValueError("triple relations not verified")
-    if not all(E.is_constant for E in T.generators):
-        raise ValueError("twistor structure needs a constant-coefficient triple")
-    conn = connection_data(T)
+    Ihat = _ihat(T, "twistor structure")[4]
     n = T.chart.dim
     Z = product_chart(T)
     N = n + 4
     sphere_map = [n + w for w in range(4)]
-    Ihat = _rebase_matrix(conn.Ihat.entries, Z, sphere_map)
+    Ihat = _rebase_matrix(Ihat.entries, Z, sphere_map)
     JS = _rebase_matrix(sphere_gcs().entries, Z, sphere_map)
     zero = ScalarField.zero(Z)
     size = 2 * N

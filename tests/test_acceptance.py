@@ -61,9 +61,11 @@ def test_criterion_01_courant_axioms():
     status, witnesses, checks = cli_mod.suite_axioms(
         model, cli_mod.RunConfig(suites=["axioms"], max_degree=2))
     assert status == "pass", witnesses
-    # 60 generators -> 216000 Jacobi triples per flux variant, plus the
-    # symmetric-part sweep
-    assert checks == 2 * (60 ** 3 + 60)
+    # per flux variant, with c0 = 6, c1 = 18, c2 = 36 generators of monomial
+    # degree 0, 1, 2: the Jacobi triples of total degree <= 2,
+    # c0^3 + 3 c1 c0^2 + 3 c1^2 c0 + 3 c2 c0^2 = 11,880, plus the unordered
+    # symmetric pairs of total degree <= 1, c0 (c0 + 1) / 2 + c0 c1 = 129
+    assert checks == 2 * (11_880 + 129)
     report_line(1, "Courant axioms", t0, "60 s")
 
 

@@ -244,6 +244,28 @@ class TestTwistorStructure:
         E = twistor_structure(T)
         assert is_almost_gcs(E)
 
+    @pytest.mark.parametrize("make", [verified_triple, lambda: hk4b_triple()],
+                             ids=["hyperkahler_r4", "hk4b"])
+    def test_blocks_equal_connection_data(self, make):
+        # twistor_structure builds Ihat without the connection form; its
+        # entries must equal the blocks assembled from connection_data's
+        # Ihat and the sphere structure
+        T = make()
+        E = twistor_structure(T)
+        Z = E.chart
+        sphere_map = [4 + w for w in range(4)]
+        Ihat = twistor._rebase_matrix(connection_data(T).Ihat.entries, Z,
+                                      sphere_map)
+        JS = twistor._rebase_matrix(sphere_gcs().entries, Z, sphere_map)
+        want = [[ScalarField.zero(Z)] * 16 for _ in range(16)]
+        for i in range(8):
+            for j in range(8):
+                want[i if i < 4 else 4 + i][j if j < 4 else 4 + j] = \
+                    Ihat[i][j]
+                want[4 + i if i < 4 else 8 + i][4 + j if j < 4 else 8 + j] = \
+                    JS[i][j]
+        assert [list(row) for row in E.entries] == want
+
     def test_requires_constant_triple(self):
         from gencliff.cartan import KForm
         from gencliff.gcs import bfield_transform
