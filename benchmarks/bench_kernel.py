@@ -4,8 +4,11 @@ verification suites: sparse polynomial products, polynomial products of the
 twistor sweep's shape (16-term by 30-term numerators in 8 variables, the
 dominant ``p_mul`` of ``theorem_1_3``), Dorfman bracket sweeps, a Nijenhuis
 vanishing pass (each operand's image and Jacobians built once, as in
-``gcs._residuals``), products of constant 8 x 8 EndFields (``gcs.mat_mul``
-runs those on the kernel's term dicts), and ScalarField sums and products of
+``gcs._residuals``), the twistor structure's numerators applied to one
+bracket of an M-frame and a sphere-frame operand (``mat_apply_poly``, as
+``theorem_1_3`` applies them), products of constant 8 x 8 EndFields
+(``gcs.mat_mul`` runs those on the kernel's term dicts), and ScalarField
+sums and products of
 rational functions whose distinct denominators share a factor, which
 normalize through ``scalar._gcd_fast`` and the PRS ``polygcd.p_gcd``.
 
@@ -23,7 +26,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gencliff._core import kernel as K
-from gencliff.gcs import EndField
+from gencliff.clifford import verify_triple
+from gencliff.examples import hyperkahler_r4
+from gencliff.gcs import (EndField, _kernel_generators, _kernel_setup,
+                          _operand, bind_nijenhuis)
+from gencliff.twistor import twistor_structure
 from gencliff.scalar import (GaussianRational, Poly, ScalarField,
                              standard_chart)
 
@@ -80,6 +87,19 @@ def make_endfields(rng, count, n=4):
     return out
 
 
+def make_twistor_bracket():
+    """The twistor structure of hyperkahler_r4 as polynomial numerator rows
+    over the sphere base, and the bracket [J d_x1, J d_u1] of the images of
+    an M-frame and a sphere-frame section, built as gcs._residuals builds
+    them."""
+    E = twistor_structure(verify_triple(hyperkahler_r4()))
+    mats = _kernel_setup(bind_nijenhuis(E))[0]
+    frames = _kernel_generators(E.chart, 0)
+    _, (ja, dja) = _operand("nijenhuis", mats, frames[0])
+    _, (jb, djb) = _operand("nijenhuis", mats, frames[4])
+    return mats["J"], K.sec_dorfman(E.chart.dim, ja, jb, None, dja, djb)
+
+
 def make_rationals(rng, count, n=3):
     """P_i / (L_i L_(i+1)) for linear L_i = 1 + x1 + (i+2) x2 - x3 and
     random quadratic P_i: neighbours share exactly the factor L_(i+1), so
@@ -100,7 +120,8 @@ def make_rationals(rng, count, n=3):
     return out
 
 
-def bench(polys, twistor_pairs, sections, ends, rationals, n=4):
+def bench(polys, twistor_pairs, sections, twistor_bracket, ends, rationals,
+          n=4):
     t0 = time.perf_counter()
     acc = {}
     for i in range(len(polys) - 1):
@@ -141,6 +162,12 @@ def bench(polys, twistor_pairs, sections, ends, rationals, n=4):
             K.sec_is_zero(res)
     t_nij = time.perf_counter() - t0
 
+    J, bracket = twistor_bracket
+    t0 = time.perf_counter()
+    for _ in range(5):
+        K.mat_apply_poly(J, bracket)
+    t_apply = time.perf_counter() - t0
+
     t0 = time.perf_counter()
     for i in range(len(ends) - 1):
         ends[i] @ ends[i + 1]
@@ -151,18 +178,18 @@ def bench(polys, twistor_pairs, sections, ends, rationals, n=4):
         f + g
         f * g
     t_rat = time.perf_counter() - t0
-    return t_poly, t_twistor, t_dorf, t_nij, t_end, t_rat
+    return t_poly, t_twistor, t_dorf, t_nij, t_apply, t_end, t_rat
 
 
 def main():
     rng = random.Random(20240817)
     times = bench(make_polys(rng, 400), make_twistor_pairs(rng, 200),
-                  make_sections(rng, 60), make_endfields(rng, 200),
-                  make_rationals(rng, 40))
-    print(" ".join(f"{h:>12}" for h in (
-        "poly-mul", "p_mul-16x30", "dorfman", "nijenhuis", "end-matmul",
-        "rational")))
-    print(" ".join(f"{t:>11.3f}s" for t in times))
+                  make_sections(rng, 60), make_twistor_bracket(),
+                  make_endfields(rng, 200), make_rationals(rng, 40))
+    print(" ".join(f"{h:>14}" for h in (
+        "poly-mul", "p_mul-16x30", "dorfman", "nijenhuis",
+        "mat-apply-poly", "end-matmul", "rational")))
+    print(" ".join(f"{t:>13.3f}s" for t in times))
 
 
 if __name__ == "__main__":

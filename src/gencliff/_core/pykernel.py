@@ -158,6 +158,26 @@ def p_mul(p, q):
     if not p or not q:
         return {}
     acc = {}
+    _p_mul_acc(acc, p, q)
+    return _normalize_acc(acc)
+
+
+def p_dot(pairs):
+    """sum p * q over the (p, q) pairs, as one product accumulation: the
+    term products of every pair are summed unnormalized, as in p_mul, and
+    each output coefficient is normalized once, so a row of a matrix-section
+    product takes one gcd per output term rather than one per pair."""
+    acc = {}
+    for p, q in pairs:
+        if p and q:
+            _p_mul_acc(acc, p, q)
+    return _normalize_acc(acc)
+
+
+def _p_mul_acc(acc, p, q):
+    """acc += p * q in p_mul's unnormalized accumulator: monomial ->
+    (a, b, d) with no gcd taken; a sum over different denominators merges
+    over their LCM."""
     for m1, (a1, b1, d1) in p.items():
         for m2, (a2, b2, d2) in q.items():
             m = tuple(map(add, m1, m2))
@@ -174,6 +194,11 @@ def p_mul(p, q):
                 g = gcd(xd, d)
                 u, v = d // g, xd // g
                 acc[m] = (xa * u + a * v, xb * u + b * v, xd * u)
+
+
+def _normalize_acc(acc):
+    """The polynomial of an accumulator of _p_mul_acc: each coefficient
+    normalized once, the zero ones dropped."""
     out = {}
     for m, (a, b, d) in acc.items():
         if a or b:
@@ -237,15 +262,7 @@ def mat_apply_const(M, A):
 
 def mat_apply_poly(M, A):
     """Apply a polynomial sparse matrix (rows of (col, poly)) to a section."""
-    out = []
-    for row in M:
-        acc = {}
-        for j, pe in row:
-            aj = A[j]
-            if aj:
-                _p_iadd(acc, p_mul(pe, aj))
-        out.append(acc)
-    return out
+    return [p_dot((pe, A[j]) for j, pe in row) for row in M]
 
 
 def flux_contract(n, X, Y, H):

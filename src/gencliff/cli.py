@@ -391,7 +391,7 @@ def suite_tduality(model, cfg):
             return ("fail",
                     [f"triple varies along the dualized coordinate "
                      f"x{k + 1}"], checks)
-    irep = td.check_intertwine(phi, cfg.max_degree)
+    irep = td.check_intertwine(phi)
     checks += irep.checks
     if not irep.ok:
         wit += [f"intertwine at ({w[0]}, {w[1]}) -> {w[2]}"
@@ -672,13 +672,13 @@ def build_parser():
     v.add_argument("--suite", default="relations",
                    help="comma-separated suite list, or 'all'")
     v.add_argument("--max-degree", type=int, default=2,
-                   help="monomial degree bound of the T-duality intertwine "
-                        "sweep and of the axioms suite, which decides every "
-                        "degree >= 2 with its degree-2 certificate; the "
-                        "Nijenhuis-type suites (theorem11, rotations, the "
-                        "theorem13 and tduality integrability prerequisites) "
-                        "use the symbol certificate, which holds for all "
-                        "sections")
+                   help="monomial degree bound of the axioms suite's "
+                        "generators, which bounds it only below 2 (its "
+                        "degree-2 certificate decides every degree >= 2); "
+                        "every other suite runs a certificate that holds "
+                        "for all sections, and an integer degree bound of "
+                        "the Nijenhuis or intertwine sweeps is opt-in "
+                        "through the library only")
     v.add_argument("--samples", type=int, default=10)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--output", help="report file (atomic write); stdout if "

@@ -140,9 +140,12 @@ def verify_triple(T: CliffordTriple,
     The certificate evaluates each N(Ii,Ii) on the 2n(2n - 1)/2 frame pairs
     a < b (28 at n = 4) when Ii^2 = -Id holds exactly and Ii is
     skew-adjoint for the pairing, which make N(Ii,Ii) C-infinity-bilinear
-    and skew.  With Ii^2 = -Id alone it takes 2n * 2n * (1 + n) pairs (320),
-    and 2n * 2n * (1 + 2n) (576) otherwise, since only then does the second
-    slot's Leibniz term (rho(A)g)(Ii^2 + 1)B vanish."""
+    and skew, less the pairs with a frame element e_b for which
+    Ii e_b = +-e_c, c < b (``gcs._frame_representatives``): 6 pairs for
+    each generator of ``hyperkahler_r4``.  With Ii^2 = -Id alone it takes
+    2n * 2n * (1 + n) pairs (320), and 2n * 2n * (1 + 2n) (576) otherwise,
+    since only then does the second slot's Leibniz term
+    (rho(A)g)(Ii^2 + 1)B vanish."""
     rel = check_relations(T)
     reports = tuple(
         vanishes(bind_nijenhuis(E, f"N(I{i+1},I{i+1})", T.flux), degree_bound)

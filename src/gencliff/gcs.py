@@ -27,7 +27,9 @@ dropped: 2n * 2n * (1 + n) pairs per tensor (320 at n = 4) instead of
 the first slot's Leibniz terms cancel too and N(A,B) = -N(B,A) (Gualtieri,
 arXiv:math/0401221): the tensor is C-infinity-bilinear and skew, so the
 frame pairs (e_a, e_b) with a < b decide it, 2n(2n - 1)/2 pairs (28 at
-n = 4, 120 for the twistor structure).  N_G never is: its first slot keeps
+n = 4).  For N_J, N_J(A, JB) = -J N_J(A, B) drops every frame element e_b
+with J e_b = +-e_c, c < b, as well (66 pairs for the twistor structure
+instead of 120).  N_G never is: its first slot keeps
 4<A,B>Df - 4<A,GB> G Df.  An integer degree bound instead sweeps all pairs
 of frame sections times monomials up to that degree, as an opt-in
 cross-check.
@@ -52,7 +54,8 @@ from . import polygcd as G
 from .scalar import Chart, ChartMismatchError, Poly, ScalarField
 from .cartan import KForm
 from .courant import (FluxForm, Section, dorfman_twisted,
-                      frame_sections, monomials_up_to, section_from_kernel)
+                      frame_sections, monomials_up_to, section_from_kernel,
+                      section_kernel_components)
 
 HALF = (1, 0, 2)
 
@@ -121,22 +124,14 @@ def _entrywise_terms(op, A, B):
 
 
 def _mat_mul_terms(A, B):
-    """Product of square matrices of kernel term dicts ({} for zero),
-    multiplied with K.p_mul and summed with K.p_add."""
+    """Product of square matrices of kernel term dicts ({} for zero), each
+    entry one K.p_dot over the nonzero entries of A's row."""
     size = len(B)
     out = []
     for Ai in A:
         nonzero = [(k, a) for k, a in enumerate(Ai) if a]
-        row = []
-        for j in range(size):
-            acc = None
-            for k, a in nonzero:
-                b = B[k][j]
-                if b:
-                    t = K.p_mul(a, b)
-                    acc = t if acc is None else K.p_add(acc, t)
-            row.append(acc or {})
-        out.append(row)
+        out.append([K.p_dot((a, B[k][j]) for k, a in nonzero)
+                    for j in range(size)])
     return out
 
 
@@ -814,6 +809,33 @@ def _eval_kernel(kind, mats, kflux, n, A, B):
     return [K.p_scale(p, HALF) for p in out]
 
 
+def _frame_representatives(base, J):
+    """The frame indices the J-orbit reduction keeps, from J's numerators
+    over m^1: b is dropped iff column b is exactly +-m e_c for some c < b,
+    i.e. J e_b = +-e_c.
+
+    For any bilinear bracket and J^2 = -Id, as plain algebra,
+
+        N_J(A, JB) = -J N_J(A, B) = N_J(JA, B)
+
+    (expand both sides: each is -[JA,B] - [A,JB] - J[JA,JB] + J[A,B]).  If
+    J e_b = +-e_c then e_b = -+J e_c, so N_J(e_a, e_b) = +-J N_J(e_a, e_c)
+    and N_J(e_b, e_a) = +-J N_J(e_c, e_a); J is invertible, so the pairs
+    with e_b vanish, identically or at a point, iff those with e_c do.  The
+    partner c is kept: column c is -+m e_b with b > c.  So when N_J is
+    C-infinity-bilinear and skew, the frame pairs r < r' within the kept
+    set decide it (a pair (e_c, e_b) of one orbit is +-J N_J(e_c, e_c) = 0).
+    """
+    m, neg = base.m, K.p_neg(base.m)
+    size = len(J)
+    keep = []
+    for b in range(size):
+        col = [(c, J[c][b]) for c in range(size) if J[c][b]]
+        if not (len(col) == 1 and col[0][0] < b and col[0][1] in (m, neg)):
+            keep.append(b)
+    return keep
+
+
 def generator_degree(degree_bound):
     """Monomial degree of the generators a check runs over: the integer
     degree bound of a sweep, or 1 for the symbol certificate (None)."""
@@ -832,7 +854,9 @@ def _residuals(tensor: BoundTensor, degree_bound: int | None):
     and yields every pair.  The symbol certificate (degree_bound None) asks
     _tensoriality what the structures prove: when the tensor is
     C-infinity-bilinear and skew it takes the frame generators (degree 0)
-    and yields the pairs a < b; otherwise it takes degree 1 and yields
+    and yields the pairs a < b, for N_J only those within the J-orbit
+    representatives of _frame_representatives; otherwise it takes degree 1
+    and yields
     (e_a, e_b) and (x_k e_a, e_b), which read N0 and P_k, and also
     (e_a, x_k e_b), which read Q_k, unless Q_k = 0 is proven.  Each
     generator's structure images and Jacobians are built once, up front, so
@@ -848,13 +872,17 @@ def _residuals(tensor: BoundTensor, degree_bound: int | None):
     # a generator's monomial is linear iff its exponents are not all zero
     linear = [degree_bound is None and any(any(m) for p in A for m in p)
               for A in gens]
+    reps = set(range(len(gens)))
+    if proven == "skew" and kind == "nijenhuis":
+        reps = set(_frame_representatives(mats["base"], nums[0]))
 
-    # a sweep keeps every pair; a skew certificate the frame pairs a < b;
-    # otherwise the certificate keeps (e_a, e_b) and (x_k e_a, e_b), and
-    # (e_a, x_k e_b) too unless Q_k = 0 is proven
+    # a sweep keeps every pair; a skew certificate the frame pairs a < b
+    # (within the J-orbit representatives for N_J); otherwise the
+    # certificate keeps (e_a, e_b) and (x_k e_a, e_b), and (e_a, x_k e_b)
+    # too unless Q_k = 0 is proven
     def keep(i, j):
         if proven == "skew":
-            return i < j
+            return i < j and i in reps and j in reps
         return not linear[j] or not (proven or linear[i])
 
     def pairs():
@@ -894,7 +922,11 @@ def vanishes(tensor: BoundTensor, degree_bound: int | None = None,
     C-infinity-bilinear and skew -- N_J with J^2 = -Id and J skew-adjoint,
     or N(I,J) with I, J skew-adjoint and IJ + JI a constant multiple of Id
     -- it is evaluated on the frame pairs (e_a, e_b) with a < b:
-    2n(2n - 1)/2 pairs (28 at n = 4).  Otherwise it is evaluated on the
+    2n(2n - 1)/2 pairs (28 at n = 4).  For N_J the frame elements with
+    J e_b = +-e_c, c < b, are dropped as well (_frame_representatives):
+    r(r - 1)/2 pairs for r kept frame elements (6 for a constant
+    hyperkaehler structure on R^4, whose columns are all +-frame elements).
+    Otherwise it is evaluated on the
     pairs (e_a, e_b), (x_k e_a, e_b) and (e_a, x_k e_b); the last only read
     Q_k and are skipped when Q_k = 0 is proven (always for a concomitant,
     for N_J or N_G when J^2 = -Id or G^2 = Id holds exactly).  That is
@@ -908,6 +940,24 @@ def vanishes(tensor: BoundTensor, degree_bound: int | None = None,
     base, degree, pairs = _residuals(tensor, degree_bound)
     return _tensor_report(tensor.name, degree_bound, base, degree, pairs,
                           max_witnesses)
+
+
+def kernel_evaluate(tensor: BoundTensor, A: Section, B: Section) -> Section:
+    """tensor(A, B) by the kernel evaluator ``_eval_kernel`` when the
+    structures, the flux and the sections are polynomial; by the ScalarField
+    reference ``BoundTensor.evaluate`` otherwise, where normalizing the
+    kernel's numerators over a rational base costs more than the reference
+    formula."""
+    if A.chart != tensor.chart or B.chart != tensor.chart:
+        raise ChartMismatchError("sections on wrong chart")
+    P, Q = section_kernel_components(A), section_kernel_components(B)
+    mats, kflux, _, _ = _kernel_setup(tensor)
+    if P is None or Q is None or not mats["base"].unit:
+        return tensor.evaluate(A, B)
+    kind = tensor.kind
+    out = _eval_kernel(kind, mats, kflux, tensor.chart.dim,
+                       _operand(kind, mats, P), _operand(kind, mats, Q))
+    return mats["base"].section(out, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ the block twistor structure on the product chart with its integrability
 certificate.
 
 All sphere dependence enters through denominators dividing powers of
-m = (1+u1^2+v1^2)(1+u2^2+v2^2).  The connection identities are decided on
-numerators over powers of m (``gcs._PowerDen``), and the integrability check
-of Theorem 1.3 runs the Nijenhuis evaluator of ``gcs``, which finds m as the
-LCM of the twistor structure's denominators; that structure is orthogonal
-and squares to -Id, so its Nijenhuis tensor is decided on the frame pairs
-alone.
+m = (1+u1^2+v1^2)(1+u2^2+v2^2).  The connection identities and the mixed
+bracket identities are decided on numerators over powers of m
+(``gcs._PowerDen``), and the integrability check of Theorem 1.3 runs the
+Nijenhuis evaluator of ``gcs``, which finds m as the LCM of the twistor
+structure's denominators; that structure is orthogonal and squares to -Id,
+so its Nijenhuis tensor is decided on the frame pairs within the orbits of
+the sphere structure alone.
 
 Only the finite stereographic chart of each sphere is implemented; zeta =
 infinity is outside every formula here (sampling uses rational points, so it
@@ -26,9 +27,8 @@ from fractions import Fraction
 from ._core import kernel as K
 from .scalar import Chart, GaussianRational, Poly, ScalarField
 from .cartan import KForm
-from .courant import Section, dorfman
-from .gcs import (EndField, _PowerDen, _residuals, bind_nijenhuis,
-                  generator_labels, is_almost_gcs)
+from .gcs import (EndField, _PowerDen, _kernel_generators, _residuals,
+                  bind_nijenhuis, generator_labels, is_almost_gcs)
 from .clifford import (CliffordTriple, Projections, check_relations, induce,
                        project)
 
@@ -566,9 +566,13 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
     structure squares to -Id and is skew-adjoint for the pairing (both
     checked exactly on its numerators), so its Nijenhuis tensor is
     C-infinity-bilinear and skew, and the frame pairs (e_a, e_b) with a < b
-    -- 120 on the 8-coordinate product chart -- decide it for all smooth
-    sections.  An integer degree_bound sweeps all pairs from frame x
-    (degree <= degree_bound monomials) instead, as a cross-check.  Symbolic
+    decide it for all smooth sections.  The sphere structure maps d_v and
+    dv to +-d_u and +-du, so N_J(A, JB) = -J N_J(A, B) drops the d_v1,
+    d_v2, dv1 and dv2 pairs as well: the 12 * 11 / 2 = 66 pairs among the
+    8 M-frame sections and d_u1, d_u2, du1, du2 decide it, of the 120 pairs
+    a < b on the 8-coordinate product chart.  An integer degree_bound
+    sweeps all pairs from frame x (degree <= degree_bound monomials)
+    instead, as a cross-check.  Symbolic
     mode tests each numerator for zero; with ``samples`` a list of
     TwistorPoints the same numerator is evaluated exactly at (0, ..., 0,
     Re zeta1, Im zeta1, Re zeta2, Im zeta2) for each point, where m >= 1,
@@ -622,24 +626,28 @@ def _mixed_bracket_checks(E: EndField, T: CliffordTriple) -> bool:
     """Lemma-4.4 style identities on the product chart:
     [alpha, v] = L_{rho(alpha)} v for sphere vectors alpha (componentwise
     derivative of sphere-dependent M-sections) and [alpha, v] = 0 for sphere
-    1-forms alpha."""
+    1-forms alpha.  Decided on numerators over the sphere base m: v is a
+    column of E over m^1, and both sides of each identity are numerators
+    over m^2."""
     Z = E.chart
     n = T.chart.dim
     N = Z.dim
+    base = _sphere_base(Z)
+    deriv = base.diff(1)
+    frames = _kernel_generators(Z, 0)
     # sphere-dependent M-sections: Ihat applied to M-frame sections
-    vs = [E.column(j) for j in (0, N)]      # one vector-type, one covector-type
+    vs = [[base.numerator(row[j]) for row in E.entries]
+          for j in (0, N)]                  # one vector-type, one covector
     for w in range(4):
-        alpha = Section.frame(Z, n + w)
+        alpha = frames[n + w]
         for v in vs:
-            lhs = dorfman(alpha, v)
-            rhs = Section.from_components(
-                Z, [f.diff(n + w) for f in v.to_components()])
-            if lhs != rhs:
+            lhs, _ = base.dorfman(alpha, 0, v, 1)
+            if lhs != [deriv(p, n + w) if p else {} for p in v]:
                 return False
         # pure sphere 1-form: rho(alpha) = 0 so the bracket must vanish
-        form = Section.frame(Z, N + n + w)
+        form = frames[N + n + w]
         for v in vs:
-            if not dorfman(form, v).is_zero:
+            if not K.sec_is_zero(base.dorfman(form, 0, v, 1)[0]):
                 return False
     return True
 

@@ -11,6 +11,7 @@ from gencliff.clifford import (CliffordTriple, check_relations,
                                levi_civita, project, theorem_1_1,
                                verify_triple)
 from gencliff.examples import hyperkahler_r4, product_flip
+from tests.test_gcs import frame_representatives
 
 R4 = standard_chart(4)
 
@@ -208,13 +209,14 @@ def nonclosed_bfield_triple():
 FRAMES = ["d1", "d2", "d3", "d4", "e1", "e2", "e3", "e4"]
 
 
-def certificate_pair(witness):
+def certificate_pair(witness, reps):
     """True iff a witness's generator pair is a frame pair (e_a, e_b) with
-    a < b, the certificate's pairs when the tensor is proven
-    C-infinity-bilinear and skew (a generator label carries a '*' iff its
-    monomial is not 1)."""
+    a < b, both in reps, the certificate's pairs when N_J is proven
+    C-infinity-bilinear and skew (reps: J's orbit representatives; a
+    generator label carries a '*' iff its monomial is not 1)."""
     a, b = witness[:2]
-    return a in FRAMES and b in FRAMES and FRAMES.index(a) < FRAMES.index(b)
+    return (a in FRAMES and b in FRAMES and FRAMES.index(a) < FRAMES.index(b)
+            and FRAMES.index(a) in reps and FRAMES.index(b) in reps)
 
 
 class TestSymbolCertificate:
@@ -223,10 +225,15 @@ class TestSymbolCertificate:
 
     # N_J with Ii^2 = -Id and Ii orthogonal, and every family with
     # IJ + JI = c Id for a constant c, are C-infinity-bilinear and skew:
-    # the 2n(2n - 1)/2 frame pairs a < b.  The diagonal pairs N(Ii,Ji),
-    # with IJ + JI = 2 Ii Ji, keep (e_a, e_b) and (x_k e_a, e_b):
-    # 2n * 2n * (1 + n) pairs
+    # the 2n(2n - 1)/2 frame pairs a < b.  For verify_triple's N_J (the
+    # first three reports) only the pairs within the J-orbit
+    # representatives are kept: each hyperkaehler Ii maps every frame
+    # element to +- another, which leaves 4 of the 8, so 4 * 3 / 2 pairs;
+    # theorem_1_1's concomitant N(Ii,Ii) keeps all 28.  The diagonal pairs
+    # N(Ii,Ji), with IJ + JI = 2 Ii Ji, keep (e_a, e_b) and
+    # (x_k e_a, e_b): 2n * 2n * (1 + n) pairs
     SKEW_PAIRS = 8 * 7 // 2
+    ORBIT_PAIRS = 4 * 3 // 2
     CERT_PAIRS = 8 * 8 * (1 + 4)
     DIAGONAL = {"N(I1,J1)", "N(I2,J2)", "N(I3,J3)"}
 
@@ -243,13 +250,14 @@ class TestSymbolCertificate:
             assert "sweep" in s.note
             reports += list(zip(c.families, s.families))
         assert len(reports) == 3 + 2 * 21
-        for c, s in reports:
+        for k, (c, s) in enumerate(reports):
             assert c.name == s.name
             assert c.vanished == s.vanished, c.name
             assert c.method == "symbol_certificate" and s.method == "sweep"
             if c.vanished:      # a failing family stops at 10 witnesses
                 assert c.sample_count == (
-                    self.CERT_PAIRS if c.name in self.DIAGONAL
+                    self.ORBIT_PAIRS if k < 3
+                    else self.CERT_PAIRS if c.name in self.DIAGONAL
                     else self.SKEW_PAIRS), c.name
                 assert s.sample_count == (8 * 5) ** 2
         # the non-tensorial commuting families are seen by the certificate
@@ -266,9 +274,13 @@ class TestSymbolCertificate:
             cert = vanishes(tensor, max_witnesses=every)
             sweep = vanishes(tensor, 1, max_witnesses=every)
             assert not cert.vanished and cert.witnesses
-            assert cert.sample_count == self.SKEW_PAIRS
+            # the B-field moves the columns of two of the four orbits off
+            # the frame, so only two frame elements drop: 6 * 5 / 2 pairs
+            reps = frame_representatives(E)
+            assert len(reps) == 6
+            assert cert.sample_count == 6 * 5 // 2
             assert cert.witnesses == [w for w in sweep.witnesses
-                                      if certificate_pair(w)]
+                                      if certificate_pair(w, reps)]
 
 
 def conjugate_triple(T, Q):

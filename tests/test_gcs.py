@@ -15,8 +15,9 @@ from gencliff.gcs import (EndField, FluxMismatchError, bind_concomitant,
                           eigen_sections, bfield_transform, form_to_matrix,
                           generalized_metric, is_almost_gcs, is_almost_real,
                           is_orthogonal, lemma_identities, mat_inv, mat_mul,
-                          nijenhuis, real_nijenhuis, tensoriality_probe,
-                          vanishes, generator_labels, generator_sections)
+                          kernel_evaluate, nijenhuis, real_nijenhuis,
+                          tensoriality_probe, vanishes, generator_labels,
+                          generator_sections)
 from gencliff.examples import QUAT_I, diag_type, hyperkahler_r4
 from tests.test_scalar import rnd_field
 
@@ -346,6 +347,20 @@ class TestRationalVanishes:
         assert not rep.vanished
 
 
+def frame_representatives(J):
+    """The frame indices the J-orbit reduction keeps, read off J's entries:
+    b is dropped iff J e_b = +-e_c for some c < b, i.e. column b has one
+    nonzero entry, +-1, in a row c < b."""
+    one = ScalarField.one(J.chart)
+    keep = []
+    for b in range(J.size):
+        col = [(c, row[b]) for c, row in enumerate(J.entries)
+               if not row[b].is_zero]
+        if not (len(col) == 1 and col[0][0] < b and col[0][1] in (one, -one)):
+            keep.append(b)
+    return keep
+
+
 def nonclosed_bfield_nijenhuis():
     """N_J of I1 of hyperkahler_r4 transformed by B = x1 dx2^dx3, bound
     without the flux dB: a polynomial tensor that does not vanish."""
@@ -439,15 +454,17 @@ class TestSymbolCertificate:
         return out, set(cert)
 
     @staticmethod
-    def certificate_keys(n, proven):
-        """The pairs the certificate evaluates: the frame pairs a < b when
-        the tensor is proven bilinear and skew; else (e_a, e_b) and
-        (x_k e_a, e_b), plus (e_a, x_k e_b) unless Q_k = 0 is proven: 28,
-        320 and 576 pairs at n = 4."""
+    def certificate_keys(n, proven, reps=None):
+        """The pairs the certificate evaluates: the frame pairs a < b within
+        reps (every frame index when None; the J-orbit representatives for
+        N_J) when the tensor is proven bilinear and skew, r(r - 1)/2 pairs
+        for r representatives; else (e_a, e_b) and (x_k e_a, e_b), plus
+        (e_a, x_k e_b) unless Q_k = 0 is proven: 28, 320 and 576 pairs at
+        n = 4."""
         frames = range(2 * n)
         if proven == "skew":
-            return {(a, None, b, None) for a in frames for b in frames
-                    if a < b}
+            reps = frames if reps is None else reps
+            return {(a, None, b, None) for a in reps for b in reps if a < b}
         keys = {(a, k, b, None) for a in frames for b in frames
                 for k in [None, *range(n)]}
         if proven is None:
@@ -481,7 +498,9 @@ class TestSymbolCertificate:
                    for name, secs in (("N0", [N0]), ("P", P), ("Q", Q))
                    if any(not s.is_zero for s in secs)}
         assert nonzero == parts
-        assert keys == self.certificate_keys(n, proven)
+        reps = (frame_representatives(tensor.structures[0])
+                if tensor.kind == "nijenhuis" else None)
+        assert keys == self.certificate_keys(n, proven, reps)
         if proven == "skew":
             assert all(N0 == -symbol[b, a][0]
                        for (a, b), (N0, _, _) in symbol.items())
@@ -627,6 +646,84 @@ class TestTensorialityGate:
             _, got = TestSymbolCertificate.pairs(tensor, 1)
             assert any(not K.sec_is_zero(K.sec_add(P, got[b, l, a, k]))
                        for (a, k, b, l), P in got.items())
+
+
+def antidiagonal_structure():
+    """J d_i = -dx^i, J dx^i = d_i on R^4: J^2 = -Id and every column is
+    +-a frame element, but J is not skew-adjoint for the pairing."""
+    one, zero = ScalarField.one(R4), ScalarField.zero(R4)
+    ident = [[one if i == j else zero for j in range(4)] for i in range(4)]
+    nil = [[zero] * 4 for _ in range(4)]
+    return EndField.from_blocks(R4, nil, ident,
+                                [[-f for f in row] for row in ident], nil)
+
+
+def sparse_section(rng, chart, comps, rational=False):
+    """A section with seeded fields in the components comps, zero in the
+    others; small enough for the ScalarField formulas."""
+    return Section.from_components(chart, [
+        rnd_field(rng, chart, rational) if k in comps
+        else ScalarField.zero(chart) for k in range(2 * chart.dim)])
+
+
+class TestOrbitReduction:
+    """The J-orbit reduction of the N_J frame-pair certificate: the identity
+    it rests on, and where it must not be applied."""
+
+    def test_orbit_identities_on_the_reference_formula(self):
+        # N_J(A, JB) = -J N_J(A, B) = N_J(JA, B) for any J^2 = -Id, on the
+        # ScalarField formula with seeded rational sections; J is I1 under
+        # the non-closed B = x1 dx2^dx3, so N_J is not zero
+        J = nonclosed_bfield_nijenhuis().structures[0]
+        rng = random.Random(73)
+        for _ in range(2):
+            # N_J(d1, d2) and N_J(e2, e4) are not zero
+            A = sparse_section(rng, R4, (0, 5), rational=True)
+            B = sparse_section(rng, R4, (1, 7), rational=True)
+            want = -J.apply(nijenhuis(J, A, B))
+            assert not want.is_zero
+            assert nijenhuis(J, A, J.apply(B)) == want
+            assert nijenhuis(J, J.apply(A), B) == want
+
+    @pytest.mark.parametrize("name", ["N(I1,I2)", "N_G", "N_antidiagonal"])
+    def test_not_applied_outside_skew_nijenhuis(self, name):
+        # every structure here maps each frame element to +- another, so the
+        # reduction would keep 4 of the 8 if it were applied: a concomitant
+        # and N_G keep their pairs, and so does an N_J that _tensoriality
+        # proves only second_slot
+        from gencliff.clifford import TripleStatus, check_relations, induce
+        from gencliff.gcs import (_frame_representatives, _kernel_setup,
+                                  _tensoriality)
+        T = hyperkahler_r4()
+        T = T.with_status(TripleStatus(check_relations(T), ()))
+        tensor = {"N(I1,I2)": lambda: bind_concomitant(T.I1, T.I2),
+                  "N_G": lambda: bind_real_nijenhuis(induce(T).G),
+                  "N_antidiagonal": lambda: bind_nijenhuis(
+                      antidiagonal_structure())}[name]()
+        mats, _, nums, square = _kernel_setup(tensor)
+        assert all(len(_frame_representatives(mats["base"], S)) == 4
+                   for S in nums)
+        proven = _tensoriality(tensor.kind, mats["base"], nums, square)
+        assert proven == ("skew" if name == "N(I1,I2)" else "second_slot")
+        rep = vanishes(tensor, max_witnesses=8 * 8 * (1 + 4))
+        assert rep.sample_count == (8 * 7 // 2 if proven == "skew"
+                                    else 8 * 8 * (1 + 4))
+        assert rep.vanished == vanishes(tensor, 1).vanished
+
+
+class TestKernelEvaluate:
+    def test_matches_the_reference_formula(self):
+        # polynomial structures and sections take the kernel evaluator, a
+        # rational section the reference: N_J without flux and a twisted
+        # concomitant
+        rng = random.Random(74)
+        for tensor in (nonclosed_bfield_nijenhuis(), gate_tensors("flux")[3]):
+            for _ in range(2):
+                A, B = (sparse_section(rng, R4, rng.sample(range(8), 2))
+                        for _ in range(2))
+                assert kernel_evaluate(tensor, A, B) == tensor.evaluate(A, B)
+            A = Section.frame(R4, 1).scale(parse_expr("x3 / (1 + x2^2)", R4))
+            assert kernel_evaluate(tensor, A, B) == tensor.evaluate(A, B)
 
 
 class TestEndFieldArithmetic:

@@ -96,6 +96,46 @@ class TestPolyMulDenominators:
             assert make(a, b, d) == want[m]
 
 
+class TestDot:
+    def test_matches_products_summed_with_p_add(self):
+        # the fused accumulation against p_mul + p_add, over coefficients
+        # with unrelated denominators, empty operands, and pairs whose sum
+        # cancels to the zero polynomial
+        rng = random.Random(87)
+        for _ in range(60):
+            pairs = [(rnd_kpoly(rng, 3, rng.randint(0, 4)),
+                      rnd_kpoly(rng, 3, rng.randint(0, 4)))
+                     for _ in range(rng.randint(0, 5))]
+            want = {}
+            for p, q in pairs:
+                want = pykernel.p_add(want, pykernel.p_mul(p, q))
+            assert pykernel.p_dot(pairs) == want
+            if pairs:
+                p, q = pairs[0]
+                cancel = pairs + [(p, pykernel.p_neg(q))] + [
+                    (pykernel.p_neg(a), b) for a, b in pairs[1:]]
+                assert pykernel.p_dot(cancel) == {}
+        # one output monomial reached over denominators 6 and 10 sums to
+        # 1/6 + 1/10 = 4/15, normalized once
+        x = {(1,): (1, 0, 1)}
+        assert pykernel.p_dot([(x, {(0,): (1, 0, 6)}),
+                               (x, {(0,): (1, 0, 10)})]) == {(1,): (4, 0, 15)}
+
+    def test_mat_apply_poly_is_the_row_dot(self):
+        rng = random.Random(88)
+        for _ in range(20):
+            M = [[(j, rnd_kpoly(rng)) for j in rng.sample(range(6), 3)]
+                 for _ in range(6)]
+            A = rnd_ksection(rng)
+            want = []
+            for row in M:
+                acc = {}
+                for j, pe in row:
+                    acc = pykernel.p_add(acc, pykernel.p_mul(pe, A[j]))
+                want.append(acc)
+            assert pykernel.mat_apply_poly(M, A) == want
+
+
 class TestInputsUnchanged:
     """The accumulating kernels sum into dicts they own: no input changes,
     and no output dict is an input dict, so clearing every output leaves
@@ -125,7 +165,7 @@ class TestInputsUnchanged:
                     K.sec_jacobi_residual(3, (A, dA), (B, dB), (C, dC), H,
                                           AB, AC, BC),
                     [K.p_add(p, q), K.p_sub(p, q), K.p_add({}, q),
-                     K.p_sub(p, {})]]
+                     K.p_sub(p, {}), K.p_dot([(p, q), (q, p)])]]
             assert inputs == before
             for out in outs:
                 for d in out:

@@ -1,5 +1,6 @@
 """Flat-torus T-duality: orthogonality, intertwining, conjugation transport."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,13 @@ import pytest
 from gencliff.scalar import GaussianRational, ScalarField, standard_chart
 from gencliff.cartan import KForm
 from gencliff.courant import FluxForm, Section, dorfman
-from gencliff.gcs import EndField, is_almost_gcs
+from gencliff.gcs import EndField, generator_labels, is_almost_gcs
 from gencliff.clifford import verify_triple
 from gencliff.examples import diag_type, hyperkahler_r4
 from gencliff.tduality import (CourantIso, NonInvariantSectionError,
-                               check_intertwine, conjugate, conjugate_triple,
-                               lemma_5_1_instance, make_torus_duality,
-                               props_5_2_to_5_4)
+                               _tensorial, check_intertwine, conjugate,
+                               conjugate_triple, lemma_5_1_instance,
+                               make_torus_duality, props_5_2_to_5_4)
 from gencliff.twistor import sample_points
 
 R2 = standard_chart(2)
@@ -75,6 +76,66 @@ class TestIntertwine:
         phi = make_torus_duality(R3, 0)
         rep = check_intertwine(phi, 0)
         assert rep.ok and rep.checks == 36
+
+    @pytest.mark.parametrize("chart", [R3, R4], ids=["R3", "R4"])
+    def test_certificate_agrees_with_degree_two_sweep(self, chart):
+        # the gate proves Delta bilinear and skew for every one-circle
+        # swap: the n(2n - 1) frame pairs a < b decide it
+        n = chart.dim
+        for k in range(n):
+            phi = make_torus_duality(chart, k)
+            assert _tensorial(phi)
+            cert = check_intertwine(phi)
+            sweep = check_intertwine(phi, 2)
+            assert cert.ok and sweep.ok
+            assert cert.witnesses == sweep.witnesses == []
+            assert cert.checks == n * (2 * n - 1)
+
+    @pytest.mark.parametrize("coords", [frozenset(), frozenset({1})],
+                             ids=["emptied", "wrong"])
+    @pytest.mark.parametrize("chart", [R3, R4], ids=["R3", "R4"])
+    def test_dependence_on_the_dualized_coordinate_fails(self, chart,
+                                                         coords):
+        # negative control: the swap of x1 with the sections allowed to
+        # depend on x1.  The gate declines, and the fallback's pairs of
+        # total degree <= 1 fail with the degree-2 sweep's witnesses on
+        # those pairs
+        n = chart.dim
+        phi = replace(make_torus_duality(chart, 0), invariant_coords=coords)
+        assert not _tensorial(phi)
+        every = (2 * n) ** 2 * (n + 1) ** 2 * (n + 2) ** 2 // 4
+        cert = check_intertwine(phi, max_witnesses=every)
+        sweep = check_intertwine(phi, 2, max_witnesses=every)
+        free = n - len(coords)
+        assert cert.checks == (2 * n) ** 2 * (1 + 2 * free)
+        assert not cert.ok and cert.witnesses
+        linear = set(generator_labels(chart, 1)) - set(
+            generator_labels(chart, 0))
+        frames = set(generator_labels(chart, 0))
+        assert cert.witnesses == [
+            w for w in sweep.witnesses
+            if {w[0], w[1]} <= frames | linear
+            and not (w[0] in linear and w[1] in linear)]
+
+    def test_non_orthogonal_rejected(self):
+        M = [list(r) for r in make_torus_duality(R3, 0).matrix]
+        M[1][1] = Fraction(2)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            CourantIso(R3, tuple(tuple(r) for r in M), FluxForm.zero(R3),
+                       FluxForm.zero(R3), frozenset({0}))
+
+    def test_flux_declines_the_gate_and_the_fallback_decides(self):
+        # H = dx2^dx3^dx4 is invariant along x1 and has no dx1 leg, so the
+        # x1 swap intertwines the H-twisted brackets; the gate asks for
+        # zero flux, so the 8 * 8 * (1 + 2 * 3) pairs of total degree <= 1
+        # decide it
+        H = FluxForm(KForm.basis(R4, (1, 2, 3)))
+        phi = CourantIso(R4, make_torus_duality(R4, 0).matrix, H, H,
+                         frozenset({0}))
+        assert not _tensorial(phi)
+        cert = check_intertwine(phi)
+        assert cert.ok and cert.checks == 8 * 8 * (1 + 2 * 3)
+        assert check_intertwine(phi, 2).ok
 
 
 class TestConjugate:

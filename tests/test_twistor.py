@@ -12,6 +12,7 @@ from gencliff.gcs import (bind_nijenhuis, generator_labels, is_almost_gcs,
                           vanishes)
 from gencliff.clifford import induce, project, theorem_1_1, verify_triple
 from gencliff.examples import hyperkahler_r4
+from tests.test_gcs import frame_representatives
 from gencliff.twistor import (TwistorPoint, _sphere_base,
                               check_cross_commutator, check_dI_commutator,
                               check_flatness, connection_data, rot_T,
@@ -305,11 +306,21 @@ def flip_orientation(monkeypatch):
                         lambda chart=None: -right(chart))
 
 
+def representative_pair(witness, frames, reps):
+    """True iff a witness (..., label_a, label_b, note) is a frame pair
+    a < b within reps."""
+    a, b = frames.index(witness[-3]), frames.index(witness[-2])
+    return a < b and a in reps and b in reps
+
+
 class TestTheorem13:
     # the twistor structure is orthogonal with square -Id, so its Nijenhuis
-    # tensor is C-infinity-bilinear and skew: the 16 * 15 / 2 frame pairs
-    # a < b of the product chart decide it
-    CERT_PAIRS = 16 * 15 // 2
+    # tensor is C-infinity-bilinear and skew: the frame pairs a < b of the
+    # product chart decide it, and the sphere structure maps d_v1, d_v2,
+    # dv1, dv2 to +-d_u1, +-d_u2, +-du1, +-du2, so N_J(A, JB) = -J N_J(A, B)
+    # leaves the 12 * 11 / 2 pairs among the 8 M-frame sections and d_u1,
+    # d_u2, du1, du2
+    CERT_PAIRS = 12 * 11 // 2
 
     @pytest.mark.parametrize("build", [verified_triple, hk4b_triple],
                              ids=["hyperkahler_r4", "hk4b"])
@@ -339,7 +350,7 @@ class TestTheorem13:
     @pytest.mark.parametrize("samples", [None, sample_points(2, seed=11)])
     def test_opposite_orientation_fails(self, monkeypatch, samples):
         # negative control, in both modes: the certificate fails, with the
-        # witnesses of the degree-0 sweep on the pairs a < b
+        # witnesses of the degree-0 sweep on the representative pairs
         flip_orientation(monkeypatch)
         T = verified_triple()
         rep = theorem_1_3(T, samples=samples)
@@ -351,15 +362,16 @@ class TestTheorem13:
         sweep = theorem_1_3(T, 0, samples=samples, max_witnesses=every)
         assert cert.nijenhuis_checks == \
             self.CERT_PAIRS * (len(samples) if samples else 1)
-        # a witness is (..., label_a, label_b, note)
-        frames = generator_labels(twistor_structure(T).chart, 0)
-        assert cert.witnesses == [
-            w for w in sweep.witnesses
-            if frames.index(w[-3]) < frames.index(w[-2])]
+        E = twistor_structure(T)
+        reps = frame_representatives(E)
+        assert len(reps) == 12
+        frames = generator_labels(E.chart, 0)
+        assert cert.witnesses == [w for w in sweep.witnesses
+                                  if representative_pair(w, frames, reps)]
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_vanishes_sweeps_the_twistor_structure(self, monkeypatch, flip):
-        # the twistor structure is one more input of gcs.vanishes: 120
+        # the twistor structure is one more input of gcs.vanishes: 66
         # frame pairs that pass, and with the opposite orientation the
         # witnesses of theorem_1_3's symbolic certificate
         if flip:
@@ -387,6 +399,15 @@ class TestTheorem13:
         assert lhs == rhs
         form = Section.frame(Z, 12)          # e_u1 = du1
         assert dorfman(form, v).is_zero
+        # the suite's check brackets the numerators of v over the sphere
+        # base m on the kernel: the same bracket over m^2
+        base = _sphere_base(Z)
+        vn = [base.numerator(f) for f in v.to_components()]
+        for frame, want in ((alpha, lhs), (form, Section.zero(Z))):
+            P = [f.num.terms for f in frame.to_components()]
+            got, k = base.dorfman(P, 0, vn, 1)
+            assert k == 2 and base.section(got, 2) == want
+        assert twistor._mixed_bracket_checks(E, T)
 
 
 class TestSamplePoints:
