@@ -81,6 +81,8 @@ class RunConfig:
                                  f"known: {', '.join(SUITE_NAMES)}")
         if self.max_degree < 0:
             raise InputError("max_degree must be >= 0")
+        if self.samples < 0:
+            raise InputError("samples must be >= 0")
 
 
 def _parse_matrix(rows, chart, name):
@@ -217,12 +219,6 @@ def _relations_prerequisite(model):
     return model.triple.with_status(TripleStatus(rel, ())), None
 
 
-def _twistor_dim_gate(T):
-    if T.chart.dim != tw.CHART_DIM:
-        return ("inconclusive", [tw.DIM_LIMIT], 0)
-    return None
-
-
 def suite_relations(model, cfg):
     gate = _need_triple(model)
     if gate:
@@ -314,9 +310,6 @@ def suite_twistor(model, cfg):
     if not all(E.is_constant for E in T.generators):
         return ("inconclusive",
                 ["twistor suite needs a constant-coefficient triple"], 0)
-    gate = _twistor_dim_gate(T)
-    if gate:
-        return gate
     wit = []
     checks = 0
     try:
@@ -347,9 +340,6 @@ def suite_flatness(model, cfg):
     if not all(E.is_constant for E in T.generators):
         return ("inconclusive",
                 ["flatness suite needs a constant-coefficient triple"], 0)
-    gate = _twistor_dim_gate(T)
-    if gate:
-        return gate
     conn = tw.connection_data(T)
     ok = tw.check_flatness(conn)
     return ("pass" if ok else "fail",
@@ -367,9 +357,6 @@ def suite_theorem13(model, cfg):
     if not all(E.is_constant for E in T.generators):
         return ("inconclusive",
                 ["theorem13 suite needs a constant-coefficient triple"], 0)
-    gate = _twistor_dim_gate(T)
-    if gate:
-        return gate
     rep = tw.theorem_1_3(T)
     wit = [" ".join(w) for w in rep.witnesses]
     return (rep.status, wit[:10], rep.nijenhuis_checks + 1)
@@ -679,7 +666,12 @@ def build_parser():
                         "for all sections, and an integer degree bound of "
                         "the Nijenhuis or intertwine sweeps is opt-in "
                         "through the library only")
-    v.add_argument("--samples", type=int, default=10)
+    v.add_argument("--samples", type=int, default=10,
+                   help="number of seeded S^2 x S^2 points: the rotations "
+                        "suite checks the rotated family at max(1, N) "
+                        "points, and the tduality suite checks Prop. 5.4 "
+                        "at N points clamped to 5-8; no other suite reads "
+                        "it")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--output", help="report file (atomic write); stdout if "
                                     "omitted")

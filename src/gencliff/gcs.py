@@ -602,23 +602,6 @@ class _PowerDen:
 
     # --- dense matrices of numerators over a common power of m.
 
-    def mat_from_endfield(self, E: EndField):
-        """(rows, k) with rows[i][j] the numerator of E_ij over m^k, k the
-        least exponent every denominator divides."""
-        k = 0
-        for row in E.entries:
-            for f in row:
-                if f.is_zero:
-                    continue
-                ke = 0
-                while G.p_divexact(self.mpow(ke), f.den.terms) is None:
-                    ke += 1
-                    if ke > 8:
-                        raise ValueError(
-                            "denominator is not a power of the base")
-                k = max(k, ke)
-        return self.numerators(E, k), k
-
     def mat_lift(self, A, ka, target):
         if ka == target:
             return A

@@ -19,7 +19,7 @@ from ._core import kernel as K
 from .scalar import Chart, ScalarField
 from .courant import FluxForm, Section, monomials_up_to
 from .gcs import (EndField, _PowerDen, _flux_eq, bind_concomitant,
-                  kernel_evaluate)
+                  generator_degree, kernel_evaluate)
 from .clifford import CliffordTriple, check_relations, induce
 from .twistor import rotate_family
 
@@ -173,12 +173,7 @@ def check_intertwine(phi: CourantIso, degree_bound: int | None = None,
     chart = phi.chart
     n = chart.dim
     tensorial = degree_bound is None and _tensorial(phi)
-    if degree_bound is None:
-        degree = 0 if tensorial else 1
-    elif degree_bound < 0:
-        raise ValueError("degree_bound must be >= 0")
-    else:
-        degree = degree_bound
+    degree = 0 if tensorial else generator_degree(degree_bound)
     monos = [m for m in monomials_up_to(chart, degree)
              if not any(e[k] for e in m.terms for k in phi.invariant_coords)]
     frames = [f"d{i + 1}" for i in range(n)] + [f"e{i + 1}" for i in range(n)]

@@ -6,13 +6,19 @@ the block twistor structure on the product chart with its integrability
 certificate.
 
 All sphere dependence enters through denominators dividing powers of
-m = (1+u1^2+v1^2)(1+u2^2+v2^2).  The connection identities and the mixed
-bracket identities are decided on numerators over powers of m
-(``gcs._PowerDen``), and the integrability check of Theorem 1.3 runs the
-Nijenhuis evaluator of ``gcs``, which finds m as the LCM of the twistor
-structure's denominators; that structure is orthogonal and squares to -Id,
-so its Nijenhuis tensor is decided on the frame pairs within the orbits of
-the sphere structure alone.
+m = (1+u1^2+v1^2)(1+u2^2+v2^2).  The six sector generators I_l^+- are
+constant 2n x 2n matrices, so Ihat = c.I+ + d.I-, the connection form and
+its (0,1)-parts are built as numerator matrices over powers of m
+(``gcs._PowerDen``) on any chart whose last four coordinates are the sphere
+coordinates, for every dimension n of the triple's chart.  The connection
+identities and the mixed bracket identities are decided on those
+numerators, and the integrability check of Theorem 1.3 runs the Nijenhuis
+evaluator of ``gcs``, which finds m as the LCM of the twistor structure's
+denominators; that structure is orthogonal and squares to -Id, so its
+Nijenhuis tensor is decided on the frame pairs within the orbits of the
+sphere structure alone: (2n + 4)(2n + 3)/2 pairs of the (2n + 8)(2n + 7)/2
+frame pairs a < b of the (n + 4)-coordinate product chart (66 of 120 at
+n = 4, 190 of 276 at n = 8).
 
 Only the finite stereographic chart of each sphere is implemented; zeta =
 infinity is outside every formula here (sampling uses rational points, so it
@@ -28,7 +34,8 @@ from ._core import kernel as K
 from .scalar import Chart, GaussianRational, Poly, ScalarField
 from .cartan import KForm
 from .gcs import (EndField, _PowerDen, _kernel_generators, _residuals,
-                  bind_nijenhuis, generator_labels, is_almost_gcs)
+                  _sparse_rows, bind_nijenhuis, generator_labels,
+                  is_almost_gcs)
 from .clifford import (CliffordTriple, Projections, check_relations, induce,
                        project)
 
@@ -138,11 +145,6 @@ rot_S = rot_T   # the second sphere factor uses the identical formula
 
 SPHERE_COORDS = ("u1", "v1", "u2", "v2")
 
-# _ihat carries the constant M-endomorphisms over the sphere chart,
-# where an EndField is 8 x 8, so the layer needs a 4-dimensional M chart.
-CHART_DIM = 4
-DIM_LIMIT = "twistor layer implemented only for 4-dimensional charts"
-
 
 def sphere_chart() -> Chart:
     """(u1, v1, u2, v2) with zeta_s = u_s + i v_s."""
@@ -244,51 +246,23 @@ def rotate_family(T: CliffordTriple, p: TwistorPoint,
 # ---------------------------------------------------------------------------
 # Connection data over the sphere chart.
 
-def _rebase_field(f: ScalarField, new_chart: Chart, index_map) -> ScalarField:
-    """Transport a ScalarField along a monotone coordinate embedding
-    (monotone maps preserve the graded-lex normal form)."""
-
-    def remap(p: Poly) -> Poly:
-        out = {}
-        for m, c in p.terms.items():
-            mm = [0] * new_chart.dim
-            for i, e in enumerate(m):
-                if e:
-                    mm[index_map[i]] = e
-            out[tuple(mm)] = c
-        return Poly(new_chart, out)
-
-    return ScalarField._unchecked(remap(f.num), remap(f.den))
-
-
-def _rebase_matrix(entries, new_chart: Chart, index_map):
-    return [[_rebase_field(f, new_chart, index_map) for f in row]
-            for row in entries]
-
-
-def _embed_constant_end(E: EndField, chart: Chart) -> EndField:
-    """Constant M-endomorphism viewed over another chart."""
-    vals = [[f.constant_value() for f in row] for row in E.entries]
-    return EndField(chart, [[ScalarField.constant(chart, v) for v in row]
-                            for row in vals])
-
-
 @dataclass
 class ConnectionData:
-    """c, d, the omega = c x dc forms, Ihat, the connection 1-form Omega
-    (coordinate components) and its (0,1)-parts A1, A2 with V01 = A1 dzbar1 +
-    A2 dzbar2."""
+    """c, d and the omega = c x dc forms over the sphere chart; Ihat, the
+    connection 1-form Omega (coordinate components) and its (0,1)-parts A1,
+    A2 with V01 = A1 dzbar1 + A2 dzbar2, each a numerator matrix (rows, k)
+    over m^k, m the sphere base of ``_sphere_base``."""
 
     chart: Chart
     c: tuple
     d: tuple
     omega1: tuple          # 3 KForms of degree 1
     omega2: tuple
-    Ihat: EndField
-    Omega: dict            # coordinate index -> EndField
-    A1: EndField
-    A2: EndField
-    Ip: tuple              # constant sector generators over the sphere chart
+    Ihat: tuple            # (rows, 1)
+    Omega: dict            # coordinate index -> (rows, 2)
+    A1: tuple
+    A2: tuple
+    Ip: tuple              # constant sector generators (kernel matrices)
     Im: tuple
 
     @property
@@ -309,38 +283,59 @@ def _form_vector_cross(c, dc):
     return out
 
 
-def _ihat(T: CliffordTriple, what: str):
-    """The guards of the twistor layer, then c, d (with |c|^2 = |d|^2 = 1
-    checked exactly), the sector generators Ip, Im over the sphere chart and
-    Ihat = c.I+ + d.I-.  ``what`` names the caller in the error for a
-    non-constant triple."""
+def _sector_sum(polys, mats):
+    """sum_l polys[l] * mats[l] for numerator polynomials polys[l] and
+    constant kernel matrices mats[l] (rows of (column, coefficient) pairs),
+    as dense rows of numerators."""
+    size = len(mats[0])
+    out = [[{} for _ in range(size)] for _ in range(size)]
+    for p, M in zip(polys, mats):
+        if not p:
+            continue
+        for i, row in enumerate(M):
+            for j, a in row:
+                out[i][j] = K.p_add(out[i][j], K.p_scale(p, a))
+    return out
+
+
+def _ihat(T: CliffordTriple, chart: Chart):
+    """The guards of the twistor layer, then, over a chart whose last four
+    coordinates are (u1, v1, u2, v2): c and d, the sphere base m
+    (``_sphere_base``), the six sector generators I_1+, I_2+, I_3+, I_1-,
+    I_2-, I_3- as constant 2n x 2n kernel matrices, and the
+    numerators of Ihat = c.I+ + d.I- over m^1.  |c|^2 = |d|^2 = 1 is
+    checked exactly on the numerators of c and d over m^1.
+
+    The sector generators are constant, so nothing here depends on the
+    dimension of the triple's chart."""
     if not T.status.relations_ok:
         raise ValueError("triple relations not verified")
     if not all(E.is_constant for E in T.generators):
-        raise ValueError(f"{what} needs a constant-coefficient triple")
-    if T.chart.dim != CHART_DIM:
-        raise ValueError(f"{DIM_LIMIT} (chart has dimension {T.chart.dim})")
-    S4 = sphere_chart()
-    ind = induce(T)
-    proj = project(ind, T)
-    Ip = tuple(_embed_constant_end(E, S4) for E in proj.Ip)
-    Im = tuple(_embed_constant_end(E, S4) for E in proj.Im)
-    c = stereo_field(S4, 0, 1)
-    d = stereo_field(S4, 2, 3)
-    one = ScalarField.one(S4)
-    if sum((x * x for x in c), ScalarField.zero(S4)) != one:
+        raise ValueError("the twistor layer needs a constant-coefficient "
+                         "triple")
+    proj = project(induce(T), T)
+    unit = _PowerDen(T.chart)
+    sectors = [_sparse_rows(unit.numerators(E), True)
+               for E in proj.Ip + proj.Im]
+    s = chart.dim - 4
+    c = stereo_field(chart, s, s + 1)
+    d = stereo_field(chart, s + 2, s + 3)
+    base = _sphere_base(chart)
+    nums = [base.numerator(f) for f in c + d]
+    m2 = base.mpow(2)
+    if K.p_dot((x, x) for x in nums[:3]) != m2:
         raise AssertionError("|c|^2 != 1")
-    if sum((x * x for x in d), ScalarField.zero(S4)) != one:
+    if K.p_dot((x, x) for x in nums[3:]) != m2:
         raise AssertionError("|d|^2 != 1")
-    return c, d, Ip, Im, _combine(c, Ip) + _combine(d, Im)
+    return c, d, base, sectors, _sector_sum(nums, sectors)
 
 
 def connection_data(T: CliffordTriple) -> ConnectionData:
     """Assemble c, d, omega, Ihat, Omega and V01 over the sphere chart and
     verify the unit-vector identities c.c = 1, c.dc = 0 and omega x c = dc
     as exact rational-function identities."""
-    c, d, Ip, Im, Ihat = _ihat(T, "connection data")
-    S4 = Ihat.chart
+    S4 = sphere_chart()
+    c, d, base, sectors, Ihat = _ihat(T, S4)
     dc = [tuple(x.diff(w) for x in c) for w in range(4)]
     dd = [tuple(x.diff(w) for x in d) for w in range(4)]
     zero = ScalarField.zero(S4)
@@ -359,15 +354,16 @@ def connection_data(T: CliffordTriple) -> ConnectionData:
                                  if not om1[w][i].is_zero}) for i in range(3))
     omega2 = tuple(KForm(S4, 1, {(w,): om2[w][i] for w in range(4)
                                  if not om2[w][i].is_zero}) for i in range(3))
-    Omega = {}
-    for w in range(4):
-        Omega[w] = _combine(om1[w], Ip) + _combine(om2[w], Im)
-    i_unit = ScalarField.constant(S4, GaussianRational(0, 1))
-    quarter = ScalarField.constant(S4, Fraction(1, 4))
-    A1 = (Omega[0] + Omega[1].scale(i_unit)).scale(quarter)
-    A2 = (Omega[2] + Omega[3].scale(i_unit)).scale(quarter)
-    return ConnectionData(S4, c, d, omega1, omega2, Ihat, Omega, A1, A2,
-                          Ip, Im)
+    # omega = c x dc has denominator (1+u1^2+v1^2)^2, which divides m^2
+    Omega = {w: (_sector_sum([base.numerator(f, 2)
+                              for f in om1[w] + om2[w]], sectors), 2)
+             for w in range(4)}
+    quarter, i_quarter = (1, 0, 4), (0, 1, 4)
+    A1, A2 = (base.mat_add(base.mat_scale(Omega[u][0], quarter), 2,
+                           base.mat_scale(Omega[v][0], i_quarter), 2)
+              for u, v in ((0, 1), (2, 3)))
+    return ConnectionData(S4, c, d, omega1, omega2, (Ihat, 1), Omega, A1, A2,
+                          tuple(sectors[:3]), tuple(sectors[3:]))
 
 
 def check_cross_commutator(a, b, proj: Projections) -> bool:
@@ -401,17 +397,16 @@ def check_dI_commutator(conn: ConnectionData) -> bool:
     (0,1)-part identity dbar_S Ihat = [V01, Ihat] per sphere factor with
     dbar = (d_u + i d_v)/2.
 
-    All matrices are rational functions with denominators dividing powers of
-    (1+u1^2+v1^2)(1+u2^2+v2^2), so the identities are decided on numerators
-    over a common power of that base (no rational normalization needed).
+    The connection data carry every matrix as numerators over a power of
+    m = (1+u1^2+v1^2)(1+u2^2+v2^2), so the identities are decided on
+    numerators over a common power of m (no rational normalization needed).
     """
     base = _sphere_base(conn.chart)
-    Ih, ki = base.mat_from_endfield(conn.Ihat)
-    Om = {w: base.mat_from_endfield(conn.Omega[w]) for w in range(4)}
+    Ih, ki = conn.Ihat
     half = (1, 0, 2)
     for w in range(4):
         lhs, kl = base.mat_diff(Ih, ki, w)
-        comm, kc = base.mat_commutator(Om[w][0], Om[w][1], Ih, ki)
+        comm, kc = base.mat_commutator(*conn.Omega[w], Ih, ki)
         rhs = base.mat_scale(comm, half)
         diff, _ = base.mat_sub(lhs, kl, rhs, kc)
         if not base.mat_is_zero(diff):
@@ -422,8 +417,7 @@ def check_dI_commutator(conn: ConnectionData) -> bool:
         dv, kv = base.mat_diff(Ih, ki, iv)
         lhs, kl = base.mat_add(base.mat_scale(du, half), ku,
                                base.mat_scale(dv, i_half), kv)
-        Am, ka = base.mat_from_endfield(A)
-        rhs, kr = base.mat_commutator(Am, ka, Ih, ki)
+        rhs, kr = base.mat_commutator(*A, Ih, ki)
         diff, _ = base.mat_sub(lhs, kl, rhs, kr)
         if not base.mat_is_zero(diff):
             return False
@@ -435,8 +429,7 @@ def check_flatness(conn: ConnectionData) -> bool:
     halves (each sector is proportional to a single dzbar generator, and the
     cross-sector commutator vanishes) plus the assembled curvature."""
     base = _sphere_base(conn.chart)
-    A1, k1 = base.mat_from_endfield(conn.A1)
-    A2, k2 = base.mat_from_endfield(conn.A2)
+    (A1, k1), (A2, k2) = conn.A1, conn.A2
     half = (1, 0, 2)
     i_half = (0, 1, 2)
 
@@ -510,14 +503,16 @@ def product_chart(T: CliffordTriple) -> Chart:
 def twistor_structure(T: CliffordTriple) -> EndField:
     """Ihat(zeta1, zeta2) (+) J_sphere over the product chart
     (x..., u1, v1, u2, v2); requires a constant-coefficient triple so that
-    all sphere dependence comes through c and d."""
-    Ihat = _ihat(T, "twistor structure")[4]
-    n = T.chart.dim
+    all sphere dependence comes through c and d.  Ihat's entries are its
+    numerators over the sphere base m, normalized once; J_sphere is the
+    constant pattern of ``sphere_gcs``.  T.flux is on the triple's chart:
+    a zero flux is dropped, and a nonzero one is not lifted to the product
+    chart (EndField rejects it)."""
     Z = product_chart(T)
-    N = n + 4
-    sphere_map = [n + w for w in range(4)]
-    Ihat = _rebase_matrix(Ihat.entries, Z, sphere_map)
-    JS = _rebase_matrix(sphere_gcs().entries, Z, sphere_map)
+    _, _, base, _, Ihat = _ihat(T, Z)
+    m = Poly(Z, base.m)
+    n = T.chart.dim
+    N = Z.dim
     zero = ScalarField.zero(Z)
     size = 2 * N
     rows = [[zero] * size for _ in range(size)]
@@ -528,17 +523,17 @@ def twistor_structure(T: CliffordTriple) -> EndField:
     def sslot(i):
         return n + i if i < 4 else N + n + (i - 4)
 
-    for i in range(2 * n):
-        for j in range(2 * n):
-            f = Ihat[i][j]
+    for i, row in enumerate(Ihat):
+        for j, p in enumerate(row):
+            if p:
+                rows[mslot(i)][mslot(j)] = ScalarField(Poly(Z, p), m)
+    for i, row in enumerate(sphere_gcs().entries):
+        for j, f in enumerate(row):
             if not f.is_zero:
-                rows[mslot(i)][mslot(j)] = f
-    for i in range(8):
-        for j in range(8):
-            f = JS[i][j]
-            if not f.is_zero:
-                rows[sslot(i)][sslot(j)] = f
-    return EndField(Z, rows, T.flux)
+                rows[sslot(i)][sslot(j)] = ScalarField.constant(
+                    Z, f.constant_value())
+    flux = None if T.flux is None or T.flux.is_zero else T.flux
+    return EndField(Z, rows, flux)
 
 
 @dataclass
@@ -568,9 +563,15 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
     C-infinity-bilinear and skew, and the frame pairs (e_a, e_b) with a < b
     decide it for all smooth sections.  The sphere structure maps d_v and
     dv to +-d_u and +-du, so N_J(A, JB) = -J N_J(A, B) drops the d_v1,
-    d_v2, dv1 and dv2 pairs as well: the 12 * 11 / 2 = 66 pairs among the
-    8 M-frame sections and d_u1, d_u2, du1, du2 decide it, of the 120 pairs
-    a < b on the 8-coordinate product chart.  An integer degree_bound
+    d_v2, dv1 and dv2 pairs as well.  No M-frame section is dropped: Ihat
+    maps none of them to a constant section, which, c and d ranging over
+    whole spheres, would need I_l^+ e_b = I_l^- e_b = 0 for every l, so
+    G+- e_b = -(I_1^+-)^2 e_b = 0 and e_b = 0.  So for a chart of
+    dimension n the
+    (2n + 4)(2n + 3)/2 pairs among the 2n M-frame sections and d_u1, d_u2,
+    du1, du2 decide it, of the (2n + 8)(2n + 7)/2 pairs a < b on the
+    (n + 4)-coordinate product chart: 66 of 120 at n = 4, 190 of 276 at
+    n = 8.  An integer degree_bound
     sweeps all pairs from frame x (degree <= degree_bound monomials)
     instead, as a cross-check.  Symbolic
     mode tests each numerator for zero; with ``samples`` a list of

@@ -88,6 +88,15 @@ class TestRunConfig:
         with pytest.raises(InputError):
             RunConfig(suites=["relations"], max_degree=-1)
 
+    def test_negative_samples_rejected(self):
+        # a report with "samples": -3 would break the schema's minimum 0
+        with pytest.raises(InputError, match="samples"):
+            RunConfig(suites=["relations"], samples=-1)
+        proc = run_cli(["verify", "--builtin", "hyperkahler_r4", "--suite",
+                        "relations", "--samples", "-3"])
+        assert proc.returncode == 2
+        assert "samples must be >= 0" in proc.stderr
+
 
 class TestVerifyRuns:
     def test_relations_pass(self):
@@ -120,18 +129,36 @@ class TestVerifyRuns:
         assert code == 0
 
 
-class TestTwistorChartLimit:
-    def test_product_flip_twistor_suites_inconclusive(self):
+class TestTwistorEveryDimension:
+    def test_product_flip_twistor_suites_pass(self):
+        # n = 8: the certificate takes the 20 * 19 / 2 frame pairs among the
+        # 16 M-frame sections and the 4 kept sphere elements, plus the
+        # mixed-bracket check
         proc = run_cli(["verify", "--builtin", "product_flip", "--suite",
                         "theorem13,twistor,flatness", "--max-degree", "0",
                         "--samples", "1"])
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["status"] == "pass"
-        for res in report["suites"]:
-            assert res["status"] == "inconclusive"
-            assert res["witnesses"] == [
-                "twistor layer implemented only for 4-dimensional charts"]
+        assert [(res["status"], res["witnesses"])
+                for res in report["suites"]] == [("pass", [])] * 3
+        assert report["suites"][0]["checks"] == 20 * 19 // 2 + 1
+
+    def test_zero_flux_twistor_suites_pass(self):
+        # a zero flux in the input is no flux on the product chart
+        from tests.test_twistor import hk4b_triple
+        T = hk4b_triple()
+        doc = {"chart": {"dim": 4, "coords": list(T.chart.names)},
+               "triple": {f"I{k + 1}": [[str(f) for f in row]
+                                        for row in E.entries]
+                          for k, E in enumerate(T.generators)},
+               "flux": [{"indices": [1, 2, 3], "coeff": "0"}]}
+        m = load_model(text=json.dumps(doc))
+        report, code = run(m, RunConfig(
+            suites=["twistor", "flatness", "theorem13"]))
+        assert code == 0
+        assert [res["status"] for res in report["suites"]] == ["pass"] * 3
+        assert report["suites"][2]["checks"] == 12 * 11 // 2 + 1
 
 
 class TestExitCodes:

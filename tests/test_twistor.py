@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from gencliff import twistor
+from gencliff._core import kernel as K
 from gencliff.scalar import GaussianRational, Poly, ScalarField
 from gencliff.courant import Section, dorfman
-from gencliff.gcs import (bind_nijenhuis, generator_labels, is_almost_gcs,
-                          vanishes)
+from gencliff.gcs import (_PowerDen, _sparse_rows, bind_nijenhuis,
+                          generator_labels, is_almost_gcs, vanishes)
 from gencliff.clifford import induce, project, theorem_1_1, verify_triple
-from gencliff.examples import hyperkahler_r4
+from gencliff.examples import hyperkahler_r4, product_flip
 from tests.test_gcs import frame_representatives
 from gencliff.twistor import (TwistorPoint, _sphere_base,
                               check_cross_commutator, check_dI_commutator,
@@ -26,6 +27,11 @@ I = GR(0, 1)
 
 def verified_triple():
     return verify_triple(hyperkahler_r4(), 0)
+
+
+def flip_triple():
+    """product_flip: the n = 8 builtin, on a 12-coordinate product chart."""
+    return verify_triple(product_flip(), 0)
 
 
 class TestStereo:
@@ -75,24 +81,23 @@ class TestRotations:
     def test_two_symbolic_constructions_of_ihat_agree(self):
         # path A: c.I+ + d.I- (the connection data's Ihat); path B: the
         # literal rotation formula K1 = T(I_l + prods)/2 + S(prods - I_l)/2
-        # with symbolic matrix rows -- identical as rational-function
-        # matrices
-        from fractions import Fraction
-        from gencliff.twistor import _embed_constant_end
-        T = verified_triple()
-        conn = connection_data(T)
-        S4 = conn.chart
+        # with symbolic matrix rows -- identical numerators over the sphere
+        # base m, at n = 4 and n = 8
+        S4 = sphere_chart()
+        base = _sphere_base(S4)
         t = rot_field(S4, 0, 1)
         s = rot_field(S4, 2, 3)
-        I = [_embed_constant_end(E, S4) for E in T.generators]
-        prods = (I[1] @ I[2], I[2] @ I[0], I[0] @ I[1])
-        half = ScalarField.constant(S4, Fraction(1, 2))
-        ihat_b = None
-        for l in range(3):
-            term = (I[l] + prods[l]).scale(half).scale(t[0][l]) + \
-                (prods[l] - I[l]).scale(half).scale(s[0][l])
-            ihat_b = term if ihat_b is None else ihat_b + term
-        assert conn.Ihat.entries_equal(ihat_b)
+        coeffs = [base.numerator(f) for f in t[0] + s[0]]
+        for T in (verified_triple(), flip_triple()):
+            I = T.generators
+            prods = (I[1] @ I[2], I[2] @ I[0], I[0] @ I[1])
+            half = ScalarField.constant(T.chart, Fraction(1, 2))
+            unit = _PowerDen(T.chart)
+            mats = [_sparse_rows(unit.numerators(E.scale(half)), True)
+                    for E in [I[l] + prods[l] for l in range(3)]
+                    + [prods[l] - I[l] for l in range(3)]]
+            assert connection_data(T).Ihat == \
+                (twistor._sector_sum(coeffs, mats), 1)
 
 
 class TestRotateFamily:
@@ -128,23 +133,26 @@ class TestConnection:
         assert check_dI_commutator(conn)
         assert check_flatness(conn)
 
-    def test_chart_dimension_limit_named(self):
-        from gencliff.examples import product_flip
-        T = verify_triple(product_flip(), 0)
-        with pytest.raises(ValueError, match="4-dimensional charts"):
-            connection_data(T)
+    def test_product_flip_identities(self):
+        # every chart dimension: the n = 8 builtin's connection data (16 x
+        # 16 numerator matrices) satisfies the same identities
+        conn = connection_data(flip_triple())
+        assert len(conn.Ihat[0]) == 16
+        assert check_dI_commutator(conn)
+        assert check_flatness(conn)
 
     def test_plus_sector_has_no_second_factor_dependence(self):
-        # the c-dependent half of Ihat is constant along (u2, v2)
+        # the c-dependent half of Ihat is constant along (u2, v2): its
+        # numerators over m^1 have derivative numerators zero over m^2
         T = verified_triple()
         conn = connection_data(T)
-        half = None
-        for x, M in zip(conn.c, conn.Ip):
-            t = M.scale(x)
-            half = t if half is None else half + t
+        base = _sphere_base(conn.chart)
+        half = twistor._sector_sum([base.numerator(x) for x in conn.c],
+                                   conn.Ip)
+        assert not base.mat_is_zero(half)
         for w in (2, 3):
-            d = [[f.diff(w) for f in row] for row in half.entries]
-            assert all(f.is_zero for row in d for f in row)
+            d, k = base.mat_diff(half, 1, w)
+            assert k == 2 and base.mat_is_zero(d)
 
     def test_cross_commutator(self):
         T = verified_triple()
@@ -245,27 +253,42 @@ class TestTwistorStructure:
         E = twistor_structure(T)
         assert is_almost_gcs(E)
 
-    @pytest.mark.parametrize("make", [verified_triple, lambda: hk4b_triple()],
-                             ids=["hyperkahler_r4", "hk4b"])
+    @pytest.mark.parametrize("make",
+                             [verified_triple, lambda: hk4b_triple(),
+                              flip_triple],
+                             ids=["hyperkahler_r4", "hk4b", "product_flip"])
     def test_blocks_equal_connection_data(self, make):
-        # twistor_structure builds Ihat without the connection form; its
-        # entries must equal the blocks assembled from connection_data's
-        # Ihat and the sphere structure
+        # twistor_structure builds Ihat on the product chart, without the
+        # connection form; the numerators of its entries over the sphere
+        # base m must equal the blocks assembled from connection_data's
+        # Ihat on the sphere chart (exponents padded by n zeros) and the
+        # sphere structure's constants times m
         T = make()
+        n = T.chart.dim
         E = twistor_structure(T)
-        Z = E.chart
-        sphere_map = [4 + w for w in range(4)]
-        Ihat = twistor._rebase_matrix(connection_data(T).Ihat.entries, Z,
-                                      sphere_map)
-        JS = twistor._rebase_matrix(sphere_gcs().entries, Z, sphere_map)
-        want = [[ScalarField.zero(Z)] * 16 for _ in range(16)]
-        for i in range(8):
-            for j in range(8):
-                want[i if i < 4 else 4 + i][j if j < 4 else 4 + j] = \
-                    Ihat[i][j]
-                want[4 + i if i < 4 else 8 + i][4 + j if j < 4 else 8 + j] = \
-                    JS[i][j]
-        assert [list(row) for row in E.entries] == want
+        base = _sphere_base(E.chart)
+        conn = connection_data(T)
+        rows, k = conn.Ihat
+        assert k == 1
+
+        def mslot(i):
+            return i if i < n else i + 4
+
+        def sslot(i):
+            return n + i if i < 4 else 2 * n + i
+        size = 2 * (n + 4)
+        want = [[{} for _ in range(size)] for _ in range(size)]
+        for i in range(2 * n):
+            for j in range(2 * n):
+                want[mslot(i)][mslot(j)] = {
+                    (0,) * n + mono: c for mono, c in rows[i][j].items()}
+        for i, row in enumerate(sphere_gcs().entries):
+            for j, f in enumerate(row):
+                if not f.is_zero:
+                    want[sslot(i)][sslot(j)] = K.p_scale(
+                        base.m, f.num.terms[f.chart._zero])
+        assert base.numerators(E) == want
+        assert E.flux is None
 
     def test_requires_constant_triple(self):
         from gencliff.cartan import KForm
@@ -283,10 +306,11 @@ class TestTwistorStructure:
 
 def hk4b_triple():
     """hyperkahler_r4 transformed by a constant B-field with six nonzero
-    entries: closed, so the triple stays integrable with zero flux."""
+    entries: closed, so the triple stays integrable, and it carries the zero
+    flux dB."""
     from gencliff.cartan import KForm
     from gencliff.clifford import CliffordTriple
-    from gencliff.gcs import EndField, bfield_transform
+    from gencliff.gcs import bfield_transform
     chart = hyperkahler_r4().chart
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     coeffs = (Fraction(-3, 7), Fraction(5, 2), Fraction(11, 13),
@@ -294,8 +318,7 @@ def hk4b_triple():
     B = KForm(chart, 2, {p: ScalarField.constant(chart, c)
                          for p, c in zip(pairs, coeffs)})
     return verify_triple(CliffordTriple(*[
-        EndField(chart, bfield_transform(E, B).entries)
-        for E in hyperkahler_r4().generators]))
+        bfield_transform(E, B) for E in hyperkahler_r4().generators]))
 
 
 def flip_orientation(monkeypatch):
@@ -319,17 +342,34 @@ class TestTheorem13:
     # product chart decide it, and the sphere structure maps d_v1, d_v2,
     # dv1, dv2 to +-d_u1, +-d_u2, +-du1, +-du2, so N_J(A, JB) = -J N_J(A, B)
     # leaves the 12 * 11 / 2 pairs among the 8 M-frame sections and d_u1,
-    # d_u2, du1, du2
+    # d_u2, du1, du2 at n = 4, and the 20 * 19 / 2 pairs among 16 and 4 at
+    # n = 8
     CERT_PAIRS = 12 * 11 // 2
 
-    @pytest.mark.parametrize("build", [verified_triple, hk4b_triple],
-                             ids=["hyperkahler_r4", "hk4b"])
-    def test_symbolic_certificate(self, build):
+    @pytest.mark.parametrize("build, pairs",
+                             [(verified_triple, CERT_PAIRS),
+                              (hk4b_triple, CERT_PAIRS),
+                              (flip_triple, 20 * 19 // 2)],
+                             ids=["hyperkahler_r4", "hk4b", "product_flip"])
+    def test_symbolic_certificate(self, build, pairs):
         rep = theorem_1_3(build())
         assert rep.status == "pass"
-        assert rep.nijenhuis_checks == self.CERT_PAIRS
+        assert rep.nijenhuis_checks == pairs
         assert rep.mixed_ok
         assert rep.mode == "symbolic"
+
+    def test_zero_flux_is_no_flux(self):
+        # the T-dual of hyperkahler_r4 carries the zero flux of the target
+        # chart; the product-chart structure carries none
+        from gencliff.tduality import conjugate_triple, make_torus_duality
+        R4 = hyperkahler_r4()
+        T = verify_triple(conjugate_triple(
+            make_torus_duality(R4.chart, 0), R4))
+        assert T.flux is not None and T.flux.is_zero
+        assert twistor_structure(T).flux is None
+        rep = theorem_1_3(T)
+        assert rep.status == "pass"
+        assert rep.nijenhuis_checks == self.CERT_PAIRS
 
     def test_symbolic_sweep(self):
         # the opt-in cross-check: every ordered frame pair
@@ -368,6 +408,21 @@ class TestTheorem13:
         frames = generator_labels(E.chart, 0)
         assert cert.witnesses == [w for w in sweep.witnesses
                                   if representative_pair(w, frames, reps)]
+
+    def test_opposite_orientation_fails_at_n8(self, monkeypatch):
+        # the same negative control on the 12-coordinate product chart of
+        # product_flip: witnesses only on representative pairs
+        flip_orientation(monkeypatch)
+        T = flip_triple()
+        rep = theorem_1_3(T)
+        assert rep.status == "fail"
+        assert len(rep.witnesses) == 10
+        E = twistor_structure(T)
+        reps = frame_representatives(E)
+        assert len(reps) == 20
+        frames = generator_labels(E.chart, 0)
+        assert all(w[-1] == "nonzero" and representative_pair(w, frames, reps)
+                   for w in rep.witnesses)
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_vanishes_sweeps_the_twistor_structure(self, monkeypatch, flip):
