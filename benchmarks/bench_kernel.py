@@ -11,6 +11,8 @@ bracket of an M-frame and a sphere-frame operand (``mat_apply_poly``, as
 sums and products of
 rational functions whose distinct denominators share a factor, which
 normalize through ``scalar._gcd_fast`` and the PRS ``polygcd.p_gcd``.
+Monomials are drawn as exponent tuples and packed with ``K.mono`` into the
+kernel's layout (one int per monomial).
 
 Run from the repository root:
 
@@ -40,7 +42,7 @@ def make_polys(rng, count, nvars=4, terms=6, deg=3):
     for _ in range(count):
         p = {}
         for _ in range(terms):
-            m = tuple(rng.randint(0, deg) for _ in range(nvars))
+            m = K.mono(rng.randint(0, deg) for _ in range(nvars))
             p[m] = K.c_make(rng.randint(-9, 9) or 1,
                                    rng.randint(-9, 9), rng.randint(1, 9))
         out.append(p)
@@ -53,8 +55,8 @@ def make_twistor_pairs(rng, count, nvars=8):
     def poly(terms):
         p = {}
         while len(p) < terms:
-            m = tuple(rng.randint(0, 2) if rng.random() < 0.4 else 0
-                      for _ in range(nvars))
+            m = K.mono(rng.randint(0, 2) if rng.random() < 0.4 else 0
+                       for _ in range(nvars))
             p[m] = K.c_make(rng.randint(-6, 6) or 1, 0,
                                    2 if rng.random() < 0.1 else 1)
         return p
@@ -66,7 +68,7 @@ def make_sections(rng, count, n=4):
     for _ in range(count):
         sec = [{} for _ in range(2 * n)]
         a = rng.randrange(2 * n)
-        m = tuple(rng.randint(0, 2) for _ in range(n))
+        m = K.mono(rng.randint(0, 2) for _ in range(n))
         sec[a] = {m: (1, 0, 1)}
         out.append(sec)
     return out
@@ -107,13 +109,14 @@ def make_rationals(rng, count, n=3):
     chart = standard_chart(n)
 
     def linear(i):
-        return {(0,) * n: (1, 0, 1), (1, 0, 0): (1, 0, 1),
-                (0, 1, 0): (i + 2, 0, 1), (0, 0, 1): (-1, 0, 1)}
+        return {K.mono(m): (c, 0, 1) for m, c in (
+            ((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), i + 2),
+            ((0, 0, 1), -1))}
     out = []
     for i in range(count):
         num = {}
         for _ in range(4):
-            m = tuple(rng.randint(0, 2) for _ in range(n))
+            m = K.mono(rng.randint(0, 2) for _ in range(n))
             num[m] = K.c_make(rng.randint(-9, 9) or 1, 0, rng.randint(1, 5))
         den = K.p_mul(linear(i), linear(i + 1))
         out.append(ScalarField(Poly(chart, num), Poly(chart, den)))
@@ -133,7 +136,7 @@ def bench(polys, twistor_pairs, sections, twistor_bracket, ends, rationals,
         K.p_mul(p, q)
     t_twistor = time.perf_counter() - t0
 
-    H = {(0, 1, 2): {(0,) * n: (1, 0, 1)}}
+    H = {(0, 1, 2): {0: (1, 0, 1)}}
     t0 = time.perf_counter()
     jacs = [K.sec_jacobian(n, A) for A in sections]
     for A, dA in zip(sections, jacs):

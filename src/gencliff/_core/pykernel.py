@@ -5,9 +5,19 @@ Data layout:
 
   coefficient  (a, b, d)   the Gaussian rational (a + b*i)/d with d > 0 and
                            gcd(a, b, d) = 1; exact arbitrary-precision ints.
-  polynomial   dict mapping dense exponent tuples to coefficients; the zero
-               polynomial is the empty dict, zero coefficients are never
-               stored.
+  monomial     one non-negative int holding the exponent vector: variable i
+               has the W-bit field at bits [W*i, W*i + W), so the constant
+               monomial is 0, a monomial product is m1 + m2 and d/dx_i
+               subtracts 1 << W*i.  The top bit of each field is a guard:
+               exponents are at most EXP_LIMIT, and a product that reaches a
+               guard bit raises ExponentLimitError instead of carrying into
+               the next variable.  ``mono`` packs an exponent sequence,
+               ``var`` is the monomial x_i, ``exponents`` unpacks one,
+               ``degree`` sums one, and ``grlex_key`` orders monomials
+               graded-lexicographically (variable 0 most significant).
+               MAX_VARS variables at most.
+  polynomial   dict mapping monomials to coefficients; the zero polynomial is
+               the empty dict, zero coefficients are never stored.
   section      list of 2n polynomials (n vector components then n covector
                components) over an n-coordinate chart.
   flux         dict mapping strictly increasing index triples (i, j, k) to
@@ -25,7 +35,73 @@ shares a dict with an input.
 """
 
 from math import gcd
-from operator import add
+
+W = 16                              # bits per variable field
+EXP_LIMIT = (1 << (W - 1)) - 1      # largest exponent: the guard bit clear
+MAX_VARS = 256                      # variables the guard mask covers
+_FIELD = (1 << W) - 1
+GUARD = sum(1 << (W * i + W - 1) for i in range(MAX_VARS))
+
+
+class ExponentLimitError(OverflowError):
+    """A monomial exponent exceeds EXP_LIMIT, the largest a field holds.
+
+    Not a ValueError: it is an implementation limit, never a mathematical
+    failure, so the suites' error handling must not report it as one."""
+
+    def __init__(self):
+        super().__init__(f"a monomial exponent exceeds the limit {EXP_LIMIT}")
+
+
+def mono(exps):
+    """The monomial of an exponent sequence (exponent of variable i at
+    index i)."""
+    m = 0
+    for i, e in enumerate(exps):
+        if e < 0:
+            raise ValueError("negative exponent")
+        if e > EXP_LIMIT:
+            raise ExponentLimitError()
+        m |= e << (W * i)
+    return m
+
+
+def var(i):
+    """The monomial x_i; e * var(i) is x_i^e for e <= EXP_LIMIT."""
+    return 1 << (W * i)
+
+
+def exponents(m, n=None):
+    """The exponent tuple of a monomial over n variables; with n None, the
+    tuple up to the last nonzero exponent."""
+    if n is not None:
+        return tuple((m >> (W * i)) & _FIELD for i in range(n))
+    t = []
+    while m:
+        t.append(m & _FIELD)
+        m >>= W
+    return tuple(t)
+
+
+def exponent(m, i):
+    """The exponent of variable i in a monomial."""
+    return (m >> (W * i)) & _FIELD
+
+
+def degree(m):
+    """The total degree of a monomial."""
+    return sum(exponents(m))
+
+
+def grlex_key(m):
+    """Sort key of the graded-lex order: (total degree, exponent tuple) with
+    variable 0 most significant.  The tuple stops at the last nonzero
+    exponent, which orders like the full tuple (a longer tuple with an equal
+    prefix has a positive exponent past it), so no variable count is
+    needed."""
+    t = exponents(m)
+    return (sum(t), t)
+
 
 C_ZERO = (0, 0, 1)
 C_ONE = (1, 0, 1)
@@ -180,7 +256,7 @@ def _p_mul_acc(acc, p, q):
     over their LCM."""
     for m1, (a1, b1, d1) in p.items():
         for m2, (a2, b2, d2) in q.items():
-            m = tuple(map(add, m1, m2))
+            m = m1 + m2
             a = a1 * a2 - b1 * b2
             b = a1 * b2 + b1 * a2
             d = d1 * d2
@@ -198,21 +274,28 @@ def _p_mul_acc(acc, p, q):
 
 def _normalize_acc(acc):
     """The polynomial of an accumulator of _p_mul_acc: each coefficient
-    normalized once, the zero ones dropped."""
+    normalized once, the zero ones dropped.  A monomial with a guard bit set
+    is a product whose exponent passed EXP_LIMIT; both factors had their
+    guard bits clear, so the field sum carried into its own guard bit and no
+    further."""
     out = {}
     for m, (a, b, d) in acc.items():
+        if m & GUARD:
+            raise ExponentLimitError()
         if a or b:
             out[m] = c_make(a, b, d)
     return out
 
 
 def p_diff(p, i):
+    shift = W * i
+    xi = var(i)
     out = {}
     for m, c in p.items():
-        e = m[i]
+        e = (m >> shift) & _FIELD
         if e == 0:
             continue
-        mm = m[:i] + (e - 1,) + m[i + 1:]
+        mm = m - xi
         cc = c_make(c[0] * e, c[1] * e, c[2])
         x = out.get(mm)
         if x is None:

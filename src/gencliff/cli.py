@@ -18,7 +18,9 @@ witness when anything is broken.  Reports are deterministic for a fixed
 (input, seed, max_degree) apart from the timing fields, and are written
 atomically.
 
-Exit codes: 0 all suites pass, 1 any suite fails, 2 usage/input errors.
+Exit codes: 0 all suites pass, 1 any suite fails, 2 usage/input errors and
+implementation limits (an exponent past the kernel's monomial field,
+``K.ExponentLimitError``, is one even when a suite's products reach it).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from ._core import BACKEND
+from ._core import BACKEND, kernel as K
 from .scalar import Chart, ExprSyntaxError, ScalarField, parse_expr
 from .cartan import KForm
 from .courant import (FluxForm, Section, dorfman, dorfman_twisted,
@@ -428,14 +430,13 @@ def suite_axioms(model, cfg):
     pairs of total degree <= 1 decide it.  Polarizing makes it bite even
     though every generator has <A,A> = 0.
     """
-    from ._core import kernel as K
     chart = model.chart
     n = chart.dim
     degree = min(cfg.max_degree, 2)
     gens = _kernel_generators(chart, degree)
     labels = generator_labels(chart, degree)
     # each generator has one nonzero component holding one monomial
-    deg = [sum(m) for A in gens for p in A for m in p]
+    deg = [K.degree(m) for A in gens for p in A for m in p]
     # upto[k]: generator indices of degree <= k, in sweep order
     upto = [[i for i, e in enumerate(deg) if e <= k] for k in range(3)]
     fluxes = [None]
@@ -706,7 +707,8 @@ def main(argv=None) -> int:
         report, code = run(model, cfg)
         write_report(report, cfg.output, cfg.fmt)
         return code
-    except (InputError, ExprSyntaxError, OSError, KeyError) as exc:
+    except (InputError, ExprSyntaxError, K.ExponentLimitError, OSError,
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

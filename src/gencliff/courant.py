@@ -257,4 +257,4 @@ def monomials_up_to(chart: Chart, degree: int):
 
     rec([], chart.dim, degree)
     out.sort(key=lambda m: (sum(m), m))
-    return [Poly(chart, {m: K.C_ONE}) for m in out]
+    return [Poly(chart, {K.mono(m): K.C_ONE}) for m in out]

@@ -251,7 +251,7 @@ class EndField:
 
     def scale(self, c):
         if c.is_constant and self.is_polynomial:
-            k = c.num.terms.get(self.chart._zero, K.C_ZERO)
+            k = c.num.terms.get(0, K.C_ZERO)
             return self._from_terms([[K.p_scale(a.num.terms, k) for a in r]
                                      for r in self.entries])
         return EndField(self.chart, [[a * c for a in r] for r in self.entries],
@@ -519,7 +519,7 @@ class _PowerDen:
     """
 
     def __init__(self, chart, m_terms=None):
-        one = {chart._zero: K.C_ONE}
+        one = {0: K.C_ONE}
         self.chart = chart
         self.n = chart.dim
         self.unit = m_terms is None
@@ -852,8 +852,8 @@ def _residuals(tensor: BoundTensor, degree_bound: int | None):
     gens = _kernel_generators(tensor.chart, degree)
     n = tensor.chart.dim
     ops = [_operand(kind, mats, A) for A in gens]
-    # a generator's monomial is linear iff its exponents are not all zero
-    linear = [degree_bound is None and any(any(m) for p in A for m in p)
+    # a generator's monomial is linear iff it is not the constant monomial
+    linear = [degree_bound is None and any(m != 0 for p in A for m in p)
               for A in gens]
     reps = set(range(len(gens)))
     if proven == "skew" and kind == "nijenhuis":

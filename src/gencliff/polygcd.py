@@ -1,7 +1,7 @@
 """Exact multivariate polynomial GCD and division over the Gaussian rationals.
 
-Works directly on the kernel polynomial layout (dict of dense exponent tuples
-to coefficient triples).  The GCD pipeline is
+Works directly on the kernel polynomial layout (dict of packed monomial ints
+to coefficient triples, see ``_core.pykernel``).  The GCD pipeline is
 
   1. trivial cases (zero, constants, equal, exact divisor);
   2. a sound triviality probe: specialize all but one variable at fixed
@@ -24,13 +24,9 @@ _PROBE_POINTS = ((2, 3, 5, 7, 11, 13, 17, 19),
                  (5, 2, 7, 3, 13, 11, 19, 29))
 
 
-def grlex_key(m):
-    return (sum(m), m)
-
-
 def p_leading(p):
     """(monomial, coeff) of the graded-lex leading term."""
-    m = max(p, key=grlex_key)
+    m = max(p, key=K.grlex_key)
     return m, p[m]
 
 
@@ -56,8 +52,10 @@ def p_divexact(p, q):
     quot = {}
     while rem:
         mr, cr = p_leading(rem)
-        me = tuple(a - b for a, b in zip(mr, mq))
-        if any(e < 0 for e in me):
+        # a field of mr below mq's borrows: the lowest such field wraps to
+        # at least 2^(W-1), its guard bit (or the difference goes negative)
+        me = mr - mq
+        if me < 0 or me & K.GUARD:
             return None
         cf = K.c_mul(cr, cq_inv)
         quot[me] = cf
@@ -65,26 +63,21 @@ def p_divexact(p, q):
     return quot
 
 
-def _one_like(p):
-    n = len(next(iter(p)))
-    return {(0,) * n: K.C_ONE}
-
-
 def _degree_in(p, v):
-    return max((m[v] for m in p), default=0)
+    return max((K.exponent(m, v) for m in p), default=0)
 
 
 def _vars_in(p):
     out = set()
     for m in p:
-        for i, e in enumerate(m):
+        for i, e in enumerate(K.exponents(m)):
             if e:
                 out.add(i)
     return out
 
 
 def _is_constant(p):
-    return len(p) == 1 and not any(next(iter(p)))
+    return len(p) == 1 and 0 in p
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +90,11 @@ def _univ_image(p, v, points):
     out = {}
     for m, c in p.items():
         scale = 1
-        for i, e in enumerate(m):
-            if i == v or not e:
-                continue
-            scale *= points[i % len(points)] ** e
+        for i, e in enumerate(K.exponents(m)):
+            if i != v and e:
+                scale *= points[i % len(points)] ** e
         cc = K.c_make(c[0] * scale, c[1] * scale, c[2])
-        e = m[v]
+        e = K.exponent(m, v)
         prev = out.get(e)
         if prev is None:
             out[e] = cc
@@ -169,19 +161,20 @@ def _probably_coprime(p, q, shared):
 # Subresultant PRS.
 
 def _split_univ(p, v):
+    xv = K.var(v)
     out = {}
     for m, c in p.items():
-        e = m[v]
-        mm = m[:v] + (0,) + m[v + 1:]
-        out.setdefault(e, {})[mm] = c
+        e = K.exponent(m, v)
+        out.setdefault(e, {})[m - e * xv] = c
     return out
 
 
 def _join_univ(u, v):
+    xv = K.var(v)
     out = {}
     for e, coeff in u.items():
         for m, c in coeff.items():
-            out[m[:v] + (e,) + m[v + 1:]] = c
+            out[m + e * xv] = c
     return out
 
 
@@ -246,7 +239,7 @@ def p_gcd(p, q):
     if p == q:
         return p_monic(p)
     if _is_constant(p) or _is_constant(q):
-        return _one_like(p)
+        return {0: K.C_ONE}
     if p_divexact(q, p) is not None:
         return p_monic(p)
     if p_divexact(p, q) is not None:
@@ -254,9 +247,9 @@ def p_gcd(p, q):
     vp, vq = _vars_in(p), _vars_in(q)
     shared = vp & vq
     if not shared:
-        return _one_like(p)
+        return {0: K.C_ONE}
     if _probably_coprime(p, q, shared):
-        return _one_like(p)
+        return {0: K.C_ONE}
     v = min(shared)
     if _degree_in(p, v) < _degree_in(q, v):
         p, q = q, p
@@ -265,9 +258,8 @@ def p_gcd(p, q):
     cont = p_gcd(cont_p, cont_q)
     a = _univ_scale_div(up, cont_p)
     b = _univ_scale_div(uq, cont_q)
-    n_tmpl = _one_like(p)
-    g = dict(n_tmpl)
-    h = dict(n_tmpl)
+    g = {0: K.C_ONE}
+    h = {0: K.C_ONE}
     while True:
         da, db = max(a), max(b)
         delta = da - db
@@ -297,7 +289,7 @@ def p_gcd(p, q):
 
 def _p_pow(p, e):
     if e == 0:
-        return _one_like(p)
+        return {0: K.C_ONE}
     out = dict(p)
     for _ in range(e - 1):
         out = K.p_mul(out, p)

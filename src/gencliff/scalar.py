@@ -6,8 +6,11 @@ entries, so this module fixes the global conventions:
 
 * coefficients are Gaussian rationals (exact ``Fraction`` real and imaginary
   parts); purely real data simply has zero imaginary part;
-* monomials are dense exponent tuples ordered graded-lexicographically, which
-  makes printed output and normal forms deterministic;
+* monomials are packed exponent vectors (one int, a fixed bit field per
+  variable: the kernel layout of ``_core.pykernel``) ordered
+  graded-lexicographically, which makes printed output and normal forms
+  deterministic; the public API (``Poly.from_coeffs``, ``coeffs``,
+  ``coeff``) speaks exponent tuples and packs or unpacks at the boundary;
 * a ScalarField is a quotient num/den reduced by exact multivariate GCD with
   the denominator's leading coefficient normalized to 1, so structural
   equality of normalized forms decides mathematical equality.
@@ -43,14 +46,19 @@ class ExprSyntaxError(ValueError):
 
 
 class Chart:
-    """An n-dimensional coordinate chart: just the coordinate names."""
+    """An n-dimensional coordinate chart: just the coordinate names, at most
+    ``K.MAX_VARS`` of them (the variables the kernel's monomial guard
+    covers)."""
 
-    __slots__ = ("names", "dim", "_index", "_zero")
+    __slots__ = ("names", "dim", "_index")
 
     def __init__(self, names):
         names = tuple(names)
         if len(names) < 1:
             raise ValueError("chart needs at least one coordinate")
+        if len(names) > K.MAX_VARS:
+            raise ValueError(f"chart has more than {K.MAX_VARS} "
+                             "coordinates")
         if len(set(names)) != len(names):
             raise ValueError("coordinate names must be distinct")
         for nm in names:
@@ -59,7 +67,6 @@ class Chart:
         self.names = names
         self.dim = len(names)
         self._index = {nm: i for i, nm in enumerate(names)}
-        self._zero = (0,) * self.dim        # exponent of the constant monomial
 
     def index(self, name):
         try:
@@ -200,14 +207,15 @@ def _imag_str(q):
 
 def grlex_sorted(monomials):
     """Monomials in descending graded-lex order (the fixed global order)."""
-    return sorted(monomials, key=lambda m: (sum(m), m), reverse=True)
+    return sorted(monomials, key=K.grlex_key, reverse=True)
 
 
 class Poly:
     """Sparse multivariate polynomial with Gaussian-rational coefficients.
 
     Treat instances as immutable; the term dict uses the kernel layout
-    (exponent tuple -> coefficient triple) and never stores zeros.
+    (packed monomial int -> coefficient triple) and never stores zeros.
+    ``from_coeffs``, ``coeffs`` and ``coeff`` take and give exponent tuples.
     """
 
     __slots__ = ("chart", "terms")
@@ -222,21 +230,20 @@ class Poly:
 
     @classmethod
     def one(cls, chart):
-        return cls(chart, {chart._zero: K.C_ONE})
+        return cls(chart, {0: K.C_ONE})
 
     @classmethod
     def constant(cls, chart, value):
         t = _as_gauss(value)._triple()
         if t == K.C_ZERO:
             return cls(chart, {})
-        return cls(chart, {(0,) * chart.dim: t})
+        return cls(chart, {0: t})
 
     @classmethod
     def variable(cls, chart, i):
         if not 0 <= i < chart.dim:
             raise IndexError(f"coordinate index {i} out of range")
-        m = tuple(1 if j == i else 0 for j in range(chart.dim))
-        return cls(chart, {m: K.C_ONE})
+        return cls(chart, {K.var(i): K.C_ONE})
 
     @classmethod
     def from_coeffs(cls, chart, coeffs):
@@ -248,15 +255,21 @@ class Poly:
                 raise ValueError("exponent tuple has wrong length")
             t = _as_gauss(v)._triple()
             if t != K.C_ZERO:
-                terms[m] = t
+                terms[K.mono(m)] = t
         return cls(chart, terms)
 
     def coeff(self, mono):
-        t = self.terms.get(tuple(mono))
+        mono = tuple(mono)
+        if len(mono) != self.chart.dim or \
+                not all(0 <= e <= K.EXP_LIMIT for e in mono):
+            return GaussianRational(0)
+        t = self.terms.get(K.mono(mono))
         return GaussianRational._from_triple(t) if t else GaussianRational(0)
 
     def coeffs(self):
-        return {m: GaussianRational._from_triple(t) for m, t in self.terms.items()}
+        n = self.chart.dim
+        return {K.exponents(m, n): GaussianRational._from_triple(t)
+                for m, t in self.terms.items()}
 
     @property
     def is_zero(self):
@@ -264,7 +277,7 @@ class Poly:
 
     @property
     def is_constant(self):
-        return all(sum(m) == 0 for m in self.terms)
+        return all(m == 0 for m in self.terms)
 
     def constant_value(self):
         if not self.is_constant:
@@ -272,10 +285,10 @@ class Poly:
         return self.coeff((0,) * self.chart.dim)
 
     def total_degree(self):
-        return max((sum(m) for m in self.terms), default=0)
+        return max((K.degree(m) for m in self.terms), default=0)
 
     def degree_in(self, i):
-        return max((m[i] for m in self.terms), default=0)
+        return max((K.exponent(m, i) for m in self.terms), default=0)
 
     def _check(self, other):
         if self.chart != other.chart:
@@ -334,7 +347,7 @@ class Poly:
         acc = GaussianRational(0)
         for m, t in self.terms.items():
             v = GaussianRational._from_triple(t)
-            for e, x in zip(m, pt):
+            for e, x in zip(K.exponents(m, len(pt)), pt):
                 for _ in range(e):
                     v = v * x
             acc = acc + v
@@ -422,7 +435,7 @@ class ScalarField:
     def is_polynomial(self):
         """True iff the denominator is 1 (a dict lookup; allocates nothing)."""
         t = self.den.terms
-        return len(t) == 1 and t.get(self.chart._zero) == K.C_ONE
+        return len(t) == 1 and t.get(0) == K.C_ONE
 
     @property
     def is_constant(self):
@@ -556,7 +569,7 @@ class ScalarField:
 
 
 def _is_const_poly(t):
-    return len(t) == 1 and not any(next(iter(t)))
+    return len(t) == 1 and 0 in t
 
 
 def _gcd_fast(p, q):
@@ -565,8 +578,7 @@ def _gcd_fast(p, q):
     if p == q:
         return G.p_monic(p)
     if _is_const_poly(p) or _is_const_poly(q):
-        n = len(next(iter(p)))
-        return {(0,) * n: K.C_ONE}
+        return {0: K.C_ONE}
     if G.p_divexact(q, p) is not None:
         return G.p_monic(p)
     if G.p_divexact(p, q) is not None:
@@ -577,13 +589,12 @@ def _gcd_fast(p, q):
 def _reduce(numt, dent):
     """Cancel gcd and make the denominator graded-lex monic."""
     if not numt:
-        n = len(next(iter(dent)))
-        return {}, {(0,) * n: K.C_ONE}
+        return {}, {0: K.C_ONE}
     if _is_const_poly(dent):
-        g = G._one_like(dent)
+        g = {0: K.C_ONE}
     else:
         g = _gcd_fast(numt, dent)
-    if g != G._one_like(g):
+    if g != {0: K.C_ONE}:
         numt = G.p_divexact(numt, g)
         dent = G.p_divexact(dent, g)
     _, lc = G.p_leading(dent)
@@ -655,7 +666,7 @@ def _poly_str(p):
     for m in grlex_sorted(p.terms):
         mono = "*".join(
             nm if e == 1 else f"{nm}^{e}"
-            for nm, e in zip(chart.names, m) if e
+            for nm, e in zip(chart.names, K.exponents(m, chart.dim)) if e
         )
         sign, coeff = _coeff_prefix(p.terms[m], mono == "")
         if coeff and mono:
@@ -673,13 +684,18 @@ def _poly_str(p):
 class _Parser:
     """Recursive-descent parser of the expression grammar.
 
-    Two input limits keep every document within bounded work; a breach is
-    an ExprSyntaxError, like any other malformed expression:
+    Three input limits keep every document within bounded work and within
+    the kernel's monomial layout; a breach is an ExprSyntaxError, like any
+    other malformed expression:
 
       MAX_DEPTH     nesting depth of parentheses.  Each level costs four
                     stack frames, so the bound stays well below the
                     interpreter's recursion limit.
       MAX_EXPONENT  largest exponent e in b^e; the power is e products.
+      K.EXP_LIMIT   largest exponent of a variable in any intermediate
+                    value.  Nested powers multiply exponents, so
+                    ((x1^64)^64)^64 passes MAX_EXPONENT at every power but
+                    not this limit.
     """
 
     MAX_DEPTH = 100
@@ -709,7 +725,10 @@ class _Parser:
         return False
 
     def parse(self):
-        f = self.expr()
+        try:
+            f = self.expr()
+        except K.ExponentLimitError:
+            self.error(f"an exponent exceeds the limit {K.EXP_LIMIT}")
         self.skip_ws()
         if self.pos != len(self.text):
             self.error(f"unexpected {self.text[self.pos]!r}")

@@ -175,7 +175,8 @@ def check_intertwine(phi: CourantIso, degree_bound: int | None = None,
     tensorial = degree_bound is None and _tensorial(phi)
     degree = 0 if tensorial else generator_degree(degree_bound)
     monos = [m for m in monomials_up_to(chart, degree)
-             if not any(e[k] for e in m.terms for k in phi.invariant_coords)]
+             if not any(K.exponent(e, k) for e in m.terms
+                        for k in phi.invariant_coords)]
     frames = [f"d{i + 1}" for i in range(n)] + [f"e{i + 1}" for i in range(n)]
     gens, labels, linear = [], [], []
     for a, fr in enumerate(frames):

@@ -53,7 +53,7 @@ def full_sweep(model, degree):
                                                 br(A, C), br(B, C))
                     if not K.sec_is_zero(res):
                         fails.append((tag, i, j, l))
-    deg = [sum(m) for A in gens for p in A for m in p]
+    deg = [pykernel.degree(m) for A in gens for p in A for m in p]
     return fails, deg
 
 

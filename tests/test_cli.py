@@ -10,8 +10,9 @@ import pytest
 
 from gencliff.cli import (InputError, RunConfig, bracket_eval,
                           load_model, parse_section, run)
-from gencliff.scalar import (ExprSyntaxError, _Parser, parse_expr,
-                             standard_chart)
+from gencliff._core import kernel as K
+from gencliff.scalar import (ExprSyntaxError, GaussianRational, _Parser,
+                             parse_expr, standard_chart)
 from gencliff.examples import hyperkahler_r4
 
 REPO = Path(__file__).resolve().parent.parent
@@ -216,7 +217,9 @@ MALFORMED_DOCUMENTS = {
 
 # Expressions past the parser's input limits (scalar._Parser.MAX_DEPTH and
 # MAX_EXPONENT, and the digits int() converts): a RecursionError traceback,
-# an 11 s parse and a ValueError traceback before.
+# an 11 s parse and a ValueError traceback before.  Nested powers multiply
+# exponents past the kernel's monomial field (K.EXP_LIMIT) while each power
+# stays within MAX_EXPONENT.
 EXPRESSION_LIMIT_DOCUMENTS = {
     "nested-parentheses": {"chart": {"dim": 3},
                            "flux": [{"indices": [1, 2, 3],
@@ -226,7 +229,14 @@ EXPRESSION_LIMIT_DOCUMENTS = {
     "long-integer-literal": {"chart": {"dim": 3},
                              "flux": [{"indices": [1, 2, 3],
                                        "coeff": "1" * 5000}]},
+    "nested-powers-past-the-field": {"chart": {"dim": 3},
+                                     "flux": [{"indices": [1, 2, 3],
+                                               "coeff": "((x1^64)^64)^64"}]},
 }
+
+
+# x1^EXP_LIMIT (7*64^2 + 63*64 + 63) in powers within MAX_EXPONENT
+TOP_POWER = "((x1^7)^64)^64*(x1^63)^64*x1^63"
 
 
 class TestMalformedInput:
@@ -258,8 +268,33 @@ class TestMalformedInput:
         R3 = standard_chart(3)
         nested = "(" * depth + "x1" + ")" * depth
         assert parse_expr(nested, R3) == parse_expr("x1", R3)
-        assert parse_expr(f"x1^{exp}", R3).num.terms == {(exp, 0, 0):
-                                                         (1, 0, 1)}
+        assert parse_expr(f"x1^{exp}", R3).num.coeffs() == {
+            (exp, 0, 0): GaussianRational(1)}
+        # the largest exponent the monomial field holds, reached by nested
+        # powers, parses; one more factor is past it
+        top = TOP_POWER
+        assert parse_expr(top, R3).num.coeffs() == {
+            (K.EXP_LIMIT, 0, 0): GaussianRational(1)}
+        with pytest.raises(ExprSyntaxError, match=f"limit {K.EXP_LIMIT}"):
+            parse_expr(top + "*x2*x1", R3)
+
+    def test_exponent_limit_inside_a_suite_exits_2(self, tmp_path):
+        # the flux coefficient is admitted, but the axioms suite multiplies
+        # it by a degree-1 generator: the kernel's guard stops the product
+        # with its limit named, and the run exits 2 instead of reporting a
+        # mathematical failure
+        doc = {"chart": {"dim": 3},
+               "flux": [{"indices": [1, 2, 3], "coeff": TOP_POWER}]}
+        model = load_model(text=json.dumps(doc))
+        with pytest.raises(K.ExponentLimitError):
+            run(model, RunConfig(suites=["axioms"], max_degree=1))
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        proc = run_cli(["verify", "--input", str(p), "--suite", "axioms",
+                        "--max-degree", "1"])
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: a monomial exponent exceeds the "
+                               f"limit {K.EXP_LIMIT}\n")
 
 
 class TestReportShape:

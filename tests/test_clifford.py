@@ -282,6 +282,24 @@ class TestSymbolCertificate:
             assert cert.witnesses == [w for w in sweep.witnesses
                                       if certificate_pair(w, reps)]
 
+    def test_shared_witness_budget(self):
+        # the three N(Ii,Ii) reports share 10 witnesses: the same first 10
+        # as per-generator reports, with N(I2,I2) stopped at its first
+        # witness and N(I3,I3) not evaluated (15 + 1 pairs, not 3 * 15)
+        from gencliff.gcs import bind_nijenhuis, vanishes
+        T = nonclosed_bfield_triple()
+        ref = [vanishes(bind_nijenhuis(E, f"N(I{i+1},I{i+1})", T.flux))
+               for i, E in enumerate(T.generators)]
+
+        def witnesses(reports):
+            return [(r.name, w) for r in reports for w in r.witnesses]
+        status = verify_triple(T).status
+        assert [r.sample_count for r in ref] == [15] * 3
+        assert len(witnesses(ref)) > 10
+        assert witnesses(status.integrability) == witnesses(ref)[:10]
+        assert [r.sample_count for r in status.integrability] == [15, 1]
+        assert not status.integrable and status.relations_ok
+
 
 def conjugate_triple(T, Q):
     """Q I_i Q^-1 for an invertible constant Q."""

@@ -19,6 +19,7 @@ from gencliff.gcs import (EndField, FluxMismatchError, bind_concomitant,
                           tensoriality_probe, vanishes, generator_labels,
                           generator_sections)
 from gencliff.examples import QUAT_I, diag_type, hyperkahler_r4
+from tests.layout import packed
 from tests.test_scalar import rnd_field
 
 R2 = standard_chart(2)
@@ -421,7 +422,8 @@ class TestSymbolCertificate:
         from gencliff.courant import monomials_up_to
         from gencliff.gcs import _residuals
         base, degree, pairs = _residuals(tensor, degree_bound)
-        var = [next((k for k, e in enumerate(next(iter(m.terms))) if e), None)
+        var = [next((k for k, e in enumerate(next(iter(m.coeffs()))) if e),
+                    None)
                for m in monomials_up_to(tensor.chart, degree)]
         got = {}
         for i, j, P in pairs:
@@ -477,7 +479,7 @@ class TestSymbolCertificate:
         """A seeded polynomial of degree 3 with at most six terms."""
         from gencliff.courant import monomials_up_to
         monos = monomials_up_to(chart, 3)
-        terms = {next(iter(m.terms)): Fraction(rng.choice((-1, 1))
+        terms = {next(iter(m.coeffs())): Fraction(rng.choice((-1, 1))
                                                 * rng.randint(1, 5),
                                                 rng.randint(1, 4))
                  for m in [monos[-1]] + rng.sample(monos, 5)}
@@ -598,7 +600,7 @@ class TestTensorialityGate:
     def test_bilinear_and_skew_on_every_sweep_pair(self, case):
         from gencliff._core import kernel as K
         from gencliff.gcs import _kernel_setup, _tensoriality
-        x = [{tuple(int(t == k) for t in range(4)): K.C_ONE}
+        x = [packed({tuple(int(t == k) for t in range(4)): K.C_ONE})
              for k in range(4)]
         nonzero = 0
         for tensor in gate_tensors(case):

@@ -15,6 +15,7 @@ from gencliff.scalar import Poly, ScalarField, parse_expr, standard_chart
 from gencliff.courant import (FluxForm, Section, algebroid_differential,
                               dorfman, dorfman_twisted, pairing,
                               section_from_kernel, section_kernel_components)
+from tests.layout import packed
 from tests.test_scalar import rnd_field
 
 
@@ -26,7 +27,7 @@ def rnd_kpoly(rng, nvars=3, terms=4):
                             rng.randint(1, 9))
         if c != pykernel.C_ZERO:
             out[m] = c
-    return out
+    return packed(out)
 
 
 def rnd_ksection(rng, n=3):
@@ -35,7 +36,8 @@ def rnd_ksection(rng, n=3):
 
 # a base polynomial m on R^3 and the quotient rule d/dx_t (comp / m^k) =
 # (m d_t comp - k comp d_t m) / m^(k+1), written here independently of gcs
-QR_BASE = {(0, 0, 0): (1, 0, 1), (2, 0, 0): (1, 0, 1), (0, 1, 1): (3, 0, 1)}
+QR_BASE = packed({(0, 0, 0): (1, 0, 1), (2, 0, 0): (1, 0, 1),
+                  (0, 1, 1): (3, 0, 1)})
 
 
 def quotient_rule(k):
@@ -65,6 +67,96 @@ class TestCoefficients:
             assert pykernel.c_mul(x, y) == pykernel.c_mul(y, x)
 
 
+class TestMonomialLayout:
+    """One int per monomial: W-bit fields, variable i at bits [W*i, W*i+W),
+    the top bit of each field a guard that stops an exponent past
+    EXP_LIMIT from carrying into the next variable."""
+
+    L = pykernel.EXP_LIMIT
+
+    def test_pack_unpack_degree_order(self):
+        rng = random.Random(90)
+        tuples = [tuple(rng.choice((0, 0, 1, 2, 3, self.L))
+                        for _ in range(8)) for _ in range(200)]
+        for t in tuples:
+            m = pykernel.mono(t)
+            assert pykernel.exponents(m, 8) == t
+            assert [pykernel.exponent(m, i) for i in range(8)] == list(t)
+            short = pykernel.exponents(m)
+            assert short + (0,) * (8 - len(short)) == t
+            assert not short or short[-1]
+            assert m == sum(e * pykernel.var(i) for i, e in enumerate(t))
+            assert pykernel.degree(m) == sum(t)
+            assert not m & pykernel.GUARD
+        assert pykernel.mono((0,) * 8) == 0
+        assert sorted(tuples, key=lambda t: (sum(t), t)) == [
+            pykernel.exponents(m, 8) for m in sorted(
+                map(pykernel.mono, tuples), key=pykernel.grlex_key)]
+
+    def test_mono_rejects_what_no_field_holds(self):
+        with pytest.raises(pykernel.ExponentLimitError):
+            pykernel.mono((0, self.L + 1))
+        with pytest.raises(ValueError):
+            pykernel.mono((1, -1))
+
+    @pytest.mark.parametrize("i", [0, 3, 7])
+    def test_product_raises_at_the_field_boundary(self, i):
+        # x_i^L * x_i would carry into x_(i+1) (or past the last field);
+        # the guard raises instead, and the limit error is no ValueError,
+        # so no suite can report it as a failed identity
+        def x(e):
+            return packed({tuple(e if k == i else 0 for k in range(8)):
+                           pykernel.C_ONE})
+        assert pykernel.p_mul(x(self.L - 1), x(1)) == x(self.L)
+        for a, b in ((self.L, 1), (self.L // 2 + 1, self.L // 2 + 1)):
+            with pytest.raises(pykernel.ExponentLimitError,
+                               match=f"limit {self.L}"):
+                pykernel.p_mul(x(a), x(b))
+        # a cancelling product past the limit is still refused
+        with pytest.raises(pykernel.ExponentLimitError):
+            pykernel.p_dot([(x(self.L), x(1)),
+                            (pykernel.p_neg(x(self.L)), x(1))])
+        assert not issubclass(pykernel.ExponentLimitError, ValueError)
+        assert issubclass(pykernel.ExponentLimitError, OverflowError)
+
+    def test_full_fields_side_by_side(self):
+        # every field at the limit at once: no carry between neighbours,
+        # and the derivative lowers only its own field
+        full = pykernel.mono((self.L,) * 8)
+        p = pykernel.p_mul({pykernel.mono((self.L,) * 4 + (0,) * 4):
+                            (2, 0, 1)},
+                           {pykernel.mono((0,) * 4 + (self.L,) * 4):
+                            (3, 0, 1)})
+        assert p == {full: (6, 0, 1)}
+        d = pykernel.p_diff(p, 5)
+        assert d == {pykernel.mono((self.L,) * 5 + (self.L - 1,)
+                                   + (self.L,) * 2): (6 * self.L, 0, 1)}
+
+    def test_divexact_refuses_a_borrow(self):
+        # mq does not divide mr when a field of mr is smaller, whichever
+        # field it is (the top one included, where the difference goes
+        # negative)
+        from gencliff.polygcd import p_divexact
+        one = pykernel.C_ONE
+        for num, den in (((0, 1), (1, 0)), ((2, 0), (1, 1)),
+                         ((1, 0), (0, 1)), ((self.L, 0), (0, 1))):
+            assert p_divexact(packed({num: one}), packed({den: one})) is None
+        assert p_divexact(packed({(self.L, 2): one}),
+                          packed({(1, 2): one})) == packed({(self.L - 1, 0):
+                                                            one})
+
+    def test_chart_within_the_guard(self):
+        # the guard covers every variable of the largest chart
+        n = pykernel.MAX_VARS
+        with pytest.raises(ValueError, match=f"more than {n}"):
+            standard_chart(n + 1)
+        top = standard_chart(n)
+        x = Poly.variable(top, n - 1)
+        big = Poly.from_coeffs(top, {(0,) * (n - 1) + (self.L,): 1})
+        with pytest.raises(pykernel.ExponentLimitError):
+            big * x
+
+
 class TestPolyMulDenominators:
     def test_mixed_denominators_merge_over_their_lcm(self, monkeypatch):
         # each operand's coefficient denominators are pairwise coprime
@@ -82,10 +174,11 @@ class TestPolyMulDenominators:
         lcms, prods = {}, {}
         for m1, (_, _, d1) in p.items():
             for m2, (_, _, d2) in q.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1])
+                m = pykernel.mono((m1[0] + m2[0], m1[1] + m2[1]))
                 lcms[m] = lcm(lcms.get(m, 1), d1 * d2)
                 prods[m] = prods.get(m, 1) * d1 * d2
         assert any(lcms[m] < prods[m] for m in lcms)
+        p, q = packed(p), packed(q)
         make = pykernel.c_make
         want = pykernel.p_mul(p, q)
         monkeypatch.setattr(pykernel, "c_make", lambda a, b, d: (a, b, d))
@@ -117,9 +210,10 @@ class TestDot:
                 assert pykernel.p_dot(cancel) == {}
         # one output monomial reached over denominators 6 and 10 sums to
         # 1/6 + 1/10 = 4/15, normalized once
-        x = {(1,): (1, 0, 1)}
-        assert pykernel.p_dot([(x, {(0,): (1, 0, 6)}),
-                               (x, {(0,): (1, 0, 10)})]) == {(1,): (4, 0, 15)}
+        x = packed({(1,): (1, 0, 1)})
+        assert pykernel.p_dot([(x, packed({(0,): (1, 0, 6)})),
+                               (x, packed({(0,): (1, 0, 10)}))]) == \
+            packed({(1,): (4, 0, 15)})
 
     def test_mat_apply_poly_is_the_row_dot(self):
         rng = random.Random(88)

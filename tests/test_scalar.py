@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gencliff._core import kernel as K
 from gencliff.scalar import (Chart, ExprSyntaxError, GaussianRational, Poly,
                              ScalarField, grlex_sorted, parse_expr, poly_diff,
                              ratfunc_normalize, standard_chart)
@@ -135,7 +136,8 @@ class TestNormalize:
         # oracle: polynomial division confirms the cancelled factor
         from gencliff.polygcd import p_divexact
         p = parse_expr("u1^2 + v1^2", SPHERE).num.terms
-        assert p_divexact(p, p) == {(0, 0, 0, 0): (1, 0, 1)}
+        assert Poly(SPHERE, p_divexact(p, p)).coeffs() == {
+            (0, 0, 0, 0): GaussianRational(1)}
 
     def test_idempotent(self):
         rng = random.Random(3)
@@ -158,8 +160,9 @@ class TestNormalize:
 
     def test_denominator_is_monic(self):
         f = parse_expr("x1/(2*x2 + 2)", R3)
-        lead = max(f.den.terms, key=lambda m: (sum(m), m))
-        assert f.den.terms[lead] == (1, 0, 1)
+        coeffs = f.den.coeffs()
+        lead = max(coeffs, key=lambda m: (sum(m), m))
+        assert coeffs[lead] == 1
 
 
 class TestRingAxioms:
@@ -178,13 +181,39 @@ class TestRingAxioms:
 
 class TestOrdering:
     def test_grlex_order_fixed(self):
-        monos = [(0, 2, 0), (1, 0, 0), (0, 0, 3), (1, 1, 0)]
-        assert grlex_sorted(monos) == [(0, 0, 3), (1, 1, 0), (0, 2, 0),
-                                       (1, 0, 0)]
+        # the packed monomials sort as their exponent tuples do under
+        # (total degree, tuple), variable 0 most significant
+        monos = [(0, 2, 0), (1, 0, 0), (0, 0, 3), (1, 1, 0), (0, 1, 2),
+                 (2, 0, 1), (0, 0, 1), (0, 0, 0)]
+        want = [(2, 0, 1), (0, 1, 2), (0, 0, 3), (1, 1, 0), (0, 2, 0),
+                (1, 0, 0), (0, 0, 1), (0, 0, 0)]
+        assert sorted(monos, key=lambda m: (sum(m), m), reverse=True) == want
+        assert grlex_sorted([K.mono(m) for m in monos]) == \
+            [K.mono(m) for m in want]
 
     def test_printing_deterministic(self):
         f = parse_expr("x2 + x1 + x1*x2 + 3", R3)
         assert str(f) == "x1*x2 + x1 + x2 + 3"
+
+    def test_tuple_api_round_trip(self):
+        # from_coeffs packs the exponent tuples, coeffs() unpacks them, and
+        # the printed form is pinned: the graded-lex order of the output
+        # does not depend on the monomial layout
+        coeffs = {(0, 0, 3): GaussianRational(1, -1),
+                  (1, 1, 0): GaussianRational(Fraction(-3, 4)),
+                  (0, 0, 0): GaussianRational(2),
+                  (0, 2, 0): GaussianRational(0, 1),
+                  (1, 0, 0): GaussianRational(1),
+                  (2, 0, 1): GaussianRational(5),
+                  (0, 1, 2): GaussianRational(Fraction(1, 2))}
+        p = Poly.from_coeffs(R3, coeffs)
+        assert p.coeffs() == coeffs
+        assert Poly.from_coeffs(R3, p.coeffs()) == p
+        assert all(p.coeff(m) == v for m, v in coeffs.items())
+        assert p.coeff((3, 0, 0)) == 0 and p.coeff((1, 0)) == 0
+        assert str(p) == ("5*x1^2*x3 + 1/2*x2*x3^2 + (1 - i)*x3^3 "
+                          "- 3/4*x1*x2 + i*x2^2 + x1 + 2")
+        assert parse_expr(str(p), R3) == ScalarField.from_poly(p)
 
 
 class TestChart:

@@ -13,6 +13,7 @@ from gencliff.gcs import (_PowerDen, _sparse_rows, bind_nijenhuis,
                           generator_labels, is_almost_gcs, vanishes)
 from gencliff.clifford import induce, project, theorem_1_1, verify_triple
 from gencliff.examples import hyperkahler_r4, product_flip
+from tests.layout import packed
 from tests.test_gcs import frame_representatives
 from gencliff.twistor import (TwistorPoint, _sphere_base,
                               check_cross_commutator, check_dI_commutator,
@@ -215,8 +216,8 @@ class TestFixedDenominatorBracket:
             P = [{} for _ in range(8)]
             for a in rng.sample(range(8), 3):
                 m = tuple(int(t == rng.randrange(5)) for t in range(4))
-                P[a] = {m: (rng.choice((-2, -1, 1, 3)), rng.choice((0, 1)),
-                            1)}
+                P[a] = packed({m: (rng.choice((-2, -1, 1, 3)),
+                                   rng.choice((0, 1)), 1)})
             return P
 
         def section(P, j):
@@ -261,7 +262,7 @@ class TestTwistorStructure:
         # twistor_structure builds Ihat on the product chart, without the
         # connection form; the numerators of its entries over the sphere
         # base m must equal the blocks assembled from connection_data's
-        # Ihat on the sphere chart (exponents padded by n zeros) and the
+        # Ihat on the sphere chart (exponents padded by n leading zeros) and the
         # sphere structure's constants times m
         T = make()
         n = T.chart.dim
@@ -280,13 +281,14 @@ class TestTwistorStructure:
         want = [[{} for _ in range(size)] for _ in range(size)]
         for i in range(2 * n):
             for j in range(2 * n):
-                want[mslot(i)][mslot(j)] = {
-                    (0,) * n + mono: c for mono, c in rows[i][j].items()}
+                want[mslot(i)][mslot(j)] = packed({
+                    (0,) * n + K.exponents(mono, 4): c
+                    for mono, c in rows[i][j].items()})
         for i, row in enumerate(sphere_gcs().entries):
             for j, f in enumerate(row):
                 if not f.is_zero:
                     want[sslot(i)][sslot(j)] = K.p_scale(
-                        base.m, f.num.terms[f.chart._zero])
+                        base.m, f.num.terms[0])
         assert base.numerators(E) == want
         assert E.flux is None
 
