@@ -36,8 +36,8 @@ from .clifford import (CliffordTriple, InducedStructures, Projections,
 from .twistor import (RotationMatrix, TwistorPoint, check_cross_commutator,
                       check_dI_commutator, check_flatness, connection_data,
                       rot_S, rot_T, rotate_family, sample_points,
-                      sphere_chart, sphere_gcs, stereo_vec, theorem_1_3,
-                      twistor_structure)
+                      sphere_chart, sphere_gcs, stereo_vec, theorem_1_2,
+                      theorem_1_3, twistor_structure)
 from .tduality import (CourantIso, check_intertwine, conjugate,
                        conjugate_triple, make_torus_duality,
                        props_5_2_to_5_4)
@@ -68,7 +68,7 @@ __all__ = [
     "RotationMatrix", "TwistorPoint", "check_cross_commutator",
     "check_dI_commutator", "check_flatness", "connection_data", "rot_S",
     "rot_T", "rotate_family", "sample_points", "sphere_chart", "sphere_gcs",
-    "stereo_vec", "theorem_1_3", "twistor_structure",
+    "stereo_vec", "theorem_1_2", "theorem_1_3", "twistor_structure",
     # T-duality
     "CourantIso", "check_intertwine", "conjugate", "conjugate_triple",
     "make_torus_duality", "props_5_2_to_5_4",

@@ -48,6 +48,25 @@ class TestLoadModel:
         assert m.triple is not None and m.chart.dim == 4
         assert m.digest.startswith("sha256:")
 
+    def test_digest_is_sha256_of_the_input(self):
+        import hashlib
+        text = json.dumps(triple_json())
+        m = load_model(text=text)
+        assert m.digest == \
+            "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+    def test_openssl_hash_module_not_loaded(self):
+        # the built-in sha256 keeps libcrypto out of the process
+        code = ("import sys, gencliff.cli as c; "
+                "c.load_model(builtin='hyperkahler_r4'); "
+                "print('_hashlib' in sys.modules)")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_explicit_triple_roundtrip(self):
         doc = triple_json()
         m = load_model(text=json.dumps(doc))
@@ -128,6 +147,27 @@ class TestVerifyRuns:
         m = load_model(text=json.dumps(doc))
         report, code = run(m, RunConfig(suites=["axioms"], max_degree=1))
         assert code == 0
+
+
+class TestNoSampledVerdicts:
+    def test_samples_and_seed_change_no_verdict_or_count(self):
+        # the rotated family and its T-duality transport are decided for
+        # every (zeta1, zeta2) from the six sector generators
+        m = load_model(builtin="hyperkahler_r4")
+        suites = ["rotations", "twistor", "tduality"]
+        reports = []
+        for samples, seed in ((1, 0), (9, 5)):
+            report, code = run(m, RunConfig(suites=suites, samples=samples,
+                                            seed=seed))
+            assert code == 0
+            reports.append([{k: v for k, v in res.items() if k != "seconds"}
+                            for res in report["suites"]])
+        assert reports[0] == reports[1]
+        # rotations: 24 families x 28 frame pairs; twistor: connection data,
+        # 9 basis pairs of the cross-product commutator, dIhat; tduality:
+        # TD-1, 28 intertwine pairs, 2 + 4 + 6 transport records, Lemma 5.1
+        assert [res["checks"] for res in reports[0]] == \
+            [24 * 28, 1 + 9 + 1, 1 + 28 + 12 + 1]
 
 
 class TestTwistorEveryDimension:

@@ -15,7 +15,6 @@ from gencliff.tduality import (CourantIso, NonInvariantSectionError,
                                _tensorial, check_intertwine, conjugate,
                                conjugate_triple, lemma_5_1_instance,
                                make_torus_duality, props_5_2_to_5_4)
-from gencliff.twistor import sample_points
 
 R2 = standard_chart(2)
 R3 = standard_chart(3)
@@ -203,11 +202,12 @@ class TestProps:
     def test_full_transport_suite(self):
         T = verify_triple(hyperkahler_r4(), 1)
         phi = make_torus_duality(R4, 0)
-        rep = props_5_2_to_5_4(phi, T, sample_points(5, seed=9), 1)
+        rep = props_5_2_to_5_4(phi, T, 1)
         assert rep.ok
         names = [n for n, _ in rep.checks]
         assert "prop_5_2: dual relations" in names
-        assert "cor_5_5: family checked at >= 5 points" in names
+        assert names[-6:] == [f"prop_5_4: I{l}{s} transported"
+                              for l in (1, 2, 3) for s in "+-"]
 
     def test_identity_duality_trivial(self):
         # conjugation by an identity-like swap of an untouched coordinate
@@ -230,3 +230,9 @@ class TestProps:
         for i in range(3):
             assert Rt.generators[i].entries_equal(
                 conjugate(phi, R.generators[i]))
+        # the six sector-generator records decide every point, this one too
+        rep = props_5_2_to_5_4(phi, T)
+        assert [(n, ok) for n, ok in rep.checks
+                if n.startswith("prop_5_4")] == \
+            [(f"prop_5_4: I{l}{s} transported", True)
+             for l in (1, 2, 3) for s in "+-"]

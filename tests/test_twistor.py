@@ -474,3 +474,77 @@ class TestSamplePoints:
         assert a == b
         assert a[0] == TwistorPoint(GR(0), GR(0))
         assert a[1] == TwistorPoint(GR(1), I)
+
+
+def twisted_bfield_triple():
+    """hyperkahler_r4 transformed by the non-closed B = x1 dx2^dx3 and twisted
+    by its flux dB: an integrable triple with non-constant generators."""
+    from gencliff.cartan import KForm
+    from gencliff.clifford import CliffordTriple
+    from gencliff.gcs import bfield_transform
+    chart = hyperkahler_r4().chart
+    B = KForm.basis(chart, (1, 2)).scale(ScalarField.variable(chart, 0))
+    return verify_triple(CliffordTriple(*[
+        bfield_transform(E, B) for E in hyperkahler_r4().generators]))
+
+
+def nonclosed_bfield():
+    from tests.test_clifford import nonclosed_bfield_triple
+    return verify_triple(nonclosed_bfield_triple())
+
+
+def pointwise_verdict(T, points):
+    """The per-point path theorem_1_2 replaces: rotate_family, then
+    verify_triple and theorem_1_1 of each rotated triple."""
+    for p in points:
+        R = verify_triple(rotate_family(T, p))
+        if not R.status.integrable or theorem_1_1(R).status != "pass":
+            return "fail"
+    return "pass"
+
+
+class TestTheorem12:
+    @pytest.mark.parametrize("build, verdict", [
+        (verified_triple, "pass"), (flip_triple, "pass"),
+        (hk4b_triple, "pass"), (twisted_bfield_triple, "pass"),
+        (nonclosed_bfield, "fail")])
+    def test_certificate_matches_pointwise_oracle(self, build, verdict):
+        T = build()
+        rep = twistor.theorem_1_2(T)
+        assert rep.status == pointwise_verdict(T, sample_points(3, seed=0)) \
+            == verdict
+        assert len(rep.families) == 24
+        n = T.chart.dim
+        if verdict == "pass":
+            # 24 skew families on the n(2n - 1) frame pairs: 672 at n = 4,
+            # 2,880 at n = 8
+            assert sum(f.sample_count for f in rep.families) == \
+                24 * n * (2 * n - 1)
+        else:
+            assert rep.witnesses()
+
+    def test_twisted_bfield_base_theorem_1_1_fails(self):
+        # the base triple's commuting families are not constant, so
+        # theorem_1_1 checks them strictly and fails on N(Ii,Ji) although
+        # the rotated family passes everywhere
+        rep = theorem_1_1(twisted_bfield_triple())
+        assert rep.status == "fail"
+        assert {f.name for f in rep.families if not f.vanished} == \
+            {"N(I1,J1)", "N(I2,J2)", "N(I3,J3)"}
+
+    def test_flipped_rotation_field_fails(self, monkeypatch):
+        right = twistor.rot_field
+
+        def flipped(chart, iu, iv):
+            R = [list(row) for row in right(chart, iu, iv)]
+            R[1][2] = -R[1][2]
+            return tuple(tuple(row) for row in R)
+        monkeypatch.setattr(twistor, "rot_field", flipped)
+        twistor._unit_rot_field.cache_clear()
+        try:
+            rep = twistor.theorem_1_2(verified_triple())
+        finally:
+            twistor._unit_rot_field.cache_clear()
+        assert rep.status == "fail" and not rep.families
+        assert rep.note.startswith("rotation field not in SO(3): ")
+        assert "row 2 . row 3" in rep.note
