@@ -145,16 +145,6 @@ class FluxForm:
     def __hash__(self):
         return hash(self.H)
 
-    def kernel_form(self):
-        """Flux in kernel layout {(i,j,k): poly terms}; requires polynomial
-        coefficients."""
-        out = {}
-        for idx, f in self.H.coeffs.items():
-            if not f.is_polynomial:
-                return None
-            out[idx] = f.num.terms
-        return out
-
     def __repr__(self):
         return f"FluxForm({self.H})"
 

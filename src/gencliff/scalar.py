@@ -284,12 +284,6 @@ class Poly:
             raise ValueError("not a constant polynomial")
         return self.coeff((0,) * self.chart.dim)
 
-    def total_degree(self):
-        return max((K.degree(m) for m in self.terms), default=0)
-
-    def degree_in(self, i):
-        return max((K.exponent(m, i) for m in self.terms), default=0)
-
     def _check(self, other):
         if self.chart != other.chart:
             raise ChartMismatchError("polynomials on different charts")

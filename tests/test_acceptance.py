@@ -52,8 +52,9 @@ def hk_verified_deg2():
 
 
 def test_criterion_01_courant_axioms():
-    """Dorfman Jacobi and [A,A] = D<A,A> on R^3, frame x deg<=2 monomials,
-    untwisted and H = dx1^dx2^dx3.  Budget < 60 s."""
+    """Courant axioms of the Dorfman bracket on R^3, untwisted and
+    H = dx1^dx2^dx3, for all smooth sections by the frame certificate.
+    Budget < 60 s."""
     t0 = time.perf_counter()
     doc = {"chart": {"dim": 3},
            "flux": [{"indices": [1, 2, 3], "coeff": "1"}]}
@@ -61,11 +62,11 @@ def test_criterion_01_courant_axioms():
     status, witnesses, checks = cli_mod.suite_axioms(
         model, cli_mod.RunConfig(suites=["axioms"], max_degree=2))
     assert status == "pass", witnesses
-    # per flux variant, with c0 = 6, c1 = 18, c2 = 36 generators of monomial
-    # degree 0, 1, 2: the Jacobi triples of total degree <= 2,
-    # c0^3 + 3 c1 c0^2 + 3 c1^2 c0 + 3 c2 c0^2 = 11,880, plus the unordered
-    # symmetric pairs of total degree <= 1, c0 (c0 + 1) / 2 + c0 c1 = 129
-    assert checks == 2 * (11_880 + 129)
+    # per flux variant, with f = 6 frame sections on R^3: the Leibniz
+    # symbols 2 f^2 n = 216, the cross terms f^2 n^2 = 324, the frame
+    # brackets f^2 = 36, the symmetric part on f (f + 1) / 2 = 21 unordered
+    # pairs, invariance on f * 21 = 126 triples, Jacobi on f^3 = 216 triples
+    assert checks == 2 * (216 + 324 + 36 + 21 + 126 + 216)
     report_line(1, "Courant axioms", t0, "60 s")
 
 
