@@ -140,11 +140,13 @@ def verify_triple(T: CliffordTriple,
     The certificate evaluates each N(Ii,Ii) on the 2n(2n - 1)/2 frame pairs
     a < b (28 at n = 4) when Ii^2 = -Id holds exactly and Ii is
     skew-adjoint for the pairing, which make N(Ii,Ii) C-infinity-bilinear
-    and skew, less the pairs with a frame element e_b for which
-    Ii e_b = +-e_c, c < b (``gcs._frame_representatives``): 6 pairs for
-    each generator of ``hyperkahler_r4``.  With Ii^2 = -Id alone it takes
-    2n * 2n * (1 + n) pairs (320), and 2n * 2n * (1 + 2n) (576) otherwise,
-    since only then does the second slot's Leibniz term
+    and skew; of those, only the n(n - 1)/2 pairs within a J-complex frame
+    (``gcs._complex_frame``: frame elements that, with their images under
+    Ii, span the fiber at one point, n of them for a real Ii) are
+    evaluated, 6 at n = 4, for ``hyperkahler_r4`` and its B-transforms
+    alike.  With Ii^2 = -Id alone
+    it takes 2n * 2n * (1 + n) pairs (320), and 2n * 2n * (1 + 2n) (576)
+    otherwise, since only then does the second slot's Leibniz term
     (rho(A)g)(Ii^2 + 1)B vanish.
 
     The three reports share 10 witnesses: a generator gets the budget the

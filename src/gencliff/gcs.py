@@ -27,12 +27,13 @@ dropped: 2n * 2n * (1 + n) pairs per tensor (320 at n = 4) instead of
 the first slot's Leibniz terms cancel too and N(A,B) = -N(B,A) (Gualtieri,
 arXiv:math/0401221): the tensor is C-infinity-bilinear and skew, so the
 frame pairs (e_a, e_b) with a < b decide it, 2n(2n - 1)/2 pairs (28 at
-n = 4).  For N_J, N_J(A, JB) = -J N_J(A, B) drops every frame element e_b
-with J e_b = +-e_c, c < b, as well (66 pairs for the twistor structure
-instead of 120).  N_G never is: its first slot keeps
-4<A,B>Df - 4<A,GB> G Df.  An integer degree bound instead sweeps all pairs
-of frame sections times monomials up to that degree, as an opt-in
-cross-check.
+n = 4).  For N_J, N_J(A, JB) = -J N_J(A, B) = N_J(JA, B) leaves the pairs
+within a J-complex frame: frame elements e_R that, with J e_R, span the
+fiber at one point, n of them when J is real there, so n(n - 1)/2 pairs
+(6 at n = 4; 28 for the twistor structure instead of 120).  N_G never is
+C-infinity-bilinear: its first slot keeps 4<A,B>Df - 4<A,GB> G Df.  An
+integer degree bound instead sweeps all pairs of frame sections times
+monomials up to that degree, as an opt-in cross-check.
 
 Every check -- ``vanishes``, the commuting-family check of Theorem 1.1 and
 the twistor certificate of Theorem 1.3 -- runs the one kernel evaluator
@@ -568,11 +569,6 @@ class _PowerDen:
         """Jacobian of the section P / m^k: numerators over m^(k+1)."""
         return K.sec_jacobian(self.n, P, self.diff(k))
 
-    def dorfman(self, P, j, Q, k):
-        """Bracket of (P, j) and (Q, k): returns (R, j + k + 1)."""
-        return (K.sec_dorfman(self.n, P, Q, None, self.jacobian(P, j),
-                              self.jacobian(Q, k)), j + k + 1)
-
     def lift(self, P, j, target):
         if j == target or self.unit:
             return P
@@ -792,30 +788,106 @@ def _eval_kernel(kind, mats, kflux, n, A, B):
     return [K.p_scale(p, HALF) for p in out]
 
 
-def _frame_representatives(base, J):
-    """The frame indices the J-orbit reduction keeps, from J's numerators
-    over m^1: b is dropped iff column b is exactly +-m e_c for some c < b,
-    i.e. J e_b = +-e_c.
+def _at(p, i, v):
+    """The polynomial p with x_i set to the integer v."""
+    out = {}
+    step = K.var(i)
+    for mono, c in p.items():
+        e = K.exponent(mono, i)
+        if e:
+            mono -= e * step
+            c = K.c_mul(c, (v ** e, 0, 1))
+        if mono in out:
+            c = K.c_add(out[mono], c)
+        out[mono] = c
+    return {mono: c for mono, c in out.items() if c != K.C_ZERO}
 
-    For any bilinear bracket and J^2 = -Id, as plain algebra,
+
+def _base_point(base):
+    """The first point of the grid {0..deg m}^n in lex order where the base
+    m does not vanish: the origin when m(0) != 0.
+
+    m has degree <= d = deg m in each variable, and a nonzero polynomial of
+    degree <= d in x_i cannot vanish at d + 1 values of x_i; so by induction
+    m vanishes on the whole grid only if it is zero.  The same argument on
+    the remaining variables makes the coordinate-by-coordinate choice below
+    (the least v with m(p_1, .., p_(i-1), v, x_(i+1), ..) not the zero
+    polynomial) the lex-first point: n(d + 1) substitutions at most."""
+    d = max(K.degree(mono) for mono in base.m)
+    p, point = base.m, []
+    for i in range(base.n):
+        v = next(v for v in range(d + 1) if _at(p, i, v))
+        p = _at(p, i, v)
+        point.append(v)
+    return point
+
+
+def _value(p, point):
+    """p at the integer point, as a kernel coefficient (None for zero)."""
+    for i, v in enumerate(point):
+        p = _at(p, i, v)
+    return p.get(0)
+
+
+def _extends(basis, v):
+    """Whether the sparse vector v ({index: coefficient}) is outside the
+    span of basis, a list of (pivot, vector) with each vector 1 at its own
+    pivot and 0 at the pivots before it; if so, v is reduced and appended.
+    Exact Gaussian elimination on kernel coefficients."""
+    v = dict(v)
+    for piv, row in basis:
+        c = v.get(piv)
+        if c is None:
+            continue
+        for k, x in row.items():
+            y = K.c_sub(v.get(k, K.C_ZERO), K.c_mul(c, x))
+            if y == K.C_ZERO:
+                v.pop(k, None)
+            else:
+                v[k] = y
+    if not v:
+        return False
+    piv = min(v)
+    inv = K.c_inv(v[piv])
+    basis.append((piv, {k: K.c_mul(x, inv) for k, x in v.items()}))
+    return True
+
+
+def _complex_frame(base, J):
+    """The frame indices R whose pairs r < s decide a C-infinity-bilinear,
+    skew N_J, from J's numerators over m^1.
+
+    At the point p of ``_base_point`` (m(p) != 0), e_b is kept iff it lies
+    outside the span of the kept e_r and their images J(p) e_r.  Kept or
+    not, every e_b ends in that span, so e_R and J(p) e_R span the fiber.
+    For a real J(p) they are a basis and R has half the frame elements: a
+    J(p)-invariant span that misses e_b and holds J(p) e_b - c e_b would
+    hold (1 + c^2) e_b, c real.  A complex J(p) may keep more.
+
+    Why the pairs within R decide N_J.  For any bilinear bracket and
+    J^2 = -Id, as plain algebra,
 
         N_J(A, JB) = -J N_J(A, B) = N_J(JA, B)
 
-    (expand both sides: each is -[JA,B] - [A,JB] - J[JA,JB] + J[A,B]).  If
-    J e_b = +-e_c then e_b = -+J e_c, so N_J(e_a, e_b) = +-J N_J(e_a, e_c)
-    and N_J(e_b, e_a) = +-J N_J(e_c, e_a); J is invertible, so the pairs
-    with e_b vanish, identically or at a point, iff those with e_c do.  The
-    partner c is kept: column c is -+m e_b with b > c.  So when N_J is
-    C-infinity-bilinear and skew, the frame pairs r < r' within the kept
-    set decide it (a pair (e_c, e_b) of one orbit is +-J N_J(e_c, e_c) = 0).
-    """
-    m, neg = base.m, K.p_neg(base.m)
-    size = len(J)
-    keep = []
-    for b in range(size):
-        col = [(c, J[c][b]) for c in range(size) if J[c][b]]
-        if not (len(col) == 1 and col[0][0] < b and col[0][1] in (m, neg)):
+    (expand both sides: each is -[JA,B] - [A,JB] - J[JA,JB] + J[A,B]); so
+    N_J(JA, JB) = -N_J(A, B), and N_J is C-infinity-bilinear and skew by
+    ``_tensoriality``.  Some of the e_R and J e_R form a basis at p; their
+    determinant is a rational function, nonzero at p, so nonzero on an
+    open dense set U.  On U every section is a smooth combination of them,
+    so N_J there is fixed by the N_J(e_r, e_s) with r < s in R
+    (N_J(e_r, e_r) = 0).  If these vanish, N_J vanishes on U, and its
+    numerators, polynomials, vanish everywhere.  The converse is trivial.
+    The pairs decide the identity, not the value at every point: off U
+    they may vanish while N_J does not, so a pointwise check keeps every
+    pair a < b."""
+    point = _base_point(base)
+    basis, keep = [], []
+    for b in range(len(J)):
+        if _extends(basis, {b: K.C_ONE}):
             keep.append(b)
+            col = {c: _value(row[b], point) for c, row in enumerate(J)
+                   if row[b]}
+            _extends(basis, {c: x for c, x in col.items() if x is not None})
     return keep
 
 
@@ -829,7 +901,8 @@ def generator_degree(degree_bound):
     return degree_bound
 
 
-def _residuals(tensor: BoundTensor, degree_bound: int | None):
+def _residuals(tensor: BoundTensor, degree_bound: int | None,
+               pointwise: bool = False):
     """The pairs every Nijenhuis-type check shares: (base, degree, pairs),
     where pairs yields (i, j, P) for ordered pairs of generators in the order
     of generator_labels(chart, degree), P the numerators of the tensor over
@@ -837,13 +910,14 @@ def _residuals(tensor: BoundTensor, degree_bound: int | None):
     and yields every pair.  The symbol certificate (degree_bound None) asks
     _tensoriality what the structures prove: when the tensor is
     C-infinity-bilinear and skew it takes the frame generators (degree 0)
-    and yields the pairs a < b, for N_J only those within the J-orbit
-    representatives of _frame_representatives; otherwise it takes degree 1
-    and yields
+    and yields the pairs a < b, for N_J only those within the J-complex
+    frame of _complex_frame unless the pairs must decide the tensor at
+    every point (pointwise); otherwise it takes degree 1 and yields
     (e_a, e_b) and (x_k e_a, e_b), which read N0 and P_k, and also
-    (e_a, x_k e_b), which read Q_k, unless Q_k = 0 is proven.  Each
-    generator's structure images and Jacobians are built once, up front, so
-    a pair only brackets them and applies structures to the brackets."""
+    (e_a, x_k e_b), which read Q_k, unless Q_k = 0 is proven.  A
+    generator's structure images and Jacobians are built once, when a pair
+    first reads it, so a pair only brackets them and applies structures to
+    the brackets."""
     mats, kflux, nums, square = _kernel_setup(tensor)
     kind = tensor.kind
     proven = (None if degree_bound is not None else
@@ -851,28 +925,29 @@ def _residuals(tensor: BoundTensor, degree_bound: int | None):
     degree = 0 if proven == "skew" else generator_degree(degree_bound)
     gens = _kernel_generators(tensor.chart, degree)
     n = tensor.chart.dim
-    ops = [_operand(kind, mats, A) for A in gens]
-    # a generator's monomial is linear iff it is not the constant monomial
-    linear = [degree_bound is None and any(m != 0 for p in A for m in p)
-              for A in gens]
-    reps = set(range(len(gens)))
-    if proven == "skew" and kind == "nijenhuis":
-        reps = set(_frame_representatives(mats["base"], nums[0]))
+    every = range(len(gens))
+    if proven == "skew":
+        frame = (_complex_frame(mats["base"], nums[0])
+                 if kind == "nijenhuis" and not pointwise else every)
+        todo = [(i, j) for i in frame for j in frame if i < j]
+    else:
+        # a sweep keeps every pair; the certificate keeps (e_a, e_b) and
+        # (x_k e_a, e_b), and (e_a, x_k e_b) too unless Q_k = 0 is proven.
+        # A generator's monomial is linear iff it is not the constant one
+        linear = [degree_bound is None and any(m != 0 for p in A for m in p)
+                  for A in gens]
+        todo = [(i, j) for i in every for j in every
+                if not linear[j] or not (proven or linear[i])]
+    ops = {}
 
-    # a sweep keeps every pair; a skew certificate the frame pairs a < b
-    # (within the J-orbit representatives for N_J); otherwise the
-    # certificate keeps (e_a, e_b) and (x_k e_a, e_b), and (e_a, x_k e_b)
-    # too unless Q_k = 0 is proven
-    def keep(i, j):
-        if proven == "skew":
-            return i < j and i in reps and j in reps
-        return not linear[j] or not (proven or linear[i])
+    def op(i):
+        if i not in ops:
+            ops[i] = _operand(kind, mats, gens[i])
+        return ops[i]
 
     def pairs():
-        for i, A in enumerate(ops):
-            for j, B in enumerate(ops):
-                if keep(i, j):
-                    yield i, j, _eval_kernel(kind, mats, kflux, n, A, B)
+        for i, j in todo:
+            yield i, j, _eval_kernel(kind, mats, kflux, n, op(i), op(j))
     return mats["base"], degree, pairs()
 
 
@@ -905,13 +980,13 @@ def vanishes(tensor: BoundTensor, degree_bound: int | None = None,
     C-infinity-bilinear and skew -- N_J with J^2 = -Id and J skew-adjoint,
     or N(I,J) with I, J skew-adjoint and IJ + JI a constant multiple of Id
     -- it is evaluated on the frame pairs (e_a, e_b) with a < b:
-    2n(2n - 1)/2 pairs (28 at n = 4).  For N_J the frame elements with
-    J e_b = +-e_c, c < b, are dropped as well (_frame_representatives):
-    r(r - 1)/2 pairs for r kept frame elements (6 for a constant
-    hyperkaehler structure on R^4, whose columns are all +-frame elements).
-    Otherwise it is evaluated on the
-    pairs (e_a, e_b), (x_k e_a, e_b) and (e_a, x_k e_b); the last only read
-    Q_k and are skipped when Q_k = 0 is proven (always for a concomitant,
+    2n(2n - 1)/2 pairs (28 at n = 4).  For N_J only the pairs within a
+    J-complex frame R are evaluated (_complex_frame, with the proof):
+    frame elements e_R that, with their images J e_R, span the fiber at one
+    point, n of them when J is real there, so n(n - 1)/2 pairs (6 at n = 4,
+    for any B-transform of a constant hyperkaehler structure on R^4 too).  Otherwise it is
+    evaluated on the pairs (e_a, e_b), (x_k e_a, e_b) and (e_a, x_k e_b);
+    the last only read Q_k and are skipped when Q_k = 0 is proven (always for a concomitant,
     for N_J or N_G when J^2 = -Id or G^2 = Id holds exactly).  That is
     2n * 2n * (1 + n) pairs (320), against 2n * 2n * (1 + 2n) (576).  With
     an integer degree_bound it is evaluated on all pairs (m*e_a, m'*e_b) of

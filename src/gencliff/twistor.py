@@ -16,10 +16,9 @@ identities and the mixed bracket identities are decided on those
 numerators, and the integrability check of Theorem 1.3 runs the Nijenhuis
 evaluator of ``gcs``, which finds m as the LCM of the twistor structure's
 denominators; that structure is orthogonal and squares to -Id, so its
-Nijenhuis tensor is decided on the frame pairs within the orbits of the
-sphere structure alone: (2n + 4)(2n + 3)/2 pairs of the (2n + 8)(2n + 7)/2
-frame pairs a < b of the (n + 4)-coordinate product chart (66 of 120 at
-n = 4, 190 of 276 at n = 8).
+Nijenhuis tensor is decided on the frame pairs within a J-complex frame:
+(n + 4)(n + 3)/2 pairs of the (2n + 8)(2n + 7)/2 frame pairs a < b of the
+(n + 4)-coordinate product chart (28 of 120 at n = 4, 66 of 276 at n = 8).
 
 Only the finite stereographic chart of each sphere is implemented; zeta =
 infinity is outside every formula here (the point-wise oracle uses rational
@@ -653,26 +652,24 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
     structure squares to -Id and is skew-adjoint for the pairing (both
     checked exactly on its numerators), so its Nijenhuis tensor is
     C-infinity-bilinear and skew, and the frame pairs (e_a, e_b) with a < b
-    decide it for all smooth sections.  The sphere structure maps d_v and
-    dv to +-d_u and +-du, so N_J(A, JB) = -J N_J(A, B) drops the d_v1,
-    d_v2, dv1 and dv2 pairs as well.  No M-frame section is dropped: Ihat
-    maps none of them to a constant section, which, c and d ranging over
-    whole spheres, would need I_l^+ e_b = I_l^- e_b = 0 for every l, so
-    G+- e_b = -(I_1^+-)^2 e_b = 0 and e_b = 0.  So for a chart of
-    dimension n the
-    (2n + 4)(2n + 3)/2 pairs among the 2n M-frame sections and d_u1, d_u2,
-    du1, du2 decide it, of the (2n + 8)(2n + 7)/2 pairs a < b on the
-    (n + 4)-coordinate product chart: 66 of 120 at n = 4, 190 of 276 at
-    n = 8.  An integer degree_bound
+    decide it for all smooth sections.  N_J(A, JB) = -J N_J(A, B) reduces
+    them to the pairs within a J-complex frame R (``gcs._complex_frame``):
+    at the origin of the product chart, where m = 1, the frame elements
+    e_R and their images J e_R form a basis, so the N_J(e_r, e_s) with
+    r < s in R decide N_J on the open dense set where they stay one, and
+    so everywhere.  J is real there, so R has half the 2n + 8 frame
+    elements: the pairs r < s are (n + 4)(n + 3)/2 of the
+    (2n + 8)(2n + 7)/2 pairs a < b on the (n + 4)-coordinate product chart,
+    28 of 120 at n = 4 and 66 of 276 at n = 8.  An integer degree_bound
     sweeps all pairs from frame x (degree <= degree_bound monomials)
-    instead, as a cross-check.  Symbolic
-    mode tests each numerator for zero; with ``samples`` a list of
-    TwistorPoints the same numerator is evaluated exactly at (0, ..., 0,
-    Re zeta1, Im zeta1, Re zeta2, Im zeta2) for each point, where m >= 1,
-    so a check fails at a point iff the tensor is nonzero there.  Witnesses
-    are capped at max_witnesses per point.  Also verifies the mixed-bracket
-    identity [alpha, v] = L_{rho(alpha)} v on representative sphere/M
-    pairs.
+    instead, as a cross-check.  Symbolic mode tests each numerator for
+    zero; with ``samples`` a list of TwistorPoints the numerator of every
+    frame pair a < b (R is a basis on a dense set only, not at every
+    point) is evaluated exactly at (0, ..., 0, Re zeta1, Im zeta1,
+    Re zeta2, Im zeta2) for each point, where m >= 1, so a check fails at
+    a point iff the tensor is nonzero there.  Witnesses are capped at
+    max_witnesses per point.  Also verifies the mixed-bracket identity
+    [alpha, v] = L_{rho(alpha)} v on representative sphere/M pairs.
     """
     if T.flux is not None and not T.flux.is_zero:
         return TwistorReport("inconclusive",
@@ -681,7 +678,8 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
     Z = E.chart
     n = T.chart.dim
     rep = TwistorReport("pass", mode="sampled" if samples else "symbolic")
-    _, degree, pairs = _residuals(bind_nijenhuis(E), degree_bound)
+    _, degree, pairs = _residuals(bind_nijenhuis(E), degree_bound,
+                                  pointwise=bool(samples))
     labels = generator_labels(Z, degree)
     # (witness prefix, point or None for the symbolic zero test, note)
     if samples:
@@ -721,26 +719,30 @@ def _mixed_bracket_checks(E: EndField, T: CliffordTriple) -> bool:
     derivative of sphere-dependent M-sections) and [alpha, v] = 0 for sphere
     1-forms alpha.  Decided on numerators over the sphere base m: v is a
     column of E over m^1, and both sides of each identity are numerators
-    over m^2."""
+    over m^2.  Each column's Jacobian is built once; it holds the expected
+    d_w v as well."""
     Z = E.chart
     n = T.chart.dim
     N = Z.dim
     base = _sphere_base(Z)
-    deriv = base.diff(1)
     frames = _kernel_generators(Z, 0)
     # sphere-dependent M-sections: Ihat applied to M-frame sections
-    vs = [[base.numerator(row[j]) for row in E.entries]
-          for j in (0, N)]                  # one vector-type, one covector
+    vs = []
+    for j in (0, N):                        # one vector-type, one covector
+        v = [base.numerator(row[j]) for row in E.entries]
+        vs.append((v, base.jacobian(v, 1)))
+
+    def bracket(alpha, v, dv):
+        return K.sec_dorfman(N, alpha, v, None, base.jacobian(alpha, 0), dv)
     for w in range(4):
         alpha = frames[n + w]
-        for v in vs:
-            lhs, _ = base.dorfman(alpha, 0, v, 1)
-            if lhs != [deriv(p, n + w) if p else {} for p in v]:
+        for v, dv in vs:
+            if bracket(alpha, v, dv) != [d[n + w] if d else {} for d in dv]:
                 return False
         # pure sphere 1-form: rho(alpha) = 0 so the bracket must vanish
         form = frames[N + n + w]
-        for v in vs:
-            if not K.sec_is_zero(base.dorfman(form, 0, v, 1)[0]):
+        for v, dv in vs:
+            if not K.sec_is_zero(bracket(form, v, dv)):
                 return False
     return True
 

@@ -172,8 +172,8 @@ class TestNoSampledVerdicts:
 
 class TestTwistorEveryDimension:
     def test_product_flip_twistor_suites_pass(self):
-        # n = 8: the certificate takes the 20 * 19 / 2 frame pairs among the
-        # 16 M-frame sections and the 4 kept sphere elements, plus the
+        # n = 8: the certificate takes the 12 * 11 / 2 frame pairs within
+        # the J-complex frame of the 12-coordinate product chart, plus the
         # mixed-bracket check
         proc = run_cli(["verify", "--builtin", "product_flip", "--suite",
                         "theorem13,twistor,flatness", "--max-degree", "0",
@@ -183,7 +183,7 @@ class TestTwistorEveryDimension:
         assert report["status"] == "pass"
         assert [(res["status"], res["witnesses"])
                 for res in report["suites"]] == [("pass", [])] * 3
-        assert report["suites"][0]["checks"] == 20 * 19 // 2 + 1
+        assert report["suites"][0]["checks"] == 12 * 11 // 2 + 1
 
     def test_zero_flux_twistor_suites_pass(self):
         # a zero flux in the input is no flux on the product chart
@@ -199,7 +199,7 @@ class TestTwistorEveryDimension:
             suites=["twistor", "flatness", "theorem13"]))
         assert code == 0
         assert [res["status"] for res in report["suites"]] == ["pass"] * 3
-        assert report["suites"][2]["checks"] == 12 * 11 // 2 + 1
+        assert report["suites"][2]["checks"] == 8 * 7 // 2 + 1
 
 
 class TestExitCodes:

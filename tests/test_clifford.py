@@ -11,7 +11,7 @@ from gencliff.clifford import (CliffordTriple, check_relations,
                                levi_civita, project, theorem_1_1,
                                verify_triple)
 from gencliff.examples import hyperkahler_r4, product_flip
-from tests.test_gcs import frame_representatives
+from tests.test_gcs import complex_frame
 
 R4 = standard_chart(4)
 
@@ -212,8 +212,8 @@ FRAMES = ["d1", "d2", "d3", "d4", "e1", "e2", "e3", "e4"]
 def certificate_pair(witness, reps):
     """True iff a witness's generator pair is a frame pair (e_a, e_b) with
     a < b, both in reps, the certificate's pairs when N_J is proven
-    C-infinity-bilinear and skew (reps: J's orbit representatives; a
-    generator label carries a '*' iff its monomial is not 1)."""
+    C-infinity-bilinear and skew (reps: J's complex frame; a generator
+    label carries a '*' iff its monomial is not 1)."""
     a, b = witness[:2]
     return (a in FRAMES and b in FRAMES and FRAMES.index(a) < FRAMES.index(b)
             and FRAMES.index(a) in reps and FRAMES.index(b) in reps)
@@ -226,10 +226,10 @@ class TestSymbolCertificate:
     # N_J with Ii^2 = -Id and Ii orthogonal, and every family with
     # IJ + JI = c Id for a constant c, are C-infinity-bilinear and skew:
     # the 2n(2n - 1)/2 frame pairs a < b.  For verify_triple's N_J (the
-    # first three reports) only the pairs within the J-orbit
-    # representatives are kept: each hyperkaehler Ii maps every frame
-    # element to +- another, which leaves 4 of the 8, so 4 * 3 / 2 pairs;
-    # theorem_1_1's concomitant N(Ii,Ii) keeps all 28.  The diagonal pairs
+    # first three reports) only the pairs within the J-complex frame are
+    # kept: 4 of the 8 frame elements, with their images under Ii, form a
+    # basis, so 4 * 3 / 2 pairs; theorem_1_1's concomitant N(Ii,Ii) keeps
+    # all 28.  The diagonal pairs
     # N(Ii,Ji), with IJ + JI = 2 Ii Ji, keep (e_a, e_b) and
     # (x_k e_a, e_b): 2n * 2n * (1 + n) pairs
     SKEW_PAIRS = 8 * 7 // 2
@@ -274,30 +274,34 @@ class TestSymbolCertificate:
             cert = vanishes(tensor, max_witnesses=every)
             sweep = vanishes(tensor, 1, max_witnesses=every)
             assert not cert.vanished and cert.witnesses
-            # the B-field moves the columns of two of the four orbits off
-            # the frame, so only two frame elements drop: 6 * 5 / 2 pairs
-            reps = frame_representatives(E)
-            assert len(reps) == 6
-            assert cert.sample_count == 6 * 5 // 2
+            # B vanishes at the origin, where the frame is chosen; with
+            # their images under Ii, 4 frame elements form a basis there:
+            # 4 * 3 / 2 pairs
+            reps = complex_frame(tensor)
+            assert len(reps) == 4
+            assert cert.sample_count == 4 * 3 // 2
             assert cert.witnesses == [w for w in sweep.witnesses
                                       if certificate_pair(w, reps)]
 
     def test_shared_witness_budget(self):
         # the three N(Ii,Ii) reports share 10 witnesses: the same first 10
-        # as per-generator reports, with N(I2,I2) stopped at its first
-        # witness and N(I3,I3) not evaluated (15 + 1 pairs, not 3 * 15)
+        # as per-generator reports, with N(I2,I2) stopped at its fourth
+        # witness and N(I3,I3) not evaluated (6 + 4 pairs, not 3 * 6).  The
+        # triple is hyperkahler_r4 under B = x1 dx2^dx3 bound with the
+        # closed flux x4 dx1^dx2^dx4 in place of dB: 6, 5 and 5 witnesses
         from gencliff.gcs import bind_nijenhuis, vanishes
-        T = nonclosed_bfield_triple()
+        from tests.test_gcs import gate_triple
+        T = gate_triple("flux")
         ref = [vanishes(bind_nijenhuis(E, f"N(I{i+1},I{i+1})", T.flux))
                for i, E in enumerate(T.generators)]
 
         def witnesses(reports):
             return [(r.name, w) for r in reports for w in r.witnesses]
         status = verify_triple(T).status
-        assert [r.sample_count for r in ref] == [15] * 3
+        assert [r.sample_count for r in ref] == [6] * 3
         assert len(witnesses(ref)) > 10
         assert witnesses(status.integrability) == witnesses(ref)[:10]
-        assert [r.sample_count for r in status.integrability] == [15, 1]
+        assert [r.sample_count for r in status.integrability] == [6, 4]
         assert not status.integrable and status.relations_ok
 
 

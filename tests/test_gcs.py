@@ -1,6 +1,7 @@
 """Generalized structures: orthogonality, the Nijenhuis tensors, vanishing
 sweeps, the generalized metric, B-field transforms, lemma identities."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -348,17 +349,55 @@ class TestRationalVanishes:
         assert not rep.vanished
 
 
-def frame_representatives(J):
-    """The frame indices the J-orbit reduction keeps, read off J's entries:
-    b is dropped iff J e_b = +-e_c for some c < b, i.e. column b has one
-    nonzero entry, +-1, in a row c < b."""
-    one = ScalarField.one(J.chart)
-    keep = []
-    for b in range(J.size):
-        col = [(c, row[b]) for c, row in enumerate(J.entries)
-               if not row[b].is_zero]
-        if not (len(col) == 1 and col[0][0] < b and col[0][1] in (one, -one)):
+def gauss_rank(vectors):
+    """Rank of a list of GaussianRational vectors, by elimination."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows))
+                    if not rows[i][col].is_zero), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].inverse()
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv
+            if not f.is_zero:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def defined_point(tensor):
+    """The lex-first point of {0..D}^n (D the summed degrees of the
+    denominators) where every entry of the tensor's J and its flux is
+    defined."""
+    from gencliff._core import kernel as K
+    J = tensor.structures[0]
+    fields = [f for row in J.entries for f in row]
+    if tensor.flux is not None:
+        fields += list(tensor.flux.H.coeffs.values())
+    dens = {f.den for f in fields}
+    bound = sum(max(map(K.degree, d.terms)) for d in dens)
+    return next(p for p in itertools.product(range(bound + 1),
+                                             repeat=J.chart.dim)
+                if not any(d.evaluate(p).is_zero for d in dens))
+
+
+def complex_frame(tensor):
+    """The J-complex frame of an N_J, recomputed from J's ScalarField
+    entries at defined_point: e_b is kept iff it raises the rank of the
+    kept e_r and their images J e_r."""
+    J = tensor.structures[0]
+    size = J.size
+    point = defined_point(tensor)
+    Jp = [[f.evaluate(point) for f in row] for row in J.entries]
+    span, keep = [], []
+    for b in range(size):
+        e = [GaussianRational(int(i == b)) for i in range(size)]
+        if gauss_rank(span + [e]) > gauss_rank(span):
             keep.append(b)
+            span += [e, [Jp[c][b] for c in range(size)]]
     return keep
 
 
@@ -458,9 +497,9 @@ class TestSymbolCertificate:
     @staticmethod
     def certificate_keys(n, proven, reps=None):
         """The pairs the certificate evaluates: the frame pairs a < b within
-        reps (every frame index when None; the J-orbit representatives for
-        N_J) when the tensor is proven bilinear and skew, r(r - 1)/2 pairs
-        for r representatives; else (e_a, e_b) and (x_k e_a, e_b), plus
+        reps (every frame index when None; the J-complex frame for N_J) when
+        the tensor is proven bilinear and skew, r(r - 1)/2 pairs for r
+        frame elements; else (e_a, e_b) and (x_k e_a, e_b), plus
         (e_a, x_k e_b) unless Q_k = 0 is proven: 28, 320 and 576 pairs at
         n = 4."""
         frames = range(2 * n)
@@ -500,8 +539,7 @@ class TestSymbolCertificate:
                    for name, secs in (("N0", [N0]), ("P", P), ("Q", Q))
                    if any(not s.is_zero for s in secs)}
         assert nonzero == parts
-        reps = (frame_representatives(tensor.structures[0])
-                if tensor.kind == "nijenhuis" else None)
+        reps = complex_frame(tensor) if tensor.kind == "nijenhuis" else None
         assert keys == self.certificate_keys(n, proven, reps)
         if proven == "skew":
             assert all(N0 == -symbol[b, a][0]
@@ -668,9 +706,19 @@ def sparse_section(rng, chart, comps, rational=False):
         else ScalarField.zero(chart) for k in range(2 * chart.dim)])
 
 
+def pole_nijenhuis(flux):
+    """N_J of I1 of hyperkahler_r4 transformed by B = dx2^dx3 / (x1 + x2),
+    bound with its flux dB (integrable) or without it (not): the base
+    m = x1 + x2 or (x1 + x2)^2 vanishes at the origin."""
+    B = KForm.basis(R4, (1, 2)).scale(parse_expr("1 / (x1 + x2)", R4))
+    E = bfield_transform(hyperkahler_r4().I1, B)
+    return bind_nijenhuis(E if flux else EndField(R4, E.entries), "N_pole")
+
+
 class TestOrbitReduction:
-    """The J-orbit reduction of the N_J frame-pair certificate: the identity
-    it rests on, and where it must not be applied."""
+    """The J-complex frame of the N_J frame-pair certificate: the identity
+    it rests on, the point it is chosen at, and where it must not be
+    applied."""
 
     def test_orbit_identities_on_the_reference_formula(self):
         # N_J(A, JB) = -J N_J(A, B) = N_J(JA, B) for any J^2 = -Id, on the
@@ -694,7 +742,7 @@ class TestOrbitReduction:
         # and N_G keep their pairs, and so does an N_J that _tensoriality
         # proves only second_slot
         from gencliff.clifford import TripleStatus, check_relations, induce
-        from gencliff.gcs import (_frame_representatives, _kernel_setup,
+        from gencliff.gcs import (_complex_frame, _kernel_setup,
                                   _tensoriality)
         T = hyperkahler_r4()
         T = T.with_status(TripleStatus(check_relations(T), ()))
@@ -703,7 +751,7 @@ class TestOrbitReduction:
                   "N_antidiagonal": lambda: bind_nijenhuis(
                       antidiagonal_structure())}[name]()
         mats, _, nums, square = _kernel_setup(tensor)
-        assert all(len(_frame_representatives(mats["base"], S)) == 4
+        assert all(len(_complex_frame(mats["base"], S)) == 4
                    for S in nums)
         proven = _tensoriality(tensor.kind, mats["base"], nums, square)
         assert proven == ("skew" if name == "N(I1,I2)" else "second_slot")
@@ -711,6 +759,33 @@ class TestOrbitReduction:
         assert rep.sample_count == (8 * 7 // 2 if proven == "skew"
                                     else 8 * 8 * (1 + 4))
         assert rep.vanished == vanishes(tensor, 1).vanished
+
+    @pytest.mark.parametrize("flux", [False, True])
+    def test_grid_point_when_the_base_vanishes_at_the_origin(self, flux):
+        # m = x1 + x2 (times itself with the flux) vanishes at the origin:
+        # the frame is chosen at (0, 1, 0, 0), the first point of
+        # {0..deg m}^4 in lex order where m does not, and the certificate
+        # has the verdict of the degree-0 sweep and its witnesses on the
+        # pairs within the frame
+        from gencliff.gcs import _base_point, _complex_frame, _kernel_setup
+        tensor = pole_nijenhuis(flux)
+        mats, _, nums, _ = _kernel_setup(tensor)
+        assert mats["base"].m.get(0) is None
+        assert _base_point(mats["base"]) == [0, 1, 0, 0]
+        assert defined_point(tensor) == (0, 1, 0, 0)
+        reps = _complex_frame(mats["base"], nums[0])
+        assert reps == complex_frame(tensor) and len(reps) == 4
+        every = 8 * 8
+        cert = vanishes(tensor, max_witnesses=every)
+        sweep = vanishes(tensor, 0, max_witnesses=every)
+        assert cert.sample_count == 4 * 3 // 2
+        assert cert.vanished == sweep.vanished == flux
+        assert bool(cert.witnesses) is not flux
+        labels = generator_labels(R4, 0)
+        assert cert.witnesses == [
+            w for w in sweep.witnesses
+            if labels.index(w[0]) < labels.index(w[1])
+            and {labels.index(w[0]), labels.index(w[1])} <= set(reps)]
 
 
 class TestKernelEvaluate:

@@ -14,7 +14,7 @@ from gencliff.gcs import (_PowerDen, _sparse_rows, bind_nijenhuis,
 from gencliff.clifford import induce, project, theorem_1_1, verify_triple
 from gencliff.examples import hyperkahler_r4, product_flip
 from tests.layout import packed
-from tests.test_gcs import frame_representatives
+from tests.test_gcs import complex_frame, gauss_rank
 from gencliff.twistor import (TwistorPoint, _sphere_base,
                               check_cross_commutator, check_dI_commutator,
                               check_flatness, connection_data, rot_T,
@@ -228,10 +228,10 @@ class TestFixedDenominatorBracket:
         for j in range(3):
             for k in range(3):
                 P, Q = numerators(), numerators()
-                R, e = base.dorfman(P, j, Q, k)
-                assert e == j + k + 1
-                assert section(R, e) == dorfman(section(P, j),
-                                                 section(Q, k))
+                R = K.sec_dorfman(4, P, Q, None, base.jacobian(P, j),
+                                  base.jacobian(Q, k))
+                assert section(R, j + k + 1) == dorfman(section(P, j),
+                                                        section(Q, k))
 
 
 class TestTwistorStructure:
@@ -341,24 +341,39 @@ def representative_pair(witness, frames, reps):
 class TestTheorem13:
     # the twistor structure is orthogonal with square -Id, so its Nijenhuis
     # tensor is C-infinity-bilinear and skew: the frame pairs a < b of the
-    # product chart decide it, and the sphere structure maps d_v1, d_v2,
-    # dv1, dv2 to +-d_u1, +-d_u2, +-du1, +-du2, so N_J(A, JB) = -J N_J(A, B)
-    # leaves the 12 * 11 / 2 pairs among the 8 M-frame sections and d_u1,
-    # d_u2, du1, du2 at n = 4, and the 20 * 19 / 2 pairs among 16 and 4 at
-    # n = 8
-    CERT_PAIRS = 12 * 11 // 2
+    # product chart decide it, and N_J(A, JB) = -J N_J(A, B) = N_J(JA, B)
+    # leaves the pairs within a J-complex frame, the 8 (12) frame elements
+    # that with their images form a basis at the origin: 8 * 7 / 2 pairs at
+    # n = 4, 12 * 11 / 2 at n = 8.  The sampled mode keeps every frame
+    # pair a < b, 16 * 15 / 2 at n = 4
+    CERT_PAIRS = 8 * 7 // 2
+    SAMPLED_PAIRS = 16 * 15 // 2
 
-    @pytest.mark.parametrize("build, pairs",
-                             [(verified_triple, CERT_PAIRS),
-                              (hk4b_triple, CERT_PAIRS),
-                              (flip_triple, 20 * 19 // 2)],
+    @pytest.mark.parametrize("build, pairs, frame",
+                             [(verified_triple, CERT_PAIRS,
+                               "d1 d3 d5 d7 e1 e3 e5 e7"),
+                              (hk4b_triple, CERT_PAIRS,
+                               "d1 d2 d3 d4 d5 d7 e5 e7"),
+                              (flip_triple, 12 * 11 // 2,
+                               "d1 d3 d5 d7 d9 d11 e1 e3 e5 e7 e9 e11")],
                              ids=["hyperkahler_r4", "hk4b", "product_flip"])
-    def test_symbolic_certificate(self, build, pairs):
-        rep = theorem_1_3(build())
+    def test_symbolic_certificate(self, build, pairs, frame):
+        # the J-complex frame, its count, and the verdict of the degree-0
+        # sweep over every ordered frame pair
+        from gencliff.gcs import _complex_frame, _kernel_setup
+        T = build()
+        rep = theorem_1_3(T)
         assert rep.status == "pass"
         assert rep.nijenhuis_checks == pairs
         assert rep.mixed_ok
         assert rep.mode == "symbolic"
+        tensor = bind_nijenhuis(twistor_structure(T))
+        mats, _, nums, _ = _kernel_setup(tensor)
+        reps = _complex_frame(mats["base"], nums[0])
+        assert reps == complex_frame(tensor)
+        labels = generator_labels(tensor.chart, 0)
+        assert " ".join(labels[r] for r in reps) == frame
+        assert theorem_1_3(T, 0).status == rep.status
 
     def test_zero_flux_is_no_flux(self):
         # the T-dual of hyperkahler_r4 carries the zero flux of the target
@@ -383,16 +398,34 @@ class TestTheorem13:
         assert rep.mode == "symbolic"
 
     def test_sampled_mode(self):
+        # the J-complex frame is a basis on a dense set only, so at points
+        # every frame pair a < b is evaluated
         T = verified_triple()
         rep = theorem_1_3(T, samples=sample_points(2, seed=11))
         assert rep.status == "pass"
         assert rep.mode == "sampled"
-        assert rep.nijenhuis_checks == 2 * self.CERT_PAIRS
+        assert rep.nijenhuis_checks == 2 * self.SAMPLED_PAIRS
+
+    def test_complex_frame_is_a_basis_on_a_dense_set_only(self):
+        # the frame chosen at the origin, with its images under the twistor
+        # structure, spans 14 of 16 dimensions at (1, i) and (i, 1)
+        E = twistor_structure(verified_triple())
+        reps = complex_frame(bind_nijenhuis(E))
+        ranks = []
+        for p in sample_points(5, seed=0):
+            point = (0,) * 4 + (p.zeta1.re, p.zeta1.im, p.zeta2.re,
+                                p.zeta2.im)
+            Jp = [[f.evaluate(point) for f in row] for row in E.entries]
+            ranks.append(gauss_rank(
+                [[GR(int(i == r)) for i in range(16)] for r in reps]
+                + [[row[r] for row in Jp] for r in reps]))
+        assert ranks == [16, 14, 14, 16, 16]
 
     @pytest.mark.parametrize("samples", [None, sample_points(2, seed=11)])
     def test_opposite_orientation_fails(self, monkeypatch, samples):
         # negative control, in both modes: the certificate fails, with the
-        # witnesses of the degree-0 sweep on the representative pairs
+        # witnesses of the degree-0 sweep on the pairs within the J-complex
+        # frame, or on every pair a < b at points
         flip_orientation(monkeypatch)
         T = verified_triple()
         rep = theorem_1_3(T, samples=samples)
@@ -402,33 +435,42 @@ class TestTheorem13:
         every = 16 * 16
         cert = theorem_1_3(T, samples=samples, max_witnesses=every)
         sweep = theorem_1_3(T, 0, samples=samples, max_witnesses=every)
-        assert cert.nijenhuis_checks == \
-            self.CERT_PAIRS * (len(samples) if samples else 1)
         E = twistor_structure(T)
-        reps = frame_representatives(E)
-        assert len(reps) == 12
+        if samples:
+            assert cert.nijenhuis_checks == self.SAMPLED_PAIRS * len(samples)
+            reps = range(16)
+        else:
+            assert cert.nijenhuis_checks == self.CERT_PAIRS
+            reps = complex_frame(bind_nijenhuis(E))
+            assert len(reps) == 8
         frames = generator_labels(E.chart, 0)
         assert cert.witnesses == [w for w in sweep.witnesses
                                   if representative_pair(w, frames, reps)]
 
     def test_opposite_orientation_fails_at_n8(self, monkeypatch):
         # the same negative control on the 12-coordinate product chart of
-        # product_flip: witnesses only on representative pairs
+        # product_flip: the witnesses of the degree-0 sweep on the pairs
+        # within the J-complex frame
         flip_orientation(monkeypatch)
         T = flip_triple()
         rep = theorem_1_3(T)
         assert rep.status == "fail"
         assert len(rep.witnesses) == 10
+        assert all(w[-1] == "nonzero" for w in rep.witnesses)
+        every = 24 * 24
+        cert = theorem_1_3(T, max_witnesses=every)
+        sweep = theorem_1_3(T, 0, max_witnesses=every)
+        assert cert.nijenhuis_checks == 12 * 11 // 2
         E = twistor_structure(T)
-        reps = frame_representatives(E)
-        assert len(reps) == 20
+        reps = complex_frame(bind_nijenhuis(E))
+        assert len(reps) == 12
         frames = generator_labels(E.chart, 0)
-        assert all(w[-1] == "nonzero" and representative_pair(w, frames, reps)
-                   for w in rep.witnesses)
+        assert cert.witnesses == [w for w in sweep.witnesses
+                                  if representative_pair(w, frames, reps)]
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_vanishes_sweeps_the_twistor_structure(self, monkeypatch, flip):
-        # the twistor structure is one more input of gcs.vanishes: 66
+        # the twistor structure is one more input of gcs.vanishes: 28
         # frame pairs that pass, and with the opposite orientation the
         # witnesses of theorem_1_3's symbolic certificate
         if flip:
@@ -462,8 +504,9 @@ class TestTheorem13:
         vn = [base.numerator(f) for f in v.to_components()]
         for frame, want in ((alpha, lhs), (form, Section.zero(Z))):
             P = [f.num.terms for f in frame.to_components()]
-            got, k = base.dorfman(P, 0, vn, 1)
-            assert k == 2 and base.section(got, 2) == want
+            got = K.sec_dorfman(Z.dim, P, vn, None, base.jacobian(P, 0),
+                                base.jacobian(vn, 1))
+            assert base.section(got, 2) == want
         assert twistor._mixed_bracket_checks(E, T)
 
 
