@@ -288,20 +288,28 @@ def suite_rotations(model, cfg):
     return (rep.status, wit[:10], sum(f.sample_count for f in rep.families))
 
 
-def suite_twistor(model, cfg):
+def _connection_prerequisite(model, suite):
+    """(T, conn, None) with conn the triple's ``twistor.connection_data``,
+    or (T, None, result) when the triple fails a prerequisite or the
+    connection data are refused."""
     T, gate = _relations_prerequisite(model)
     if gate:
-        return gate
+        return T, None, gate
     if not all(E.is_constant for E in T.generators):
-        return ("inconclusive",
-                ["twistor suite needs a constant-coefficient triple"], 0)
-    wit = []
-    checks = 0
+        return T, None, ("inconclusive", [f"{suite} suite needs a "
+                                          "constant-coefficient triple"], 0)
     try:
-        conn = tw.connection_data(T)
-        checks += 1
+        return T, tw.connection_data(T), None
     except (ValueError, AssertionError) as exc:
-        return ("fail", [f"connection data: {exc}"], 1)
+        return T, None, ("fail", [f"connection data: {exc}"], 1)
+
+
+def suite_twistor(model, cfg):
+    T, conn, gate = _connection_prerequisite(model, "twistor")
+    if gate:
+        return gate
+    wit = []
+    checks = 1          # the connection data
     proj = project(induce(T), T)
     # both sides are bilinear in (a, b): the basis pairs decide every pair
     basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -317,13 +325,9 @@ def suite_twistor(model, cfg):
 
 
 def suite_flatness(model, cfg):
-    T, gate = _relations_prerequisite(model)
+    _, conn, gate = _connection_prerequisite(model, "flatness")
     if gate:
         return gate
-    if not all(E.is_constant for E in T.generators):
-        return ("inconclusive",
-                ["flatness suite needs a constant-coefficient triple"], 0)
-    conn = tw.connection_data(T)
     ok = tw.check_flatness(conn)
     return ("pass" if ok else "fail",
             [] if ok else ["curvature of the (0,1) connection is nonzero"], 1)

@@ -596,44 +596,6 @@ class _PowerDen:
         return Section.from_components(
             self.chart, [ScalarField(Poly(self.chart, p), den) for p in P])
 
-    # --- dense matrices of numerators over a common power of m.
-
-    def mat_lift(self, A, ka, target):
-        if ka == target:
-            return A
-        f = self.mpow(target - ka)
-        return [[K.p_mul(e, f) if e else {} for e in row] for row in A]
-
-    def mat_sub(self, A, ka, B, kb):
-        top = max(ka, kb)
-        A = self.mat_lift(A, ka, top)
-        B = self.mat_lift(B, kb, top)
-        return [[K.p_sub(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(A, B)], top
-
-    def mat_add(self, A, ka, B, kb):
-        top = max(ka, kb)
-        A = self.mat_lift(A, ka, top)
-        B = self.mat_lift(B, kb, top)
-        return [[K.p_add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(A, B)], top
-
-    def mat_scale(self, A, c):
-        return [[K.p_scale(e, c) if e else {} for e in row] for row in A]
-
-    def mat_diff(self, A, ka, t):
-        """Entrywise d/dx_t of A/m^ka, over m^(ka+1)."""
-        d = self.diff(ka)
-        return [[d(e, t) if e else {} for e in row] for row in A], ka + 1
-
-    @staticmethod
-    def mat_is_zero(A):
-        return all(not e for row in A for e in row)
-
-    def mat_commutator(self, A, ka, B, kb):
-        return self.mat_sub(_mat_mul_terms(A, B), ka + kb,
-                            _mat_mul_terms(B, A), ka + kb)
-
 
 def _sparse_rows(M, const):
     """Kernel matrix layout of a dense matrix of term dicts: rows of

@@ -8,17 +8,20 @@ twistor structure on the product chart with its integrability certificate.
 
 All sphere dependence enters through denominators dividing powers of
 m = (1+u1^2+v1^2)(1+u2^2+v2^2).  The six sector generators I_l^+- are
-constant 2n x 2n matrices, so Ihat = c.I+ + d.I-, the connection form and
-its (0,1)-parts are built as numerator matrices over powers of m
-(``gcs._PowerDen``) on any chart whose last four coordinates are the sphere
-coordinates, for every dimension n of the triple's chart.  The connection
-identities and the mixed bracket identities are decided on those
-numerators, and the integrability check of Theorem 1.3 runs the Nijenhuis
-evaluator of ``gcs``, which finds m as the LCM of the twistor structure's
-denominators; that structure is orthogonal and squares to -Id, so its
-Nijenhuis tensor is decided on the frame pairs within a J-complex frame:
-(n + 4)(n + 3)/2 pairs of the (2n + 8)(2n + 7)/2 frame pairs a < b of the
-(n + 4)-coordinate product chart (28 of 120 at n = 4, 66 of 276 at n = 8).
+constant 2n x 2n matrices, so Ihat = c.I+ + d.I- is built as numerator
+matrices over m (``gcs._PowerDen``) on any chart whose last four coordinates
+are the sphere coordinates, for every dimension n of the triple's chart.
+The connection identities and the flatness of the (0,1) connection are
+decided on the unit vectors c, d, the forms omega1 = c x dc and
+omega2 = d x dd and the sector algebra that ``project`` verifies, with no
+matrix built (see ``ConnectionData``).  The mixed bracket identities are
+decided on Ihat's numerators, and the integrability check of Theorem 1.3
+runs the Nijenhuis evaluator of ``gcs``, which finds m as the LCM of the
+twistor structure's denominators; that structure is orthogonal and squares
+to -Id, so its Nijenhuis tensor is decided on the frame pairs within a
+J-complex frame: (n + 4)(n + 3)/2 pairs of the (2n + 8)(2n + 7)/2 frame
+pairs a < b of the (n + 4)-coordinate product chart (28 of 120 at n = 4,
+66 of 276 at n = 8).
 
 Only the finite stereographic chart of each sphere is implemented; zeta =
 infinity is outside every formula here (the point-wise oracle uses rational
@@ -339,10 +342,27 @@ def theorem_1_2(T: CliffordTriple) -> SuiteReport:
 
 @dataclass
 class ConnectionData:
-    """c, d and the omega = c x dc forms over the sphere chart; Ihat, the
-    connection 1-form Omega (coordinate components) and its (0,1)-parts A1,
-    A2 with V01 = A1 dzbar1 + A2 dzbar2, each a numerator matrix (rows, k)
-    over m^k, m the sphere base of ``_sphere_base``."""
+    """The connection data over the sphere chart (u1, v1, u2, v2): the unit
+    vectors c = c(zeta1), d = c(zeta2), the forms omega1 = c x dc and
+    omega2 = d x dd (3 KForms of degree 1 each), Ihat = c.I+ + d.I- as
+    numerators (rows, 1) over m^1, m the sphere base of ``_sphere_base``,
+    the constant sector generators I_l^+- as kernel matrices, and
+    ``project``'s verdict on their algebra (identities_ok).
+
+    The connection form is Omega = omega1.I+ + omega2.I-, with (0,1)-parts
+    A1 = (Omega_u1 + i Omega_v1)/4 and A2 = (Omega_u2 + i Omega_v2)/4, so
+    V = A1 dzbar1 + A2 dzbar2.  None of them is built as a matrix: every
+    identity about them reduces to c, d, omega1, omega2 and the sector
+    algebra.  identities_ok gives I_a^s I_b^s = -d_ab G^s + e_abc I_c^s in
+    each sector s and I+ I- = I- I+ = 0, so for vector-valued a, b (the
+    I_l^+- are constant, scalar functions commute with them)
+
+        [a.I+, b.I+] = 2 (a x b).I+,  [a.I-, b.I-] = 2 (a x b).I-,
+        [a.I+, b.I-] = 0.
+
+    The triple enters the connection identities only through identities_ok;
+    the rest is about the sphere chart (``check_dI_commutator``,
+    ``check_flatness``)."""
 
     chart: Chart
     c: tuple
@@ -350,28 +370,28 @@ class ConnectionData:
     omega1: tuple          # 3 KForms of degree 1
     omega2: tuple
     Ihat: tuple            # (rows, 1)
-    Omega: dict            # coordinate index -> (rows, 2)
-    A1: tuple
-    A2: tuple
     Ip: tuple              # constant sector generators (kernel matrices)
     Im: tuple
-
-    @property
-    def V01(self):
-        """The (0,1) connection form as its two dzbar components."""
-        return (self.A1, self.A2)
+    identities_ok: bool
 
 
-def _form_vector_cross(c, dc):
-    """(c x dc)_i per coordinate: returns [coord][i] ScalarField."""
+def _form_vector_cross(chart, v):
+    """omega = v x dv for a 3-vector v of ScalarFields, as 3 KForms of
+    degree 1: formed on numerators over the LCM m of v's denominators (v
+    over m^1, dv over m^2) and normalized once per coefficient."""
+    base = _PowerDen.lcm(chart, v)
+    V = [base.numerator(x) for x in v]
+    dV = [row or [{}] * chart.dim for row in base.jacobian(V, 1)]
+    den = Poly(chart, base.mpow(3))
     out = []
-    for w in range(len(dc)):
-        comp = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            comp.append(c[j] * dc[w][k] - c[k] * dc[w][j])
-        out.append(tuple(comp))
-    return out
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        out.append(KForm(chart, 1, {
+            (w,): ScalarField(Poly(chart, K.p_sub(K.p_mul(V[j], dV[k][w]),
+                                                  K.p_mul(V[k], dV[j][w]))),
+                              den)
+            for w in range(chart.dim)}))
+    return tuple(out)
 
 
 def _sector_sum(polys, mats):
@@ -393,9 +413,11 @@ def _ihat(T: CliffordTriple, chart: Chart):
     """The guards of the twistor layer, then, over a chart whose last four
     coordinates are (u1, v1, u2, v2): c and d, the sphere base m
     (``_sphere_base``), the six sector generators I_1+, I_2+, I_3+, I_1-,
-    I_2-, I_3- as constant 2n x 2n kernel matrices, and the
-    numerators of Ihat = c.I+ + d.I- over m^1.  |c|^2 = |d|^2 = 1 is
-    checked exactly on the numerators of c and d over m^1.
+    I_2-, I_3- as constant 2n x 2n kernel matrices, the numerators of
+    Ihat = c.I+ + d.I- over m^1, and the projections.  |c|^2 = |d|^2 = 1 is
+    checked exactly on the numerators of c and d over m^1.  A triple whose
+    projection identities fail is refused: Ihat and everything built on it
+    rest on the sector algebra.
 
     The sector generators are constant, so nothing here depends on the
     dimension of the triple's chart."""
@@ -405,6 +427,8 @@ def _ihat(T: CliffordTriple, chart: Chart):
         raise ValueError("the twistor layer needs a constant-coefficient "
                          "triple")
     proj = project(induce(T), T)
+    if not proj.identities_ok:
+        raise ValueError("projection identities (G+-, I_i+-) fail")
     unit = _PowerDen(T.chart)
     sectors = [_sparse_rows(unit.numerators(E), True)
                for E in proj.Ip + proj.Im]
@@ -418,43 +442,18 @@ def _ihat(T: CliffordTriple, chart: Chart):
         raise AssertionError("|c|^2 != 1")
     if K.p_dot((x, x) for x in nums[3:]) != m2:
         raise AssertionError("|d|^2 != 1")
-    return c, d, base, sectors, _sector_sum(nums, sectors)
+    return c, d, base, sectors, _sector_sum(nums, sectors), proj
 
 
 def connection_data(T: CliffordTriple) -> ConnectionData:
-    """Assemble c, d, omega, Ihat, Omega and V01 over the sphere chart and
-    verify the unit-vector identities c.c = 1, c.dc = 0 and omega x c = dc
-    as exact rational-function identities."""
+    """Assemble c, d, omega1 = c x dc, omega2 = d x dd and Ihat over the
+    sphere chart; |c| = |d| = 1 is checked exactly in ``_ihat``."""
     S4 = sphere_chart()
-    c, d, base, sectors, Ihat = _ihat(T, S4)
-    dc = [tuple(x.diff(w) for x in c) for w in range(4)]
-    dd = [tuple(x.diff(w) for x in d) for w in range(4)]
-    zero = ScalarField.zero(S4)
-    for w in range(4):
-        if sum((a * b for a, b in zip(c, dc[w])), zero) != zero:
-            raise AssertionError("c . dc != 0")
-    om1 = _form_vector_cross(c, dc)     # [w][i]
-    om2 = _form_vector_cross(d, dd)
-    # unit-vector identity omega x c = dc, componentwise per coordinate
-    for w in range(4):
-        if _cross(om1[w], c) != tuple(dc[w]):
-            raise AssertionError("omega_{zeta1} x c != dc")
-        if _cross(om2[w], d) != tuple(dd[w]):
-            raise AssertionError("omega_{zeta2} x d != dd")
-    omega1 = tuple(KForm(S4, 1, {(w,): om1[w][i] for w in range(4)
-                                 if not om1[w][i].is_zero}) for i in range(3))
-    omega2 = tuple(KForm(S4, 1, {(w,): om2[w][i] for w in range(4)
-                                 if not om2[w][i].is_zero}) for i in range(3))
-    # omega = c x dc has denominator (1+u1^2+v1^2)^2, which divides m^2
-    Omega = {w: (_sector_sum([base.numerator(f, 2)
-                              for f in om1[w] + om2[w]], sectors), 2)
-             for w in range(4)}
-    quarter, i_quarter = (1, 0, 4), (0, 1, 4)
-    A1, A2 = (base.mat_add(base.mat_scale(Omega[u][0], quarter), 2,
-                           base.mat_scale(Omega[v][0], i_quarter), 2)
-              for u, v in ((0, 1), (2, 3)))
-    return ConnectionData(S4, c, d, omega1, omega2, (Ihat, 1), Omega, A1, A2,
-                          tuple(sectors[:3]), tuple(sectors[3:]))
+    c, d, _, sectors, Ihat, proj = _ihat(T, S4)
+    return ConnectionData(S4, c, d, _form_vector_cross(S4, c),
+                          _form_vector_cross(S4, d), (Ihat, 1),
+                          tuple(sectors[:3]), tuple(sectors[3:]),
+                          proj.identities_ok)
 
 
 def check_cross_commutator(a, b, proj: Projections) -> bool:
@@ -483,72 +482,70 @@ def _sphere_base(chart) -> _PowerDen:
     return _PowerDen(chart, K.p_mul(q1, q2))
 
 
-def check_dI_commutator(conn: ConnectionData) -> bool:
-    """d Ihat = [Omega, Ihat]/2 componentwise in u1, v1, u2, v2, and the
-    (0,1)-part identity dbar_S Ihat = [V01, Ihat] per sphere factor with
-    dbar = (d_u + i d_v)/2.
-
-    The connection data carry every matrix as numerators over a power of
-    m = (1+u1^2+v1^2)(1+u2^2+v2^2), so the identities are decided on
-    numerators over a common power of m (no rational normalization needed).
-    """
-    base = _sphere_base(conn.chart)
-    Ih, ki = conn.Ihat
-    half = (1, 0, 2)
-    for w in range(4):
-        lhs, kl = base.mat_diff(Ih, ki, w)
-        comm, kc = base.mat_commutator(*conn.Omega[w], Ih, ki)
-        rhs = base.mat_scale(comm, half)
-        diff, _ = base.mat_sub(lhs, kl, rhs, kc)
-        if not base.mat_is_zero(diff):
-            return False
-    i_half = (0, 1, 2)
-    for (iu, iv), A in (((0, 1), conn.A1), ((2, 3), conn.A2)):
-        du, ku = base.mat_diff(Ih, ki, iu)
-        dv, kv = base.mat_diff(Ih, ki, iv)
-        lhs, kl = base.mat_add(base.mat_scale(du, half), ku,
-                               base.mat_scale(dv, i_half), kv)
-        rhs, kr = base.mat_commutator(*A, Ih, ki)
-        diff, _ = base.mat_sub(lhs, kl, rhs, kr)
-        if not base.mat_is_zero(diff):
-            return False
+def _omega_turns_frames(conn: ConnectionData) -> bool:
+    """d_w c = omega1_w x c and d_w d = omega2_w x d for each sphere
+    coordinate w, decided per sphere factor on numerators over the LCM m of
+    the denominators of the vector and its form's coefficients: both sides
+    are numerators over m^2, so no rational normalization is needed."""
+    for v, omega in ((conn.c, conn.omega1), (conn.d, conn.omega2)):
+        om = [tuple(f.coeff((w,)) for f in omega) for w in range(4)]
+        base = _PowerDen.lcm(conn.chart, v + sum(om, ()))
+        V = [base.numerator(x) for x in v]
+        diff = base.diff(1)
+        for w in range(4):
+            O = [base.numerator(g) for g in om[w]]
+            for i in range(3):
+                j, k = (i + 1) % 3, (i + 2) % 3
+                cross = K.p_sub(K.p_mul(O[j], V[k]), K.p_mul(O[k], V[j]))
+                if K.p_sub(cross, diff(V[i], w)):
+                    return False
     return True
 
 
+def _sector_local(conn: ConnectionData) -> bool:
+    """omega1 has no du2 or dv2 component and coefficients free of u2 and
+    v2; omega2 the same with u1 and v1."""
+    for omega, other in ((conn.omega1, (2, 3)), (conn.omega2, (0, 1))):
+        for f in omega:
+            for (w,), g in f.coeffs.items():
+                if w in other or any(not g.diff(t).is_zero for t in other):
+                    return False
+    return True
+
+
+def check_dI_commutator(conn: ConnectionData) -> bool:
+    """d Ihat = [Omega, Ihat]/2 componentwise in u1, v1, u2, v2, and the
+    (0,1)-part identity dbar_s Ihat = [A_s, Ihat] per sphere factor with
+    dbar = (d_u + i d_v)/2; decided as identities_ok plus
+    d_w c = omega1_w x c and d_w d = omega2_w x d for the four w.
+
+    Proof.  With the commutators of ``ConnectionData``,
+    [Omega_w, Ihat]/2 = (omega1_w x c).I+ + (omega2_w x d).I-, while
+    d_w Ihat = (d_w c).I+ + (d_w d).I-: the vector identities give
+    d Ihat = [Omega, Ihat]/2.  A_s = (Omega_u + i Omega_v)/4 is linear in
+    Omega, so [A_s, Ihat] = (d_u Ihat + i d_v Ihat)/2 = dbar_s Ihat follows
+    by linearity.
+    """
+    return conn.identities_ok and _omega_turns_frames(conn)
+
+
 def check_flatness(conn: ConnectionData) -> bool:
-    """dbar_S V01 - V01 ^ V01 = 0 exactly; verified through the proof's two
-    halves (each sector is proportional to a single dzbar generator, and the
-    cross-sector commutator vanishes) plus the assembled curvature."""
-    base = _sphere_base(conn.chart)
-    (A1, k1), (A2, k2) = conn.A1, conn.A2
-    half = (1, 0, 2)
-    i_half = (0, 1, 2)
+    """dbar_S V - V ^ V = 0 for the (0,1) connection V of Ihat; decided
+    as identities_ok, the vector identities of ``check_dI_commutator`` (the
+    omegas are Ihat's connection) and sector locality.
 
-    def dbar(A, ka, iu, iv):
-        du, ku = base.mat_diff(A, ka, iu)
-        dv, kv = base.mat_diff(A, ka, iv)
-        return base.mat_add(base.mat_scale(du, half), ku,
-                            base.mat_scale(dv, i_half), kv)
-
-    # sector locality: A1 has no zeta2-dependence and vice versa
-    for t in (2, 3):
-        d, _ = base.mat_diff(A1, k1, t)
-        if not base.mat_is_zero(d):
-            return False
-    for t in (0, 1):
-        d, _ = base.mat_diff(A2, k2, t)
-        if not base.mat_is_zero(d):
-            return False
-    # mixed wedge commutator
-    comm, kc = base.mat_commutator(A1, k1, A2, k2)
-    if not base.mat_is_zero(comm):
-        return False
-    # assembled curvature coefficient of dzbar1 ^ dzbar2
-    d2A2, ka = dbar(A2, k2, 0, 1)
-    d1A1, kb = dbar(A1, k1, 2, 3)
-    curv, kk = base.mat_sub(d2A2, ka, d1A1, kb)
-    curv, _ = base.mat_sub(curv, kk, comm, kc)
-    return base.mat_is_zero(curv)
+    Proof.  Sector locality: omega1 has no du2 or dv2 component and its
+    coefficients are free of u2 and v2, omega2 the same with u1 and v1.
+    Then A1 = alpha.I+ with alpha = (omega1_u1 + i omega1_v1)/4 free of
+    (u2, v2), and A2 = gamma.I- with gamma = (omega2_u2 + i omega2_v2)/4
+    free of (u1, v1); by d c = omega1 x c, c is free of (u2, v2) and d of
+    (u1, v1) too.  The only coefficient of the curvature, that of
+    dzbar1 ^ dzbar2, is dbar1 A2 - dbar2 A1 - [A1, A2]: locality makes the
+    first two terms zero, and [A1, A2] = [alpha.I+, gamma.I-] is a mixed
+    commutator, which is zero.
+    """
+    return (conn.identities_ok and _omega_turns_frames(conn)
+            and _sector_local(conn))
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +597,7 @@ def twistor_structure(T: CliffordTriple) -> EndField:
     a zero flux is dropped, and a nonzero one is not lifted to the product
     chart (EndField rejects it)."""
     Z = product_chart(T)
-    _, _, base, _, Ihat = _ihat(T, Z)
+    _, _, base, _, Ihat, _ = _ihat(T, Z)
     m = Poly(Z, base.m)
     n = T.chart.dim
     N = Z.dim

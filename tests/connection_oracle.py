@@ -1,0 +1,122 @@
+"""Test helper: the dense-matrix oracle of the connection identities.
+
+``twistor.check_dI_commutator`` and ``twistor.check_flatness`` decide the
+identities on the unit vectors c, d, the forms omega1, omega2 and the sector
+algebra.  Here the same identities are decided as 2n x 2n numerator-matrix
+identities over powers of the sphere base m: the connection form
+Omega = omega1.I+ + omega2.I- and its (0,1)-parts A1, A2 are assembled as
+matrices, and d Ihat = [Omega, Ihat]/2, dbar_s Ihat = [A_s, Ihat] and the
+curvature of A1 dzbar1 + A2 dzbar2 are tested entry by entry.
+"""
+
+from gencliff._core import kernel as K
+from gencliff.gcs import _mat_mul_terms
+from gencliff.twistor import _sector_sum, _sphere_base
+
+
+def mat_lift(base, A, ka, target):
+    """A / m^ka as numerators over m^target."""
+    if ka == target:
+        return A
+    f = base.mpow(target - ka)
+    return [[K.p_mul(e, f) if e else {} for e in row] for row in A]
+
+
+def mat_sub(base, A, ka, B, kb):
+    top = max(ka, kb)
+    A = mat_lift(base, A, ka, top)
+    B = mat_lift(base, B, kb, top)
+    return [[K.p_sub(a, b) for a, b in zip(r1, r2)]
+            for r1, r2 in zip(A, B)], top
+
+
+def mat_add(base, A, ka, B, kb):
+    top = max(ka, kb)
+    A = mat_lift(base, A, ka, top)
+    B = mat_lift(base, B, kb, top)
+    return [[K.p_add(a, b) for a, b in zip(r1, r2)]
+            for r1, r2 in zip(A, B)], top
+
+
+def mat_scale(A, c):
+    return [[K.p_scale(e, c) if e else {} for e in row] for row in A]
+
+
+def mat_diff(base, A, ka, t):
+    """Entrywise d/dx_t of A/m^ka, over m^(ka+1)."""
+    d = base.diff(ka)
+    return [[d(e, t) if e else {} for e in row] for row in A], ka + 1
+
+
+def mat_is_zero(A):
+    return all(not e for row in A for e in row)
+
+
+def mat_commutator(base, A, ka, B, kb):
+    return mat_sub(base, _mat_mul_terms(A, B), ka + kb,
+                   _mat_mul_terms(B, A), ka + kb)
+
+
+HALF, I_HALF = (1, 0, 2), (0, 1, 2)
+
+
+def connection_matrices(conn):
+    """(base, Omega, A1, A2): Omega maps each sphere coordinate w to the
+    numerators (rows, 2) of Omega_w over m^2 (omega = c x dc has denominator
+    (1+u1^2+v1^2)^2, which divides m^2); A_s = (Omega_u + i Omega_v)/4."""
+    base = _sphere_base(conn.chart)
+    sectors = list(conn.Ip) + list(conn.Im)
+    Omega = {w: (_sector_sum([base.numerator(f.coeff((w,)), 2)
+                              for f in conn.omega1 + conn.omega2], sectors), 2)
+             for w in range(4)}
+    quarter, i_quarter = (1, 0, 4), (0, 1, 4)
+    A1, A2 = (mat_add(base, mat_scale(Omega[u][0], quarter), 2,
+                      mat_scale(Omega[v][0], i_quarter), 2)
+              for u, v in ((0, 1), (2, 3)))
+    return base, Omega, A1, A2
+
+
+def _dbar(base, A, ka, iu, iv):
+    du, ku = mat_diff(base, A, ka, iu)
+    dv, kv = mat_diff(base, A, ka, iv)
+    return mat_add(base, mat_scale(du, HALF), ku, mat_scale(dv, I_HALF), kv)
+
+
+def dI_commutator(conn) -> bool:
+    """d Ihat = [Omega, Ihat]/2 componentwise in u1, v1, u2, v2, and
+    dbar_s Ihat = [A_s, Ihat] per sphere factor, on numerator matrices."""
+    base, Omega, A1, A2 = connection_matrices(conn)
+    Ih, ki = conn.Ihat
+    for w in range(4):
+        lhs, kl = mat_diff(base, Ih, ki, w)
+        comm, kc = mat_commutator(base, *Omega[w], Ih, ki)
+        diff, _ = mat_sub(base, lhs, kl, mat_scale(comm, HALF), kc)
+        if not mat_is_zero(diff):
+            return False
+    for (iu, iv), A in (((0, 1), A1), ((2, 3), A2)):
+        lhs, kl = _dbar(base, Ih, ki, iu, iv)
+        rhs, kr = mat_commutator(base, *A, Ih, ki)
+        diff, _ = mat_sub(base, lhs, kl, rhs, kr)
+        if not mat_is_zero(diff):
+            return False
+    return True
+
+
+def flatness(conn) -> bool:
+    """dbar V - V ^ V = 0 for V = A1 dzbar1 + A2 dzbar2, on numerator
+    matrices: the proof's two halves (A1 free of (u2, v2) and A2 free of
+    (u1, v1); [A1, A2] = 0) and the assembled dzbar1 ^ dzbar2
+    coefficient."""
+    base, _, (A1, k1), (A2, k2) = connection_matrices(conn)
+    for A, ka, other in ((A1, k1, (2, 3)), (A2, k2, (0, 1))):
+        for t in other:
+            if not mat_is_zero(mat_diff(base, A, ka, t)[0]):
+                return False
+    comm, kc = mat_commutator(base, A1, k1, A2, k2)
+    if not mat_is_zero(comm):
+        return False
+    d1A2, ka = _dbar(base, A2, k2, 0, 1)
+    d2A1, kb = _dbar(base, A1, k1, 2, 3)
+    curv, kk = mat_sub(base, d1A2, ka, d2A1, kb)
+    curv, _ = mat_sub(base, curv, kk, comm, kc)
+    return mat_is_zero(curv)

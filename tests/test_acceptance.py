@@ -211,8 +211,8 @@ def test_criterion_08_twistor_differential_identities():
     sphere chart.  Budget < 10 min."""
     t0 = time.perf_counter()
     T = verify_triple(hyperkahler_r4(), 0)
-    conn = tw.connection_data(T)   # |c| = 1, c.dc = 0, omega x c = dc inside
-    # re-assert the unit-vector identity from the public data
+    conn = tw.connection_data(T)   # |c| = |d| = 1 inside
+    # the unit-vector identity omega x c = dc from the public data
     S4 = conn.chart
     zero = ScalarField.zero(S4)
     for w in range(4):

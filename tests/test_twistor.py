@@ -1,5 +1,6 @@
 """Spin(3) rotation family, connection identities, the twistor structure."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from gencliff.gcs import (_PowerDen, _sparse_rows, bind_nijenhuis,
                           generator_labels, is_almost_gcs, vanishes)
 from gencliff.clifford import induce, project, theorem_1_1, verify_triple
 from gencliff.examples import hyperkahler_r4, product_flip
+from tests import connection_oracle as oracle
 from tests.layout import packed
 from tests.test_gcs import complex_frame, gauss_rank
 from gencliff.twistor import (TwistorPoint, _sphere_base,
@@ -127,20 +129,66 @@ class TestRotateFamily:
             rotate_family(raw, TwistorPoint(GR(0), GR(0)))
 
 
-class TestConnection:
-    def test_data_and_identities(self):
-        T = verified_triple()
-        conn = connection_data(T)   # unit identities asserted inside
-        assert check_dI_commutator(conn)
-        assert check_flatness(conn)
+def corrupt_projection(monkeypatch):
+    """``project`` as the twistor layer sees it, with I_1+ negated: then
+    I_1+ I_2+ = -I_3+, so the sector algebra fails and identities_ok is
+    False."""
+    right = twistor.project
 
-    def test_product_flip_identities(self):
-        # every chart dimension: the n = 8 builtin's connection data (16 x
-        # 16 numerator matrices) satisfies the same identities
-        conn = connection_data(flip_triple())
-        assert len(conn.Ihat[0]) == 16
-        assert check_dI_commutator(conn)
-        assert check_flatness(conn)
+    def corrupted(ind, T):
+        proj = right(ind, T)
+        Ip = (-proj.Ip[0],) + proj.Ip[1:]
+        assert not (Ip[0] @ Ip[1]).entries_equal(Ip[2])
+        return dataclasses.replace(proj, Ip=Ip, identities_ok=False)
+    monkeypatch.setattr(twistor, "project", corrupted)
+
+
+class TestConnection:
+    @pytest.mark.parametrize("make",
+                             [verified_triple, lambda: hk4b_triple(),
+                              flip_triple],
+                             ids=["hyperkahler_r4", "hk4b", "product_flip"])
+    def test_data_and_identities(self, make):
+        # the checks on c, d, omega1, omega2 and the sector algebra agree
+        # with the dense-matrix oracle, at n = 4 (integer and rational
+        # sector generators) and n = 8 (16 x 16 numerator matrices)
+        T = make()
+        conn = connection_data(T)
+        assert len(conn.Ihat[0]) == 2 * T.chart.dim
+        assert conn.identities_ok
+        assert check_dI_commutator(conn) and oracle.dI_commutator(conn)
+        assert check_flatness(conn) and oracle.flatness(conn)
+
+    def test_omega1_with_a_second_factor_component_fails(self):
+        # omega1 + du2 breaks d_u2 c = omega1_u2 x c and sector locality:
+        # both checks and both oracles refuse it
+        from gencliff.cartan import KForm
+        conn = connection_data(verified_triple())
+        du2 = KForm.basis(conn.chart, (2,))
+        bad = dataclasses.replace(
+            conn, omega1=(conn.omega1[0] + du2,) + conn.omega1[1:])
+        assert not check_dI_commutator(bad)
+        assert not check_flatness(bad)
+        assert not oracle.dI_commutator(bad)
+        assert not oracle.flatness(bad)
+
+    def test_failed_projection_identities_fail_the_suites(self, monkeypatch):
+        # _ihat refuses the triple; twistor and flatness report the refused
+        # connection data alike, theorem13 the refused twistor structure
+        from gencliff.cli import RunConfig, load_model, run
+        corrupt_projection(monkeypatch)
+        with pytest.raises(ValueError, match="projection identities"):
+            connection_data(verified_triple())
+        report, code = run(load_model(builtin="hyperkahler_r4"), RunConfig(
+            suites=["twistor", "flatness", "theorem13"]))
+        assert code == 1
+        refused = ["connection data: projection identities (G+-, I_i+-) "
+                   "fail"]
+        got = [(r["status"], r["witnesses"], r["checks"])
+               for r in report["suites"]]
+        assert got[:2] == [("fail", refused, 1)] * 2
+        assert got[2] == ("fail", ["error: projection identities (G+-, "
+                                   "I_i+-) fail"], 0)
 
     def test_plus_sector_has_no_second_factor_dependence(self):
         # the c-dependent half of Ihat is constant along (u2, v2): its
@@ -150,10 +198,10 @@ class TestConnection:
         base = _sphere_base(conn.chart)
         half = twistor._sector_sum([base.numerator(x) for x in conn.c],
                                    conn.Ip)
-        assert not base.mat_is_zero(half)
+        assert not oracle.mat_is_zero(half)
         for w in (2, 3):
-            d, k = base.mat_diff(half, 1, w)
-            assert k == 2 and base.mat_is_zero(d)
+            d, k = oracle.mat_diff(base, half, 1, w)
+            assert k == 2 and oracle.mat_is_zero(d)
 
     def test_cross_commutator(self):
         T = verified_triple()
