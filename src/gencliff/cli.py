@@ -13,11 +13,12 @@ Input is a single JSON document:
 
 Matrix entries and flux coefficients are expression strings in the scalar
 grammar, so exact values survive serialization (no floats anywhere).  Suites
-are self-contained: each re-verifies what it depends on and fails with a
-witness when anything is broken.  Every suite runs a certificate that
-holds for all smooth sections, so no verdict or count reads --max-degree,
---samples or --seed: they are only parsed, validated and echoed in the
-config.  Reports are deterministic for a fixed input apart from the timing
+are self-contained: each checks what it depends on and fails with a witness
+when anything is broken; the triple's relations are checked and its
+induced algebra built once per model, and every suite reads them.  Every
+suite runs a certificate that holds for all smooth sections, so no verdict
+or count reads --max-degree, --samples or --seed: they are only parsed,
+validated and echoed in the config.  Reports are deterministic for a fixed input apart from the timing
 fields and that echo, and are written atomically.
 
 Exit codes: 0 all suites pass, 1 any suite fails, 2 usage/input errors and
@@ -33,7 +34,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 try:        # the built-in hash module: hashlib would map OpenSSL's libcrypto
     from _sha2 import sha256
@@ -72,6 +73,11 @@ class Model:
     dual_index: int | None
     digest: str
     builtin: str | None
+    # the triple with its relations checked, made by the first suite that
+    # needs it; every later suite of a run reuses it and, through its
+    # ``with_status`` copies, the induced algebra and projections
+    checked: CliffordTriple | None = field(default=None, repr=False,
+                                           compare=False)
 
 
 @dataclass
@@ -217,24 +223,34 @@ def _need_triple(model):
     return None
 
 
+def _checked_triple(model):
+    """The model's triple carrying its relations report, checked once per
+    model (``Model.checked``)."""
+    if model.checked is None:
+        model.checked = model.triple.with_status(
+            TripleStatus(check_relations(model.triple), ()))
+    return model.checked
+
+
 def _relations_prerequisite(model):
     """(T, None) with T the model's triple carrying its checked relations,
     or (None, result) when there is no triple or a relation fails."""
     gate = _need_triple(model)
     if gate:
         return None, gate
-    rel = check_relations(model.triple)
+    T = _checked_triple(model)
+    rel = T.status.relations
     if not rel.ok:
         return None, ("fail", [f"relations prerequisite: {n}"
                                for n in rel.failures], len(rel.checks))
-    return model.triple.with_status(TripleStatus(rel, ())), None
+    return T, None
 
 
 def suite_relations(model, cfg):
     gate = _need_triple(model)
     if gate:
         return gate
-    rel = check_relations(model.triple)
+    rel = _checked_triple(model).status.relations
     wit = [f"failed: {name}" for name in rel.failures]
     return ("pass" if rel.ok else "fail", wit, len(rel.checks))
 
@@ -301,7 +317,13 @@ def _connection_prerequisite(model, suite):
     try:
         return T, tw.connection_data(T), None
     except (ValueError, AssertionError) as exc:
-        return T, None, ("fail", [f"connection data: {exc}"], 1)
+        return T, None, _refused(exc)
+
+
+def _refused(exc):
+    """The result of a suite whose triple the twistor layer refuses
+    (``twistor._ihat``): one failed check, the connection data."""
+    return ("fail", [f"connection data: {exc}"], 1)
 
 
 def suite_twistor(model, cfg):
@@ -344,7 +366,10 @@ def suite_theorem13(model, cfg):
     if not all(E.is_constant for E in T.generators):
         return ("inconclusive",
                 ["theorem13 suite needs a constant-coefficient triple"], 0)
-    rep = tw.theorem_1_3(T)
+    try:
+        rep = tw.theorem_1_3(T)
+    except (ValueError, AssertionError) as exc:
+        return _refused(exc)
     wit = [" ".join(w) for w in rep.witnesses]
     return (rep.status, wit[:10], rep.nijenhuis_checks + 1)
 

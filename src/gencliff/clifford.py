@@ -70,12 +70,13 @@ class CliffordTriple:
     """Three anticommuting almost generalized complex structures sharing a
     chart and a flux, with a verification status record.
 
-    ``induce`` and ``project`` cache their results on the triple; a triple
-    made by ``with_status`` starts with an empty cache.
+    ``induce`` and ``project`` cache their results on the triple.  A copy
+    made by ``with_status`` has the same generators and flux, so it shares
+    the cache with the triple it was made from: whichever of them computes
+    the algebra first computes it for all.
     """
 
-    __slots__ = ("chart", "I1", "I2", "I3", "flux", "status", "_induced",
-                 "_projections")
+    __slots__ = ("chart", "I1", "I2", "I3", "flux", "status", "_algebra")
 
     def __init__(self, I1: EndField, I2: EndField, I3: EndField,
                  flux: FluxForm | None = None,
@@ -94,15 +95,17 @@ class CliffordTriple:
         self.I3 = I3.with_flux(flux) if I3.flux is None and flux is not None else I3
         self.flux = flux
         self.status = status or TripleStatus()
-        self._induced = None
-        self._projections = None
+        # {"induced": InducedStructures, "projections": Projections}
+        self._algebra = {}
 
     @property
     def generators(self):
         return (self.I1, self.I2, self.I3)
 
     def with_status(self, status):
-        return CliffordTriple(self.I1, self.I2, self.I3, self.flux, status)
+        out = CliffordTriple(self.I1, self.I2, self.I3, self.flux, status)
+        out._algebra = self._algebra
+        return out
 
     def __repr__(self):
         return (f"CliffordTriple(dim={self.chart.dim}, "
@@ -135,7 +138,9 @@ def verify_triple(T: CliffordTriple,
                   degree_bound: int | None = None) -> CliffordTriple:
     """Run relations plus per-generator integrability (``gcs.vanishes``: the
     symbol certificate by default, a sweep for an integer degree_bound);
-    returns a new triple carrying the verification status.
+    returns a new triple carrying the verification status.  Relations
+    already checked on T (its status carries their report) are kept, not
+    checked again.
 
     The certificate evaluates each N(Ii,Ii) on the 2n(2n - 1)/2 frame pairs
     a < b (28 at n = 4) when Ii^2 = -Id holds exactly and Ii is
@@ -152,7 +157,7 @@ def verify_triple(T: CliffordTriple,
     The three reports share 10 witnesses: a generator gets the budget the
     earlier ones left, and once it is spent the remaining generators are not
     evaluated and get no report -- the triple has already failed."""
-    rel = check_relations(T)
+    rel = T.status.relations or check_relations(T)
     reports = []
     for i, E in enumerate(T.generators):
         cap = 10 - sum(len(r.witnesses) for r in reports)
@@ -185,13 +190,13 @@ def induce(T: CliffordTriple) -> InducedStructures:
     I_i I_j = -d_ij + e_ijk J_k,  J_i J_j = -d_ij + e_ijk J_k,
     I_i J_j = J_i I_j = -d_ij G + e_ijk I_k,  G^2 = Id.
 
-    The result is cached on T, so later calls return the same object; the
-    relations guard runs on every call."""
+    The result is cached on T (and its ``with_status`` copies), so later
+    calls return the same object; the relations guard runs on every call."""
     if not T.status.relations_ok:
         raise ValueError("relations not verified; run verify_triple first")
-    if T._induced is None:
-        T._induced = _induce(T)
-    return T._induced
+    if "induced" not in T._algebra:
+        T._algebra["induced"] = _induce(T)
+    return T._algebra["induced"]
 
 
 def _induce(T: CliffordTriple) -> InducedStructures:
@@ -255,11 +260,11 @@ def project(ind: InducedStructures, T: CliffordTriple) -> Projections:
     well; the table guard runs on every call."""
     if not ind.table_ok:
         raise ValueError("induced multiplication table not verified")
-    if ind is not T._induced:
+    if ind is not T._algebra.get("induced"):
         return _project(ind, T)
-    if T._projections is None:
-        T._projections = _project(ind, T)
-    return T._projections
+    if "projections" not in T._algebra:
+        T._algebra["projections"] = _project(ind, T)
+    return T._algebra["projections"]
 
 
 def _project(ind: InducedStructures, T: CliffordTriple) -> Projections:
@@ -319,9 +324,13 @@ class SuiteReport:
         return out
 
 
+# positions of the diagonal families N(I_i, J_i) in theorem_1_1_families
+_DIAGONAL = (12, 16, 20)
+
+
 def theorem_1_1_families(T: CliffordTriple, ind: InducedStructures):
     """The 21 distinct tensor families N(I_i,I_j), N(J_i,J_j) (i <= j) and
-    N(I_i,J_j) (all i, j), bound against the triple's flux."""
+    N(I_i,J_j) (all i, j, row by row), bound against the triple's flux."""
     I = T.generators
     J = ind.J
     fams = []
@@ -346,16 +355,17 @@ def _commute(A: EndField, B: EndField) -> bool:
 
 def concomitant_anomaly(W: EndField, m, a: int, mprime, b: int) -> Section:
     """Closed-form Dorfman-Leibniz defect of the mixed concomitant for a
-    CONSTANT commuting orthogonal pair (I, J), W = I J, on the generator pair
-    (m * e_a, m' * e_b):
+    commuting skew-adjoint pair (I, J) with W = I J constant, on the
+    generator pair (m * e_a, m' * e_b):
 
-        N(I,J)(f u, g v) = 2 g ( <u,v> W(df) - <u, W v> df ).
+        N(I,J)(f u, g v) = 2 g ( <u,v> W(df) - <u, W v> df ),
 
-    Derived by expanding all eight bracket terms with the Leibniz rules
-    [fA,B] = f[A,B] - (rho(B)f) A + 2<A,B> df and [A,gB] = g[A,B] +
-    (rho(A)g) B; the section-type terms cancel unconditionally and the df
-    terms cancel exactly when I and J anticommute, leaving this expression
-    in the commuting case.
+    u and v frame sections.  Derived by expanding all eight bracket terms
+    with the Leibniz rules [fA,B] = f[A,B] - (rho(B)f) A + 2<A,B> df and
+    [A,gB] = g[A,B] + (rho(A)g) B; the section-type terms cancel
+    unconditionally and the df terms cancel exactly when I and J
+    anticommute, leaving this expression in the commuting case (proof in
+    ``gcs._commuting_symbol``).
     """
     from .cartan import KForm, exterior_d
     from .courant import Section as Sec
@@ -373,52 +383,68 @@ def concomitant_anomaly(W: EndField, m, a: int, mprime, b: int) -> Section:
     return out.scale(mp * ScalarField.constant(chart, 2))
 
 
-def _commuting_family_report(I: EndField, J: EndField, name: str,
-                             degree_bound: int | None, flux,
-                             max_witnesses: int = 10) -> TensorReport:
-    """Check a commuting constant pair against the anomaly oracle: outputs
-    must vanish on frame pairs and equal the closed-form defect on monomial
-    pairs.  vanished=True here means 'matched the oracle everywhere'.
+def _commuting_family_report(fam, degree_bound: int | None,
+                             max_witnesses: int = 10,
+                             partner=None) -> TensorReport:
+    """Check a concomitant N(I, J) of commuting I and J against what its
+    Leibniz symbol allows; the report's identity names the check, and
+    ``gcs._commuting_symbol`` proves which pairs decide it:
 
-    The residual N - anomaly is first order in each argument with no df.dg
-    term, like N itself, so the symbol certificate (degree_bound None)
-    decides it for all smooth sections.  defect(i, j) only multiplies by
-    the second generator's monomial, so the residual keeps N's Q_k = 0 and
-    the certificate's 2n * 2n * (1 + n) pairs.  When IJ + JI is a constant
-    multiple of Id (the self-pairs N(I,I)) the anomaly is zero and N itself
-    is C-infinity-bilinear and skew, so the frame pairs a < b decide it."""
+    - "anomaly_matched", when W = I J is constant: N must equal the
+      closed-form defect ``concomitant_anomaly`` on every generator pair.
+      When I and J are skew-adjoint the residual is C-infinity-bilinear
+      and skew, and the certificate takes the frame pairs a < b (28 at
+      n = 4), where Df = 0 makes the residual N itself.  Otherwise the
+      residual is first order in each argument with no df.dg term, like N,
+      and defect(i, j) only multiplies by the second generator's monomial,
+      so it keeps N's Q_k = 0 and the 2n * 2n * (1 + n) pairs (320).
+    - "difference", when W is not constant and partner N(I', J') has
+      I' J' = W: N(I',J') - N(I,J) must vanish; it is C-infinity-bilinear
+      and skew, so the certificate takes the 28 frame pairs a < b.  The
+      report is named "N(I',J')-N(I,J)".
+    - "vanishes" otherwise: there is no closed form, and N itself must
+      vanish (``gcs.vanishes``).
+
+    An integer degree_bound sweeps every generator pair instead.
+    vanished=True means the identity held on every pair evaluated."""
     from ._core import kernel as K
     from .courant import monomials_up_to
-    from .gcs import _residuals, _sparse_rows, _tensor_report
-    chart = I.chart
-    n = chart.dim
-    W = I @ J
-    Wk = _sparse_rows([[f.num.terms for f in row] for row in W.entries], True)
-    base, degree, pairs = _residuals(bind_concomitant(I, J, name, flux),
-                                     degree_bound)
-    # per generator m * e_a: (a, m, dm as a pure-covector section, W dm)
-    gens = []
-    for a in range(2 * n):
-        for m in monomials_up_to(chart, degree):
-            dm = [{}] * n + [K.p_diff(m.terms, t) for t in range(n)]
-            gens.append((a, m.terms, dm, K.mat_apply_const(Wk, dm)))
-    # <e_a, e_b> = 1/2 iff the frames pair off; <e_a, W e_b> = W_{(a+n)%2n, b}/2
-    half = (1, 0, 2)
+    from .gcs import _commuting_residuals, _sparse_rows, _tensor_report
+    identity, base, degree, pairs = _commuting_residuals(fam, degree_bound,
+                                                         partner)
+    name = (f"{partner.name}-{fam.name}" if identity == "difference"
+            else fam.name)
+    if identity == "anomaly_matched" and degree:
+        I, J = fam.structures
+        n = I.chart.dim
+        W = I @ J
+        Wk = _sparse_rows([[f.num.terms for f in row] for row in W.entries],
+                          True)
+        # per generator m * e_a: (a, m, dm as a pure-covector section, W dm)
+        gens = []
+        for a in range(2 * n):
+            for m in monomials_up_to(I.chart, degree):
+                dm = [{}] * n + [K.p_diff(m.terms, t) for t in range(n)]
+                gens.append((a, m.terms, dm, K.mat_apply_const(Wk, dm)))
+        # <e_a, e_b> = 1/2 iff the frames pair off;
+        # <e_a, W e_b> = W_{(a+n)%2n, b}/2
+        half = (1, 0, 2)
 
-    def defect(i, j):
-        a, _, dm, W_dm = gens[i]
-        b, mp, _, _ = gens[j]
-        c1 = half if (a + n) % (2 * n) == b else K.C_ZERO
-        c2 = K.c_mul(half, W.entries[(a + n) % (2 * n)][b].num.terms.get(
-            0, K.C_ZERO))
-        return [K.p_scale(K.p_mul(mp, K.p_sub(K.p_scale(wd, c1),
-                                              K.p_scale(d, c2))), (2, 0, 1))
-                for wd, d in zip(W_dm, dm)]
+        def defect(i, j):
+            a, _, dm, W_dm = gens[i]
+            b, mp, _, _ = gens[j]
+            c1 = half if (a + n) % (2 * n) == b else K.C_ZERO
+            c2 = K.c_mul(half, W.entries[(a + n) % (2 * n)][b].num.terms.get(
+                0, K.C_ZERO))
+            return [K.p_scale(K.p_mul(mp, K.p_sub(K.p_scale(wd, c1),
+                                                  K.p_scale(d, c2))),
+                              (2, 0, 1))
+                    for wd, d in zip(W_dm, dm)]
 
-    return _tensor_report(
-        name, degree_bound, base, degree,
-        ((i, j, K.sec_sub(got, base.lift(defect(i, j), 0, 3)))
-         for i, j, got in pairs), max_witnesses)
+        pairs = ((i, j, K.sec_sub(got, base.lift(defect(i, j), 0, 3)))
+                 for i, j, got in pairs)
+    return _tensor_report(name, degree_bound, base, degree, pairs,
+                          max_witnesses, identity)
 
 
 def theorem_1_1(T: CliffordTriple, degree_bound: int | None = None,
@@ -428,27 +454,38 @@ def theorem_1_1(T: CliffordTriple, degree_bound: int | None = None,
     Precondition: each generator's own Nijenhuis tensor already verified zero
     (an unverified triple yields an inconclusive report, not a failure).
 
-    Each family is decided by the Leibniz-symbol certificate of
-    ``gcs.vanishes`` (degree_bound None, the default), so a pass holds for
-    all smooth sections; an integer degree_bound sweeps all generator pairs
-    up to that monomial degree instead, as a cross-check.  The report note
-    names the method.  Every family is a concomitant, whose second slot's
-    Leibniz terms cancel.  For orthogonal I, J with IJ + JI a constant
-    multiple of Id -- the 12 anticommuting families and the 6 self-pairs --
-    the family is C-infinity-bilinear and skew, and the certificate takes
-    the 2n(2n - 1)/2 frame pairs a < b (28 at n = 4); the 3 diagonal pairs
-    N(I_i, J_i), where IJ + JI = 2 I_i J_i, take 2n * 2n * (1 + n) (320).
+    Each family is decided by the Leibniz-symbol certificate (degree_bound
+    None, the default), so a pass holds for all smooth sections; an integer
+    degree_bound sweeps all generator pairs up to that monomial degree
+    instead, as a cross-check.  The report note names the method.
 
-    For a constant triple, the 12 anticommuting-pair families are tensorial
-    and must vanish identically.  The 9 commuting families -- the diagonal
-    pairs N(I_i, J_i) and the self-pairs N(I_i, I_i), N(J_i, J_i) -- are
-    checked another way.  The diagonal pairs are NOT tensorial over the
-    Dorfman bracket: with mode="verify" (default) all 9 are checked exactly
-    against the closed-form Leibniz defect (``concomitant_anomaly``, zero for
-    the self-pairs, where W = +-Id) and classified anomaly_matched; the
-    certificate then runs on the residual N - anomaly.  mode="strict" demands
-    literal vanishing, which fails on monomial layers for any constant triple
-    with nondegenerate induced G.
+    The 12 anticommuting families have IJ + JI = 0 and are C-infinity-
+    bilinear and skew (``gcs.vanishes``): they must vanish, and the
+    certificate takes the 2n(2n - 1)/2 frame pairs a < b (28 at n = 4).
+    The 9 commuting families -- the self-pairs N(I_i, I_i), N(J_i, J_i)
+    and the diagonal pairs N(I_i, J_i) -- go through
+    ``_commuting_family_report``.  Their first slot keeps the Leibniz term
+    2g(<A,B> W - <A,WB>) Df with W = IJ (``gcs._commuting_symbol``), which
+    is zero for the self-pairs (W = -Id) but not for the diagonal pairs,
+    where W = I_i J_i = -G by the induced multiplication table.  So with
+    mode="verify" (default):
+
+    - G constant (every constant triple): all 9 are checked exactly
+      against the closed-form defect ``concomitant_anomaly`` and classified
+      anomaly_matched; the gate proves the residual C-infinity-bilinear and
+      skew, and the frame pairs a < b decide it: 28 pairs each.
+    - G not constant: N(I_i, J_i) on a frame depends on the frame, so the
+      diagonal families are compared with each other instead.  They share
+      W = -G, so Delta_12 = N(I1,J1) - N(I2,J2) and Delta_13 are
+      C-infinity-bilinear and skew, and 28 pairs decide each; they are
+      reported as "N(I1,J1)-N(I2,J2)" and "N(I1,J1)-N(I3,J3)", and
+      N(I1,J1) gets no report of its own unless a difference is not proven
+      (then it is checked alone).  Theorem 1.2's 24 families force both
+      differences to vanish.
+
+    mode="strict" demands literal vanishing of every family, which fails
+    on monomial layers for the diagonal pairs of any constant triple with
+    nondegenerate induced G.
 
     Checks the forward direction; the reverse is the containment of the
     generator conditions in the full family, restated in the report note.
@@ -462,27 +499,38 @@ def theorem_1_1(T: CliffordTriple, degree_bound: int | None = None,
     if not ind.table_ok:
         return SuiteReport("theorem_1_1", "fail", [],
                            "induced multiplication table failed")
-    reports = []
-    anomaly_families = []
-    for fam in theorem_1_1_families(T, ind):
-        I = fam.structures[0]
-        J = fam.structures[-1]
-        if mode == "verify" and fam.kind == "concomitant" \
-                and _commute(I, J) and I.is_constant and J.is_constant:
-            reports.append(_commuting_family_report(
-                I, J, fam.name, degree_bound, T.flux, max_witnesses))
-            anomaly_families.append(fam.name)
+    fams = theorem_1_1_families(T, ind)
+    ref = (fams[_DIAGONAL[0]] if mode == "verify" and not ind.G.is_constant
+           else None)
+    reports, compared = [], []
+    for k, fam in enumerate(fams):
+        if fam is ref:
+            continue
+        if mode == "verify" and _commute(*fam.structures):
+            rep = _commuting_family_report(
+                fam, degree_bound, max_witnesses,
+                ref if k in _DIAGONAL else None)
         else:
-            reports.append(vanishes(fam, degree_bound, max_witnesses))
+            rep = vanishes(fam, degree_bound, max_witnesses)
+        if k in _DIAGONAL:
+            compared.append(rep.identity == "difference")
+        reports.append(rep)
+    if ref is not None and not all(compared):
+        reports.insert(_DIAGONAL[0], _commuting_family_report(
+            ref, degree_bound, max_witnesses))
     ok = all(r.vanished for r in reports)
     method = ("the Leibniz-symbol certificate (all smooth sections)"
               if degree_bound is None else
               f"a sweep of generators of monomial degree <= {degree_bound}")
     note = (f"forward direction checked by {method}; the reverse is the "
             "containment of the generator conditions in the full family")
-    if anomaly_families:
+    differences = [r.name for r in reports if r.identity == "difference"]
+    if differences:
+        note += ("; diagonal families, which share W = -G (not constant), "
+                 "compared with each other: " + ", ".join(differences))
+    matched = [r.name for r in reports if r.identity == "anomaly_matched"]
+    if matched:
         note += ("; commuting families checked against the exact "
                  "Dorfman-Leibniz anomaly (non-tensorial): "
-                 + ", ".join(anomaly_families))
+                 + ", ".join(matched))
     return SuiteReport("theorem_1_1", "pass" if ok else "fail", reports, note)
-

@@ -31,7 +31,13 @@ n = 4).  For N_J, N_J(A, JB) = -J N_J(A, B) = N_J(JA, B) leaves the pairs
 within a J-complex frame: frame elements e_R that, with J e_R, span the
 fiber at one point, n of them when J is real there, so n(n - 1)/2 pairs
 (6 at n = 4; 28 for the twistor structure instead of 120).  N_G never is
-C-infinity-bilinear: its first slot keeps 4<A,B>Df - 4<A,GB> G Df.  An
+C-infinity-bilinear: its first slot keeps 4<A,B>Df - 4<A,GB> G Df.  Nor
+is N(I,J) of skew-adjoint, commuting I and J, but its Leibniz term
+2g(<A,B> W - <A,WB>) Df and its symmetric part depend on W = IJ alone
+(``_commuting_symbol``): for a constant W its residual against that closed
+form, and for two pairs with one W their difference, is C-infinity-bilinear
+and skew, and the frame pairs a < b decide it (``_commuting_residuals``;
+Theorem 1.1's diagonal families, 28 pairs each instead of 320).  An
 integer degree bound instead sweeps all pairs of frame sections times
 monomials up to that degree, as an opt-in cross-check.
 
@@ -463,7 +469,12 @@ def bind_real_nijenhuis(G: EndField, name: str = "N_G",
 class TensorReport:
     """Outcome of one tensor check.  method is "symbol_certificate"
     (degree_bound None: decided for all smooth sections) or "sweep" (all
-    generator pairs up to the integer degree_bound)."""
+    generator pairs up to the integer degree_bound).  identity names what
+    vanished=True asserts: "vanishes" (the tensor is zero),
+    "anomaly_matched" (a commuting concomitant equals its closed-form
+    Dorfman-Leibniz anomaly, ``clifford.concomitant_anomaly``) or
+    "difference" (two commuting concomitants with the same W = I J agree;
+    the name is "N(I',J')-N(I,J)")."""
 
     name: str
     vanished: bool
@@ -471,6 +482,7 @@ class TensorReport:
     sample_count: int
     witnesses: list = field(default_factory=list)
     method: str = "sweep"
+    identity: str = "vanishes"
 
 
 def generator_labels(chart, degree_bound):
@@ -606,19 +618,27 @@ def _sparse_rows(M, const):
     return [[(j, p) for j, p in enumerate(row) if p] for row in M]
 
 
-def _kernel_setup(tensor: BoundTensor):
+def _fields(tensor: BoundTensor):
+    """The ScalarFields a tensor's base must clear: the entries of its
+    structures and the coefficients of its flux."""
+    flux = {} if tensor.flux is None else tensor.flux.H.coeffs
+    return ([f for s in tensor.structures for row in s.entries for f in row]
+            + list(flux.values()))
+
+
+def _kernel_setup(tensor: BoundTensor, base: _PowerDen | None = None):
     """(mats, kflux, nums, square) for _eval_kernel and _tensoriality: the
-    base, the structures as numerators over m^1 in kernel matrix layout
-    (constant coefficients when the base is the unit and every structure is
+    base (the LCM of the denominators of ``_fields`` unless given), the
+    structures as numerators over m^1 in kernel matrix layout (constant
+    coefficients when the base is the unit and every structure is
     constant), the flux coefficients as numerators over m^1 (None for zero
     flux), the structures' dense numerator rows over m^1, and the dense
     numerators over m^2 of S S for one structure S, of I J + J I for a
     concomitant N(I, J)."""
     structs = tensor.structures
     flux = {} if tensor.flux is None else tensor.flux.H.coeffs
-    base = _PowerDen.lcm(tensor.chart,
-                         [f for s in structs for row in s.entries for f in row]
-                         + list(flux.values()))
+    if base is None:
+        base = _PowerDen.lcm(tensor.chart, _fields(tensor))
     const = base.unit and all(s.is_constant for s in structs)
     nums = [base.numerators(s) for s in structs]
     mats = {"base": base, "J": _sparse_rows(nums[-1], const),
@@ -640,13 +660,20 @@ def _kernel_setup(tensor: BoundTensor):
 def _identity_multiple(M, m2):
     """The constant c with M = c m2 Id (M and m2 numerators over one power
     of the base), or None when M is not a constant multiple of m2 Id."""
-    mono, lead = next(iter(m2.items()))
-    c = K.c_mul(M[0][0].get(mono, K.C_ZERO), K.c_inv(lead))
-    diag = K.p_scale(m2, c)
-    if all(e == (diag if i == j else {})
-           for i, row in enumerate(M) for j, e in enumerate(row)):
+    c = _constant_ratio(M[0][0], m2)
+    if c is not None and all(e == (M[0][0] if i == j else {})
+                             for i, row in enumerate(M)
+                             for j, e in enumerate(row)):
         return c
     return None
+
+
+def _constant_ratio(p, m2):
+    """The constant c with p = c m2 (p and m2 numerators over one power of
+    the base), or None when p is not a constant multiple of m2."""
+    mono, lead = next(iter(m2.items()))
+    c = K.c_mul(p.get(mono, K.C_ZERO), K.c_inv(lead))
+    return c if K.p_scale(m2, c) == p else None
 
 
 def _skew_adjoint(S):
@@ -700,6 +727,76 @@ def _tensoriality(kind, base, nums, square):
     if c is not None and all(_skew_adjoint(S) for S in nums):
         return "skew"
     return "second_slot"
+
+
+def _commuting_product(nums):
+    """W = I J as numerators over m^2 when I and J (nums, numerators over
+    m^1) are skew-adjoint and I J = J I exactly, else None."""
+    I, J = nums
+    if not (_skew_adjoint(I) and _skew_adjoint(J)):
+        return None
+    W = _mat_mul_terms(I, J)
+    return W if W == _mat_mul_terms(J, I) else None
+
+
+def _commuting_symbol(base, nums, partner=None):
+    """(identity, skew) for a concomitant N(I, J) of commuting structures,
+    decided exactly on the numerators over m^1 of I and J (nums) and, for
+    a difference, of a partner pair (I', J').  identity names what the
+    family is measured against (``TensorReport.identity``); skew is True
+    when the structures prove the residual C-infinity-bilinear and skew, so
+    that the frame pairs a < b decide it.
+
+    - ("anomaly_matched", skew) when W = I J is constant: N must equal the
+      closed form 2g(<e_a,e_b> W - <e_a,W e_b>) Df on (f e_a, g e_b)
+      (``clifford.concomitant_anomaly``); skew iff I and J are
+      skew-adjoint and I J = J I.
+    - ("difference", True) when W is not constant, I and J are
+      skew-adjoint and commute, and so do I' and J', with I' J' = W: the
+      difference N(I',J') - N(I,J) must vanish.
+    - ("vanishes", False) otherwise: no closed form applies, and N itself
+      must vanish.
+
+    For skew-adjoint, commuting I and J, exactly,
+
+        N(I,J)(fA, gB) = fg N(I,J)(A,B) + 2g(<A,B> W - <A,WB>) Df,
+        N(I,J)(A, B) + N(I,J)(B, A) = 2(W D<A,B> - D<A,WB>).
+
+    The second slot's rho(.)g terms cancel for any concomitant
+    (``_tensoriality``).  In the first slot the rho(.)f terms cancel for any
+    I and J; the Df terms are (<IA,JB> + <JA,IB>) Df - (<A,JB> + <JA,B>)
+    I Df - (<A,IB> + <IA,B>) J Df + <A,B> (IJ + JI) Df, where the I Df and
+    J Df terms carry <A,JB> + <JA,B> = 0 and <A,IB> + <IA,B> = 0, and
+    <IA,JB> = <JA,IB> = -<A,WB>.  The symmetric part follows the same way
+    from [A,B] + [B,A] = 2D<A,B>.  The H-twist is C-infinity-bilinear and
+    skew, so it adds to neither.  Both right-hand sides depend on W alone.
+
+    - W constant: the frames pair to constants, <e_a,e_b> and
+      <e_a, W e_b> alike, so N(e_a,e_b) = -N(e_b,e_a), and the residual N
+      minus the closed form is C-infinity-bilinear and skew and equals N
+      on the frame pairs.  It vanishes iff N vanishes on the frame pairs
+      (e_a, e_b) with a < b.
+    - I' J' = W as well: the difference N(I',J') - N(I,J) has neither a
+      Leibniz term nor a symmetric part, so it is C-infinity-bilinear and
+      skew, and the frame pairs a < b decide it.  This holds for any W,
+      so the frame the pairs are read in does not matter.  For W = -G it
+      is how the diagonal families of Theorem 1.1 are compared (Gualtieri,
+      arXiv:math/0401221 and arXiv:1007.3485: -IJ = G for a generalized
+      Kaehler pair).
+
+    Without skew-adjointness or I J = J I the Df terms keep I Df and J Df
+    and the proof fails; the residual still has Q_k = 0, since the closed
+    form only multiplies by g."""
+    W = _commuting_product(nums)
+    m2 = base.mpow(2)
+    product = W if W is not None else _mat_mul_terms(*nums)
+    if all(_constant_ratio(p, m2) is not None for row in product
+           for p in row):
+        return "anomaly_matched", W is not None
+    if W is not None and partner is not None and \
+            _commuting_product(partner) == W:
+        return "difference", True
+    return "vanishes", False
 
 
 def _operand(kind, mats, A):
@@ -876,21 +973,67 @@ def _residuals(tensor: BoundTensor, degree_bound: int | None,
     frame of _complex_frame unless the pairs must decide the tensor at
     every point (pointwise); otherwise it takes degree 1 and yields
     (e_a, e_b) and (x_k e_a, e_b), which read N0 and P_k, and also
-    (e_a, x_k e_b), which read Q_k, unless Q_k = 0 is proven.  A
-    generator's structure images and Jacobians are built once, when a pair
-    first reads it, so a pair only brackets them and applies structures to
-    the brackets."""
+    (e_a, x_k e_b), which read Q_k, unless Q_k = 0 is proven."""
     mats, kflux, nums, square = _kernel_setup(tensor)
     kind = tensor.kind
     proven = (None if degree_bound is not None else
               _tensoriality(kind, mats["base"], nums, square))
+    frame = (_complex_frame(mats["base"], nums[0])
+             if proven == "skew" and kind == "nijenhuis" and not pointwise
+             else None)
+    return _pairs(kind, tensor.chart, [(mats, kflux)], degree_bound, proven,
+                  frame)
+
+
+def _commuting_residuals(tensor: BoundTensor, degree_bound: int | None,
+                         partner: BoundTensor | None = None):
+    """(identity, base, degree, pairs) for a concomitant N(I, J) of
+    commuting I and J, in the layout of ``_residuals``, with identity from
+    ``_commuting_symbol``.  For "difference" the pairs yield
+    N(partner) - N(I, J), otherwise N(I, J), over the LCM base of the
+    tensor and the partner; for "anomaly_matched" the caller subtracts the
+    closed form.  The certificate (degree_bound None) takes the frame pairs
+    a < b when the gate proves the residual skew; else (e_a, e_b) and
+    (x_k e_a, e_b) for the closed-form residual, whose Q_k = 0, and N's own
+    pairs (``_tensoriality``) for N itself.  A sweep takes every pair."""
+    chart = tensor.chart
+    if partner is None:
+        setups = [_kernel_setup(tensor)]
+    else:
+        both = _PowerDen.lcm(chart, _fields(partner) + _fields(tensor))
+        setups = [_kernel_setup(partner, both), _kernel_setup(tensor, both)]
+    mats, _, nums, square = setups[-1]
+    base = mats["base"]
+    identity, skew = _commuting_symbol(
+        base, nums, setups[0][2] if partner is not None else None)
+    if identity != "difference":
+        setups = setups[-1:]
+    proven = None
+    if degree_bound is None:
+        proven = ("skew" if skew else "second_slot"
+                  if identity == "anomaly_matched" else
+                  _tensoriality(tensor.kind, base, nums, square))
+    return (identity,) + _pairs(tensor.kind, chart,
+                                [s[:2] for s in setups], degree_bound,
+                                proven)
+
+
+def _pairs(kind, chart, setups, degree_bound, proven, frame=None):
+    """(base, degree, pairs) for ``_residuals``: the generators of monomial
+    degree 0 when proven is "skew", else of generator_degree(degree_bound),
+    and the pairs of them that the proof leaves (frame: the indices whose
+    pairs a < b decide a skew tensor, every frame index when None).  setups
+    holds (mats, kflux) of one tensor, or of two over one base whose
+    numerators are subtracted, the second from the first.  A generator's
+    structure images and Jacobians are built once, when a pair first reads
+    it, so a pair only brackets them and applies structures to the
+    brackets."""
     degree = 0 if proven == "skew" else generator_degree(degree_bound)
-    gens = _kernel_generators(tensor.chart, degree)
-    n = tensor.chart.dim
+    gens = _kernel_generators(chart, degree)
+    n = chart.dim
     every = range(len(gens))
     if proven == "skew":
-        frame = (_complex_frame(mats["base"], nums[0])
-                 if kind == "nijenhuis" and not pointwise else every)
+        frame = every if frame is None else frame
         todo = [(i, j) for i in frame for j in frame if i < j]
     else:
         # a sweep keeps every pair; the certificate keeps (e_a, e_b) and
@@ -900,27 +1043,34 @@ def _residuals(tensor: BoundTensor, degree_bound: int | None,
                   for A in gens]
         todo = [(i, j) for i in every for j in every
                 if not linear[j] or not (proven or linear[i])]
-    ops = {}
+    ops = [{} for _ in setups]
 
-    def op(i):
-        if i not in ops:
-            ops[i] = _operand(kind, mats, gens[i])
-        return ops[i]
+    def value(i, j):
+        out = None
+        for (mats, kflux), cache in zip(setups, ops):
+            for k in (i, j):
+                if k not in cache:
+                    cache[k] = _operand(kind, mats, gens[k])
+            P = _eval_kernel(kind, mats, kflux, n, cache[i], cache[j])
+            out = P if out is None else K.sec_sub(out, P)
+        return out
 
     def pairs():
         for i, j in todo:
-            yield i, j, _eval_kernel(kind, mats, kflux, n, op(i), op(j))
-    return mats["base"], degree, pairs()
+            yield i, j, value(i, j)
+    return setups[0][0]["base"], degree, pairs()
 
 
-def _tensor_report(name, degree_bound, base, degree, pairs, max_witnesses):
+def _tensor_report(name, degree_bound, base, degree, pairs, max_witnesses,
+                   identity="vanishes"):
     """Collect (i, j, numerators over m^3) into a TensorReport: vanished iff
     every numerator is zero, with the first max_witnesses nonzero pairs,
     labelled from the generators of monomial degree <= degree that
     _residuals evaluated."""
     labels = generator_labels(base.chart, degree)
     report = TensorReport(name, True, degree_bound, 0, method=(
-        "symbol_certificate" if degree_bound is None else "sweep"))
+        "symbol_certificate" if degree_bound is None else "sweep"),
+        identity=identity)
     for i, j, out in pairs:
         report.sample_count += 1
         if not K.sec_is_zero(out):

@@ -88,7 +88,9 @@ class TestAlgebraCache:
         proj = project(ind, T)
         assert project(induce(T), T) is proj
 
-    def test_with_status_copy_starts_empty_and_keeps_guards(self):
+    def test_with_status_copy_shares_the_cache_and_keeps_guards(self):
+        # a copy has the same generators and flux, so it shares the cache;
+        # the relations guard still runs on the copy's own status
         from gencliff.clifford import TripleStatus
         T = verify_triple(hyperkahler_r4(), 0)
         ind = induce(T)
@@ -96,8 +98,13 @@ class TestAlgebraCache:
         with pytest.raises(ValueError):
             induce(raw)
         again = T.with_status(T.status)
-        assert induce(again) is not ind
-        assert induce(again).J1.entries_equal(ind.J1)
+        assert induce(again) is ind
+        assert project(ind, again) is project(ind, T)
+        # filled by a copy made before the cache was: seen by the original
+        U = verify_triple(hyperkahler_r4(), 0)
+        copy = U.with_status(U.status)
+        assert induce(U) is induce(copy)
+        assert project(induce(copy), copy) is project(induce(U), U)
 
     def test_project_guard_runs_with_a_filled_cache(self):
         import dataclasses
@@ -229,12 +236,13 @@ class TestSymbolCertificate:
     # first three reports) only the pairs within the J-complex frame are
     # kept: 4 of the 8 frame elements, with their images under Ii, form a
     # basis, so 4 * 3 / 2 pairs; theorem_1_1's concomitant N(Ii,Ii) keeps
-    # all 28.  The diagonal pairs
-    # N(Ii,Ji), with IJ + JI = 2 Ii Ji, keep (e_a, e_b) and
-    # (x_k e_a, e_b): 2n * 2n * (1 + n) pairs
+    # all 28.  The diagonal pairs N(Ii,Ji), with IJ + JI = 2 Ii Ji, are
+    # matched against the closed-form anomaly; W = Ii Ji is constant, so
+    # the residual is C-infinity-bilinear and skew and keeps the 28 frame
+    # pairs a < b too (2n * 2n * (1 + n) = 320 before the gate proved it)
     SKEW_PAIRS = 8 * 7 // 2
     ORBIT_PAIRS = 4 * 3 // 2
-    CERT_PAIRS = 8 * 8 * (1 + 4)
+    CERT_PAIRS = 8 * 7 // 2
     DIAGONAL = {"N(I1,J1)", "N(I2,J2)", "N(I3,J3)"}
 
     def test_verdicts_agree_with_degree_one_sweep(self):
@@ -254,6 +262,7 @@ class TestSymbolCertificate:
             assert c.name == s.name
             assert c.vanished == s.vanished, c.name
             assert c.method == "symbol_certificate" and s.method == "sweep"
+            assert c.identity == s.identity
             if c.vanished:      # a failing family stops at 10 witnesses
                 assert c.sample_count == (
                     self.ORBIT_PAIRS if k < 3
@@ -303,6 +312,143 @@ class TestSymbolCertificate:
         assert witnesses(status.integrability) == witnesses(ref)[:10]
         assert [r.sample_count for r in status.integrability] == [6, 4]
         assert not status.integrable and status.relations_ok
+
+
+def frame_pair(witness):
+    """True iff a witness's generator pair is a frame pair (e_a, e_b) with
+    a < b, the pairs of a proven C-infinity-bilinear, skew residual."""
+    a, b = witness[:2]
+    return a in FRAMES and b in FRAMES and FRAMES.index(a) < FRAMES.index(b)
+
+
+def diagonal_family(T, flux=None, i=0):
+    """N(I_i,J_i) of a relation-checked triple, bound with flux or with the
+    triple's own flux."""
+    from gencliff.gcs import bind_concomitant
+    I, J = T.generators[i], induce(T).J[i]
+    if flux is not None:
+        I, J = I.with_flux(flux), J.with_flux(flux)
+    return bind_concomitant(I, J, f"N(I{i + 1},J{i + 1})", flux or T.flux)
+
+
+def commuting_cases():
+    """Commuting-family bindings by name, with (_commuting_symbol's
+    (identity, skew), whether the family meets its identity).  The constant
+    cases
+    have W = I1 J1 constant: hyperkahler_r4, hk4b and hyperkahler_r4 under
+    the constant flux dx1^dx2^dx3, whose H-twist the closed form does not
+    hold (it fails on frame pairs).  The fallbacks: (I1, I2), which
+    anticommute with the constant W = I1 I2; (S, S) for the antidiagonal S
+    (S^2 = -Id, W = -Id) that is not skew-adjoint; N(I1,J1) of the twisted
+    triple, whose W = -G is not constant, without a partner."""
+    from gencliff.cartan import KForm
+    from gencliff.courant import FluxForm
+    from gencliff.gcs import bind_concomitant
+    from tests.test_gcs import antidiagonal_structure
+    from tests.test_twistor import hk4b_triple, twisted_bfield_triple
+    T = verify_triple(hyperkahler_r4())
+    H = FluxForm(KForm.basis(R4, (0, 1, 2)))
+    S = antidiagonal_structure()
+    return {
+        "hyperkahler_r4": (diagonal_family(T), ("anomaly_matched", True),
+                           True),
+        "hk4b": (diagonal_family(hk4b_triple()), ("anomaly_matched", True),
+                 True),
+        "flux": (diagonal_family(T, H), ("anomaly_matched", True), False),
+        "non_commuting": (bind_concomitant(T.I1, T.I2, "N(I1,I2)"),
+                          ("anomaly_matched", False), False),
+        "not_skew_adjoint": (bind_concomitant(S, S, "N(S,S)"),
+                             ("anomaly_matched", False), False),
+        "no_partner": (diagonal_family(twisted_bfield_triple()),
+                       ("vanishes", False), False),
+    }
+
+
+class TestCommutingGate:
+    """gcs._commuting_symbol proves the frame pairs a < b decide a
+    commuting family's closed-form match (W = I J constant) or the
+    difference of two families with one W.  Where it proves it, the
+    certificate must be the degree-1 sweep restricted to those pairs; where
+    it must not, the certificate keeps 2n * 2n * (1 + n) pairs and the
+    sweep's verdict."""
+
+    EVERY = (8 * 5) ** 2
+    CERT_PAIRS = 8 * 8 * (1 + 4)
+
+    @staticmethod
+    def symbol(fam, partner=None):
+        from gencliff.gcs import _commuting_symbol, _kernel_setup
+        mats, _, nums, _ = _kernel_setup(fam)
+        other = None if partner is None else _kernel_setup(partner)[2]
+        return _commuting_symbol(mats["base"], nums, other)
+
+    @pytest.mark.parametrize("case", ["hyperkahler_r4", "hk4b", "flux"])
+    def test_frame_pairs_are_the_sweep_restricted(self, case):
+        from gencliff.clifford import _commuting_family_report
+        fam, proven, verdict = commuting_cases()[case]
+        assert self.symbol(fam) == proven
+        cert = _commuting_family_report(fam, None, self.EVERY)
+        sweep = _commuting_family_report(fam, 1, self.EVERY)
+        assert cert.identity == sweep.identity == "anomaly_matched"
+        assert cert.sample_count == 8 * 7 // 2
+        assert sweep.sample_count == self.EVERY
+        assert cert.vanished == sweep.vanished == verdict
+        assert cert.witnesses == [w for w in sweep.witnesses
+                                  if frame_pair(w)]
+        if not verdict:
+            assert cert.witnesses
+
+    @pytest.mark.parametrize("case", ["non_commuting", "not_skew_adjoint",
+                                      "no_partner"])
+    def test_fallback_keeps_the_pairs_and_the_sweep_verdict(self, case):
+        from gencliff.clifford import _commuting_family_report
+        from gencliff.gcs import vanishes
+        fam, proven, verdict = commuting_cases()[case]
+        assert self.symbol(fam) == proven
+        cert = _commuting_family_report(fam, None, self.EVERY)
+        sweep = _commuting_family_report(fam, 1, self.EVERY)
+        assert cert.identity == sweep.identity
+        assert cert.sample_count == self.CERT_PAIRS
+        assert cert.vanished == sweep.vanished == verdict
+        # (e_a, e_b) and (x_k e_a, e_b): a label carries '*' iff its
+        # monomial is not 1
+        assert cert.witnesses == [w for w in sweep.witnesses
+                                  if "*" not in w[1]]
+        if case == "no_partner":
+            # no closed form for a non-constant W: N itself must vanish
+            assert cert.identity == "vanishes"
+            assert cert == vanishes(fam, max_witnesses=self.EVERY)
+
+    def test_difference_needs_the_same_w(self):
+        # the twisted triple's diagonal families share W = -G; N(I1,I2)
+        # anticommutes, and hyperkahler_r4's N(I1,J1) has another W
+        from gencliff.gcs import bind_concomitant
+        from tests.test_twistor import twisted_bfield_triple
+        T = twisted_bfield_triple()
+        d1, d2 = diagonal_family(T, i=0), diagonal_family(T, i=1)
+        assert self.symbol(d2, d1) == self.symbol(d1, d2) == \
+            ("difference", True)
+        unproven = ("vanishes", False)
+        assert self.symbol(d2) == unproven
+        assert self.symbol(d2, bind_concomitant(T.I1, T.I2, "N(I1,I2)",
+                                                T.flux)) == unproven
+        flat = verify_triple(hyperkahler_r4())
+        assert self.symbol(diagonal_family(flat)) == \
+            ("anomaly_matched", True)
+        assert self.symbol(d2, diagonal_family(flat)) == unproven
+
+    def test_difference_is_the_sweep_restricted(self):
+        # Delta_12 = N(I1,J1) - N(I2,J2) of the twisted triple: zero on all
+        # 1,600 pairs of degree <= 1, and on the 28 frame pairs a < b
+        from gencliff.clifford import _commuting_family_report
+        from tests.test_twistor import twisted_bfield_triple
+        T = twisted_bfield_triple()
+        d1, d2 = diagonal_family(T, i=0), diagonal_family(T, i=1)
+        for degree_bound, count in ((None, 8 * 7 // 2), (1, self.EVERY)):
+            rep = _commuting_family_report(d2, degree_bound, 10, d1)
+            assert rep.name == "N(I1,J1)-N(I2,J2)"
+            assert rep.identity == "difference"
+            assert rep.vanished and rep.sample_count == count
 
 
 def conjugate_triple(T, Q):

@@ -173,8 +173,8 @@ class TestConnection:
         assert not oracle.flatness(bad)
 
     def test_failed_projection_identities_fail_the_suites(self, monkeypatch):
-        # _ihat refuses the triple; twistor and flatness report the refused
-        # connection data alike, theorem13 the refused twistor structure
+        # _ihat refuses the triple; twistor, flatness and theorem13 report
+        # the refused connection data alike, as one failed check
         from gencliff.cli import RunConfig, load_model, run
         corrupt_projection(monkeypatch)
         with pytest.raises(ValueError, match="projection identities"):
@@ -186,9 +186,7 @@ class TestConnection:
                    "fail"]
         got = [(r["status"], r["witnesses"], r["checks"])
                for r in report["suites"]]
-        assert got[:2] == [("fail", refused, 1)] * 2
-        assert got[2] == ("fail", ["error: projection identities (G+-, "
-                                   "I_i+-) fail"], 0)
+        assert got == [("fail", refused, 1)] * 3
 
     def test_plus_sector_has_no_second_factor_dependence(self):
         # the c-dependent half of Ihat is constant along (u2, v2): its
@@ -614,14 +612,64 @@ class TestTheorem12:
         else:
             assert rep.witnesses()
 
-    def test_twisted_bfield_base_theorem_1_1_fails(self):
-        # the base triple's commuting families are not constant, so
-        # theorem_1_1 checks them strictly and fails on N(Ii,Ji) although
-        # the rotated family passes everywhere
+    def test_twisted_bfield_base_theorem_1_1_passes(self):
+        # the base triple's diagonal families share the non-constant
+        # W = -G, so theorem_1_1 decides them as the differences
+        # N(I1,J1) - N(I2,J2) and N(I1,J1) - N(I3,J3) on 28 frame pairs each
         rep = theorem_1_1(twisted_bfield_triple())
-        assert rep.status == "fail"
-        assert {f.name for f in rep.families if not f.vanished} == \
-            {"N(I1,J1)", "N(I2,J2)", "N(I3,J3)"}
+        assert rep.status == "pass"
+        diffs = [f for f in rep.families if f.identity == "difference"]
+        assert [f.name for f in diffs] == ["N(I1,J1)-N(I2,J2)",
+                                           "N(I1,J1)-N(I3,J3)"]
+        assert [f.sample_count for f in diffs] == [28, 28]
+        assert len(rep.families) == 20
+        assert all(f.sample_count == 28 for f in rep.families)
+
+    def test_twisted_bfield_base_passes_the_theorem11_suite(self):
+        # the same triple as a CLI document with its flux
+        # dB = dx1^dx2^dx3: 3 x 6 pairs for the generators, then the 20
+        # reports of theorem_1_1 on 28 frame pairs each
+        import json
+        from gencliff.cli import RunConfig, load_model, run
+        T = twisted_bfield_triple()
+        doc = {"chart": {"dim": 4, "coords": list(T.chart.names)},
+               "triple": {f"I{k + 1}": [[str(f) for f in row]
+                                        for row in E.entries]
+                          for k, E in enumerate(T.generators)},
+               "flux": [{"indices": [1, 2, 3], "coeff": "1"}]}
+        report, code = run(load_model(text=json.dumps(doc)),
+                           RunConfig(suites=["theorem11"]))
+        assert code == 0
+        res = report["suites"][0]
+        assert (res["status"], res["checks"]) == ("pass", 3 * 6 + 20 * 28)
+
+    def test_nonclosed_bfield_fails_on_its_generators(self):
+        # without its flux dB the triple is not integrable: the theorem11
+        # suite fails on the generators' own N(Ii,Ii), before theorem_1_1
+        import json
+        from gencliff.cli import RunConfig, load_model, run
+        T = nonclosed_bfield()
+        doc = {"chart": {"dim": 4, "coords": list(T.chart.names)},
+               "triple": {f"I{k + 1}": [[str(f) for f in row]
+                                        for row in E.entries]
+                          for k, E in enumerate(T.generators)}}
+        report, code = run(load_model(text=json.dumps(doc)),
+                           RunConfig(suites=["theorem11"]))
+        res = report["suites"][0]
+        assert code == 1 and res["status"] == "fail" and res["witnesses"]
+        assert {w.split(" at ")[0] for w in res["witnesses"]} <= \
+            {"N(I1,I1)", "N(I2,I2)", "N(I3,I3)"}
+
+    @pytest.mark.parametrize("build", [
+        verified_triple, flip_triple, hk4b_triple, twisted_bfield_triple,
+        nonclosed_bfield])
+    def test_theorem_1_1_verdict_matches_theorem_1_2(self, build):
+        # the generator conditions and the 21 families (theorem11) against
+        # the 24 families of the rotated family (theorem_1_2)
+        T = build()
+        verdict = ("pass" if T.status.integrable
+                   and theorem_1_1(T).status == "pass" else "fail")
+        assert verdict == twistor.theorem_1_2(T).status
 
     def test_flipped_rotation_field_fails(self, monkeypatch):
         right = twistor.rot_field
