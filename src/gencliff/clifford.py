@@ -2,6 +2,21 @@
 bi-quaternion structures (J_i, G), the projections (G+-, I_i+-), and the
 simultaneous-integrability suite.
 
+The relations and the induced algebra are decided on one product table per
+triple (``_ProductTable``, cached with the triple): the generators'
+numerators I_i over their base m and 41 products of numerator matrices on
+the kernel -- I_i I_j, the orthogonality products, G = -(I1 I2) I3, G^2,
+and J_i J_j, I_i J_j, J_i I_j -- with every identity checked exactly on
+numerators lifted to one power of m.  The projections need no product:
+the table gives G I_i = J_i and G J_i = I_i, so every product of G+- and
+I_i+- expands into verified table entries (proof in ``project``).  The same
+table fixes which of Theorem 1.1's families commute: for i != j,
+I_i I_j = e_ijk J_k = -I_j I_i, J_i J_j = e_ijk J_k = -J_j J_i and
+I_i J_j = e_ijk I_k = -J_j I_i, each nonzero as its square is -Id, so
+those 12 families anticommute and do not commute; the 9 with i = j commute
+(I_i J_i = J_i I_i = -G).  The dense EndField versions of these checks are
+the oracle in the tests.
+
 The model hardcodes three generators (the rank-3 case); general rank-r is an
 extension point, not implemented.
 """
@@ -9,12 +24,12 @@ extension point, not implemented.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .scalar import ChartMismatchError, ScalarField
+from ._core import kernel as K
+from .scalar import ChartMismatchError, Poly, ScalarField
 from .courant import FluxForm
-from .gcs import (EndField, TensorReport, bind_concomitant,
-                  bind_nijenhuis, is_orthogonal, vanishes)
+from .gcs import (HALF, EndField, TensorReport, _PowerDen, _mat_mul_terms,
+                  _wrap_terms, bind_concomitant, bind_nijenhuis, vanishes)
 
 _EPS_TABLE = {
     (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
@@ -112,26 +127,138 @@ class CliffordTriple:
                 f"verified={self.status.verified})")
 
 
+_NEG = (-1, 0, 1)
+
+
+def _lin(*terms):
+    """sum c M over the (c, M) pairs: kernel coefficients c and dense
+    matrices M of numerators over one power of the base."""
+    size = len(terms[0][1])
+    out = [[{} for _ in range(size)] for _ in range(size)]
+    for c, M in terms:
+        for acc, row in zip(out, M):
+            for j, p in enumerate(row):
+                if p:
+                    acc[j] = K.p_add(acc[j], K.p_scale(p, c))
+    return out
+
+
+class _ProductTable:
+    """The kernel product table of a triple: its generators' numerators
+    I_i over m^1, m the LCM of their denominators (``gcs._PowerDen.lcm``;
+    m = 1 for polynomial generators), and the products of numerator
+    matrices (``gcs._mat_mul_terms``) that decide the Clifford relations
+    and the induced algebra.  A product of numerators over m^j and m^k is
+    the numerator over m^(j+k), so each identity is decided on numerators
+    lifted to one power of m, with no GCD.
+
+    Built on first use (``_table``) and cached with the triple: the 9
+    products I_i I_j (over m^2) and, for orthogonality, the 3
+    products E^T (P E), where P E is E's rows permuted and halved.  The
+    induced part, built by the first ``induce`` or ``project``, adds
+    J_i = eps_ijk I_j I_k / 2 (over m^2, no product), G = -(I1 I2) I3
+    (m^3), G^2 (m^6) and the 27 products J_i J_j (m^4), I_i J_j and
+    J_i I_j (m^3): 41 products in all."""
+
+    def __init__(self, gens):
+        self.chart = chart = gens[0].chart
+        self.base = _PowerDen.lcm(chart, [f for E in gens
+                                          for row in E.entries for f in row])
+        self.I = [self.base.numerators(E) for E in gens]
+        self.II = [[_mat_mul_terms(a, b) for b in self.I] for a in self.I]
+        self.relations = self._relations()
+        self._induced = None
+
+    def eye(self, k, c=K.C_ONE, shift=0):
+        """c m^k times the permutation matrix with ones at (r, r + shift
+        mod 2n): c m^k Id for shift 0."""
+        size = len(self.I[0])
+        d = K.p_scale(self.base.mpow(k), c)
+        return [[d if j == (r + shift) % size else {} for j in range(size)]
+                for r in range(size)]
+
+    def lift(self, M, j, k):
+        """The numerators over m^j of M as numerators over m^k."""
+        return [self.base.lift(row, j, k) for row in M]
+
+    def wrap(self, M, k, flux):
+        """The EndField whose entries have the numerators M over m^k."""
+        chart = self.chart
+        if self.base.unit:
+            return EndField(chart, _wrap_terms(chart, M), flux)
+        den = Poly(chart, self.base.mpow(k))
+        zero = ScalarField.zero(chart)
+        return EndField(chart, [[ScalarField(Poly(chart, p), den) if p
+                                 else zero for p in row] for row in M], flux)
+
+    def _relations(self):
+        II, n = self.II, self.chart.dim
+        checks = []
+        for i in range(3):
+            for j in range(i, 3):
+                if i == j:
+                    checks.append(RelationCheck(
+                        f"I{i+1}^2 = -Id", II[i][i] == self.eye(2, _NEG)))
+                else:
+                    anti = _lin((K.C_ONE, II[i][j]), (K.C_ONE, II[j][i]))
+                    checks.append(RelationCheck(
+                        f"I{i+1} I{j+1} + I{j+1} I{i+1} = 0",
+                        not any(p for row in anti for p in row)))
+        # E^T P E = P, P_rs = 1/2 iff s = r + n mod 2n (the pairing)
+        for i, E in enumerate(self.I):
+            PE = [[K.p_scale(p, HALF) for p in E[(r + n) % (2 * n)]]
+                  for r in range(2 * n)]
+            checks.append(RelationCheck(
+                f"I{i+1} orthogonal",
+                _mat_mul_terms([list(c) for c in zip(*E)], PE)
+                == self.eye(2, HALF, n)))
+        checks = tuple(checks)
+        return RelationsReport(checks, all(c.ok for c in checks))
+
+    def induced(self):
+        """(J, G, table_ok): the J_i over m^2, G over m^3 and the verdict
+        on the multiplication table of ``induce``."""
+        if self._induced is None:
+            I, II = self.I, self.II
+            J = [_lin((HALF, II[(i + 1) % 3][(i + 2) % 3]),
+                      (K.c_neg(HALF), II[(i + 2) % 3][(i + 1) % 3]))
+                 for i in range(3)]
+            G = _lin((_NEG, _mat_mul_terms(II[0][1], I[2])))
+            I3 = [self.lift(E, 1, 3) for E in I]
+
+            def combo(i, j, unit, fam):
+                """-d_ij unit + e_ijk fam_k."""
+                terms = [(_NEG, unit)] if i == j else []
+                terms += [((e, 0, 1), fam[k]) for k in range(3)
+                          for e in (levi_civita(i + 1, j + 1, k + 1),) if e]
+                return _lin(*terms)
+
+            ok = _mat_mul_terms(G, G) == self.eye(6)
+            for i in range(3):
+                for j in range(3):
+                    want = combo(i, j, self.eye(2), J)          # m^2
+                    ok = ok and II[i][j] == want
+                    ok = ok and (_mat_mul_terms(J[i], J[j])
+                                 == self.lift(want, 2, 4))
+                    want = combo(i, j, G, I3)                   # m^3
+                    ok = ok and _mat_mul_terms(I[i], J[j]) == want
+                    ok = ok and _mat_mul_terms(J[i], I[j]) == want
+            self._induced = J, G, ok
+        return self._induced
+
+
+def _table(T: CliffordTriple) -> _ProductTable:
+    """T's product table, shared with its ``with_status`` copies."""
+    if "table" not in T._algebra:
+        T._algebra["table"] = _ProductTable(T.generators)
+    return T._algebra["table"]
+
+
 def check_relations(T: CliffordTriple) -> RelationsReport:
     """Verify I_i I_j + I_j I_i = -2 delta_ij Id for all six unordered pairs,
-    plus orthogonality of each generator (every check exact)."""
-    chart = T.chart
-    gens = T.generators
-    checks = []
-    minus2 = EndField.identity(chart).scale(ScalarField.constant(chart, -2))
-    for i in range(3):
-        for j in range(i, 3):
-            anti = (gens[i] @ gens[j]) + (gens[j] @ gens[i])
-            if i == j:
-                ok = anti.entries_equal(minus2)
-                checks.append(RelationCheck(f"I{i+1}^2 = -Id", ok))
-            else:
-                checks.append(RelationCheck(
-                    f"I{i+1} I{j+1} + I{j+1} I{i+1} = 0", anti.is_zero))
-    for i, E in enumerate(gens):
-        checks.append(RelationCheck(f"I{i+1} orthogonal", is_orthogonal(E)))
-    checks = tuple(checks)
-    return RelationsReport(checks, all(c.ok for c in checks))
+    plus orthogonality of each generator (every check exact, on the
+    numerators of T's product table)."""
+    return _table(T).relations
 
 
 def verify_triple(T: CliffordTriple,
@@ -172,13 +299,15 @@ def verify_triple(T: CliffordTriple,
 @dataclass(frozen=True)
 class InducedStructures:
     """J_i = eps_ijk I_j I_k / 2 and G = -I1 I2 I3, with the verified
-    bi-quaternion multiplication table."""
+    bi-quaternion multiplication table; generators are the I_i they were
+    induced from."""
 
     J1: EndField
     J2: EndField
     J3: EndField
     G: EndField
     table_ok: bool
+    generators: tuple = field(compare=False, repr=False)
 
     @property
     def J(self):
@@ -188,55 +317,20 @@ class InducedStructures:
 def induce(T: CliffordTriple) -> InducedStructures:
     """Build the induced structures and verify the full multiplication table:
     I_i I_j = -d_ij + e_ijk J_k,  J_i J_j = -d_ij + e_ijk J_k,
-    I_i J_j = J_i I_j = -d_ij G + e_ijk I_k,  G^2 = Id.
+    I_i J_j = J_i I_j = -d_ij G + e_ijk I_k,  G^2 = Id,
+    each a literal identity of numerator matrices in T's product table.
 
     The result is cached on T (and its ``with_status`` copies), so later
     calls return the same object; the relations guard runs on every call."""
     if not T.status.relations_ok:
         raise ValueError("relations not verified; run verify_triple first")
     if "induced" not in T._algebra:
-        T._algebra["induced"] = _induce(T)
+        tab = _table(T)
+        J, G, ok = tab.induced()
+        T._algebra["induced"] = InducedStructures(
+            *(tab.wrap(M, 2, T.flux) for M in J), tab.wrap(G, 3, T.flux), ok,
+            T.generators)
     return T._algebra["induced"]
-
-
-def _induce(T: CliffordTriple) -> InducedStructures:
-    chart = T.chart
-    I = (None,) + T.generators
-    half = ScalarField.constant(chart, Fraction(1, 2))
-    J = [None, None, None, None]
-    for i in (1, 2, 3):
-        acc = None
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                e = levi_civita(i, j, k)
-                if e == 0:
-                    continue
-                term = (I[j] @ I[k]).scale(half)
-                if e < 0:
-                    term = -term
-                acc = term if acc is None else acc + term
-        J[i] = acc
-    G = -(I[1] @ I[2] @ I[3])
-    ident = EndField.identity(chart)
-
-    def combo(base, i, j, fam):
-        out = -base if i == j else None
-        for k in (1, 2, 3):
-            e = levi_civita(i, j, k)
-            if e == 0:
-                continue
-            t = fam[k] if e > 0 else -fam[k]
-            out = t if out is None else out + t
-        return out
-
-    ok = (G @ G).entries_equal(ident)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            ok = ok and (I[i] @ I[j]).entries_equal(combo(ident, i, j, J))
-            ok = ok and (J[i] @ J[j]).entries_equal(combo(ident, i, j, J))
-            ok = ok and (I[i] @ J[j]).entries_equal(combo(G, i, j, I))
-            ok = ok and (J[i] @ I[j]).entries_equal(combo(G, i, j, I))
-    return InducedStructures(J[1], J[2], J[3], G, ok)
 
 
 @dataclass(frozen=True)
@@ -252,54 +346,54 @@ class Projections:
 
 
 def project(ind: InducedStructures, T: CliffordTriple) -> Projections:
-    """Split into the two commuting quaternionic sectors and verify:
-    (G+-)^2 = G+-, I_i+- I_j+- = -d_ij G+- + e_ijk I_k+-, and every mixed
-    +- product vanishes.
+    """Split into the two commuting quaternionic sectors:
+    (G+-)^2 = G+-, G+ + G- = Id, I_i+- I_j+- = -d_ij G+- + e_ijk I_k+-,
+    and every mixed +- product vanishes.
 
-    When ind is T's own cached ``induce(T)`` the result is cached on T as
-    well; the table guard runs on every call."""
+    G+- and I_i+- are linear combinations of the numerators in T's product
+    table, and identities_ok is the table's verdict: every product above
+    expands into verified table entries.  The table gives G I_i = J_i and
+    G J_i = I_i: for j != i, G = -I_j J_j, so G I_i = -I_j (J_j I_i)
+    = -e_jik I_j I_k = -e_jik e_jki J_i = J_i, as e_jik e_jki = -1, and
+    G J_i = -I_j (J_j J_i) = -e_jik I_j J_k = I_i the same way.  Then
+
+        I_i+- I_j+- = (J_i J_j +- J_i I_j +- I_i J_j + I_i I_j)/4
+                    = -d_ij (Id +- G)/2 + e_ijk (J_k +- I_k)/2
+                    = -d_ij G+- + e_ijk I_k+-,
+        I_i+ I_j-   = (J_i J_j - J_i I_j + I_i J_j - I_i I_j)/4 = 0,
+        G+ I_i-     = (J_i - I_i + G J_i - G I_i)/4 = 0,
+
+    the other mixed products likewise, and G^2 = Id gives (G+-)^2 = G+-
+    and G+ G- = G- G+ = 0.  So the projection identities follow from the
+    table; only the table is a literal matrix check.
+
+    ind must be induced from T's generators (else ValueError).  When ind
+    is T's own cached ``induce(T)`` the result is cached on T as well; the
+    table guard runs on every call."""
     if not ind.table_ok:
         raise ValueError("induced multiplication table not verified")
+    if len(ind.generators) != 3 or not all(
+            a.entries_equal(b) for a, b in zip(ind.generators, T.generators)):
+        raise ValueError("induced structures of another triple")
     if ind is not T._algebra.get("induced"):
-        return _project(ind, T)
+        return _project(T)
     if "projections" not in T._algebra:
-        T._algebra["projections"] = _project(ind, T)
+        T._algebra["projections"] = _project(T)
     return T._algebra["projections"]
 
 
-def _project(ind: InducedStructures, T: CliffordTriple) -> Projections:
-    chart = T.chart
-    half = ScalarField.constant(chart, Fraction(1, 2))
-    ident = EndField.identity(chart)
-    Gp = (ident + ind.G).scale(half)
-    Gm = (ident - ind.G).scale(half)
-    I = (None,) + T.generators
-    J = (None,) + ind.J
-    Ip = tuple((J[i] + I[i]).scale(half) for i in (1, 2, 3))
-    Im = tuple((J[i] - I[i]).scale(half) for i in (1, 2, 3))
-
-    ok = (Gp @ Gp).entries_equal(Gp) and (Gm @ Gm).entries_equal(Gm)
-    ok = ok and (Gp + Gm).entries_equal(ident)
-    for fam, gsec in ((Ip, Gp), (Im, Gm)):
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                want = None
-                if i == j:
-                    want = -gsec
-                for k in (1, 2, 3):
-                    e = levi_civita(i, j, k)
-                    if e == 0:
-                        continue
-                    t = fam[k - 1] if e > 0 else -fam[k - 1]
-                    want = t if want is None else want + t
-                ok = ok and (fam[i - 1] @ fam[j - 1]).entries_equal(want)
-    for i in (1, 2, 3):
-        ok = ok and (Gp @ Im[i - 1]).is_zero and (Gm @ Ip[i - 1]).is_zero
-        ok = ok and (Ip[i - 1] @ Gm).is_zero and (Im[i - 1] @ Gp).is_zero
-        for j in (1, 2, 3):
-            ok = ok and (Ip[i - 1] @ Im[j - 1]).is_zero
-            ok = ok and (Im[i - 1] @ Ip[j - 1]).is_zero
-    ok = ok and (Gp @ Gm).is_zero and (Gm @ Gp).is_zero
+def _project(T: CliffordTriple) -> Projections:
+    """G+- over m^3 and I_i+- over m^2 from T's product table; G+- carry no
+    flux (as Id +- G, Id having none), I_i+- carry T's."""
+    tab = _table(T)
+    J, G, ok = tab.induced()
+    signs = (HALF, K.c_neg(HALF))
+    eye = tab.eye(3)
+    Gp, Gm = (tab.wrap(_lin((HALF, eye), (c, G)), 3, None) for c in signs)
+    I = [tab.lift(E, 1, 2) for E in tab.I]
+    Ip, Im = (tuple(tab.wrap(_lin((HALF, Ji), (c, Ii)), 2, T.flux)
+                    for Ji, Ii in zip(J, I))
+              for c in signs)
     return Projections(Gp, Gm, Ip, Im, ok)
 
 
@@ -324,8 +418,10 @@ class SuiteReport:
         return out
 
 
-# positions of the diagonal families N(I_i, J_i) in theorem_1_1_families
+# positions in theorem_1_1_families of the diagonal families N(I_i, J_i),
+# and of all 9 families whose structures commute (i = j; module docstring)
 _DIAGONAL = (12, 16, 20)
+_COMMUTING = frozenset((0, 3, 5, 6, 9, 11) + _DIAGONAL)
 
 
 def theorem_1_1_families(T: CliffordTriple, ind: InducedStructures):
@@ -347,10 +443,6 @@ def theorem_1_1_families(T: CliffordTriple, ind: InducedStructures):
             fams.append(bind_concomitant(I[i], J[j], f"N(I{i+1},J{j+1})",
                                          T.flux))
     return fams
-
-
-def _commute(A: EndField, B: EndField) -> bool:
-    return (A @ B).entries_equal(B @ A)
 
 
 def concomitant_anomaly(W: EndField, m, a: int, mprime, b: int) -> Section:
@@ -459,11 +551,12 @@ def theorem_1_1(T: CliffordTriple, degree_bound: int | None = None,
     degree_bound sweeps all generator pairs up to that monomial degree
     instead, as a cross-check.  The report note names the method.
 
-    The 12 anticommuting families have IJ + JI = 0 and are C-infinity-
-    bilinear and skew (``gcs.vanishes``): they must vanish, and the
-    certificate takes the 2n(2n - 1)/2 frame pairs a < b (28 at n = 4).
-    The 9 commuting families -- the self-pairs N(I_i, I_i), N(J_i, J_i)
-    and the diagonal pairs N(I_i, J_i) -- go through
+    The verified multiplication table fixes which families commute (module
+    docstring).  The 12 anticommuting families have IJ + JI = 0 and are
+    C-infinity-bilinear and skew (``gcs.vanishes``): they must vanish, and
+    the certificate takes the 2n(2n - 1)/2 frame pairs a < b (28 at
+    n = 4).  The 9 commuting families -- the self-pairs N(I_i, I_i),
+    N(J_i, J_i) and the diagonal pairs N(I_i, J_i) -- go through
     ``_commuting_family_report``.  Their first slot keeps the Leibniz term
     2g(<A,B> W - <A,WB>) Df with W = IJ (``gcs._commuting_symbol``), which
     is zero for the self-pairs (W = -Id) but not for the diagonal pairs,
@@ -506,7 +599,7 @@ def theorem_1_1(T: CliffordTriple, degree_bound: int | None = None,
     for k, fam in enumerate(fams):
         if fam is ref:
             continue
-        if mode == "verify" and _commute(*fam.structures):
+        if mode == "verify" and k in _COMMUTING:
             rep = _commuting_family_report(
                 fam, degree_bound, max_witnesses,
                 ref if k in _DIAGONAL else None)

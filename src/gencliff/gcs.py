@@ -640,21 +640,31 @@ def _kernel_setup(tensor: BoundTensor, base: _PowerDen | None = None):
     if base is None:
         base = _PowerDen.lcm(tensor.chart, _fields(tensor))
     const = base.unit and all(s.is_constant for s in structs)
-    nums = [base.numerators(s) for s in structs]
+    kflux = {idx: base.numerator(f) for idx, f in flux.items()}
+    return _numerator_setup(tensor.kind, base,
+                            [base.numerators(s) for s in structs],
+                            kflux or None, const)
+
+
+def _numerator_setup(kind, base, nums, kflux, const):
+    """``_kernel_setup``'s tuple from the structures' dense numerator rows
+    over m^1 (nums) and the flux numerators (kflux, None for zero flux);
+    const selects the constant-coefficient kernel layout.  For a
+    concomitant, mats["products"] holds the dense I J and J I over m^2."""
     mats = {"base": base, "J": _sparse_rows(nums[-1], const),
             "app": K.mat_apply_const if const else K.mat_apply_poly}
-    if tensor.kind == "concomitant":
+    if kind == "concomitant":
         I, J = nums
         IJ, JI = _mat_mul_terms(I, J), _mat_mul_terms(J, I)
         mats["I"] = _sparse_rows(I, const)
         mats["IJ"] = _sparse_rows(IJ, const)
         mats["JI"] = _sparse_rows(JI, const)
+        mats["products"] = (IJ, JI)
         square = [[K.p_add(a, b) for a, b in zip(r1, r2)]
                   for r1, r2 in zip(IJ, JI)]
     else:
         square = _mat_mul_terms(nums[0], nums[0])
-    kflux = {idx: base.numerator(f) for idx, f in flux.items()}
-    return mats, kflux or None, nums, square
+    return mats, kflux, nums, square
 
 
 def _identity_multiple(M, m2):
@@ -729,23 +739,25 @@ def _tensoriality(kind, base, nums, square):
     return "second_slot"
 
 
-def _commuting_product(nums):
-    """W = I J as numerators over m^2 when I and J (nums, numerators over
-    m^1) are skew-adjoint and I J = J I exactly, else None."""
-    I, J = nums
+def _commuting_product(setup):
+    """W = I J as numerators over m^2 when I and J (a concomitant's
+    ``_kernel_setup``) are skew-adjoint and I J = J I exactly, else None;
+    read from the products the setup already holds."""
+    mats, _, (I, J), _ = setup
     if not (_skew_adjoint(I) and _skew_adjoint(J)):
         return None
-    W = _mat_mul_terms(I, J)
-    return W if W == _mat_mul_terms(J, I) else None
+    IJ, JI = mats["products"]
+    return IJ if IJ == JI else None
 
 
-def _commuting_symbol(base, nums, partner=None):
+def _commuting_symbol(setup, partner=None):
     """(identity, skew) for a concomitant N(I, J) of commuting structures,
-    decided exactly on the numerators over m^1 of I and J (nums) and, for
-    a difference, of a partner pair (I', J').  identity names what the
-    family is measured against (``TensorReport.identity``); skew is True
-    when the structures prove the residual C-infinity-bilinear and skew, so
-    that the frame pairs a < b decide it.
+    decided exactly on the ``_kernel_setup`` of N(I, J) (the numerators
+    over m^1 of I and J, and I J, J I over m^2) and, for a difference, on
+    that of a partner pair N(I', J') over the same base.  identity names
+    what the family is measured against (``TensorReport.identity``); skew
+    is True when the structures prove the residual C-infinity-bilinear and
+    skew, so that the frame pairs a < b decide it.
 
     - ("anomaly_matched", skew) when W = I J is constant: N must equal the
       closed form 2g(<e_a,e_b> W - <e_a,W e_b>) Df on (f e_a, g e_b)
@@ -787,9 +799,9 @@ def _commuting_symbol(base, nums, partner=None):
     Without skew-adjointness or I J = J I the Df terms keep I Df and J Df
     and the proof fails; the residual still has Q_k = 0, since the closed
     form only multiplies by g."""
-    W = _commuting_product(nums)
-    m2 = base.mpow(2)
-    product = W if W is not None else _mat_mul_terms(*nums)
+    W = _commuting_product(setup)
+    m2 = setup[0]["base"].mpow(2)
+    product = W if W is not None else setup[0]["products"][0]
     if all(_constant_ratio(p, m2) is not None for row in product
            for p in row):
         return "anomaly_matched", W is not None
@@ -974,15 +986,20 @@ def _residuals(tensor: BoundTensor, degree_bound: int | None,
     every point (pointwise); otherwise it takes degree 1 and yields
     (e_a, e_b) and (x_k e_a, e_b), which read N0 and P_k, and also
     (e_a, x_k e_b), which read Q_k, unless Q_k = 0 is proven."""
-    mats, kflux, nums, square = _kernel_setup(tensor)
-    kind = tensor.kind
+    return _setup_residuals(tensor.kind, tensor.chart, _kernel_setup(tensor),
+                            degree_bound, pointwise)
+
+
+def _setup_residuals(kind, chart, setup, degree_bound, pointwise=False):
+    """``_residuals`` of the tensor of this kind whose ``_kernel_setup`` (or
+    ``_numerator_setup``) is setup, over chart."""
+    mats, kflux, nums, square = setup
     proven = (None if degree_bound is not None else
               _tensoriality(kind, mats["base"], nums, square))
     frame = (_complex_frame(mats["base"], nums[0])
              if proven == "skew" and kind == "nijenhuis" and not pointwise
              else None)
-    return _pairs(kind, tensor.chart, [(mats, kflux)], degree_bound, proven,
-                  frame)
+    return _pairs(kind, chart, [(mats, kflux)], degree_bound, proven, frame)
 
 
 def _commuting_residuals(tensor: BoundTensor, degree_bound: int | None,
@@ -1005,7 +1022,7 @@ def _commuting_residuals(tensor: BoundTensor, degree_bound: int | None,
     mats, _, nums, square = setups[-1]
     base = mats["base"]
     identity, skew = _commuting_symbol(
-        base, nums, setups[0][2] if partner is not None else None)
+        setups[-1], setups[0] if partner is not None else None)
     if identity != "difference":
         setups = setups[-1:]
     proven = None

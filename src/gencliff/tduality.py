@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from ._core import kernel as K
 from .scalar import Chart, ScalarField
@@ -53,6 +54,21 @@ class CourantIso:
         return EndField(self.chart,
                         [[ScalarField.constant(self.chart, v) for v in row]
                          for row in self.matrix], flux)
+
+    @cached_property
+    def conjugators(self):
+        """(Phi, Phi^-1) as EndFields, built once per isomorphism.  Phi is
+        orthogonal (checked on construction): Phi^T P Phi = P with
+        P = S/2, S the swap of the vector and covector halves, so
+        Phi^-1 = S Phi^T S exactly, entry (i, j) being
+        Phi[(j + n) % 2n][(i + n) % 2n]."""
+        n = self.chart.dim
+        size = 2 * n
+        M = self.matrix
+        inv = [[ScalarField.constant(self.chart,
+                                     M[(j + n) % size][(i + n) % size])
+                for j in range(size)] for i in range(size)]
+        return self.as_endfield(), EndField(self.chart, inv)
 
     def apply(self, A: Section) -> Section:
         comps = A.to_components()
@@ -237,8 +253,7 @@ def conjugate(phi: CourantIso, E: EndField) -> EndField:
     if not phi.is_invariant_end(E):
         raise NonInvariantSectionError(
             "structure varies along a dualized coordinate")
-    P = phi.as_endfield()
-    Pinv = P.inverse()
+    P, Pinv = phi.conjugators
     out = P @ E @ Pinv
     return EndField(phi.chart, out.entries, phi.target_flux)
 

@@ -16,12 +16,12 @@ decided on the unit vectors c, d, the forms omega1 = c x dc and
 omega2 = d x dd and the sector algebra that ``project`` verifies, with no
 matrix built (see ``ConnectionData``).  The mixed bracket identities are
 decided on Ihat's numerators, and the integrability check of Theorem 1.3
-runs the Nijenhuis evaluator of ``gcs``, which finds m as the LCM of the
-twistor structure's denominators; that structure is orthogonal and squares
-to -Id, so its Nijenhuis tensor is decided on the frame pairs within a
-J-complex frame: (n + 4)(n + 3)/2 pairs of the (2n + 8)(2n + 7)/2 frame
-pairs a < b of the (n + 4)-coordinate product chart (28 of 120 at n = 4,
-66 of 276 at n = 8).
+runs the Nijenhuis evaluator of ``gcs`` on the twistor structure's
+numerators over the same m, as ``_ihat`` builds them (no ScalarField round
+trip); that structure is orthogonal and squares to -Id, so its Nijenhuis
+tensor is decided on the frame pairs within a J-complex frame:
+(n + 4)(n + 3)/2 pairs of the (2n + 8)(2n + 7)/2 frame pairs a < b of the
+(n + 4)-coordinate product chart (28 of 120 at n = 4, 66 of 276 at n = 8).
 
 Only the finite stereographic chart of each sphere is implemented; zeta =
 infinity is outside every formula here (the point-wise oracle uses rational
@@ -37,9 +37,10 @@ from functools import cache
 from ._core import kernel as K
 from .scalar import Chart, GaussianRational, Poly, ScalarField
 from .cartan import KForm
-from .gcs import (EndField, _PowerDen, _kernel_generators, _residuals,
-                  _sparse_rows, bind_concomitant, bind_nijenhuis,
-                  generator_labels, is_almost_gcs, vanishes)
+from .gcs import (EndField, _PowerDen, _kernel_generators,
+                  _numerator_setup, _setup_residuals, _sparse_rows,
+                  bind_concomitant, generator_labels, is_almost_gcs,
+                  vanishes)
 from .clifford import (CliffordTriple, Projections, SuiteReport,
                        TripleStatus, check_relations, induce, project)
 
@@ -588,22 +589,17 @@ def product_chart(T: CliffordTriple) -> Chart:
     return Chart(T.chart.names + SPHERE_COORDS)
 
 
-def twistor_structure(T: CliffordTriple) -> EndField:
-    """Ihat(zeta1, zeta2) (+) J_sphere over the product chart
-    (x..., u1, v1, u2, v2); requires a constant-coefficient triple so that
-    all sphere dependence comes through c and d.  Ihat's entries are its
-    numerators over the sphere base m, normalized once; J_sphere is the
-    constant pattern of ``sphere_gcs``.  T.flux is on the triple's chart:
-    a zero flux is dropped, and a nonzero one is not lifted to the product
-    chart (EndField rejects it)."""
+def _twistor_numerators(T: CliffordTriple):
+    """(Z, base, rows): the product chart Z = (x..., u1, v1, u2, v2), the
+    sphere base m of ``_ihat`` and the dense numerators over m^1 of
+    Ihat (+) J_sphere on Z -- Ihat's numerators as ``_ihat`` builds them,
+    and m times the constant pattern of ``sphere_gcs``."""
     Z = product_chart(T)
     _, _, base, _, Ihat, _ = _ihat(T, Z)
-    m = Poly(Z, base.m)
     n = T.chart.dim
     N = Z.dim
-    zero = ScalarField.zero(Z)
     size = 2 * N
-    rows = [[zero] * size for _ in range(size)]
+    rows = [[{} for _ in range(size)] for _ in range(size)]
 
     def mslot(i):
         return i if i < n else N + (i - n)
@@ -614,14 +610,28 @@ def twistor_structure(T: CliffordTriple) -> EndField:
     for i, row in enumerate(Ihat):
         for j, p in enumerate(row):
             if p:
-                rows[mslot(i)][mslot(j)] = ScalarField(Poly(Z, p), m)
+                rows[mslot(i)][mslot(j)] = p
     for i, row in enumerate(sphere_gcs().entries):
         for j, f in enumerate(row):
             if not f.is_zero:
-                rows[sslot(i)][sslot(j)] = ScalarField.constant(
-                    Z, f.constant_value())
+                rows[sslot(i)][sslot(j)] = K.p_scale(base.m, f.num.terms[0])
+    return Z, base, rows
+
+
+def twistor_structure(T: CliffordTriple) -> EndField:
+    """Ihat(zeta1, zeta2) (+) J_sphere over the product chart
+    (x..., u1, v1, u2, v2); requires a constant-coefficient triple so that
+    all sphere dependence comes through c and d.  The entries are the
+    numerators of ``_twistor_numerators`` over the sphere base m, each
+    normalized once.  T.flux is on the triple's chart: a zero flux is
+    dropped, and a nonzero one is not lifted to the product chart
+    (EndField rejects it)."""
+    Z, base, rows = _twistor_numerators(T)
+    m = Poly(Z, base.m)
+    zero = ScalarField.zero(Z)
     flux = None if T.flux is None or T.flux.is_zero else T.flux
-    return EndField(Z, rows, flux)
+    return EndField(Z, [[ScalarField(Poly(Z, p), m) if p else zero
+                         for p in row] for row in rows], flux)
 
 
 @dataclass
@@ -644,7 +654,8 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
 
     The Nijenhuis tensor of Ihat (+) J_sphere is evaluated by
     ``gcs.vanishes``'s evaluator, as exact numerators over a power of the
-    sphere base m (the LCM of the structure's denominators).  With
+    sphere base m, from the structure's numerators over m
+    (``_twistor_numerators``).  With
     degree_bound None (the default) this is the symbol certificate: the
     structure squares to -Id and is skew-adjoint for the pairing (both
     checked exactly on its numerators), so its Nijenhuis tensor is
@@ -671,12 +682,13 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
     if T.flux is not None and not T.flux.is_zero:
         return TwistorReport("inconclusive",
                              note="twistor sweep implemented for zero flux")
-    E = twistor_structure(T)
-    Z = E.chart
+    Z, base, rows = _twistor_numerators(T)
     n = T.chart.dim
     rep = TwistorReport("pass", mode="sampled" if samples else "symbolic")
-    _, degree, pairs = _residuals(bind_nijenhuis(E), degree_bound,
-                                  pointwise=bool(samples))
+    _, degree, pairs = _setup_residuals(
+        "nijenhuis", Z, _numerator_setup("nijenhuis", base, [rows], None,
+                                         False),
+        degree_bound, pointwise=bool(samples))
     labels = generator_labels(Z, degree)
     # (witness prefix, point or None for the symbolic zero test, note)
     if samples:
@@ -703,30 +715,29 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
     rep.witnesses = [w for wit in found for w in wit]
     if rep.witnesses:
         rep.status = "fail"
-    rep.mixed_ok = _mixed_bracket_checks(E, T)
+    rep.mixed_ok = _mixed_bracket_checks(Z, n, base, rows)
     if not rep.mixed_ok:
         rep.status = "fail"
         rep.witnesses.append(("mixed", "bracket", "Lemma-4.4 identity failed"))
     return rep
 
 
-def _mixed_bracket_checks(E: EndField, T: CliffordTriple) -> bool:
-    """Lemma-4.4 style identities on the product chart:
+def _mixed_bracket_checks(Z: Chart, n: int, base: _PowerDen, rows) -> bool:
+    """Lemma-4.4 style identities on the product chart Z, for a triple on
+    n coordinates:
     [alpha, v] = L_{rho(alpha)} v for sphere vectors alpha (componentwise
     derivative of sphere-dependent M-sections) and [alpha, v] = 0 for sphere
     1-forms alpha.  Decided on numerators over the sphere base m: v is a
-    column of E over m^1, and both sides of each identity are numerators
-    over m^2.  Each column's Jacobian is built once; it holds the expected
-    d_w v as well."""
-    Z = E.chart
-    n = T.chart.dim
+    column of the twistor structure's numerators rows over m^1
+    (``_twistor_numerators``), and both sides of each identity are
+    numerators over m^2.  Each column's Jacobian is built once; it holds the
+    expected d_w v as well."""
     N = Z.dim
-    base = _sphere_base(Z)
     frames = _kernel_generators(Z, 0)
     # sphere-dependent M-sections: Ihat applied to M-frame sections
     vs = []
     for j in (0, N):                        # one vector-type, one covector
-        v = [base.numerator(row[j]) for row in E.entries]
+        v = [row[j] for row in rows]
         vs.append((v, base.jacobian(v, 1)))
 
     def bracket(alpha, v, dv):

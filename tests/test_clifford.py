@@ -378,9 +378,9 @@ class TestCommutingGate:
     @staticmethod
     def symbol(fam, partner=None):
         from gencliff.gcs import _commuting_symbol, _kernel_setup
-        mats, _, nums, _ = _kernel_setup(fam)
-        other = None if partner is None else _kernel_setup(partner)[2]
-        return _commuting_symbol(mats["base"], nums, other)
+        return _commuting_symbol(
+            _kernel_setup(fam),
+            None if partner is None else _kernel_setup(partner))
 
     @pytest.mark.parametrize("case", ["hyperkahler_r4", "hk4b", "flux"])
     def test_frame_pairs_are_the_sweep_restricted(self, case):
@@ -503,3 +503,133 @@ class TestConjugation:
         for i in range(3):
             assert projc.Ip[i].entries_equal(Q @ proj.Ip[i] @ Qinv)
             assert projc.Im[i].entries_equal(Q @ proj.Im[i] @ Qinv)
+
+
+def rational_bfield_triple():
+    """hyperkahler_r4 under B = x1/(1 + x2^2) dx2^dx3 with its flux dB: a
+    rational, non-constant triple, so the product table's base is
+    m = 1 + x2^2, not the unit."""
+    from gencliff.cartan import KForm
+    from gencliff.gcs import bfield_transform
+    x2 = ScalarField.variable(R4, 1)
+    f = ScalarField.variable(R4, 0) / (ScalarField.one(R4) + x2 * x2)
+    B = KForm.basis(R4, (1, 2)).scale(f)
+    return CliffordTriple(*[bfield_transform(E, B)
+                            for E in hyperkahler_r4().generators])
+
+
+def tdual_hk4b_triple():
+    from gencliff.tduality import conjugate_triple, make_torus_duality
+    from tests.test_twistor import hk4b_triple
+    return conjugate_triple(make_torus_duality(R4, 1), hk4b_triple())
+
+
+def broken_triple():
+    """(I1, I2, I1) of hyperkahler_r4: I1 I3 + I3 I1 = -2 Id != 0."""
+    T = hyperkahler_r4()
+    return CliffordTriple(T.I1, T.I2, T.I1)
+
+
+def table_triples():
+    from tests.test_twistor import hk4b_triple, twisted_bfield_triple
+    return {"hyperkahler_r4": hyperkahler_r4, "product_flip": product_flip,
+            "hk4b": hk4b_triple, "hk4b_dual": tdual_hk4b_triple,
+            "twisted_bfield": twisted_bfield_triple,
+            "rational_bfield": rational_bfield_triple,
+            "broken": broken_triple}
+
+
+class TestProductTable:
+    """check_relations, induce and project decide on one kernel product
+    table per triple; the dense EndField oracle (tests/clifford_oracle.py)
+    must give the same failure names and flags, and entrywise the same
+    J_i, G, G+- and I_i+-, with the same fluxes."""
+
+    @pytest.mark.parametrize("name", list(table_triples()))
+    def test_agrees_with_the_dense_oracle(self, name):
+        from gencliff.clifford import (RelationsReport, TripleStatus,
+                                       _table)
+        from tests import clifford_oracle as oracle
+        T = table_triples()[name]()
+        rel = check_relations(T)
+        assert rel == oracle.check_relations(T)
+        assert rel.ok is (name != "broken")
+        if name == "broken":
+            assert rel.failures == ["I1 I3 + I3 I1 = 0"]
+            # induce the table all the same, past the relations guard
+            rel = RelationsReport((), True)
+        assert _table(T).base.unit is (name != "rational_bfield")
+        T = T.with_status(TripleStatus(rel, ()))
+        ind = induce(T)
+        J1, J2, J3, G, table_ok = oracle.induce(T)
+        assert ind.table_ok is table_ok is (name != "broken")
+        assert ind.J + (ind.G,) == (J1, J2, J3, G)
+        Gp, Gm, Ip, Im, identities_ok = oracle.project((J1, J2, J3), G, T)
+        if name == "broken":
+            assert not identities_ok
+            with pytest.raises(ValueError, match="table not verified"):
+                project(ind, T)
+            return
+        proj = project(ind, T)
+        assert proj.identities_ok is identities_ok is True
+        assert (proj.Gp, proj.Gm, proj.Ip, proj.Im) == (Gp, Gm, Ip, Im)
+
+    def test_41_kernel_products_and_no_endfield_product(self, monkeypatch):
+        # hk4b: 12 products for the relations, 29 more for the induced
+        # algebra, none for the projections or for theorem_1_1's choice of
+        # the commuting families
+        from gencliff import clifford
+        from tests.test_twistor import hk4b_triple
+        T = CliffordTriple(*hk4b_triple().generators)     # no table yet
+        calls = []
+        real = clifford._mat_mul_terms
+        monkeypatch.setattr(clifford, "_mat_mul_terms",
+                            lambda A, B: calls.append(1) or real(A, B))
+
+        def refuse(self, other):
+            raise AssertionError("EndField product")
+        monkeypatch.setattr(EndField, "__matmul__", refuse)
+        T = T.with_status(clifford.TripleStatus(check_relations(T), ()))
+        assert len(calls) == 12
+        project(induce(T), T)
+        assert len(calls) == 41
+        assert theorem_1_1(verify_triple(T)).status == "pass"
+        assert len(calls) == 41
+
+    def test_project_of_a_foreign_triple_raises(self):
+        T = verify_triple(hyperkahler_r4(), 0)
+        flip = verify_triple(product_flip(), 0)
+        P = verify_triple(CliffordTriple(T.I2, T.I1, T.I3), 0)
+        for other in (flip, P):
+            with pytest.raises(ValueError, match="another triple"):
+                project(induce(other), T)
+        import dataclasses
+        with pytest.raises(ValueError, match="another triple"):
+            project(dataclasses.replace(induce(T), generators=()), T)
+
+    @pytest.mark.parametrize("name", ["hyperkahler_r4", "hk4b",
+                                      "twisted_bfield"])
+    def test_commuting_families_are_the_diagonal(self, name):
+        # theorem_1_1 reads the commuting families off the verified table;
+        # the dense products agree family by family
+        from gencliff.clifford import _COMMUTING, theorem_1_1_families
+        T = verify_triple(table_triples()[name]())
+        fams = theorem_1_1_families(T, induce(T))
+        assert len(fams) == 21
+        for k, fam in enumerate(fams):
+            A, B = fam.structures
+            assert (A @ B).entries_equal(B @ A) is (k in _COMMUTING), \
+                fam.name
+            assert (fam.name[3] == fam.name[6]) is (k in _COMMUTING)
+
+    def test_commuting_symbol_reads_the_setup_products(self, monkeypatch):
+        # the gate reads I J and J I from _kernel_setup, which built them
+        # for _tensoriality, and multiplies nothing itself
+        from gencliff import gcs
+        T = verify_triple(hyperkahler_r4())
+        setup = gcs._kernel_setup(diagonal_family(T))
+
+        def refuse(A, B):
+            raise AssertionError("numerator product")
+        monkeypatch.setattr(gcs, "_mat_mul_terms", refuse)
+        assert gcs._commuting_symbol(setup) == ("anomaly_matched", True)

@@ -179,6 +179,26 @@ class TestConjugate:
             conjugate(phi, E)
 
 
+    def test_inverse_is_exact_and_built_once(self):
+        # Phi = swap along x1 after e^B, B = 2/3 dx1^dx2 (orthogonal, with a
+        # nonzero lower-left block): Phi^-1 = S Phi^T S equals Gauss-Jordan
+        # elimination, and each isomorphism builds it once
+        F = Fraction
+        eB = [[F(int(i == j)) for j in range(4)] for i in range(4)]
+        eB[2][1], eB[3][0] = F(2, 3), F(-2, 3)
+        swap = make_torus_duality(R2, 0).matrix
+        M = tuple(tuple(sum(swap[i][k] * eB[k][j] for k in range(4))
+                        for j in range(4)) for i in range(4))
+        phi = CourantIso(R2, M, None, None, frozenset({0}))
+        P, Pinv = phi.conjugators
+        assert phi.conjugators is phi.conjugators
+        assert P.entries_equal(phi.as_endfield())
+        assert Pinv.entries_equal(P.inverse())
+        assert not Pinv.entries_equal(P)
+        E = diag_type(((0, -1), (1, 0)), R2)
+        assert conjugate(phi, E).entries_equal(P @ E @ P.inverse())
+
+
 class TestLemma51:
     def test_transport_identity(self):
         T = verify_triple(hyperkahler_r4(), 0)

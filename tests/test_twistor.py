@@ -421,6 +421,20 @@ class TestTheorem13:
         assert " ".join(labels[r] for r in reps) == frame
         assert theorem_1_3(T, 0).status == rep.status
 
+    def test_reads_the_numerators_not_the_structure(self, monkeypatch):
+        # theorem_1_3 evaluates the numerators of _twistor_numerators over
+        # the sphere base; the normalized twistor_structure is not built
+        T = hk4b_triple()
+        want = theorem_1_3(T)
+
+        def refuse(T):
+            raise AssertionError("twistor_structure built")
+        monkeypatch.setattr(twistor, "twistor_structure", refuse)
+        got = theorem_1_3(T)
+        assert (got.status, got.nijenhuis_checks, got.mixed_ok) == \
+            (want.status, want.nijenhuis_checks, want.mixed_ok) == \
+            ("pass", self.CERT_PAIRS, True)
+
     def test_zero_flux_is_no_flux(self):
         # the T-dual of hyperkahler_r4 carries the zero flux of the target
         # chart; the product-chart structure carries none
@@ -553,7 +567,11 @@ class TestTheorem13:
             got = K.sec_dorfman(Z.dim, P, vn, None, base.jacobian(P, 0),
                                 base.jacobian(vn, 1))
             assert base.section(got, 2) == want
-        assert twistor._mixed_bracket_checks(E, T)
+        # theorem_1_3 hands the checks the numerators of E over m directly
+        Zn, basen, rows = twistor._twistor_numerators(T)
+        assert Zn == Z and basen.m == base.m
+        assert rows == [[base.numerator(f) for f in row] for row in E.entries]
+        assert twistor._mixed_bracket_checks(Z, T.chart.dim, base, rows)
 
 
 class TestSamplePoints:
