@@ -33,11 +33,10 @@ from .gcs import (EndField, TensorReport, bfield_transform, bind_concomitant,
 from .clifford import (CliffordTriple, InducedStructures, Projections,
                        check_relations, induce, levi_civita, project,
                        theorem_1_1, verify_triple)
-from .twistor import (RotationMatrix, TwistorPoint, check_cross_commutator,
-                      check_dI_commutator, check_flatness, connection_data,
-                      rot_S, rot_T, rotate_family, sample_points,
-                      sphere_chart, sphere_gcs, stereo_vec, theorem_1_2,
-                      theorem_1_3, twistor_structure)
+from .twistor import (RotationMatrix, TwistorPoint, check_dI_commutator,
+                      check_flatness, connection_data, rot_S, rot_T,
+                      rotate_family, sample_points, sphere_chart, sphere_gcs,
+                      stereo_vec, theorem_1_2, theorem_1_3, twistor_structure)
 from .tduality import (CourantIso, check_intertwine, conjugate,
                        conjugate_triple, make_torus_duality,
                        props_5_2_to_5_4)
@@ -65,10 +64,10 @@ __all__ = [
     "CliffordTriple", "InducedStructures", "Projections", "check_relations",
     "induce", "levi_civita", "project", "theorem_1_1", "verify_triple",
     # twistor layer
-    "RotationMatrix", "TwistorPoint", "check_cross_commutator",
-    "check_dI_commutator", "check_flatness", "connection_data", "rot_S",
-    "rot_T", "rotate_family", "sample_points", "sphere_chart", "sphere_gcs",
-    "stereo_vec", "theorem_1_2", "theorem_1_3", "twistor_structure",
+    "RotationMatrix", "TwistorPoint", "check_dI_commutator", "check_flatness",
+    "connection_data", "rot_S", "rot_T", "rotate_family", "sample_points",
+    "sphere_chart", "sphere_gcs", "stereo_vec", "theorem_1_2", "theorem_1_3",
+    "twistor_structure",
     # T-duality
     "CourantIso", "check_intertwine", "conjugate", "conjugate_triple",
     "make_torus_duality", "props_5_2_to_5_4",

@@ -61,8 +61,7 @@ from . import polygcd as G
 from .scalar import Chart, ChartMismatchError, Poly, ScalarField
 from .cartan import KForm
 from .courant import (FluxForm, Section, dorfman_twisted,
-                      frame_sections, monomials_up_to, section_from_kernel,
-                      section_kernel_components)
+                      frame_sections, monomials_up_to, section_from_kernel)
 
 HALF = (1, 0, 2)
 
@@ -1127,24 +1126,6 @@ def vanishes(tensor: BoundTensor, degree_bound: int | None = None,
     base, degree, pairs = _residuals(tensor, degree_bound)
     return _tensor_report(tensor.name, degree_bound, base, degree, pairs,
                           max_witnesses)
-
-
-def kernel_evaluate(tensor: BoundTensor, A: Section, B: Section) -> Section:
-    """tensor(A, B) by the kernel evaluator ``_eval_kernel`` when the
-    structures, the flux and the sections are polynomial; by the ScalarField
-    reference ``BoundTensor.evaluate`` otherwise, where normalizing the
-    kernel's numerators over a rational base costs more than the reference
-    formula."""
-    if A.chart != tensor.chart or B.chart != tensor.chart:
-        raise ChartMismatchError("sections on wrong chart")
-    P, Q = section_kernel_components(A), section_kernel_components(B)
-    mats, kflux, _, _ = _kernel_setup(tensor)
-    if P is None or Q is None or not mats["base"].unit:
-        return tensor.evaluate(A, B)
-    kind = tensor.kind
-    out = _eval_kernel(kind, mats, kflux, tensor.chart.dim,
-                       _operand(kind, mats, P), _operand(kind, mats, Q))
-    return mats["base"].section(out, 3)
 
 
 # ---------------------------------------------------------------------------

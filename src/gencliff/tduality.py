@@ -6,9 +6,10 @@ generators) by conjugation.
 The desk-scale duality is the frame swap along one circle direction with
 H = H~ = 0; the intertwining identity is verified on sections constant along
 the dualized coordinate (the regime where the naive swap is an isomorphism of
-Courant algebroids), and non-invariant test sections are rejected with a
-diagnostic.  Nontrivial flux dualities are an extension point, not
-implemented.
+Courant algebroids), and structures that vary along it are rejected with a
+diagnostic.  Lemma 5.1, the transport of every Nijenhuis-type tensor, follows
+from the intertwine certificate and the conjugation (``check_intertwine``).
+Nontrivial flux dualities are an extension point, not implemented.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from functools import cached_property
 from ._core import kernel as K
 from .scalar import Chart, ScalarField
 from .courant import FluxForm, Section, monomials_up_to
-from .gcs import (EndField, _PowerDen, _flux_eq, bind_concomitant,
-                  generator_degree, kernel_evaluate)
+from .gcs import EndField, _PowerDen, _flux_eq, generator_degree
 from .clifford import (CliffordTriple, check_relations, induce, project,
                        verify_triple)
 
@@ -80,13 +80,6 @@ class CourantIso:
                     acc = acc + c * v
             out.append(acc)
         return Section.from_components(self.chart, out)
-
-    def is_invariant_section(self, A: Section) -> bool:
-        for f in A.to_components():
-            for k in self.invariant_coords:
-                if not f.diff(k).is_zero:
-                    return False
-        return True
 
     def is_invariant_end(self, E: EndField) -> bool:
         for row in E.entries:
@@ -186,7 +179,15 @@ def check_intertwine(phi: CourantIso, degree_bound: int | None = None,
     pairs (e_a, e_b), (x_k e_a, e_b) and (e_a, x_k e_b).  An integer
     degree_bound sweeps every ordered pair of generators of degree <=
     degree_bound instead, as an opt-in cross-check.  Witnesses, in the
-    fixed generator order, are capped at max_witnesses."""
+    fixed generator order, are capped at max_witnesses.
+
+    Lemma 5.1 is not checked apart: it follows.  Let I, J be invariant
+    structures, I~ = Phi I Phi^-1 and J~ = Phi J Phi^-1 (``conjugate``).
+    The concomitant N_H(I, J)(A, B) is a sum of terms X[Y A, Z B]_H with
+    X, Y, Z products of I, J and Id; for invariant A, B the sections YA, ZB
+    are invariant, so Phi X[YA, ZB]_H = X~[Y~ Phi A, Z~ Phi B]_H~ term by
+    term, and N_H~(I~, J~)(Phi A, Phi B) = Phi N_H(I, J)(A, B) on every
+    invariant pair.  One instance of it proves strictly less."""
     chart = phi.chart
     n = chart.dim
     tensorial = degree_bound is None and _tensorial(phi)
@@ -261,22 +262,6 @@ def conjugate(phi: CourantIso, E: EndField) -> EndField:
 def conjugate_triple(phi: CourantIso, T: CliffordTriple) -> CliffordTriple:
     gens = [conjugate(phi, E) for E in T.generators]
     return CliffordTriple(gens[0], gens[1], gens[2], phi.target_flux)
-
-
-def lemma_5_1_instance(phi: CourantIso, I: EndField, J: EndField,
-                       A: Section, B: Section) -> bool:
-    """N_H~(I~, J~)(Phi A, Phi B) = Phi(N_H(I, J)(A, B)) computed from both
-    sides independently on invariant sections, by the kernel evaluator for
-    polynomial sections (``gcs.kernel_evaluate``)."""
-    if not (phi.is_invariant_section(A) and phi.is_invariant_section(B)):
-        raise NonInvariantSectionError("sections vary along a dualized "
-                                       "coordinate")
-    It, Jt = conjugate(phi, I), conjugate(phi, J)
-    lhs = kernel_evaluate(bind_concomitant(It, Jt, flux=phi.target_flux),
-                          phi.apply(A), phi.apply(B))
-    rhs = phi.apply(kernel_evaluate(
-        bind_concomitant(I, J, flux=phi.source_flux), A, B))
-    return lhs == rhs
 
 
 @dataclass

@@ -14,12 +14,12 @@ are the sphere coordinates, for every dimension n of the triple's chart.
 The connection identities and the flatness of the (0,1) connection are
 decided on the unit vectors c, d, the forms omega1 = c x dc and
 omega2 = d x dd and the sector algebra that ``project`` verifies, with no
-matrix built (see ``ConnectionData``).  The mixed bracket identities are
-decided on Ihat's numerators, and the integrability check of Theorem 1.3
-runs the Nijenhuis evaluator of ``gcs`` on the twistor structure's
-numerators over the same m, as ``_ihat`` builds them (no ScalarField round
-trip); that structure is orthogonal and squares to -Id, so its Nijenhuis
-tensor is decided on the frame pairs within a J-complex frame:
+matrix built (see ``ConnectionData``).  The integrability check of
+Theorem 1.3 runs the Nijenhuis evaluator of ``gcs`` on the twistor
+structure's numerators over the same m, as ``_ihat`` builds them (no
+ScalarField round trip); that structure is orthogonal and squares to -Id,
+so its Nijenhuis tensor is decided on the frame pairs within a J-complex
+frame:
 (n + 4)(n + 3)/2 pairs of the (2n + 8)(2n + 7)/2 frame pairs a < b of the
 (n + 4)-coordinate product chart (28 of 120 at n = 4, 66 of 276 at n = 8).
 
@@ -37,12 +37,11 @@ from functools import cache
 from ._core import kernel as K
 from .scalar import Chart, GaussianRational, Poly, ScalarField
 from .cartan import KForm
-from .gcs import (EndField, _PowerDen, _kernel_generators,
-                  _numerator_setup, _setup_residuals, _sparse_rows,
-                  bind_concomitant, generator_labels, is_almost_gcs,
-                  vanishes)
-from .clifford import (CliffordTriple, Projections, SuiteReport,
-                       TripleStatus, check_relations, induce, project)
+from .gcs import (EndField, _PowerDen, _numerator_setup, _setup_residuals,
+                  _sparse_rows, bind_concomitant, generator_labels,
+                  is_almost_gcs, vanishes)
+from .clifford import (CliffordTriple, SuiteReport, TripleStatus,
+                       check_relations, induce, project)
 
 
 @dataclass(frozen=True)
@@ -361,6 +360,13 @@ class ConnectionData:
         [a.I+, b.I+] = 2 (a x b).I+,  [a.I-, b.I-] = 2 (a x b).I-,
         [a.I+, b.I-] = 0.
 
+    Proof: [a.I^s, b.I^s] = sum_kl a_k b_l (I_k^s I_l^s - I_l^s I_k^s)
+    = sum_kl a_k b_l 2 e_klc I_c^s = 2 (a x b).I^s, the -d_kl G^s terms
+    cancelling, and [a.I+, b.I-] = sum_kl a_k b_l (I_k^+ I_l^- - I_l^- I_k^+)
+    = 0.  These commutators are not checked as matrices: ``_ihat`` refuses
+    every triple whose identities_ok is false, so connection data exist
+    only where they hold.
+
     The triple enters the connection identities only through identities_ok;
     the rest is about the sphere chart (``check_dI_commutator``,
     ``check_flatness``)."""
@@ -455,23 +461,6 @@ def connection_data(T: CliffordTriple) -> ConnectionData:
                           _form_vector_cross(S4, d), (Ihat, 1),
                           tuple(sectors[:3]), tuple(sectors[3:]),
                           proj.identities_ok)
-
-
-def check_cross_commutator(a, b, proj: Projections) -> bool:
-    """[a.I+, b.I+] = 2 (a x b).I+ (same for the minus sector) and
-    [a.I+, b.I-] = 0, as exact matrix identities."""
-    a = tuple(Fraction(x) for x in a)
-    b = tuple(Fraction(x) for x in b)
-    two = ScalarField.constant(proj.Ip[0].chart, 2)
-    ab = _cross(a, b)
-    ok = True
-    for fam in (proj.Ip, proj.Im):
-        lhs = (_combine(a, fam) @ _combine(b, fam)) - \
-            (_combine(b, fam) @ _combine(a, fam))
-        ok = ok and lhs.entries_equal(_combine(ab, fam).scale(two))
-    mixed = (_combine(a, proj.Ip) @ _combine(b, proj.Im)) - \
-        (_combine(b, proj.Im) @ _combine(a, proj.Ip))
-    return ok and mixed.is_zero
 
 
 def _sphere_base(chart) -> _PowerDen:
@@ -639,7 +628,6 @@ class TwistorReport:
     status: str
     nijenhuis_checks: int = 0
     witnesses: list = None
-    mixed_ok: bool = False
     mode: str = "symbolic"
     note: str = ""
 
@@ -676,8 +664,14 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
     point) is evaluated exactly at (0, ..., 0, Re zeta1, Im zeta1,
     Re zeta2, Im zeta2) for each point, where m >= 1, so a check fails at
     a point iff the tensor is nonzero there.  Witnesses are capped at
-    max_witnesses per point.  Also verifies the mixed-bracket identity
-    [alpha, v] = L_{rho(alpha)} v on representative sphere/M pairs.
+    max_witnesses per point.
+
+    The mixed-bracket identities of a sphere frame field with a section v,
+    [d_w, v] = d_w v (componentwise) and [dw, v] = 0, are not checked here:
+    at zero flux the Dorfman bracket [X + xi, Y + eta] = [X, Y] + L_X eta
+    - i_Y dxi gives both for every section v, since L_{d_w} acts
+    componentwise on the coordinate frame and d(dw) = 0.  They hold
+    whatever the structure, so they test the bracket, not the theorem.
     """
     if T.flux is not None and not T.flux.is_zero:
         return TwistorReport("inconclusive",
@@ -715,44 +709,7 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
     rep.witnesses = [w for wit in found for w in wit]
     if rep.witnesses:
         rep.status = "fail"
-    rep.mixed_ok = _mixed_bracket_checks(Z, n, base, rows)
-    if not rep.mixed_ok:
-        rep.status = "fail"
-        rep.witnesses.append(("mixed", "bracket", "Lemma-4.4 identity failed"))
     return rep
-
-
-def _mixed_bracket_checks(Z: Chart, n: int, base: _PowerDen, rows) -> bool:
-    """Lemma-4.4 style identities on the product chart Z, for a triple on
-    n coordinates:
-    [alpha, v] = L_{rho(alpha)} v for sphere vectors alpha (componentwise
-    derivative of sphere-dependent M-sections) and [alpha, v] = 0 for sphere
-    1-forms alpha.  Decided on numerators over the sphere base m: v is a
-    column of the twistor structure's numerators rows over m^1
-    (``_twistor_numerators``), and both sides of each identity are
-    numerators over m^2.  Each column's Jacobian is built once; it holds the
-    expected d_w v as well."""
-    N = Z.dim
-    frames = _kernel_generators(Z, 0)
-    # sphere-dependent M-sections: Ihat applied to M-frame sections
-    vs = []
-    for j in (0, N):                        # one vector-type, one covector
-        v = [row[j] for row in rows]
-        vs.append((v, base.jacobian(v, 1)))
-
-    def bracket(alpha, v, dv):
-        return K.sec_dorfman(N, alpha, v, None, base.jacobian(alpha, 0), dv)
-    for w in range(4):
-        alpha = frames[n + w]
-        for v, dv in vs:
-            if bracket(alpha, v, dv) != [d[n + w] if d else {} for d in dv]:
-                return False
-        # pure sphere 1-form: rho(alpha) = 0 so the bracket must vanish
-        form = frames[N + n + w]
-        for v, dv in vs:
-            if not K.sec_is_zero(bracket(form, v, dv)):
-                return False
-    return True
 
 
 def sample_points(count: int, seed: int = 0, include_basics: bool = True):

@@ -7,11 +7,20 @@ identities over powers of the sphere base m: the connection form
 Omega = omega1.I+ + omega2.I- and its (0,1)-parts A1, A2 are assembled as
 matrices, and d Ihat = [Omega, Ihat]/2, dbar_s Ihat = [A_s, Ihat] and the
 curvature of A1 dzbar1 + A2 dzbar2 are tested entry by entry.
+
+Two identities that no suite checks are kept here as well: the cross-product
+commutators of the sector generators, which ``project``'s identities_ok
+implies (proof in ``twistor.ConnectionData``), and the mixed brackets of a
+sphere frame field with a twistor-structure column, which the Dorfman
+formula gives for every section (``twistor.theorem_1_3``).
 """
 
+from fractions import Fraction
+
 from gencliff._core import kernel as K
-from gencliff.gcs import _mat_mul_terms
-from gencliff.twistor import _sector_sum, _sphere_base
+from gencliff.gcs import _kernel_generators, _mat_mul_terms
+from gencliff.scalar import ScalarField
+from gencliff.twistor import _combine, _cross, _sector_sum, _sphere_base
 
 
 def mat_lift(base, A, ka, target):
@@ -120,3 +129,45 @@ def flatness(conn) -> bool:
     curv, kk = mat_sub(base, d1A2, ka, d2A1, kb)
     curv, _ = mat_sub(base, curv, kk, comm, kc)
     return mat_is_zero(curv)
+
+
+def cross_commutator(a, b, proj) -> bool:
+    """[a.I+, b.I+] = 2 (a x b).I+ (same for the minus sector) and
+    [a.I+, b.I-] = 0, as exact EndField identities."""
+    a = tuple(Fraction(x) for x in a)
+    b = tuple(Fraction(x) for x in b)
+    two = ScalarField.constant(proj.Ip[0].chart, 2)
+    ab = _cross(a, b)
+    ok = True
+    for fam in (proj.Ip, proj.Im):
+        lhs = (_combine(a, fam) @ _combine(b, fam)) - \
+            (_combine(b, fam) @ _combine(a, fam))
+        ok = ok and lhs.entries_equal(_combine(ab, fam).scale(two))
+    mixed = (_combine(a, proj.Ip) @ _combine(b, proj.Im)) - \
+        (_combine(b, proj.Im) @ _combine(a, proj.Ip))
+    return ok and mixed.is_zero
+
+
+def mixed_bracket_checks(Z, n, base, rows) -> bool:
+    """[d_w, v] = d_w v (componentwise) and [dw, v] = 0 for the four sphere
+    coordinates w of the product chart Z (a triple on n coordinates), with
+    v a vector-type and a covector-type column of the twistor structure's
+    numerators rows over the sphere base m (``_twistor_numerators``); both
+    sides are numerators over m^2."""
+    N = Z.dim
+    frames = _kernel_generators(Z, 0)
+    vs = []
+    for j in (0, N):
+        v = [row[j] for row in rows]
+        vs.append((v, base.jacobian(v, 1)))
+
+    def bracket(alpha, v, dv):
+        return K.sec_dorfman(N, alpha, v, None, base.jacobian(alpha, 0), dv)
+    for w in range(4):
+        for v, dv in vs:
+            if bracket(frames[n + w], v, dv) != \
+                    [d[n + w] if d else {} for d in dv]:
+                return False
+            if not K.sec_is_zero(bracket(frames[N + n + w], v, dv)):
+                return False
+    return True

@@ -1,5 +1,6 @@
 """CLI: input loading, suites, reports, exit codes, the bracket calculator."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,6 +26,18 @@ def run_cli(args, cwd=None):
                           capture_output=True, text=True, env=env,
                           cwd=cwd or REPO)
     return proc
+
+
+def hk4b_document():
+    """The seed-0 hk4b document of the benchmark's input generator
+    (``perfbench/workloads.py``): hyperkahler_r4 under a constant B-field
+    with six rational entries."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads      # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads.dumps(workloads.hk4b_document(0))
 
 
 def triple_json(mutate=None):
@@ -163,18 +176,16 @@ class TestNoSampledVerdicts:
             reports.append([{k: v for k, v in res.items() if k != "seconds"}
                             for res in report["suites"]])
         assert reports[0] == reports[1]
-        # rotations: 24 families x 28 frame pairs; twistor: connection data,
-        # 9 basis pairs of the cross-product commutator, dIhat; tduality:
-        # TD-1, 28 intertwine pairs, 2 + 4 + 6 transport records, Lemma 5.1
-        assert [res["checks"] for res in reports[0]] == \
-            [24 * 28, 1 + 9 + 1, 1 + 28 + 12 + 1]
+        # rotations: 24 families x 28 frame pairs; twistor: connection data
+        # and dIhat; tduality: TD-1, 28 intertwine pairs, 2 + 4 + 6
+        # transport records
+        assert [res["checks"] for res in reports[0]] == [672, 2, 41]
 
 
 class TestTwistorEveryDimension:
     def test_product_flip_twistor_suites_pass(self):
         # n = 8: the certificate takes the 12 * 11 / 2 frame pairs within
-        # the J-complex frame of the 12-coordinate product chart, plus the
-        # mixed-bracket check
+        # the J-complex frame of the 12-coordinate product chart
         proc = run_cli(["verify", "--builtin", "product_flip", "--suite",
                         "theorem13,twistor,flatness", "--max-degree", "0",
                         "--samples", "1"])
@@ -183,7 +194,7 @@ class TestTwistorEveryDimension:
         assert report["status"] == "pass"
         assert [(res["status"], res["witnesses"])
                 for res in report["suites"]] == [("pass", [])] * 3
-        assert report["suites"][0]["checks"] == 12 * 11 // 2 + 1
+        assert report["suites"][0]["checks"] == 66
 
     def test_zero_flux_twistor_suites_pass(self):
         # a zero flux in the input is no flux on the product chart
@@ -199,7 +210,32 @@ class TestTwistorEveryDimension:
             suites=["twistor", "flatness", "theorem13"]))
         assert code == 0
         assert [res["status"] for res in report["suites"]] == ["pass"] * 3
-        assert report["suites"][2]["checks"] == 8 * 7 // 2 + 1
+        assert report["suites"][2]["checks"] == 28
+
+
+class TestConnectionSuites:
+    def test_decided_without_endfield_products_on_one_connection_data(
+            self, monkeypatch):
+        # twistor and flatness read the sector algebra that project
+        # verified, so no EndField is multiplied, and the connection data
+        # are built once per model and shared by both suites
+        from gencliff import twistor
+        from gencliff.gcs import EndField
+        model = load_model(text=hk4b_document())
+
+        def refuse(self, other):
+            raise AssertionError("EndField product")
+        monkeypatch.setattr(EndField, "__matmul__", refuse)
+        built = []
+        connection_data = twistor.connection_data
+        monkeypatch.setattr(twistor, "connection_data",
+                            lambda T: built.append(T) or connection_data(T))
+        report, code = run(model, RunConfig(suites=["twistor", "flatness"]))
+        assert code == 0
+        assert [(res["status"], res["witnesses"], res["checks"])
+                for res in report["suites"]] == [("pass", [], 2),
+                                                 ("pass", [], 1)]
+        assert len(built) == 1
 
 
 class TestExitCodes:

@@ -10,13 +10,15 @@ import pytest
 from gencliff.scalar import (GaussianRational, Poly, ScalarField, parse_expr,
                              standard_chart)
 from gencliff.cartan import KForm, exterior_d
-from gencliff.courant import FluxForm, Section, frame_sections, pairing
-from gencliff.gcs import (EndField, FluxMismatchError, bind_concomitant,
+from gencliff.courant import (FluxForm, Section, frame_sections, pairing,
+                              section_kernel_components)
+from gencliff.gcs import (EndField, FluxMismatchError, _eval_kernel,
+                          _kernel_setup, _operand, bind_concomitant,
                           bind_nijenhuis, bind_real_nijenhuis, concomitant,
                           eigen_sections, bfield_transform, form_to_matrix,
                           generalized_metric, is_almost_gcs, is_almost_real,
                           is_orthogonal, lemma_identities, mat_inv, mat_mul,
-                          kernel_evaluate, nijenhuis, real_nijenhuis,
+                          nijenhuis, real_nijenhuis,
                           tensoriality_probe, vanishes, generator_labels,
                           generator_sections)
 from gencliff.examples import QUAT_I, diag_type, hyperkahler_r4
@@ -786,6 +788,20 @@ class TestOrbitReduction:
             w for w in sweep.witnesses
             if labels.index(w[0]) < labels.index(w[1])
             and {labels.index(w[0]), labels.index(w[1])} <= set(reps)]
+
+
+def kernel_evaluate(tensor, A, B):
+    """tensor(A, B) by the kernel evaluator ``gcs._eval_kernel`` when the
+    structures, the flux and the sections are polynomial; by the ScalarField
+    reference ``BoundTensor.evaluate`` otherwise."""
+    P, Q = section_kernel_components(A), section_kernel_components(B)
+    mats, kflux, _, _ = _kernel_setup(tensor)
+    if P is None or Q is None or not mats["base"].unit:
+        return tensor.evaluate(A, B)
+    kind = tensor.kind
+    out = _eval_kernel(kind, mats, kflux, tensor.chart.dim,
+                       _operand(kind, mats, P), _operand(kind, mats, Q))
+    return mats["base"].section(out, 3)
 
 
 class TestKernelEvaluate:

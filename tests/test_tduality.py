@@ -13,8 +13,9 @@ from gencliff.clifford import verify_triple
 from gencliff.examples import diag_type, hyperkahler_r4
 from gencliff.tduality import (CourantIso, NonInvariantSectionError,
                                _tensorial, check_intertwine, conjugate,
-                               conjugate_triple, lemma_5_1_instance,
-                               make_torus_duality, props_5_2_to_5_4)
+                               conjugate_triple, make_torus_duality,
+                               props_5_2_to_5_4)
+from tests.tduality_oracle import lemma_5_1_instance
 
 R2 = standard_chart(2)
 R3 = standard_chart(3)
