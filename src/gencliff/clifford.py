@@ -272,11 +272,12 @@ def verify_triple(T: CliffordTriple,
     The certificate evaluates each N(Ii,Ii) on the 2n(2n - 1)/2 frame pairs
     a < b (28 at n = 4) when Ii^2 = -Id holds exactly and Ii is
     skew-adjoint for the pairing, which make N(Ii,Ii) C-infinity-bilinear
-    and skew; of those, only the n(n - 1)/2 pairs within a J-complex frame
-    (``gcs._complex_frame``: frame elements that, with their images under
-    Ii, span the fiber at one point, n of them for a real Ii) are
-    evaluated, 6 at n = 4, for ``hyperkahler_r4`` and its B-transforms
-    alike.  With Ii^2 = -Id alone
+    and skew; of those, only the pairs within the two halves of a
+    J-complex frame (``gcs._complex_frame``: frame elements that, with
+    their images under Ii, span the fiber at one point, n of them for a
+    real Ii, split in index order) are evaluated, C(h, 2) + C(n - h, 2)
+    with h = floor(n/2): 2 at n = 4, for ``hyperkahler_r4`` and its
+    B-transforms alike, and 12 at n = 8.  With Ii^2 = -Id alone
     it takes 2n * 2n * (1 + n) pairs (320), and 2n * 2n * (1 + 2n) (576)
     otherwise, since only then does the second slot's Leibniz term
     (rho(A)g)(Ii^2 + 1)B vanish.

@@ -27,10 +27,14 @@ dropped: 2n * 2n * (1 + n) pairs per tensor (320 at n = 4) instead of
 the first slot's Leibniz terms cancel too and N(A,B) = -N(B,A) (Gualtieri,
 arXiv:math/0401221): the tensor is C-infinity-bilinear and skew, so the
 frame pairs (e_a, e_b) with a < b decide it, 2n(2n - 1)/2 pairs (28 at
-n = 4).  For N_J, N_J(A, JB) = -J N_J(A, B) = N_J(JA, B) leaves the pairs
-within a J-complex frame: frame elements e_R that, with J e_R, span the
-fiber at one point, n of them when J is real there, so n(n - 1)/2 pairs
-(6 at n = 4; 28 for the twistor structure instead of 120).  N_G never is
+n = 4).  For N_J fewer pairs decide it: take a J-complex frame, frame
+elements e_R that, with J e_R, span the fiber at one point, n of them when
+J is real there, and split it into two halves in index order.  The
+involutivity tensor <[A,B],C> of each eigenbundle of J is totally skew, so
+the pairs r < s within each half decide N_J (``_complex_frame``):
+C(h, 2) + C(n - h, 2) pairs, h = floor(n/2), 2 at n = 4 (for the twistor
+structure of a triple at n = 4, 12 of 120 pairs a < b; 30 of 276 at
+n = 8).  N_G never is
 C-infinity-bilinear: its first slot keeps 4<A,B>Df - 4<A,GB> G Df.  Nor
 is N(I,J) of skew-adjoint, commuting I and J, but its Leibniz term
 2g(<A,B> W - <A,WB>) Df and its symmetric part depend on W = IJ alone
@@ -645,11 +649,13 @@ def _kernel_setup(tensor: BoundTensor, base: _PowerDen | None = None):
                             kflux or None, const)
 
 
-def _numerator_setup(kind, base, nums, kflux, const):
+def _numerator_setup(kind, base, nums, kflux, const, square=None):
     """``_kernel_setup``'s tuple from the structures' dense numerator rows
     over m^1 (nums) and the flux numerators (kflux, None for zero flux);
     const selects the constant-coefficient kernel layout.  For a
-    concomitant, mats["products"] holds the dense I J and J I over m^2."""
+    concomitant, mats["products"] holds the dense I J and J I over m^2.
+    For N_J or N_G, a caller that has proven the structure's square may
+    pass its numerators over m^2 as square; otherwise it is multiplied."""
     mats = {"base": base, "J": _sparse_rows(nums[-1], const),
             "app": K.mat_apply_const if const else K.mat_apply_poly}
     if kind == "concomitant":
@@ -661,7 +667,7 @@ def _numerator_setup(kind, base, nums, kflux, const):
         mats["products"] = (IJ, JI)
         square = [[K.p_add(a, b) for a, b in zip(r1, r2)]
                   for r1, r2 in zip(IJ, JI)]
-    else:
+    elif square is None:
         square = _mat_mul_terms(nums[0], nums[0])
     return mats, kflux, nums, square
 
@@ -924,32 +930,59 @@ def _extends(basis, v):
 
 
 def _complex_frame(base, J):
-    """The frame indices R whose pairs r < s decide a C-infinity-bilinear,
-    skew N_J, from J's numerators over m^1.
+    """The frame indices R, in increasing order, whose pairs r < s within
+    R[:h] and within R[h:], h = floor(|R|/2), decide a C-infinity-bilinear,
+    skew N_J, from J's numerators over m^1 (``_pairs``).
 
     At the point p of ``_base_point`` (m(p) != 0), e_b is kept iff it lies
     outside the span of the kept e_r and their images J(p) e_r.  Kept or
     not, every e_b ends in that span, so e_R and J(p) e_R span the fiber.
     For a real J(p) they are a basis and R has half the frame elements: a
     J(p)-invariant span that misses e_b and holds J(p) e_b - c e_b would
-    hold (1 + c^2) e_b, c real.  A complex J(p) may keep more.
+    hold (1 + c^2) e_b, c real.  A complex J(p) may keep more.  Some of the
+    e_R and J e_R form a basis at p; their determinant is a rational
+    function, nonzero at p, so nonzero on an open dense set U, where e_R
+    and J e_R span the fiber.
 
-    Why the pairs within R decide N_J.  For any bilinear bracket and
-    J^2 = -Id, as plain algebra,
+    Why the pairs within the two halves decide N_J.  N_J is
+    C-infinity-bilinear and skew by ``_tensoriality``, and J is orthogonal
+    with J^2 = -Id.  Let L and L' be the +i and -i eigenbundles of J in the
+    complexified bundle, and l_r = e_r - i J e_r, l'_r = e_r + i J e_r.
 
-        N_J(A, JB) = -J N_J(A, B) = N_J(JA, B)
+    - L is isotropic (<A,B> = <JA,JB> = -<A,B> on L), and so is L'; each
+      has rank n, they pair nondegenerately, and (1 + iJ)/2 is the
+      projection pi_L' onto L' along L.  On U the l_R span L and the l'_R
+      span L', since (1 - iJ) J e_r = i (1 - iJ) e_r; this holds for a
+      complex J(p) too, where R keeps more than n elements.
+    - The involutivity tensor T_L(A, B, C) = <[A, B], C> on sections of L
+      is C-infinity-linear and totally skew (Gualtieri, arXiv:math/0401221;
+      Liu-Weinstein-Xu, arXiv:dg-ga/9508013): [fA, B] = f[A,B]
+      - (rho(B)f)A + 2<A,B>Df and [A, gB] = g[A,B] + (rho(A)g)B leave only
+      terms that pair to zero on L; [A,B] + [B,A] = 2D<A,B> = 0 makes it
+      skew in A, B; rho(A)<B,C> = <[A,B],C> + <B,[A,C]> = 0 makes it skew
+      in B, C.  Both identities hold for the H-twisted bracket with any H;
+      no Jacobi identity is used.  The same holds for L'.
+    - As plain algebra, with J^2 = -Id,
+      (1 + iJ)[l_r, l_s] = -(1 + iJ) N_J(e_r, e_s), and
+      (1 - iJ)[l'_r, l'_s] = -(1 - iJ) N_J(e_r, e_s).  So N_J(e_r, e_s) = 0
+      gives pi_L'[l_r, l_s] = 0, i.e. T_L(l_r, l_s, .) = 0, and likewise
+      T_L'(l'_r, l'_s, .) = 0; by skewness also for the pair (s, r).
+    - Any three indices of R have two in the same half (pigeonhole), so by
+      total skewness T_L and T_L' vanish on every triple of the l_R and of
+      the l'_R, and so on U, where these span L and L'.  L and L' are then
+      involutive there.
+    - N_J(A, B') = 0 for A in L, B' in L' by algebra alone, and
+      N_J(A, B) = -4 pi_L'[A, B] on L x L, -4 pi_L[A, B] on L' x L'; so
+      N_J vanishes on U, and its numerators, polynomials, vanish
+      everywhere.  The converse is trivial.
 
-    (expand both sides: each is -[JA,B] - [A,JB] - J[JA,JB] + J[A,B]); so
-    N_J(JA, JB) = -N_J(A, B), and N_J is C-infinity-bilinear and skew by
-    ``_tensoriality``.  Some of the e_R and J e_R form a basis at p; their
-    determinant is a rational function, nonzero at p, so nonzero on an
-    open dense set U.  On U every section is a smooth combination of them,
-    so N_J there is fixed by the N_J(e_r, e_s) with r < s in R
-    (N_J(e_r, e_r) = 0).  If these vanish, N_J vanishes on U, and its
-    numerators, polynomials, vanish everywhere.  The converse is trivial.
-    The pairs decide the identity, not the value at every point: off U
-    they may vanish while N_J does not, so a pointwise check keeps every
-    pair a < b."""
+    Two parts is the least this argument can use: the pairs must meet
+    every triple of the r = |R| indices, and by Turan's theorem such a set
+    of pairs has at least C(r, 2) - floor(r^2/4) of them, which the two
+    halves attain (12 of the 28 pairs within an 8-element R).  The pairs
+    decide the identity, not the value at every point: off U they may
+    vanish while N_J does not, so a pointwise check keeps every pair
+    a < b."""
     point = _base_point(base)
     basis, keep = [], []
     for b in range(len(J)):
@@ -980,10 +1013,10 @@ def _residuals(tensor: BoundTensor, degree_bound: int | None,
     and yields every pair.  The symbol certificate (degree_bound None) asks
     _tensoriality what the structures prove: when the tensor is
     C-infinity-bilinear and skew it takes the frame generators (degree 0)
-    and yields the pairs a < b, for N_J only those within the J-complex
-    frame of _complex_frame unless the pairs must decide the tensor at
-    every point (pointwise); otherwise it takes degree 1 and yields
-    (e_a, e_b) and (x_k e_a, e_b), which read N0 and P_k, and also
+    and yields the pairs a < b, for N_J only those within the two halves
+    of the J-complex frame of _complex_frame unless the pairs must decide
+    the tensor at every point (pointwise); otherwise it takes degree 1 and
+    yields (e_a, e_b) and (x_k e_a, e_b), which read N0 and P_k, and also
     (e_a, x_k e_b), which read Q_k, unless Q_k = 0 is proven."""
     return _setup_residuals(tensor.kind, tensor.chart, _kernel_setup(tensor),
                             degree_bound, pointwise)
@@ -1037,8 +1070,10 @@ def _commuting_residuals(tensor: BoundTensor, degree_bound: int | None,
 def _pairs(kind, chart, setups, degree_bound, proven, frame=None):
     """(base, degree, pairs) for ``_residuals``: the generators of monomial
     degree 0 when proven is "skew", else of generator_degree(degree_bound),
-    and the pairs of them that the proof leaves (frame: the indices whose
-    pairs a < b decide a skew tensor, every frame index when None).  setups
+    and the pairs of them that the proof leaves: for a skew tensor the
+    frame pairs a < b, or, given the J-complex frame R of a skew N_J
+    (frame, from ``_complex_frame``, with the proof), the pairs r < s
+    within R[:h] and within R[h:], h = floor(|R|/2).  setups
     holds (mats, kflux) of one tensor, or of two over one base whose
     numerators are subtracted, the second from the first.  A generator's
     structure images and Jacobians are built once, when a pair first reads
@@ -1049,8 +1084,12 @@ def _pairs(kind, chart, setups, degree_bound, proven, frame=None):
     n = chart.dim
     every = range(len(gens))
     if proven == "skew":
-        frame = every if frame is None else frame
-        todo = [(i, j) for i in frame for j in frame if i < j]
+        if frame is None:
+            parts = (every,)
+        else:   # the J-complex frame R of N_J, split in its index order
+            h = len(frame) // 2
+            parts = (frame[:h], frame[h:])
+        todo = [(i, j) for part in parts for i in part for j in part if i < j]
     else:
         # a sweep keeps every pair; the certificate keeps (e_a, e_b) and
         # (x_k e_a, e_b), and (e_a, x_k e_b) too unless Q_k = 0 is proven.
@@ -1108,12 +1147,15 @@ def vanishes(tensor: BoundTensor, degree_bound: int | None = None,
     C-infinity-bilinear and skew -- N_J with J^2 = -Id and J skew-adjoint,
     or N(I,J) with I, J skew-adjoint and IJ + JI a constant multiple of Id
     -- it is evaluated on the frame pairs (e_a, e_b) with a < b:
-    2n(2n - 1)/2 pairs (28 at n = 4).  For N_J only the pairs within a
-    J-complex frame R are evaluated (_complex_frame, with the proof):
-    frame elements e_R that, with their images J e_R, span the fiber at one
-    point, n of them when J is real there, so n(n - 1)/2 pairs (6 at n = 4,
-    for any B-transform of a constant hyperkaehler structure on R^4 too).  Otherwise it is
-    evaluated on the pairs (e_a, e_b), (x_k e_a, e_b) and (e_a, x_k e_b);
+    2n(2n - 1)/2 pairs (28 at n = 4).  For N_J only the pairs within the
+    two halves of a J-complex frame R are evaluated (_complex_frame, with
+    the proof): R is the frame elements e_R that, with their images J e_R,
+    span the fiber at one point, n of them when J is real there, and the
+    pairs r < s within R[:h] and within R[h:], h = floor(|R|/2), are
+    C(h, 2) + C(n - h, 2) of them for a real J (2 at n = 4, for any
+    B-transform of a constant hyperkaehler structure on R^4 too).
+    Otherwise it is evaluated on the pairs (e_a, e_b), (x_k e_a, e_b) and
+    (e_a, x_k e_b);
     the last only read Q_k and are skipped when Q_k = 0 is proven (always for a concomitant,
     for N_J or N_G when J^2 = -Id or G^2 = Id holds exactly).  That is
     2n * 2n * (1 + n) pairs (320), against 2n * 2n * (1 + 2n) (576).  With

@@ -18,10 +18,10 @@ matrix built (see ``ConnectionData``).  The integrability check of
 Theorem 1.3 runs the Nijenhuis evaluator of ``gcs`` on the twistor
 structure's numerators over the same m, as ``_ihat`` builds them (no
 ScalarField round trip); that structure is orthogonal and squares to -Id,
-so its Nijenhuis tensor is decided on the frame pairs within a J-complex
-frame:
-(n + 4)(n + 3)/2 pairs of the (2n + 8)(2n + 7)/2 frame pairs a < b of the
-(n + 4)-coordinate product chart (28 of 120 at n = 4, 66 of 276 at n = 8).
+so its Nijenhuis tensor is decided on the frame pairs within the two halves
+of a J-complex frame: 2 C((n + 4)/2, 2) pairs for even n, of the
+(2n + 8)(2n + 7)/2 frame pairs a < b of the (n + 4)-coordinate product
+chart (12 of 120 at n = 4, 30 of 276 at n = 8).
 
 Only the finite stereographic chart of each sphere is implemented; zeta =
 infinity is outside every formula here (the point-wise oracle uses rational
@@ -607,6 +607,26 @@ def _twistor_numerators(T: CliffordTriple):
     return Z, base, rows
 
 
+def _twistor_square(base: _PowerDen, size: int):
+    """(Ihat (+) J_sphere)^2 as numerators over m^2: -m^2 Id, from the
+    proof, with no product taken.
+
+    ``_ihat`` refuses every triple whose projection identities fail and
+    checks |c|^2 = |d|^2 = 1, and identities_ok gives
+    I_k^s I_l^s = -d_kl G^s + e_klj I_j^s in each sector s, I+ I- = I- I+ = 0
+    and G+ + G- = Id (``project``).  So, c and d being scalar functions,
+
+        Ihat^2 = sum_kl c_k c_l I_k+ I_l+ + sum_kl d_k d_l I_k- I_l-
+               = -|c|^2 G+ - |d|^2 G- = -Id,
+
+    the e_klj terms cancelling since c_k c_l and d_k d_l are symmetric in
+    k, l.  ``sphere_gcs`` checks J_sphere^2 = -Id itself, and the two
+    blocks act on disjoint coordinates of the product chart."""
+    minus = K.p_scale(base.mpow(2), K.c_neg(K.C_ONE))
+    return [[minus if i == j else {} for j in range(size)]
+            for i in range(size)]
+
+
 def twistor_structure(T: CliffordTriple) -> EndField:
     """Ihat(zeta1, zeta2) (+) J_sphere over the product chart
     (x..., u1, v1, u2, v2); requires a constant-coefficient triple so that
@@ -643,20 +663,22 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
     The Nijenhuis tensor of Ihat (+) J_sphere is evaluated by
     ``gcs.vanishes``'s evaluator, as exact numerators over a power of the
     sphere base m, from the structure's numerators over m
-    (``_twistor_numerators``).  With
-    degree_bound None (the default) this is the symbol certificate: the
-    structure squares to -Id and is skew-adjoint for the pairing (both
-    checked exactly on its numerators), so its Nijenhuis tensor is
+    (``_twistor_numerators``).  With degree_bound None (the default) this
+    is the symbol certificate: the structure squares to -Id, which follows
+    from what ``_ihat`` and ``sphere_gcs`` check (``_twistor_square``; the
+    square is not multiplied out), and is skew-adjoint for the pairing,
+    checked exactly on its numerators, so its Nijenhuis tensor is
     C-infinity-bilinear and skew, and the frame pairs (e_a, e_b) with a < b
-    decide it for all smooth sections.  N_J(A, JB) = -J N_J(A, B) reduces
-    them to the pairs within a J-complex frame R (``gcs._complex_frame``):
-    at the origin of the product chart, where m = 1, the frame elements
-    e_R and their images J e_R form a basis, so the N_J(e_r, e_s) with
-    r < s in R decide N_J on the open dense set where they stay one, and
-    so everywhere.  J is real there, so R has half the 2n + 8 frame
-    elements: the pairs r < s are (n + 4)(n + 3)/2 of the
-    (2n + 8)(2n + 7)/2 pairs a < b on the (n + 4)-coordinate product chart,
-    28 of 120 at n = 4 and 66 of 276 at n = 8.  An integer degree_bound
+    decide it for all smooth sections.  Fewer pairs suffice: at the origin
+    of the product chart, where m = 1, the frame elements e_R of a
+    J-complex frame R (``gcs._complex_frame``) and their images J e_R form
+    a basis, and the pairs r < s within each half of R, split in index
+    order, decide N_J, since the involutivity tensor of each eigenbundle of
+    J is totally skew (the proof is in ``gcs._complex_frame``).  J is real
+    there, so R has half the 2n + 8 frame elements, and the pairs are
+    2 C((n + 4)/2, 2) for even n, of the (2n + 8)(2n + 7)/2 pairs a < b on
+    the (n + 4)-coordinate product chart: 12 of 120 at n = 4 and 30 of 276
+    at n = 8.  An integer degree_bound
     sweeps all pairs from frame x (degree <= degree_bound monomials)
     instead, as a cross-check.  Symbolic mode tests each numerator for
     zero; with ``samples`` a list of TwistorPoints the numerator of every
@@ -679,10 +701,10 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
     Z, base, rows = _twistor_numerators(T)
     n = T.chart.dim
     rep = TwistorReport("pass", mode="sampled" if samples else "symbolic")
-    _, degree, pairs = _setup_residuals(
-        "nijenhuis", Z, _numerator_setup("nijenhuis", base, [rows], None,
-                                         False),
-        degree_bound, pointwise=bool(samples))
+    setup = _numerator_setup("nijenhuis", base, [rows], None, False,
+                             _twistor_square(base, len(rows)))
+    _, degree, pairs = _setup_residuals("nijenhuis", Z, setup, degree_bound,
+                                        pointwise=bool(samples))
     labels = generator_labels(Z, degree)
     # (witness prefix, point or None for the symbolic zero test, note)
     if samples:

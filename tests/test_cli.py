@@ -184,8 +184,9 @@ class TestNoSampledVerdicts:
 
 class TestTwistorEveryDimension:
     def test_product_flip_twistor_suites_pass(self):
-        # n = 8: the certificate takes the 12 * 11 / 2 frame pairs within
-        # the J-complex frame of the 12-coordinate product chart
+        # n = 8: the certificate takes the 2 * (6 * 5 / 2) frame pairs
+        # within the halves of the J-complex frame of the 12-coordinate
+        # product chart
         proc = run_cli(["verify", "--builtin", "product_flip", "--suite",
                         "theorem13,twistor,flatness", "--max-degree", "0",
                         "--samples", "1"])
@@ -194,10 +195,12 @@ class TestTwistorEveryDimension:
         assert report["status"] == "pass"
         assert [(res["status"], res["witnesses"])
                 for res in report["suites"]] == [("pass", [])] * 3
-        assert report["suites"][0]["checks"] == 66
+        assert report["suites"][0]["checks"] == 2 * (6 * 5 // 2)
 
     def test_zero_flux_twistor_suites_pass(self):
-        # a zero flux in the input is no flux on the product chart
+        # a zero flux in the input is no flux on the product chart; the
+        # certificate takes the 2 * (4 * 3 / 2) frame pairs within the
+        # halves of the J-complex frame
         from tests.test_twistor import hk4b_triple
         T = hk4b_triple()
         doc = {"chart": {"dim": 4, "coords": list(T.chart.names)},
@@ -210,7 +213,7 @@ class TestTwistorEveryDimension:
             suites=["twistor", "flatness", "theorem13"]))
         assert code == 0
         assert [res["status"] for res in report["suites"]] == ["pass"] * 3
-        assert report["suites"][2]["checks"] == 28
+        assert report["suites"][2]["checks"] == 2 * (4 * 3 // 2)
 
 
 class TestConnectionSuites:

@@ -11,7 +11,7 @@ from gencliff.clifford import (CliffordTriple, check_relations,
                                levi_civita, project, theorem_1_1,
                                verify_triple)
 from gencliff.examples import hyperkahler_r4, product_flip
-from tests.test_gcs import complex_frame
+from tests.test_gcs import complex_frame, half_pairs
 
 R4 = standard_chart(4)
 
@@ -218,12 +218,12 @@ FRAMES = ["d1", "d2", "d3", "d4", "e1", "e2", "e3", "e4"]
 
 def certificate_pair(witness, reps):
     """True iff a witness's generator pair is a frame pair (e_a, e_b) with
-    a < b, both in reps, the certificate's pairs when N_J is proven
-    C-infinity-bilinear and skew (reps: J's complex frame; a generator
-    label carries a '*' iff its monomial is not 1)."""
+    a < b within one half of reps, the certificate's pairs when N_J is
+    proven C-infinity-bilinear and skew (reps: J's complex frame; a
+    generator label carries a '*' iff its monomial is not 1)."""
     a, b = witness[:2]
-    return (a in FRAMES and b in FRAMES and FRAMES.index(a) < FRAMES.index(b)
-            and FRAMES.index(a) in reps and FRAMES.index(b) in reps)
+    return (a in FRAMES and b in FRAMES
+            and (FRAMES.index(a), FRAMES.index(b)) in half_pairs(reps))
 
 
 class TestSymbolCertificate:
@@ -233,15 +233,16 @@ class TestSymbolCertificate:
     # N_J with Ii^2 = -Id and Ii orthogonal, and every family with
     # IJ + JI = c Id for a constant c, are C-infinity-bilinear and skew:
     # the 2n(2n - 1)/2 frame pairs a < b.  For verify_triple's N_J (the
-    # first three reports) only the pairs within the J-complex frame are
-    # kept: 4 of the 8 frame elements, with their images under Ii, form a
-    # basis, so 4 * 3 / 2 pairs; theorem_1_1's concomitant N(Ii,Ii) keeps
-    # all 28.  The diagonal pairs N(Ii,Ji), with IJ + JI = 2 Ii Ji, are
-    # matched against the closed-form anomaly; W = Ii Ji is constant, so
-    # the residual is C-infinity-bilinear and skew and keeps the 28 frame
-    # pairs a < b too (2n * 2n * (1 + n) = 320 before the gate proved it)
+    # first three reports) only the pairs within the halves of the
+    # J-complex frame are kept: 4 of the 8 frame elements, with their
+    # images under Ii, form a basis, so 2 * (2 * 1 / 2) pairs;
+    # theorem_1_1's concomitant N(Ii,Ii) keeps all 28.  The diagonal pairs
+    # N(Ii,Ji), with IJ + JI = 2 Ii Ji, are matched against the closed-form
+    # anomaly; W = Ii Ji is constant, so the residual is C-infinity-bilinear
+    # and skew and keeps the 28 frame pairs a < b too
+    # (2n * 2n * (1 + n) = 320 before the gate proved it)
     SKEW_PAIRS = 8 * 7 // 2
-    ORBIT_PAIRS = 4 * 3 // 2
+    ORBIT_PAIRS = 2 * (2 * 1 // 2)
     CERT_PAIRS = 8 * 7 // 2
     DIAGONAL = {"N(I1,J1)", "N(I2,J2)", "N(I3,J3)"}
 
@@ -285,33 +286,38 @@ class TestSymbolCertificate:
             assert not cert.vanished and cert.witnesses
             # B vanishes at the origin, where the frame is chosen; with
             # their images under Ii, 4 frame elements form a basis there:
-            # 4 * 3 / 2 pairs
+            # 2 * (2 * 1 / 2) pairs within its halves
             reps = complex_frame(tensor)
             assert len(reps) == 4
-            assert cert.sample_count == 4 * 3 // 2
+            assert cert.sample_count == 2 * (2 * 1 // 2)
             assert cert.witnesses == [w for w in sweep.witnesses
                                       if certificate_pair(w, reps)]
 
     def test_shared_witness_budget(self):
         # the three N(Ii,Ii) reports share 10 witnesses: the same first 10
-        # as per-generator reports, with N(I2,I2) stopped at its fourth
-        # witness and N(I3,I3) not evaluated (6 + 4 pairs, not 3 * 6).  The
-        # triple is hyperkahler_r4 under B = x1 dx2^dx3 bound with the
-        # closed flux x4 dx1^dx2^dx4 in place of dB: 6, 5 and 5 witnesses
+        # as per-generator reports.  The triple is hyperkahler_r4 under
+        # B = x1 dx2^dx3 bound with the closed flux x4 dx1^dx2^dx4 in place
+        # of dB.  The certificate's 2 * (2 * 1 / 2) pairs a generator give
+        # 2, 1 and 1 witnesses, within the budget; the degree-0 sweep's 8 * 8
+        # pairs give more than 10 each, so N(I1,I1) spends the budget at its
+        # 13th pair and N(I2,I2) and N(I3,I3) are not evaluated
         from gencliff.gcs import bind_nijenhuis, vanishes
         from tests.test_gcs import gate_triple
         T = gate_triple("flux")
-        ref = [vanishes(bind_nijenhuis(E, f"N(I{i+1},I{i+1})", T.flux))
-               for i, E in enumerate(T.generators)]
 
         def witnesses(reports):
             return [(r.name, w) for r in reports for w in r.witnesses]
-        status = verify_triple(T).status
-        assert [r.sample_count for r in ref] == [6] * 3
-        assert len(witnesses(ref)) > 10
-        assert witnesses(status.integrability) == witnesses(ref)[:10]
-        assert [r.sample_count for r in status.integrability] == [6, 4]
-        assert not status.integrable and status.relations_ok
+        for degree_bound, found, counts in (
+                (None, 2 + 1 + 1, [2 * (2 * 1 // 2)] * 3),
+                (0, 3 * 10, [13])):
+            ref = [vanishes(bind_nijenhuis(E, f"N(I{i+1},I{i+1})", T.flux),
+                            degree_bound)
+                   for i, E in enumerate(T.generators)]
+            status = verify_triple(T, degree_bound).status
+            assert len(witnesses(ref)) == found
+            assert witnesses(status.integrability) == witnesses(ref)[:10]
+            assert [r.sample_count for r in status.integrability] == counts
+            assert not status.integrable and status.relations_ok
 
 
 def frame_pair(witness):

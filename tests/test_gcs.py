@@ -403,6 +403,16 @@ def complex_frame(tensor):
     return keep
 
 
+def half_pairs(reps):
+    """The pairs (a, b) with a < b within each half of the J-complex frame
+    reps, split in its index order: the frame pairs the certificate
+    evaluates for a skew N_J, C(h, 2) + C(r - h, 2) of them for r = |reps|
+    and h = floor(r/2)."""
+    h = len(reps) // 2
+    return {(a, b) for part in (reps[:h], reps[h:])
+            for a in part for b in part if a < b}
+
+
 def nonclosed_bfield_nijenhuis():
     """N_J of I1 of hyperkahler_r4 transformed by B = x1 dx2^dx3, bound
     without the flux dB: a polynomial tensor that does not vanish."""
@@ -498,16 +508,17 @@ class TestSymbolCertificate:
 
     @staticmethod
     def certificate_keys(n, proven, reps=None):
-        """The pairs the certificate evaluates: the frame pairs a < b within
-        reps (every frame index when None; the J-complex frame for N_J) when
-        the tensor is proven bilinear and skew, r(r - 1)/2 pairs for r
-        frame elements; else (e_a, e_b) and (x_k e_a, e_b), plus
-        (e_a, x_k e_b) unless Q_k = 0 is proven: 28, 320 and 576 pairs at
+        """The pairs the certificate evaluates: when the tensor is proven
+        bilinear and skew, the frame pairs a < b, 28 at n = 4, or, given
+        the J-complex frame reps of N_J, those within its halves
+        (``half_pairs``), 2 at n = 4; else (e_a, e_b) and (x_k e_a, e_b),
+        plus (e_a, x_k e_b) unless Q_k = 0 is proven: 320 and 576 pairs at
         n = 4."""
         frames = range(2 * n)
         if proven == "skew":
-            reps = frames if reps is None else reps
-            return {(a, None, b, None) for a in reps for b in reps if a < b}
+            pairs = ({(a, b) for a in frames for b in frames if a < b}
+                     if reps is None else half_pairs(reps))
+            return {(a, None, b, None) for a, b in pairs}
         keys = {(a, k, b, None) for a in frames for b in frames
                 for k in [None, *range(n)]}
         if proven is None:
@@ -718,9 +729,9 @@ def pole_nijenhuis(flux):
 
 
 class TestOrbitReduction:
-    """The J-complex frame of the N_J frame-pair certificate: the identity
-    it rests on, the point it is chosen at, and where it must not be
-    applied."""
+    """The J-complex frame of the N_J frame-pair certificate: N_J's
+    identities under J, the point the frame is chosen at, and where it
+    must not be applied."""
 
     def test_orbit_identities_on_the_reference_formula(self):
         # N_J(A, JB) = -J N_J(A, B) = N_J(JA, B) for any J^2 = -Id, on the
@@ -768,7 +779,7 @@ class TestOrbitReduction:
         # the frame is chosen at (0, 1, 0, 0), the first point of
         # {0..deg m}^4 in lex order where m does not, and the certificate
         # has the verdict of the degree-0 sweep and its witnesses on the
-        # pairs within the frame
+        # pairs within the halves of the frame
         from gencliff.gcs import _base_point, _complex_frame, _kernel_setup
         tensor = pole_nijenhuis(flux)
         mats, _, nums, _ = _kernel_setup(tensor)
@@ -780,14 +791,13 @@ class TestOrbitReduction:
         every = 8 * 8
         cert = vanishes(tensor, max_witnesses=every)
         sweep = vanishes(tensor, 0, max_witnesses=every)
-        assert cert.sample_count == 4 * 3 // 2
+        assert cert.sample_count == 2 * (2 * 1 // 2)
         assert cert.vanished == sweep.vanished == flux
         assert bool(cert.witnesses) is not flux
         labels = generator_labels(R4, 0)
         assert cert.witnesses == [
             w for w in sweep.witnesses
-            if labels.index(w[0]) < labels.index(w[1])
-            and {labels.index(w[0]), labels.index(w[1])} <= set(reps)]
+            if (labels.index(w[0]), labels.index(w[1])) in half_pairs(reps)]
 
 
 def kernel_evaluate(tensor, A, B):

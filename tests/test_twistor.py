@@ -10,13 +10,14 @@ from gencliff import twistor
 from gencliff._core import kernel as K
 from gencliff.scalar import GaussianRational, Poly, ScalarField
 from gencliff.courant import Section, dorfman
-from gencliff.gcs import (_PowerDen, _sparse_rows, bind_nijenhuis,
-                          generator_labels, is_almost_gcs, vanishes)
+from gencliff.gcs import (_PowerDen, _mat_mul_terms, _sparse_rows,
+                          bind_nijenhuis, generator_labels, is_almost_gcs,
+                          vanishes)
 from gencliff.clifford import induce, project, theorem_1_1, verify_triple
 from gencliff.examples import hyperkahler_r4, product_flip
 from tests import connection_oracle as oracle
 from tests.layout import packed
-from tests.test_gcs import complex_frame, gauss_rank
+from tests.test_gcs import complex_frame, gauss_rank, half_pairs
 from gencliff.twistor import (TwistorPoint, _sphere_base,
                               check_dI_commutator, check_flatness,
                               connection_data, rot_T, rot_field,
@@ -384,22 +385,23 @@ def flip_orientation(monkeypatch):
                         lambda chart=None: -right(chart))
 
 
-def representative_pair(witness, frames, reps):
+def representative_pair(witness, frames, reps=None):
     """True iff a witness (..., label_a, label_b, note) is a frame pair
-    a < b within reps."""
+    a < b, within one half of reps, split in its index order, when reps
+    is given: the pairs the certificate evaluates on a J-complex frame."""
     a, b = frames.index(witness[-3]), frames.index(witness[-2])
-    return a < b and a in reps and b in reps
+    return a < b if reps is None else (a, b) in half_pairs(reps)
 
 
 class TestTheorem13:
     # the twistor structure is orthogonal with square -Id, so its Nijenhuis
     # tensor is C-infinity-bilinear and skew: the frame pairs a < b of the
-    # product chart decide it, and N_J(A, JB) = -J N_J(A, B) = N_J(JA, B)
-    # leaves the pairs within a J-complex frame, the 8 (12) frame elements
-    # that with their images form a basis at the origin: 8 * 7 / 2 pairs at
-    # n = 4, 12 * 11 / 2 at n = 8.  The sampled mode keeps every frame
-    # pair a < b, 16 * 15 / 2 at n = 4
-    CERT_PAIRS = 8 * 7 // 2
+    # product chart decide it, and so do the pairs within each half of a
+    # J-complex frame, the 8 (12) frame elements that with their images
+    # form a basis at the origin: 2 * (4 * 3 / 2) pairs at n = 4,
+    # 2 * (6 * 5 / 2) at n = 8.  The sampled mode keeps every frame pair
+    # a < b, 16 * 15 / 2 at n = 4
+    CERT_PAIRS = 2 * (4 * 3 // 2)
     SAMPLED_PAIRS = 16 * 15 // 2
 
     @pytest.mark.parametrize("build, pairs, frame",
@@ -407,7 +409,7 @@ class TestTheorem13:
                                "d1 d3 d5 d7 e1 e3 e5 e7"),
                               (hk4b_triple, CERT_PAIRS,
                                "d1 d2 d3 d4 d5 d7 e5 e7"),
-                              (flip_triple, 12 * 11 // 2,
+                              (flip_triple, 2 * (6 * 5 // 2),
                                "d1 d3 d5 d7 d9 d11 e1 e3 e5 e7 e9 e11")],
                              ids=["hyperkahler_r4", "hk4b", "product_flip"])
     def test_symbolic_certificate(self, build, pairs, frame):
@@ -489,13 +491,14 @@ class TestTheorem13:
     @pytest.mark.parametrize("samples", [None, sample_points(2, seed=11)])
     def test_opposite_orientation_fails(self, monkeypatch, samples):
         # negative control, in both modes: the certificate fails, with the
-        # witnesses of the degree-0 sweep on the pairs within the J-complex
-        # frame, or on every pair a < b at points
+        # witnesses of the degree-0 sweep on the pairs within the halves of
+        # the J-complex frame, or on every pair a < b at points
         flip_orientation(monkeypatch)
         T = verified_triple()
         rep = theorem_1_3(T, samples=samples)
         assert rep.status == "fail"
-        assert len(rep.witnesses) == 10 * (len(samples) if samples else 1)
+        # 10 a point, or 6 of the certificate's 12 pairs
+        assert len(rep.witnesses) == (10 * len(samples) if samples else 6)
         assert all(w[-1].startswith("nonzero") for w in rep.witnesses)
         every = 16 * 16
         cert = theorem_1_3(T, samples=samples, max_witnesses=every)
@@ -503,7 +506,7 @@ class TestTheorem13:
         E = twistor_structure(T)
         if samples:
             assert cert.nijenhuis_checks == self.SAMPLED_PAIRS * len(samples)
-            reps = range(16)
+            reps = None
         else:
             assert cert.nijenhuis_checks == self.CERT_PAIRS
             reps = complex_frame(bind_nijenhuis(E))
@@ -515,17 +518,18 @@ class TestTheorem13:
     def test_opposite_orientation_fails_at_n8(self, monkeypatch):
         # the same negative control on the 12-coordinate product chart of
         # product_flip: the witnesses of the degree-0 sweep on the pairs
-        # within the J-complex frame
+        # within the halves of the J-complex frame
         flip_orientation(monkeypatch)
         T = flip_triple()
         rep = theorem_1_3(T)
         assert rep.status == "fail"
-        assert len(rep.witnesses) == 10
+        # 4 of the certificate's 30 pairs
+        assert len(rep.witnesses) == 4
         assert all(w[-1] == "nonzero" for w in rep.witnesses)
         every = 24 * 24
         cert = theorem_1_3(T, max_witnesses=every)
         sweep = theorem_1_3(T, 0, max_witnesses=every)
-        assert cert.nijenhuis_checks == 12 * 11 // 2
+        assert cert.nijenhuis_checks == 2 * (6 * 5 // 2)
         E = twistor_structure(T)
         reps = complex_frame(bind_nijenhuis(E))
         assert len(reps) == 12
@@ -535,7 +539,7 @@ class TestTheorem13:
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_vanishes_sweeps_the_twistor_structure(self, monkeypatch, flip):
-        # the twistor structure is one more input of gcs.vanishes: 28
+        # the twistor structure is one more input of gcs.vanishes: 12
         # frame pairs that pass, and with the opposite orientation the
         # witnesses of theorem_1_3's symbolic certificate
         if flip:
@@ -578,6 +582,95 @@ class TestTheorem13:
         assert rows == [[base.numerator(f) for f in row] for row in E.entries]
         assert mixed_brackets_hold(T)
 
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("build", [verified_triple, hk4b_triple,
+                                       flip_triple],
+                             ids=["hyperkahler_r4", "hk4b", "product_flip"])
+    def test_square_from_the_proof_is_the_product(self, monkeypatch, build,
+                                                  flip):
+        # theorem_1_3 hands -m^2 Id to the skew gate as the square of the
+        # twistor structure's numerators over m (_twistor_square) instead
+        # of multiplying them: it is their product, with either orientation
+        if flip:
+            flip_orientation(monkeypatch)
+        _, base, rows = twistor._twistor_numerators(build())
+        assert twistor._twistor_square(base, len(rows)) == \
+            _mat_mul_terms(rows, rows)
+
+
+class TestTwoHalves:
+    """The pairs within the two halves of a J-complex frame R decide a
+    skew N_J (proof in ``gcs._complex_frame``), checked against what the
+    proof rests on and against every pair within R."""
+
+    def test_involutivity_tensor_is_totally_skew(self, monkeypatch):
+        # T_L(l_r, l_s, l_t) = <(1 + iJ) N_J(e_r, e_s), l_t> up to a
+        # factor -1/2, l_t = e_t - iJ e_t, on the 8 * 7 * 6 ordered triples
+        # of distinct indices of R, exactly at a rational sphere point of
+        # the flipped twistor structure of hk4b, where N_J does not vanish:
+        # it changes sign under both transpositions
+        from gencliff.gcs import _residuals
+        flip_orientation(monkeypatch)
+        E = twistor_structure(hk4b_triple())
+        tensor = bind_nijenhuis(E)
+        R = complex_frame(tensor)
+        size, n = E.size, E.chart.dim
+        point = (0,) * 4 + (Fraction(1, 2), Fraction(-1, 3), Fraction(2),
+                            Fraction(1, 5))
+        Jp = [[f.evaluate(point) for f in row] for row in E.entries]
+        base, _, pairs = _residuals(tensor, 0)
+        m3 = Poly(E.chart, base.mpow(3)).evaluate(point)
+        N = {(r, s): [Poly(E.chart, p).evaluate(point) / m3 for p in P]
+             for r, s, P in pairs if r in R and s in R and r != s}
+
+        def pair(A, B):
+            return sum((A[a] * B[(a + n) % size] for a in range(size)),
+                       GR(0)) * Fraction(1, 2)
+
+        def plus_iJ(v):
+            return [v[a] + I * sum((Jp[a][b] * v[b] for b in range(size)),
+                                   GR(0)) for a in range(size)]
+        ell = {t: [GR(int(a == t)) - I * Jp[a][t] for a in range(size)]
+               for t in R}
+        projected = {rs: plus_iJ(v) for rs, v in N.items()}
+        TL = {(r, s, t): pair(projected[r, s], ell[t])
+              for r, s in N for t in R if t not in (r, s)}
+        assert len(TL) == 8 * 7 * 6
+        assert all(v == -TL[s, r, t] and v == -TL[r, t, s]
+                   for (r, s, t), v in TL.items())
+        assert any(not v.is_zero for v in TL.values())
+
+    @pytest.mark.parametrize("case", ["n4", "n8", "nonclosed"])
+    def test_halves_decide_as_every_pair_within_the_frame(self, monkeypatch,
+                                                          case):
+        # the certificate's verdict on the pairs within the halves of R is
+        # the verdict over every pair a < b within R, read from the degree-0
+        # sweep: on the flipped twistor structure of hk4b (n = 4) and of
+        # product_flip (n = 8), and on the three N(Ii,Ii) of the
+        # nonclosed-bfield-hk4 control (hyperkahler_r4 under B = x1 dx2^dx3
+        # without its flux dB)
+        from tests.test_gcs import gate_triple
+        # (tensor, the certificate's verdict, the sweep's witnesses)
+        if case == "nonclosed":
+            runs = [(tensor, vanishes(tensor).vanished,
+                     vanishes(tensor, 0, max_witnesses=8 * 8).witnesses)
+                    for tensor in map(bind_nijenhuis,
+                                      gate_triple("nonclosed").generators)]
+        else:
+            flip_orientation(monkeypatch)
+            T = hk4b_triple() if case == "n4" else flip_triple()
+            every = (2 * T.chart.dim + 8) ** 2
+            runs = [(bind_nijenhuis(twistor_structure(T)),
+                     theorem_1_3(T).status == "pass",
+                     theorem_1_3(T, 0, max_witnesses=every).witnesses)]
+        for tensor, vanished, witnesses in runs:
+            R = complex_frame(tensor)
+            frames = generator_labels(tensor.chart, 0)
+            within = [(a, b) for a, b in (
+                (frames.index(w[0]), frames.index(w[1])) for w in witnesses)
+                if a < b and a in R and b in R]
+            assert vanished == (not within)
+            assert not vanished
 
 class TestSamplePoints:
     def test_deterministic_and_includes_basics(self):
@@ -650,7 +743,8 @@ class TestTheorem12:
 
     def test_twisted_bfield_base_passes_the_theorem11_suite(self):
         # the same triple as a CLI document with its flux
-        # dB = dx1^dx2^dx3: 3 x 6 pairs for the generators, then the 20
+        # dB = dx1^dx2^dx3: for each generator, the 2 * (2 * 1 / 2) pairs
+        # within the halves of its 4-element J-complex frame, then the 20
         # reports of theorem_1_1 on 28 frame pairs each
         import json
         from gencliff.cli import RunConfig, load_model, run
@@ -664,7 +758,8 @@ class TestTheorem12:
                            RunConfig(suites=["theorem11"]))
         assert code == 0
         res = report["suites"][0]
-        assert (res["status"], res["checks"]) == ("pass", 3 * 6 + 20 * 28)
+        assert (res["status"], res["checks"]) == \
+            ("pass", 3 * 2 * (2 * 1 // 2) + 20 * 28)
 
     def test_nonclosed_bfield_fails_on_its_generators(self):
         # without its flux dB the triple is not integrable: the theorem11
