@@ -4,7 +4,9 @@ verification suites: sparse polynomial products, polynomial products of the
 twistor sweep's shape (16-term by 30-term numerators in 8 variables, the
 dominant ``p_mul`` of ``theorem_1_3``), Dorfman bracket sweeps, a Nijenhuis
 vanishing pass (each operand's image and Jacobians built once, as in
-``gcs._residuals``), the twistor structure's numerators applied to one
+``gcs._residuals``), a constant-operand bracket sweep in the shape of
+``theorem_1_1``'s frame pairs (every bracket zero, decided from the
+Jacobians), the twistor structure's numerators applied to one
 bracket of an M-frame and a sphere-frame operand (``mat_apply_poly``, as
 ``theorem_1_3`` applies them), products of constant 8 x 8 EndFields
 (``gcs.mat_mul`` runs those on the kernel's term dicts), and ScalarField
@@ -124,7 +126,7 @@ def make_rationals(rng, count, n=3):
 
 
 def bench(polys, twistor_pairs, sections, twistor_bracket, ends, rationals,
-          n=4):
+          n=4, families=21):
     t0 = time.perf_counter()
     acc = {}
     for i in range(len(polys) - 1):
@@ -165,6 +167,24 @@ def bench(polys, twistor_pairs, sections, twistor_bracket, ends, rationals,
             K.sec_is_zero(res)
     t_nij = time.perf_counter() - t0
 
+    # theorem_1_1's shape on a constant triple: per family, the frame pairs
+    # a < b of the constant frame sections and their constant images, the
+    # four brackets of N_J each; every Jacobian entry is None
+    t0 = time.perf_counter()
+    frames = _kernel_generators(standard_chart(n), 0)
+    cops = []
+    for A in frames:
+        MA = K.mat_apply_const(M, A)
+        cops.append((A, K.sec_jacobian(n, A), MA, K.sec_jacobian(n, MA)))
+    for _ in range(families):
+        for a, (A, dA, MA, dMA) in enumerate(cops):
+            for B, dB, MB, dMB in cops[a + 1:]:
+                K.sec_dorfman(n, MA, MB, None, dMA, dMB)
+                K.sec_dorfman(n, MA, B, None, dMA, dB)
+                K.sec_dorfman(n, A, MB, None, dA, dMB)
+                K.sec_dorfman(n, A, B, None, dA, dB)
+    t_const = time.perf_counter() - t0
+
     J, bracket = twistor_bracket
     t0 = time.perf_counter()
     for _ in range(5):
@@ -181,7 +201,7 @@ def bench(polys, twistor_pairs, sections, twistor_bracket, ends, rationals,
         f + g
         f * g
     t_rat = time.perf_counter() - t0
-    return t_poly, t_twistor, t_dorf, t_nij, t_apply, t_end, t_rat
+    return t_poly, t_twistor, t_dorf, t_nij, t_const, t_apply, t_end, t_rat
 
 
 def main():
@@ -190,7 +210,7 @@ def main():
                   make_sections(rng, 60), make_twistor_bracket(),
                   make_endfields(rng, 200), make_rationals(rng, 40))
     print(" ".join(f"{h:>14}" for h in (
-        "poly-mul", "p_mul-16x30", "dorfman", "nijenhuis",
+        "poly-mul", "p_mul-16x30", "dorfman", "nijenhuis", "const-frame",
         "mat-apply-poly", "end-matmul", "rational")))
     print(" ".join(f"{t:>13.3f}s" for t in times))
 

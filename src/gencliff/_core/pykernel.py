@@ -26,9 +26,10 @@ Data layout:
                (column, coefficient) pairs, polynomial matrices as lists of
                (column, polynomial) pairs.  Zero entries are omitted.
 
-  jacobian     list of 2n entries, one per section component: None for a zero
-               component, else the list of its n partial derivatives (the
-               derivative by x_t at index t).
+  jacobian     list of 2n entries, one per section component: None when all
+               of the component's partial derivatives are zero, else the
+               list of its n partial derivatives (the derivative by x_t at
+               index t).
 
 All public functions are pure: inputs are never mutated, and no output
 shares a dict with an input.
@@ -272,6 +273,26 @@ def _p_mul_acc(acc, p, q):
                 acc[m] = (xa * u + a * v, xb * u + b * v, xd * u)
 
 
+def _p_mul_sub_acc(acc, p, q):
+    """acc -= p * q in the accumulator of _p_mul_acc."""
+    for m1, (a1, b1, d1) in p.items():
+        for m2, (a2, b2, d2) in q.items():
+            m = m1 + m2
+            a = b1 * b2 - a1 * a2
+            b = -(a1 * b2 + b1 * a2)
+            d = d1 * d2
+            x = acc.get(m)
+            if x is None:
+                acc[m] = (a, b, d)
+            elif x[2] == d:
+                acc[m] = (x[0] + a, x[1] + b, d)
+            else:
+                xa, xb, xd = x
+                g = gcd(xd, d)
+                u, v = d // g, xd // g
+                acc[m] = (xa * u + a * v, xb * u + b * v, xd * u)
+
+
 def _normalize_acc(acc):
     """The polynomial of an accumulator of _p_mul_acc: each coefficient
     normalized once, the zero ones dropped.  A monomial with a guard bit set
@@ -315,10 +336,7 @@ def sec_sub(A, B):
 
 
 def sec_is_zero(A):
-    for a in A:
-        if a:
-            return False
-    return True
+    return not any(A)
 
 
 def sec_pairing_differential(n, A):
@@ -369,15 +387,23 @@ def flux_contract(n, X, Y, H):
 
 
 def sec_jacobian(n, A, diff=p_diff):
-    """Jacobian of a section: entry c is None when A[c] is zero, else the
-    list [diff(A[c], t) for t in range(n)].
+    """Jacobian of a section: entry c is None when every partial of A[c] is
+    zero (so when A[c] is zero), else the list [diff(A[c], t) for t in
+    range(n)].
 
     diff defaults to plain partials; the fixed-denominator sweeps of gcs
     pass quotient-rule derivatives (numerators of d/dx_t (A[c] / m^k) over
-    m^(k+1)).  Sweeps build each operand's Jacobian once and reuse it for
-    every bracket the operand enters.
+    m^(k+1)).  Entry c is then None only when those numerators vanish: a
+    constant A[c] over m^k with k >= 1 has the partials -k A[c] d_t m, which
+    are not zero for a nonconstant m.  Sweeps build each operand's Jacobian
+    once and reuse it for every bracket the operand enters.
     """
-    return [[diff(a, t) for t in range(n)] if a else None for a in A]
+    # with plain partials, A[c] has a nonzero partial iff it has a
+    # nonconstant monomial (a nonzero packed key), so no diff is called on
+    # a constant component
+    rows = ([diff(a, t) for t in range(n)]
+            if a and (diff is not p_diff or any(a)) else () for a in A)
+    return [row if any(row) else None for row in rows]
 
 
 def sec_dorfman(n, A, B, H=None, dA=None, dB=None):
@@ -393,52 +419,55 @@ def sec_dorfman(n, A, B, H=None, dA=None, dB=None):
     Jacobians: A and B are then the numerators of P / m^j and Q / m^k, H
     holds the flux numerators over m, and the result is the numerator of
     the bracket over m^(j+k+1).
+
+    Every term above but the H-twist is a component times one entry of dA
+    or dB, quotient-rule entries included.  So when every entry of both
+    Jacobians is None and H is empty the bracket is zero, and the zero
+    section is returned with no product taken: for constant sections over
+    the unit base, the frame pairs of the symbol certificates.  The test
+    reads the Jacobians, never the sections, since a constant numerator
+    over m^k, k >= 1, has nonzero partials.  Otherwise each output
+    component sums its term products, over the nonzero components of the
+    operands only, unnormalized in one accumulator, as ``p_dot`` does, and
+    is normalized once.
     """
     if dA is None:
         dA = sec_jacobian(n, A)
     if dB is None:
         dB = sec_jacobian(n, B)
-    out = [None] * (2 * n)
-    for i in range(n):
+    if not H and not any(dA) and not any(dB):
+        return [{} for _ in range(2 * n)]
+    # component c: X^j dB^c/dx_j - Y^j dA^c/dx_j, and covector c = n + k
+    # also eta_j dX^j/dx_k + Y^j d xi_j/dx_k; j runs over the nonzero X^j,
+    # Y^j and eta_j only
+    X = [(j, x) for j, x in enumerate(A[:n]) if x]
+    Y = [(j, y) for j, y in enumerate(B[:n]) if y]
+    E = [(j, B[n + j]) for j in range(n) if B[n + j]]
+    out = []
+    for c in range(2 * n):
         acc = {}
-        dAi, dBi = dA[i], dB[i]
-        for j in range(n):
-            xj = A[j]
-            if xj and dBi is not None:
-                d = dBi[j]
+        dBc, dAc = dB[c], dA[c]
+        if dBc is not None:
+            for j, x in X:
+                d = dBc[j]
                 if d:
-                    _p_iadd(acc, p_mul(xj, d))
-            yj = B[j]
-            if yj and dAi is not None:
-                d = dAi[j]
+                    _p_mul_acc(acc, x, d)
+        if dAc is not None:
+            for j, y in Y:
+                d = dAc[j]
                 if d:
-                    _p_isub(acc, p_mul(yj, d))
-        out[i] = acc
-    for i in range(n):
-        acc = {}
-        dBni, dAni = dB[n + i], dA[n + i]
-        for j in range(n):
-            xj = A[j]
-            if xj and dBni is not None:
-                d = dBni[j]
-                if d:
-                    _p_iadd(acc, p_mul(xj, d))
-            ej = B[n + j]
-            if ej and dA[j] is not None:
-                d = dA[j][i]
-                if d:
-                    _p_iadd(acc, p_mul(ej, d))
-            yj = B[j]
-            if yj:
-                if dAni is not None:
-                    d = dAni[j]
-                    if d:
-                        _p_isub(acc, p_mul(yj, d))
-                if dA[n + j] is not None:
-                    d = dA[n + j][i]
-                    if d:
-                        _p_iadd(acc, p_mul(yj, d))
-        out[n + i] = acc
+                    _p_mul_sub_acc(acc, y, d)
+        if c >= n:
+            k = c - n
+            for j, e in E:
+                dAj = dA[j]
+                if dAj is not None and dAj[k]:
+                    _p_mul_acc(acc, e, dAj[k])
+            for j, y in Y:
+                dAj = dA[n + j]
+                if dAj is not None and dAj[k]:
+                    _p_mul_acc(acc, y, dAj[k])
+        out.append(_normalize_acc(acc) if acc else acc)
     if H:
         hpart = flux_contract(n, A, B, H)
         for i in range(n):

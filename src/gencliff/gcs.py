@@ -662,11 +662,10 @@ def _numerator_setup(kind, base, nums, kflux, const, square=None):
         I, J = nums
         IJ, JI = _mat_mul_terms(I, J), _mat_mul_terms(J, I)
         mats["I"] = _sparse_rows(I, const)
-        mats["IJ"] = _sparse_rows(IJ, const)
-        mats["JI"] = _sparse_rows(JI, const)
         mats["products"] = (IJ, JI)
         square = [[K.p_add(a, b) for a, b in zip(r1, r2)]
                   for r1, r2 in zip(IJ, JI)]
+        mats["IJ+JI"] = _sparse_rows(square, const)
     elif square is None:
         square = _mat_mul_terms(nums[0], nums[0])
     return mats, kflux, nums, square
@@ -836,32 +835,54 @@ def _eval_kernel(kind, mats, kflux, n, A, B):
     A bracket of P / m^j and Q / m^k is the numerator over m^(j+k+1), and
     applying a structure adds 1 to the exponent.  So every term lands on
     m^3, except [A, B] of N_J and N_G, which is lifted from m^1 by m^2.
+    Brackets that enter one structure are summed first, so each structure
+    is applied once: N_J(A,B) = [JA,JB] - J([JA,B] + [A,JB]) - [A,B].
+
+    A zero bracket (``K.sec_dorfman`` returns one at once for operands
+    with all-zero Jacobians and no flux) is passed through: no structure
+    is applied to it and no section is added.  When no operand of the pair
+    has a nonzero Jacobian entry and there is no flux, every bracket is
+    zero, so the tensor is: such a pair -- a pair of constant frame
+    sections over the unit base -- costs only that test.
     """
+    if not kflux and not any(any(P[1]) for P in A + B):
+        return [{} for _ in range(2 * n)]
     app = mats["app"]
 
     def dor(P, Q):
         return K.sec_dorfman(n, P[0], Q[0], kflux, P[1], Q[1])
+
+    def apply(S, T):
+        return app(mats[S], T) if any(T) else T
     if kind != "concomitant":
-        # N_J ends in - [A,B]; the real N_G ends in + [A,B]
-        last = K.p_sub if kind == "nijenhuis" else K.p_add
-        J = mats["J"]
         (a, ja), (b, jb) = A, B
-        t1 = dor(ja, jb)
-        t2 = app(J, dor(ja, b))
-        t3 = app(J, dor(a, jb))
-        t4 = mats["base"].lift(dor(a, b), 1, 3)
-        return [last(K.p_sub(K.p_sub(x, y), z), w)
-                for x, y, z, w in zip(t1, t2, t3, t4)]
-    I, J = mats["I"], mats["J"]
-    IJ, JI = mats["IJ"], mats["JI"]
+        ab = mats["base"].lift(dor(a, b), 1, 3)
+        # N_J ends in - [A,B]; the real N_G ends in + [A,B]
+        return _signed_sum([(1, dor(ja, jb)),
+                            (-1, apply("J", _signed_sum([(1, dor(ja, b)),
+                                                         (1, dor(a, jb))]))),
+                            (-1 if kind == "nijenhuis" else 1, ab)])
     (a, ja, ia), (b, jb, ib) = A, B
-    t1 = K.sec_add(dor(ia, jb), dor(ja, ib))
-    t2 = app(I, K.sec_add(dor(a, jb), dor(ja, b)))
-    t3 = app(J, K.sec_add(dor(a, ib), dor(ia, b)))
-    ab = dor(a, b)
-    t4 = K.sec_add(app(IJ, ab), app(JI, ab))
-    out = K.sec_add(K.sec_sub(K.sec_sub(t1, t2), t3), t4)
+    out = _signed_sum([
+        (1, dor(ia, jb)), (1, dor(ja, ib)),
+        (-1, apply("I", _signed_sum([(1, dor(a, jb)), (1, dor(ja, b))]))),
+        (-1, apply("J", _signed_sum([(1, dor(a, ib)), (1, dor(ia, b))]))),
+        (1, apply("IJ+JI", dor(a, b)))])
     return [K.p_scale(p, HALF) for p in out]
+
+
+def _signed_sum(terms):
+    """The section sum of s S over the (s, S) terms, s = 1 or -1, skipping
+    zero components, so a sum of zero sections costs only the tests.  The
+    terms are sections of one size; the sum shares no dict with them."""
+    out = [{} for _ in terms[0][1]]
+    for s, S in terms:
+        if any(S):
+            op = K.p_add if s > 0 else K.p_sub
+            for c, p in enumerate(S):
+                if p:
+                    out[c] = op(out[c], p)
+    return out
 
 
 def _at(p, i, v):

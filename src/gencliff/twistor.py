@@ -541,9 +541,17 @@ def check_flatness(conn: ConnectionData) -> bool:
 # ---------------------------------------------------------------------------
 # Twistor space over the product chart.
 
+# The entries (i, j, s) of the product-sphere structure on the sphere frame
+# (d_u1, d_v1, d_u2, d_v2, du1, dv1, du2, dv2): entry (i, j) is the constant
+# s = +-1, every other entry 0.  In both blocks, rows 2k and 2k + 1 hold the
+# 2 x 2 block [[0, -1], [1, 0]], which squares to -Id (so does its negative).
+SPHERE_PATTERN = tuple((i, i ^ 1, 1 if i % 2 else -1) for i in range(8))
+
+
 def sphere_gcs(chart: Chart | None = None) -> EndField:
     """The product-sphere generalized complex structure
-    [[-J_zeta, 0], [0, J_zeta^T]] (constant 8x8).
+    [[-J_zeta, 0], [0, J_zeta^T]] (constant 8x8), with the entries of
+    ``SPHERE_PATTERN``.
 
     Orientation: J_zeta d_u = -d_v per factor, i.e. the holomorphic
     coordinate of the fiber structure is the CONJUGATE of the stereographic
@@ -556,19 +564,12 @@ def sphere_gcs(chart: Chart | None = None) -> EndField:
     """
     if chart is None:
         chart = sphere_chart()
-    n = chart.dim
-    if n != 4:
+    if chart.dim != 4:
         raise ValueError("sphere chart must have 4 coordinates")
-    J = [[0] * 4 for _ in range(4)]
-    for blk in (0, 2):
-        J[blk + 1][blk] = -1     # J du = -dv
-        J[blk][blk + 1] = 1      # J dv = du
-    zero = [[ScalarField.zero(chart)] * 4 for _ in range(4)]
-    upper = [[ScalarField.constant(chart, -J[i][j]) for j in range(4)]
-             for i in range(4)]
-    lower = [[ScalarField.constant(chart, J[j][i]) for j in range(4)]
-             for i in range(4)]
-    out = EndField.from_blocks(chart, upper, zero, zero, lower)
+    entries = [[ScalarField.zero(chart)] * 8 for _ in range(8)]
+    for i, j, s in SPHERE_PATTERN:
+        entries[i][j] = ScalarField.constant(chart, s)
+    out = EndField(chart, entries)
     if not is_almost_gcs(out):
         raise AssertionError("sphere structure failed the almost-GCS checks")
     return out
@@ -582,7 +583,8 @@ def _twistor_numerators(T: CliffordTriple):
     """(Z, base, rows): the product chart Z = (x..., u1, v1, u2, v2), the
     sphere base m of ``_ihat`` and the dense numerators over m^1 of
     Ihat (+) J_sphere on Z -- Ihat's numerators as ``_ihat`` builds them,
-    and m times the constant pattern of ``sphere_gcs``."""
+    and m times the constant entries of ``SPHERE_PATTERN``, written
+    directly: no ``sphere_gcs`` EndField is built."""
     Z = product_chart(T)
     _, _, base, _, Ihat, _ = _ihat(T, Z)
     n = T.chart.dim
@@ -600,10 +602,8 @@ def _twistor_numerators(T: CliffordTriple):
         for j, p in enumerate(row):
             if p:
                 rows[mslot(i)][mslot(j)] = p
-    for i, row in enumerate(sphere_gcs().entries):
-        for j, f in enumerate(row):
-            if not f.is_zero:
-                rows[sslot(i)][sslot(j)] = K.p_scale(base.m, f.num.terms[0])
+    for i, j, s in SPHERE_PATTERN:
+        rows[sslot(i)][sslot(j)] = K.p_scale(base.m, (s, 0, 1))
     return Z, base, rows
 
 
@@ -620,8 +620,10 @@ def _twistor_square(base: _PowerDen, size: int):
                = -|c|^2 G+ - |d|^2 G- = -Id,
 
     the e_klj terms cancelling since c_k c_l and d_k d_l are symmetric in
-    k, l.  ``sphere_gcs`` checks J_sphere^2 = -Id itself, and the two
-    blocks act on disjoint coordinates of the product chart."""
+    k, l.  J_sphere^2 = -Id holds since every 2 x 2 block of
+    ``SPHERE_PATTERN`` squares to -Id (``sphere_gcs`` checks it on the
+    EndField), and the two blocks act on disjoint coordinates of the
+    product chart."""
     minus = K.p_scale(base.mpow(2), K.c_neg(K.C_ONE))
     return [[minus if i == j else {} for j in range(size)]
             for i in range(size)]
@@ -665,11 +667,12 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
     sphere base m, from the structure's numerators over m
     (``_twistor_numerators``).  With degree_bound None (the default) this
     is the symbol certificate: the structure squares to -Id, which follows
-    from what ``_ihat`` and ``sphere_gcs`` check (``_twistor_square``; the
-    square is not multiplied out), and is skew-adjoint for the pairing,
-    checked exactly on its numerators, so its Nijenhuis tensor is
-    C-infinity-bilinear and skew, and the frame pairs (e_a, e_b) with a < b
-    decide it for all smooth sections.  Fewer pairs suffice: at the origin
+    from what ``_ihat`` checks and from ``SPHERE_PATTERN``
+    (``_twistor_square``; the square is not multiplied out), and is
+    skew-adjoint for the pairing, checked exactly on its numerators, so its
+    Nijenhuis tensor is C-infinity-bilinear and skew, and the frame pairs
+    (e_a, e_b) with a < b decide it for all smooth sections.  Fewer pairs
+    suffice: at the origin
     of the product chart, where m = 1, the frame elements e_R of a
     J-complex frame R (``gcs._complex_frame``) and their images J e_R form
     a basis, and the pairs r < s within each half of R, split in index

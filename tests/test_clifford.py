@@ -320,6 +320,52 @@ class TestSymbolCertificate:
             assert not status.integrable and status.relations_ok
 
 
+def nonclosed_flip_triple(terms):
+    """product_flip (n = 8) transformed by B = sum x_v dx_i^dx_j over the
+    0-based (i, j, v) terms, with the flux dB dropped: the Clifford
+    relations hold, integrability need not."""
+    from gencliff.cartan import KForm
+    from gencliff.gcs import bfield_transform
+    T = product_flip()
+    B = KForm.zero(T.chart, 2)
+    for i, j, v in terms:
+        B = B + KForm.basis(T.chart, (i, j)).scale(
+            ScalarField.variable(T.chart, v))
+    return CliffordTriple(*[EndField(T.chart, bfield_transform(E, B).entries)
+                            for E in T.generators])
+
+
+@pytest.mark.parametrize("terms, alone, shared", [
+    # N(I2,I2) gets the 5 witnesses N(I1,I1) left, of its 6; N(I3,I3) is
+    # not evaluated
+    (((3, 5, 0), (5, 6, 3), (3, 6, 2)), [5, 6, 3], [5, 5]),
+    # N(I2,I2) keeps its 6 of the 7 left, N(I3,I3) gets the last 1 of its 5
+    (((2, 6, 7), (0, 1, 5), (3, 5, 6)), [3, 6, 5], [3, 6, 1])],
+    ids=["second_truncated", "third_gets_one"])
+def test_partial_witness_budget(terms, alone, shared):
+    # a later generator of a failing n = 8 triple gets part of the 10
+    # shared witnesses: its report is the one vanishes gives with the
+    # budget the earlier ones left as its max_witnesses, so it stops at the
+    # last witness it may record.  Each N(Ii,Ii) alone is evaluated on its
+    # 12 pairs
+    from gencliff.gcs import bind_nijenhuis, vanishes
+    T = nonclosed_flip_triple(terms)
+    assert check_relations(T).ok
+    tensors = [bind_nijenhuis(E, f"N(I{i+1},I{i+1})")
+               for i, E in enumerate(T.generators)]
+    ref = [vanishes(t) for t in tensors]
+    assert [len(r.witnesses) for r in ref] == alone
+    assert [r.sample_count for r in ref] == [2 * (4 * 3 // 2)] * 3
+    status = verify_triple(T).status
+    assert [len(r.witnesses) for r in status.integrability] == shared
+    left = [10 - sum(shared[:i]) for i in range(len(shared))]
+    assert list(status.integrability) == [
+        vanishes(t, max_witnesses=k) for t, k in zip(tensors, left)]
+    assert [w for r in status.integrability for w in r.witnesses] == \
+        [w for r in ref for w in r.witnesses][:10]
+    assert not status.integrable and status.relations_ok
+
+
 def frame_pair(witness):
     """True iff a witness's generator pair is a frame pair (e_a, e_b) with
     a < b, the pairs of a proven C-infinity-bilinear, skew residual."""

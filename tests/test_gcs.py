@@ -828,6 +828,30 @@ class TestKernelEvaluate:
             A = Section.frame(R4, 1).scale(parse_expr("x3 / (1 + x2^2)", R4))
             assert kernel_evaluate(tensor, A, B) == tensor.evaluate(A, B)
 
+    def test_constant_frame_pairs_with_and_without_flux(self):
+        # constant structures on constant frame sections over the unit
+        # base: without flux every bracket is zero and so is the tensor;
+        # a constant flux makes the H-twist ι_Y ι_X H nonzero, and the
+        # evaluator must agree with the reference on every frame pair
+        T = hyperkahler_r4()
+        one = [[ScalarField.one(R4) if i == j else ScalarField.zero(R4)
+                for j in range(4)] for i in range(4)]
+        G = generalized_metric(one, [[ScalarField.zero(R4)] * 4
+                                     for _ in range(4)], R4)
+        H = FluxForm(KForm(R4, 3, {(0, 1, 3): ScalarField.constant(R4, 3)}))
+        frames = frame_sections(R4)
+        for flux in (None, H):
+            tensors = (bind_nijenhuis(T.I1, flux=flux),
+                       bind_concomitant(T.I1, T.I2, flux=flux),
+                       bind_real_nijenhuis(G, flux=flux))
+            nonzero = 0
+            for tensor in tensors:
+                for A, B in itertools.product(frames, repeat=2):
+                    got = kernel_evaluate(tensor, A, B)
+                    assert got == tensor.evaluate(A, B)
+                    nonzero += not got.is_zero
+            assert bool(nonzero) is (flux is not None)
+
 
 class TestEndFieldArithmetic:
     """+, - and scaling by a constant take the kernel route on polynomial

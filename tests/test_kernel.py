@@ -269,15 +269,16 @@ class TestInputsUnchanged:
 
 class TestJacobian:
     def test_zero_components_give_none(self):
+        # None exactly when every partial is zero: for a zero component and
+        # for a constant one
         rng = random.Random(83)
         for _ in range(50):
             A = rnd_ksection(rng)
+            A[rng.randrange(6)] = packed({(0, 0, 0): (5, -2, 3)})
             jac = kernel.sec_jacobian(3, A)
             for comp, row in zip(A, jac):
-                if not comp:
-                    assert row is None
-                else:
-                    assert row == [kernel.p_diff(comp, t) for t in range(3)]
+                partials = [kernel.p_diff(comp, t) for t in range(3)]
+                assert row == (partials if any(partials) else None)
 
     def test_quotient_rule_matches_power_den(self):
         # _PowerDen.diff(k) against the local quotient rule, and both
@@ -302,6 +303,171 @@ class TestJacobian:
                     f = ScalarField(Poly(R3, comp), den)
                     for t in range(3):
                         assert f.diff(t) == ScalarField(Poly(R3, row[t]), up)
+
+
+def dorfman_oracle(n, A, B, H):
+    """The Dorfman bracket of kernel sections term by term, every product
+    through p_mul and every sum through p_add or p_sub, with no Jacobian
+    and no accumulator: the oracle of sec_dorfman's one accumulator per
+    component."""
+    K = pykernel
+
+    def d(p, t):
+        return K.p_diff(p, t)
+    out = [{} for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            out[i] = K.p_add(out[i], K.p_mul(A[j], d(B[i], j)))
+            out[i] = K.p_sub(out[i], K.p_mul(B[j], d(A[i], j)))
+            out[n + i] = K.p_add(out[n + i], K.p_mul(A[j], d(B[n + i], j)))
+            out[n + i] = K.p_add(out[n + i], K.p_mul(B[n + j], d(A[j], i)))
+            out[n + i] = K.p_sub(out[n + i], K.p_mul(
+                B[j], K.p_sub(d(A[n + i], j), d(A[n + j], i))))
+    for (i, j, k), h in (H or {}).items():
+        X, Y = A[:n], B[:n]
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            # iota_Y iota_X (h dx^a^dx^b^dx^c) has h (X^a Y^b - X^b Y^a)
+            # at dx^c
+            t = K.p_sub(K.p_mul(X[a], Y[b]), K.p_mul(X[b], Y[a]))
+            out[n + c] = K.p_sub(out[n + c], K.p_mul(h, t))
+    return out
+
+
+def constant_ksection(rng, n=3):
+    """A section with constant Gaussian-rational components, some zero."""
+    return [packed({(0,) * n: pykernel.c_make(rng.randint(-9, 9),
+                                              rng.randint(-9, 9),
+                                              rng.randint(1, 9))})
+            if rng.random() < 0.7 else {} for _ in range(2 * n)]
+
+
+class TestStructurallyZeroBracket:
+    """sec_dorfman returns the zero section at once when both Jacobians are
+    all None and there is no flux, and otherwise sums each component in one
+    accumulator."""
+
+    def test_constant_operands_without_flux_take_no_product(self,
+                                                            monkeypatch):
+        rng = random.Random(90)
+        R3 = standard_chart(3)
+
+        def refuse(*args):
+            raise AssertionError("a product was taken")
+        for _ in range(20):
+            A, B = constant_ksection(rng), constant_ksection(rng)
+            want = dorfman(section_from_kernel(R3, A),
+                           section_from_kernel(R3, B))
+            assert want.is_zero
+            with monkeypatch.context() as mp:
+                for name in ("_p_mul_acc", "_p_mul_sub_acc", "p_mul"):
+                    mp.setattr(pykernel, name, refuse)
+                for H in (None, {}):
+                    assert pykernel.sec_dorfman(3, A, B, H) == [{}] * 6
+                    assert pykernel.sec_jacobian(3, A) == [None] * 6
+
+    def test_constant_operands_with_a_constant_flux_are_not_skipped(self):
+        # [A, B]_H = -iota_Y iota_X H for constant A, B: nonzero
+        rng = random.Random(91)
+        R3 = standard_chart(3)
+        Hf = FluxForm(KForm(R3, 3, {(0, 1, 2): ScalarField.constant(R3, 7)}))
+        kf = {(0, 1, 2): packed({(0, 0, 0): (7, 0, 1)})}
+        nonzero = 0
+        for _ in range(20):
+            A, B = constant_ksection(rng), constant_ksection(rng)
+            got = pykernel.sec_dorfman(3, A, B, kf)
+            want = pykernel.flux_contract(3, A, B, kf)
+            assert got == [{}] * 3 + [pykernel.p_neg(w) for w in want]
+            assert section_from_kernel(R3, got) == dorfman_twisted(
+                section_from_kernel(R3, A), section_from_kernel(R3, B), Hf)
+            nonzero += any(got)
+        assert nonzero
+
+    def test_constant_numerator_over_m_is_not_skipped(self):
+        # d/dx_t (c / m) = -c d_t m / m^2: the quotient-rule Jacobian of a
+        # constant numerator over m^1 is not None, and its bracket with a
+        # frame section is the ScalarField route's
+        R3 = standard_chart(3)
+        base = _PowerDen(R3, QR_BASE)
+        c = packed({(0, 0, 0): (2, 1, 3)})
+        P = [c, {}, {}, {}, {}, {}]
+        jac = base.jacobian(P, 1)
+        assert jac[0] is not None and any(jac[0])
+        assert jac[1:] == [None] * 5
+        nonzero = 0
+        for b in range(6):
+            Q = [{}] * 6
+            Q[b] = packed({(0, 0, 0): (1, 0, 1)})
+            for (X, j, dX), (Y, k, dY) in (
+                    ((P, 1, jac), (Q, 0, base.jacobian(Q, 0))),
+                    ((Q, 0, base.jacobian(Q, 0)), (P, 1, jac))):
+                got = pykernel.sec_dorfman(3, X, Y, None, dX, dY)
+                assert base.section(got, j + k + 1) == dorfman(
+                    base.section(X, j), base.section(Y, k))
+                nonzero += any(got)
+        # e.g. [d_b, (c/m) d1] = d_b(c/m) d1, nonzero for b = 1, 2, 3
+        assert nonzero
+
+    def test_accumulated_bracket_is_the_product_oracle(self):
+        # random sections with Gaussian coefficients over mixed
+        # denominators, constant and zero components among them, with and
+        # without a polynomial flux
+        rng = random.Random(92)
+        for _ in range(60):
+            A, B = rnd_ksection(rng), rnd_ksection(rng)
+            if rng.random() < 0.3:
+                A = constant_ksection(rng)
+            H = rng.choice([None, {(0, 1, 2): rnd_kpoly(rng)}])
+            want = dorfman_oracle(3, A, B, H)
+            assert pykernel.sec_dorfman(3, A, B, H) == want
+            assert pykernel.sec_dorfman(3, A, B, H, pykernel.sec_jacobian(
+                3, A), pykernel.sec_jacobian(3, B)) == want
+        # two term products of one output monomial over denominators 6 and
+        # 10 sum to 1/6 + 1/10 = 4/15, normalized once: the e1-component
+        # of [d1/6 + d2/10, (x1 + x2) e1] is L_X eta = X^1 + X^2
+        A = [packed({(0, 0, 0): (1, 0, 6)}), packed({(0, 0, 0): (1, 0, 10)}),
+             {}, {}, {}, {}]
+        B = [{}, {}, {}, packed({(1, 0, 0): (1, 0, 1), (0, 1, 0): (1, 0, 1)}),
+             {}, {}]
+        got = pykernel.sec_dorfman(3, A, B, None)
+        assert got == dorfman_oracle(3, A, B, None)
+        assert got[3] == packed({(0, 0, 0): (4, 0, 15)})
+
+
+class TestTheorem11FramePairs:
+    def test_no_structure_is_applied_on_the_frame_pairs(self, monkeypatch):
+        # on hyperkahler_r4 every generator pair theorem11 evaluates is a
+        # pair of constant sections over the unit base, so every bracket is
+        # zero: no pair brackets or applies a structure; the generators'
+        # own images J e_a are built outside the pairs.  Skipped pairs are
+        # still counted: 3 x 2 generator pairs and 21 x 28 family pairs
+        from gencliff import cli, gcs
+        inside, calls = [False], {"mat_apply_const": [], "sec_dorfman": []}
+        evaluate = gcs._eval_kernel
+
+        def counted_evaluate(*args):
+            inside[0] = True
+            try:
+                return evaluate(*args)
+            finally:
+                inside[0] = False
+
+        def counted(name):
+            fn = getattr(pykernel, name)
+
+            def wrapper(*args):
+                calls[name].append(inside[0])
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(gcs, "_eval_kernel", counted_evaluate)
+        for name in calls:
+            monkeypatch.setattr(pykernel, name, counted(name))
+        model = cli.load_model(None, "hyperkahler_r4")
+        report, code = cli.run(model, cli.RunConfig(suites=["theorem11"]))
+        assert code == 0
+        assert [(s["status"], s["checks"]) for s in report["suites"]] == \
+            [("pass", 3 * 2 + 21 * 28)]
+        assert calls["mat_apply_const"]
+        assert not any(calls["mat_apply_const"] + calls["sec_dorfman"])
 
 
 class TestKernelVsCalculus:

@@ -10,7 +10,7 @@ from gencliff import twistor
 from gencliff._core import kernel as K
 from gencliff.scalar import GaussianRational, Poly, ScalarField
 from gencliff.courant import Section, dorfman
-from gencliff.gcs import (_PowerDen, _mat_mul_terms, _sparse_rows,
+from gencliff.gcs import (EndField, _PowerDen, _mat_mul_terms, _sparse_rows,
                           bind_nijenhuis, generator_labels, is_almost_gcs,
                           vanishes)
 from gencliff.clifford import induce, project, theorem_1_1, verify_triple
@@ -229,6 +229,15 @@ class TestSphereGcs:
         assert is_almost_gcs(E)
         assert vanishes(bind_nijenhuis(E), 1).vanished
 
+    def test_flipped_pattern_is_the_negative(self, monkeypatch):
+        # flip_orientation negates SPHERE_PATTERN, so sphere_gcs and the
+        # twistor numerators both read the opposite orientation
+        E = sphere_gcs()
+        flip_orientation(monkeypatch)
+        F = twistor.sphere_gcs()
+        assert is_almost_gcs(F)
+        assert F == -E
+
     def test_eigenbundle_orientation(self):
         # +i eigenbundle: d/d_zeta vectors and d_zetabar covectors of the
         # stereographic coordinate (the fiber-holomorphic coordinate is the
@@ -379,10 +388,10 @@ def hk4b_triple():
 
 def flip_orientation(monkeypatch):
     """J_zeta d_u = +d_v on both spheres: the +i eigenbundle of the twistor
-    structure is then not involutive (see sphere_gcs)."""
-    right = twistor.sphere_gcs
-    monkeypatch.setattr(twistor, "sphere_gcs",
-                        lambda chart=None: -right(chart))
+    structure is then not involutive (see sphere_gcs).  Both sphere_gcs and
+    the twistor numerators read SPHERE_PATTERN."""
+    monkeypatch.setattr(twistor, "SPHERE_PATTERN", tuple(
+        (i, j, -s) for i, j, s in twistor.SPHERE_PATTERN))
 
 
 def representative_pair(witness, frames, reps=None):
@@ -436,9 +445,14 @@ class TestTheorem13:
         T = hk4b_triple()
         want = theorem_1_3(T)
 
-        def refuse(T):
-            raise AssertionError("twistor_structure built")
+        def refuse(*args, **kwargs):
+            raise AssertionError("twistor_structure, sphere_gcs or an "
+                                 "EndField product built")
+        # the sphere block is written from SPHERE_PATTERN: no EndField is
+        # built or multiplied
         monkeypatch.setattr(twistor, "twistor_structure", refuse)
+        monkeypatch.setattr(twistor, "sphere_gcs", refuse)
+        monkeypatch.setattr(EndField, "__matmul__", refuse)
         got = theorem_1_3(T)
         assert (got.status, got.nijenhuis_checks) == \
             (want.status, want.nijenhuis_checks) == ("pass", self.CERT_PAIRS)
