@@ -8,8 +8,12 @@ vanishing pass (each operand's image and Jacobians built once, as in
 ``theorem_1_1``'s frame pairs (every bracket zero, decided from the
 Jacobians), the twistor structure's numerators applied to one
 bracket of an M-frame and a sphere-frame operand (``mat_apply_poly``, as
-``theorem_1_3`` applies them), products of constant 8 x 8 EndFields
-(``gcs.mat_mul`` runs those on the kernel's term dicts), and ScalarField
+``theorem_1_3`` applies them), the pair evaluations of ``theorem_1_3``'s
+certificate on the seed-0 hk4b triple of ``perfbench/workloads.py`` (12
+frame pairs of integral numerators over the sphere base, each operand's
+image and Jacobians built on first use), products of constant 8 x 8
+EndFields (``gcs.mat_mul`` runs those on the kernel's term dicts), and
+ScalarField
 sums and products of
 rational functions whose distinct denominators share a factor, which
 normalize through ``scalar._gcd_fast`` and the PRS ``polygcd.p_gcd``.
@@ -21,20 +25,25 @@ Run from the repository root:
     python benchmarks/bench_kernel.py
 """
 
+import importlib.util
 import random
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from gencliff._core import kernel as K
+from gencliff.cli import load_model
 from gencliff.clifford import verify_triple
 from gencliff.examples import hyperkahler_r4
 from gencliff.gcs import (EndField, _kernel_generators, _kernel_setup,
-                          _operand, bind_nijenhuis)
-from gencliff.twistor import twistor_structure
+                          _numerator_setup, _operand, _setup_residuals,
+                          bind_nijenhuis)
+from gencliff.twistor import (_twistor_numerators, _twistor_square,
+                              twistor_structure)
 from gencliff.scalar import (GaussianRational, Poly, ScalarField,
                              standard_chart)
 
@@ -104,6 +113,21 @@ def make_twistor_bracket():
     return mats["J"], K.sec_dorfman(E.chart.dim, ja, jb, None, dja, djb)
 
 
+def make_twistor_setup():
+    """The twistor structure's numerators of the seed-0 hk4b triple of the
+    benchmark's input generator, set up for theorem_1_3's certificate:
+    (product chart, numerator setup)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads      # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    model = load_model(text=workloads.dumps(workloads.hk4b_document(0)))
+    Z, base, rows = _twistor_numerators(verify_triple(model.triple))
+    return Z, _numerator_setup("nijenhuis", base, [rows], None, False,
+                               _twistor_square(base, len(rows)))
+
+
 def make_rationals(rng, count, n=3):
     """P_i / (L_i L_(i+1)) for linear L_i = 1 + x1 + (i+2) x2 - x3 and
     random quadratic P_i: neighbours share exactly the factor L_(i+1), so
@@ -125,8 +149,8 @@ def make_rationals(rng, count, n=3):
     return out
 
 
-def bench(polys, twistor_pairs, sections, twistor_bracket, ends, rationals,
-          n=4, families=21):
+def bench(polys, twistor_pairs, sections, twistor_bracket, twistor_setup,
+          ends, rationals, n=4, families=21):
     t0 = time.perf_counter()
     acc = {}
     for i in range(len(polys) - 1):
@@ -191,6 +215,15 @@ def bench(polys, twistor_pairs, sections, twistor_bracket, ends, rationals,
         K.mat_apply_poly(J, bracket)
     t_apply = time.perf_counter() - t0
 
+    # theorem_1_3's certificate pairs, three times over, each time with the
+    # operands built afresh
+    Z, setup = twistor_setup
+    t0 = time.perf_counter()
+    for _ in range(3):
+        for _, _, P in _setup_residuals("nijenhuis", Z, setup, None)[2]:
+            assert K.sec_is_zero(P)
+    t_pairs = time.perf_counter() - t0
+
     t0 = time.perf_counter()
     for i in range(len(ends) - 1):
         ends[i] @ ends[i + 1]
@@ -201,17 +234,19 @@ def bench(polys, twistor_pairs, sections, twistor_bracket, ends, rationals,
         f + g
         f * g
     t_rat = time.perf_counter() - t0
-    return t_poly, t_twistor, t_dorf, t_nij, t_const, t_apply, t_end, t_rat
+    return (t_poly, t_twistor, t_dorf, t_nij, t_const, t_apply, t_pairs,
+            t_end, t_rat)
 
 
 def main():
     rng = random.Random(20240817)
     times = bench(make_polys(rng, 400), make_twistor_pairs(rng, 200),
                   make_sections(rng, 60), make_twistor_bracket(),
-                  make_endfields(rng, 200), make_rationals(rng, 40))
+                  make_twistor_setup(), make_endfields(rng, 200),
+                  make_rationals(rng, 40))
     print(" ".join(f"{h:>14}" for h in (
         "poly-mul", "p_mul-16x30", "dorfman", "nijenhuis", "const-frame",
-        "mat-apply-poly", "end-matmul", "rational")))
+        "mat-apply-poly", "twistor-pairs", "end-matmul", "rational")))
     print(" ".join(f"{t:>13.3f}s" for t in times))
 
 

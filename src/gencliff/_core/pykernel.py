@@ -5,6 +5,14 @@ Data layout:
 
   coefficient  (a, b, d)   the Gaussian rational (a + b*i)/d with d > 0 and
                            gcd(a, b, d) = 1; exact arbitrary-precision ints.
+                           d = 1 is a Gaussian integer.  Over every
+                           fixed-denominator base of gcs but the unit, all
+                           coefficients are Gaussian integers (gcs._PowerDen
+                           folds the integer that clears them into the
+                           base), so those paths run on d = 1 alone:
+                           c_make returns (a, b, 1) with no gcd, and the
+                           product accumulators add numerators over the one
+                           denominator and never merge two (``_merge``).
   monomial     one non-negative int holding the exponent vector: variable i
                has the W-bit field at bits [W*i, W*i + W), so the constant
                monomial is 0, a monomial product is m1 + m2 and d/dx_i
@@ -110,7 +118,10 @@ C_I = (0, 1, 1)
 
 
 def c_make(a, b, d):
-    """Normalize (a + b*i)/d into canonical triple form (d may be signed)."""
+    """Normalize (a + b*i)/d into canonical triple form (d may be signed).
+    A Gaussian integer (d = 1) is canonical as it stands: no gcd."""
+    if d == 1:
+        return (a, b, 1)
     if a == 0 and b == 0:
         return C_ZERO
     if d < 0:
@@ -253,44 +264,82 @@ def p_dot(pairs):
 
 def _p_mul_acc(acc, p, q):
     """acc += p * q in p_mul's unnormalized accumulator: monomial ->
-    (a, b, d) with no gcd taken; a sum over different denominators merges
-    over their LCM."""
+    (a, b, d) with no gcd taken.  Term products over the stored
+    denominator (always, when every coefficient is a Gaussian integer, as
+    on a fixed-denominator base) add their numerators; a sum over
+    different denominators merges over their LCM (``_merge``).  A real
+    coefficient of p skips the cross terms with its zero imaginary part."""
+    get = acc.get
+    qi = q.items()
     for m1, (a1, b1, d1) in p.items():
-        for m2, (a2, b2, d2) in q.items():
-            m = m1 + m2
-            a = a1 * a2 - b1 * b2
-            b = a1 * b2 + b1 * a2
-            d = d1 * d2
-            x = acc.get(m)
-            if x is None:
-                acc[m] = (a, b, d)
-            elif x[2] == d:
-                acc[m] = (x[0] + a, x[1] + b, d)
-            else:
-                xa, xb, xd = x
-                g = gcd(xd, d)
-                u, v = d // g, xd // g
-                acc[m] = (xa * u + a * v, xb * u + b * v, xd * u)
+        if b1:
+            for m2, (a2, b2, d2) in qi:
+                m = m1 + m2
+                a = a1 * a2 - b1 * b2
+                b = a1 * b2 + b1 * a2
+                d = d1 * d2
+                x = get(m)
+                if x is None:
+                    acc[m] = (a, b, d)
+                elif x[2] == d:
+                    acc[m] = (x[0] + a, x[1] + b, d)
+                else:
+                    acc[m] = _merge(x, a, b, d)
+        else:
+            for m2, (a2, b2, d2) in qi:
+                m = m1 + m2
+                a = a1 * a2
+                b = a1 * b2
+                d = d1 * d2
+                x = get(m)
+                if x is None:
+                    acc[m] = (a, b, d)
+                elif x[2] == d:
+                    acc[m] = (x[0] + a, x[1] + b, d)
+                else:
+                    acc[m] = _merge(x, a, b, d)
 
 
 def _p_mul_sub_acc(acc, p, q):
-    """acc -= p * q in the accumulator of _p_mul_acc."""
+    """acc -= p * q in the accumulator of _p_mul_acc, on the same terms."""
+    get = acc.get
+    qi = q.items()
     for m1, (a1, b1, d1) in p.items():
-        for m2, (a2, b2, d2) in q.items():
-            m = m1 + m2
-            a = b1 * b2 - a1 * a2
-            b = -(a1 * b2 + b1 * a2)
-            d = d1 * d2
-            x = acc.get(m)
-            if x is None:
-                acc[m] = (a, b, d)
-            elif x[2] == d:
-                acc[m] = (x[0] + a, x[1] + b, d)
-            else:
-                xa, xb, xd = x
-                g = gcd(xd, d)
-                u, v = d // g, xd // g
-                acc[m] = (xa * u + a * v, xb * u + b * v, xd * u)
+        if b1:
+            for m2, (a2, b2, d2) in qi:
+                m = m1 + m2
+                a = b1 * b2 - a1 * a2
+                b = -(a1 * b2 + b1 * a2)
+                d = d1 * d2
+                x = get(m)
+                if x is None:
+                    acc[m] = (a, b, d)
+                elif x[2] == d:
+                    acc[m] = (x[0] + a, x[1] + b, d)
+                else:
+                    acc[m] = _merge(x, a, b, d)
+        else:
+            for m2, (a2, b2, d2) in qi:
+                m = m1 + m2
+                a = -a1 * a2
+                b = -a1 * b2
+                d = d1 * d2
+                x = get(m)
+                if x is None:
+                    acc[m] = (a, b, d)
+                elif x[2] == d:
+                    acc[m] = (x[0] + a, x[1] + b, d)
+                else:
+                    acc[m] = _merge(x, a, b, d)
+
+
+def _merge(x, a, b, d):
+    """The accumulated (xa + xb*i)/xd plus (a + b*i)/d, unnormalized, over
+    the LCM of the two denominators."""
+    xa, xb, xd = x
+    g = gcd(xd, d)
+    u, v = d // g, xd // g
+    return (xa * u + a * v, xb * u + b * v, xd * u)
 
 
 def _normalize_acc(acc):
@@ -304,7 +353,7 @@ def _normalize_acc(acc):
         if m & GUARD:
             raise ExponentLimitError()
         if a or b:
-            out[m] = c_make(a, b, d)
+            out[m] = (a, b, 1) if d == 1 else c_make(a, b, d)
     return out
 
 

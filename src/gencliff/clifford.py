@@ -26,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._core import kernel as K
-from .scalar import ChartMismatchError, Poly, ScalarField
+from .scalar import ChartMismatchError, ScalarField
 from .courant import FluxForm
 from .gcs import (HALF, EndField, TensorReport, _PowerDen, _mat_mul_terms,
-                  _wrap_terms, bind_concomitant, bind_nijenhuis, vanishes)
+                  bind_concomitant, bind_nijenhuis, vanishes)
 
 _EPS_TABLE = {
     (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
@@ -181,16 +181,6 @@ class _ProductTable:
         """The numerators over m^j of M as numerators over m^k."""
         return [self.base.lift(row, j, k) for row in M]
 
-    def wrap(self, M, k, flux):
-        """The EndField whose entries have the numerators M over m^k."""
-        chart = self.chart
-        if self.base.unit:
-            return EndField(chart, _wrap_terms(chart, M), flux)
-        den = Poly(chart, self.base.mpow(k))
-        zero = ScalarField.zero(chart)
-        return EndField(chart, [[ScalarField(Poly(chart, p), den) if p
-                                 else zero for p in row] for row in M], flux)
-
     def _relations(self):
         II, n = self.II, self.chart.dim
         checks = []
@@ -328,8 +318,9 @@ def induce(T: CliffordTriple) -> InducedStructures:
     if "induced" not in T._algebra:
         tab = _table(T)
         J, G, ok = tab.induced()
+        wrap = tab.base.endfield
         T._algebra["induced"] = InducedStructures(
-            *(tab.wrap(M, 2, T.flux) for M in J), tab.wrap(G, 3, T.flux), ok,
+            *(wrap(M, 2, T.flux) for M in J), wrap(G, 3, T.flux), ok,
             T.generators)
     return T._algebra["induced"]
 
@@ -388,11 +379,12 @@ def _project(T: CliffordTriple) -> Projections:
     flux (as Id +- G, Id having none), I_i+- carry T's."""
     tab = _table(T)
     J, G, ok = tab.induced()
+    wrap = tab.base.endfield
     signs = (HALF, K.c_neg(HALF))
     eye = tab.eye(3)
-    Gp, Gm = (tab.wrap(_lin((HALF, eye), (c, G)), 3, None) for c in signs)
+    Gp, Gm = (wrap(_lin((HALF, eye), (c, G)), 3, None) for c in signs)
     I = [tab.lift(E, 1, 2) for E in tab.I]
-    Ip, Im = (tuple(tab.wrap(_lin((HALF, Ji), (c, Ii)), 2, T.flux)
+    Ip, Im = (tuple(wrap(_lin((HALF, Ji), (c, Ii)), 2, T.flux)
                     for Ji, Ii in zip(J, I))
               for c in signs)
     return Projections(Gp, Gm, Ip, Im, ok)

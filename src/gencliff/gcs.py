@@ -49,7 +49,8 @@ Every check -- ``vanishes``, the commuting-family check of Theorem 1.1 and
 the twistor certificate of Theorem 1.3 -- runs the one kernel evaluator
 ``_eval_kernel`` over a fixed-denominator base (``_PowerDen``): sections are
 numerators over powers of one polynomial m, the LCM of the denominators of
-the structures and the flux, and m = 1 for polynomial input.  The
+the structures and the flux times the integer that makes every numerator
+integral, and m = 1 for polynomial input.  The
 ScalarField formulas ``nijenhuis``, ``concomitant`` and ``real_nijenhuis``
 are the independent reference the tests compare it against.
 """
@@ -59,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
 from ._core import kernel as K
 from . import polygcd as G
@@ -134,14 +136,19 @@ def _entrywise_terms(op, A, B):
 
 
 def _mat_mul_terms(A, B):
-    """Product of square matrices of kernel term dicts ({} for zero), each
-    entry one K.p_dot over the nonzero entries of A's row."""
-    size = len(B)
+    """Product of square matrices of kernel term dicts ({} for zero), row
+    by row: each nonzero A[i][k] times each nonzero entry B[k][j] of B's
+    row k is summed into one unnormalized accumulator per output entry
+    (``K._p_mul_acc``), and each entry is normalized once."""
+    rows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
     out = []
     for Ai in A:
-        nonzero = [(k, a) for k, a in enumerate(Ai) if a]
-        out.append([K.p_dot((a, B[k][j]) for k, a in nonzero)
-                    for j in range(size)])
+        acc = [{} for _ in rows]
+        for k, a in enumerate(Ai):
+            if a:
+                for j, b in rows[k]:
+                    K._p_mul_acc(acc[j], a, b)
+        out.append([K._normalize_acc(x) if x else x for x in acc])
     return out
 
 
@@ -532,6 +539,19 @@ class _PowerDen:
     Zero testing needs only the numerators, so no GCD is taken once m is
     chosen.  The unit base m = 1 (``unit``) serves polynomial input: its
     derivative is plain K.p_diff and lifting returns its argument.
+
+    Every other base is integral: m and the numerators over m^k, k >= 1,
+    of the fields it was built for have Gaussian-integer coefficients
+    (denominator 1).  ``lcm`` folds into m the integer L that clears the
+    denominators of the coefficients (``twistor._ihat`` does the same for
+    the sphere base).  Products, quotient-rule derivatives
+    (m d_t P - k P d_t m) and sums of integral numerators are integral, so
+    every Jacobian, bracket and structure application of a check stays
+    integral: the kernel's accumulators add numerators over the one
+    denominator 1 and never merge two denominators, and ``K.c_make``
+    takes no gcd.  Scaling m by L != 0 changes no zero test, and
+    ``section`` normalizes to a monic denominator, which cancels L from
+    every witness.
     """
 
     def __init__(self, chart, m_terms=None):
@@ -546,16 +566,33 @@ class _PowerDen:
 
     @classmethod
     def lcm(cls, chart, fields):
-        """The base over the LCM of the denominators of the ScalarFields;
-        the unit base, with no GCD taken, when all of them are polynomial."""
+        """The base over L m, m the LCM of the denominators of the
+        ScalarFields and L a positive integer that makes L m and every
+        field's numerator over L m integral; the unit base, with no GCD
+        taken, when all of them are polynomial.
+
+        A field f = num / den has the numerator num (m / den) over m, whose
+        coefficient denominators divide D(num) D(m / den), D(p) the LCM of
+        p's coefficient denominators (``_den_lcm``); L is the LCM of D(m)
+        and of those products, so no product is taken here."""
         m = None
-        for den in dict.fromkeys(f.den for f in fields if not f.is_polynomial):
+        dens = dict.fromkeys(f.den for f in fields if not f.is_polynomial)
+        for den in dens:
             d = den.terms
             if m is None:
                 m = d
             elif G.p_divexact(m, d) is None:
                 m = K.p_mul(m, G.p_divexact(d, G.p_gcd(m, d)))
-        return cls(chart, m)
+        if m is None:
+            return cls(chart)
+        L = dm = _den_lcm(m.values())
+        quo = {den: _den_lcm(G.p_divexact(m, den.terms).values())
+               for den in dens}
+        for f in fields:
+            if not f.is_zero:
+                L = lcm(L, _den_lcm(f.num.terms.values())
+                        * quo.get(f.den, dm))
+        return cls(chart, K.p_scale(m, (L, 0, 1)))
 
     def mpow(self, k):
         if k not in self._pows:
@@ -564,19 +601,23 @@ class _PowerDen:
 
     def diff(self, k):
         """The derivative (comp, t) -> numerator of d/dx_t (comp / m^k) over
-        m^(k+1), i.e. m d_t comp - k comp d_t m; one closure per k."""
+        m^(k+1), i.e. m d_t comp - k comp d_t m, both products summed in
+        one accumulator and normalized once; one closure per k."""
         if self.unit:
             return K.p_diff
         fn = self._diffs.get(k)
         if fn is None:
-            m, dm, ck = self.m, self.dm, (k, 0, 1)
+            m = self.m
+            kdm = [K.p_scale(d, (k, 0, 1)) for d in self.dm]
 
             def fn(comp, t):
+                acc = {}
                 dc = K.p_diff(comp, t)
-                out = K.p_mul(m, dc) if dc else {}
-                if k and comp and dm[t]:
-                    out = K.p_sub(out, K.p_scale(K.p_mul(comp, dm[t]), ck))
-                return out
+                if dc:
+                    K._p_mul_acc(acc, m, dc)
+                if comp and kdm[t]:
+                    K._p_mul_sub_acc(acc, comp, kdm[t])
+                return K._normalize_acc(acc) if acc else acc
             self._diffs[k] = fn
         return fn
 
@@ -603,6 +644,18 @@ class _PowerDen:
         """Dense rows of the numerators of E's entries over m^k."""
         return [[self.numerator(f, k) for f in row] for row in E.entries]
 
+    def endfield(self, M, k, flux=None):
+        """The EndField whose entries have the dense numerators M over
+        m^k, each entry normalized once (wrapped as it is over the unit
+        base)."""
+        if self.unit:
+            return EndField(self.chart, _wrap_terms(self.chart, M), flux)
+        den = Poly(self.chart, self.mpow(k))
+        zero = ScalarField.zero(self.chart)
+        return EndField(self.chart, [[ScalarField(Poly(self.chart, p), den)
+                                      if p else zero for p in row]
+                                     for row in M], flux)
+
     def section(self, P, k):
         """The Section with numerators P over m^k."""
         if self.unit:
@@ -610,6 +663,12 @@ class _PowerDen:
         den = Poly(self.chart, self.mpow(k))
         return Section.from_components(
             self.chart, [ScalarField(Poly(self.chart, p), den) for p in P])
+
+
+def _den_lcm(coeffs):
+    """The LCM of the denominators of the kernel coefficients: the least
+    positive integer L with L c a Gaussian integer for every c."""
+    return lcm(1, *(c[2] for c in coeffs))
 
 
 def _sparse_rows(M, const):
@@ -920,7 +979,10 @@ def _base_point(base):
 
 
 def _value(p, point):
-    """p at the integer point, as a kernel coefficient (None for zero)."""
+    """p at the integer point, as a kernel coefficient (None for zero); at
+    the origin, the constant term."""
+    if not any(point):
+        return p.get(0)
     for i, v in enumerate(point):
         p = _at(p, i, v)
     return p.get(0)

@@ -57,18 +57,22 @@ class CourantIso:
 
     @cached_property
     def conjugators(self):
-        """(Phi, Phi^-1) as EndFields, built once per isomorphism.  Phi is
-        orthogonal (checked on construction): Phi^T P Phi = P with
-        P = S/2, S the swap of the vector and covector halves, so
-        Phi^-1 = S Phi^T S exactly, entry (i, j) being
+        """(Phi, Phi^-1) as constant kernel matrices (rows of (column,
+        coefficient) pairs, zero entries omitted), built once per
+        isomorphism.  Phi is orthogonal (checked on construction):
+        Phi^T P Phi = P with P = S/2, S the swap of the vector and covector
+        halves, so Phi^-1 = S Phi^T S exactly, entry (i, j) being
         Phi[(j + n) % 2n][(i + n) % 2n]."""
         n = self.chart.dim
         size = 2 * n
         M = self.matrix
-        inv = [[ScalarField.constant(self.chart,
-                                     M[(j + n) % size][(i + n) % size])
-                for j in range(size)] for i in range(size)]
-        return self.as_endfield(), EndField(self.chart, inv)
+
+        def rows(entry):
+            return [[(j, (v.numerator, 0, v.denominator)) for j in range(size)
+                     for v in (Fraction(entry(i, j)),) if v]
+                    for i in range(size)]
+        return (rows(lambda i, j: M[i][j]),
+                rows(lambda i, j: M[(j + n) % size][(i + n) % size]))
 
     def apply(self, A: Section) -> Section:
         comps = A.to_components()
@@ -91,9 +95,11 @@ class CourantIso:
 
 
 def _is_orthogonal(M, n):
-    """Phi^T P Phi = P with P = [[0, Id],[Id, 0]]/2, exactly."""
+    """Phi^T P Phi = P with P = [[0, Id],[Id, 0]]/2, exactly; the sums run
+    over the nonzero entries of each column of Phi."""
     size = 2 * n
-    return all(sum(M[k][i] * M[(k + n) % size][j] for k in range(size))
+    cols = [[k for k in range(size) if M[k][i]] for i in range(size)]
+    return all(sum(M[k][i] * M[(k + n) % size][j] for k in cols[i])
                == int((i + n) % size == j)
                for i in range(size) for j in range(size))
 
@@ -218,8 +224,7 @@ def check_intertwine(phi: CourantIso, degree_bound: int | None = None,
     base = _PowerDen.lcm(chart, [f for H in fluxes for f in H.values()])
     Hs, Ht = ({idx: base.numerator(f) for idx, f in H.items()} or None
               for H in fluxes)
-    M = [[(j, (Fraction(v).numerator, 0, Fraction(v).denominator))
-          for j, v in enumerate(row) if v] for row in phi.matrix]
+    M = phi.conjugators[0]
     # (section, Jacobian) of each generator and of its image, built once;
     # brackets are numerators over m^1 of the fluxes' base m
     ops = [(A, base.jacobian(A, 0)) for A in gens]
@@ -247,7 +252,10 @@ def conjugate(phi: CourantIso, E: EndField) -> EndField:
     """Phi E Phi^-1 with the flux moved from source to target.
 
     E must carry the source flux and be constant along the dualized
-    coordinates.
+    coordinates.  The product is taken on E's numerators over their base
+    (``gcs._PowerDen.lcm``; the unit base for polynomial entries), which
+    Phi and Phi^-1 (``CourantIso.conjugators``), constant, combine as
+    sparse rows; each entry of the result is normalized once.
     """
     if not _flux_eq(E.flux, phi.source_flux):
         raise ValueError("structure flux does not match the source flux")
@@ -255,8 +263,22 @@ def conjugate(phi: CourantIso, E: EndField) -> EndField:
         raise NonInvariantSectionError(
             "structure varies along a dualized coordinate")
     P, Pinv = phi.conjugators
-    out = P @ E @ Pinv
-    return EndField(phi.chart, out.entries, phi.target_flux)
+    base = _PowerDen.lcm(phi.chart, [f for row in E.entries for f in row])
+    N = base.numerators(E)
+    size = len(N)
+    out = [[{} for _ in range(size)] for _ in range(size)]
+    for i, prow in enumerate(P):
+        # row i of Phi N, then its product with Phi^-1
+        PN = [{} for _ in range(size)]
+        for k, c in prow:
+            for l, p in enumerate(N[k]):
+                if p:
+                    PN[l] = K.p_add(PN[l], K.p_scale(p, c))
+        for l, p in enumerate(PN):
+            if p:
+                for j, c in Pinv[l]:
+                    out[i][j] = K.p_add(out[i][j], K.p_scale(p, c))
+    return base.endfield(out, 1, phi.target_flux)
 
 
 def conjugate_triple(phi: CourantIso, T: CliffordTriple) -> CliffordTriple:

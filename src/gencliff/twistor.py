@@ -7,10 +7,12 @@ six sector generators, the connection form and its flatness, and the block
 twistor structure on the product chart with its integrability certificate.
 
 All sphere dependence enters through denominators dividing powers of
-m = (1+u1^2+v1^2)(1+u2^2+v2^2).  The six sector generators I_l^+- are
+(1+u1^2+v1^2)(1+u2^2+v2^2).  The six sector generators I_l^+- are
 constant 2n x 2n matrices, so Ihat = c.I+ + d.I- is built as numerator
-matrices over m (``gcs._PowerDen``) on any chart whose last four coordinates
-are the sphere coordinates, for every dimension n of the triple's chart.
+matrices over m = L (1+u1^2+v1^2)(1+u2^2+v2^2) (``gcs._PowerDen``), the
+integer L clearing the generators' coefficients so that every numerator
+is integral, on any chart whose last four coordinates are the sphere
+coordinates, for every dimension n of the triple's chart.
 The connection identities and the flatness of the (0,1) connection are
 decided on the unit vectors c, d, the forms omega1 = c x dc and
 omega2 = d x dd and the sector algebra that ``project`` verifies, with no
@@ -37,9 +39,9 @@ from functools import cache
 from ._core import kernel as K
 from .scalar import Chart, GaussianRational, Poly, ScalarField
 from .cartan import KForm
-from .gcs import (EndField, _PowerDen, _numerator_setup, _setup_residuals,
-                  _sparse_rows, bind_concomitant, generator_labels,
-                  is_almost_gcs, vanishes)
+from .gcs import (EndField, _PowerDen, _den_lcm, _numerator_setup,
+                  _setup_residuals, _sparse_rows, bind_concomitant,
+                  generator_labels, is_almost_gcs, vanishes)
 from .clifford import (CliffordTriple, SuiteReport, TripleStatus,
                        check_relations, induce, project)
 
@@ -345,9 +347,9 @@ class ConnectionData:
     """The connection data over the sphere chart (u1, v1, u2, v2): the unit
     vectors c = c(zeta1), d = c(zeta2), the forms omega1 = c x dc and
     omega2 = d x dd (3 KForms of degree 1 each), Ihat = c.I+ + d.I- as
-    numerators (rows, 1) over m^1, m the sphere base of ``_sphere_base``,
-    the constant sector generators I_l^+- as kernel matrices, and
-    ``project``'s verdict on their algebra (identities_ok).
+    numerators (rows, 1) over m^1, m the integral sphere base ``base``
+    that ``_ihat`` builds, the constant sector generators I_l^+- as kernel
+    matrices, and ``project``'s verdict on their algebra (identities_ok).
 
     The connection form is Omega = omega1.I+ + omega2.I-, with (0,1)-parts
     A1 = (Omega_u1 + i Omega_v1)/4 and A2 = (Omega_u2 + i Omega_v2)/4, so
@@ -377,6 +379,7 @@ class ConnectionData:
     omega1: tuple          # 3 KForms of degree 1
     omega2: tuple
     Ihat: tuple            # (rows, 1)
+    base: _PowerDen        # Ihat's base m
     Ip: tuple              # constant sector generators (kernel matrices)
     Im: tuple
     identities_ok: bool
@@ -418,13 +421,21 @@ def _sector_sum(polys, mats):
 
 def _ihat(T: CliffordTriple, chart: Chart):
     """The guards of the twistor layer, then, over a chart whose last four
-    coordinates are (u1, v1, u2, v2): c and d, the sphere base m
-    (``_sphere_base``), the six sector generators I_1+, I_2+, I_3+, I_1-,
-    I_2-, I_3- as constant 2n x 2n kernel matrices, the numerators of
-    Ihat = c.I+ + d.I- over m^1, and the projections.  |c|^2 = |d|^2 = 1 is
-    checked exactly on the numerators of c and d over m^1.  A triple whose
-    projection identities fail is refused: Ihat and everything built on it
-    rest on the sector algebra.
+    coordinates are (u1, v1, u2, v2): c and d, the sphere base m, the six
+    sector generators I_1+, I_2+, I_3+, I_1-, I_2-, I_3- as constant
+    2n x 2n kernel matrices, the numerators of Ihat = c.I+ + d.I- over m^1,
+    and the projections.  |c|^2 = |d|^2 = 1 is checked exactly on the
+    numerators of c and d over m^1.  A triple whose projection identities
+    fail is refused: Ihat and everything built on it rest on the sector
+    algebra.
+
+    m = L q1 q2 (``_sphere_base``), q_s = 1 + u_s^2 + v_s^2, is integral,
+    as ``gcs._PowerDen`` keeps every base but the unit: L is the LCM of
+    the denominators of the sector generators' coefficients.  The
+    numerators of c and d over q1 q2 are integer polynomials, so over m
+    they are L times those; then each term c_l I_l^+- of Ihat's numerators
+    is integral, and so is J_sphere's m.  Every Jacobian, bracket and
+    structure application of ``theorem_1_3`` stays integral too.
 
     The sector generators are constant, so nothing here depends on the
     dimension of the triple's chart."""
@@ -442,7 +453,8 @@ def _ihat(T: CliffordTriple, chart: Chart):
     s = chart.dim - 4
     c = stereo_field(chart, s, s + 1)
     d = stereo_field(chart, s + 2, s + 3)
-    base = _sphere_base(chart)
+    base = _sphere_base(chart, _den_lcm(a for M in sectors for row in M
+                                        for _, a in row))
     nums = [base.numerator(f) for f in c + d]
     m2 = base.mpow(2)
     if K.p_dot((x, x) for x in nums[:3]) != m2:
@@ -456,20 +468,22 @@ def connection_data(T: CliffordTriple) -> ConnectionData:
     """Assemble c, d, omega1 = c x dc, omega2 = d x dd and Ihat over the
     sphere chart; |c| = |d| = 1 is checked exactly in ``_ihat``."""
     S4 = sphere_chart()
-    c, d, _, sectors, Ihat, proj = _ihat(T, S4)
+    c, d, base, sectors, Ihat, proj = _ihat(T, S4)
     return ConnectionData(S4, c, d, _form_vector_cross(S4, c),
-                          _form_vector_cross(S4, d), (Ihat, 1),
+                          _form_vector_cross(S4, d), (Ihat, 1), base,
                           tuple(sectors[:3]), tuple(sectors[3:]),
                           proj.identities_ok)
 
 
-def _sphere_base(chart) -> _PowerDen:
-    """Fixed-denominator arithmetic over m = (1+u1^2+v1^2)(1+u2^2+v2^2),
-    the sphere coordinates (u1, v1, u2, v2) being the chart's last four."""
+def _sphere_base(chart, scale: int = 1) -> _PowerDen:
+    """Fixed-denominator arithmetic over
+    m = scale (1+u1^2+v1^2)(1+u2^2+v2^2), the sphere coordinates
+    (u1, v1, u2, v2) being the chart's last four; integral for an integer
+    scale."""
     s = chart.dim - 4
     q1, q2 = ((Poly.one(chart) + Poly.variable(chart, s + w) ** 2
                + Poly.variable(chart, s + w + 1) ** 2).terms for w in (0, 2))
-    return _PowerDen(chart, K.p_mul(q1, q2))
+    return _PowerDen(chart, K.p_scale(K.p_mul(q1, q2), (scale, 0, 1)))
 
 
 def _omega_turns_frames(conn: ConnectionData) -> bool:
@@ -581,10 +595,11 @@ def product_chart(T: CliffordTriple) -> Chart:
 
 def _twistor_numerators(T: CliffordTriple):
     """(Z, base, rows): the product chart Z = (x..., u1, v1, u2, v2), the
-    sphere base m of ``_ihat`` and the dense numerators over m^1 of
-    Ihat (+) J_sphere on Z -- Ihat's numerators as ``_ihat`` builds them,
-    and m times the constant entries of ``SPHERE_PATTERN``, written
-    directly: no ``sphere_gcs`` EndField is built."""
+    integral sphere base m = L q1 q2 of ``_ihat`` and the dense numerators
+    over m^1 of Ihat (+) J_sphere on Z -- Ihat's numerators as ``_ihat``
+    builds them, and m times the constant entries of ``SPHERE_PATTERN``,
+    written directly: no ``sphere_gcs`` EndField is built.  Every
+    numerator has Gaussian-integer coefficients."""
     Z = product_chart(T)
     _, _, base, _, Ihat, _ = _ihat(T, Z)
     n = T.chart.dim
@@ -637,12 +652,9 @@ def twistor_structure(T: CliffordTriple) -> EndField:
     normalized once.  T.flux is on the triple's chart: a zero flux is
     dropped, and a nonzero one is not lifted to the product chart
     (EndField rejects it)."""
-    Z, base, rows = _twistor_numerators(T)
-    m = Poly(Z, base.m)
-    zero = ScalarField.zero(Z)
+    _, base, rows = _twistor_numerators(T)
     flux = None if T.flux is None or T.flux.is_zero else T.flux
-    return EndField(Z, [[ScalarField(Poly(Z, p), m) if p else zero
-                         for p in row] for row in rows], flux)
+    return base.endfield(rows, 1, flux)
 
 
 @dataclass
@@ -664,16 +676,16 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
 
     The Nijenhuis tensor of Ihat (+) J_sphere is evaluated by
     ``gcs.vanishes``'s evaluator, as exact numerators over a power of the
-    sphere base m, from the structure's numerators over m
-    (``_twistor_numerators``).  With degree_bound None (the default) this
-    is the symbol certificate: the structure squares to -Id, which follows
-    from what ``_ihat`` checks and from ``SPHERE_PATTERN``
-    (``_twistor_square``; the square is not multiplied out), and is
-    skew-adjoint for the pairing, checked exactly on its numerators, so its
-    Nijenhuis tensor is C-infinity-bilinear and skew, and the frame pairs
-    (e_a, e_b) with a < b decide it for all smooth sections.  Fewer pairs
-    suffice: at the origin
-    of the product chart, where m = 1, the frame elements e_R of a
+    integral sphere base m, from the structure's numerators over m
+    (``_twistor_numerators``), all with Gaussian-integer coefficients.
+    With degree_bound None (the default) this is the symbol certificate:
+    the structure squares to -Id, which follows from what ``_ihat`` checks
+    and from ``SPHERE_PATTERN`` (``_twistor_square``; the square is not
+    multiplied out), and is skew-adjoint for the pairing, checked exactly
+    on its numerators, so its Nijenhuis tensor is C-infinity-bilinear and
+    skew, and the frame pairs (e_a, e_b) with a < b decide it for all
+    smooth sections.  Fewer pairs suffice: at the origin of the product
+    chart, where m = L > 0, the frame elements e_R of a
     J-complex frame R (``gcs._complex_frame``) and their images J e_R form
     a basis, and the pairs r < s within each half of R, split in index
     order, decide N_J, since the involutivity tensor of each eigenbundle of

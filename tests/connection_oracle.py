@@ -20,7 +20,7 @@ from fractions import Fraction
 from gencliff._core import kernel as K
 from gencliff.gcs import _kernel_generators, _mat_mul_terms
 from gencliff.scalar import ScalarField
-from gencliff.twistor import _combine, _cross, _sector_sum, _sphere_base
+from gencliff.twistor import _combine, _cross, _sector_sum
 
 
 def mat_lift(base, A, ka, target):
@@ -71,9 +71,10 @@ HALF, I_HALF = (1, 0, 2), (0, 1, 2)
 
 def connection_matrices(conn):
     """(base, Omega, A1, A2): Omega maps each sphere coordinate w to the
-    numerators (rows, 2) of Omega_w over m^2 (omega = c x dc has denominator
-    (1+u1^2+v1^2)^2, which divides m^2); A_s = (Omega_u + i Omega_v)/4."""
-    base = _sphere_base(conn.chart)
+    numerators (rows, 2) of Omega_w over m^2, m the base of conn.Ihat
+    (omega = c x dc has denominator (1+u1^2+v1^2)^2, which divides m^2);
+    A_s = (Omega_u + i Omega_v)/4."""
+    base = conn.base
     sectors = list(conn.Ip) + list(conn.Im)
     Omega = {w: (_sector_sum([base.numerator(f.coeff((w,)), 2)
                               for f in conn.omega1 + conn.omega2], sectors), 2)

@@ -12,8 +12,10 @@ from gencliff.scalar import (GaussianRational, Poly, ScalarField, parse_expr,
 from gencliff.cartan import KForm, exterior_d
 from gencliff.courant import (FluxForm, Section, frame_sections, pairing,
                               section_kernel_components)
-from gencliff.gcs import (EndField, FluxMismatchError, _eval_kernel,
-                          _kernel_setup, _operand, bind_concomitant,
+from gencliff._core import kernel as K
+from gencliff.gcs import (EndField, FluxMismatchError, _PowerDen, _eval_kernel,
+                          _kernel_generators, _kernel_setup, _operand,
+                          _residuals, bind_concomitant,
                           bind_nijenhuis, bind_real_nijenhuis, concomitant,
                           eigen_sections, bfield_transform, form_to_matrix,
                           generalized_metric, is_almost_gcs, is_almost_real,
@@ -22,7 +24,7 @@ from gencliff.gcs import (EndField, FluxMismatchError, _eval_kernel,
                           tensoriality_probe, vanishes, generator_labels,
                           generator_sections)
 from gencliff.examples import QUAT_I, diag_type, hyperkahler_r4
-from tests.layout import packed
+from tests.layout import integral, packed
 from tests.test_scalar import rnd_field
 
 R2 = standard_chart(2)
@@ -349,6 +351,52 @@ class TestRationalVanishes:
         assert rep.sample_count == len(gens) ** 2
         assert want and rep.witnesses == want
         assert not rep.vanished
+
+
+class TestIntegralBase:
+    """Over a rational structure's base L m (``_PowerDen.lcm``) every
+    numerator the sweep builds has Gaussian-integer coefficients."""
+
+    @pytest.mark.parametrize("name", ["N_G", "N(G,G')", "N(E,E)"])
+    def test_numerators_jacobians_and_pairs_are_integral(self, name,
+                                                          monkeypatch):
+        # the structures and the flux over m^1, the square over m^2, every
+        # degree-1 generator's images and quotient-rule Jacobians, and the
+        # tensor on every pair, with no accumulator merging two
+        # denominators; a concomitant's output is half an integral
+        # numerator (the 1/2 of N(I,J) is applied last)
+        tensor = rational_tensor(name)
+        mats, kflux, nums, square = _kernel_setup(tensor)
+
+        def refuse(*args):
+            raise AssertionError("two denominators merged")
+        monkeypatch.setattr(K, "_merge", refuse)
+        base = mats["base"]
+        assert not base.unit and integral(base.m)
+        assert integral(*kflux.values())
+        assert integral(*(p for M in nums + [square] for row in M
+                          for p in row))
+        for A in _kernel_generators(tensor.chart, 1):
+            for S, jac in _operand(tensor.kind, mats, A):
+                assert integral(*S)
+                assert integral(*(d for row in jac if row for d in row))
+        double = (2, 0, 1) if tensor.kind == "concomitant" else K.C_ONE
+        count = 0
+        for _, _, P in _residuals(tensor, 1)[2]:
+            assert integral(*(K.p_scale(p, double) for p in P))
+            count += 1
+        assert count == len(_kernel_generators(tensor.chart, 1)) ** 2
+
+    def test_base_without_the_integer_factor_is_rational(self):
+        # N(G,G') needs L = 2: its numerators over the LCM m alone, the
+        # monic (1 + x1^2)(1 + x2^2), are not all integral
+        base = _kernel_setup(rational_tensor("N(G,G')"))[0]["base"]
+        L = base.m[0][0]
+        assert L == 2
+        plain = _PowerDen(base.chart, K.p_scale(base.m, (1, 0, L)))
+        tensor = rational_tensor("N(G,G')")
+        assert not integral(*(plain.numerator(f) for S in tensor.structures
+                              for row in S.entries for f in row))
 
 
 def gauss_rank(vectors):

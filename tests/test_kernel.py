@@ -189,6 +189,74 @@ class TestPolyMulDenominators:
             assert make(a, b, d) == want[m]
 
 
+def mul_oracle(p, q):
+    """p * q term by term, every term product through c_mul and every sum
+    through c_add: no accumulator."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = m1 + m2
+            c = pykernel.c_add(out.get(m, pykernel.C_ZERO),
+                               pykernel.c_mul(c1, c2))
+            if c == pykernel.C_ZERO:
+                out.pop(m, None)
+            else:
+                out[m] = c
+    return out
+
+
+def mixed_kpoly(rng, terms):
+    """Coefficients of every kind the accumulators branch on: real and
+    Gaussian, integral and over denominators 1..6."""
+    out = {}
+    for _ in range(terms):
+        m = tuple(rng.randint(0, 2) for _ in range(3))
+        b = rng.choice((0, 0, rng.randint(-5, 5)))
+        out[m] = pykernel.c_make(rng.randint(-9, 9) or 1, b,
+                                 rng.choice((1, 1, rng.randint(1, 6))))
+    return packed(out)
+
+
+class TestAccumulators:
+    def test_accumulators_equal_the_product_oracle(self):
+        # _p_mul_acc and _p_mul_sub_acc, into an empty accumulator and one
+        # holding an earlier unnormalized sum, against c_mul and c_add
+        rng = random.Random(93)
+        kinds = set()
+        for _ in range(300):
+            p = mixed_kpoly(rng, rng.randint(1, 4))
+            q = mixed_kpoly(rng, rng.randint(1, 4))
+            kinds |= {(c1[1] != 0, c2[1] != 0, c1[2] * c2[2] == 1)
+                      for c1 in p.values() for c2 in q.values()}
+            r, t = (mixed_kpoly(rng, 3) for _ in range(2))
+            prior = {}
+            pykernel._p_mul_acc(prior, r, t)
+            for start, base in (({}, {}), (prior, mul_oracle(r, t))):
+                acc = dict(start)
+                pykernel._p_mul_acc(acc, p, q)
+                assert pykernel._normalize_acc(acc) == pykernel.p_add(
+                    base, mul_oracle(p, q))
+                acc = dict(start)
+                pykernel._p_mul_sub_acc(acc, p, q)
+                assert pykernel._normalize_acc(acc) == pykernel.p_sub(
+                    base, mul_oracle(p, q))
+        # real times real, real times Gaussian, Gaussian times real and
+        # Gaussian times Gaussian, each over denominator 1 and over others
+        assert len(kinds) == 8
+
+    def test_integral_coefficients_are_canonical(self):
+        # c_make(a, b, 1) is (a, b, 1) with no gcd, as the generic path
+        # gives for the same value over any denominator
+        rng = random.Random(94)
+        for _ in range(200):
+            a, b, k = (rng.randint(-50, 50), rng.randint(-50, 50),
+                       rng.randint(-6, 6) or 1)
+            assert pykernel.c_make(a, b, 1) == (a, b, 1)
+            assert pykernel.c_make(a * k, b * k, k) == (a, b, 1)
+        assert pykernel.c_make(0, 0, 1) == pykernel.C_ZERO
+        assert pykernel.c_make(6, 4, 1) == (6, 4, 1)
+
+
 class TestDot:
     def test_matches_products_summed_with_p_add(self):
         # the fused accumulation against p_mul + p_add, over coefficients

@@ -182,22 +182,56 @@ class TestConjugate:
 
     def test_inverse_is_exact_and_built_once(self):
         # Phi = swap along x1 after e^B, B = 2/3 dx1^dx2 (orthogonal, with a
-        # nonzero lower-left block): Phi^-1 = S Phi^T S equals Gauss-Jordan
-        # elimination, and each isomorphism builds it once
-        F = Fraction
-        eB = [[F(int(i == j)) for j in range(4)] for i in range(4)]
-        eB[2][1], eB[3][0] = F(2, 3), F(-2, 3)
-        swap = make_torus_duality(R2, 0).matrix
-        M = tuple(tuple(sum(swap[i][k] * eB[k][j] for k in range(4))
-                        for j in range(4)) for i in range(4))
-        phi = CourantIso(R2, M, None, None, frozenset({0}))
+        # nonzero lower-left block): Phi^-1 = S Phi^T S, as constant kernel
+        # rows, equals Gauss-Jordan elimination, and each isomorphism builds
+        # both rows once; conjugation on numerators equals the EndField
+        # product
+        phi = swap_after_bfield()
         P, Pinv = phi.conjugators
         assert phi.conjugators is phi.conjugators
-        assert P.entries_equal(phi.as_endfield())
-        assert Pinv.entries_equal(P.inverse())
-        assert not Pinv.entries_equal(P)
+        Pe = phi.as_endfield()
+        assert rows_endfield(R2, P).entries_equal(Pe)
+        assert rows_endfield(R2, Pinv).entries_equal(Pe.inverse())
+        assert not rows_endfield(R2, Pinv).entries_equal(Pe)
         E = diag_type(((0, -1), (1, 0)), R2)
-        assert conjugate(phi, E).entries_equal(P @ E @ P.inverse())
+        assert conjugate(phi, E).entries_equal(Pe @ E @ Pe.inverse())
+
+    def test_rational_entries_over_their_integral_base(self):
+        # an invariant E with rational entries in x2 is conjugated on its
+        # numerators over the integral base L m, m = (1 + x2^2)(x2 + 3):
+        # the result equals the EndField product, entry by entry
+        phi = swap_after_bfield()
+        x2 = ScalarField.variable(R2, 1)
+        one = ScalarField.one(R2)
+        third = ScalarField.constant(R2, Fraction(1, 3))
+        f = one / (one + x2 * x2)
+        g = (x2 * third) / (x2 + ScalarField.constant(R2, 3))
+        E = EndField(R2, [[f, g, third, one], [x2, f, g, third],
+                          [g, one, f, x2 * f], [third, g, one, f]])
+        Pe = phi.as_endfield()
+        assert conjugate(phi, E).entries_equal(Pe @ E @ Pe.inverse())
+
+
+def swap_after_bfield():
+    """The swap along x1 after e^B, B = 2/3 dx1^dx2, on R2."""
+    F = Fraction
+    eB = [[F(int(i == j)) for j in range(4)] for i in range(4)]
+    eB[2][1], eB[3][0] = F(2, 3), F(-2, 3)
+    swap = make_torus_duality(R2, 0).matrix
+    M = tuple(tuple(sum(swap[i][k] * eB[k][j] for k in range(4))
+                    for j in range(4)) for i in range(4))
+    return CourantIso(R2, M, None, None, frozenset({0}))
+
+
+def rows_endfield(chart, rows):
+    """The constant EndField of real kernel rows of (column, (a, 0, d))."""
+    size = 2 * chart.dim
+    entries = [[ScalarField.zero(chart)] * size for _ in range(size)]
+    for i, row in enumerate(rows):
+        for j, (a, b, d) in row:
+            assert b == 0
+            entries[i][j] = ScalarField.constant(chart, Fraction(a, d))
+    return EndField(chart, entries)
 
 
 class TestLemma51:

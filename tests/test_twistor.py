@@ -10,13 +10,15 @@ from gencliff import twistor
 from gencliff._core import kernel as K
 from gencliff.scalar import GaussianRational, Poly, ScalarField
 from gencliff.courant import Section, dorfman
-from gencliff.gcs import (EndField, _PowerDen, _mat_mul_terms, _sparse_rows,
-                          bind_nijenhuis, generator_labels, is_almost_gcs,
-                          vanishes)
+from gencliff.gcs import (EndField, _PowerDen, _kernel_generators,
+                          _mat_mul_terms, _numerator_setup, _operand,
+                          _residuals, _setup_residuals, _sparse_rows,
+                          bind_nijenhuis, generator_labels,
+                          generator_sections, is_almost_gcs, vanishes)
 from gencliff.clifford import induce, project, theorem_1_1, verify_triple
 from gencliff.examples import hyperkahler_r4, product_flip
 from tests import connection_oracle as oracle
-from tests.layout import packed
+from tests.layout import integral, packed
 from tests.test_gcs import complex_frame, gauss_rank, half_pairs
 from gencliff.twistor import (TwistorPoint, _sphere_base,
                               check_dI_commutator, check_flatness,
@@ -36,6 +38,15 @@ def verified_triple():
 def flip_triple():
     """product_flip: the n = 8 builtin, on a 12-coordinate product chart."""
     return verify_triple(product_flip(), 0)
+
+
+def sphere_scale(chart, base):
+    """The integer L > 0 with base.m = L (1+u1^2+v1^2)(1+u2^2+v2^2) on
+    chart: the integral sphere base that _ihat builds."""
+    L, b, d = base.m[0]
+    assert b == 0 and d == 1 and L > 0
+    assert base.m == _sphere_base(chart, L).m
+    return L
 
 
 def mixed_brackets_hold(T):
@@ -91,14 +102,15 @@ class TestRotations:
     def test_two_symbolic_constructions_of_ihat_agree(self):
         # path A: c.I+ + d.I- (the connection data's Ihat); path B: the
         # literal rotation formula K1 = T(I_l + prods)/2 + S(prods - I_l)/2
-        # with symbolic matrix rows -- identical numerators over the sphere
-        # base m, at n = 4 and n = 8
+        # with symbolic matrix rows -- identical numerators over the
+        # connection data's integral sphere base m, at n = 4 and n = 8
         S4 = sphere_chart()
-        base = _sphere_base(S4)
         t = rot_field(S4, 0, 1)
         s = rot_field(S4, 2, 3)
-        coeffs = [base.numerator(f) for f in t[0] + s[0]]
         for T in (verified_triple(), flip_triple()):
+            conn = connection_data(T)
+            sphere_scale(S4, conn.base)
+            coeffs = [conn.base.numerator(f) for f in t[0] + s[0]]
             I = T.generators
             prods = (I[1] @ I[2], I[2] @ I[0], I[0] @ I[1])
             half = ScalarField.constant(T.chart, Fraction(1, 2))
@@ -106,8 +118,7 @@ class TestRotations:
             mats = [_sparse_rows(unit.numerators(E.scale(half)), True)
                     for E in [I[l] + prods[l] for l in range(3)]
                     + [prods[l] - I[l] for l in range(3)]]
-            assert connection_data(T).Ihat == \
-                (twistor._sector_sum(coeffs, mats), 1)
+            assert conn.Ihat == (twistor._sector_sum(coeffs, mats), 1)
 
 
 class TestRotateFamily:
@@ -323,15 +334,16 @@ class TestTwistorStructure:
                              ids=["hyperkahler_r4", "hk4b", "product_flip"])
     def test_blocks_equal_connection_data(self, make):
         # twistor_structure builds Ihat on the product chart, without the
-        # connection form; the numerators of its entries over the sphere
-        # base m must equal the blocks assembled from connection_data's
-        # Ihat on the sphere chart (exponents padded by n leading zeros) and the
-        # sphere structure's constants times m
+        # connection form; the numerators of its entries over the integral
+        # sphere base m = L q1 q2 of connection_data must equal the blocks
+        # assembled from connection_data's Ihat on the sphere chart
+        # (exponents padded by n leading zeros) and the sphere structure's
+        # constants times m
         T = make()
         n = T.chart.dim
         E = twistor_structure(T)
-        base = _sphere_base(E.chart)
         conn = connection_data(T)
+        base = _sphere_base(E.chart, sphere_scale(conn.chart, conn.base))
         rows, k = conn.Ihat
         assert k == 1
 
@@ -581,9 +593,11 @@ class TestTheorem13:
         assert lhs == rhs
         form = Section.frame(Z, 12)          # e_u1 = du1
         assert dorfman(form, v).is_zero
-        # the suite's check brackets the numerators of v over the sphere
-        # base m on the kernel: the same bracket over m^2
-        base = _sphere_base(Z)
+        # the suite's check brackets the numerators of v over the integral
+        # sphere base m of _twistor_numerators on the kernel: the same
+        # bracket over m^2
+        Zn, base, rows = twistor._twistor_numerators(T)
+        sphere_scale(Z, base)
         vn = [base.numerator(f) for f in v.to_components()]
         for frame, want in ((alpha, lhs), (form, Section.zero(Z))):
             P = [f.num.terms for f in frame.to_components()]
@@ -591,8 +605,7 @@ class TestTheorem13:
                                 base.jacobian(vn, 1))
             assert base.section(got, 2) == want
         # the oracle brackets the numerators of E over m directly
-        Zn, basen, rows = twistor._twistor_numerators(T)
-        assert Zn == Z and basen.m == base.m
+        assert Zn == Z
         assert rows == [[base.numerator(f) for f in row] for row in E.entries]
         assert mixed_brackets_hold(T)
 
@@ -610,6 +623,67 @@ class TestTheorem13:
         _, base, rows = twistor._twistor_numerators(build())
         assert twistor._twistor_square(base, len(rows)) == \
             _mat_mul_terms(rows, rows)
+
+
+def refuse_merge(*args):
+    raise AssertionError("two denominators merged")
+
+
+def seed0_hk4b_triple():
+    """The seed-0 hk4b triple of the benchmark's input generator, its
+    relations verified."""
+    from gencliff.cli import load_model
+    from tests.test_cli import hk4b_document
+    return verify_triple(load_model(text=hk4b_document()).triple)
+
+
+class TestIntegralBase:
+    """Over the sphere base m = L q1 q2 of ``_ihat`` every numerator
+    theorem_1_3 builds has Gaussian-integer coefficients."""
+
+    @pytest.mark.parametrize("build", [verified_triple, seed0_hk4b_triple,
+                                       flip_triple],
+                             ids=["hyperkahler_r4", "hk4b-seed0",
+                                  "product_flip"])
+    def test_numerators_jacobians_and_pairs_are_integral(self, build,
+                                                          monkeypatch):
+        # the structure's numerators over m^1, every frame generator's
+        # image and quotient-rule Jacobians, and the tensor on every frame
+        # pair a < b (pointwise, so more brackets than the certificate's);
+        # no accumulator merges two denominators on the way
+        T = build()
+        Z, base, rows = twistor._twistor_numerators(T)
+        monkeypatch.setattr(K, "_merge", refuse_merge)
+        assert integral(base.m, *(p for row in rows for p in row))
+        setup = _numerator_setup("nijenhuis", base, [rows], None, False,
+                                 twistor._twistor_square(base, len(rows)))
+        for A in _kernel_generators(Z, 0):
+            for S, jac in _operand("nijenhuis", setup[0], A):
+                assert integral(*S)
+                assert integral(*(d for row in jac if row for d in row))
+        _, _, pairs = _setup_residuals("nijenhuis", Z, setup, None,
+                                       pointwise=True)
+        count = 0
+        for _, _, P in pairs:
+            assert integral(*P)
+            count += 1
+        assert count == len(rows) * (len(rows) - 1) // 2
+
+    def test_witnesses_match_the_structure(self, monkeypatch):
+        # with the opposite orientation the integral numerators fail on the
+        # pairs where the normalized twistor structure's tensor is nonzero
+        flip_orientation(monkeypatch)
+        T = seed0_hk4b_triple()
+        rep = theorem_1_3(T, max_witnesses=100)
+        E = twistor_structure(T)
+        tensor = bind_nijenhuis(E)
+        labels = generator_labels(E.chart, 0)
+        frames = generator_sections(E.chart, 0)
+        want = [(labels[r], labels[s], "nonzero")
+                for r, s, _ in _residuals(tensor, None)[2]
+                if not tensor.evaluate(frames[r], frames[s]).is_zero]
+        assert rep.status == "fail" and want
+        assert rep.witnesses == want
 
 
 class TestTwoHalves:
