@@ -11,8 +11,11 @@ bracket of an M-frame and a sphere-frame operand (``mat_apply_poly``, as
 ``theorem_1_3`` applies them), the pair evaluations of ``theorem_1_3``'s
 certificate on the seed-0 hk4b triple of ``perfbench/workloads.py`` (12
 frame pairs of integral numerators over the sphere base, each operand's
-image and Jacobians built on first use), products of constant 8 x 8
-EndFields (``gcs.mat_mul`` runs those on the kernel's term dicts), and
+image and Jacobians built on first use), the relations, induced and
+theorem11 suites' algebra on that triple (``check_relations``, ``induce``,
+``project``, ``verify_triple`` and ``theorem_1_1`` on a fresh copy, which
+must take the 13 products of the triple's product table and none more),
+products of constant 8 x 8 EndFields (``gcs.mat_mul`` runs those on the kernel's term dicts), and
 ScalarField
 sums and products of
 rational functions whose distinct denominators share a factor, which
@@ -35,9 +38,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from gencliff import clifford, gcs
 from gencliff._core import kernel as K
 from gencliff.cli import load_model
-from gencliff.clifford import verify_triple
+from gencliff.clifford import (CliffordTriple, check_relations, induce,
+                               project, theorem_1_1, verify_triple)
 from gencliff.examples import hyperkahler_r4
 from gencliff.gcs import (EndField, _kernel_generators, _kernel_setup,
                           _numerator_setup, _operand, _setup_residuals,
@@ -113,19 +118,22 @@ def make_twistor_bracket():
     return mats["J"], K.sec_dorfman(E.chart.dim, ja, jb, None, dja, djb)
 
 
-def make_twistor_setup():
-    """The twistor structure's numerators of the seed-0 hk4b triple of the
-    benchmark's input generator, set up for theorem_1_3's certificate:
-    (product chart, numerator setup)."""
+def hk4b_triple():
+    """The seed-0 hk4b triple of the benchmark's input generator."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads      # its dataclasses look it up
     spec.loader.exec_module(workloads)
-    model = load_model(text=workloads.dumps(workloads.hk4b_document(0)))
-    Z, base, rows = _twistor_numerators(verify_triple(model.triple))
+    return load_model(text=workloads.dumps(workloads.hk4b_document(0))).triple
+
+
+def make_twistor_setup(T):
+    """The twistor structure's numerators of the triple T, set up for
+    theorem_1_3's certificate: (product chart, numerator setup)."""
+    Z, base, rows = _twistor_numerators(verify_triple(T))
     return Z, _numerator_setup("nijenhuis", base, [rows], None, False,
-                               _twistor_square(base, len(rows)))
+                               (_twistor_square(base, len(rows)),))
 
 
 def make_rationals(rng, count, n=3):
@@ -149,8 +157,33 @@ def make_rationals(rng, count, n=3):
     return out
 
 
+def triple_algebra(T):
+    """The relations, induced and theorem11 suites' algebra on a fresh copy
+    of T (no product table yet), counting the numerator-matrix products of
+    the table (``clifford``) and of the tensor setups (``gcs``)."""
+    counts = {clifford: 0, gcs: 0}
+    real = gcs._mat_mul_terms
+
+    def counted(module):
+        def mul(A, B):
+            counts[module] += 1
+            return real(A, B)
+        return mul
+    for module in counts:
+        module._mat_mul_terms = counted(module)
+    try:
+        T = CliffordTriple(*T.generators, T.flux)
+        T = T.with_status(clifford.TripleStatus(check_relations(T), ()))
+        project(induce(T), T)
+        assert theorem_1_1(verify_triple(T)).status == "pass"
+    finally:
+        for module in counts:
+            module._mat_mul_terms = real
+    assert (counts[clifford], counts[gcs]) == (13, 0), counts
+
+
 def bench(polys, twistor_pairs, sections, twistor_bracket, twistor_setup,
-          ends, rationals, n=4, families=21):
+          triple, ends, rationals, n=4, families=21):
     t0 = time.perf_counter()
     acc = {}
     for i in range(len(polys) - 1):
@@ -225,6 +258,10 @@ def bench(polys, twistor_pairs, sections, twistor_bracket, twistor_setup,
     t_pairs = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    triple_algebra(triple)
+    t_algebra = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     for i in range(len(ends) - 1):
         ends[i] @ ends[i + 1]
     t_end = time.perf_counter() - t0
@@ -235,18 +272,20 @@ def bench(polys, twistor_pairs, sections, twistor_bracket, twistor_setup,
         f * g
     t_rat = time.perf_counter() - t0
     return (t_poly, t_twistor, t_dorf, t_nij, t_const, t_apply, t_pairs,
-            t_end, t_rat)
+            t_algebra, t_end, t_rat)
 
 
 def main():
     rng = random.Random(20240817)
+    T = hk4b_triple()
     times = bench(make_polys(rng, 400), make_twistor_pairs(rng, 200),
                   make_sections(rng, 60), make_twistor_bracket(),
-                  make_twistor_setup(), make_endfields(rng, 200),
+                  make_twistor_setup(T), T, make_endfields(rng, 200),
                   make_rationals(rng, 40))
     print(" ".join(f"{h:>14}" for h in (
         "poly-mul", "p_mul-16x30", "dorfman", "nijenhuis", "const-frame",
-        "mat-apply-poly", "twistor-pairs", "end-matmul", "rational")))
+        "mat-apply-poly", "twistor-pairs", "triple-algebra", "end-matmul",
+        "rational")))
     print(" ".join(f"{t:>13.3f}s" for t in times))
 
 

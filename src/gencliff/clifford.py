@@ -4,18 +4,23 @@ simultaneous-integrability suite.
 
 The relations and the induced algebra are decided on one product table per
 triple (``_ProductTable``, cached with the triple): the generators'
-numerators I_i over their base m and 41 products of numerator matrices on
-the kernel -- I_i I_j, the orthogonality products, G = -(I1 I2) I3, G^2,
-and J_i J_j, I_i J_j, J_i I_j -- with every identity checked exactly on
-numerators lifted to one power of m.  The projections need no product:
-the table gives G I_i = J_i and G J_i = I_i, so every product of G+- and
-I_i+- expands into verified table entries (proof in ``project``).  The same
-table fixes which of Theorem 1.1's families commute: for i != j,
-I_i I_j = e_ijk J_k = -I_j I_i, J_i J_j = e_ijk J_k = -J_j J_i and
-I_i J_j = e_ijk I_k = -J_j I_i, each nonzero as its square is -Id, so
-those 12 families anticommute and do not commute; the 9 with i = j commute
-(I_i J_i = J_i I_i = -G).  The dense EndField versions of these checks are
-the oracle in the tests.
+numerators I_i over their base m and 13 products of numerator matrices on
+the kernel -- the 9 I_i I_j, the 3 orthogonality products and
+G = -(I1 I2) I3 -- with every identity checked exactly on numerators lifted
+to one power of m.  J_i = eps_ijk I_j I_k / 2 is read off the table with no
+product.  The rest of the bi-quaternion table (J_i J_j, I_i J_j, J_i I_j,
+G^2 = Id) follows from the six Clifford relations by associativity (proof
+in ``induce``), so it is not multiplied out.  The projections need no
+product either: the table gives G I_i = J_i and G J_i = I_i, so every
+product of G+- and I_i+- expands into table entries (proof in
+``project``).  The same table fixes which of Theorem 1.1's families
+commute: for i != j, I_i I_j = e_ijk J_k = -I_j I_i,
+J_i J_j = e_ijk J_k = -J_j J_i and I_i J_j = e_ijk I_k = -J_j I_i, each
+nonzero as its square is -Id, so those 12 families anticommute and do not
+commute; the 9 with i = j commute (I_i J_i = J_i I_i = -G).  Theorem 1.1's
+setup reads each family's products I J and J I off the table as well
+(``_table_product``).  The dense EndField versions of these checks are the
+oracle in the tests.
 
 The model hardcodes three generators (the rank-3 case); general rank-r is an
 extension point, not implemented.
@@ -148,17 +153,17 @@ class _ProductTable:
     I_i over m^1, m the LCM of their denominators (``gcs._PowerDen.lcm``;
     m = 1 for polynomial generators), and the products of numerator
     matrices (``gcs._mat_mul_terms``) that decide the Clifford relations
-    and the induced algebra.  A product of numerators over m^j and m^k is
-    the numerator over m^(j+k), so each identity is decided on numerators
-    lifted to one power of m, with no GCD.
+    and build the induced structures.  A product of numerators over m^j
+    and m^k is the numerator over m^(j+k), so each identity is decided on
+    numerators lifted to one power of m, with no GCD.
 
     Built on first use (``_table``) and cached with the triple: the 9
-    products I_i I_j (over m^2) and, for orthogonality, the 3
-    products E^T (P E), where P E is E's rows permuted and halved.  The
-    induced part, built by the first ``induce`` or ``project``, adds
-    J_i = eps_ijk I_j I_k / 2 (over m^2, no product), G = -(I1 I2) I3
-    (m^3), G^2 (m^6) and the 27 products J_i J_j (m^4), I_i J_j and
-    J_i I_j (m^3): 41 products in all."""
+    products I_i I_j (over m^2) and, for orthogonality, the 3 products
+    E^T (P E), where P E is E's rows permuted and halved.  The induced
+    part, built by the first ``induce`` or ``project``, adds
+    J_i = eps_ijk I_j I_k / 2 (over m^2, no product) and G = -(I1 I2) I3
+    (m^3): 13 products in all.  The rest of the bi-quaternion table is
+    implied by the six Clifford checks (``induce``)."""
 
     def __init__(self, gens):
         self.chart = chart = gens[0].chart
@@ -207,32 +212,15 @@ class _ProductTable:
 
     def induced(self):
         """(J, G, table_ok): the J_i over m^2, G over m^3 and the verdict
-        on the multiplication table of ``induce``."""
+        on the multiplication table of ``induce``, which is the verdict of
+        the six Clifford checks (orthogonality is not part of it)."""
         if self._induced is None:
-            I, II = self.I, self.II
+            II = self.II
             J = [_lin((HALF, II[(i + 1) % 3][(i + 2) % 3]),
                       (K.c_neg(HALF), II[(i + 2) % 3][(i + 1) % 3]))
                  for i in range(3)]
-            G = _lin((_NEG, _mat_mul_terms(II[0][1], I[2])))
-            I3 = [self.lift(E, 1, 3) for E in I]
-
-            def combo(i, j, unit, fam):
-                """-d_ij unit + e_ijk fam_k."""
-                terms = [(_NEG, unit)] if i == j else []
-                terms += [((e, 0, 1), fam[k]) for k in range(3)
-                          for e in (levi_civita(i + 1, j + 1, k + 1),) if e]
-                return _lin(*terms)
-
-            ok = _mat_mul_terms(G, G) == self.eye(6)
-            for i in range(3):
-                for j in range(3):
-                    want = combo(i, j, self.eye(2), J)          # m^2
-                    ok = ok and II[i][j] == want
-                    ok = ok and (_mat_mul_terms(J[i], J[j])
-                                 == self.lift(want, 2, 4))
-                    want = combo(i, j, G, I3)                   # m^3
-                    ok = ok and _mat_mul_terms(I[i], J[j]) == want
-                    ok = ok and _mat_mul_terms(J[i], I[j]) == want
+            G = _lin((_NEG, _mat_mul_terms(II[0][1], self.I[2])))
+            ok = all(c.ok for c in self.relations.checks[:6])
             self._induced = J, G, ok
         return self._induced
 
@@ -272,18 +260,24 @@ def verify_triple(T: CliffordTriple,
     otherwise, since only then does the second slot's Leibniz term
     (rho(A)g)(Ii^2 + 1)B vanish.
 
+    Each Ii whose "Ii^2 = -Id" check of T's product table passed enters
+    its check with that square, read as -m^2 Id over the tensor's base m
+    (``gcs._signed_numerators``), so no square is multiplied.
+
     The three reports share 10 witnesses: a generator gets the budget the
     earlier ones left, and once it is spent the remaining generators are not
     evaluated and get no report -- the triple has already failed."""
     rel = T.status.relations or check_relations(T)
+    squared = {c.name: c.ok for c in check_relations(T).checks}
     reports = []
     for i, E in enumerate(T.generators):
         cap = 10 - sum(len(r.witnesses) for r in reports)
         if cap <= 0:
             break
+        square = (-1, None) if squared[f"I{i+1}^2 = -Id"] else None
         reports.append(vanishes(
-            bind_nijenhuis(E, f"N(I{i+1},I{i+1})", T.flux), degree_bound,
-            cap))
+            bind_nijenhuis(E, f"N(I{i+1},I{i+1})", T.flux, square),
+            degree_bound, cap))
     return T.with_status(TripleStatus(rel, tuple(reports)))
 
 
@@ -306,10 +300,37 @@ class InducedStructures:
 
 
 def induce(T: CliffordTriple) -> InducedStructures:
-    """Build the induced structures and verify the full multiplication table:
+    """Build the induced structures J_i = eps_ijk I_j I_k / 2 and
+    G = -I1 I2 I3 from T's product table, with the verdict on their
+    multiplication table
     I_i I_j = -d_ij + e_ijk J_k,  J_i J_j = -d_ij + e_ijk J_k,
-    I_i J_j = J_i I_j = -d_ij G + e_ijk I_k,  G^2 = Id,
-    each a literal identity of numerator matrices in T's product table.
+    I_i J_j = J_i I_j = -d_ij G + e_ijk I_k,  G^2 = Id.
+
+    table_ok is the verdict of the six Clifford checks
+    I_i I_j + I_j I_i = -2 d_ij Id, each exact on the table's numerators;
+    they imply the whole table, by associativity alone.  By them I_i^2 = -1
+    and I_i I_j = -I_j I_i for i != j, and J_i = I_j I_k for (i, j, k)
+    cyclic, so each of Id, I_k, J_k and G is +- a word of distinct
+    generators: J_1 = I2 I3, J_2 = I3 I1, J_3 = I1 I2, G = -I1 I2 I3.  A
+    product of two words reduces to +- one word: move a generator past a
+    different one at the cost of a sign, and cancel I_i I_i = -1.  For
+    (i, j, k) cyclic:
+
+        I_i I_j = J_k,  I_j I_i = -J_k,  I_i I_i = -1,
+        J_i J_j = I_j I_k I_k I_i = -I_j I_i = J_k,
+        J_j J_i = I_k I_i I_j I_k = I_k I_k I_i I_j = -J_k,
+        J_i J_i = I_j I_k I_j I_k = -I_j I_j I_k I_k = -1,
+        I_i J_j = I_i I_k I_i = I_k,    J_i I_j = I_j I_k I_j = I_k,
+        I_j J_i = I_j I_j I_k = -I_k,   J_j I_i = I_k I_i I_i = -I_k,
+        I_i J_i = I_i I_j I_k = -G,     J_i I_i = I_j I_k I_i = -G,
+        G^2 = I1 I2 I3 I1 I2 I3 = I1 I1 I2 I3 I2 I3 = -I2 I3 I2 I3 = 1
+
+    (a generator moved past two others keeps its sign: I_j I_k I_i =
+    I_i I_j I_k = I1 I2 I3 for every cyclic (i, j, k)), which is the
+    table, with e_ijk = 1 and e_jik = -1.  So no entry of the table is
+    multiplied out here (the dense oracle in the tests multiplies each
+    one).  Orthogonality is not part of table_ok: the table holds for any
+    matrices with the Clifford relations, orthogonal or not.
 
     The result is cached on T (and its ``with_status`` copies), so later
     calls return the same object; the relations guard runs on every call."""
@@ -357,7 +378,8 @@ def project(ind: InducedStructures, T: CliffordTriple) -> Projections:
 
     the other mixed products likewise, and G^2 = Id gives (G+-)^2 = G+-
     and G+ G- = G- G+ = 0.  So the projection identities follow from the
-    table; only the table is a literal matrix check.
+    table, which follows from the Clifford relations (``induce``); only
+    those are literal matrix checks.
 
     ind must be induced from T's generators (else ValueError).  When ind
     is T's own cached ``induce(T)`` the result is cached on T as well; the
@@ -417,24 +439,41 @@ _DIAGONAL = (12, 16, 20)
 _COMMUTING = frozenset((0, 3, 5, 6, 9, 11) + _DIAGONAL)
 
 
+def _table_product(i, j, unit, fam):
+    """(sign, X) with S_i T_j = sign X in the bi-quaternion table (0-based
+    i, j): -unit for i = j, else e_ijk fam[k].  unit is None (Id) and fam
+    the J for I_i I_j and J_i J_j; unit is G and fam the I for I_i J_j and
+    J_i I_j."""
+    if i == j:
+        return -1, unit
+    k = 3 - i - j
+    return levi_civita(i + 1, j + 1, k + 1), fam[k]
+
+
 def theorem_1_1_families(T: CliffordTriple, ind: InducedStructures):
     """The 21 distinct tensor families N(I_i,I_j), N(J_i,J_j) (i <= j) and
-    N(I_i,J_j) (all i, j, row by row), bound against the triple's flux."""
+    N(I_i,J_j) (all i, j, row by row), bound against the triple's flux.
+    When ind's table is verified, each family carries its products I J and
+    J I as read off the table (``_table_product``), so its setup multiplies
+    no matrices."""
     I = T.generators
     J = ind.J
+
+    def bind(A, B, i, j, name, unit, fam):
+        products = ((_table_product(i, j, unit, fam),
+                     _table_product(j, i, unit, fam))
+                    if ind.table_ok else ())
+        return bind_concomitant(A[i], B[j], name, T.flux, products)
     fams = []
     for i in range(3):
         for j in range(i, 3):
-            fams.append(bind_concomitant(I[i], I[j], f"N(I{i+1},I{j+1})",
-                                         T.flux))
+            fams.append(bind(I, I, i, j, f"N(I{i+1},I{j+1})", None, J))
     for i in range(3):
         for j in range(i, 3):
-            fams.append(bind_concomitant(J[i], J[j], f"N(J{i+1},J{j+1})",
-                                         T.flux))
+            fams.append(bind(J, J, i, j, f"N(J{i+1},J{j+1})", None, J))
     for i in range(3):
         for j in range(3):
-            fams.append(bind_concomitant(I[i], J[j], f"N(I{i+1},J{j+1})",
-                                         T.flux))
+            fams.append(bind(I, J, i, j, f"N(I{i+1},J{j+1})", ind.G, I))
     return fams
 
 
@@ -545,7 +584,9 @@ def theorem_1_1(T: CliffordTriple, degree_bound: int | None = None,
     instead, as a cross-check.  The report note names the method.
 
     The verified multiplication table fixes which families commute (module
-    docstring).  The 12 anticommuting families have IJ + JI = 0 and are
+    docstring), and each family's setup reads its products I J and J I off
+    that table (``theorem_1_1_families``), so no matrix is multiplied
+    here.  The 12 anticommuting families have IJ + JI = 0 and are
     C-infinity-bilinear and skew (``gcs.vanishes``): they must vanish, and
     the certificate takes the 2n(2n - 1)/2 frame pairs a < b (28 at
     n = 4).  The 9 commuting families -- the self-pairs N(I_i, I_i),

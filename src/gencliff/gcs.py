@@ -442,6 +442,10 @@ class BoundTensor:
     name: str
     structures: tuple
     flux: FluxForm | None
+    # products of the structures a caller has proven, each (sign, X) for
+    # sign X with X an EndField, or None for Id: (S S,) for N_S, (I J, J I)
+    # for N(I, J); () to multiply them (``_kernel_setup``)
+    products: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def chart(self):
@@ -457,14 +461,21 @@ class BoundTensor:
 
 
 def bind_nijenhuis(J: EndField, name: str = "N(J,J)",
-                   flux: FluxForm | None = None) -> BoundTensor:
-    return BoundTensor("nijenhuis", name, (J,), _common_flux(J, override=flux))
+                   flux: FluxForm | None = None,
+                   square: tuple | None = None) -> BoundTensor:
+    """N_J; square is J J as (sign, X) (``BoundTensor.products``) when the
+    caller has proven it."""
+    return BoundTensor("nijenhuis", name, (J,), _common_flux(J, override=flux),
+                       () if square is None else (square,))
 
 
 def bind_concomitant(I: EndField, J: EndField, name: str = "N(I,J)",
-                     flux: FluxForm | None = None) -> BoundTensor:
+                     flux: FluxForm | None = None,
+                     products: tuple = ()) -> BoundTensor:
+    """N(I, J); products is (I J, J I) as (sign, X) pairs
+    (``BoundTensor.products``) when the caller has proven them."""
     return BoundTensor("concomitant", name, (I, J),
-                       _common_flux(I, J, override=flux))
+                       _common_flux(I, J, override=flux), products)
 
 
 def bind_real_nijenhuis(G: EndField, name: str = "N_G",
@@ -696,37 +707,62 @@ def _kernel_setup(tensor: BoundTensor, base: _PowerDen | None = None):
     constant), the flux coefficients as numerators over m^1 (None for zero
     flux), the structures' dense numerator rows over m^1, and the dense
     numerators over m^2 of S S for one structure S, of I J + J I for a
-    concomitant N(I, J)."""
+    concomitant N(I, J).  The products the tensor carries as proven
+    (``BoundTensor.products``) are read over the base, not multiplied."""
     structs = tensor.structures
     flux = {} if tensor.flux is None else tensor.flux.H.coeffs
     if base is None:
         base = _PowerDen.lcm(tensor.chart, _fields(tensor))
-    const = base.unit and all(s.is_constant for s in structs)
+    nums = [base.numerators(s) for s in structs]
+    # over the unit base a numerator is its entry: constant iff its only
+    # monomial is the constant one, 0
+    const = base.unit and not any(mono for S in nums for row in S
+                                  for p in row for mono in p)
     kflux = {idx: base.numerator(f) for idx, f in flux.items()}
-    return _numerator_setup(tensor.kind, base,
-                            [base.numerators(s) for s in structs],
-                            kflux or None, const)
+    proven = [_signed_numerators(base, len(nums[0]), sign, X)
+              for sign, X in tensor.products]
+    return _numerator_setup(tensor.kind, base, nums, kflux or None, const,
+                            proven or None)
 
 
-def _numerator_setup(kind, base, nums, kflux, const, square=None):
+def _signed_numerators(base, size, sign, X):
+    """sign X as dense numerators over m^2, X an EndField or None for the
+    identity.  A product of two structures' numerators over m^1 is the
+    numerator over m^2 of their product, so when the caller has proven
+    S T = sign X this is the product S T, read instead of multiplied.  X's
+    denominators divide m^2: X = sign S T, whose entries are sums of
+    products of entries over m."""
+    if X is None:
+        d = base.mpow(2)
+        rows = [[d if i == j else {} for j in range(size)]
+                for i in range(size)]
+    else:
+        rows = base.numerators(X, 2)
+    if sign > 0:
+        return rows
+    return [[K.p_neg(p) if p else {} for p in row] for row in rows]
+
+
+def _numerator_setup(kind, base, nums, kflux, const, products=None):
     """``_kernel_setup``'s tuple from the structures' dense numerator rows
     over m^1 (nums) and the flux numerators (kflux, None for zero flux);
     const selects the constant-coefficient kernel layout.  For a
-    concomitant, mats["products"] holds the dense I J and J I over m^2.
-    For N_J or N_G, a caller that has proven the structure's square may
-    pass its numerators over m^2 as square; otherwise it is multiplied."""
+    concomitant, mats["products"] holds the dense I J and J I over m^2.  A
+    caller that has proven the structures' products may pass their dense
+    numerators over m^2 as products, (S S,) for N_J or N_G and (I J, J I)
+    for a concomitant; otherwise they are multiplied."""
     mats = {"base": base, "J": _sparse_rows(nums[-1], const),
             "app": K.mat_apply_const if const else K.mat_apply_poly}
     if kind == "concomitant":
         I, J = nums
-        IJ, JI = _mat_mul_terms(I, J), _mat_mul_terms(J, I)
+        IJ, JI = products or (_mat_mul_terms(I, J), _mat_mul_terms(J, I))
         mats["I"] = _sparse_rows(I, const)
         mats["products"] = (IJ, JI)
         square = [[K.p_add(a, b) for a, b in zip(r1, r2)]
                   for r1, r2 in zip(IJ, JI)]
         mats["IJ+JI"] = _sparse_rows(square, const)
-    elif square is None:
-        square = _mat_mul_terms(nums[0], nums[0])
+    else:
+        square, = products or (_mat_mul_terms(nums[0], nums[0]),)
     return mats, kflux, nums, square
 
 
@@ -1204,8 +1240,8 @@ def _tensor_report(name, degree_bound, base, degree, pairs, max_witnesses,
     """Collect (i, j, numerators over m^3) into a TensorReport: vanished iff
     every numerator is zero, with the first max_witnesses nonzero pairs,
     labelled from the generators of monomial degree <= degree that
-    _residuals evaluated."""
-    labels = generator_labels(base.chart, degree)
+    _residuals evaluated (the labels are built at the first witness)."""
+    labels = None
     report = TensorReport(name, True, degree_bound, 0, method=(
         "symbol_certificate" if degree_bound is None else "sweep"),
         identity=identity)
@@ -1213,6 +1249,8 @@ def _tensor_report(name, degree_bound, base, degree, pairs, max_witnesses,
         report.sample_count += 1
         if not K.sec_is_zero(out):
             report.vanished = False
+            if labels is None:
+                labels = generator_labels(base.chart, degree)
             report.witnesses.append(
                 (labels[i], labels[j], str(base.section(out, 3))))
             if len(report.witnesses) >= max_witnesses:

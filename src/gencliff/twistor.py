@@ -40,8 +40,9 @@ from ._core import kernel as K
 from .scalar import Chart, GaussianRational, Poly, ScalarField
 from .cartan import KForm
 from .gcs import (EndField, _PowerDen, _den_lcm, _numerator_setup,
-                  _setup_residuals, _sparse_rows, bind_concomitant,
-                  generator_labels, is_almost_gcs, vanishes)
+                  _setup_residuals, _signed_numerators, _sparse_rows,
+                  bind_concomitant, generator_labels, is_almost_gcs,
+                  vanishes)
 from .clifford import (CliffordTriple, SuiteReport, TripleStatus,
                        check_relations, induce, project)
 
@@ -639,9 +640,7 @@ def _twistor_square(base: _PowerDen, size: int):
     ``SPHERE_PATTERN`` squares to -Id (``sphere_gcs`` checks it on the
     EndField), and the two blocks act on disjoint coordinates of the
     product chart."""
-    minus = K.p_scale(base.mpow(2), K.c_neg(K.C_ONE))
-    return [[minus if i == j else {} for j in range(size)]
-            for i in range(size)]
+    return _signed_numerators(base, size, -1, None)
 
 
 def twistor_structure(T: CliffordTriple) -> EndField:
@@ -717,10 +716,10 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
     n = T.chart.dim
     rep = TwistorReport("pass", mode="sampled" if samples else "symbolic")
     setup = _numerator_setup("nijenhuis", base, [rows], None, False,
-                             _twistor_square(base, len(rows)))
+                             (_twistor_square(base, len(rows)),))
     _, degree, pairs = _setup_residuals("nijenhuis", Z, setup, degree_bound,
                                         pointwise=bool(samples))
-    labels = generator_labels(Z, degree)
+    labels = None           # built at the first witness
     # (witness prefix, point or None for the symbolic zero test, note)
     if samples:
         points = [((f"{p}",), (0,) * n + (p.zeta1.re, p.zeta1.im,
@@ -740,6 +739,8 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
                 bad = any(not Poly(Z, p).evaluate(pt).is_zero
                           for p in out if p)
             if bad:
+                if labels is None:
+                    labels = generator_labels(Z, degree)
                 wit.append(prefix + (labels[i], labels[j], note))
         if all(len(wit) >= max_witnesses for wit in found):
             break

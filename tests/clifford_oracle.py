@@ -1,12 +1,13 @@
 """Test helper: the dense EndField oracle of the Clifford relations and the
 induced bi-quaternion algebra.
 
-``clifford.check_relations``, ``induce`` and ``project`` decide the
-relations, the multiplication table and the projection identities on one
-table of kernel products of the generators' numerators over their base
-(``clifford._ProductTable``), and derive the projection identities from the
-table.  Here the same identities are checked literally, one ScalarField
-``EndField`` product at a time, and G+-, I_i+- are multiplied out.
+``clifford.check_relations`` decides the relations on one table of kernel
+products of the generators' numerators over their base
+(``clifford._ProductTable``); ``induce`` derives the multiplication table
+from the six Clifford relations and ``project`` the projection identities
+from the table, neither multiplying it out.  Here the same identities are
+checked literally, one ScalarField ``EndField`` product at a time, and
+G+-, I_i+- are multiplied out.
 """
 
 from fractions import Fraction

@@ -626,17 +626,21 @@ class TestProductTable:
         assert proj.identities_ok is identities_ok is True
         assert (proj.Gp, proj.Gm, proj.Ip, proj.Im) == (Gp, Gm, Ip, Im)
 
-    def test_41_kernel_products_and_no_endfield_product(self, monkeypatch):
-        # hk4b: 12 products for the relations, 29 more for the induced
+    def test_13_kernel_products_and_none_in_the_setups(self, monkeypatch):
+        # hk4b: 12 products for the relations, 1 more (G) for the induced
         # algebra, none for the projections or for theorem_1_1's choice of
-        # the commuting families
-        from gencliff import clifford
+        # the commuting families; once the table exists, verify_triple and
+        # theorem_1_1 read every setup product off it and multiply none
+        from gencliff import clifford, gcs
         from tests.test_twistor import hk4b_triple
         T = CliffordTriple(*hk4b_triple().generators)     # no table yet
-        calls = []
+        P = product_flip()
+        calls, setup_calls = [], []
         real = clifford._mat_mul_terms
         monkeypatch.setattr(clifford, "_mat_mul_terms",
                             lambda A, B: calls.append(1) or real(A, B))
+        monkeypatch.setattr(gcs, "_mat_mul_terms",
+                            lambda A, B: setup_calls.append(1) or real(A, B))
 
         def refuse(self, other):
             raise AssertionError("EndField product")
@@ -644,9 +648,91 @@ class TestProductTable:
         T = T.with_status(clifford.TripleStatus(check_relations(T), ()))
         assert len(calls) == 12
         project(induce(T), T)
-        assert len(calls) == 41
+        assert len(calls) == 13
         assert theorem_1_1(verify_triple(T)).status == "pass"
-        assert len(calls) == 41
+        assert len(calls) == 13 and setup_calls == []
+        check_relations(P)
+        calls.clear()
+        assert theorem_1_1(verify_triple(P)).status == "pass"
+        assert len(calls) == 1 and setup_calls == []    # G alone
+
+    @pytest.mark.parametrize(
+        "name", [k for k in table_triples() if k != "broken"])
+    def test_read_products_are_the_numerator_products(self, name):
+        # every family's setup reads I J and J I (and verify_triple's
+        # setups S S) off the table; over the family's own base, and over
+        # the base a diagonal family shares with its partner, they must be
+        # the products of its numerators entry by entry
+        import dataclasses
+        from gencliff import gcs
+        from gencliff.clifford import _DIAGONAL, theorem_1_1_families
+        T = verify_triple(table_triples()[name]())
+        fams = theorem_1_1_families(T, induce(T))
+        ref = gcs._fields(fams[_DIAGONAL[0]])
+        for k, fam in enumerate(fams):
+            assert len(fam.products) == 2, fam.name
+            both = gcs._PowerDen.lcm(T.chart, ref + gcs._fields(fam))
+            for base in (None, both) if k in _DIAGONAL else (None,):
+                mats, _, (I, J), square = gcs._kernel_setup(fam, base)
+                IJ, JI = (gcs._mat_mul_terms(I, J), gcs._mat_mul_terms(J, I))
+                assert mats["products"] == (IJ, JI), fam.name
+                plain = gcs._kernel_setup(
+                    dataclasses.replace(fam, products=()), base)
+                assert square == plain[3], fam.name
+        for i, E in enumerate(T.generators):
+            tensor = gcs.bind_nijenhuis(E, f"N(I{i+1},I{i+1})", T.flux,
+                                        (-1, None))
+            _, _, (S,), square = gcs._kernel_setup(tensor)
+            assert square == gcs._mat_mul_terms(S, S)
+
+    @pytest.mark.parametrize(
+        "name", [k for k in table_triples() if k != "broken"])
+    def test_read_products_give_the_generic_reports(self, name,
+                                                    monkeypatch):
+        # the same bound tensors, with their products multiplied by the
+        # generic _kernel_setup path, give equal reports
+        import dataclasses
+        from gencliff import clifford, gcs
+        T = table_triples()[name]()
+        read = verify_triple(T)
+        suite = theorem_1_1(read)
+        real = clifford.theorem_1_1_families
+        monkeypatch.setattr(clifford, "theorem_1_1_families", lambda T, ind: [
+            dataclasses.replace(f, products=()) for f in real(T, ind)])
+        monkeypatch.setattr(clifford, "bind_nijenhuis",
+                            lambda E, name, flux, square:
+                            gcs.bind_nijenhuis(E, name, flux))
+        plain = verify_triple(T)
+        assert read.status == plain.status
+        assert suite == theorem_1_1(plain)
+
+    def test_table_ok_is_the_clifford_verdict(self):
+        # P^-1 I_i P for a constant P that is not orthogonal keeps the
+        # Clifford relations and loses orthogonality: the literal
+        # multiplication table still holds, and table_ok says so
+        from gencliff.clifford import _table
+        from gencliff.gcs import mat_inv
+        from tests import clifford_oracle as oracle
+        one, zero = ScalarField.one(R4), ScalarField.zero(R4)
+        P = EndField(R4, [[one if i == j else
+                           ScalarField.constant(R4, 2) if j == i + 1 else zero
+                           for j in range(8)] for i in range(8)])
+        Pinv = EndField(R4, mat_inv(P.entries, R4))
+        T = CliffordTriple(*[Pinv @ E @ P
+                             for E in hyperkahler_r4().generators])
+        rel = check_relations(T)
+        assert rel == oracle.check_relations(T)
+        assert rel.failures == [f"I{i} orthogonal" for i in (1, 2, 3)]
+        assert _table(T).induced()[2] is oracle.induce(T)[4] is True
+
+    def test_a_second_theorem_1_1_gives_the_same_report(self):
+        # the families share the table's and the structures' numerator
+        # dicts; a run that mutated one would change the next report
+        T = verify_triple(rational_bfield_triple())
+        first = theorem_1_1(T)
+        assert first.status == "pass"
+        assert theorem_1_1(T) == first
+        assert verify_triple(T).status == T.status
 
     def test_project_of_a_foreign_triple_raises(self):
         T = verify_triple(hyperkahler_r4(), 0)

@@ -656,7 +656,7 @@ class TestIntegralBase:
         monkeypatch.setattr(K, "_merge", refuse_merge)
         assert integral(base.m, *(p for row in rows for p in row))
         setup = _numerator_setup("nijenhuis", base, [rows], None, False,
-                                 twistor._twistor_square(base, len(rows)))
+                                 (twistor._twistor_square(base, len(rows)),))
         for A in _kernel_generators(Z, 0):
             for S, jac in _operand("nijenhuis", setup[0], A):
                 assert integral(*S)
