@@ -15,9 +15,8 @@ image and Jacobians built on first use), the relations, induced and
 theorem11 suites' algebra on that triple (``check_relations``, ``induce``,
 ``project``, ``verify_triple`` and ``theorem_1_1`` on a fresh copy, which
 must take the 13 products of the triple's product table and none more),
-products of constant 8 x 8 EndFields (``gcs.mat_mul`` runs those on the kernel's term dicts), and
-ScalarField
-sums and products of
+products of constant 8 x 8 EndFields (``gcs.mat_mul``, every entry through
+ScalarField arithmetic), and ScalarField sums and products of
 rational functions whose distinct denominators share a factor, which
 normalize through ``scalar._gcd_fast`` and the PRS ``polygcd.p_gcd``.
 Monomials are drawn as exponent tuples and packed with ``K.mono`` into the

@@ -21,9 +21,11 @@ or count reads --max-degree, --samples or --seed: they are only parsed,
 validated and echoed in the config.  Reports are deterministic for a fixed input apart from the timing
 fields and that echo, and are written atomically.
 
-Exit codes: 0 all suites pass, 1 any suite fails, 2 usage/input errors and
-implementation limits (an exponent past the kernel's monomial field,
-``K.ExponentLimitError``, is one even when a suite's products reach it).
+Exit codes: 0 no suite failed (a suite may be inconclusive), 1 any suite
+fails, 2 usage/input errors (a zero denominator in an expression among
+them) and implementation limits (an exponent past the kernel's monomial
+field, ``K.ExponentLimitError``, is one even when a suite's products reach
+it).
 """
 
 from __future__ import annotations
@@ -103,16 +105,32 @@ class RunConfig:
             raise InputError("samples must be >= 0")
 
 
+def _expr(text, chart, what):
+    """The ScalarField of an expression string; a zero denominator is an
+    input error naming what holds the expression."""
+    try:
+        return parse_expr(str(text), chart)
+    except ZeroDivisionError:
+        raise InputError(f"{what}: zero denominator in {str(text)!r}") \
+            from None
+
+
 def _parse_matrix(rows, chart, name):
     size = 2 * chart.dim
     if not isinstance(rows, list) or len(rows) != size or \
             any(not isinstance(r, list) or len(r) != size for r in rows):
         raise InputError(f"{name} must be a {size}x{size} matrix of "
                          "expression strings")
-    out = []
-    for row in rows:
-        out.append([parse_expr(str(e), chart) for e in row])
-    return out
+    return [[_expr(e, chart, f"{name}[{i + 1}][{j + 1}]")
+             for j, e in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def _json(raw, what):
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} is not valid JSON: line {exc.lineno} "
+                         f"column {exc.colno}: {exc.msg}") from None
 
 
 def _object(value, what):
@@ -131,6 +149,36 @@ def _integer(value, what):
     raise InputError(f"{what} must be an integer, got {value!r}")
 
 
+def _chart(coords):
+    """The Chart of a list of coordinate names."""
+    if not isinstance(coords, list) or \
+            not all(isinstance(c, str) for c in coords):
+        raise InputError("chart.coords must be a list of names")
+    try:
+        return Chart(tuple(coords))
+    except ValueError as exc:
+        raise InputError(f"bad chart: {exc}") from None
+
+
+def _flux(terms, chart):
+    """The FluxForm of a list of terms {"indices": [i, j, k], "coeff":
+    expression}, with 1-based indices."""
+    if not isinstance(terms, list):
+        raise InputError("flux must be a list of terms")
+    coeffs = {}
+    for item in terms:
+        indices = _object(item, "flux term")["indices"]
+        if not isinstance(indices, list):
+            raise InputError(f"bad flux indices {indices!r}")
+        idx = tuple(_integer(i, "flux index") - 1 for i in indices)
+        if len(idx) != 3 or any(not 0 <= i < chart.dim for i in idx):
+            raise InputError(f"bad flux indices {indices}")
+        f = _expr(item["coeff"], chart, f"flux coefficient at {indices}")
+        form = KForm.basis(chart, idx).scale(f)
+        coeffs = (KForm(chart, 3, coeffs) + form).coeffs
+    return FluxForm(KForm(chart, 3, coeffs))
+
+
 def load_model(path=None, builtin=None, text=None) -> Model:
     if text is None:
         if path is None and builtin is None:
@@ -143,12 +191,7 @@ def load_model(path=None, builtin=None, text=None) -> Model:
     else:
         raw = text.encode() if isinstance(text, str) else text
     digest = "sha256:" + sha256(raw).hexdigest()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"input is not valid JSON: line {exc.lineno} "
-                         f"column {exc.colno}: {exc.msg}") from None
-    _object(doc, "the input document")
+    doc = _object(_json(raw, "input"), "the input document")
     if builtin is not None:
         doc["builtin"] = builtin
     triple = None
@@ -164,35 +207,14 @@ def load_model(path=None, builtin=None, text=None) -> Model:
         if coords is None:
             coords = [f"x{i + 1}"
                       for i in range(_integer(spec["dim"], "chart.dim"))]
-        if not isinstance(coords, list) or \
-                not all(isinstance(c, str) for c in coords):
-            raise InputError("chart.coords must be a list of names")
-        try:
-            declared = Chart(tuple(coords))
-        except ValueError as exc:
-            raise InputError(f"bad chart: {exc}") from None
+        declared = _chart(coords)
         if chart is None:
             chart = declared
         elif declared != chart:
             raise InputError("chart conflicts with the builtin structure")
     if chart is None:
         raise InputError("no chart: give \"chart\" or a builtin")
-    flux = None
-    if doc.get("flux"):
-        coeffs = {}
-        if not isinstance(doc["flux"], list):
-            raise InputError("flux must be a list of terms")
-        for item in doc["flux"]:
-            indices = _object(item, "flux term")["indices"]
-            if not isinstance(indices, list):
-                raise InputError(f"bad flux indices {indices!r}")
-            idx = tuple(_integer(i, "flux index") - 1 for i in indices)
-            if len(idx) != 3 or any(not 0 <= i < chart.dim for i in idx):
-                raise InputError(f"bad flux indices {item['indices']}")
-            f = parse_expr(str(item["coeff"]), chart)
-            form = KForm.basis(chart, idx).scale(f)
-            coeffs = (KForm(chart, 3, coeffs) + form).coeffs
-        flux = FluxForm(KForm(chart, 3, coeffs))
+    flux = _flux(doc["flux"], chart) if doc.get("flux") else None
     if doc.get("triple") and triple is None:
         spec = _object(doc["triple"], "triple")
         mats = []
@@ -399,10 +421,9 @@ def suite_tduality(model, cfg):
                     [f"triple varies along the dualized coordinate "
                      f"x{k + 1}"], checks)
     irep = td.check_intertwine(phi)
-    checks += irep.checks
-    if not irep.ok:
-        wit += [f"intertwine at ({w[0]}, {w[1]}) -> {w[2]}"
-                for w in irep.witnesses]
+    checks += irep.sample_count
+    wit += [f"intertwine at ({w[0]}, {w[1]}) -> {w[2]}"
+            for w in irep.witnesses]
     prep = td.props_5_2_to_5_4(phi, T)
     checks += len(prep.checks)
     if not prep.ok:
@@ -722,7 +743,7 @@ def parse_section(text: str, chart: Chart) -> Section:
         idx = int(num) - 1
         if not 0 <= idx < chart.dim:
             raise InputError(f"frame index out of range in {term.strip()!r}")
-        f = parse_expr(mult or "1", chart)
+        f = _expr(mult or "1", chart, f"section term {term.strip()!r}")
         if sgn < 0:
             f = -f
         base = Section.frame(chart, idx if kind == "d" else chart.dim + idx)
@@ -732,23 +753,16 @@ def parse_section(text: str, chart: Chart) -> Section:
 
 def bracket_eval(chart_spec: str, a_text: str, b_text: str,
                  flux_spec: str | None = None) -> str:
-    names = [t.strip() for t in chart_spec.split(",") if t.strip()]
-    chart = Chart(tuple(names))
+    """[A, B], twisted by the flux when flux_spec (a JSON list of flux
+    terms, as in the input document) is given; the chart and the flux are
+    checked as ``load_model`` checks them."""
+    chart = _chart([t.strip() for t in chart_spec.split(",") if t.strip()])
     A = parse_section(a_text, chart)
     B = parse_section(b_text, chart)
     if flux_spec:
-        items = json.loads(flux_spec)
-        coeffs = {}
-        for item in items:
-            idx = tuple(int(i) - 1 for i in item["indices"])
-            f = parse_expr(str(item["coeff"]), chart)
-            form = KForm.basis(chart, idx).scale(f)
-            coeffs = (KForm(chart, 3, coeffs) + form).coeffs
-        H = FluxForm(KForm(chart, 3, coeffs))
-        out = dorfman_twisted(A, B, H)
-    else:
-        out = dorfman(A, B)
-    return str(out)
+        return str(dorfman_twisted(A, B, _flux(_json(flux_spec, "--flux"),
+                                               chart)))
+    return str(dorfman(A, B))
 
 
 # ---------------------------------------------------------------------------

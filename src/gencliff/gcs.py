@@ -77,15 +77,8 @@ class FluxMismatchError(ValueError):
 
 
 def mat_mul(A, B):
-    """Product of two square ScalarField matrices.
-
-    When every entry of both operands is a polynomial (denominator one) the
-    product runs on the kernel's term dicts; otherwise each entry goes
-    through ScalarField arithmetic, whose GCD normalization rational entries
-    need.
-    """
-    if _is_polynomial_matrix(A) and _is_polynomial_matrix(B):
-        return _mat_mul_kernel(A, B)
+    """Product of two square ScalarField matrices, each entry through
+    ScalarField arithmetic (which takes no GCD for polynomial entries)."""
     size = len(A)
     zero = ScalarField.zero(A[0][0].chart)
     out = []
@@ -108,31 +101,12 @@ def mat_mul(A, B):
     return out
 
 
-def _is_polynomial_matrix(M):
-    return all(f.is_polynomial for row in M for f in row)
-
-
-def _mat_mul_kernel(A, B):
-    """mat_mul for polynomial operands: the numerators multiplied by
-    _mat_mul_terms, each result entry wrapped once."""
-    prod = _mat_mul_terms([[f.num.terms for f in row] for row in A],
-                          [[f.num.terms for f in row] for row in B])
-    return _wrap_terms(A[0][0].chart, prod)
-
-
 def _wrap_terms(chart, rows):
     """The polynomial ScalarField matrix of a matrix of kernel term dicts."""
     zero = ScalarField.zero(chart)
     one = zero.den
     return [[ScalarField._unchecked(Poly(chart, p), one) if p else zero
              for p in row] for row in rows]
-
-
-def _entrywise_terms(op, A, B):
-    """op (K.p_add or K.p_sub) on the numerators of two polynomial
-    ScalarField matrices, entry by entry."""
-    return [[op(a.num.terms, b.num.terms) for a, b in zip(r1, r2)]
-            for r1, r2 in zip(A, B)]
 
 
 def _mat_mul_terms(A, B):
@@ -233,20 +207,8 @@ class EndField:
         if self.chart != other.chart:
             raise ChartMismatchError("endomorphisms on different charts")
 
-    def _from_terms(self, rows):
-        """An EndField with self's chart and flux and the polynomial entries
-        given as kernel term dicts."""
-        return EndField(self.chart, _wrap_terms(self.chart, rows), self.flux)
-
-    # +, - and scaling by a constant run on the kernel's term dicts when
-    # every entry is a polynomial, as mat_mul does, and through ScalarField
-    # arithmetic (which normalizes rational entries) otherwise.
-
     def __add__(self, other):
         self._check(other)
-        if self.is_polynomial and other.is_polynomial:
-            return self._from_terms(
-                _entrywise_terms(K.p_add, self.entries, other.entries))
         return EndField(self.chart,
                         [[a + b for a, b in zip(r1, r2)]
                          for r1, r2 in zip(self.entries, other.entries)],
@@ -254,9 +216,6 @@ class EndField:
 
     def __sub__(self, other):
         self._check(other)
-        if self.is_polynomial and other.is_polynomial:
-            return self._from_terms(
-                _entrywise_terms(K.p_sub, self.entries, other.entries))
         return EndField(self.chart,
                         [[a - b for a, b in zip(r1, r2)]
                          for r1, r2 in zip(self.entries, other.entries)],
@@ -267,10 +226,6 @@ class EndField:
                         self.flux)
 
     def scale(self, c):
-        if c.is_constant and self.is_polynomial:
-            k = c.num.terms.get(0, K.C_ZERO)
-            return self._from_terms([[K.p_scale(a.num.terms, k) for a in r]
-                                     for r in self.entries])
         return EndField(self.chart, [[a * c for a in r] for r in self.entries],
                         self.flux)
 
@@ -305,10 +260,6 @@ class EndField:
     @property
     def is_constant(self):
         return all(f.is_constant for row in self.entries for f in row)
-
-    @property
-    def is_polynomial(self):
-        return _is_polynomial_matrix(self.entries)
 
     @property
     def is_zero(self):
@@ -504,6 +455,11 @@ class TensorReport:
     witnesses: list = field(default_factory=list)
     method: str = "sweep"
     identity: str = "vanishes"
+
+    @property
+    def checks(self):
+        """The number of pairs evaluated, sample_count."""
+        return self.sample_count
 
 
 def generator_labels(chart, degree_bound):
@@ -1051,7 +1007,7 @@ def _extends(basis, v):
 def _complex_frame(base, J):
     """The frame indices R, in increasing order, whose pairs r < s within
     R[:h] and within R[h:], h = floor(|R|/2), decide a C-infinity-bilinear,
-    skew N_J, from J's numerators over m^1 (``_pairs``).
+    skew N_J, from J's numerators over m^1 (``_pair_plan``).
 
     At the point p of ``_base_point`` (m(p) != 0), e_b is kept iff it lies
     outside the span of the kept e_r and their images J(p) e_r.  Kept or
@@ -1186,21 +1142,22 @@ def _commuting_residuals(tensor: BoundTensor, degree_bound: int | None,
                                 proven)
 
 
-def _pairs(kind, chart, setups, degree_bound, proven, frame=None):
-    """(base, degree, pairs) for ``_residuals``: the generators of monomial
-    degree 0 when proven is "skew", else of generator_degree(degree_bound),
-    and the pairs of them that the proof leaves: for a skew tensor the
-    frame pairs a < b, or, given the J-complex frame R of a skew N_J
-    (frame, from ``_complex_frame``, with the proof), the pairs r < s
-    within R[:h] and within R[h:], h = floor(|R|/2).  setups
-    holds (mats, kflux) of one tensor, or of two over one base whose
-    numerators are subtracted, the second from the first.  A generator's
-    structure images and Jacobians are built once, when a pair first reads
-    it, so a pair only brackets them and applies structures to the
-    brackets."""
+def _pair_plan(chart, degree_bound, proven, frame=None):
+    """(degree, gens, todo): the kernel generators of monomial degree 0
+    when proven is "skew", else of generator_degree(degree_bound), in the
+    order of generator_labels(chart, degree), and the pairs (i, j) of them
+    that the proof leaves, in that order.  A sweep (integer degree_bound)
+    keeps every pair.  For a skew tensor the certificate keeps the frame
+    pairs a < b, or, given the J-complex frame R of a skew N_J (frame, from
+    ``_complex_frame``, with the proof), the pairs r < s within R[:h] and
+    within R[h:], h = floor(|R|/2).  Otherwise it keeps (e_a, e_b) and
+    (x_k e_a, e_b), which read N0 and P_k, and (e_a, x_k e_b), which read
+    Q_k, unless proven is "second_slot" (Q_k = 0).  The pairs of total
+    degree <= 1 decide a tensor whose Leibniz rules are first order with
+    no df.dg term (the module docstring); ``tduality.check_intertwine``
+    reads its pairs here too."""
     degree = 0 if proven == "skew" else generator_degree(degree_bound)
     gens = _kernel_generators(chart, degree)
-    n = chart.dim
     every = range(len(gens))
     if proven == "skew":
         if frame is None:
@@ -1210,13 +1167,23 @@ def _pairs(kind, chart, setups, degree_bound, proven, frame=None):
             parts = (frame[:h], frame[h:])
         todo = [(i, j) for part in parts for i in part for j in part if i < j]
     else:
-        # a sweep keeps every pair; the certificate keeps (e_a, e_b) and
-        # (x_k e_a, e_b), and (e_a, x_k e_b) too unless Q_k = 0 is proven.
-        # A generator's monomial is linear iff it is not the constant one
+        # a generator's monomial is linear iff it is not the constant one
         linear = [degree_bound is None and any(m != 0 for p in A for m in p)
                   for A in gens]
         todo = [(i, j) for i in every for j in every
                 if not linear[j] or not (proven or linear[i])]
+    return degree, gens, todo
+
+
+def _pairs(kind, chart, setups, degree_bound, proven, frame=None):
+    """(base, degree, pairs) for ``_residuals``, over the generators and
+    pairs of ``_pair_plan``.  setups holds (mats, kflux) of one tensor, or
+    of two over one base whose numerators are subtracted, the second from
+    the first.  A generator's structure images and Jacobians are built
+    once, when a pair first reads it, so a pair only brackets them and
+    applies structures to the brackets."""
+    degree, gens, todo = _pair_plan(chart, degree_bound, proven, frame)
+    n = chart.dim
     ops = [{} for _ in setups]
 
     def value(i, j):
@@ -1236,11 +1203,11 @@ def _pairs(kind, chart, setups, degree_bound, proven, frame=None):
 
 
 def _tensor_report(name, degree_bound, base, degree, pairs, max_witnesses,
-                   identity="vanishes"):
-    """Collect (i, j, numerators over m^3) into a TensorReport: vanished iff
-    every numerator is zero, with the first max_witnesses nonzero pairs,
-    labelled from the generators of monomial degree <= degree that
-    _residuals evaluated (the labels are built at the first witness)."""
+                   identity="vanishes", power=3):
+    """Collect (i, j, numerators over m^power) into a TensorReport: vanished
+    iff every numerator is zero, with the first max_witnesses nonzero pairs,
+    labelled from the generators of monomial degree <= degree of
+    ``_pair_plan`` (the labels are built at the first witness)."""
     labels = None
     report = TensorReport(name, True, degree_bound, 0, method=(
         "symbol_certificate" if degree_bound is None else "sweep"),
@@ -1252,7 +1219,7 @@ def _tensor_report(name, degree_bound, base, degree, pairs, max_witnesses,
             if labels is None:
                 labels = generator_labels(base.chart, degree)
             report.witnesses.append(
-                (labels[i], labels[j], str(base.section(out, 3))))
+                (labels[i], labels[j], str(base.section(out, power))))
             if len(report.witnesses) >= max_witnesses:
                 break
     return report

@@ -20,8 +20,9 @@ from functools import cached_property
 
 from ._core import kernel as K
 from .scalar import Chart, ScalarField
-from .courant import FluxForm, Section, monomials_up_to
-from .gcs import EndField, _PowerDen, _flux_eq, generator_degree
+from .courant import FluxForm, Section
+from .gcs import (EndField, TensorReport, _PowerDen, _flux_eq, _pair_plan,
+                  _tensor_report)
 from .clifford import (CliffordTriple, check_relations, induce, project,
                        verify_triple)
 
@@ -123,13 +124,6 @@ def make_torus_duality(chart: Chart, dual_index: int) -> CourantIso:
                       frozenset({dual_index}))
 
 
-@dataclass
-class IntertwineReport:
-    ok: bool
-    checks: int
-    witnesses: list = field(default_factory=list)
-
-
 def _tensorial(phi: CourantIso) -> bool:
     """Whether Delta(A, B) = Phi[A,B]_H - [Phi A, Phi B]_H~ is proven
     C-infinity-bilinear over invariant functions and skew, decided exactly
@@ -165,7 +159,7 @@ def _tensorial(phi: CourantIso) -> bool:
 
 
 def check_intertwine(phi: CourantIso, degree_bound: int | None = None,
-                     max_witnesses: int = 10) -> IntertwineReport:
+                     max_witnesses: int = 10) -> TensorReport:
     """Phi([A,B]_H) = [Phi A, Phi B]_H~ on sections invariant along the
     dualized coordinates, checked exactly on the kernel's Dorfman bracket
     over the generators m * e_a, m a monomial in the non-dualized
@@ -175,17 +169,17 @@ def check_intertwine(phi: CourantIso, degree_bound: int | None = None,
     invariant sections.  When ``_tensorial`` proves Delta = Phi[A,B] -
     [Phi A, Phi B] C-infinity-bilinear and skew, the frame pairs (e_a, e_b)
     with a < b decide it: n(2n - 1) pairs (28 at n = 4).  Otherwise the
-    pairs of total monomial degree <= 1 do: both Leibniz rules are first
-    order and [fA, gB] has no df.dg term, so, Phi being constant,
-
-        Delta(f e_a, g e_b) = fg Delta_0 + g sum_k d_k f P_k
-                              + f sum_k d_k g Q_k
-
-    over the non-dualized k, and Delta_0, P_k and Q_k are read from the
-    pairs (e_a, e_b), (x_k e_a, e_b) and (e_a, x_k e_b).  An integer
-    degree_bound sweeps every ordered pair of generators of degree <=
-    degree_bound instead, as an opt-in cross-check.  Witnesses, in the
-    fixed generator order, are capped at max_witnesses.
+    pairs of total monomial degree <= 1 do, by the argument for the
+    Nijenhuis-type tensors (``gcs`` module docstring, ``gcs._pair_plan``):
+    both Leibniz rules are first order, [fA, gB] has no df.dg term and Phi
+    is constant, so Delta(f e_a, g e_b) = fg Delta_0 + g sum_k d_k f P_k +
+    f sum_k d_k g Q_k over the non-dualized k.  An integer degree_bound
+    sweeps every ordered pair of generators of degree <= degree_bound
+    instead, as an opt-in cross-check.  The pairs are those of
+    ``gcs._pair_plan`` whose monomials leave out the dualized coordinates,
+    and the TensorReport ("intertwine") counts them in sample_count, with
+    at most max_witnesses witnesses in the fixed generator order, their
+    values over m, the base of the fluxes.
 
     Lemma 5.1 is not checked apart: it follows.  Let I, J be invariant
     structures, I~ = Phi I Phi^-1 and J~ = Phi J Phi^-1 (``conjugate``).
@@ -196,56 +190,36 @@ def check_intertwine(phi: CourantIso, degree_bound: int | None = None,
     invariant pair.  One instance of it proves strictly less."""
     chart = phi.chart
     n = chart.dim
-    tensorial = degree_bound is None and _tensorial(phi)
-    degree = 0 if tensorial else generator_degree(degree_bound)
-    monos = [m for m in monomials_up_to(chart, degree)
-             if not any(K.exponent(e, k) for e in m.terms
-                        for k in phi.invariant_coords)]
-    frames = [f"d{i + 1}" for i in range(n)] + [f"e{i + 1}" for i in range(n)]
-    gens, labels, linear = [], [], []
-    for a, fr in enumerate(frames):
-        for m in monos:
-            sec = [{} for _ in range(2 * n)]
-            sec[a] = dict(m.terms)
-            gens.append(sec)
-            ms = str(m)
-            labels.append(fr if ms == "1" else f"{ms}*{fr}")
-            linear.append(ms != "1")
-
-    # a sweep keeps every pair, the tensorial certificate the pairs a < b,
-    # the fallback the pairs of total degree <= 1
-    def keep(i, j):
-        if degree_bound is not None:
-            return True
-        return i < j if tensorial else not (linear[i] and linear[j])
-
+    proven = "skew" if degree_bound is None and _tensorial(phi) else None
+    degree, gens, todo = _pair_plan(chart, degree_bound, proven)
+    invariant = [not any(K.exponent(m, k) for p in A for m in p
+                         for k in phi.invariant_coords) for A in gens]
+    todo = [(i, j) for i, j in todo if invariant[i] and invariant[j]]
     fluxes = [{} if F is None else F.H.coeffs
               for F in (phi.source_flux, phi.target_flux)]
     base = _PowerDen.lcm(chart, [f for H in fluxes for f in H.values()])
     Hs, Ht = ({idx: base.numerator(f) for idx, f in H.items()} or None
               for H in fluxes)
     M = phi.conjugators[0]
-    # (section, Jacobian) of each generator and of its image, built once;
-    # brackets are numerators over m^1 of the fluxes' base m
-    ops = [(A, base.jacobian(A, 0)) for A in gens]
-    imgs = [(P, base.jacobian(P, 0))
-            for P in (K.mat_apply_const(M, A) for A in gens)]
-    rep = IntertwineReport(True, 0)
-    for i, (A, dA) in enumerate(ops):
-        for j, (B, dB) in enumerate(ops):
-            if not keep(i, j):
-                continue
+    ops = {}
+
+    def operands(k):
+        # (section, Jacobian) of a generator and of its image, built once
+        if k not in ops:
+            A = gens[k]
+            PA = K.mat_apply_const(M, A)
+            ops[k] = (A, base.jacobian(A, 0)), (PA, base.jacobian(PA, 0))
+        return ops[k]
+
+    def pairs():
+        # brackets are numerators over m^1
+        for i, j in todo:
+            ((A, dA), (PA, dPA)), ((B, dB), (PB, dPB)) = \
+                operands(i), operands(j)
             lhs = K.mat_apply_const(M, K.sec_dorfman(n, A, B, Hs, dA, dB))
-            (PA, dPA), (PB, dPB) = imgs[i], imgs[j]
-            out = K.sec_sub(lhs, K.sec_dorfman(n, PA, PB, Ht, dPA, dPB))
-            rep.checks += 1
-            if not K.sec_is_zero(out):
-                rep.ok = False
-                rep.witnesses.append((labels[i], labels[j],
-                                      str(base.section(out, 1))))
-                if len(rep.witnesses) >= max_witnesses:
-                    return rep
-    return rep
+            yield i, j, K.sec_sub(lhs, K.sec_dorfman(n, PA, PB, Ht, dPA, dPB))
+    return _tensor_report("intertwine", degree_bound, base, degree, pairs(),
+                          max_witnesses, power=1)
 
 
 def conjugate(phi: CourantIso, E: EndField) -> EndField:

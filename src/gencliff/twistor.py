@@ -329,8 +329,8 @@ def theorem_1_2(T: CliffordTriple) -> SuiteReport:
     pairs += [(f"N(I{a + 1}{sg},I{b + 1}{sg})", F[a], F[b])
               for sg, F in (("+", P), ("-", M))
               for a in range(3) for b in range(a + 1, 3)]
-    pairs += [(f"N(X{a + 1}{b + 1},X{a + 1}{b + 1})", P[a] + M[b],
-               P[a] + M[b]) for a in range(3) for b in range(3)]
+    pairs += [(f"N(X{a + 1}{b + 1},X{a + 1}{b + 1})", X, X)
+              for a in range(3) for b in range(3) for X in (P[a] + M[b],)]
     families = [vanishes(bind_concomitant(X, Y, name, T.flux))
                 for name, X, Y in pairs]
     ok = all(r.vanished for r in families)

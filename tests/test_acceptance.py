@@ -260,7 +260,7 @@ def test_criterion_10_tduality_suite():
     T = verify_triple(hyperkahler_r4(), 1)
     phi = td.make_torus_duality(R4, 0)   # TD-1 verified on construction
     rep = td.check_intertwine(phi, 2)
-    assert rep.ok
+    assert rep.vanished
     # frame x (deg <= 2 monomials in the three non-dualized coordinates)
     assert rep.checks == (8 * 10) ** 2
     prep = td.props_5_2_to_5_4(phi, T, degree_bound=1)

@@ -277,6 +277,10 @@ class TestExitCodes:
                                                          "induced"]
 
 
+def _zero_denominator_entry(doc):
+    doc["triple"]["I2"][0][3] = "1/0"
+
+
 MALFORMED_DOCUMENTS = {
     "top-level-array": [],
     "builtin-not-name": {"builtin": [1]},
@@ -291,6 +295,10 @@ MALFORMED_DOCUMENTS = {
     "flux-not-list": {"chart": {"dim": 3}, "flux": {"indices": [1, 2, 3]}},
     "tduality-not-object": {"chart": {"dim": 4}, "tduality": 2},
     "zero-dim": {"chart": {"dim": 0}},
+    "zero-denominator-entry": triple_json(_zero_denominator_entry),
+    "zero-denominator-flux": {"chart": {"dim": 3},
+                              "flux": [{"indices": [1, 2, 3],
+                                        "coeff": "1/(x1-x1)"}]},
 }
 
 
@@ -334,6 +342,18 @@ class TestMalformedInput:
         with pytest.raises(InputError):
             load_model(text=json.dumps(doc))
         self._exits_2(doc, tmp_path)
+
+    def test_zero_denominator_names_the_entry(self):
+        # the parser keeps raising ZeroDivisionError; load_model names
+        # where the expression sits
+        with pytest.raises(InputError,
+                           match=r"I2\[1\]\[4\]: zero denominator"):
+            load_model(text=json.dumps(
+                MALFORMED_DOCUMENTS["zero-denominator-entry"]))
+        with pytest.raises(InputError,
+                           match=r"flux coefficient at \[1, 2, 3\]"):
+            load_model(text=json.dumps(
+                MALFORMED_DOCUMENTS["zero-denominator-flux"]))
 
     @pytest.mark.parametrize("doc", list(EXPRESSION_LIMIT_DOCUMENTS.values()),
                              ids=list(EXPRESSION_LIMIT_DOCUMENTS))
@@ -415,6 +435,20 @@ class TestReportShape:
         assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
 
+# (--chart, --flux) of `gencliff bracket --a d2 --b d3`
+MALFORMED_BRACKET_FLAGS = {
+    "flux-index-9": ("x1,x2,x3", '[{"indices":[9,2,3],"coeff":"1"}]'),
+    "flux-index-0": ("x1,x2,x3", '[{"indices":[0,2,3],"coeff":"1"}]'),
+    "two-index-flux": ("x1,x2,x3", '[{"indices":[2,3],"coeff":"1"}]'),
+    "flux-not-list": ("x1,x2,x3", '{"a":1}'),
+    "flux-not-json": ("x1,x2,x3", "[indices"),
+    "flux-zero-denominator": ("x1,x2,x3",
+                              '[{"indices":[1,2,3],"coeff":"1/(x1-x1)"}]'),
+    "chart-repeated": ("x,x", '[{"indices":[1,2,1],"coeff":"1"}]'),
+    "chart-empty": ("", '[{"indices":[1,2,3],"coeff":"1"}]'),
+}
+
+
 class TestBracketCalculator:
     def test_spec_examples(self):
         assert bracket_eval("x1,x2,x3", "d1", "x1*e2") == "e2"
@@ -441,6 +475,20 @@ class TestBracketCalculator:
                         "--b", "x1*e2"])
         assert proc.returncode == 0
         assert proc.stdout.strip() == "e2"
+
+    @pytest.mark.parametrize("chart,flux",
+                             list(MALFORMED_BRACKET_FLAGS.values()),
+                             ids=list(MALFORMED_BRACKET_FLAGS))
+    def test_malformed_flags_exit_2(self, chart, flux):
+        # the chart and flux checks of load_model; flux index 0 must not
+        # wrap to the last coordinate
+        with pytest.raises(InputError):
+            bracket_eval(chart, "d2", "d3", flux)
+        proc = run_cli(["bracket", "--chart", chart, "--a", "d2", "--b", "d3",
+                        "--flux", flux])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr and not proc.stdout
 
 
 class TestNegativeControls:

@@ -69,13 +69,13 @@ class TestIntertwine:
     def test_sweep_degree_two(self):
         phi = make_torus_duality(R3, 0)
         rep = check_intertwine(phi, 2)
-        assert rep.ok
+        assert rep.vanished
         assert rep.checks == (6 * 6) ** 2
 
     def test_constant_pairs_trivial(self):
         phi = make_torus_duality(R3, 0)
         rep = check_intertwine(phi, 0)
-        assert rep.ok and rep.checks == 36
+        assert rep.vanished and rep.checks == 36
 
     @pytest.mark.parametrize("chart", [R3, R4], ids=["R3", "R4"])
     def test_certificate_agrees_with_degree_two_sweep(self, chart):
@@ -87,7 +87,7 @@ class TestIntertwine:
             assert _tensorial(phi)
             cert = check_intertwine(phi)
             sweep = check_intertwine(phi, 2)
-            assert cert.ok and sweep.ok
+            assert cert.vanished and sweep.vanished
             assert cert.witnesses == sweep.witnesses == []
             assert cert.checks == n * (2 * n - 1)
 
@@ -108,7 +108,7 @@ class TestIntertwine:
         sweep = check_intertwine(phi, 2, max_witnesses=every)
         free = n - len(coords)
         assert cert.checks == (2 * n) ** 2 * (1 + 2 * free)
-        assert not cert.ok and cert.witnesses
+        assert not cert.vanished and cert.witnesses
         linear = set(generator_labels(chart, 1)) - set(
             generator_labels(chart, 0))
         frames = set(generator_labels(chart, 0))
@@ -134,8 +134,42 @@ class TestIntertwine:
                          frozenset({0}))
         assert not _tensorial(phi)
         cert = check_intertwine(phi)
-        assert cert.ok and cert.checks == 8 * 8 * (1 + 2 * 3)
-        assert check_intertwine(phi, 2).ok
+        assert cert.vanished and cert.checks == 8 * 8 * (1 + 2 * 3)
+        assert check_intertwine(phi, 2).vanished
+
+
+def flux_swap(k, coeff=None):
+    """The swap along x_{k+1} on R4 with source and target flux
+    H = coeff dx1^dx2^dx3 (coeff 1 when None)."""
+    form = KForm.basis(R4, (0, 1, 2))
+    H = FluxForm(form if coeff is None else form.scale(coeff))
+    return CourantIso(R4, make_torus_duality(R4, k).matrix, H, H,
+                      frozenset({k}))
+
+
+class TestIntertwineOutput:
+    """The pair order, counts and witnesses of the fallback: the x2 swap
+    moves a leg of H = dx1^dx2^dx3 and stops at its 10th witness, the x4
+    swap does not touch H."""
+
+    def test_x2_swap_fails_with_its_witnesses(self):
+        rep = check_intertwine(flux_swap(1))
+        assert rep.checks == 22 and len(rep.witnesses) == 10
+        assert rep.witnesses[:3] == [("d1", "d2", "-e3"),
+                                     ("d1", "x4*d2", "-x4*e3"),
+                                     ("d1", "x3*d2", "-x3*e3")]
+
+    def test_witness_over_a_non_unit_base(self):
+        x1 = ScalarField.variable(R4, 0)
+        one = ScalarField.one(R4)
+        rep = check_intertwine(flux_swap(1, one / (one + x1 * x1)))
+        assert rep.checks == 22
+        assert rep.witnesses[0] == ("d1", "d2", "((-1)/(x1^2 + 1))*e3")
+
+    def test_x4_swap_passes(self):
+        rep = check_intertwine(flux_swap(3))
+        assert rep.checks == 8 * 8 * (1 + 2 * 3) == 448
+        assert rep.witnesses == []
 
 
 class TestConjugate:
