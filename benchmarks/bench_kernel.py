@@ -14,7 +14,10 @@ frame pairs of integral numerators over the sphere base, each operand's
 image and Jacobians built on first use), the relations, induced and
 theorem11 suites' algebra on that triple (``check_relations``, ``induce``,
 ``project``, ``verify_triple`` and ``theorem_1_1`` on a fresh copy, which
-must take the 13 products of the triple's product table and none more),
+must take the 13 products of the triple's product table and none more, set
+up each of the six structures I_i, J_i once in the triple's numerator store,
+build their 48 images on the frame generators once, and merge no two
+denominators in the kernel's accumulators),
 products of constant 8 x 8 EndFields (``gcs.mat_mul``, every entry through
 ScalarField arithmetic), and ScalarField sums and products of
 rational functions whose distinct denominators share a factor, which
@@ -43,9 +46,9 @@ from gencliff.cli import load_model
 from gencliff.clifford import (CliffordTriple, check_relations, induce,
                                project, theorem_1_1, verify_triple)
 from gencliff.examples import hyperkahler_r4
-from gencliff.gcs import (EndField, _kernel_generators, _kernel_setup,
-                          _numerator_setup, _operand, _setup_residuals,
-                          bind_nijenhuis)
+from gencliff.gcs import (EndField, _Structure, _kernel_generators,
+                          _kernel_setup, _numerator_setup, _operand,
+                          _setup_residuals, bind_nijenhuis)
 from gencliff.twistor import (_twistor_numerators, _twistor_square,
                               twistor_structure)
 from gencliff.scalar import (GaussianRational, Poly, ScalarField,
@@ -114,7 +117,8 @@ def make_twistor_bracket():
     frames = _kernel_generators(E.chart, 0)
     _, (ja, dja) = _operand("nijenhuis", mats, frames[0])
     _, (jb, djb) = _operand("nijenhuis", mats, frames[4])
-    return mats["J"], K.sec_dorfman(E.chart.dim, ja, jb, None, dja, djb)
+    return mats["J"].kernel, K.sec_dorfman(E.chart.dim, ja, jb, None, dja,
+                                           djb)
 
 
 def hk4b_triple():
@@ -131,8 +135,8 @@ def make_twistor_setup(T):
     """The twistor structure's numerators of the triple T, set up for
     theorem_1_3's certificate: (product chart, numerator setup)."""
     Z, base, rows = _twistor_numerators(verify_triple(T))
-    return Z, _numerator_setup("nijenhuis", base, [rows], None, False,
-                               (_twistor_square(base, len(rows)),))
+    return Z, _numerator_setup("nijenhuis", base, [_Structure(base, rows)],
+                               None, (_twistor_square(base, len(rows)),))
 
 
 def make_rationals(rng, count, n=3):
@@ -159,26 +163,37 @@ def make_rationals(rng, count, n=3):
 def triple_algebra(T):
     """The relations, induced and theorem11 suites' algebra on a fresh copy
     of T (no product table yet), counting the numerator-matrix products of
-    the table (``clifford``) and of the tensor setups (``gcs``)."""
-    counts = {clifford: 0, gcs: 0}
-    real = gcs._mat_mul_terms
+    the table (``clifford``) and of the tensor setups (``gcs``), the kernel
+    layouts of the structures in T's numerator store (``gcs._sparse_rows``),
+    their images on the frame generators (operands over m^1,
+    ``gcs._PowerDen.operand``) and the accumulator merges of two
+    denominators (``K._merge``)."""
+    counts = {"table": 0, "setups": 0, "layouts": 0, "images": 0,
+              "merges": 0}
+    patches = [(clifford, "_mat_mul_terms", "table"),
+               (gcs, "_mat_mul_terms", "setups"),
+               (gcs, "_sparse_rows", "layouts"), (K, "_merge", "merges"),
+               (gcs._PowerDen, "operand", "images")]
+    real = [getattr(owner, name) for owner, name, _ in patches]
 
-    def counted(module):
-        def mul(A, B):
-            counts[module] += 1
-            return real(A, B)
-        return mul
-    for module in counts:
-        module._mat_mul_terms = counted(module)
+    def counted(fn, key):
+        def call(*args):
+            # an image is an operand over m^1; a generator's is over m^0
+            counts[key] += key != "images" or args[-1] == 1
+            return fn(*args)
+        return call
+    for (owner, name, key), fn in zip(patches, real):
+        setattr(owner, name, counted(fn, key))
     try:
         T = CliffordTriple(*T.generators, T.flux)
         T = T.with_status(clifford.TripleStatus(check_relations(T), ()))
         project(induce(T), T)
         assert theorem_1_1(verify_triple(T)).status == "pass"
     finally:
-        for module in counts:
-            module._mat_mul_terms = real
-    assert (counts[clifford], counts[gcs]) == (13, 0), counts
+        for (owner, name, _), fn in zip(patches, real):
+            setattr(owner, name, fn)
+    assert counts == {"table": 13, "setups": 0, "layouts": 6, "images": 48,
+                      "merges": 0}, counts
 
 
 def bench(polys, twistor_pairs, sections, twistor_bracket, twistor_setup,

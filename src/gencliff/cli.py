@@ -162,12 +162,16 @@ def _chart(coords):
 
 def _flux(terms, chart):
     """The FluxForm of a list of terms {"indices": [i, j, k], "coeff":
-    expression}, with 1-based indices."""
+    expression}, with 1-based indices; a term without one of the keys is
+    an input error naming the term's position (1-based) and the key."""
     if not isinstance(terms, list):
         raise InputError("flux must be a list of terms")
     coeffs = {}
-    for item in terms:
-        indices = _object(item, "flux term")["indices"]
+    for pos, item in enumerate(terms, 1):
+        for key in ("indices", "coeff"):
+            if key not in _object(item, "flux term"):
+                raise InputError(f"flux term {pos} has no {key!r}")
+        indices = item["indices"]
         if not isinstance(indices, list):
             raise InputError(f"bad flux indices {indices!r}")
         idx = tuple(_integer(i, "flux index") - 1 for i in indices)
@@ -214,7 +218,9 @@ def load_model(path=None, builtin=None, text=None) -> Model:
             raise InputError("chart conflicts with the builtin structure")
     if chart is None:
         raise InputError("no chart: give \"chart\" or a builtin")
-    flux = _flux(doc["flux"], chart) if doc.get("flux") else None
+    # an empty list is no flux; any other value but a list is refused
+    flux = (_flux(doc["flux"], chart) if doc.get("flux") not in (None, [])
+            else None)
     if doc.get("triple") and triple is None:
         spec = _object(doc["triple"], "triple")
         mats = []
@@ -537,9 +543,6 @@ def _axiom_checks(chart, base, kflux):
         sec[a] = p
         return sec
 
-    def operand(P, k):
-        return P, base.jacobian(P, k)
-
     def br(A, B):
         return K.sec_dorfman(n, A[0], B[0], kflux, A[1], B[1])
 
@@ -548,8 +551,8 @@ def _axiom_checks(chart, base, kflux):
 
     one = {0: K.C_ONE}
     m = base.mpow(1)
-    e = [operand(section(a, one), 0) for a in range(size)]
-    xe = [[operand(section(a, x[k]), 0) for a in range(size)]
+    e = [base.operand(section(a, one), 0) for a in range(size)]
+    xe = [[base.operand(section(a, x[k]), 0) for a in range(size)]
           for k in range(n)]
     T = [[br(e[a], e[b]) for b in range(size)] for a in range(size)]
     # (L): right[a][b][k] = [e_a, x_k e_b], left[a][b][k] = [x_k e_a, e_b]
@@ -616,7 +619,7 @@ def _axiom_checks(chart, base, kflux):
                     "invariance rho(A)<B,C> = <[A,B],C> + <B,[A,C]>",
                     (frames[a], frames[b], frames[c]))
     # (J)
-    TT = [[operand(T[a][b], 1) for b in range(size)] for a in range(size)]
+    TT = [[base.operand(T[a][b], 1) for b in range(size)] for a in range(size)]
     for a in range(size):
         for b in range(size):
             for c in range(size):

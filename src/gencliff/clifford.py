@@ -3,7 +3,8 @@ bi-quaternion structures (J_i, G), the projections (G+-, I_i+-), and the
 simultaneous-integrability suite.
 
 The relations and the induced algebra are decided on one product table per
-triple (``_ProductTable``, cached with the triple): the generators'
+triple (``_ProductTable``, cached with the triple, and its structures kept
+once each in the triple's numerator store, ``_Store``): the generators'
 numerators I_i over their base m and 13 products of numerator matrices on
 the kernel -- the 9 I_i I_j, the 3 orthogonality products and
 G = -(I1 I2) I3 -- with every identity checked exactly on numerators lifted
@@ -28,13 +29,16 @@ extension point, not implemented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from ._core import kernel as K
 from .scalar import ChartMismatchError, ScalarField
-from .courant import FluxForm
-from .gcs import (HALF, EndField, TensorReport, _PowerDen, _mat_mul_terms,
-                  bind_concomitant, bind_nijenhuis, vanishes)
+from .cartan import KForm, exterior_d
+from .courant import FluxForm, Section, monomials_up_to, pairing
+from .gcs import (HALF, BoundTensor, EndField, TensorReport, _PowerDen,
+                  _Structure, _commuting_residuals, _mat_mul_terms,
+                  _sparse_rows, _tensor_report, bind_nijenhuis, vanishes)
 
 _EPS_TABLE = {
     (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
@@ -115,7 +119,8 @@ class CliffordTriple:
         self.I3 = I3.with_flux(flux) if I3.flux is None and flux is not None else I3
         self.flux = flux
         self.status = status or TripleStatus()
-        # {"induced": InducedStructures, "projections": Projections}
+        # {"table": _ProductTable, "numerators": _Store,
+        #  "induced": InducedStructures, "projections": Projections}
         self._algebra = {}
 
     @property
@@ -159,20 +164,25 @@ class _ProductTable:
 
     Built on first use (``_table``) and cached with the triple: the 9
     products I_i I_j (over m^2) and, for orthogonality, the 3 products
-    E^T (P E), where P E is E's rows permuted and halved.  The induced
-    part, built by the first ``induce`` or ``project``, adds
+    E^T (S E), where S E is E's rows permuted.  The induced part, built by
+    the first ``induce``, ``project`` or read of a store record, adds
     J_i = eps_ijk I_j I_k / 2 (over m^2, no product) and G = -(I1 I2) I3
     (m^3): 13 products in all.  The rest of the bi-quaternion table is
-    implied by the six Clifford checks (``induce``)."""
+    implied by the six Clifford checks (``induce``).  Polynomial
+    generators with rational coefficients put the table over the integer
+    m = L (``_PowerDen.lcm`` with integral), so that every product adds
+    integral numerators and merges no denominators.  ``rows`` gives each
+    structure of the table, and the triple's numerator store
+    (``_Store``) keeps each over its own base."""
 
     def __init__(self, gens):
         self.chart = chart = gens[0].chart
         self.base = _PowerDen.lcm(chart, [f for E in gens
-                                          for row in E.entries for f in row])
+                                          for row in E.entries for f in row],
+                                  integral=True)
         self.I = [self.base.numerators(E) for E in gens]
         self.II = [[_mat_mul_terms(a, b) for b in self.I] for a in self.I]
         self.relations = self._relations()
-        self._induced = None
 
     def eye(self, k, c=K.C_ONE, shift=0):
         """c m^k times the permutation matrix with ones at (r, r + shift
@@ -181,10 +191,6 @@ class _ProductTable:
         d = K.p_scale(self.base.mpow(k), c)
         return [[d if j == (r + shift) % size else {} for j in range(size)]
                 for r in range(size)]
-
-    def lift(self, M, j, k):
-        """The numerators over m^j of M as numerators over m^k."""
-        return [self.base.lift(row, j, k) for row in M]
 
     def _relations(self):
         II, n = self.II, self.chart.dim
@@ -199,30 +205,76 @@ class _ProductTable:
                     checks.append(RelationCheck(
                         f"I{i+1} I{j+1} + I{j+1} I{i+1} = 0",
                         not any(p for row in anti for p in row)))
-        # E^T P E = P, P_rs = 1/2 iff s = r + n mod 2n (the pairing)
+        # E^T P E = P, P_rs = 1/2 iff s = r + n mod 2n (the pairing), as
+        # E^T S E = S for S = 2P, the swap of the halves: S E is E's rows
+        # permuted, so the product stays over the table's one denominator
         for i, E in enumerate(self.I):
-            PE = [[K.p_scale(p, HALF) for p in E[(r + n) % (2 * n)]]
-                  for r in range(2 * n)]
+            SE = [E[(r + n) % (2 * n)] for r in range(2 * n)]
             checks.append(RelationCheck(
                 f"I{i+1} orthogonal",
-                _mat_mul_terms([list(c) for c in zip(*E)], PE)
-                == self.eye(2, HALF, n)))
+                _mat_mul_terms([list(c) for c in zip(*E)], SE)
+                == self.eye(2, K.C_ONE, n)))
         checks = tuple(checks)
         return RelationsReport(checks, all(c.ok for c in checks))
 
+    @cached_property
     def induced(self):
         """(J, G, table_ok): the J_i over m^2, G over m^3 and the verdict
         on the multiplication table of ``induce``, which is the verdict of
         the six Clifford checks (orthogonality is not part of it)."""
-        if self._induced is None:
-            II = self.II
-            J = [_lin((HALF, II[(i + 1) % 3][(i + 2) % 3]),
-                      (K.c_neg(HALF), II[(i + 2) % 3][(i + 1) % 3]))
-                 for i in range(3)]
-            G = _lin((_NEG, _mat_mul_terms(II[0][1], self.I[2])))
-            ok = all(c.ok for c in self.relations.checks[:6])
-            self._induced = J, G, ok
-        return self._induced
+        II = self.II
+        J = [_lin((HALF, II[(i + 1) % 3][(i + 2) % 3]),
+                  (K.c_neg(HALF), II[(i + 2) % 3][(i + 1) % 3]))
+             for i in range(3)]
+        G = _lin((_NEG, _mat_mul_terms(II[0][1], self.I[2])))
+        return J, G, all(c.ok for c in self.relations.checks[:6])
+
+    def rows(self, name):
+        """(numerators over m^k, k) of the structure named I1..I3 (k = 1),
+        J1..J3 (k = 2), G (k = 3), or of a projection: I1+..I3+ and
+        I1-..I3-, (J_i +- I_i)/2 over m^2, and G+, G-, (Id +- G)/2 over
+        m^3 (``project``)."""
+        if len(name) == 2 and name[0] == "I":
+            return self.I[int(name[1]) - 1], 1
+        J, G, _ = self.induced
+        if name[0] == "G":
+            if name == "G":
+                return G, 3
+            return _lin((HALF, self.eye(3)), (_SIGNS[name[-1]], G)), 3
+        i = int(name[1]) - 1
+        if name[0] == "J":
+            return J[i], 2
+        I = [self.base.lift(row, 1, 2) for row in self.I[i]]
+        return _lin((HALF, J[i]), (_SIGNS[name[-1]], I)), 2
+
+
+_SIGNS = {"+": HALF, "-": K.c_neg(HALF)}
+
+
+class _Store(dict):
+    """A triple's numerator store: each structure of its product table by
+    name (``_ProductTable.rows``), built on first use as a
+    ``gcs._Structure`` over its own base (``_Structure.own``; the unit
+    base for a polynomial structure), with its kernel layout,
+    skew-adjointness verdict and generator images built once for every
+    family that reads it (``gcs._kernel_setup``).  The EndFields of
+    ``induce`` and ``project`` are built from it only when read."""
+
+    def __init__(self, tab, flux):
+        self.tab, self.flux, self.bases = tab, flux, {}
+
+    def __missing__(self, name):
+        rows, k = self.tab.rows(name)
+        self[name] = _Structure.own(self.tab.base, rows, k, self.bases)
+        return self[name]
+
+    def endfield(self, name):
+        """The EndField of the structure name, each entry normalized once
+        (wrapped as it is over the unit base); G+- carry no flux (as
+        Id +- G, Id having none), every other structure T's flux."""
+        S = self[name]
+        flux = None if name in ("G+", "G-") else self.flux
+        return S.base.endfield(S.rows, 1, flux)
 
 
 def _table(T: CliffordTriple) -> _ProductTable:
@@ -230,6 +282,13 @@ def _table(T: CliffordTriple) -> _ProductTable:
     if "table" not in T._algebra:
         T._algebra["table"] = _ProductTable(T.generators)
     return T._algebra["table"]
+
+
+def _store(T: CliffordTriple) -> _Store:
+    """T's numerator store, shared with its ``with_status`` copies."""
+    if "numerators" not in T._algebra:
+        T._algebra["numerators"] = _Store(_table(T), T.flux)
+    return T._algebra["numerators"]
 
 
 def check_relations(T: CliffordTriple) -> RelationsReport:
@@ -260,8 +319,9 @@ def verify_triple(T: CliffordTriple,
     otherwise, since only then does the second slot's Leibniz term
     (rho(A)g)(Ii^2 + 1)B vanish.
 
-    Each Ii whose "Ii^2 = -Id" check of T's product table passed enters
-    its check with that square, read as -m^2 Id over the tensor's base m
+    Each Ii is read from T's numerator store (``_Store``), and each whose
+    "Ii^2 = -Id" check of T's product table passed enters its check with
+    that square, read as -m^2 Id over the tensor's base m
     (``gcs._signed_numerators``), so no square is multiplied.
 
     The three reports share 10 witnesses: a generator gets the budget the
@@ -275,9 +335,9 @@ def verify_triple(T: CliffordTriple,
         if cap <= 0:
             break
         square = (-1, None) if squared[f"I{i+1}^2 = -Id"] else None
-        reports.append(vanishes(
-            bind_nijenhuis(E, f"N(I{i+1},I{i+1})", T.flux, square),
-            degree_bound, cap))
+        tensor = bind_nijenhuis(E, f"N(I{i+1},I{i+1})", T.flux, square)
+        reports.append(vanishes(replace(
+            tensor, numerators=(_store(T)[f"I{i+1}"],)), degree_bound, cap))
     return T.with_status(TripleStatus(rel, tuple(reports)))
 
 
@@ -285,14 +345,17 @@ def verify_triple(T: CliffordTriple,
 class InducedStructures:
     """J_i = eps_ijk I_j I_k / 2 and G = -I1 I2 I3, with the verified
     bi-quaternion multiplication table; generators are the I_i they were
-    induced from."""
+    induced from.  Each EndField is built from the triple's numerator
+    store (store) when it is first read."""
 
-    J1: EndField
-    J2: EndField
-    J3: EndField
-    G: EndField
     table_ok: bool
     generators: tuple = field(compare=False, repr=False)
+    store: _Store = field(compare=False, repr=False)
+
+    J1 = cached_property(lambda self: self.store.endfield("J1"))
+    J2 = cached_property(lambda self: self.store.endfield("J2"))
+    J3 = cached_property(lambda self: self.store.endfield("J3"))
+    G = cached_property(lambda self: self.store.endfield("G"))
 
     @property
     def J(self):
@@ -333,29 +396,32 @@ def induce(T: CliffordTriple) -> InducedStructures:
     matrices with the Clifford relations, orthogonal or not.
 
     The result is cached on T (and its ``with_status`` copies), so later
-    calls return the same object; the relations guard runs on every call."""
+    calls return the same object; the relations guard runs on every call.
+    J_i and G are kept as numerators in T's store, and their EndFields are
+    built only when read."""
     if not T.status.relations_ok:
         raise ValueError("relations not verified; run verify_triple first")
     if "induced" not in T._algebra:
-        tab = _table(T)
-        J, G, ok = tab.induced()
-        wrap = tab.base.endfield
         T._algebra["induced"] = InducedStructures(
-            *(wrap(M, 2, T.flux) for M in J), wrap(G, 3, T.flux), ok,
-            T.generators)
+            _table(T).induced[2], T.generators, _store(T))
     return T._algebra["induced"]
 
 
 @dataclass(frozen=True)
 class Projections:
     """G+- = (Id +- G)/2 and I_i+- = (J_i +- I_i)/2 with the verified
-    projection and two-sector quaternion relations."""
+    projection and two-sector quaternion relations; each EndField is built
+    from the triple's numerator store (store) when it is first read."""
 
-    Gp: EndField
-    Gm: EndField
-    Ip: tuple
-    Im: tuple
     identities_ok: bool
+    store: _Store = field(compare=False, repr=False)
+
+    Gp = cached_property(lambda self: self.store.endfield("G+"))
+    Gm = cached_property(lambda self: self.store.endfield("G-"))
+    Ip = cached_property(lambda self: tuple(
+        self.store.endfield(f"I{l}+") for l in (1, 2, 3)))
+    Im = cached_property(lambda self: tuple(
+        self.store.endfield(f"I{l}-") for l in (1, 2, 3)))
 
 
 def project(ind: InducedStructures, T: CliffordTriple) -> Projections:
@@ -364,7 +430,9 @@ def project(ind: InducedStructures, T: CliffordTriple) -> Projections:
     and every mixed +- product vanishes.
 
     G+- and I_i+- are linear combinations of the numerators in T's product
-    table, and identities_ok is the table's verdict: every product above
+    table, kept in T's numerator store (``_ProductTable.rows``, ``_Store``)
+    with their EndFields built only when read, and identities_ok is the
+    table's verdict: every product above
     expands into verified table entries.  The table gives G I_i = J_i and
     G J_i = I_i: for j != i, G = -I_j J_j, so G I_i = -I_j (J_j I_i)
     = -e_jik I_j I_k = -e_jik e_jki J_i = J_i, as e_jik e_jki = -1, and
@@ -389,27 +457,10 @@ def project(ind: InducedStructures, T: CliffordTriple) -> Projections:
     if len(ind.generators) != 3 or not all(
             a.entries_equal(b) for a, b in zip(ind.generators, T.generators)):
         raise ValueError("induced structures of another triple")
+    proj = Projections(ind.table_ok, _store(T))
     if ind is not T._algebra.get("induced"):
-        return _project(T)
-    if "projections" not in T._algebra:
-        T._algebra["projections"] = _project(T)
-    return T._algebra["projections"]
-
-
-def _project(T: CliffordTriple) -> Projections:
-    """G+- over m^3 and I_i+- over m^2 from T's product table; G+- carry no
-    flux (as Id +- G, Id having none), I_i+- carry T's."""
-    tab = _table(T)
-    J, G, ok = tab.induced()
-    wrap = tab.base.endfield
-    signs = (HALF, K.c_neg(HALF))
-    eye = tab.eye(3)
-    Gp, Gm = (wrap(_lin((HALF, eye), (c, G)), 3, None) for c in signs)
-    I = [tab.lift(E, 1, 2) for E in tab.I]
-    Ip, Im = (tuple(wrap(_lin((HALF, Ji), (c, Ii)), 2, T.flux)
-                    for Ji, Ii in zip(J, I))
-              for c in signs)
-    return Projections(Gp, Gm, Ip, Im, ok)
+        return proj
+    return T._algebra.setdefault("projections", proj)
 
 
 @dataclass
@@ -439,42 +490,38 @@ _DIAGONAL = (12, 16, 20)
 _COMMUTING = frozenset((0, 3, 5, 6, 9, 11) + _DIAGONAL)
 
 
-def _table_product(i, j, unit, fam):
+def _table_product(store, i, j, unit, fam):
     """(sign, X) with S_i T_j = sign X in the bi-quaternion table (0-based
-    i, j): -unit for i = j, else e_ijk fam[k].  unit is None (Id) and fam
-    the J for I_i I_j and J_i J_j; unit is G and fam the I for I_i J_j and
-    J_i I_j."""
+    i, j), X read from the store: -unit for i = j, else e_ijk fam_k.  unit
+    is None (Id) and fam "J" for I_i I_j and J_i J_j; unit is "G" and fam
+    "I" for I_i J_j and J_i I_j."""
     if i == j:
-        return -1, unit
+        return -1, unit and store[unit]
     k = 3 - i - j
-    return levi_civita(i + 1, j + 1, k + 1), fam[k]
+    return levi_civita(i + 1, j + 1, k + 1), store[f"{fam}{k + 1}"]
 
 
 def theorem_1_1_families(T: CliffordTriple, ind: InducedStructures):
     """The 21 distinct tensor families N(I_i,I_j), N(J_i,J_j) (i <= j) and
     N(I_i,J_j) (all i, j, row by row), bound against the triple's flux.
-    When ind's table is verified, each family carries its products I J and
-    J I as read off the table (``_table_product``), so its setup multiplies
-    no matrices."""
-    I = T.generators
-    J = ind.J
+    Each family carries its structures' records in T's numerator store
+    (``BoundTensor.numerators``), and, when ind's table is verified, its
+    products I J and J I as read off the table (``_table_product``), so
+    its setup builds no numerators and multiplies no matrices."""
+    store = _store(T)
+    S = {"I": T.generators, "J": ind.J}
 
-    def bind(A, B, i, j, name, unit, fam):
-        products = ((_table_product(i, j, unit, fam),
-                     _table_product(j, i, unit, fam))
+    def bind(a, b, i, j, unit, fam):
+        products = ((_table_product(store, i, j, unit, fam),
+                     _table_product(store, j, i, unit, fam))
                     if ind.table_ok else ())
-        return bind_concomitant(A[i], B[j], name, T.flux, products)
-    fams = []
-    for i in range(3):
-        for j in range(i, 3):
-            fams.append(bind(I, I, i, j, f"N(I{i+1},I{j+1})", None, J))
-    for i in range(3):
-        for j in range(i, 3):
-            fams.append(bind(J, J, i, j, f"N(J{i+1},J{j+1})", None, J))
-    for i in range(3):
-        for j in range(3):
-            fams.append(bind(I, J, i, j, f"N(I{i+1},J{j+1})", ind.G, I))
-    return fams
+        A, B = f"{a}{i + 1}", f"{b}{j + 1}"
+        return BoundTensor("concomitant", f"N({A},{B})", (S[a][i], S[b][j]),
+                           T.flux, products, (store[A], store[B]))
+    fams = [bind(a, a, i, j, None, "J") for a in "IJ"
+            for i in range(3) for j in range(i, 3)]
+    return fams + [bind("I", "J", i, j, "G", "I")
+                   for i in range(3) for j in range(3)]
 
 
 def concomitant_anomaly(W: EndField, m, a: int, mprime, b: int) -> Section:
@@ -491,16 +538,13 @@ def concomitant_anomaly(W: EndField, m, a: int, mprime, b: int) -> Section:
     anticommute, leaving this expression in the commuting case (proof in
     ``gcs._commuting_symbol``).
     """
-    from .cartan import KForm, exterior_d
-    from .courant import Section as Sec
     chart = W.chart
-    u = Sec.frame(chart, a)
-    v = Sec.frame(chart, b)
+    u = Section.frame(chart, a)
+    v = Section.frame(chart, b)
     mp = ScalarField.from_poly(mprime) if not isinstance(mprime, ScalarField) \
         else mprime
     mf = ScalarField.from_poly(m) if not isinstance(m, ScalarField) else m
-    df = Sec.from_form(exterior_d(KForm.from_scalar(mf)))
-    from .courant import pairing
+    df = Section.from_form(exterior_d(KForm.from_scalar(mf)))
     puv = pairing(u, v)
     puWv = pairing(u, W.apply(v))
     out = W.apply(df).scale(puv) - df.scale(puWv)
@@ -531,9 +575,6 @@ def _commuting_family_report(fam, degree_bound: int | None,
 
     An integer degree_bound sweeps every generator pair instead.
     vanished=True means the identity held on every pair evaluated."""
-    from ._core import kernel as K
-    from .courant import monomials_up_to
-    from .gcs import _commuting_residuals, _sparse_rows, _tensor_report
     identity, base, degree, pairs = _commuting_residuals(fam, degree_bound,
                                                          partner)
     name = (f"{partner.name}-{fam.name}" if identity == "difference"
@@ -552,13 +593,12 @@ def _commuting_family_report(fam, degree_bound: int | None,
                 gens.append((a, m.terms, dm, K.mat_apply_const(Wk, dm)))
         # <e_a, e_b> = 1/2 iff the frames pair off;
         # <e_a, W e_b> = W_{(a+n)%2n, b}/2
-        half = (1, 0, 2)
 
         def defect(i, j):
             a, _, dm, W_dm = gens[i]
             b, mp, _, _ = gens[j]
-            c1 = half if (a + n) % (2 * n) == b else K.C_ZERO
-            c2 = K.c_mul(half, W.entries[(a + n) % (2 * n)][b].num.terms.get(
+            c1 = HALF if (a + n) % (2 * n) == b else K.C_ZERO
+            c2 = K.c_mul(HALF, W.entries[(a + n) % (2 * n)][b].num.terms.get(
                 0, K.C_ZERO))
             return [K.p_scale(K.p_mul(mp, K.p_sub(K.p_scale(wd, c1),
                                                   K.p_scale(d, c2))),
@@ -627,8 +667,8 @@ def theorem_1_1(T: CliffordTriple, degree_bound: int | None = None,
         return SuiteReport("theorem_1_1", "fail", [],
                            "induced multiplication table failed")
     fams = theorem_1_1_families(T, ind)
-    ref = (fams[_DIAGONAL[0]] if mode == "verify" and not ind.G.is_constant
-           else None)
+    ref = (fams[_DIAGONAL[0]]
+           if mode == "verify" and not _store(T)["G"].const else None)
     reports, compared = [], []
     for k, fam in enumerate(fams):
         if fam is ref:

@@ -213,17 +213,6 @@ def dorfman_twisted(A: Section, B: Section, H: FluxForm | None,
 # ---------------------------------------------------------------------------
 # Kernel fast path on raw polynomial components.
 
-def section_kernel_components(A: Section):
-    """Kernel layout (list of 2n term dicts) if all components are
-    polynomial, else None."""
-    out = []
-    for f in A.to_components():
-        if not f.is_polynomial:
-            return None
-        out.append(f.num.terms)
-    return out
-
-
 def section_from_kernel(chart, comps):
     return Section.from_components(
         chart, [ScalarField.from_poly(Poly(chart, t)) for t in comps])

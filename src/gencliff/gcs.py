@@ -50,7 +50,9 @@ the twistor certificate of Theorem 1.3 -- runs the one kernel evaluator
 ``_eval_kernel`` over a fixed-denominator base (``_PowerDen``): sections are
 numerators over powers of one polynomial m, the LCM of the denominators of
 the structures and the flux times the integer that makes every numerator
-integral, and m = 1 for polynomial input.  The
+integral, and m = 1 for polynomial input.  A structure enters as a
+``_Structure``, its numerators with what a check reads of them; a triple
+keeps one per structure (``clifford._Store``), shared by every family.  The
 ScalarField formulas ``nijenhuis``, ``concomitant`` and ``real_nijenhuis``
 are the independent reference the tests compare it against.
 """
@@ -59,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import lcm
 
 from ._core import kernel as K
@@ -99,14 +101,6 @@ def mat_mul(A, B):
             row.append(acc if acc is not None else zero)
         out.append(row)
     return out
-
-
-def _wrap_terms(chart, rows):
-    """The polynomial ScalarField matrix of a matrix of kernel term dicts."""
-    zero = ScalarField.zero(chart)
-    one = zero.den
-    return [[ScalarField._unchecked(Poly(chart, p), one) if p else zero
-             for p in row] for row in rows]
 
 
 def _mat_mul_terms(A, B):
@@ -394,9 +388,12 @@ class BoundTensor:
     structures: tuple
     flux: FluxForm | None
     # products of the structures a caller has proven, each (sign, X) for
-    # sign X with X an EndField, or None for Id: (S S,) for N_S, (I J, J I)
-    # for N(I, J); () to multiply them (``_kernel_setup``)
+    # sign X with X a ``_Structure`` of the triple's store, or None for Id:
+    # (S S,) for N_S, (I J, J I) for N(I, J); () to multiply them
+    # (``_kernel_setup``)
     products: tuple = field(default=(), compare=False, repr=False)
+    # the structures' records in the triple's store, () to build them
+    numerators: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def chart(self):
@@ -475,17 +472,6 @@ def generator_labels(chart, degree_bound):
     return labels
 
 
-def generator_sections(chart, degree_bound):
-    """Sections m * e_a in the same order as generator_labels."""
-    out = []
-    monos = monomials_up_to(chart, degree_bound)
-    for a in range(2 * chart.dim):
-        e = Section.frame(chart, a)
-        for m in monos:
-            out.append(e.scale(ScalarField.from_poly(m)))
-    return out
-
-
 def _kernel_generators(chart, degree_bound):
     """Kernel-layout generator sections (single-monomial components)."""
     out = []
@@ -511,8 +497,11 @@ class _PowerDen:
     of the fields it was built for have Gaussian-integer coefficients
     (denominator 1).  ``lcm`` folds into m the integer L that clears the
     denominators of the coefficients (``twistor._ihat`` does the same for
-    the sphere base).  Products, quotient-rule derivatives
-    (m d_t P - k P d_t m) and sums of integral numerators are integral, so
+    the sphere base, ``_Structure.own`` for a structure's own base), and
+    gives polynomial fields with rational coefficients the base m = L when
+    asked (the product table of a constant rational triple).  Products,
+    quotient-rule derivatives (m d_t P - k P d_t m) and sums of integral
+    numerators are integral, so
     every Jacobian, bracket and structure application of a check stays
     integral: the kernel's accumulators add numerators over the one
     denominator 1 and never merge two denominators, and ``K.c_make``
@@ -530,13 +519,15 @@ class _PowerDen:
         self.dm = [K.p_diff(self.m, t) for t in range(chart.dim)]
         self._pows = {0: one, 1: dict(self.m)}
         self._diffs = {}
+        self.cache = {}     # generators' operands (``_operand``)
 
     @classmethod
-    def lcm(cls, chart, fields):
+    def lcm(cls, chart, fields, integral=False):
         """The base over L m, m the LCM of the denominators of the
         ScalarFields and L a positive integer that makes L m and every
         field's numerator over L m integral; the unit base, with no GCD
-        taken, when all of them are polynomial.
+        taken, when all of them are polynomial, unless integral asks for
+        the base L (m = 1) when some coefficient is not a Gaussian integer.
 
         A field f = num / den has the numerator num (m / den) over m, whose
         coefficient denominators divide D(num) D(m / den), D(p) the LCM of
@@ -550,8 +541,9 @@ class _PowerDen:
                 m = d
             elif G.p_divexact(m, d) is None:
                 m = K.p_mul(m, G.p_divexact(d, G.p_gcd(m, d)))
-        if m is None:
+        if m is None and not integral:
             return cls(chart)
+        m = m or {0: K.C_ONE}
         L = dm = _den_lcm(m.values())
         quo = {den: _den_lcm(G.p_divexact(m, den.terms).values())
                for den in dens}
@@ -559,6 +551,8 @@ class _PowerDen:
             if not f.is_zero:
                 L = lcm(L, _den_lcm(f.num.terms.values())
                         * quo.get(f.den, dm))
+        if L == 1 and m == {0: K.C_ONE}:
+            return cls(chart)
         return cls(chart, K.p_scale(m, (L, 0, 1)))
 
     def mpow(self, k):
@@ -592,6 +586,10 @@ class _PowerDen:
         """Jacobian of the section P / m^k: numerators over m^(k+1)."""
         return K.sec_jacobian(self.n, P, self.diff(k))
 
+    def operand(self, P, k):
+        """(P, its Jacobian) for the section P over m^k."""
+        return P, self.jacobian(P, k)
+
     def lift(self, P, j, target):
         if j == target or self.unit:
             return P
@@ -602,24 +600,24 @@ class _PowerDen:
         """Numerator of the ScalarField f over m^k."""
         if self.unit or f.is_zero:
             return f.num.terms
-        mult = G.p_divexact(self.mpow(k), f.den.terms)
+        mult = (self.mpow(k) if f.is_polynomial else
+                G.p_divexact(self.mpow(k), f.den.terms))
         if mult is None:
             raise ValueError("denominator does not divide the base power")
         return K.p_mul(f.num.terms, mult)
 
-    def numerators(self, E: EndField, k=1):
-        """Dense rows of the numerators of E's entries over m^k."""
-        return [[self.numerator(f, k) for f in row] for row in E.entries]
+    def numerators(self, E: EndField):
+        """Dense rows of the numerators of E's entries over m^1."""
+        return [[self.numerator(f) for f in row] for row in E.entries]
 
     def endfield(self, M, k, flux=None):
         """The EndField whose entries have the dense numerators M over
         m^k, each entry normalized once (wrapped as it is over the unit
-        base)."""
-        if self.unit:
-            return EndField(self.chart, _wrap_terms(self.chart, M), flux)
+        base, where it is a polynomial)."""
         den = Poly(self.chart, self.mpow(k))
+        field = ScalarField._unchecked if self.unit else ScalarField
         zero = ScalarField.zero(self.chart)
-        return EndField(self.chart, [[ScalarField(Poly(self.chart, p), den)
+        return EndField(self.chart, [[field(Poly(self.chart, p), den)
                                       if p else zero for p in row]
                                      for row in M], flux)
 
@@ -647,79 +645,185 @@ def _sparse_rows(M, const):
     return [[(j, p) for j, p in enumerate(row) if p] for row in M]
 
 
-def _fields(tensor: BoundTensor):
-    """The ScalarFields a tensor's base must clear: the entries of its
-    structures and the coefficients of its flux."""
-    flux = {} if tensor.flux is None else tensor.flux.H.coeffs
-    return ([f for s in tensor.structures for row in s.entries for f in row]
-            + list(flux.values()))
+def _memo(cache, key, build):
+    """cache[key], built by build() at its first use (every time for key
+    None)."""
+    if key is None:
+        return build()
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+class _Structure:
+    """A structure as dense numerator rows over m^1 of one base m, with
+    what a family's setup reads of it, each built once and shared by every
+    family that reads the structure over that base: the kernel layout
+    (``kernel``), the skew-adjointness verdict (``skew``), the image and
+    Jacobian of each generator (``image``), and the structure over a
+    multiple of m (``over``) and its signed rows over m^2 (``signed``).
+
+    A triple's structures (``clifford._Store``) are kept over their own
+    bases (``own``), one base object per polynomial m, so that the
+    families over one base share one base object and one record per
+    structure.  A polynomial structure is over the unit base, so a
+    constant one keeps the constant layout (``K.mat_apply_const``) and
+    plain partials."""
+
+    def __init__(self, base, rows):
+        self.base, self.rows, self.cache = base, rows, {}
+
+    @classmethod
+    def own(cls, base, rows, k, bases):
+        """The structure with the numerators rows over base.m^k, over its
+        own base, taken from bases (by m): the quotient d of m^k by the GCD
+        g of m^k and every entry, which is the LCM of the denominators of
+        the entries in lowest terms, times the least positive integer L
+        that makes d and the numerators over L d integral
+        (``_PowerDen.lcm``); the unit base when d is a constant."""
+        den = g = base.mpow(k)
+        for p in (p for row in rows for p in row if p):
+            if not any(g):      # a constant GCD: nothing cancels
+                break
+            g = G.p_gcd(g, p)
+        if any(g):
+            den = G.p_divexact(den, g)
+            rows = [[G.p_divexact(p, g) if p else {} for p in row]
+                    for row in rows]
+        if any(den):
+            f = (lcm(_den_lcm(den.values()), _den_lcm(
+                c for row in rows for p in row for c in p.values())), 0, 1)
+            own = _PowerDen(base.chart, K.p_scale(den, f))
+        else:
+            own, f = _PowerDen(base.chart), K.c_inv(den[0])
+        own = bases.setdefault(frozenset(own.m.items()), own)
+        return cls(own, [[K.p_scale(p, f) for p in row] for row in rows])
+
+    @cached_property
+    def const(self):
+        """Constant entries over the unit base, where a numerator is its
+        entry: constant iff its only monomial is the constant one, 0."""
+        return self.base.unit and not any(mono for row in self.rows
+                                          for p in row for mono in p)
+
+    @cached_property
+    def kernel(self):
+        """The kernel matrix layout: constant coefficients when const."""
+        return _sparse_rows(self.rows, self.const)
+
+    @cached_property
+    def skew(self):
+        return _skew_adjoint(self.rows)
+
+    def apply(self, A):
+        app = K.mat_apply_const if self.const else K.mat_apply_poly
+        return app(self.kernel, A)
+
+    def image(self, A, key=None):
+        """(S A, its Jacobian) over m^1 for a generator A over m^0, built
+        once per key, A's place among ``_kernel_generators``."""
+        return _memo(self.cache, key,
+                     lambda: self.base.operand(self.apply(A), 1))
+
+    def lift(self, base, k=1):
+        """The numerators over base.m^k, a multiple of this base's m."""
+        if base.unit:
+            return self.rows
+        f = G.p_divexact(base.mpow(k), self.base.m)
+        return [[K.p_mul(p, f) if p else {} for p in row] for row in self.rows]
+
+    def signed(self, base, sign):
+        """The integer sign times the numerators over base.m^2, built once
+        per base and sign (``_signed_numerators``)."""
+        return _memo(self.cache, (base, sign), lambda: [
+            [K.p_scale(p, (sign, 0, 1)) if p else {} for p in row]
+            for row in self.lift(base, 2)])
+
+    def over(self, base):
+        """This structure over base, whose m is a multiple of this base's
+        m: itself over its own base, else a record built once per base."""
+        return self if base is self.base else _memo(
+            self.cache, base,
+            lambda: _Structure(base, self.lift(base)))
+
+
+def _family_base(*tensors):
+    """The base of the tensors, one family or a family and its partner:
+    the one base of the structures' records in a triple's store
+    (``BoundTensor.numerators``) when every structure has a record, they
+    share it and there is no flux; else the LCM of the denominators of the
+    structures' entries and of the flux coefficients (``_PowerDen.lcm``)."""
+    recs = [S for t in tensors for S in t.numerators]
+    flux = {} if tensors[0].flux is None else tensors[0].flux.H.coeffs
+    if len(recs) == sum(len(t.structures) for t in tensors) and not flux \
+            and len({id(S.base) for S in recs}) == 1:
+        return recs[0].base
+    return _PowerDen.lcm(tensors[0].chart, [
+        f for t in tensors for S in t.structures for row in S.entries
+        for f in row] + list(flux.values()))
 
 
 def _kernel_setup(tensor: BoundTensor, base: _PowerDen | None = None):
-    """(mats, kflux, nums, square) for _eval_kernel and _tensoriality: the
-    base (the LCM of the denominators of ``_fields`` unless given), the
-    structures as numerators over m^1 in kernel matrix layout (constant
-    coefficients when the base is the unit and every structure is
-    constant), the flux coefficients as numerators over m^1 (None for zero
-    flux), the structures' dense numerator rows over m^1, and the dense
-    numerators over m^2 of S S for one structure S, of I J + J I for a
-    concomitant N(I, J).  The products the tensor carries as proven
-    (``BoundTensor.products``) are read over the base, not multiplied."""
-    structs = tensor.structures
-    flux = {} if tensor.flux is None else tensor.flux.H.coeffs
+    """(mats, kflux, structs, square) for _eval_kernel and _tensoriality:
+    the base (``_family_base`` unless given), the structures over it as
+    ``_Structure``s (the records of the triple's store the tensor carries,
+    lifted by ``_Structure.over``, or else their numerators over it), the
+    flux coefficients as numerators over m^1
+    (None for zero flux), and the dense numerators over m^2 of S S for one
+    structure S, of I J + J I for a concomitant N(I, J).  The products the
+    tensor carries as proven (``BoundTensor.products``) are read over the
+    base, as signed rows of the store, not multiplied."""
     if base is None:
-        base = _PowerDen.lcm(tensor.chart, _fields(tensor))
-    nums = [base.numerators(s) for s in structs]
-    # over the unit base a numerator is its entry: constant iff its only
-    # monomial is the constant one, 0
-    const = base.unit and not any(mono for S in nums for row in S
-                                  for p in row for mono in p)
+        base = _family_base(tensor)
+    recs = [S.over(base) for S in tensor.numerators] or [
+        _Structure(base, base.numerators(S)) for S in tensor.structures]
+    flux = {} if tensor.flux is None else tensor.flux.H.coeffs
     kflux = {idx: base.numerator(f) for idx, f in flux.items()}
-    proven = [_signed_numerators(base, len(nums[0]), sign, X)
-              for sign, X in tensor.products]
-    return _numerator_setup(tensor.kind, base, nums, kflux or None, const,
+    size, products = len(recs[0].rows), tensor.products
+    proven = [_signed_numerators(base, size, sign, X) for sign, X in products]
+    if len(products) == 2 and products[0][1] is products[1][1]:
+        # I J = s X and J I = t X: I J + J I = (s + t) X, read as well
+        proven.append(_signed_numerators(
+            base, size, products[0][0] + products[1][0], products[0][1]))
+    return _numerator_setup(tensor.kind, base, recs, kflux or None,
                             proven or None)
 
 
 def _signed_numerators(base, size, sign, X):
-    """sign X as dense numerators over m^2, X an EndField or None for the
-    identity.  A product of two structures' numerators over m^1 is the
+    """sign X as dense numerators over m^2, X a ``_Structure`` or None for
+    the identity.  A product of two structures' numerators over m^1 is the
     numerator over m^2 of their product, so when the caller has proven
     S T = sign X this is the product S T, read instead of multiplied.  X's
     denominators divide m^2: X = sign S T, whose entries are sums of
     products of entries over m."""
-    if X is None:
-        d = base.mpow(2)
-        rows = [[d if i == j else {} for j in range(size)]
-                for i in range(size)]
-    else:
-        rows = base.numerators(X, 2)
-    if sign > 0:
-        return rows
-    return [[K.p_neg(p) if p else {} for p in row] for row in rows]
+    if X is not None:
+        return X.signed(base, sign)
+    d = K.p_scale(base.mpow(2), (sign, 0, 1))
+    return [[d if i == j else {} for j in range(size)] for i in range(size)]
 
 
-def _numerator_setup(kind, base, nums, kflux, const, products=None):
-    """``_kernel_setup``'s tuple from the structures' dense numerator rows
-    over m^1 (nums) and the flux numerators (kflux, None for zero flux);
-    const selects the constant-coefficient kernel layout.  For a
+def _numerator_setup(kind, base, structs, kflux, products=None):
+    """``_kernel_setup``'s tuple from the structures (``_Structure``s over
+    base) and the flux numerators (kflux, None for zero flux).  For a
     concomitant, mats["products"] holds the dense I J and J I over m^2.  A
     caller that has proven the structures' products may pass their dense
     numerators over m^2 as products, (S S,) for N_J or N_G and (I J, J I)
-    for a concomitant; otherwise they are multiplied."""
-    mats = {"base": base, "J": _sparse_rows(nums[-1], const),
-            "app": K.mat_apply_const if const else K.mat_apply_poly}
+    or (I J, J I, I J + J I) for a concomitant; otherwise they are
+    multiplied."""
+    mats = {"base": base, "J": structs[-1]}
     if kind == "concomitant":
-        I, J = nums
-        IJ, JI = products or (_mat_mul_terms(I, J), _mat_mul_terms(J, I))
-        mats["I"] = _sparse_rows(I, const)
+        I, J = structs
+        IJ, JI, *square = products or (_mat_mul_terms(I.rows, J.rows),
+                                       _mat_mul_terms(J.rows, I.rows))
+        mats["I"] = I
         mats["products"] = (IJ, JI)
-        square = [[K.p_add(a, b) for a, b in zip(r1, r2)]
-                  for r1, r2 in zip(IJ, JI)]
-        mats["IJ+JI"] = _sparse_rows(square, const)
+        square = square[0] if square else [
+            [K.p_add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(IJ, JI)]
+        mats["IJ+JI"] = _Structure(base, square)
     else:
-        square, = products or (_mat_mul_terms(nums[0], nums[0]),)
-    return mats, kflux, nums, square
+        square, = products or (_mat_mul_terms(structs[0].rows,
+                                              structs[0].rows),)
+    return mats, kflux, structs, square
 
 
 def _identity_multiple(M, m2):
@@ -751,11 +855,11 @@ def _skew_adjoint(S):
                for i in range(size) for j in range(i, size))
 
 
-def _tensoriality(kind, base, nums, square):
+def _tensoriality(kind, base, structs, square):
     """What the structures prove about the tensor's Leibniz symbol, decided
-    exactly on their numerators over m^1 (square over m^2, from
-    _kernel_setup): "skew" when the tensor is C-infinity-bilinear and skew,
-    "second_slot" when only Q_k = 0 is proven, None otherwise.
+    exactly on their numerators over m^1 (``_Structure``s, square over
+    m^2, from _kernel_setup): "skew" when the tensor is C-infinity-bilinear
+    and skew, "second_slot" when only Q_k = 0 is proven, None otherwise.
 
     From [A, gB] = g[A,B] + (rho(A)g)B, [fA, B] = f[A,B] - (rho(B)f)A
     + 2<A,B>Df, [A,B] + [B,A] = 2D<A,B> and the C-infinity-bilinear, skew
@@ -788,8 +892,8 @@ def _tensoriality(kind, base, nums, square):
     if kind == "nijenhuis":
         if c != K.c_neg(K.C_ONE):
             return None
-        return "skew" if _skew_adjoint(nums[0]) else "second_slot"
-    if c is not None and all(_skew_adjoint(S) for S in nums):
+        return "skew" if structs[0].skew else "second_slot"
+    if c is not None and all(S.skew for S in structs):
         return "skew"
     return "second_slot"
 
@@ -799,7 +903,7 @@ def _commuting_product(setup):
     ``_kernel_setup``) are skew-adjoint and I J = J I exactly, else None;
     read from the products the setup already holds."""
     mats, _, (I, J), _ = setup
-    if not (_skew_adjoint(I) and _skew_adjoint(J)):
+    if not (I.skew and J.skew):
         return None
     IJ, JI = mats["products"]
     return IJ if IJ == JI else None
@@ -857,8 +961,11 @@ def _commuting_symbol(setup, partner=None):
     W = _commuting_product(setup)
     m2 = setup[0]["base"].mpow(2)
     product = W if W is not None else setup[0]["products"][0]
-    if all(_constant_ratio(p, m2) is not None for row in product
-           for p in row):
+    # over the unit base, a numerator is constant iff its only monomial is 0
+    if (not any(mono for row in product for p in row for mono in p)
+            if setup[0]["base"].unit else
+            all(_constant_ratio(p, m2) is not None for row in product
+                for p in row)):
         return "anomaly_matched", W is not None
     if W is not None and partner is not None and \
             _commuting_product(partner) == W:
@@ -866,16 +973,16 @@ def _commuting_symbol(setup, partner=None):
     return "vanishes", False
 
 
-def _operand(kind, mats, A):
+def _operand(kind, mats, A, key=None):
     """Everything _eval_kernel needs of one generator A (numerators over
-    m^0), built once per generator and not once per pair: (section,
-    Jacobian) for A over m^0, then for J A and, for a concomitant, I A over
-    m^1."""
-    base, app = mats["base"], mats["app"]
-    out = [(A, base.jacobian(A, 0))]
+    m^0): (section, Jacobian) for A over m^0, then for J A and, for a
+    concomitant, I A over m^1.  With key, A's place among the generators,
+    each is built once per base and structure (``_PowerDen.operand``,
+    ``_Structure.image``), not once per family."""
+    base = mats["base"]
+    out = [_memo(base.cache, key, lambda: base.operand(A, 0))]
     for s in ("J", "I") if kind == "concomitant" else ("J",):
-        SA = app(mats[s], A)
-        out.append((SA, base.jacobian(SA, 1)))
+        out.append(mats[s].image(A, key))
     return out
 
 
@@ -898,13 +1005,12 @@ def _eval_kernel(kind, mats, kflux, n, A, B):
     """
     if not kflux and not any(any(P[1]) for P in A + B):
         return [{} for _ in range(2 * n)]
-    app = mats["app"]
 
     def dor(P, Q):
         return K.sec_dorfman(n, P[0], Q[0], kflux, P[1], Q[1])
 
     def apply(S, T):
-        return app(mats[S], T) if any(T) else T
+        return mats[S].apply(T) if any(T) else T
     if kind != "concomitant":
         (a, ja), (b, jb) = A, B
         ab = mats["base"].lift(dor(a, b), 1, 3)
@@ -1100,10 +1206,10 @@ def _residuals(tensor: BoundTensor, degree_bound: int | None,
 def _setup_residuals(kind, chart, setup, degree_bound, pointwise=False):
     """``_residuals`` of the tensor of this kind whose ``_kernel_setup`` (or
     ``_numerator_setup``) is setup, over chart."""
-    mats, kflux, nums, square = setup
+    mats, kflux, structs, square = setup
     proven = (None if degree_bound is not None else
-              _tensoriality(kind, mats["base"], nums, square))
-    frame = (_complex_frame(mats["base"], nums[0])
+              _tensoriality(kind, mats["base"], structs, square))
+    frame = (_complex_frame(mats["base"], structs[0].rows)
              if proven == "skew" and kind == "nijenhuis" and not pointwise
              else None)
     return _pairs(kind, chart, [(mats, kflux)], degree_bound, proven, frame)
@@ -1124,9 +1230,9 @@ def _commuting_residuals(tensor: BoundTensor, degree_bound: int | None,
     if partner is None:
         setups = [_kernel_setup(tensor)]
     else:
-        both = _PowerDen.lcm(chart, _fields(partner) + _fields(tensor))
+        both = _family_base(partner, tensor)
         setups = [_kernel_setup(partner, both), _kernel_setup(tensor, both)]
-    mats, _, nums, square = setups[-1]
+    mats, _, structs, square = setups[-1]
     base = mats["base"]
     identity, skew = _commuting_symbol(
         setups[-1], setups[0] if partner is not None else None)
@@ -1136,7 +1242,7 @@ def _commuting_residuals(tensor: BoundTensor, degree_bound: int | None,
     if degree_bound is None:
         proven = ("skew" if skew else "second_slot"
                   if identity == "anomaly_matched" else
-                  _tensoriality(tensor.kind, base, nums, square))
+                  _tensoriality(tensor.kind, base, structs, square))
     return (identity,) + _pairs(tensor.kind, chart,
                                 [s[:2] for s in setups], degree_bound,
                                 proven)
@@ -1180,7 +1286,9 @@ def _pairs(kind, chart, setups, degree_bound, proven, frame=None):
     pairs of ``_pair_plan``.  setups holds (mats, kflux) of one tensor, or
     of two over one base whose numerators are subtracted, the second from
     the first.  A generator's structure images and Jacobians are built
-    once, when a pair first reads it, so a pair only brackets them and
+    once, when a pair first reads it, and kept with the structure's record
+    (``_Structure.image``) and the base (the generator's own), so every
+    family over that base reads them again; a pair only brackets them and
     applies structures to the brackets."""
     degree, gens, todo = _pair_plan(chart, degree_bound, proven, frame)
     n = chart.dim
@@ -1191,7 +1299,7 @@ def _pairs(kind, chart, setups, degree_bound, proven, frame=None):
         for (mats, kflux), cache in zip(setups, ops):
             for k in (i, j):
                 if k not in cache:
-                    cache[k] = _operand(kind, mats, gens[k])
+                    cache[k] = _operand(kind, mats, gens[k], (degree, k))
             P = _eval_kernel(kind, mats, kflux, n, cache[i], cache[j])
             out = P if out is None else K.sec_sub(out, P)
         return out
@@ -1391,10 +1499,3 @@ def lemma_identities(I: EndField, J: EndField, A: Section, B: Section):
             + I.apply(concomitant(I, J, A, B, flux)).scale(two))
     out.append(("n_i_ij_expansion", lhs3, rhs3, lhs3 == rhs3))
     return out
-
-
-def tensoriality_probe(tensor: BoundTensor, f: ScalarField, A: Section,
-                       B: Section) -> Section:
-    """Defect N(fA, B) - f N(A, B); zero iff the binding is tensorial in its
-    first slot at (A, B).  Reported, not asserted, for mixed concomitants."""
-    return tensor.evaluate(A.scale(f), B) - tensor.evaluate(A, B).scale(f)

@@ -23,8 +23,8 @@ from .scalar import Chart, ScalarField
 from .courant import FluxForm, Section
 from .gcs import (EndField, TensorReport, _PowerDen, _flux_eq, _pair_plan,
                   _tensor_report)
-from .clifford import (CliffordTriple, check_relations, induce, project,
-                       verify_triple)
+from .clifford import (CliffordTriple, _store, check_relations, induce,
+                       project, verify_triple)
 
 
 class NonInvariantSectionError(ValueError):
@@ -236,13 +236,19 @@ def conjugate(phi: CourantIso, E: EndField) -> EndField:
     if not phi.is_invariant_end(E):
         raise NonInvariantSectionError(
             "structure varies along a dualized coordinate")
-    P, Pinv = phi.conjugators
     base = _PowerDen.lcm(phi.chart, [f for row in E.entries for f in row])
-    N = base.numerators(E)
+    return base.endfield(_conjugate_rows(phi, base.numerators(E)), 1,
+                         phi.target_flux)
+
+
+def _conjugate_rows(phi: CourantIso, N):
+    """Phi N Phi^-1 for the dense numerator rows N over one base, which
+    Phi and Phi^-1 (``CourantIso.conjugators``), constant, keep: each row
+    of Phi N, then its product with Phi^-1."""
+    P, Pinv = phi.conjugators
     size = len(N)
     out = [[{} for _ in range(size)] for _ in range(size)]
     for i, prow in enumerate(P):
-        # row i of Phi N, then its product with Phi^-1
         PN = [{} for _ in range(size)]
         for k, c in prow:
             for l, p in enumerate(N[k]):
@@ -252,7 +258,19 @@ def conjugate(phi: CourantIso, E: EndField) -> EndField:
             if p:
                 for j, c in Pinv[l]:
                     out[i][j] = K.p_add(out[i][j], K.p_scale(p, c))
-    return base.endfield(out, 1, phi.target_flux)
+    return out
+
+
+def _transported(phi: CourantIso, S, St) -> bool:
+    """Phi S Phi^-1 = S~ for the ``_Structure``s S and S~ of two triples'
+    numerator stores: P / m = Q / m~ iff P m~ = Q m, and P = Q over one
+    base."""
+    P, Q = _conjugate_rows(phi, S.rows), St.rows
+    m, mt = S.base.m, St.base.m
+    if m == mt:
+        return P == Q
+    return all(K.p_mul(p, mt) == K.p_mul(q, m)
+               for rp, rq in zip(P, Q) for p, q in zip(rp, rq))
 
 
 def conjugate_triple(phi: CourantIso, T: CliffordTriple) -> CliffordTriple:
@@ -286,7 +304,11 @@ def props_5_2_to_5_4(phi: CourantIso, T: CliffordTriple,
     I_l^+ + s_il I_l^- with constant t, s at each point, and conjugation is
     linear, so Phi K_i(zeta) Phi^-1 = K~_i(zeta) for every zeta iff
     Phi I_l^+- Phi^-1 = I~_l^+- for l = 1, 2, 3: the rows of t and of s
-    span R^3."""
+    span R^3.
+
+    (b) and (c, d) compare numerators: each structure's rows in T's
+    numerator store, conjugated (``_conjugate_rows``), with the same
+    structure's rows in the dual triple's store (``_transported``)."""
     rep = TDualityReport("pass")
 
     def record(name, ok):
@@ -304,16 +326,11 @@ def props_5_2_to_5_4(phi: CourantIso, T: CliffordTriple,
         return rep
     Tt = verify_triple(Tt, degree_bound)
     record("prop_5_2: dual integrability", Tt.status.integrable)
-    ind = induce(T)
-    indt = induce(Tt)
-    for name, E, Et in zip(("J1", "J2", "J3", "G"), ind.J + (ind.G,),
-                           indt.J + (indt.G,)):
-        record(f"prop_5_3: {name} transported",
-               Et.entries_equal(conjugate(phi, E)))
-    proj, projt = project(ind, T), project(indt, Tt)
-    for l in range(3):
-        for sign, E, Et in (("+", proj.Ip, projt.Ip),
-                            ("-", proj.Im, projt.Im)):
-            record(f"prop_5_4: I{l + 1}{sign} transported",
-                   Et[l].entries_equal(conjugate(phi, E[l])))
+    for U in (T, Tt):       # the guards of induce and project
+        project(induce(U), U)
+    store, dual = _store(T), _store(Tt)
+    for name in ("J1", "J2", "J3", "G") + tuple(
+            f"I{l}{sign}" for l in (1, 2, 3) for sign in "+-"):
+        record(f"prop_5_{3 if len(name) < 3 else 4}: {name} transported",
+               _transported(phi, store[name], dual[name]))
     return rep

@@ -39,11 +39,11 @@ from functools import cache
 from ._core import kernel as K
 from .scalar import Chart, GaussianRational, Poly, ScalarField
 from .cartan import KForm
-from .gcs import (EndField, _PowerDen, _den_lcm, _numerator_setup,
-                  _setup_residuals, _signed_numerators, _sparse_rows,
+from .gcs import (EndField, _PowerDen, _Structure, _den_lcm,
+                  _numerator_setup, _setup_residuals, _signed_numerators,
                   bind_concomitant, generator_labels, is_almost_gcs,
                   vanishes)
-from .clifford import (CliffordTriple, SuiteReport, TripleStatus,
+from .clifford import (CliffordTriple, SuiteReport, TripleStatus, _store,
                        check_relations, induce, project)
 
 
@@ -424,8 +424,9 @@ def _ihat(T: CliffordTriple, chart: Chart):
     """The guards of the twistor layer, then, over a chart whose last four
     coordinates are (u1, v1, u2, v2): c and d, the sphere base m, the six
     sector generators I_1+, I_2+, I_3+, I_1-, I_2-, I_3- as constant
-    2n x 2n kernel matrices, the numerators of Ihat = c.I+ + d.I- over m^1,
-    and the projections.  |c|^2 = |d|^2 = 1 is checked exactly on the
+    2n x 2n kernel matrices (the kernel layouts of the triple's numerator
+    store, ``clifford._Store``), the numerators of Ihat = c.I+ + d.I- over
+    m^1, and the projections.  |c|^2 = |d|^2 = 1 is checked exactly on the
     numerators of c and d over m^1.  A triple whose projection identities
     fail is refused: Ihat and everything built on it rest on the sector
     algebra.
@@ -448,9 +449,8 @@ def _ihat(T: CliffordTriple, chart: Chart):
     proj = project(induce(T), T)
     if not proj.identities_ok:
         raise ValueError("projection identities (G+-, I_i+-) fail")
-    unit = _PowerDen(T.chart)
-    sectors = [_sparse_rows(unit.numerators(E), True)
-               for E in proj.Ip + proj.Im]
+    store = _store(T)
+    sectors = [store[f"I{l}{s}"].kernel for s in "+-" for l in (1, 2, 3)]
     s = chart.dim - 4
     c = stereo_field(chart, s, s + 1)
     d = stereo_field(chart, s + 2, s + 3)
@@ -715,8 +715,8 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
     Z, base, rows = _twistor_numerators(T)
     n = T.chart.dim
     rep = TwistorReport("pass", mode="sampled" if samples else "symbolic")
-    setup = _numerator_setup("nijenhuis", base, [rows], None, False,
-                             (_twistor_square(base, len(rows)),))
+    setup = _numerator_setup("nijenhuis", base, [_Structure(base, rows)],
+                             None, (_twistor_square(base, len(rows)),))
     _, degree, pairs = _setup_residuals("nijenhuis", Z, setup, degree_bound,
                                         pointwise=bool(samples))
     labels = None           # built at the first witness

@@ -299,6 +299,15 @@ MALFORMED_DOCUMENTS = {
     "zero-denominator-flux": {"chart": {"dim": 3},
                               "flux": [{"indices": [1, 2, 3],
                                         "coeff": "1/(x1-x1)"}]},
+    "flux-term-without-coeff": {"chart": {"dim": 3},
+                                "flux": [{"indices": [1, 2, 3]}]},
+    "flux-term-without-indices": {"chart": {"dim": 3},
+                                  "flux": [{"indices": [1, 2, 3],
+                                            "coeff": "1"}, {"coeff": "x1"}]},
+    "flux-empty-object": {"chart": {"dim": 3}, "flux": {}},
+    "flux-zero": {"chart": {"dim": 3}, "flux": 0},
+    "flux-empty-string": {"chart": {"dim": 3}, "flux": ""},
+    "flux-false": {"chart": {"dim": 3}, "flux": False},
 }
 
 
@@ -342,6 +351,24 @@ class TestMalformedInput:
         with pytest.raises(InputError):
             load_model(text=json.dumps(doc))
         self._exits_2(doc, tmp_path)
+
+    @pytest.mark.parametrize("name,term,key", [
+        ("flux-term-without-coeff", 1, "coeff"),
+        ("flux-term-without-indices", 2, "indices")])
+    def test_flux_term_without_a_key_names_it(self, name, term, key):
+        with pytest.raises(InputError,
+                           match=f"flux term {term} has no '{key}'"):
+            load_model(text=json.dumps(MALFORMED_DOCUMENTS[name]))
+
+    @pytest.mark.parametrize("value", [{}, 0, "", False],
+                             ids=["object", "zero", "string", "false"])
+    def test_flux_present_but_not_a_list(self, value):
+        # only a list of terms or null is a flux; [] and null are none
+        with pytest.raises(InputError, match="flux must be a list of terms"):
+            load_model(text=json.dumps({"chart": {"dim": 3}, "flux": value}))
+        for none in ([], None):
+            assert load_model(text=json.dumps(
+                {"chart": {"dim": 3}, "flux": none})).flux is None
 
     def test_zero_denominator_names_the_entry(self):
         # the parser keeps raising ZeroDivisionError; load_model names
@@ -446,6 +473,8 @@ MALFORMED_BRACKET_FLAGS = {
                               '[{"indices":[1,2,3],"coeff":"1/(x1-x1)"}]'),
     "chart-repeated": ("x,x", '[{"indices":[1,2,1],"coeff":"1"}]'),
     "chart-empty": ("", '[{"indices":[1,2,3],"coeff":"1"}]'),
+    "flux-term-without-coeff": ("x1,x2,x3", '[{"indices":[1,2,3]}]'),
+    "flux-term-without-indices": ("x1,x2,x3", '[{"coeff":"1"}]'),
 }
 
 

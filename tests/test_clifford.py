@@ -610,7 +610,12 @@ class TestProductTable:
             assert rel.failures == ["I1 I3 + I3 I1 = 0"]
             # induce the table all the same, past the relations guard
             rel = RelationsReport((), True)
-        assert _table(T).base.unit is (name != "rational_bfield")
+        base = _table(T).base
+        if name in ("hk4b", "hk4b_dual"):
+            # a constant rational triple: the table is over an integer
+            assert not base.unit and list(base.m) == [0]
+        else:
+            assert base.unit is (name != "rational_bfield")
         T = T.with_status(TripleStatus(rel, ()))
         ind = induce(T)
         J1, J2, J3, G, table_ok = oracle.induce(T)
@@ -660,30 +665,34 @@ class TestProductTable:
         "name", [k for k in table_triples() if k != "broken"])
     def test_read_products_are_the_numerator_products(self, name):
         # every family's setup reads I J and J I (and verify_triple's
-        # setups S S) off the table; over the family's own base, and over
-        # the base a diagonal family shares with its partner, they must be
-        # the products of its numerators entry by entry
+        # setups S S) off the table, as signed rows of the numerator store;
+        # over the family's own base, and over the base a diagonal family
+        # shares with its partner, they must be the products of its
+        # numerators entry by entry
         import dataclasses
         from gencliff import gcs
-        from gencliff.clifford import _DIAGONAL, theorem_1_1_families
+        from gencliff.clifford import (_DIAGONAL, _store,
+                                       theorem_1_1_families)
         T = verify_triple(table_triples()[name]())
         fams = theorem_1_1_families(T, induce(T))
-        ref = gcs._fields(fams[_DIAGONAL[0]])
         for k, fam in enumerate(fams):
             assert len(fam.products) == 2, fam.name
-            both = gcs._PowerDen.lcm(T.chart, ref + gcs._fields(fam))
+            both = gcs._family_base(fams[_DIAGONAL[0]], fam)
             for base in (None, both) if k in _DIAGONAL else (None,):
                 mats, _, (I, J), square = gcs._kernel_setup(fam, base)
-                IJ, JI = (gcs._mat_mul_terms(I, J), gcs._mat_mul_terms(J, I))
+                IJ, JI = (gcs._mat_mul_terms(I.rows, J.rows),
+                          gcs._mat_mul_terms(J.rows, I.rows))
                 assert mats["products"] == (IJ, JI), fam.name
                 plain = gcs._kernel_setup(
                     dataclasses.replace(fam, products=()), base)
                 assert square == plain[3], fam.name
         for i, E in enumerate(T.generators):
-            tensor = gcs.bind_nijenhuis(E, f"N(I{i+1},I{i+1})", T.flux,
-                                        (-1, None))
+            tensor = dataclasses.replace(
+                gcs.bind_nijenhuis(E, f"N(I{i+1},I{i+1})", T.flux,
+                                   (-1, None)),
+                numerators=(_store(T)[f"I{i+1}"],))
             _, _, (S,), square = gcs._kernel_setup(tensor)
-            assert square == gcs._mat_mul_terms(S, S)
+            assert square == gcs._mat_mul_terms(S.rows, S.rows)
 
     @pytest.mark.parametrize(
         "name", [k for k in table_triples() if k != "broken"])
@@ -723,7 +732,7 @@ class TestProductTable:
         rel = check_relations(T)
         assert rel == oracle.check_relations(T)
         assert rel.failures == [f"I{i} orthogonal" for i in (1, 2, 3)]
-        assert _table(T).induced()[2] is oracle.induce(T)[4] is True
+        assert _table(T).induced[2] is oracle.induce(T)[4] is True
 
     def test_a_second_theorem_1_1_gives_the_same_report(self):
         # the families share the table's and the structures' numerator
@@ -771,3 +780,151 @@ class TestProductTable:
             raise AssertionError("numerator product")
         monkeypatch.setattr(gcs, "_mat_mul_terms", refuse)
         assert gcs._commuting_symbol(setup) == ("anomaly_matched", True)
+
+
+def oracle_structures(T):
+    """Every structure of T's numerator store, by name, from the dense
+    EndField oracle (tests/clifford_oracle.py)."""
+    from tests import clifford_oracle as oracle
+    J1, J2, J3, G, _ = oracle.induce(T)
+    Gp, Gm, Ip, Im, _ = oracle.project((J1, J2, J3), G, T)
+    out = dict(zip(("I1", "I2", "I3", "J1", "J2", "J3", "G", "G+", "G-"),
+                   T.generators + (J1, J2, J3, G, Gp, Gm)))
+    for l in range(3):
+        out[f"I{l + 1}+"], out[f"I{l + 1}-"] = Ip[l], Im[l]
+    return out
+
+
+def monic_lcm(*polys):
+    """The monic LCM of kernel polynomials, {0: 1} for none."""
+    from gencliff import polygcd as G
+    from gencliff._core import kernel as K
+    out = {0: K.C_ONE}
+    for p in polys:
+        out = G.p_monic(K.p_mul(out, G.p_divexact(p, G.p_gcd(out, p))))
+    return out
+
+
+class TestNumeratorStore:
+    """Each structure of a triple (I_i, J_i, G, G+- and I_i+-) is kept once,
+    as numerators over its own base, in the triple's numerator store
+    (``clifford._Store``); every family reads it from there."""
+
+    @pytest.mark.parametrize(
+        "name", [k for k in table_triples() if k != "broken"])
+    def test_records_are_the_numerators_over_their_own_bases(self, name):
+        # a polynomial structure over the unit base, any other over the
+        # LCM of its entries' denominators in lowest terms times an integer
+        # that makes it integral; the rows are its numerators there
+        from gencliff import polygcd as G
+        from gencliff.clifford import _store
+        from tests.layout import integral
+        from tests.setup_oracle import STORE_NAMES
+        T = verify_triple(table_triples()[name]())
+        dense = oracle_structures(T)
+        store = _store(T)
+        for key in STORE_NAMES:
+            S, E = store[key], dense[key]
+            dens = [f.den.terms for row in E.entries for f in row
+                    if not f.is_polynomial]
+            assert S.base.unit is not dens, key
+            if dens:
+                assert G.p_monic(S.base.m) == monic_lcm(*dens), key
+                assert integral(S.base.m, *(p for r in S.rows for p in r))
+            assert S.rows == S.base.numerators(E), key
+            assert S.const is E.is_constant, key
+
+    def test_family_bases_are_the_lcm_of_their_structures_bases(self):
+        # CI's rational B-field triple: the table is over (1 + x2^2)^2, and
+        # a family over the LCM of its structures' own bases and of the
+        # flux's 1 + x2^2 -- 15 of the 21 over 1 + x2^2 alone
+        from gencliff import polygcd as G
+        from gencliff.clifford import _table, theorem_1_1_families
+        from gencliff.gcs import _family_base
+        T = verify_triple(rational_bfield_triple())
+        q = monic_lcm({0: (1, 0, 1), 2 << 16: (1, 0, 1)})   # 1 + x2^2
+        assert G.p_monic(_table(T).base.m) == monic_lcm(
+            q, {0: (1, 0, 1), 2 << 16: (2, 0, 1), 4 << 16: (1, 0, 1)})
+        bases = []
+        for fam in theorem_1_1_families(T, induce(T)):
+            own = [S.base.m for S in fam.numerators]
+            base = G.p_monic(_family_base(fam).m)
+            assert base == monic_lcm(q, *own), fam.name
+            bases.append(base == q)
+        assert sum(bases) == 15
+
+    @pytest.mark.parametrize("build,n", [("hk4b", 4), ("product_flip", 8)])
+    def test_each_structure_is_set_up_once(self, build, n, monkeypatch):
+        # relations, induced and theorem11: the six structures I_i, J_i
+        # get their numerators, kernel rows and skew-adjointness verdict
+        # once each (and G its numerators, which the I_i J_i families read
+        # as their products), and their images on the 2n frame generators
+        # once each, over the one unit base of every family
+        from gencliff import gcs
+        from gencliff.clifford import TripleStatus, _store
+        T = CliffordTriple(*table_triples()[build]().generators)
+        counts = {"own": 0, "rows": 0, "skew": 0, 0: 0, 1: 0}
+        own, rows = gcs._Structure.own.__func__, gcs._sparse_rows
+        skew, operand = gcs._skew_adjoint, gcs._PowerDen.operand
+
+        def count(key, fn):
+            def wrapped(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapped
+        monkeypatch.setattr(gcs._Structure, "own",
+                            classmethod(count("own", own)))
+        monkeypatch.setattr(gcs, "_sparse_rows", count("rows", rows))
+        monkeypatch.setattr(gcs, "_skew_adjoint", count("skew", skew))
+        monkeypatch.setattr(gcs._PowerDen, "operand", lambda base, P, k: (
+            counts.__setitem__(k, counts[k] + 1) or operand(base, P, k)))
+        T = T.with_status(TripleStatus(check_relations(T), ()))
+        project(induce(T), T)
+        assert theorem_1_1(verify_triple(T)).status == "pass"
+        assert sorted(_store(T)) == ["G", "I1", "I2", "I3", "J1", "J2",
+                                     "J3"]
+        assert counts == {"own": 7, "rows": 6, "skew": 6,
+                          0: 2 * n, 1: 6 * 2 * n}
+
+    def test_no_denominator_merges_on_hk4b(self, monkeypatch):
+        # a constant rational triple's product table is over an integer,
+        # and its structures over the unit base: the relations, the
+        # induced structures and projections, the integrability checks,
+        # theorem13's certificate and the T-duality transport take no
+        # accumulator merge of two denominators
+        from gencliff._core import kernel as K
+        from gencliff.clifford import TripleStatus
+        from gencliff.tduality import make_torus_duality, props_5_2_to_5_4
+        from gencliff.twistor import theorem_1_3
+        from tests.test_twistor import hk4b_triple
+
+        def refuse(*args):
+            raise AssertionError("two denominators merged")
+        T = CliffordTriple(*hk4b_triple().generators)
+        monkeypatch.setattr(K, "_merge", refuse)
+        T = T.with_status(TripleStatus(check_relations(T), ()))
+        ind = induce(T)
+        proj = project(ind, T)
+        assert ind.J + (ind.G, proj.Gp, proj.Gm) + proj.Ip + proj.Im
+        T = verify_triple(T)
+        assert theorem_1_1(T).status == "pass"
+        assert theorem_1_3(T).status == "pass"
+        assert props_5_2_to_5_4(make_torus_duality(T.chart, 0), T).ok
+
+    @pytest.mark.parametrize("name", [k for k in table_triples()
+                                      if k != "broken"] + ["nonclosed"])
+    def test_reports_equal_the_per_family_oracle(self, name, monkeypatch):
+        # every setup built again from the family's own EndFields, with
+        # its products multiplied out (tests/setup_oracle.py), gives the
+        # same reports, witnesses included
+        from gencliff import gcs
+        from tests.setup_oracle import kernel_setup
+        build = (nonclosed_bfield_triple if name == "nonclosed"
+                 else table_triples()[name])
+        T = verify_triple(build())
+        store = (T.status, theorem_1_1(T) if T.status.verified else None)
+        monkeypatch.setattr(gcs, "_kernel_setup", kernel_setup)
+        T = verify_triple(build())
+        oracle = (T.status, theorem_1_1(T) if T.status.verified else None)
+        assert store == oracle
+        assert name != "nonclosed" or not store[0].integrable

@@ -10,8 +10,8 @@ import pytest
 from gencliff.scalar import (GaussianRational, Poly, ScalarField, parse_expr,
                              standard_chart)
 from gencliff.cartan import KForm, exterior_d
-from gencliff.courant import (FluxForm, Section, frame_sections, pairing,
-                              section_kernel_components)
+from gencliff.courant import (FluxForm, Section, frame_sections,
+                              monomials_up_to, pairing)
 from gencliff._core import kernel as K
 from gencliff.gcs import (EndField, FluxMismatchError, _PowerDen, _eval_kernel,
                           _kernel_generators, _kernel_setup, _operand,
@@ -20,12 +20,28 @@ from gencliff.gcs import (EndField, FluxMismatchError, _PowerDen, _eval_kernel,
                           eigen_sections, bfield_transform, form_to_matrix,
                           generalized_metric, is_almost_gcs, is_almost_real,
                           is_orthogonal, lemma_identities, mat_inv, mat_mul,
-                          nijenhuis, real_nijenhuis,
-                          tensoriality_probe, vanishes, generator_labels,
-                          generator_sections)
+                          nijenhuis, real_nijenhuis, vanishes,
+                          generator_labels)
 from gencliff.examples import QUAT_I, diag_type, hyperkahler_r4
-from tests.layout import integral, packed
+from tests.layout import integral, packed, section_kernel_components
 from tests.test_scalar import rnd_field
+
+
+def generator_sections(chart, degree_bound):
+    """Sections m * e_a in the same order as generator_labels."""
+    out = []
+    monos = monomials_up_to(chart, degree_bound)
+    for a in range(2 * chart.dim):
+        e = Section.frame(chart, a)
+        for m in monos:
+            out.append(e.scale(ScalarField.from_poly(m)))
+    return out
+
+
+def tensoriality_probe(tensor, f, A, B):
+    """Defect N(fA, B) - f N(A, B); zero iff the binding is tensorial in its
+    first slot at (A, B).  Reported, not asserted, for mixed concomitants."""
+    return tensor.evaluate(A.scale(f), B) - tensor.evaluate(A, B).scale(f)
 
 R2 = standard_chart(2)
 R4 = standard_chart(4)
@@ -362,8 +378,8 @@ class TestIntegralBase:
         base = mats["base"]
         assert not base.unit and integral(base.m)
         assert integral(*kflux.values())
-        assert integral(*(p for M in nums + [square] for row in M
-                          for p in row))
+        assert integral(*(p for M in [S.rows for S in nums] + [square]
+                          for row in M for p in row))
         for A in _kernel_generators(tensor.chart, 1):
             for S, jac in _operand(tensor.kind, mats, A):
                 assert integral(*S)
@@ -800,7 +816,7 @@ class TestOrbitReduction:
                   "N_antidiagonal": lambda: bind_nijenhuis(
                       antidiagonal_structure())}[name]()
         mats, _, nums, square = _kernel_setup(tensor)
-        assert all(len(_complex_frame(mats["base"], S)) == 4
+        assert all(len(_complex_frame(mats["base"], S.rows)) == 4
                    for S in nums)
         proven = _tensoriality(tensor.kind, mats["base"], nums, square)
         assert proven == ("skew" if name == "N(I1,I2)" else "second_slot")
@@ -822,7 +838,7 @@ class TestOrbitReduction:
         assert mats["base"].m.get(0) is None
         assert _base_point(mats["base"]) == [0, 1, 0, 0]
         assert defined_point(tensor) == (0, 1, 0, 0)
-        reps = _complex_frame(mats["base"], nums[0])
+        reps = _complex_frame(mats["base"], nums[0].rows)
         assert reps == complex_frame(tensor) and len(reps) == 4
         every = 8 * 8
         cert = vanishes(tensor, max_witnesses=every)

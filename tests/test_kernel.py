@@ -14,8 +14,8 @@ from gencliff.gcs import _PowerDen, _kernel_generators
 from gencliff.scalar import Poly, ScalarField, parse_expr, standard_chart
 from gencliff.courant import (FluxForm, Section, algebroid_differential,
                               dorfman, dorfman_twisted, pairing,
-                              section_from_kernel, section_kernel_components)
-from tests.layout import packed
+                              section_from_kernel)
+from tests.layout import packed, section_kernel_components
 from tests.test_scalar import rnd_field
 
 

@@ -10,16 +10,18 @@ from gencliff import twistor
 from gencliff._core import kernel as K
 from gencliff.scalar import GaussianRational, Poly, ScalarField
 from gencliff.courant import Section, dorfman
-from gencliff.gcs import (EndField, _PowerDen, _kernel_generators,
-                          _mat_mul_terms, _numerator_setup, _operand,
+from gencliff.gcs import (EndField, _PowerDen, _Structure,
+                          _kernel_generators, _mat_mul_terms,
+                          _numerator_setup, _operand,
                           _residuals, _setup_residuals, _sparse_rows,
-                          bind_nijenhuis, generator_labels,
-                          generator_sections, is_almost_gcs, vanishes)
+                          bind_nijenhuis, generator_labels, is_almost_gcs,
+                          vanishes)
 from gencliff.clifford import induce, project, theorem_1_1, verify_triple
 from gencliff.examples import hyperkahler_r4, product_flip
 from tests import connection_oracle as oracle
 from tests.layout import integral, packed
-from tests.test_gcs import complex_frame, gauss_rank, half_pairs
+from tests.test_gcs import (complex_frame, gauss_rank, generator_sections,
+                            half_pairs)
 from gencliff.twistor import (TwistorPoint, _sphere_base,
                               check_dI_commutator, check_flatness,
                               connection_data, rot_T, rot_field,
@@ -148,16 +150,15 @@ class TestRotateFamily:
 
 
 def corrupt_projection(monkeypatch):
-    """``project`` as the twistor layer sees it, with I_1+ negated: then
-    I_1+ I_2+ = -I_3+, so the sector algebra fails and identities_ok is
-    False."""
+    """``project`` as the twistor layer sees it, with the verdict of a
+    corrupted sector algebra: with I_1+ negated, I_1+ I_2+ = -I_3+, so
+    identities_ok is False."""
     right = twistor.project
 
     def corrupted(ind, T):
         proj = right(ind, T)
-        Ip = (-proj.Ip[0],) + proj.Ip[1:]
-        assert not (Ip[0] @ Ip[1]).entries_equal(Ip[2])
-        return dataclasses.replace(proj, Ip=Ip, identities_ok=False)
+        assert not (-proj.Ip[0] @ proj.Ip[1]).entries_equal(proj.Ip[2])
+        return dataclasses.replace(proj, identities_ok=False)
     monkeypatch.setattr(twistor, "project", corrupted)
 
 
@@ -445,7 +446,7 @@ class TestTheorem13:
         assert rep.mode == "symbolic"
         tensor = bind_nijenhuis(twistor_structure(T))
         mats, _, nums, _ = _kernel_setup(tensor)
-        reps = _complex_frame(mats["base"], nums[0])
+        reps = _complex_frame(mats["base"], nums[0].rows)
         assert reps == complex_frame(tensor)
         labels = generator_labels(tensor.chart, 0)
         assert " ".join(labels[r] for r in reps) == frame
@@ -655,7 +656,8 @@ class TestIntegralBase:
         Z, base, rows = twistor._twistor_numerators(T)
         monkeypatch.setattr(K, "_merge", refuse_merge)
         assert integral(base.m, *(p for row in rows for p in row))
-        setup = _numerator_setup("nijenhuis", base, [rows], None, False,
+        setup = _numerator_setup("nijenhuis", base, [_Structure(base, rows)],
+                                 None,
                                  (twistor._twistor_square(base, len(rows)),))
         for A in _kernel_generators(Z, 0):
             for S, jac in _operand("nijenhuis", setup[0], A):
