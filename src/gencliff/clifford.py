@@ -274,7 +274,7 @@ class _Store(dict):
         Id +- G, Id having none), every other structure T's flux."""
         S = self[name]
         flux = None if name in ("G+", "G-") else self.flux
-        return S.base.endfield(S.rows, 1, flux)
+        return S.base.endfield(S.rows, flux)
 
 
 def _table(T: CliffordTriple) -> _ProductTable:

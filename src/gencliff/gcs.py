@@ -610,11 +610,11 @@ class _PowerDen:
         """Dense rows of the numerators of E's entries over m^1."""
         return [[self.numerator(f) for f in row] for row in E.entries]
 
-    def endfield(self, M, k, flux=None):
-        """The EndField whose entries have the dense numerators M over
-        m^k, each entry normalized once (wrapped as it is over the unit
-        base, where it is a polynomial)."""
-        den = Poly(self.chart, self.mpow(k))
+    def endfield(self, M, flux=None):
+        """The EndField whose entries have the dense numerators M over m,
+        each entry normalized once (wrapped as it is over the unit base,
+        where it is a polynomial)."""
+        den = Poly(self.chart, self.m)
         field = ScalarField._unchecked if self.unit else ScalarField
         zero = ScalarField.zero(self.chart)
         return EndField(self.chart, [[field(Poly(self.chart, p), den)
@@ -998,14 +998,9 @@ def _eval_kernel(kind, mats, kflux, n, A, B):
 
     A zero bracket (``K.sec_dorfman`` returns one at once for operands
     with all-zero Jacobians and no flux) is passed through: no structure
-    is applied to it and no section is added.  When no operand of the pair
-    has a nonzero Jacobian entry and there is no flux, every bracket is
-    zero, so the tensor is: such a pair -- a pair of constant frame
-    sections over the unit base -- costs only that test.
+    is applied to it and no section is added (a pair none of whose
+    operands has a Jacobian entry is skipped before, by ``_pairs``).
     """
-    if not kflux and not any(any(P[1]) for P in A + B):
-        return [{} for _ in range(2 * n)]
-
     def dor(P, Q):
         return K.sec_dorfman(n, P[0], Q[0], kflux, P[1], Q[1])
 
@@ -1289,7 +1284,12 @@ def _pairs(kind, chart, setups, degree_bound, proven, frame=None):
     once, when a pair first reads it, and kept with the structure's record
     (``_Structure.image``) and the base (the generator's own), so every
     family over that base reads them again; a pair only brackets them and
-    applies structures to the brackets."""
+    applies structures to the brackets (``_eval_kernel``).  With each
+    generator's operands is kept whether every one of their Jacobian
+    entries is None.  When that holds for both generators of a pair and
+    there is no flux, every bracket is zero, so the tensor is: such a pair
+    -- a pair of constant frame sections over the unit base -- costs only
+    that test."""
     degree, gens, todo = _pair_plan(chart, degree_bound, proven, frame)
     n = chart.dim
     ops = [{} for _ in setups]
@@ -1299,8 +1299,11 @@ def _pairs(kind, chart, setups, degree_bound, proven, frame=None):
         for (mats, kflux), cache in zip(setups, ops):
             for k in (i, j):
                 if k not in cache:
-                    cache[k] = _operand(kind, mats, gens[k], (degree, k))
-            P = _eval_kernel(kind, mats, kflux, n, cache[i], cache[j])
+                    op = _operand(kind, mats, gens[k], (degree, k))
+                    cache[k] = op, not any(any(P[1]) for P in op)
+            (A, flat), (B, flat_b) = cache[i], cache[j]
+            P = ([{} for _ in range(2 * n)] if flat and flat_b and not kflux
+                 else _eval_kernel(kind, mats, kflux, n, A, B))
             out = P if out is None else K.sec_sub(out, P)
         return out
 

@@ -237,28 +237,23 @@ def conjugate(phi: CourantIso, E: EndField) -> EndField:
         raise NonInvariantSectionError(
             "structure varies along a dualized coordinate")
     base = _PowerDen.lcm(phi.chart, [f for row in E.entries for f in row])
-    return base.endfield(_conjugate_rows(phi, base.numerators(E)), 1,
+    return base.endfield(_conjugate_rows(phi, base.numerators(E)),
                          phi.target_flux)
 
 
 def _conjugate_rows(phi: CourantIso, N):
     """Phi N Phi^-1 for the dense numerator rows N over one base, which
-    Phi and Phi^-1 (``CourantIso.conjugators``), constant, keep: each row
-    of Phi N, then its product with Phi^-1."""
-    P, Pinv = phi.conjugators
+    Phi and Phi^-1, constant, keep: the columns of Phi N are Phi times the
+    columns of N, and the rows of Phi N Phi^-1 are Phi^-T = S Phi S times
+    the rows of Phi N (Phi^-1 = S Phi^T S, ``CourantIso.conjugators``),
+    each a ``K.mat_apply_const``."""
+    P = phi.conjugators[0]
     size = len(N)
-    out = [[{} for _ in range(size)] for _ in range(size)]
-    for i, prow in enumerate(P):
-        PN = [{} for _ in range(size)]
-        for k, c in prow:
-            for l, p in enumerate(N[k]):
-                if p:
-                    PN[l] = K.p_add(PN[l], K.p_scale(p, c))
-        for l, p in enumerate(PN):
-            if p:
-                for j, c in Pinv[l]:
-                    out[i][j] = K.p_add(out[i][j], K.p_scale(p, c))
-    return out
+    n = size // 2
+    inv_t = [[((j + n) % size, c) for j, c in P[(i + n) % size]]
+             for i in range(size)]
+    PN = zip(*(K.mat_apply_const(P, list(col)) for col in zip(*N)))
+    return [K.mat_apply_const(inv_t, list(row)) for row in PN]
 
 
 def _transported(phi: CourantIso, S, St) -> bool:

@@ -653,7 +653,7 @@ def twistor_structure(T: CliffordTriple) -> EndField:
     (EndField rejects it)."""
     _, base, rows = _twistor_numerators(T)
     flux = None if T.flux is None or T.flux.is_zero else T.flux
-    return base.endfield(rows, 1, flux)
+    return base.endfield(rows, flux)
 
 
 @dataclass
