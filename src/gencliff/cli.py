@@ -219,8 +219,7 @@ def load_model(path=None, builtin=None, text=None) -> Model:
     if chart is None:
         raise InputError("no chart: give \"chart\" or a builtin")
     # an empty list is no flux; any other value but a list is refused
-    flux = (_flux(doc["flux"], chart) if doc.get("flux") not in (None, [])
-            else None)
+    flux = None if doc.get("flux") in (None, []) else _flux(doc["flux"], chart)
     if doc.get("triple") and triple is None:
         spec = _object(doc["triple"], "triple")
         mats = []

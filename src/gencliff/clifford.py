@@ -33,9 +33,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from ._core import kernel as K
-from .scalar import ChartMismatchError, ScalarField
-from .cartan import KForm, exterior_d
-from .courant import FluxForm, Section, monomials_up_to, pairing
+from .scalar import ChartMismatchError
+from .courant import FluxForm, monomials_up_to
 from .gcs import (HALF, BoundTensor, EndField, TensorReport, _PowerDen,
                   _Structure, _commuting_residuals, _mat_mul_terms,
                   _sparse_rows, _tensor_report, bind_nijenhuis, vanishes)
@@ -506,15 +505,17 @@ def theorem_1_1_families(T: CliffordTriple, ind: InducedStructures):
     N(I_i,J_j) (all i, j, row by row), bound against the triple's flux.
     Each family carries its structures' records in T's numerator store
     (``BoundTensor.numerators``), and, when ind's table is verified, its
-    products I J and J I as read off the table (``_table_product``), so
-    its setup builds no numerators and multiplies no matrices."""
+    products I J, J I and their sum as read off the table
+    (``_table_product``), so its setup builds no numerators and multiplies
+    or adds no matrices."""
     store = _store(T)
     S = {"I": T.generators, "J": ind.J}
 
     def bind(a, b, i, j, unit, fam):
-        products = ((_table_product(store, i, j, unit, fam),
-                     _table_product(store, j, i, unit, fam))
-                    if ind.table_ok else ())
+        # S T = s X and T S = t X, so S T + T S = (s + t) X
+        (s, X), (t, _) = (_table_product(store, i, j, unit, fam),
+                          _table_product(store, j, i, unit, fam))
+        products = ((s, X), (t, X), (s + t, X)) if ind.table_ok else ()
         A, B = f"{a}{i + 1}", f"{b}{j + 1}"
         return BoundTensor("concomitant", f"N({A},{B})", (S[a][i], S[b][j]),
                            T.flux, products, (store[A], store[B]))
@@ -522,33 +523,6 @@ def theorem_1_1_families(T: CliffordTriple, ind: InducedStructures):
             for i in range(3) for j in range(i, 3)]
     return fams + [bind("I", "J", i, j, "G", "I")
                    for i in range(3) for j in range(3)]
-
-
-def concomitant_anomaly(W: EndField, m, a: int, mprime, b: int) -> Section:
-    """Closed-form Dorfman-Leibniz defect of the mixed concomitant for a
-    commuting skew-adjoint pair (I, J) with W = I J constant, on the
-    generator pair (m * e_a, m' * e_b):
-
-        N(I,J)(f u, g v) = 2 g ( <u,v> W(df) - <u, W v> df ),
-
-    u and v frame sections.  Derived by expanding all eight bracket terms
-    with the Leibniz rules [fA,B] = f[A,B] - (rho(B)f) A + 2<A,B> df and
-    [A,gB] = g[A,B] + (rho(A)g) B; the section-type terms cancel
-    unconditionally and the df terms cancel exactly when I and J
-    anticommute, leaving this expression in the commuting case (proof in
-    ``gcs._commuting_symbol``).
-    """
-    chart = W.chart
-    u = Section.frame(chart, a)
-    v = Section.frame(chart, b)
-    mp = ScalarField.from_poly(mprime) if not isinstance(mprime, ScalarField) \
-        else mprime
-    mf = ScalarField.from_poly(m) if not isinstance(m, ScalarField) else m
-    df = Section.from_form(exterior_d(KForm.from_scalar(mf)))
-    puv = pairing(u, v)
-    puWv = pairing(u, W.apply(v))
-    out = W.apply(df).scale(puv) - df.scale(puWv)
-    return out.scale(mp * ScalarField.constant(chart, 2))
 
 
 def _commuting_family_report(fam, degree_bound: int | None,
@@ -559,8 +533,10 @@ def _commuting_family_report(fam, degree_bound: int | None,
     ``gcs._commuting_symbol`` proves which pairs decide it:
 
     - "anomaly_matched", when W = I J is constant: N must equal the
-      closed-form defect ``concomitant_anomaly`` on every generator pair.
-      When I and J are skew-adjoint the residual is C-infinity-bilinear
+      closed-form Dorfman-Leibniz defect
+      N(I,J)(f u, g v) = 2g(<u,v> W df - <u,W v> df), u and v frame
+      sections (``defect`` below), on every generator pair.  When I and J
+      are skew-adjoint the residual is C-infinity-bilinear
       and skew, and the certificate takes the frame pairs a < b (28 at
       n = 4), where Df = 0 makes the residual N itself.  Otherwise the
       residual is first order in each argument with no df.dg term, like N,
@@ -638,9 +614,10 @@ def theorem_1_1(T: CliffordTriple, degree_bound: int | None = None,
     mode="verify" (default):
 
     - G constant (every constant triple): all 9 are checked exactly
-      against the closed-form defect ``concomitant_anomaly`` and classified
-      anomaly_matched; the gate proves the residual C-infinity-bilinear and
-      skew, and the frame pairs a < b decide it: 28 pairs each.
+      against the closed-form defect (``_commuting_family_report``) and
+      classified anomaly_matched; the gate proves the residual
+      C-infinity-bilinear and skew, and the frame pairs a < b decide it:
+      28 pairs each.
     - G not constant: N(I_i, J_i) on a frame depends on the frame, so the
       diagonal families are compared with each other instead.  They share
       W = -G, so Delta_12 = N(I1,J1) - N(I2,J2) and Delta_13 are

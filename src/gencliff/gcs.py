@@ -78,29 +78,23 @@ class FluxMismatchError(ValueError):
     pass
 
 
+def _dot(row, col, zero):
+    """sum a b over the pairs of ScalarFields (a, b) of row and col with
+    neither zero, in order; zero when there is none."""
+    acc = None
+    for a, b in zip(row, col):
+        if not (a.is_zero or b.is_zero):
+            t = a * b
+            acc = t if acc is None else acc + t
+    return zero if acc is None else acc
+
+
 def mat_mul(A, B):
     """Product of two square ScalarField matrices, each entry through
     ScalarField arithmetic (which takes no GCD for polynomial entries)."""
-    size = len(A)
     zero = ScalarField.zero(A[0][0].chart)
-    out = []
-    for i in range(size):
-        row = []
-        Ai = A[i]
-        for j in range(size):
-            acc = None
-            for k in range(size):
-                a = Ai[k]
-                if a.is_zero:
-                    continue
-                b = B[k][j]
-                if b.is_zero:
-                    continue
-                t = a * b
-                acc = t if acc is None else acc + t
-            row.append(acc if acc is not None else zero)
-        out.append(row)
-    return out
+    cols = list(zip(*B))
+    return [[_dot(row, col, zero) for col in cols] for row in A]
 
 
 def _mat_mul_terms(A, B):
@@ -235,17 +229,9 @@ class EndField:
     def apply(self, A: Section) -> Section:
         if A.chart != self.chart:
             raise ChartMismatchError("section on wrong chart")
-        comps = A.to_components()
-        out = []
-        for row in self.entries:
-            acc = None
-            for e, c in zip(row, comps):
-                if e.is_zero or c.is_zero:
-                    continue
-                t = e * c
-                acc = t if acc is None else acc + t
-            out.append(acc if acc is not None else ScalarField.zero(self.chart))
-        return Section.from_components(self.chart, out)
+        comps, zero = A.to_components(), ScalarField.zero(self.chart)
+        return Section.from_components(
+            self.chart, [_dot(row, comps, zero) for row in self.entries])
 
     def column(self, j) -> Section:
         return Section.from_components(self.chart,
@@ -305,8 +291,7 @@ def is_almost_gcs(E: EndField) -> bool:
 
 def is_almost_real(G: EndField) -> bool:
     """Orthogonal and G^2 = Id."""
-    sq = G @ G
-    return sq.entries_equal(EndField.identity(G.chart)) and is_orthogonal(G)
+    return _is_involution(G) and is_orthogonal(G)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +374,8 @@ class BoundTensor:
     flux: FluxForm | None
     # products of the structures a caller has proven, each (sign, X) for
     # sign X with X a ``_Structure`` of the triple's store, or None for Id:
-    # (S S,) for N_S, (I J, J I) for N(I, J); () to multiply them
-    # (``_kernel_setup``)
+    # (S S,) for N_S, (I J, J I) or (I J, J I, I J + J I) for N(I, J); ()
+    # to multiply them (``_kernel_setup``)
     products: tuple = field(default=(), compare=False, repr=False)
     # the structures' records in the triple's store, () to build them
     numerators: tuple = field(default=(), compare=False, repr=False)
@@ -441,7 +426,7 @@ class TensorReport:
     generator pairs up to the integer degree_bound).  identity names what
     vanished=True asserts: "vanishes" (the tensor is zero),
     "anomaly_matched" (a commuting concomitant equals its closed-form
-    Dorfman-Leibniz anomaly, ``clifford.concomitant_anomaly``) or
+    Dorfman-Leibniz anomaly, ``clifford._commuting_family_report``) or
     "difference" (two commuting concomitants with the same W = I J agree;
     the name is "N(I',J')-N(I,J)")."""
 
@@ -497,11 +482,10 @@ class _PowerDen:
     of the fields it was built for have Gaussian-integer coefficients
     (denominator 1).  ``lcm`` folds into m the integer L that clears the
     denominators of the coefficients (``twistor._ihat`` does the same for
-    the sphere base, ``_Structure.own`` for a structure's own base), and
-    gives polynomial fields with rational coefficients the base m = L when
-    asked (the product table of a constant rational triple).  Products,
-    quotient-rule derivatives (m d_t P - k P d_t m) and sums of integral
-    numerators are integral, so
+    the sphere base), and gives polynomial fields with rational
+    coefficients the base m = L when asked (the product table of a
+    constant rational triple).  Products, quotient-rule derivatives
+    (m d_t P - k P d_t m) and sums of integral numerators are integral, so
     every Jacobian, bracket and structure application of a check stays
     integral: the kernel's accumulators add numerators over the one
     denominator 1 and never merge two denominators, and ``K.c_make``
@@ -600,8 +584,7 @@ class _PowerDen:
         """Numerator of the ScalarField f over m^k."""
         if self.unit or f.is_zero:
             return f.num.terms
-        mult = (self.mpow(k) if f.is_polynomial else
-                G.p_divexact(self.mpow(k), f.den.terms))
+        mult = G.p_divexact(self.mpow(k), f.den.terms)
         if mult is None:
             raise ValueError("denominator does not divide the base power")
         return K.p_mul(f.num.terms, mult)
@@ -676,28 +659,19 @@ class _Structure:
     @classmethod
     def own(cls, base, rows, k, bases):
         """The structure with the numerators rows over base.m^k, over its
-        own base, taken from bases (by m): the quotient d of m^k by the GCD
-        g of m^k and every entry, which is the LCM of the denominators of
-        the entries in lowest terms, times the least positive integer L
-        that makes d and the numerators over L d integral
-        (``_PowerDen.lcm``); the unit base when d is a constant."""
-        den = g = base.mpow(k)
-        for p in (p for row in rows for p in row if p):
-            if not any(g):      # a constant GCD: nothing cancels
-                break
-            g = G.p_gcd(g, p)
-        if any(g):
-            den = G.p_divexact(den, g)
-            rows = [[G.p_divexact(p, g) if p else {} for p in row]
-                    for row in rows]
-        if any(den):
-            f = (lcm(_den_lcm(den.values()), _den_lcm(
-                c for row in rows for p in row for c in p.values())), 0, 1)
-            own = _PowerDen(base.chart, K.p_scale(den, f))
+        own base, taken from bases (by m): the unit base when m is a
+        constant, so that the structure is polynomial (its rows divided by
+        m^k), else the base ``_PowerDen.lcm`` gives its entries in lowest
+        terms (each normalized once, here)."""
+        mk = base.mpow(k)
+        if any(mk):
+            E = _PowerDen(base.chart, mk).endfield(rows)
+            own = _PowerDen.lcm(base.chart, [f for r in E.entries for f in r])
+            rows = own.numerators(E)
         else:
-            own, f = _PowerDen(base.chart), K.c_inv(den[0])
-        own = bases.setdefault(frozenset(own.m.items()), own)
-        return cls(own, [[K.p_scale(p, f) for p in row] for row in rows])
+            own, c = _PowerDen(base.chart), K.c_inv(mk[0])
+            rows = [[K.p_scale(p, c) for p in row] for row in rows]
+        return cls(bases.setdefault(frozenset(own.m.items()), own), rows)
 
     @cached_property
     def const(self):
@@ -753,11 +727,10 @@ def _family_base(*tensors):
     (``BoundTensor.numerators``) when every structure has a record, they
     share it and there is no flux; else the LCM of the denominators of the
     structures' entries and of the flux coefficients (``_PowerDen.lcm``)."""
-    recs = [S for t in tensors for S in t.numerators]
+    bases = {S.base for t in tensors for S in t.numerators}
     flux = {} if tensors[0].flux is None else tensors[0].flux.H.coeffs
-    if len(recs) == sum(len(t.structures) for t in tensors) and not flux \
-            and len({id(S.base) for S in recs}) == 1:
-        return recs[0].base
+    if len(bases) == 1 and all(t.numerators for t in tensors) and not flux:
+        return bases.pop()
     return _PowerDen.lcm(tensors[0].chart, [
         f for t in tensors for S in t.structures for row in S.entries
         for f in row] + list(flux.values()))
@@ -779,12 +752,9 @@ def _kernel_setup(tensor: BoundTensor, base: _PowerDen | None = None):
         _Structure(base, base.numerators(S)) for S in tensor.structures]
     flux = {} if tensor.flux is None else tensor.flux.H.coeffs
     kflux = {idx: base.numerator(f) for idx, f in flux.items()}
-    size, products = len(recs[0].rows), tensor.products
-    proven = [_signed_numerators(base, size, sign, X) for sign, X in products]
-    if len(products) == 2 and products[0][1] is products[1][1]:
-        # I J = s X and J I = t X: I J + J I = (s + t) X, read as well
-        proven.append(_signed_numerators(
-            base, size, products[0][0] + products[1][0], products[0][1]))
+    size = len(recs[0].rows)
+    proven = [_signed_numerators(base, size, sign, X)
+              for sign, X in tensor.products]
     return _numerator_setup(tensor.kind, base, recs, kflux or None,
                             proven or None)
 
@@ -920,7 +890,7 @@ def _commuting_symbol(setup, partner=None):
 
     - ("anomaly_matched", skew) when W = I J is constant: N must equal the
       closed form 2g(<e_a,e_b> W - <e_a,W e_b>) Df on (f e_a, g e_b)
-      (``clifford.concomitant_anomaly``); skew iff I and J are
+      (``clifford._commuting_family_report``); skew iff I and J are
       skew-adjoint and I J = J I.
     - ("difference", True) when W is not constant, I and J are
       skew-adjoint and commute, and so do I' and J', with I' J' = W: the

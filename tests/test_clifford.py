@@ -6,12 +6,11 @@ import pytest
 from gencliff.scalar import GaussianRational, ScalarField, standard_chart
 from gencliff.courant import Section
 from gencliff.gcs import EndField
-from gencliff.clifford import (CliffordTriple, check_relations,
-                               concomitant_anomaly, induce,
+from gencliff.clifford import (CliffordTriple, check_relations, induce,
                                levi_civita, project, theorem_1_1,
                                verify_triple)
 from gencliff.examples import hyperkahler_r4, product_flip
-from tests.test_gcs import complex_frame, half_pairs
+from tests.test_gcs import complex_frame, concomitant_anomaly, half_pairs
 
 R4 = standard_chart(4)
 
@@ -664,8 +663,9 @@ class TestProductTable:
     @pytest.mark.parametrize(
         "name", [k for k in table_triples() if k != "broken"])
     def test_read_products_are_the_numerator_products(self, name):
-        # every family's setup reads I J and J I (and verify_triple's
-        # setups S S) off the table, as signed rows of the numerator store;
+        # every family's setup reads I J, J I and I J + J I (and
+        # verify_triple's setups S S) off the table, as signed rows of the
+        # numerator store;
         # over the family's own base, and over the base a diagonal family
         # shares with its partner, they must be the products of its
         # numerators entry by entry
@@ -676,7 +676,7 @@ class TestProductTable:
         T = verify_triple(table_triples()[name]())
         fams = theorem_1_1_families(T, induce(T))
         for k, fam in enumerate(fams):
-            assert len(fam.products) == 2, fam.name
+            assert len(fam.products) == 3, fam.name
             both = gcs._family_base(fams[_DIAGONAL[0]], fam)
             for base in (None, both) if k in _DIAGONAL else (None,):
                 mats, _, (I, J), square = gcs._kernel_setup(fam, base)

@@ -43,6 +43,31 @@ def tensoriality_probe(tensor, f, A, B):
     first slot at (A, B).  Reported, not asserted, for mixed concomitants."""
     return tensor.evaluate(A.scale(f), B) - tensor.evaluate(A, B).scale(f)
 
+
+def concomitant_anomaly(W, m, a, mprime, b):
+    """Closed-form Dorfman-Leibniz defect of the mixed concomitant for a
+    commuting skew-adjoint pair (I, J) with W = I J constant, on the
+    generator pair (m * e_a, m' * e_b):
+
+        N(I,J)(f u, g v) = 2 g ( <u,v> W(df) - <u, W v> df ),
+
+    u and v frame sections.  Derived by expanding all eight bracket terms
+    with the Leibniz rules [fA,B] = f[A,B] - (rho(B)f) A + 2<A,B> df and
+    [A,gB] = g[A,B] + (rho(A)g) B; the section-type terms cancel
+    unconditionally and the df terms cancel exactly when I and J
+    anticommute, leaving this expression in the commuting case (proof in
+    ``gcs._commuting_symbol``; the kernel form is the defect of
+    ``clifford._commuting_family_report``)."""
+    chart = W.chart
+    u = Section.frame(chart, a)
+    v = Section.frame(chart, b)
+    mp = ScalarField.from_poly(mprime) if not isinstance(mprime, ScalarField) \
+        else mprime
+    mf = ScalarField.from_poly(m) if not isinstance(m, ScalarField) else m
+    df = Section.from_form(exterior_d(KForm.from_scalar(mf)))
+    out = W.apply(df).scale(pairing(u, v)) - df.scale(pairing(u, W.apply(v)))
+    return out.scale(mp * ScalarField.constant(chart, 2))
+
 R2 = standard_chart(2)
 R4 = standard_chart(4)
 
@@ -175,7 +200,6 @@ class TestConcomitant:
     def test_commuting_pair_anomaly_on_monomials(self):
         # the mixed concomitant is NOT tensorial for commuting pairs: on
         # monomial multiples it equals the closed-form Dorfman-Leibniz defect
-        from gencliff.clifford import concomitant_anomaly
         I, J = diag_r2(), symplectic_r2()
         W = I @ J
         x1 = Poly.variable(R2, 0)
