@@ -584,7 +584,8 @@ class _PowerDen:
         """Numerator of the ScalarField f over m^k."""
         if self.unit or f.is_zero:
             return f.num.terms
-        mult = G.p_divexact(self.mpow(k), f.den.terms)
+        mult = (self.mpow(k) if f.is_polynomial else
+                G.p_divexact(self.mpow(k), f.den.terms))
         if mult is None:
             raise ValueError("denominator does not divide the base power")
         return K.p_mul(f.num.terms, mult)
