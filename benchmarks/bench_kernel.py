@@ -46,11 +46,9 @@ from gencliff.cli import load_model
 from gencliff.clifford import (CliffordTriple, check_relations, induce,
                                project, theorem_1_1, verify_triple)
 from gencliff.examples import hyperkahler_r4
-from gencliff.gcs import (EndField, _Structure, _kernel_generators,
-                          _kernel_setup, _numerator_setup, _operand,
-                          _setup_residuals, bind_nijenhuis)
-from gencliff.twistor import (_twistor_numerators, _twistor_square,
-                              twistor_structure)
+from gencliff.gcs import (EndField, _kernel_generators, _kernel_setup,
+                          _operand, _residuals, bind_nijenhuis)
+from gencliff.twistor import _twistor_tensor, twistor_structure
 from gencliff.scalar import (GaussianRational, Poly, ScalarField,
                              standard_chart)
 
@@ -132,11 +130,9 @@ def hk4b_triple():
 
 
 def make_twistor_setup(T):
-    """The twistor structure's numerators of the triple T, set up for
-    theorem_1_3's certificate: (product chart, numerator setup)."""
-    Z, base, rows = _twistor_numerators(verify_triple(T))
-    return Z, _numerator_setup("nijenhuis", base, [_Structure(base, rows)],
-                               None, (_twistor_square(base, len(rows)),))
+    """The twistor structure's numerators of the triple T, bound for
+    theorem_1_3's certificate: (product chart, Nijenhuis tensor)."""
+    return _twistor_tensor(verify_triple(T))
 
 
 def make_rationals(rng, count, n=3):
@@ -264,10 +260,10 @@ def bench(polys, twistor_pairs, sections, twistor_bracket, twistor_setup,
 
     # theorem_1_3's certificate pairs, three times over, each time with the
     # operands built afresh
-    Z, setup = twistor_setup
+    _, tensor = twistor_setup
     t0 = time.perf_counter()
     for _ in range(3):
-        for _, _, P in _setup_residuals("nijenhuis", Z, setup, None)[2]:
+        for _, _, P in _residuals(tensor, None)[2]:
             assert K.sec_is_zero(P)
     t_pairs = time.perf_counter() - t0
 

@@ -29,15 +29,15 @@ extension point, not implemented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._core import kernel as K
 from .scalar import ChartMismatchError
 from .courant import FluxForm, monomials_up_to
 from .gcs import (HALF, BoundTensor, EndField, TensorReport, _PowerDen,
-                  _Structure, _commuting_residuals, _mat_mul_terms,
-                  _sparse_rows, _tensor_report, bind_nijenhuis, vanishes)
+                  _Structure, _commuting_residuals, _constant_ratio,
+                  _mat_mul_terms, _tensor_report, vanishes)
 
 _EPS_TABLE = {
     (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
@@ -232,7 +232,8 @@ class _ProductTable:
         """(numerators over m^k, k) of the structure named I1..I3 (k = 1),
         J1..J3 (k = 2), G (k = 3), or of a projection: I1+..I3+ and
         I1-..I3-, (J_i +- I_i)/2 over m^2, and G+, G-, (Id +- G)/2 over
-        m^3 (``project``)."""
+        m^3 (``project``); or of Xab = Ia+ + Ib- (a, b in 1..3), the sum
+        of two projections' rows over m^2 (``twistor.theorem_1_2``)."""
         if len(name) == 2 and name[0] == "I":
             return self.I[int(name[1]) - 1], 1
         J, G, _ = self.induced
@@ -243,6 +244,9 @@ class _ProductTable:
         i = int(name[1]) - 1
         if name[0] == "J":
             return J[i], 2
+        if name[0] == "X":
+            return _lin((K.C_ONE, self.rows(f"I{name[1]}+")[0]),
+                        (K.C_ONE, self.rows(f"I{name[2]}-")[0])), 2
         I = [self.base.lift(row, 1, 2) for row in self.I[i]]
         return _lin((HALF, J[i]), (_SIGNS[name[-1]], I)), 2
 
@@ -252,11 +256,12 @@ _SIGNS = {"+": HALF, "-": K.c_neg(HALF)}
 
 class _Store(dict):
     """A triple's numerator store: each structure of its product table by
-    name (``_ProductTable.rows``), built on first use as a
+    name (``_ProductTable.rows``: I_i, J_i, G, the projections and
+    Theorem 1.2's sums X_ab = I_a+ + I_b-), built on first use as a
     ``gcs._Structure`` over its own base (``_Structure.own``; the unit
     base for a polynomial structure), with its kernel layout,
     skew-adjointness verdict and generator images built once for every
-    family that reads it (``gcs._kernel_setup``).  The EndFields of
+    family bound to it (``gcs._kernel_setup``).  The EndFields of
     ``induce`` and ``project`` are built from it only when read."""
 
     def __init__(self, tab, flux):
@@ -271,9 +276,7 @@ class _Store(dict):
         """The EndField of the structure name, each entry normalized once
         (wrapped as it is over the unit base); G+- carry no flux (as
         Id +- G, Id having none), every other structure T's flux."""
-        S = self[name]
-        flux = None if name in ("G+", "G-") else self.flux
-        return S.base.endfield(S.rows, flux)
+        return self[name].endfield(None if name in ("G+", "G-") else self.flux)
 
 
 def _table(T: CliffordTriple) -> _ProductTable:
@@ -318,9 +321,9 @@ def verify_triple(T: CliffordTriple,
     otherwise, since only then does the second slot's Leibniz term
     (rho(A)g)(Ii^2 + 1)B vanish.
 
-    Each Ii is read from T's numerator store (``_Store``), and each whose
-    "Ii^2 = -Id" check of T's product table passed enters its check with
-    that square, read as -m^2 Id over the tensor's base m
+    Each Ii is bound as its record in T's numerator store (``_Store``),
+    and each whose "Ii^2 = -Id" check of T's product table passed enters
+    its check with that square, read as -m^2 Id over the tensor's base m
     (``gcs._signed_numerators``), so no square is multiplied.
 
     The three reports share 10 witnesses: a generator gets the budget the
@@ -329,14 +332,14 @@ def verify_triple(T: CliffordTriple,
     rel = T.status.relations or check_relations(T)
     squared = {c.name: c.ok for c in check_relations(T).checks}
     reports = []
-    for i, E in enumerate(T.generators):
+    for i in range(3):
         cap = 10 - sum(len(r.witnesses) for r in reports)
         if cap <= 0:
             break
-        square = (-1, None) if squared[f"I{i+1}^2 = -Id"] else None
-        tensor = bind_nijenhuis(E, f"N(I{i+1},I{i+1})", T.flux, square)
-        reports.append(vanishes(replace(
-            tensor, numerators=(_store(T)[f"I{i+1}"],)), degree_bound, cap))
+        square = ((-1, None),) if squared[f"I{i+1}^2 = -Id"] else ()
+        tensor = BoundTensor("nijenhuis", f"N(I{i+1},I{i+1})",
+                             (_store(T)[f"I{i+1}"],), T.flux, square)
+        reports.append(vanishes(tensor, degree_bound, cap))
     return T.with_status(TripleStatus(rel, tuple(reports)))
 
 
@@ -503,13 +506,12 @@ def _table_product(store, i, j, unit, fam):
 def theorem_1_1_families(T: CliffordTriple, ind: InducedStructures):
     """The 21 distinct tensor families N(I_i,I_j), N(J_i,J_j) (i <= j) and
     N(I_i,J_j) (all i, j, row by row), bound against the triple's flux.
-    Each family carries its structures' records in T's numerator store
-    (``BoundTensor.numerators``), and, when ind's table is verified, its
-    products I J, J I and their sum as read off the table
+    Each family is bound to its structures' records in T's numerator store
+    (``BoundTensor.numerators``), and carries, when ind's table is
+    verified, its products I J, J I and their sum as read off the table
     (``_table_product``), so its setup builds no numerators and multiplies
     or adds no matrices."""
     store = _store(T)
-    S = {"I": T.generators, "J": ind.J}
 
     def bind(a, b, i, j, unit, fam):
         # S T = s X and T S = t X, so S T + T S = (s + t) X
@@ -517,8 +519,8 @@ def theorem_1_1_families(T: CliffordTriple, ind: InducedStructures):
                           _table_product(store, j, i, unit, fam))
         products = ((s, X), (t, X), (s + t, X)) if ind.table_ok else ()
         A, B = f"{a}{i + 1}", f"{b}{j + 1}"
-        return BoundTensor("concomitant", f"N({A},{B})", (S[a][i], S[b][j]),
-                           T.flux, products, (store[A], store[B]))
+        return BoundTensor("concomitant", f"N({A},{B})",
+                           (store[A], store[B]), T.flux, products)
     fams = [bind(a, a, i, j, None, "J") for a in "IJ"
             for i in range(3) for j in range(i, 3)]
     return fams + [bind("I", "J", i, j, "G", "I")
@@ -551,20 +553,19 @@ def _commuting_family_report(fam, degree_bound: int | None,
 
     An integer degree_bound sweeps every generator pair instead.
     vanished=True means the identity held on every pair evaluated."""
-    identity, base, degree, pairs = _commuting_residuals(fam, degree_bound,
-                                                         partner)
+    identity, IJ, base, degree, pairs = _commuting_residuals(
+        fam, degree_bound, partner)
     name = (f"{partner.name}-{fam.name}" if identity == "difference"
             else fam.name)
     if identity == "anomaly_matched" and degree:
-        I, J = fam.structures
-        n = I.chart.dim
-        W = I @ J
-        Wk = _sparse_rows([[f.num.terms for f in row] for row in W.entries],
-                          True)
+        n, m2 = fam.chart.dim, base.mpow(2)
+        # the constant W = I J of the setup: W_rs = IJ_rs / m^2
+        W = [[_constant_ratio(p, m2) for p in row] for row in IJ]
+        Wk = [[(j, c) for j, c in enumerate(r) if c != K.C_ZERO] for r in W]
         # per generator m * e_a: (a, m, dm as a pure-covector section, W dm)
         gens = []
         for a in range(2 * n):
-            for m in monomials_up_to(I.chart, degree):
+            for m in monomials_up_to(fam.chart, degree):
                 dm = [{}] * n + [K.p_diff(m.terms, t) for t in range(n)]
                 gens.append((a, m.terms, dm, K.mat_apply_const(Wk, dm)))
         # <e_a, e_b> = 1/2 iff the frames pair off;
@@ -574,8 +575,7 @@ def _commuting_family_report(fam, degree_bound: int | None,
             a, _, dm, W_dm = gens[i]
             b, mp, _, _ = gens[j]
             c1 = HALF if (a + n) % (2 * n) == b else K.C_ZERO
-            c2 = K.c_mul(HALF, W.entries[(a + n) % (2 * n)][b].num.terms.get(
-                0, K.C_ZERO))
+            c2 = K.c_mul(HALF, W[(a + n) % (2 * n)][b])
             return [K.p_scale(K.p_mul(mp, K.p_sub(K.p_scale(wd, c1),
                                                   K.p_scale(d, c2))),
                               (2, 0, 1))

@@ -52,9 +52,13 @@ numerators over powers of one polynomial m, the LCM of the denominators of
 the structures and the flux times the integer that makes every numerator
 integral, and m = 1 for polynomial input.  A structure enters as a
 ``_Structure``, its numerators with what a check reads of them; a triple
-keeps one per structure (``clifford._Store``), shared by every family.  The
-ScalarField formulas ``nijenhuis``, ``concomitant`` and ``real_nijenhuis``
-are the independent reference the tests compare it against.
+keeps one per structure (``clifford._Store``), shared by every family.  A
+``BoundTensor`` carries only such records, and ``_kernel_setup`` has one
+path: it lifts them to the family's base and reads or multiplies their
+products.  ``bind_*`` is the edge where a caller's EndFields become
+records.  The ScalarField formulas ``nijenhuis``, ``concomitant`` and
+``real_nijenhuis`` are the independent reference the tests compare it
+against, on EndFields built from the records when read.
 """
 
 from __future__ import annotations
@@ -366,56 +370,69 @@ def real_nijenhuis(G: EndField, A: Section, B: Section,
 
 @dataclass(frozen=True)
 class BoundTensor:
-    """A Nijenhuis-type tensor bound to its structures and flux."""
+    """A Nijenhuis-type tensor bound to its structures' records and flux.
+
+    numerators holds one ``_Structure`` per structure: the records of a
+    triple's numerator store (``clifford._Store``), or those ``bind_*``
+    converts its EndFields to.  products holds the products of the
+    structures a caller has proven, each (sign, X) for sign X with X a
+    ``_Structure`` or None for Id: (S S,) for N_S, (I J, J I) or
+    (I J, J I, I J + J I) for N(I, J); () to multiply them
+    (``_kernel_setup``)."""
 
     kind: str                 # "nijenhuis" | "concomitant" | "real_nijenhuis"
     name: str
-    structures: tuple
+    numerators: tuple = field(repr=False)
     flux: FluxForm | None
-    # products of the structures a caller has proven, each (sign, X) for
-    # sign X with X a ``_Structure`` of the triple's store, or None for Id:
-    # (S S,) for N_S, (I J, J I) or (I J, J I, I J + J I) for N(I, J); ()
-    # to multiply them (``_kernel_setup``)
     products: tuple = field(default=(), compare=False, repr=False)
-    # the structures' records in the triple's store, () to build them
-    numerators: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def chart(self):
-        return self.structures[0].chart
+        return self.numerators[0].base.chart
+
+    @cached_property
+    def structures(self):
+        """The structures as EndFields, built from the records when first
+        read: the ScalarField reference route of ``evaluate``."""
+        return tuple(S.endfield(self.flux) for S in self.numerators)
 
     def evaluate(self, A: Section, B: Section) -> Section:
-        if self.kind == "nijenhuis":
-            return nijenhuis(self.structures[0], A, B, self.flux)
-        if self.kind == "concomitant":
-            return concomitant(self.structures[0], self.structures[1], A, B,
-                               self.flux)
-        return real_nijenhuis(self.structures[0], A, B, self.flux)
+        formula = {"nijenhuis": nijenhuis, "concomitant": concomitant,
+                   "real_nijenhuis": real_nijenhuis}[self.kind]
+        return formula(*self.structures, A, B, self.flux)
+
+
+def _records(*structs):
+    """The EndFields as ``_Structure``s over their own bases
+    (``_Structure.of``): ``bind_*`` is the edge where a caller's EndFields
+    become records, once each."""
+    bases = {}
+    return tuple(_Structure.of(E, bases) for E in structs)
 
 
 def bind_nijenhuis(J: EndField, name: str = "N(J,J)",
-                   flux: FluxForm | None = None,
-                   square: tuple | None = None) -> BoundTensor:
-    """N_J; square is J J as (sign, X) (``BoundTensor.products``) when the
-    caller has proven it."""
-    return BoundTensor("nijenhuis", name, (J,), _common_flux(J, override=flux),
-                       () if square is None else (square,))
+                   flux: FluxForm | None = None) -> BoundTensor:
+    """N_J, J converted once to its record over its own base
+    (``_records``); its square is multiplied in the setup."""
+    return BoundTensor("nijenhuis", name, _records(J),
+                       _common_flux(J, override=flux))
 
 
 def bind_concomitant(I: EndField, J: EndField, name: str = "N(I,J)",
-                     flux: FluxForm | None = None,
-                     products: tuple = ()) -> BoundTensor:
-    """N(I, J); products is (I J, J I) as (sign, X) pairs
-    (``BoundTensor.products``) when the caller has proven them."""
-    return BoundTensor("concomitant", name, (I, J),
-                       _common_flux(I, J, override=flux), products)
+                     flux: FluxForm | None = None) -> BoundTensor:
+    """N(I, J), I and J converted once to their records over their own
+    bases (``_records``); their products are multiplied in the setup."""
+    return BoundTensor("concomitant", name, _records(I, J),
+                       _common_flux(I, J, override=flux))
 
 
 def bind_real_nijenhuis(G: EndField, name: str = "N_G",
                         flux: FluxForm | None = None) -> BoundTensor:
+    """N_G of an involution G, converted once to its record over its own
+    base (``_records``); its square is multiplied in the setup."""
     if not _is_involution(G):
         raise ValueError("structure is not an involution (G^2 != Id)")
-    return BoundTensor("real_nijenhuis", name, (G,),
+    return BoundTensor("real_nijenhuis", name, _records(G),
                        _common_flux(G, override=flux))
 
 
@@ -650,7 +667,8 @@ class _Structure:
     A triple's structures (``clifford._Store``) are kept over their own
     bases (``own``), one base object per polynomial m, so that the
     families over one base share one base object and one record per
-    structure.  A polynomial structure is over the unit base, so a
+    structure; ``of`` puts a caller's EndField over its own base the same
+    way (``bind_*``).  A polynomial structure is over the unit base, so a
     constant one keeps the constant layout (``K.mat_apply_const``) and
     plain partials."""
 
@@ -658,20 +676,25 @@ class _Structure:
         self.base, self.rows, self.cache = base, rows, {}
 
     @classmethod
+    def of(cls, E, bases):
+        """E's numerators over its own base, the base ``_PowerDen.lcm``
+        gives its entries, taken from bases (by m)."""
+        own = _PowerDen.lcm(E.chart, [f for row in E.entries for f in row])
+        own = bases.setdefault(frozenset(own.m.items()), own)
+        return cls(own, own.numerators(E))
+
+    @classmethod
     def own(cls, base, rows, k, bases):
         """The structure with the numerators rows over base.m^k, over its
         own base, taken from bases (by m): the unit base when m is a
         constant, so that the structure is polynomial (its rows divided by
-        m^k), else the base ``_PowerDen.lcm`` gives its entries in lowest
-        terms (each normalized once, here)."""
+        m^k), else its entries' base (``of``; each entry normalized once,
+        here)."""
         mk = base.mpow(k)
         if any(mk):
-            E = _PowerDen(base.chart, mk).endfield(rows)
-            own = _PowerDen.lcm(base.chart, [f for r in E.entries for f in r])
-            rows = own.numerators(E)
-        else:
-            own, c = _PowerDen(base.chart), K.c_inv(mk[0])
-            rows = [[K.p_scale(p, c) for p in row] for row in rows]
+            return cls.of(_PowerDen(base.chart, mk).endfield(rows), bases)
+        own, c = _PowerDen(base.chart), K.c_inv(mk[0])
+        rows = [[K.p_scale(p, c) for p in row] for row in rows]
         return cls(bases.setdefault(frozenset(own.m.items()), own), rows)
 
     @cached_property
@@ -689,6 +712,11 @@ class _Structure:
     @cached_property
     def skew(self):
         return _skew_adjoint(self.rows)
+
+    def endfield(self, flux=None):
+        """The EndField of these numerators over m, with flux
+        (``_PowerDen.endfield``)."""
+        return self.base.endfield(self.rows, flux)
 
     def apply(self, A):
         app = K.mat_apply_const if self.const else K.mat_apply_poly
@@ -724,65 +752,43 @@ class _Structure:
 
 def _family_base(*tensors):
     """The base of the tensors, one family or a family and its partner:
-    the one base of the structures' records in a triple's store
-    (``BoundTensor.numerators``) when every structure has a record, they
-    share it and there is no flux; else the LCM of the denominators of the
-    structures' entries and of the flux coefficients (``_PowerDen.lcm``)."""
-    bases = {S.base for t in tensors for S in t.numerators}
-    flux = {} if tensors[0].flux is None else tensors[0].flux.H.coeffs
-    if len(bases) == 1 and all(t.numerators for t in tensors) and not flux:
-        return bases.pop()
-    return _PowerDen.lcm(tensors[0].chart, [
-        f for t in tensors for S in t.structures for row in S.entries
-        for f in row] + list(flux.values()))
+    the one base of their records (``BoundTensor.numerators``) when they
+    share it and there is no flux; else the LCM (``_PowerDen.lcm``) of the
+    records' bases m_i, as the fields 1/m_i, and of the flux coefficients.
+    The records over the unit base enter as 1/D, D the LCM of their
+    coefficients' denominators, so that their rows are integral over any
+    other base the LCM gives.  No structure entry is normalized."""
+    chart, flux = tensors[0].chart, tensors[0].flux
+    flux = {} if flux is None else flux.H.coeffs
+    recs = [S for t in tensors for S in t.numerators]
+    if len({S.base for S in recs}) == 1 and not flux:
+        return recs[0].base
+    D = _den_lcm(c for S in recs if S.base.unit
+                 for row in S.rows for p in row for c in p.values())
+    return _PowerDen.lcm(chart, [
+        ScalarField(Poly.one(chart), Poly(chart, base.m))
+        for base in dict.fromkeys(S.base for S in recs if not S.base.unit)]
+        + [ScalarField.constant(chart, Fraction(1, D))] + list(flux.values()))
 
 
 def _kernel_setup(tensor: BoundTensor, base: _PowerDen | None = None):
     """(mats, kflux, structs, square) for _eval_kernel and _tensoriality:
-    the base (``_family_base`` unless given), the structures over it as
-    ``_Structure``s (the records of the triple's store the tensor carries,
-    lifted by ``_Structure.over``, or else their numerators over it), the
-    flux coefficients as numerators over m^1
-    (None for zero flux), and the dense numerators over m^2 of S S for one
-    structure S, of I J + J I for a concomitant N(I, J).  The products the
-    tensor carries as proven (``BoundTensor.products``) are read over the
-    base, as signed rows of the store, not multiplied."""
+    the base (``_family_base`` unless given), the tensor's records lifted
+    to it (``_Structure.over``), the flux coefficients as numerators over
+    m^1 (None for zero flux), and the dense numerators over m^2 of S S for
+    one structure S, of I J + J I for a concomitant N(I, J), whose
+    mats["products"] holds the dense I J and J I over m^2.  The products
+    the tensor carries as proven (``BoundTensor.products``) are read over
+    the base, as signed rows of the store; the others are multiplied."""
     if base is None:
         base = _family_base(tensor)
-    recs = [S.over(base) for S in tensor.numerators] or [
-        _Structure(base, base.numerators(S)) for S in tensor.structures]
+    structs = [S.over(base) for S in tensor.numerators]
     flux = {} if tensor.flux is None else tensor.flux.H.coeffs
-    kflux = {idx: base.numerator(f) for idx, f in flux.items()}
-    size = len(recs[0].rows)
-    proven = [_signed_numerators(base, size, sign, X)
-              for sign, X in tensor.products]
-    return _numerator_setup(tensor.kind, base, recs, kflux or None,
-                            proven or None)
-
-
-def _signed_numerators(base, size, sign, X):
-    """sign X as dense numerators over m^2, X a ``_Structure`` or None for
-    the identity.  A product of two structures' numerators over m^1 is the
-    numerator over m^2 of their product, so when the caller has proven
-    S T = sign X this is the product S T, read instead of multiplied.  X's
-    denominators divide m^2: X = sign S T, whose entries are sums of
-    products of entries over m."""
-    if X is not None:
-        return X.signed(base, sign)
-    d = K.p_scale(base.mpow(2), (sign, 0, 1))
-    return [[d if i == j else {} for j in range(size)] for i in range(size)]
-
-
-def _numerator_setup(kind, base, structs, kflux, products=None):
-    """``_kernel_setup``'s tuple from the structures (``_Structure``s over
-    base) and the flux numerators (kflux, None for zero flux).  For a
-    concomitant, mats["products"] holds the dense I J and J I over m^2.  A
-    caller that has proven the structures' products may pass their dense
-    numerators over m^2 as products, (S S,) for N_J or N_G and (I J, J I)
-    or (I J, J I, I J + J I) for a concomitant; otherwise they are
-    multiplied."""
+    kflux = {idx: base.numerator(f) for idx, f in flux.items()} or None
+    products = [_signed_numerators(base, sign, X)
+                for sign, X in tensor.products]
     mats = {"base": base, "J": structs[-1]}
-    if kind == "concomitant":
+    if tensor.kind == "concomitant":
         I, J = structs
         IJ, JI, *square = products or (_mat_mul_terms(I.rows, J.rows),
                                        _mat_mul_terms(J.rows, I.rows))
@@ -795,6 +801,19 @@ def _numerator_setup(kind, base, structs, kflux, products=None):
         square, = products or (_mat_mul_terms(structs[0].rows,
                                               structs[0].rows),)
     return mats, kflux, structs, square
+
+
+def _signed_numerators(base, sign, X):
+    """sign X as dense numerators over m^2, X a ``_Structure`` or None for
+    the identity.  A product of two structures' numerators over m^1 is the
+    numerator over m^2 of their product, so when the caller has proven
+    S T = sign X this is the product S T, read instead of multiplied.  X's
+    denominators divide m^2: X = sign S T, whose entries are sums of
+    products of entries over m."""
+    if X is not None:
+        return X.signed(base, sign)
+    d, size = K.p_scale(base.mpow(2), (sign, 0, 1)), 2 * base.n
+    return [[d if i == j else {} for j in range(size)] for i in range(size)]
 
 
 def _identity_multiple(M, m2):
@@ -1165,33 +1184,29 @@ def _residuals(tensor: BoundTensor, degree_bound: int | None,
     the tensor at every point (pointwise); otherwise it takes degree 1 and
     yields (e_a, e_b) and (x_k e_a, e_b), which read N0 and P_k, and also
     (e_a, x_k e_b), which read Q_k, unless Q_k = 0 is proven."""
-    return _setup_residuals(tensor.kind, tensor.chart, _kernel_setup(tensor),
-                            degree_bound, pointwise)
-
-
-def _setup_residuals(kind, chart, setup, degree_bound, pointwise=False):
-    """``_residuals`` of the tensor of this kind whose ``_kernel_setup`` (or
-    ``_numerator_setup``) is setup, over chart."""
-    mats, kflux, structs, square = setup
+    mats, kflux, structs, square = _kernel_setup(tensor)
+    kind = tensor.kind
     proven = (None if degree_bound is not None else
               _tensoriality(kind, mats["base"], structs, square))
     frame = (_complex_frame(mats["base"], structs[0].rows)
              if proven == "skew" and kind == "nijenhuis" and not pointwise
              else None)
-    return _pairs(kind, chart, [(mats, kflux)], degree_bound, proven, frame)
+    return _pairs(kind, tensor.chart, [(mats, kflux)], degree_bound, proven,
+                  frame)
 
 
 def _commuting_residuals(tensor: BoundTensor, degree_bound: int | None,
                          partner: BoundTensor | None = None):
-    """(identity, base, degree, pairs) for a concomitant N(I, J) of
+    """(identity, IJ, base, degree, pairs) for a concomitant N(I, J) of
     commuting I and J, in the layout of ``_residuals``, with identity from
-    ``_commuting_symbol``.  For "difference" the pairs yield
-    N(partner) - N(I, J), otherwise N(I, J), over the LCM base of the
-    tensor and the partner; for "anomaly_matched" the caller subtracts the
-    closed form.  The certificate (degree_bound None) takes the frame pairs
-    a < b when the gate proves the residual skew; else (e_a, e_b) and
-    (x_k e_a, e_b) for the closed-form residual, whose Q_k = 0, and N's own
-    pairs (``_tensoriality``) for N itself.  A sweep takes every pair."""
+    ``_commuting_symbol`` and IJ the setup's I J over m^2.  For
+    "difference" the pairs yield N(partner) - N(I, J), otherwise N(I, J),
+    over the LCM base of the tensor and the partner; for "anomaly_matched"
+    the caller subtracts the closed form, read off IJ.  The certificate
+    (degree_bound None) takes the frame pairs a < b when the gate proves
+    the residual skew; else (e_a, e_b) and (x_k e_a, e_b) for the
+    closed-form residual, whose Q_k = 0, and N's own pairs
+    (``_tensoriality``) for N itself.  A sweep takes every pair."""
     chart = tensor.chart
     if partner is None:
         setups = [_kernel_setup(tensor)]
@@ -1209,9 +1224,8 @@ def _commuting_residuals(tensor: BoundTensor, degree_bound: int | None,
         proven = ("skew" if skew else "second_slot"
                   if identity == "anomaly_matched" else
                   _tensoriality(tensor.kind, base, structs, square))
-    return (identity,) + _pairs(tensor.kind, chart,
-                                [s[:2] for s in setups], degree_bound,
-                                proven)
+    return (identity, mats["products"][0]) + _pairs(
+        tensor.kind, chart, [s[:2] for s in setups], degree_bound, proven)
 
 
 def _pair_plan(chart, degree_bound, proven, frame=None):

@@ -39,12 +39,10 @@ from functools import cache
 from ._core import kernel as K
 from .scalar import Chart, GaussianRational, Poly, ScalarField
 from .cartan import KForm
-from .gcs import (EndField, _PowerDen, _Structure, _den_lcm,
-                  _numerator_setup, _setup_residuals, _signed_numerators,
-                  bind_concomitant, generator_labels, is_almost_gcs,
-                  vanishes)
+from .gcs import (BoundTensor, EndField, _PowerDen, _Structure, _den_lcm,
+                  _residuals, generator_labels, is_almost_gcs, vanishes)
 from .clifford import (CliffordTriple, SuiteReport, TripleStatus, _store,
-                       check_relations, induce, project)
+                       check_relations, induce, levi_civita, project)
 
 
 @dataclass(frozen=True)
@@ -283,7 +281,16 @@ def theorem_1_2(T: CliffordTriple) -> SuiteReport:
     N(J_i, J_j) and N(K_i, J_j) are, the generator tensor N_{K_i} is
     N(K_i, K_i) as K_i^2 = -Id, and the commuting families' anomaly is
     that of W = K_i K_i = -Id, which is zero.  So the rotated suite passes
-    at (zeta1, zeta2) iff N(K_i, K_j) = 0 there for all i, j.
+    at (zeta1, zeta2) iff N(K_i, K_j) = 0 there for all i, j.  The same
+    identities give the products of the 24 families of (c), which are
+    read, not multiplied (``theorem_1_2_families``): for every a, b and
+    X_ab = I_a^+ + I_b^-,
+
+        I_a^+ I_b^- = I_b^- I_a^+ = 0,
+        X_ab X_ab = (I_a^+)^2 + I_a^+ I_b^- + I_b^- I_a^+ + (I_b^-)^2
+                  = -G^+ - G^- = -Id,
+
+    and for a < b, I_a^s I_b^s = e_abc I_c^s = -I_b^s I_a^s.
 
     (c) The concomitant N(X, Y) is R-bilinear and symmetric in (X, Y), so
 
@@ -295,8 +302,8 @@ def theorem_1_2(T: CliffordTriple) -> SuiteReport:
 
     - the 9 mixed N(I_a^+, I_b^-);
     - the 6 N(I_a^s, I_b^s) with a < b;
-    - the 9 N(X_ab, X_ab), X_ab = I_a^+ + I_b^-, which given the mixed
-      ones is N(I_a^+, I_a^+) + N(I_b^-, I_b^-).
+    - the 9 N(X_ab, X_ab), which given the mixed ones is
+      N(I_a^+, I_a^+) + N(I_b^-, I_b^-).
 
     If they vanish, N(I_a^+, I_a^+) = -N(I_b^-, I_b^-) = lambda for all
     a, b, and N(K_i, K_j) = lambda (t_i.t_j - s_i.s_j) = 0.  Conversely,
@@ -307,10 +314,10 @@ def theorem_1_2(T: CliffordTriple) -> SuiteReport:
     quadratic forms constant multiples of |.|^2, which is the rest.
 
     (d) In each of the 24 pairs (X, Y) both structures are skew-adjoint
-    and XY + YX is a constant multiple of Id (0, 0 and -2 Id), so each
-    family is C-infinity-bilinear and skew, and ``gcs.vanishes`` decides
-    it on the n(2n - 1) frame pairs a < b: 24 n(2n - 1) checks (672 at
-    n = 4, 2,880 at n = 8).
+    and XY + YX is a constant multiple of Id (0, 0 and -2 Id, by (b)), so
+    each family is C-infinity-bilinear and skew, and ``gcs.vanishes``
+    decides it on the n(2n - 1) frame pairs a < b: 24 n(2n - 1) checks
+    (672 at n = 4, 2,880 at n = 8).
 
     A failed (a) or a failed projection identity fails the report with no
     families, its note naming the failure.
@@ -319,25 +326,38 @@ def theorem_1_2(T: CliffordTriple) -> SuiteReport:
     if bad:
         return SuiteReport("theorem_1_2", "fail", [],
                            "rotation field not in SO(3): " + ", ".join(bad))
-    proj = project(induce(T), T)
-    if not proj.identities_ok:
+    if not project(induce(T), T).identities_ok:
         return SuiteReport("theorem_1_2", "fail", [],
                            "projection identities (G+-, I_i+-) fail")
-    P, M = proj.Ip, proj.Im
-    pairs = [(f"N(I{a + 1}+,I{b + 1}-)", P[a], M[b])
-             for a in range(3) for b in range(3)]
-    pairs += [(f"N(I{a + 1}{sg},I{b + 1}{sg})", F[a], F[b])
-              for sg, F in (("+", P), ("-", M))
-              for a in range(3) for b in range(a + 1, 3)]
-    pairs += [(f"N(X{a + 1}{b + 1},X{a + 1}{b + 1})", X, X)
-              for a in range(3) for b in range(3) for X in (P[a] + M[b],)]
-    families = [vanishes(bind_concomitant(X, Y, name, T.flux))
-                for name, X, Y in pairs]
+    families = [vanishes(fam) for fam in theorem_1_2_families(T)]
     ok = all(r.vanished for r in families)
     return SuiteReport("theorem_1_2", "pass" if ok else "fail", families,
                        "24 sector-generator families by the Leibniz-symbol "
                        "certificate: every (zeta1, zeta2), all smooth "
                        "sections")
+
+
+def theorem_1_2_families(T: CliffordTriple):
+    """The 24 families of ``theorem_1_2`` (c), in its order: the 9
+    N(I_a+, I_b-), the 6 N(I_a s, I_b s) with a < b for s = +, -, and the
+    9 N(X_ab, X_ab).  Each is bound to its structures' records in T's
+    numerator store and carries its products I J, J I and I J + J I as
+    (b) proves them from ``project``'s identities, which the caller must
+    have verified; so no product is multiplied."""
+    store = _store(T)
+    ab = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+
+    def bind(A, B, s, t, X=None):
+        # A B = s X and B A = t X (X None for Id), so A B + B A = (s + t) X
+        return BoundTensor("concomitant", f"N({A},{B})", (store[A], store[B]),
+                           T.flux, ((s, X), (t, X), (s + t, X)))
+
+    def sector(a, b, sg):   # I_a I_b = e_abc I_c = -I_b I_a in sector sg
+        e = levi_civita(a, b, 6 - a - b)
+        return bind(f"I{a}{sg}", f"I{b}{sg}", e, -e, store[f"I{6-a-b}{sg}"])
+    return ([bind(f"I{a}+", f"I{b}-", 0, 0) for a, b in ab]
+            + [sector(a, b, sg) for sg in "+-" for a, b in ab if a < b]
+            + [bind(f"X{a}{b}", f"X{a}{b}", -1, -1) for a, b in ab])
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +643,11 @@ def _twistor_numerators(T: CliffordTriple):
     return Z, base, rows
 
 
-def _twistor_square(base: _PowerDen, size: int):
-    """(Ihat (+) J_sphere)^2 as numerators over m^2: -m^2 Id, from the
-    proof, with no product taken.
+def _twistor_tensor(T: CliffordTriple):
+    """(Z, N_J): the product chart and the Nijenhuis tensor of
+    J = Ihat (+) J_sphere, bound to its numerators over the sphere base m
+    (``_twistor_numerators``) and to its square -Id, read as -m^2 Id with
+    no product taken.
 
     ``_ihat`` refuses every triple whose projection identities fail and
     checks |c|^2 = |d|^2 = 1, and identities_ok gives
@@ -640,7 +662,9 @@ def _twistor_square(base: _PowerDen, size: int):
     ``SPHERE_PATTERN`` squares to -Id (``sphere_gcs`` checks it on the
     EndField), and the two blocks act on disjoint coordinates of the
     product chart."""
-    return _signed_numerators(base, size, -1, None)
+    Z, base, rows = _twistor_numerators(T)
+    return Z, BoundTensor("nijenhuis", "N(Ihat+J_sphere)",
+                          (_Structure(base, rows),), None, ((-1, None),))
 
 
 def twistor_structure(T: CliffordTriple) -> EndField:
@@ -679,7 +703,7 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
     (``_twistor_numerators``), all with Gaussian-integer coefficients.
     With degree_bound None (the default) this is the symbol certificate:
     the structure squares to -Id, which follows from what ``_ihat`` checks
-    and from ``SPHERE_PATTERN`` (``_twistor_square``; the square is not
+    and from ``SPHERE_PATTERN`` (``_twistor_tensor``; the square is not
     multiplied out), and is skew-adjoint for the pairing, checked exactly
     on its numerators, so its Nijenhuis tensor is C-infinity-bilinear and
     skew, and the frame pairs (e_a, e_b) with a < b decide it for all
@@ -712,13 +736,11 @@ def theorem_1_3(T: CliffordTriple, degree_bound: int | None = None,
     if T.flux is not None and not T.flux.is_zero:
         return TwistorReport("inconclusive",
                              note="twistor sweep implemented for zero flux")
-    Z, base, rows = _twistor_numerators(T)
+    Z, tensor = _twistor_tensor(T)
     n = T.chart.dim
     rep = TwistorReport("pass", mode="sampled" if samples else "symbolic")
-    setup = _numerator_setup("nijenhuis", base, [_Structure(base, rows)],
-                             None, (_twistor_square(base, len(rows)),))
-    _, degree, pairs = _setup_residuals("nijenhuis", Z, setup, degree_bound,
-                                        pointwise=bool(samples))
+    _, degree, pairs = _residuals(tensor, degree_bound,
+                                  pointwise=bool(samples))
     labels = None           # built at the first witness
     # (witness prefix, point or None for the symbolic zero test, note)
     if samples:

@@ -633,13 +633,18 @@ class TestProductTable:
     def test_13_kernel_products_and_none_in_the_setups(self, monkeypatch):
         # hk4b: 12 products for the relations, 1 more (G) for the induced
         # algebra, none for the projections or for theorem_1_1's choice of
-        # the commuting families; once the table exists, verify_triple and
-        # theorem_1_1 read every setup product off it and multiply none
+        # the commuting families; once the table exists, verify_triple,
+        # theorem_1_1 and theorem_1_2 read every setup product off it and
+        # multiply none, and bind the store's records, so they construct
+        # no EndField either (on the rational B-field triple the store
+        # builds its non-polynomial records through EndFields)
         from gencliff import clifford, gcs
+        from gencliff.twistor import theorem_1_2
         from tests.test_twistor import hk4b_triple
         T = CliffordTriple(*hk4b_triple().generators)     # no table yet
         P = product_flip()
-        calls, setup_calls = [], []
+        R = rational_bfield_triple()
+        calls, setup_calls, made = [], [], []
         real = clifford._mat_mul_terms
         monkeypatch.setattr(clifford, "_mat_mul_terms",
                             lambda A, B: calls.append(1) or real(A, B))
@@ -649,23 +654,33 @@ class TestProductTable:
         def refuse(self, other):
             raise AssertionError("EndField product")
         monkeypatch.setattr(EndField, "__matmul__", refuse)
+        init = EndField.__init__
+        monkeypatch.setattr(EndField, "__init__", lambda self, *a, **kw: (
+            made.append(1), init(self, *a, **kw))[1])
         T = T.with_status(clifford.TripleStatus(check_relations(T), ()))
         assert len(calls) == 12
         project(induce(T), T)
         assert len(calls) == 13
+        made.clear()
         assert theorem_1_1(verify_triple(T)).status == "pass"
-        assert len(calls) == 13 and setup_calls == []
+        assert theorem_1_2(T).status == "pass"
+        assert len(calls) == 13 and setup_calls == [] and made == []
         check_relations(P)
         calls.clear()
         assert theorem_1_1(verify_triple(P)).status == "pass"
         assert len(calls) == 1 and setup_calls == []    # G alone
+        R = R.with_status(clifford.TripleStatus(check_relations(R), ()))
+        project(induce(R), R)
+        calls.clear()
+        assert theorem_1_2(R).status == "pass"
+        assert calls == [] and setup_calls == []
 
     @pytest.mark.parametrize(
         "name", [k for k in table_triples() if k != "broken"])
     def test_read_products_are_the_numerator_products(self, name):
         # every family's setup reads I J, J I and I J + J I (and
         # verify_triple's setups S S) off the table, as signed rows of the
-        # numerator store;
+        # numerator store: theorem_1_1's 21 families and theorem_1_2's 24;
         # over the family's own base, and over the base a diagonal family
         # shares with its partner, they must be the products of its
         # numerators entry by entry
@@ -673,9 +688,11 @@ class TestProductTable:
         from gencliff import gcs
         from gencliff.clifford import (_DIAGONAL, _store,
                                        theorem_1_1_families)
+        from gencliff.twistor import theorem_1_2_families
         T = verify_triple(table_triples()[name]())
         fams = theorem_1_1_families(T, induce(T))
-        for k, fam in enumerate(fams):
+        assert project(induce(T), T).identities_ok
+        for k, fam in enumerate(fams + theorem_1_2_families(T)):
             assert len(fam.products) == 3, fam.name
             both = gcs._family_base(fams[_DIAGONAL[0]], fam)
             for base in (None, both) if k in _DIAGONAL else (None,):
@@ -686,11 +703,10 @@ class TestProductTable:
                 plain = gcs._kernel_setup(
                     dataclasses.replace(fam, products=()), base)
                 assert square == plain[3], fam.name
-        for i, E in enumerate(T.generators):
-            tensor = dataclasses.replace(
-                gcs.bind_nijenhuis(E, f"N(I{i+1},I{i+1})", T.flux,
-                                   (-1, None)),
-                numerators=(_store(T)[f"I{i+1}"],))
+        for i in range(3):
+            tensor = gcs.BoundTensor("nijenhuis", f"N(I{i+1},I{i+1})",
+                                     (_store(T)[f"I{i+1}"],), T.flux,
+                                     ((-1, None),))
             _, _, (S,), square = gcs._kernel_setup(tensor)
             assert square == gcs._mat_mul_terms(S.rows, S.rows)
 
@@ -699,21 +715,26 @@ class TestProductTable:
     def test_read_products_give_the_generic_reports(self, name,
                                                     monkeypatch):
         # the same bound tensors, with their products multiplied by the
-        # generic _kernel_setup path, give equal reports
-        import dataclasses
-        from gencliff import clifford, gcs
+        # generic _kernel_setup path, give equal reports; so do theorem_1_2's
+        # families set up from their EndFields (tests/setup_oracle.py)
+        from gencliff import clifford, gcs, twistor
+        from tests.setup_oracle import kernel_setup
         T = table_triples()[name]()
         read = verify_triple(T)
-        suite = theorem_1_1(read)
-        real = clifford.theorem_1_1_families
-        monkeypatch.setattr(clifford, "theorem_1_1_families", lambda T, ind: [
-            dataclasses.replace(f, products=()) for f in real(T, ind)])
-        monkeypatch.setattr(clifford, "bind_nijenhuis",
-                            lambda E, name, flux, square:
-                            gcs.bind_nijenhuis(E, name, flux))
+        suite, rotations = theorem_1_1(read), twistor.theorem_1_2(read)
+        assert rotations.status == "pass"
+
+        def unproven(kind, name, records, flux, products=()):
+            return gcs.BoundTensor(kind, name, records, flux)
+        monkeypatch.setattr(clifford, "BoundTensor", unproven)
+        monkeypatch.setattr(twistor, "BoundTensor", unproven)
         plain = verify_triple(T)
         assert read.status == plain.status
         assert suite == theorem_1_1(plain)
+        assert rotations == twistor.theorem_1_2(plain)
+        monkeypatch.undo()
+        monkeypatch.setattr(gcs, "_kernel_setup", kernel_setup)
+        assert rotations == twistor.theorem_1_2(verify_triple(T))
 
     def test_table_ok_is_the_clifford_verdict(self):
         # P^-1 I_i P for a constant P that is not orthogonal keeps the
@@ -792,6 +813,8 @@ def oracle_structures(T):
                    T.generators + (J1, J2, J3, G, Gp, Gm)))
     for l in range(3):
         out[f"I{l + 1}+"], out[f"I{l + 1}-"] = Ip[l], Im[l]
+        for b in range(3):
+            out[f"X{l + 1}{b + 1}"] = Ip[l] + Im[b]
     return out
 
 

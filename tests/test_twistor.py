@@ -10,10 +10,9 @@ from gencliff import twistor
 from gencliff._core import kernel as K
 from gencliff.scalar import GaussianRational, Poly, ScalarField
 from gencliff.courant import Section, dorfman
-from gencliff.gcs import (EndField, _PowerDen, _Structure,
-                          _kernel_generators, _mat_mul_terms,
-                          _numerator_setup, _operand,
-                          _residuals, _setup_residuals, _sparse_rows,
+from gencliff.gcs import (EndField, _PowerDen,
+                          _kernel_generators, _kernel_setup, _mat_mul_terms,
+                          _operand, _residuals, _sparse_rows,
                           bind_nijenhuis, generator_labels, is_almost_gcs,
                           vanishes)
 from gencliff.clifford import induce, project, theorem_1_1, verify_triple
@@ -617,13 +616,13 @@ class TestTheorem13:
     def test_square_from_the_proof_is_the_product(self, monkeypatch, build,
                                                   flip):
         # theorem_1_3 hands -m^2 Id to the skew gate as the square of the
-        # twistor structure's numerators over m (_twistor_square) instead
+        # twistor structure's numerators over m (_twistor_tensor) instead
         # of multiplying them: it is their product, with either orientation
         if flip:
             flip_orientation(monkeypatch)
-        _, base, rows = twistor._twistor_numerators(build())
-        assert twistor._twistor_square(base, len(rows)) == \
-            _mat_mul_terms(rows, rows)
+        _, tensor = twistor._twistor_tensor(build())
+        _, _, (S,), square = _kernel_setup(tensor)
+        assert square == _mat_mul_terms(S.rows, S.rows)
 
 
 def refuse_merge(*args):
@@ -653,18 +652,17 @@ class TestIntegralBase:
         # pair a < b (pointwise, so more brackets than the certificate's);
         # no accumulator merges two denominators on the way
         T = build()
-        Z, base, rows = twistor._twistor_numerators(T)
+        Z, tensor = twistor._twistor_tensor(T)
+        (rec,) = tensor.numerators
+        base, rows = rec.base, rec.rows
         monkeypatch.setattr(K, "_merge", refuse_merge)
         assert integral(base.m, *(p for row in rows for p in row))
-        setup = _numerator_setup("nijenhuis", base, [_Structure(base, rows)],
-                                 None,
-                                 (twistor._twistor_square(base, len(rows)),))
+        setup = _kernel_setup(tensor)
         for A in _kernel_generators(Z, 0):
             for S, jac in _operand("nijenhuis", setup[0], A):
                 assert integral(*S)
                 assert integral(*(d for row in jac if row for d in row))
-        _, _, pairs = _setup_residuals("nijenhuis", Z, setup, None,
-                                       pointwise=True)
+        _, _, pairs = _residuals(tensor, None, pointwise=True)
         count = 0
         for _, _, P in pairs:
             assert integral(*P)
