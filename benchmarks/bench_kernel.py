@@ -11,7 +11,8 @@ bracket of an M-frame and a sphere-frame operand (``mat_apply_poly``, as
 ``theorem_1_3`` applies them), the pair evaluations of ``theorem_1_3``'s
 certificate on the seed-0 hk4b triple of ``perfbench/workloads.py`` (12
 frame pairs of integral numerators over the sphere base, each operand's
-image and Jacobians built on first use), the relations, induced and
+image and plain Jacobians built on first use, each bracket taken by the
+Leibniz rules, ``gcs._PowerDen.dorfman``), the relations, induced and
 theorem11 suites' algebra on that triple (``check_relations``, ``induce``,
 ``project``, ``verify_triple`` and ``theorem_1_1`` on a fresh copy, which
 must take the 13 products of the triple's product table and none more, set
@@ -108,15 +109,16 @@ def make_endfields(rng, count, n=4):
 def make_twistor_bracket():
     """The twistor structure of hyperkahler_r4 as polynomial numerator rows
     over the sphere base, and the bracket [J d_x1, J d_u1] of the images of
-    an M-frame and a sphere-frame section, built as gcs._residuals builds
-    them."""
+    an M-frame and a sphere-frame section over m^2, built as
+    gcs._residuals builds them: J d_x1 over m^1, J d_u1 = m d_v1 as the
+    constant d_v1 over m^0 (``_PowerDen.operand``), bracketed by
+    ``_PowerDen.dorfman``."""
     E = twistor_structure(verify_triple(hyperkahler_r4()))
     mats = _kernel_setup(bind_nijenhuis(E))[0]
     frames = _kernel_generators(E.chart, 0)
-    _, (ja, dja) = _operand("nijenhuis", mats, frames[0])
-    _, (jb, djb) = _operand("nijenhuis", mats, frames[4])
-    return mats["J"].kernel, K.sec_dorfman(E.chart.dim, ja, jb, None, dja,
-                                           djb)
+    _, ja = _operand("nijenhuis", mats, frames[0])
+    _, jb = _operand("nijenhuis", mats, frames[4])
+    return mats["J"].kernel, mats["base"].dorfman(ja, jb, None, 2)
 
 
 def hk4b_triple():

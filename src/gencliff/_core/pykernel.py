@@ -36,8 +36,11 @@ Data layout:
 
   jacobian     list of 2n entries, one per section component: None when all
                of the component's partial derivatives are zero, else the
-               list of its n partial derivatives (the derivative by x_t at
-               index t).
+               list of its n plain partial derivatives (the derivative by
+               x_t at index t).  Over a fixed-denominator base the
+               numerators' plain partials are all a bracket needs: the power
+               of the base enters through gcs._PowerDen.dorfman's rank-one
+               corrections, never through a Jacobian entry.
 
 All public functions are pure: inputs are never mutated, and no output
 shares a dict with an input.
@@ -435,23 +438,14 @@ def flux_contract(n, X, Y, H):
     return out
 
 
-def sec_jacobian(n, A, diff=p_diff):
+def sec_jacobian(n, A):
     """Jacobian of a section: entry c is None when every partial of A[c] is
-    zero (so when A[c] is zero), else the list [diff(A[c], t) for t in
-    range(n)].
-
-    diff defaults to plain partials; the fixed-denominator sweeps of gcs
-    pass quotient-rule derivatives (numerators of d/dx_t (A[c] / m^k) over
-    m^(k+1)).  Entry c is then None only when those numerators vanish: a
-    constant A[c] over m^k with k >= 1 has the partials -k A[c] d_t m, which
-    are not zero for a nonconstant m.  Sweeps build each operand's Jacobian
-    once and reuse it for every bracket the operand enters.
-    """
-    # with plain partials, A[c] has a nonzero partial iff it has a
-    # nonconstant monomial (a nonzero packed key), so no diff is called on
-    # a constant component
-    rows = ([diff(a, t) for t in range(n)]
-            if a and (diff is not p_diff or any(a)) else () for a in A)
+    zero (so when A[c] is zero or constant), else the list
+    [p_diff(A[c], t) for t in range(n)].  Sweeps build each operand's
+    Jacobian once and reuse it for every bracket the operand enters."""
+    # A[c] has a nonzero partial iff it has a nonconstant monomial (a
+    # nonzero packed key), so no p_diff is called on a constant component
+    rows = ([p_diff(a, t) for t in range(n)] if any(a) else () for a in A)
     return [row if any(row) else None for row in rows]
 
 
@@ -464,21 +458,18 @@ def sec_dorfman(n, A, B, H=None, dA=None, dB=None):
       (i_Y dxi)_i  = sum_j Y^j (d xi_i/dx_j - d xi_j/dx_i)
 
     dA and dB are the Jacobians of A and of B (``sec_jacobian``); None means
-    plain partials.  The fixed-denominator sweeps of gcs pass quotient-rule
-    Jacobians: A and B are then the numerators of P / m^j and Q / m^k, H
-    holds the flux numerators over m, and the result is the numerator of
-    the bracket over m^(j+k+1).
+    they are taken here.  Over a fixed-denominator base other than the unit,
+    gcs._PowerDen.dorfman calls this with no flux on the numerators of
+    P / m^j and Q / m^k and their plain Jacobians, and adds the power of m
+    itself.
 
     Every term above but the H-twist is a component times one entry of dA
-    or dB, quotient-rule entries included.  So when every entry of both
-    Jacobians is None and H is empty the bracket is zero, and the zero
-    section is returned with no product taken: for constant sections over
-    the unit base, the frame pairs of the symbol certificates.  The test
-    reads the Jacobians, never the sections, since a constant numerator
-    over m^k, k >= 1, has nonzero partials.  Otherwise each output
-    component sums its term products, over the nonzero components of the
-    operands only, unnormalized in one accumulator, as ``p_dot`` does, and
-    is normalized once.
+    or dB.  So when every entry of both Jacobians is None and H is empty
+    the bracket is zero, and the zero section is returned with no product
+    taken: for constant sections, the frame pairs of the symbol
+    certificates.  Otherwise each output component sums its term products,
+    over the nonzero components of the operands only, unnormalized in one
+    accumulator, as ``p_dot`` does, and is normalized once.
     """
     if dA is None:
         dA = sec_jacobian(n, A)
@@ -525,16 +516,22 @@ def sec_dorfman(n, A, B, H=None, dA=None, dB=None):
     return out
 
 
-def sec_jacobi_residual(n, A, B, C, H, AB, AC, BC):
+def sec_jacobi_residual(n, A, B, C, H, AB, AC, BC, bracket=None):
     """[A,[B,C]] - [[A,B],C] - [B,[A,C]] given the cached inner brackets.
 
-    Every operand is a (section, Jacobian) pair, so no derivative is taken
+    Every operand carries its Jacobian at index 1, so no derivative is taken
     here: the sweep builds each generator's and each cached bracket's
-    Jacobian once.
+    Jacobian once.  bracket(X, Y) brackets two operands; None means
+    sec_dorfman with the flux H on (section, Jacobian) pairs.  Over a
+    fixed-denominator base the caller passes gcs._PowerDen.dorfman, on its
+    (numerators, Jacobian, power) operands.
     """
-    t1 = sec_dorfman(n, A[0], BC[0], H, A[1], BC[1])
-    t2 = sec_dorfman(n, AB[0], C[0], H, AB[1], C[1])
-    t3 = sec_dorfman(n, B[0], AC[0], H, B[1], AC[1])
+    if bracket is None:
+        def bracket(X, Y):
+            return sec_dorfman(n, X[0], Y[0], H, X[1], Y[1])
+    t1 = bracket(A, BC)
+    t2 = bracket(AB, C)
+    t3 = bracket(B, AC)
     for a, b, c in zip(t1, t2, t3):
         if b:
             _p_isub(a, b)

@@ -506,7 +506,9 @@ def suite_axioms(model, cfg):
     LCM of the flux coefficients' denominators (``_PowerDen``; m = 1 for a
     polynomial flux): frames over m^0, the (L), (X) and frame brackets over
     m^1, Jacobi terms over m^2.  A section is zero iff its numerator is.
-    The untwisted round runs over m = 1.
+    Every bracket, the Jacobi terms' included, is ``_PowerDen.dorfman`` on
+    plain Jacobians, the power of m added by the Leibniz rules; over m = 1
+    it is ``K.sec_dorfman`` itself.  The untwisted round runs over m = 1.
     """
     chart = model.chart
     rounds = [("untwisted", _PowerDen(chart), None)]
@@ -542,8 +544,8 @@ def _axiom_checks(chart, base, kflux):
         sec[a] = p
         return sec
 
-    def br(A, B):
-        return K.sec_dorfman(n, A[0], B[0], kflux, A[1], B[1])
+    def br(A, B, power=1):
+        return base.dorfman(A, B, kflux, power)
 
     def times(P, k):
         return [K.p_mul(p, x[k]) if p else {} for p in P]
@@ -623,7 +625,8 @@ def _axiom_checks(chart, base, kflux):
         for b in range(size):
             for c in range(size):
                 res = K.sec_jacobi_residual(n, e[a], e[b], e[c], kflux,
-                                            TT[a][b], TT[a][c], TT[b][c])
+                                            TT[a][b], TT[a][c], TT[b][c],
+                                            lambda X, Y: br(X, Y, 2))
                 yield None if K.sec_is_zero(res) else (
                     "Jacobi", (frames[a], frames[b], frames[c]))
 

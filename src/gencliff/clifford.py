@@ -229,13 +229,11 @@ class _ProductTable:
         return J, G, all(c.ok for c in self.relations.checks[:6])
 
     def rows(self, name):
-        """(numerators over m^k, k) of the structure named I1..I3 (k = 1),
-        J1..J3 (k = 2), G (k = 3), or of a projection: I1+..I3+ and
+        """(numerators over m^k, k) of the structure named J1..J3 (k = 2),
+        G (k = 3), or of a projection: I1+..I3+ and
         I1-..I3-, (J_i +- I_i)/2 over m^2, and G+, G-, (Id +- G)/2 over
         m^3 (``project``); or of Xab = Ia+ + Ib- (a, b in 1..3), the sum
         of two projections' rows over m^2 (``twistor.theorem_1_2``)."""
-        if len(name) == 2 and name[0] == "I":
-            return self.I[int(name[1]) - 1], 1
         J, G, _ = self.induced
         if name[0] == "G":
             if name == "G":
@@ -255,22 +253,29 @@ _SIGNS = {"+": HALF, "-": K.c_neg(HALF)}
 
 
 class _Store(dict):
-    """A triple's numerator store: each structure of its product table by
-    name (``_ProductTable.rows``: I_i, J_i, G, the projections and
-    Theorem 1.2's sums X_ab = I_a+ + I_b-), built on first use as a
-    ``gcs._Structure`` over its own base (``_Structure.own``; the unit
-    base for a polynomial structure), with its kernel layout,
-    skew-adjointness verdict and generator images built once for every
-    family bound to it (``gcs._kernel_setup``).  The EndFields of
-    ``induce`` and ``project`` are built from it only when read."""
+    """A triple's numerator store: each structure of the triple by name,
+    its generators I_i and the structures of its product table
+    (``_ProductTable.rows``: J_i, G, the projections and Theorem 1.2's
+    sums X_ab = I_a+ + I_b-), built on first use as a ``gcs._Structure``
+    over its own base (the unit base for a polynomial structure), with
+    its kernel layout, skew-adjointness verdict and generator images
+    built once for every family bound to it (``gcs._kernel_setup``).  An
+    I_i is its generator's own entries (``_Structure.of``), a table
+    structure its numerators over the table's base put over its own
+    (``_Structure.own``).  The EndFields of ``induce`` and ``project``
+    are built from it only when read."""
 
-    def __init__(self, tab, flux):
-        self.tab, self.flux, self.bases = tab, flux, {}
+    def __init__(self, tab, gens, flux):
+        self.tab, self.gens, self.flux, self.bases = tab, gens, flux, {}
 
     def __missing__(self, name):
-        rows, k = self.tab.rows(name)
-        self[name] = _Structure.own(self.tab.base, rows, k, self.bases)
-        return self[name]
+        if len(name) == 2 and name[0] == "I":
+            S = _Structure.of(self.gens[int(name[1]) - 1], self.bases)
+        else:
+            rows, k = self.tab.rows(name)
+            S = _Structure.own(self.tab.base, rows, k, self.bases)
+        self[name] = S
+        return S
 
     def endfield(self, name):
         """The EndField of the structure name, each entry normalized once
@@ -289,7 +294,7 @@ def _table(T: CliffordTriple) -> _ProductTable:
 def _store(T: CliffordTriple) -> _Store:
     """T's numerator store, shared with its ``with_status`` copies."""
     if "numerators" not in T._algebra:
-        T._algebra["numerators"] = _Store(_table(T), T.flux)
+        T._algebra["numerators"] = _Store(_table(T), T.generators, T.flux)
     return T._algebra["numerators"]
 
 

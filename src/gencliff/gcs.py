@@ -50,13 +50,15 @@ the twistor certificate of Theorem 1.3 -- runs the one kernel evaluator
 ``_eval_kernel`` over a fixed-denominator base (``_PowerDen``): sections are
 numerators over powers of one polynomial m, the LCM of the denominators of
 the structures and the flux times the integer that makes every numerator
-integral, and m = 1 for polynomial input.  A structure enters as a
-``_Structure``, its numerators with what a check reads of them; a triple
-keeps one per structure (``clifford._Store``), shared by every family.  A
-``BoundTensor`` carries only such records, and ``_kernel_setup`` has one
-path: it lifts them to the family's base and reads or multiplies their
-products.  ``bind_*`` is the edge where a caller's EndFields become
-records.  The ScalarField formulas ``nijenhuis``, ``concomitant`` and
+integral, and m = 1 for polynomial input.  A bracket over that base takes
+the plain Jacobians of the numerators and adds the power of m by the
+Leibniz rules, as three rank-one corrections (``_PowerDen.dorfman``).  A
+structure enters as a ``_Structure``, its numerators with what a check
+reads of them; a triple keeps one per structure (``clifford._Store``),
+shared by every family.  A ``BoundTensor`` carries only such records, and
+``_kernel_setup`` has one path: it lifts them to the family's base and
+reads or multiplies their products.  ``bind_*`` is the edge where a
+caller's EndFields become records.  The ScalarField formulas ``nijenhuis``, ``concomitant`` and
 ``real_nijenhuis`` are the independent reference the tests compare it
 against, on EndFields built from the records when read.
 """
@@ -493,7 +495,7 @@ class _PowerDen:
 
     Zero testing needs only the numerators, so no GCD is taken once m is
     chosen.  The unit base m = 1 (``unit``) serves polynomial input: its
-    derivative is plain K.p_diff and lifting returns its argument.
+    bracket is K.sec_dorfman and lifting returns its argument.
 
     Every other base is integral: m and the numerators over m^k, k >= 1,
     of the fields it was built for have Gaussian-integer coefficients
@@ -501,9 +503,10 @@ class _PowerDen:
     denominators of the coefficients (``twistor._ihat`` does the same for
     the sphere base), and gives polynomial fields with rational
     coefficients the base m = L when asked (the product table of a
-    constant rational triple).  Products, quotient-rule derivatives
-    (m d_t P - k P d_t m) and sums of integral numerators are integral, so
-    every Jacobian, bracket and structure application of a check stays
+    constant rational triple).  Products, plain partials and sums of
+    integral numerators are integral, so every Jacobian, bracket
+    (``dorfman``, which adds the power of m by the Leibniz rules) and
+    structure application of a check stays
     integral: the kernel's accumulators add numerators over the one
     denominator 1 and never merge two denominators, and ``K.c_make``
     takes no gcd.  Scaling m by L != 0 changes no zero test, and
@@ -519,7 +522,6 @@ class _PowerDen:
         self.m = one if self.unit else m_terms
         self.dm = [K.p_diff(self.m, t) for t in range(chart.dim)]
         self._pows = {0: one, 1: dict(self.m)}
-        self._diffs = {}
         self.cache = {}     # generators' operands (``_operand``)
 
     @classmethod
@@ -561,35 +563,71 @@ class _PowerDen:
             self._pows[k] = K.p_mul(self.mpow(k - 1), self.m)
         return self._pows[k]
 
-    def diff(self, k):
-        """The derivative (comp, t) -> numerator of d/dx_t (comp / m^k) over
-        m^(k+1), i.e. m d_t comp - k comp d_t m, both products summed in
-        one accumulator and normalized once; one closure per k."""
-        if self.unit:
-            return K.p_diff
-        fn = self._diffs.get(k)
-        if fn is None:
-            m = self.m
-            kdm = [K.p_scale(d, (k, 0, 1)) for d in self.dm]
-
-            def fn(comp, t):
-                acc = {}
-                dc = K.p_diff(comp, t)
-                if dc:
-                    K._p_mul_acc(acc, m, dc)
-                if comp and kdm[t]:
-                    K._p_mul_sub_acc(acc, comp, kdm[t])
-                return K._normalize_acc(acc) if acc else acc
-            self._diffs[k] = fn
-        return fn
-
-    def jacobian(self, P, k):
-        """Jacobian of the section P / m^k: numerators over m^(k+1)."""
-        return K.sec_jacobian(self.n, P, self.diff(k))
-
     def operand(self, P, k):
-        """(P, its Jacobian) for the section P over m^k."""
-        return P, self.jacobian(P, k)
+        """(P, its plain Jacobian, k): the bracket operand (``dorfman``) of
+        the section P / m^k.  Over the unit base k is 0, as m^k = 1.  Over
+        any other base a section m^k c, c a constant section with
+        Gaussian-integer coefficients, is kept as (c, no Jacobian, 0): the
+        same section, integral, with no derivative to take and no power of
+        m to add (the sphere frames' images under the twistor structure,
+        +-m e')."""
+        if self.unit:
+            k = 0
+        elif k:
+            c = _constant_section(P, self.mpow(k))
+            if c is not None:
+                P, k = c, 0
+        return P, K.sec_jacobian(self.n, P), k
+
+    def dorfman(self, A, B, H, target):
+        """The numerators over m^target of the H-twisted Dorfman bracket of
+        the operands A = (P, dP, j) and B = (Q, dQ, k) of P / m^j and
+        Q / m^k (``operand``), H the flux numerators over m^1 (None for no
+        flux) and target >= j + k + 1; over the unit base exactly
+        K.sec_dorfman(n, P, Q, H, dP, dQ).
+
+        By the Leibniz rules [fA, B] = f[A,B] - (rho(B)f)A + 2<A,B>Df and
+        [A, gB] = g[A,B] + (rho(A)g)B with f = m^-j and g = m^-k, and as
+        the H-twist is C-infinity-bilinear,
+
+            m^(j+k+1) [P/m^j, Q/m^k]_H = m [P,Q]_0 - k rho(P)(m) Q
+                + j rho(Q)(m) P - j (xi_P(Y_Q) + eta_Q(X_P)) dm
+                - iota_(Y_Q) iota_(X_P) H,
+
+        for P = X_P + xi_P, Q = Y_Q + eta_Q and [P,Q]_0 the untwisted
+        bracket of the numerators (K.sec_dorfman on their plain
+        Jacobians): rho(Q)(m^-j) = -j m^(-j-1) rho(Q)(m), D = d and
+        2<P,Q> = xi_P(Y_Q) + eta_Q(X_P).  So the power of m enters once
+        per bracket, not once per Jacobian entry: m multiplies each
+        component of [P,Q]_0 after its sum is taken, and the three
+        corrections are each a scalar times a section, summed in the same
+        accumulator.  The result is lifted by m^(target - j - k - 1)."""
+        P, dP, j = A
+        Q, dQ, k = B
+        n = self.n
+        if self.unit:
+            return K.sec_dorfman(n, P, Q, H, dP, dQ)
+        accs = [{} for _ in P]
+        for acc, p in zip(accs, K.sec_dorfman(n, P, Q, None, dP, dQ)):
+            if p:
+                K._p_mul_acc(acc, self.m, p)
+        # each correction c (sum_t a_t b_t) S: -k rho(P)(m) Q,
+        # j rho(Q)(m) P and -j 2<P,Q> dm
+        dm = self.dm
+        for c, a, b, S in ((-k, P[:n], dm, Q), (j, Q[:n], dm, P),
+                           (-j, P[n:] + Q[n:], Q[:n] + P[:n], [{}] * n + dm)):
+            r = c and K.p_dot(zip(a, b))
+            if r:
+                r = K.p_scale(r, (c, 0, 1))
+                for acc, s in zip(accs, S):
+                    if s:
+                        K._p_mul_acc(acc, r, s)
+        out = [K._normalize_acc(acc) if acc else acc for acc in accs]
+        if H:
+            for i, h in enumerate(K.flux_contract(n, P, Q, H)):
+                if h:
+                    K._p_isub(out[n + i], h)
+        return self.lift(out, j + k + 1, target)
 
     def lift(self, P, j, target):
         if j == target or self.unit:
@@ -660,17 +698,17 @@ class _Structure:
     """A structure as dense numerator rows over m^1 of one base m, with
     what a family's setup reads of it, each built once and shared by every
     family that reads the structure over that base: the kernel layout
-    (``kernel``), the skew-adjointness verdict (``skew``), the image and
-    Jacobian of each generator (``image``), and the structure over a
-    multiple of m (``over``) and its signed rows over m^2 (``signed``).
+    (``kernel``), the skew-adjointness verdict (``skew``), the bracket
+    operand of each generator's image (``image``), and the structure over
+    a multiple of m (``over``) and its signed rows over m^2 (``signed``).
 
     A triple's structures (``clifford._Store``) are kept over their own
-    bases (``own``), one base object per polynomial m, so that the
-    families over one base share one base object and one record per
-    structure; ``of`` puts a caller's EndField over its own base the same
-    way (``bind_*``).  A polynomial structure is over the unit base, so a
-    constant one keeps the constant layout (``K.mat_apply_const``) and
-    plain partials."""
+    bases, one base object per polynomial m, so that the families over one
+    base share one base object and one record per structure: ``of`` puts
+    an EndField over its own base (a triple's generators, and a caller's
+    structures at ``bind_*``), ``own`` the numerators of a product table.
+    A polynomial structure is over the unit base, so a constant one keeps
+    the constant layout (``K.mat_apply_const``) and constant images."""
 
     def __init__(self, base, rows):
         self.base, self.rows, self.cache = base, rows, {}
@@ -723,8 +761,9 @@ class _Structure:
         return app(self.kernel, A)
 
     def image(self, A, key=None):
-        """(S A, its Jacobian) over m^1 for a generator A over m^0, built
-        once per key, A's place among ``_kernel_generators``."""
+        """The operand (``_PowerDen.operand``) of S A over m^1 for a
+        generator A over m^0, built once per key, A's place among
+        ``_kernel_generators``."""
         return _memo(self.cache, key,
                      lambda: self.base.operand(self.apply(A), 1))
 
@@ -833,6 +872,20 @@ def _constant_ratio(p, m2):
     mono, lead = next(iter(m2.items()))
     c = K.c_mul(p.get(mono, K.C_ZERO), K.c_inv(lead))
     return c if K.p_scale(m2, c) == p else None
+
+
+def _constant_section(P, mk):
+    """The constant section c with P = mk c, when its coefficients are
+    Gaussian integers, else None (``_PowerDen.operand``)."""
+    out = []
+    for p in P:
+        if p:
+            c = _constant_ratio(p, mk) if len(p) == len(mk) else None
+            if c is None or c[2] != 1:
+                return None
+            p = {0: c}
+        out.append(p or {})
+    return out
 
 
 def _skew_adjoint(S):
@@ -965,8 +1018,8 @@ def _commuting_symbol(setup, partner=None):
 
 def _operand(kind, mats, A, key=None):
     """Everything _eval_kernel needs of one generator A (numerators over
-    m^0): (section, Jacobian) for A over m^0, then for J A and, for a
-    concomitant, I A over m^1.  With key, A's place among the generators,
+    m^0): the bracket operand (``_PowerDen.operand``) of A over m^0, then
+    of J A and, for a concomitant, I A over m^1.  With key, A's place among the generators,
     each is built once per base and structure (``_PowerDen.operand``,
     ``_Structure.image``), not once per family."""
     base = mats["base"]
@@ -980,36 +1033,43 @@ def _eval_kernel(kind, mats, kflux, n, A, B):
     """Numerators over m^3 of the tensor on two generators, given as their
     ``_operand``s; the structures and the flux are numerators over m^1.
 
-    A bracket of P / m^j and Q / m^k is the numerator over m^(j+k+1), and
-    applying a structure adds 1 to the exponent.  So every term lands on
-    m^3, except [A, B] of N_J and N_G, which is lifted from m^1 by m^2.
-    Brackets that enter one structure are summed first, so each structure
-    is applied once: N_J(A,B) = [JA,JB] - J([JA,B] + [A,JB]) - [A,B].
+    Every bracket is taken by ``_PowerDen.dorfman`` over the power of m
+    its terms land on, and applying a structure adds 1 to the exponent.
+    So every term lands on m^3: [JA, JB] there, the brackets that enter a
+    structure on m^2, and [A, B] on m^3 for N_J and N_G, on m^1 for a
+    concomitant, whose IJ + JI is over m^2.  Brackets that enter one
+    structure are summed first, so each structure is applied once:
+    N_J(A,B) = [JA,JB] - J([JA,B] + [A,JB]) - [A,B].
 
     A zero bracket (``K.sec_dorfman`` returns one at once for operands
     with all-zero Jacobians and no flux) is passed through: no structure
     is applied to it and no section is added (a pair none of whose
-    operands has a Jacobian entry is skipped before, by ``_pairs``).
+    operands has a Jacobian entry or a power of m is skipped before, by
+    ``_pairs``).
     """
-    def dor(P, Q):
-        return K.sec_dorfman(n, P[0], Q[0], kflux, P[1], Q[1])
+    base = mats["base"]
+
+    def dor(P, Q, power):
+        return base.dorfman(P, Q, kflux, power)
 
     def apply(S, T):
         return mats[S].apply(T) if any(T) else T
     if kind != "concomitant":
         (a, ja), (b, jb) = A, B
-        ab = mats["base"].lift(dor(a, b), 1, 3)
         # N_J ends in - [A,B]; the real N_G ends in + [A,B]
-        return _signed_sum([(1, dor(ja, jb)),
-                            (-1, apply("J", _signed_sum([(1, dor(ja, b)),
-                                                         (1, dor(a, jb))]))),
-                            (-1 if kind == "nijenhuis" else 1, ab)])
+        return _signed_sum([(1, dor(ja, jb, 3)),
+                            (-1, apply("J", _signed_sum([
+                                (1, dor(ja, b, 2)), (1, dor(a, jb, 2))]))),
+                            (-1 if kind == "nijenhuis" else 1,
+                             dor(a, b, 3))])
     (a, ja, ia), (b, jb, ib) = A, B
     out = _signed_sum([
-        (1, dor(ia, jb)), (1, dor(ja, ib)),
-        (-1, apply("I", _signed_sum([(1, dor(a, jb)), (1, dor(ja, b))]))),
-        (-1, apply("J", _signed_sum([(1, dor(a, ib)), (1, dor(ia, b))]))),
-        (1, apply("IJ+JI", dor(a, b)))])
+        (1, dor(ia, jb, 3)), (1, dor(ja, ib, 3)),
+        (-1, apply("I", _signed_sum([(1, dor(a, jb, 2)),
+                                     (1, dor(ja, b, 2))]))),
+        (-1, apply("J", _signed_sum([(1, dor(a, ib, 2)),
+                                     (1, dor(ia, b, 2))]))),
+        (1, apply("IJ+JI", dor(a, b, 1)))])
     return [K.p_scale(p, HALF) for p in out]
 
 
@@ -1270,11 +1330,12 @@ def _pairs(kind, chart, setups, degree_bound, proven, frame=None):
     (``_Structure.image``) and the base (the generator's own), so every
     family over that base reads them again; a pair only brackets them and
     applies structures to the brackets (``_eval_kernel``).  With each
-    generator's operands is kept whether every one of their Jacobian
-    entries is None.  When that holds for both generators of a pair and
-    there is no flux, every bracket is zero, so the tensor is: such a pair
-    -- a pair of constant frame sections over the unit base -- costs only
-    that test."""
+    generator's operands is kept whether they are flat: every Jacobian
+    entry None and no power of m (``_PowerDen.operand``), so constant
+    sections over m^0.  When both generators of a pair are flat and there
+    is no flux, every bracket is zero (``_PowerDen.dorfman``), so the
+    tensor is: such a pair -- constant frame sections and constant images
+    -- costs only that test."""
     degree, gens, todo = _pair_plan(chart, degree_bound, proven, frame)
     n = chart.dim
     ops = [{} for _ in setups]
@@ -1285,7 +1346,7 @@ def _pairs(kind, chart, setups, degree_bound, proven, frame=None):
             for k in (i, j):
                 if k not in cache:
                     op = _operand(kind, mats, gens[k], (degree, k))
-                    cache[k] = op, not any(any(P[1]) for P in op)
+                    cache[k] = op, all(not (P[2] or any(P[1])) for P in op)
             (A, flat), (B, flat_b) = cache[i], cache[j]
             P = ([{} for _ in range(2 * n)] if flat and flat_b and not kflux
                  else _eval_kernel(kind, mats, kflux, n, A, B))

@@ -189,7 +189,6 @@ def check_intertwine(phi: CourantIso, degree_bound: int | None = None,
     term, and N_H~(I~, J~)(Phi A, Phi B) = Phi N_H(I, J)(A, B) on every
     invariant pair.  One instance of it proves strictly less."""
     chart = phi.chart
-    n = chart.dim
     proven = "skew" if degree_bound is None and _tensorial(phi) else None
     degree, gens, todo = _pair_plan(chart, degree_bound, proven)
     invariant = [not any(K.exponent(m, k) for p in A for m in p
@@ -204,20 +203,19 @@ def check_intertwine(phi: CourantIso, degree_bound: int | None = None,
     ops = {}
 
     def operands(k):
-        # (section, Jacobian) of a generator and of its image, built once
+        # the operands of a generator and of its image over m^0, built once
         if k not in ops:
             A = gens[k]
-            PA = K.mat_apply_const(M, A)
-            ops[k] = (A, base.jacobian(A, 0)), (PA, base.jacobian(PA, 0))
+            ops[k] = (base.operand(A, 0),
+                      base.operand(K.mat_apply_const(M, A), 0))
         return ops[k]
 
     def pairs():
         # brackets are numerators over m^1
         for i, j in todo:
-            ((A, dA), (PA, dPA)), ((B, dB), (PB, dPB)) = \
-                operands(i), operands(j)
-            lhs = K.mat_apply_const(M, K.sec_dorfman(n, A, B, Hs, dA, dB))
-            yield i, j, K.sec_sub(lhs, K.sec_dorfman(n, PA, PB, Ht, dPA, dPB))
+            (A, PA), (B, PB) = operands(i), operands(j)
+            lhs = K.mat_apply_const(M, base.dorfman(A, B, Hs, 1))
+            yield i, j, K.sec_sub(lhs, base.dorfman(PA, PB, Ht, 1))
     return _tensor_report("intertwine", degree_bound, base, degree, pairs(),
                           max_witnesses, power=1)
 

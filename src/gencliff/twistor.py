@@ -408,12 +408,16 @@ class ConnectionData:
 
 def _form_vector_cross(chart, v):
     """omega = v x dv for a 3-vector v of ScalarFields, as 3 KForms of
-    degree 1: formed on numerators over the LCM m of v's denominators (v
-    over m^1, dv over m^2) and normalized once per coefficient."""
+    degree 1: V x dV over m^2, for the numerators V of v over the LCM m of
+    its denominators and their plain partials dV, each coefficient
+    normalized once.
+
+    Proof: v = V / m and dv = (m dV - V dm) / m^2, so
+    v x dv = (m V x dV - (V x V) dm) / m^3 = V x dV / m^2, as V x V = 0."""
     base = _PowerDen.lcm(chart, v)
     V = [base.numerator(x) for x in v]
-    dV = [row or [{}] * chart.dim for row in base.jacobian(V, 1)]
-    den = Poly(chart, base.mpow(3))
+    dV = [row or [{}] * chart.dim for row in K.sec_jacobian(chart.dim, V)]
+    den = Poly(chart, base.mpow(2))
     out = []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
@@ -511,18 +515,20 @@ def _omega_turns_frames(conn: ConnectionData) -> bool:
     """d_w c = omega1_w x c and d_w d = omega2_w x d for each sphere
     coordinate w, decided per sphere factor on numerators over the LCM m of
     the denominators of the vector and its form's coefficients: both sides
-    are numerators over m^2, so no rational normalization is needed."""
+    are numerators over m^2, d_w (V / m) as m d_w V - V d_w m, so no
+    rational normalization is needed."""
     for v, omega in ((conn.c, conn.omega1), (conn.d, conn.omega2)):
         om = [tuple(f.coeff((w,)) for f in omega) for w in range(4)]
         base = _PowerDen.lcm(conn.chart, v + sum(om, ()))
         V = [base.numerator(x) for x in v]
-        diff = base.diff(1)
         for w in range(4):
             O = [base.numerator(g) for g in om[w]]
             for i in range(3):
                 j, k = (i + 1) % 3, (i + 2) % 3
                 cross = K.p_sub(K.p_mul(O[j], V[k]), K.p_mul(O[k], V[j]))
-                if K.p_sub(cross, diff(V[i], w)):
+                dV = K.p_sub(K.p_mul(base.m, K.p_diff(V[i], w)),
+                             K.p_mul(V[i], base.dm[w]))
+                if K.p_sub(cross, dV):
                     return False
     return True
 

@@ -882,19 +882,24 @@ class TestNumeratorStore:
         # get their numerators, kernel rows and skew-adjointness verdict
         # once each (and G its numerators, which the I_i J_i families read
         # as their products), and their images on the 2n frame generators
-        # once each, over the one unit base of every family
+        # once each, over the one unit base of every family; the I_i are
+        # their generators' entries (_Structure.of), J_i and G the
+        # table's (_Structure.own)
         from gencliff import gcs
         from gencliff.clifford import TripleStatus, _store
         T = CliffordTriple(*table_triples()[build]().generators)
-        counts = {"own": 0, "rows": 0, "skew": 0, 0: 0, 1: 0}
-        own, rows = gcs._Structure.own.__func__, gcs._sparse_rows
-        skew, operand = gcs._skew_adjoint, gcs._PowerDen.operand
+        counts = {"of": 0, "own": 0, "rows": 0, "skew": 0, 0: 0, 1: 0}
+        of, own = gcs._Structure.of.__func__, gcs._Structure.own.__func__
+        rows, skew = gcs._sparse_rows, gcs._skew_adjoint
+        operand = gcs._PowerDen.operand
 
         def count(key, fn):
             def wrapped(*args):
                 counts[key] += 1
                 return fn(*args)
             return wrapped
+        monkeypatch.setattr(gcs._Structure, "of",
+                            classmethod(count("of", of)))
         monkeypatch.setattr(gcs._Structure, "own",
                             classmethod(count("own", own)))
         monkeypatch.setattr(gcs, "_sparse_rows", count("rows", rows))
@@ -906,7 +911,7 @@ class TestNumeratorStore:
         assert theorem_1_1(verify_triple(T)).status == "pass"
         assert sorted(_store(T)) == ["G", "I1", "I2", "I3", "J1", "J2",
                                      "J3"]
-        assert counts == {"own": 7, "rows": 6, "skew": 6,
+        assert counts == {"of": 3, "own": 4, "rows": 6, "skew": 6,
                           0: 2 * n, 1: 6 * 2 * n}
 
     def test_no_denominator_merges_on_hk4b(self, monkeypatch):

@@ -389,7 +389,8 @@ class TestIntegralBase:
     def test_numerators_jacobians_and_pairs_are_integral(self, name,
                                                           monkeypatch):
         # the structures and the flux over m^1, the square over m^2, every
-        # degree-1 generator's images and quotient-rule Jacobians, and the
+        # degree-1 generator's operand and its images' (numerators, plain
+        # Jacobians and power of m, ``_PowerDen.operand``), and the
         # tensor on every pair, with no accumulator merging two
         # denominators; a concomitant's output is half an integral
         # numerator (the 1/2 of N(I,J) is applied last)
@@ -405,7 +406,7 @@ class TestIntegralBase:
         assert integral(*(p for M in [S.rows for S in nums] + [square]
                           for row in M for p in row))
         for A in _kernel_generators(tensor.chart, 1):
-            for S, jac in _operand(tensor.kind, mats, A):
+            for S, jac, _ in _operand(tensor.kind, mats, A):
                 assert integral(*S)
                 assert integral(*(d for row in jac if row for d in row))
         double = (2, 0, 1) if tensor.kind == "concomitant" else K.C_ONE

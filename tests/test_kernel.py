@@ -34,20 +34,9 @@ def rnd_ksection(rng, n=3):
     return [rnd_kpoly(rng, n, rng.randint(0, 3)) for _ in range(2 * n)]
 
 
-# a base polynomial m on R^3 and the quotient rule d/dx_t (comp / m^k) =
-# (m d_t comp - k comp d_t m) / m^(k+1), written here independently of gcs
+# a base polynomial m on R^3 for the brackets over a power of it
 QR_BASE = packed({(0, 0, 0): (1, 0, 1), (2, 0, 0): (1, 0, 1),
                   (0, 1, 1): (3, 0, 1)})
-
-
-def quotient_rule(k):
-    dm = [pykernel.p_diff(QR_BASE, t) for t in range(3)]
-
-    def d(comp, t):
-        return pykernel.p_sub(
-            pykernel.p_mul(QR_BASE, pykernel.p_diff(comp, t)),
-            pykernel.p_scale(pykernel.p_mul(comp, dm[t]), (k, 0, 1)))
-    return d
 
 
 class TestCoefficients:
@@ -348,30 +337,6 @@ class TestJacobian:
                 partials = [kernel.p_diff(comp, t) for t in range(3)]
                 assert row == (partials if any(partials) else None)
 
-    def test_quotient_rule_matches_power_den(self):
-        # _PowerDen.diff(k) against the local quotient rule, and both
-        # against the ScalarField derivative of P / m^k
-        R3 = standard_chart(3)
-        base = _PowerDen(R3, QR_BASE)
-        rng = random.Random(84)
-        for k in range(3):
-            den = Poly(R3, base.mpow(k))
-            up = Poly(R3, base.mpow(k + 1))
-            for _ in range(10):
-                P = rnd_ksection(rng)
-                jac = kernel.sec_jacobian(3, P, base.diff(k))
-                assert jac == kernel.sec_jacobian(3, P, quotient_rule(k))
-            for _ in range(2):
-                # the ScalarField route normalizes by GCD: a few sections
-                P = rnd_ksection(rng)
-                jac = kernel.sec_jacobian(3, P, base.diff(k))
-                for comp, row in zip(P, jac):
-                    if row is None:
-                        continue
-                    f = ScalarField(Poly(R3, comp), den)
-                    for t in range(3):
-                        assert f.diff(t) == ScalarField(Poly(R3, row[t]), up)
-
 
 def dorfman_oracle(n, A, B, H):
     """The Dorfman bracket of kernel sections term by term, every product
@@ -451,26 +416,24 @@ class TestStructurallyZeroBracket:
         assert nonzero
 
     def test_constant_numerator_over_m_is_not_skipped(self):
-        # d/dx_t (c / m) = -c d_t m / m^2: the quotient-rule Jacobian of a
-        # constant numerator over m^1 is not None, and its bracket with a
-        # frame section is the ScalarField route's
+        # d/dx_t (c / m) = -c d_t m / m^2: a constant numerator over m^1 has
+        # no plain Jacobian but keeps its power of m, so its bracket with a
+        # frame section is taken (_PowerDen.dorfman), in either order, and
+        # is the ScalarField route's
         R3 = standard_chart(3)
         base = _PowerDen(R3, QR_BASE)
         c = packed({(0, 0, 0): (2, 1, 3)})
-        P = [c, {}, {}, {}, {}, {}]
-        jac = base.jacobian(P, 1)
-        assert jac[0] is not None and any(jac[0])
-        assert jac[1:] == [None] * 5
+        P = base.operand([c, {}, {}, {}, {}, {}], 1)
+        assert P[1] == [None] * 6 and P[2] == 1
         nonzero = 0
         for b in range(6):
             Q = [{}] * 6
             Q[b] = packed({(0, 0, 0): (1, 0, 1)})
-            for (X, j, dX), (Y, k, dY) in (
-                    ((P, 1, jac), (Q, 0, base.jacobian(Q, 0))),
-                    ((Q, 0, base.jacobian(Q, 0)), (P, 1, jac))):
-                got = pykernel.sec_dorfman(3, X, Y, None, dX, dY)
-                assert base.section(got, j + k + 1) == dorfman(
-                    base.section(X, j), base.section(Y, k))
+            Q = base.operand(Q, 0)
+            for X, Y in ((P, Q), (Q, P)):
+                got = base.dorfman(X, Y, None, 2)
+                assert base.section(got, 2) == dorfman(
+                    base.section(X[0], X[2]), base.section(Y[0], Y[2]))
                 nonzero += any(got)
         # e.g. [d_b, (c/m) d1] = d_b(c/m) d1, nonzero for b = 1, 2, 3
         assert nonzero
@@ -499,6 +462,57 @@ class TestStructurallyZeroBracket:
         got = pykernel.sec_dorfman(3, A, B, None)
         assert got == dorfman_oracle(3, A, B, None)
         assert got[3] == packed({(0, 0, 0): (4, 0, 15)})
+
+
+class TestLeibnizBracket:
+    """gcs._PowerDen.dorfman, the bracket over a power of a non-unit base
+    by the Leibniz rules, against the Cartan-calculus route
+    courant.dorfman_twisted, with a flux over that base: on R^3,
+    H = 1/(1 + x1^2) dx1^dx2^dx3, so m = 1 + x1^2 and H's numerator over
+    m^1 is 1."""
+
+    def test_twisted_bracket_matches_the_reference(self):
+        R3 = standard_chart(3)
+        h = ScalarField(Poly.one(R3), Poly(R3, packed(
+            {(0, 0, 0): (1, 0, 1), (2, 0, 0): (1, 0, 1)})))
+        Hf = FluxForm(KForm(R3, 3, {(0, 1, 2): h}))
+        base = _PowerDen.lcm(R3, [h])
+        assert not base.unit
+        kflux = {(0, 1, 2): base.numerator(h)}
+        rng = random.Random(93)
+
+        def coeff():
+            return (rng.randint(-3, 3) or 1, rng.randint(-3, 3),
+                    rng.choice((1, 1, 2)))
+
+        def section():
+            # three components of at most two terms of degree <= 1, with
+            # Gaussian coefficients
+            P = [{} for _ in range(6)]
+            for a in rng.sample(range(6), 3):
+                P[a] = packed({tuple(int(t == rng.randrange(4))
+                                     for t in range(3)): coeff()
+                               for _ in range(2)})
+            return P
+        for j in range(3):
+            for k in range(3):
+                # m^j times a constant section of Gaussian integers, kept
+                # as an operand over m^0, and a section over m^j
+                c = [{0: coeff()[:2] + (1,)} if rng.random() < 0.5 else {}
+                     for _ in range(6)]
+                for P, power in (
+                        ([pykernel.p_mul(p, base.mpow(j)) for p in c], 0),
+                        (section(), j)):
+                    Q = section()
+                    A, B = base.operand(P, j), base.operand(Q, k)
+                    assert (A[2], B[2]) == (power, k)
+                    SP, SQ = base.section(P, j), base.section(Q, k)
+                    for X, Y, want in (
+                            (A, B, dorfman_twisted(SP, SQ, Hf)),
+                            (B, A, dorfman_twisted(SQ, SP, Hf))):
+                        for top in (j + k + 1, j + k + 2):
+                            got = base.dorfman(X, Y, kflux, top)
+                            assert base.section(got, top) == want
 
 
 class TestTheorem11FramePairs:

@@ -279,9 +279,10 @@ class TestSphereGcs:
 
 class TestFixedDenominatorBracket:
     def test_matches_reference_bracket(self):
-        # the kernel bracket with quotient-rule derivatives, on numerators
-        # of P / m^j and Q / m^k, against the Cartan-calculus route on the
-        # same rational sections
+        # the Leibniz-rule bracket (_PowerDen.dorfman) on numerators of
+        # P / m^j and Q / m^k, over m^(j+k+1) and lifted once more, against
+        # the Cartan-calculus route on the same rational sections; among
+        # them m^j times a constant section, kept over m^0
         S4 = sphere_chart()
         base = _sphere_base(S4)
         rng = random.Random(5)
@@ -299,13 +300,20 @@ class TestFixedDenominatorBracket:
             return Section.from_components(
                 S4, [ScalarField(Poly(S4, p), den) for p in P])
 
+        constant = [{}, packed({(0,) * 4: (2, -1, 1)}), {}, {}, {}, {}, {},
+                    packed({(0,) * 4: (-3, 0, 1)})]
         for j in range(3):
             for k in range(3):
                 P, Q = numerators(), numerators()
-                R = K.sec_dorfman(4, P, Q, None, base.jacobian(P, j),
-                                  base.jacobian(Q, k))
-                assert section(R, j + k + 1) == dorfman(section(P, j),
-                                                        section(Q, k))
+                if j == k:
+                    P = [K.p_mul(p, base.mpow(j)) if p else {}
+                         for p in constant]
+                A, B = base.operand(P, j), base.operand(Q, k)
+                assert A[2] == (0 if j == k else j)
+                want = dorfman(section(P, j), section(Q, k))
+                for top in (j + k + 1, j + k + 2):
+                    R = base.dorfman(A, B, None, top)
+                    assert section(R, top) == want
 
 
 class TestTwistorStructure:
@@ -594,15 +602,14 @@ class TestTheorem13:
         form = Section.frame(Z, 12)          # e_u1 = du1
         assert dorfman(form, v).is_zero
         # the suite's check brackets the numerators of v over the integral
-        # sphere base m of _twistor_numerators on the kernel: the same
-        # bracket over m^2
+        # sphere base m of _twistor_numerators by the Leibniz rules
+        # (_PowerDen.dorfman): the same bracket over m^2
         Zn, base, rows = twistor._twistor_numerators(T)
         sphere_scale(Z, base)
-        vn = [base.numerator(f) for f in v.to_components()]
+        vn = base.operand([base.numerator(f) for f in v.to_components()], 1)
         for frame, want in ((alpha, lhs), (form, Section.zero(Z))):
             P = [f.num.terms for f in frame.to_components()]
-            got = K.sec_dorfman(Z.dim, P, vn, None, base.jacobian(P, 0),
-                                base.jacobian(vn, 1))
+            got = base.dorfman(base.operand(P, 0), vn, None, 2)
             assert base.section(got, 2) == want
         # the oracle brackets the numerators of E over m directly
         assert Zn == Z
@@ -648,7 +655,8 @@ class TestIntegralBase:
     def test_numerators_jacobians_and_pairs_are_integral(self, build,
                                                           monkeypatch):
         # the structure's numerators over m^1, every frame generator's
-        # image and quotient-rule Jacobians, and the tensor on every frame
+        # operand and its image's (numerators, plain Jacobians and power of
+        # m, ``_PowerDen.operand``), and the tensor on every frame
         # pair a < b (pointwise, so more brackets than the certificate's);
         # no accumulator merges two denominators on the way
         T = build()
@@ -659,7 +667,7 @@ class TestIntegralBase:
         assert integral(base.m, *(p for row in rows for p in row))
         setup = _kernel_setup(tensor)
         for A in _kernel_generators(Z, 0):
-            for S, jac in _operand("nijenhuis", setup[0], A):
+            for S, jac, _ in _operand("nijenhuis", setup[0], A):
                 assert integral(*S)
                 assert integral(*(d for row in jac if row for d in row))
         _, _, pairs = _residuals(tensor, None, pointwise=True)
